@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Polynomial, RingContext, RingError, univ_divmod
+from .groebner import ResourceCapError
+from .poly import RingError, univ_divmod
 from .rees import ReesAlgebra, ReesError, diff_saturate
 
 CHARPOLY_DEGREE_CAP = 12
@@ -70,89 +71,62 @@ def mult_matrix(g, f, z_var):
     return MultiplicationMatrix(f, g, matrix, z_var)
 
 
-def _det(entries, size):
-    """Division-free determinant by expansion along rows, memoized on the
-    surviving column set."""
-    full = frozenset(range(size))
-    cache = {}
-
-    def minor(cols):
-        if not cols:
-            return None  # 0x0 determinant == 1, handled by caller
-        if cols in cache:
-            return cache[cols]
-        row = size - len(cols)
-        total = None
-        for pos, j in enumerate(sorted(cols)):
-            a = entries[row][j]
-            if a.is_zero():
-                continue
-            sub_cols = cols - {j}
-            if sub_cols:
-                sub = minor(frozenset(sub_cols))
-                if sub is None:
-                    continue
-                term = a * sub
-            else:
-                term = a
-            if pos % 2:
-                term = -term
-            total = term if total is None else total + term
-        cache[cols] = total
-        return total
-
-    out = minor(full)
-    return out
+def _dot(xs, ys):
+    """Sum of x*y over the pairs with both factors nonzero; None if none."""
+    total = None
+    for x, y in zip(xs, ys):
+        if x and y:
+            total = x * y if total is None else total + x * y
+    return total
 
 
 def char_poly(M):
     """Coefficients (h_1, ..., h_c) of det(V*Id - M) = V^c + h_1 V^{c-1} + ...,
-    by division-free cofactor expansion; valid in any characteristic."""
+    in the ring of the entries.
+
+    Berkowitz's division-free recursion, valid in any characteristic: with
+    the leading (r+1)-block split as [[A, col], [row, a]], the coefficients
+    grow as h'_i = h_i - s_i - sum_{j<i} s_{i-j} h_j, where s_1 = a and
+    s_k = row * A^{k-2} * col.  h_0 = 1 stays implicit and zero factors are
+    skipped.
+    """
     c = M.size
     if c > CHARPOLY_DEGREE_CAP:
-        raise RingError("characteristic polynomial degree cap exceeded (%d > %d)"
-                        % (c, CHARPOLY_DEGREE_CAP))
-    ring = M.matrix[0][0].ring
-    vname = "_V"
-    while vname in ring.variables:
-        vname += "_"
-    ext = RingContext(ring.field, ring.variables + (vname,))
-    v = ext.var(vname)
-    entries = []
-    for i in range(c):
-        row = []
-        for j in range(c):
-            e = -M.matrix[i][j].lift(ext)
-            if i == j:
-                e = e + v
-            row.append(e)
-        entries.append(row)
-    det = _det(entries, c)
-    if det is None:
-        det = ext.zero()
-    # split det = sum h_j * V^{c-j}
-    vi = ext.var_index(vname)
-    buckets = [dict() for _ in range(c + 1)]
-    for e, coeff in det.terms.items():
-        deg = e[vi]
-        rest = e[:vi] + (0,) + e[vi + 1:]
-        buckets[deg][rest] = coeff
-    coeffs = []
-    for j in range(1, c + 1):
-        h = Polynomial(ext, buckets[c - j]).project_out(vname)
-        coeffs.append(h)
-    return coeffs
+        raise ResourceCapError("characteristic polynomial degree cap exceeded "
+                               "(degree %d > cap %d)" % (c, CHARPOLY_DEGREE_CAP))
+    A = M.matrix
+    cols = tuple(zip(*A))
+    zero = A[0][0].ring.zero()
+    h = []
+    for r in range(c):
+        # powers act on the row: column j of a multiplication matrix is
+        # g*Z^j mod f, whose entries grow with j, so row r's first r entries
+        # start the powers smaller than column r's would
+        row, col = A[r][:r], cols[r][:r]
+        s = [A[r][r]]
+        for k in range(r):
+            s.append(_dot(row, col))
+            if k < r - 1:
+                row = [_dot(row, cols[j][:r]) for j in range(r)]
+        new = []
+        for i in range(1, r + 2):
+            acc = _dot(reversed(s[:i - 1]), h)
+            if s[i - 1]:
+                acc = s[i - 1] if acc is None else acc + s[i - 1]
+            old = h[i - 1] if i <= r else zero
+            new.append(old if acc is None else old - acc)
+        h = new
+    return h
 
 
 def cayley_hamilton_residue(g, f, z_var):
     """psi_g(g) reduced mod f; zero iff Cayley-Hamilton holds (it must)."""
     M = mult_matrix(g, f, z_var)
     coeffs = char_poly(M)
-    ring = f.ring
     c = M.size
     acc = g**c
     for j, h in enumerate(coeffs, start=1):
-        acc = acc + h.lift(ring) * g**(c - j)
+        acc = acc + h * g**(c - j)
     return univ_divmod(acc, f, z_var)[1]
 
 

@@ -141,13 +141,24 @@ class FieldDescriptor:
                 if len(value) > 1 and any(c % self.p for c in value[1:]):
                     raise FieldError("tuple value too long for prime field")
                 value = value[0] if value else 0
-            return FieldElement(self, int(value) % self.p)
+            return FieldElement(self, self._residue(value))
         if isinstance(value, (tuple, list)):
             coeffs = _polymod(list(value), list(self.modulus), self.p)
         else:
-            coeffs = [int(value) % self.p]
+            coeffs = [self._residue(value)]
         coeffs = coeffs + [0] * (self.k - len(coeffs))
         return FieldElement(self, tuple(coeffs[:self.k]))
+
+    def _residue(self, value):
+        """An integer mod p; a Fraction a/b maps to a * b^-1 and has no image
+        when p divides b."""
+        if isinstance(value, int):
+            return value % self.p
+        value = Fraction(value)
+        if value.denominator % self.p == 0:
+            raise FieldError("%s has no image in characteristic %d"
+                             % (value, self.p))
+        return value.numerator * pow(value.denominator, -1, self.p) % self.p
 
     def generator(self):
         """The class of t in F_p[t]/<modulus> (k > 1 only)."""

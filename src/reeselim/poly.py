@@ -31,6 +31,9 @@ class RingContext:
             raise RingError("ring needs at least one variable")
         if len(set(variables)) != len(variables) or any(not v for v in variables):
             raise RingError("variable names must be distinct and nonempty")
+        if field.k > 1 and "t" in variables:
+            raise RingError("'t' names the generator of %s; pick another "
+                            "variable name" % field.spec())
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(variables)})

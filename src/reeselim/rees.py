@@ -103,24 +103,16 @@ class BlowupChart:
     l in the center, at the chart of x_j (which becomes the exceptional
     variable)."""
 
-    __slots__ = ("ring", "exceptional", "center", "substitution", "parent")
+    __slots__ = ("ring", "exceptional", "center", "substitution")
 
-    def __init__(self, ring, exceptional, center, substitution, parent=None):
+    def __init__(self, ring, exceptional, center, substitution):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "exceptional", exceptional)
         object.__setattr__(self, "center", tuple(center))
         object.__setattr__(self, "substitution", dict(substitution))
-        object.__setattr__(self, "parent", parent)
 
     def __setattr__(self, *a):
         raise AttributeError("BlowupChart is immutable")
-
-    def depth(self):
-        d, chart = 0, self
-        while chart is not None:
-            d += 1
-            chart = chart.parent
-        return d
 
     def __repr__(self):
         subs = ", ".join("%s->%s" % (k, v) for k, v in self.substitution.items())
@@ -328,7 +320,7 @@ def _chart_substitution(G, center, chart_var):
     return {v: chart * G.ring.var(v) for v in center if v != chart_var}
 
 
-def weighted_transform(G, center, chart_var, parent_chart=None):
+def weighted_transform(G, center, chart_var):
     """Weighted (strict-level) transform at a coordinate-subspace center, in
     the chart of chart_var: substitute x_l -> chart * x_l for the other
     center variables, then divide each generator exactly by chart^weight.
@@ -346,7 +338,7 @@ def weighted_transform(G, center, chart_var, parent_chart=None):
     for g in G.generators:
         moved = g.poly.substitute(mapping) if mapping else g.poly
         pairs.append((_exact_divide(moved, chart_var, g.weight), g.weight))
-    chart = BlowupChart(G.ring, chart_var, center, mapping, parent_chart)
+    chart = BlowupChart(G.ring, chart_var, center, mapping)
     return ReesAlgebra.from_pairs(G.ring, pairs), chart
 
 
@@ -362,33 +354,26 @@ def total_transform(G, center, chart_var):
 
 def degree_ideal(G, k):
     """Ideal generated by products of generators over minimal multisets with
-    total weight >= k (minimal: dropping any factor falls below k)."""
+    total weight >= k (minimal: dropping any factor falls below k).
+
+    Multisets are enumerated depth first in generator order and each
+    minimal one is multiplied out once, so the generator order is
+    deterministic."""
     if k < 1:
         raise ReesError("degree must be >= 1")
-    gens = []
-    seen_gens = set()
-    for g in G.generators:
-        key = (g.poly, g.weight)
-        if key not in seen_gens:
-            seen_gens.add(key)
-            gens.append(g)
-    products = set()
-    visited = set()
+    gens = G.generators
+    products = {}
 
-    def rec(start, weight_sum, product, min_member_weight):
-        if weight_sum >= k:
-            # minimal iff removing the lightest member drops below k
-            if weight_sum - min_member_weight < k:
-                products.add(product)
-            return
-        state = (start, weight_sum, min_member_weight, product)
-        if state in visited:
-            return
-        visited.add(state)
+    def rec(start, weight_sum, product, lightest):
         for i in range(start, len(gens)):
             g = gens[i]
-            rec(i, weight_sum + g.weight, product * g.poly,
-                min(min_member_weight, g.weight))
+            total = weight_sum + g.weight
+            if total < k:
+                rec(i, total, product * g.poly, min(lightest, g.weight))
+            elif total - lightest < k:
+                # minimal iff removing the lightest member drops below k;
+                # when g itself is lightest, weight_sum < k already says so
+                products[product * g.poly] = None
 
     rec(0, 0, G.ring.one(), INFINITE_ORDER)
     return Ideal(G.ring, _drop_divisible_monomials(products))

@@ -131,3 +131,31 @@ def test_transversality_failure_exits_two(tmp_path):
     path.write_text("ring: Q[Y,Z]\ngen: Z^2+Y w 2\n")
     code, text = run(["eliminate", str(path), "--monic", "0", "--var", "Z"])
     assert code == 2 and "error:" in text
+
+
+def test_fraction_coefficients_in_positive_characteristic(tmp_path):
+    path = tmp_path / "half.alg"
+    path.write_text("ring: F3[x]\ngen: 1/2*x w 1\n")
+    code, text = run(["saturate", str(path)])
+    assert code == 0
+    assert parse_algebra(text).generators[0].poly == \
+        parse_algebra("ring: F3[x]\ngen: 2*x w 1\n").generators[0].poly
+    assert "#! generators: 1" in text
+    path.write_text("ring: F2[x]\ngen: 1/2*x w 1\n")
+    code, text = run(["saturate", str(path)])
+    assert code == 2 and "error:" in text
+
+
+def test_variable_t_in_extension_field_ring_exits_two(tmp_path):
+    path = tmp_path / "t.alg"
+    path.write_text("ring: F4[t,x]\ngen: t*x w 1\n")
+    code, text = run(["saturate", str(path)])
+    assert code == 2 and "error:" in text
+
+
+def test_char_poly_cap_exits_three(tmp_path):
+    path = tmp_path / "deg13.alg"
+    path.write_text("ring: F2[Y,Z]\ngen: Z^13+Y^14 w 13\n")
+    code, text = run(["eliminate", str(path), "--monic", "0", "--var", "Z"])
+    assert code == 3
+    assert "error:" in text and "13" in text and "12" in text

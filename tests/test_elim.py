@@ -1,10 +1,12 @@
 """Multiplication matrices, characteristic polynomials, and elimination."""
+import itertools
 import random
 
 import pytest
 
-from reeselim import (FieldDescriptor, ReesAlgebra, ReesError, ReesGenerator,
-                      RingContext, RingError, buchberger,
+from reeselim import (FieldDescriptor, MultiplicationMatrix, ReesAlgebra,
+                      ReesError, ReesGenerator, ResourceCapError, RingContext,
+                      RingError, buchberger,
                       cayley_hamilton_residue, char_poly, degree_ideal,
                       diff_saturate, eliminate, format_elimination, is_simple,
                       membership, mult_matrix, ord_at_point,
@@ -78,6 +80,70 @@ def test_trace_and_determinant_identities():
     det = M.matrix[0][0] * M.matrix[1][1] - M.matrix[0][1] * M.matrix[1][0]
     assert h[0] == -trace
     assert h[1] == det
+
+
+def leibniz_char_poly(M):
+    """Oracle: det(V*Id - M) summed over permutations in a ring with an
+    extra variable V, split into the coefficients h_1..h_c of V^{c-1}..V^0."""
+    c = M.size
+    R = M.matrix[0][0].ring
+    E = RingContext(R.field, R.variables + ("V",))
+    v = E.var("V")
+    entries = [[(v if i == j else E.zero()) - M.matrix[i][j].lift(E)
+                for j in range(c)] for i in range(c)]
+    det = E.zero()
+    for perm in itertools.permutations(range(c)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(c) for j in range(i + 1, c))
+        term = E.one() if inversions % 2 == 0 else -E.one()
+        for i in range(c):
+            term = term * entries[i][perm[i]]
+        det = det + term
+    coeffs = det.coefficients_in("V")
+    assert coeffs[c] == E.one()
+    return [coeffs[c - j].project_out("V") for j in range(1, c + 1)]
+
+
+def random_matrix(rng, R, c):
+    """Small random polynomial entries, many zeros, sometimes a zero row or
+    column."""
+    def entry():
+        if rng.random() < 0.35:
+            return R.zero()
+        p = R.zero()
+        for _ in range(rng.randrange(1, 3)):
+            p = p + R.monomial((rng.randrange(2), rng.randrange(2)),
+                               rng.randrange(-2, 3))
+        if R.field.k > 1 and rng.random() < 0.5:
+            p = p * R.constant(R.field.generator())
+        return p
+
+    matrix = [[entry() for _ in range(c)] for _ in range(c)]
+    shape = rng.randrange(3)
+    if shape == 1:
+        matrix[rng.randrange(c)] = [R.zero()] * c
+    elif shape == 2:
+        j = rng.randrange(c)
+        for row in matrix:
+            row[j] = R.zero()
+    return MultiplicationMatrix(None, None, matrix, None)
+
+
+def test_char_poly_matches_leibniz_oracle():
+    rng = random.Random(2024)
+    for spec in ("Q", "F2", "F3", "F4", "F5"):
+        R = ring(spec, "X", "Y")
+        for c in range(1, 6):
+            for _ in range(4 if c < 5 else 2):
+                M = random_matrix(rng, R, c)
+                assert char_poly(M) == leibniz_char_poly(M)
+
+
+def test_char_poly_degree_cap_is_a_resource_cap():
+    zero = QYZ.zero()
+    M = MultiplicationMatrix(None, None, [[zero] * 13 for _ in range(13)], "Z")
+    with pytest.raises(ResourceCapError, match="13.*12"):
+        char_poly(M)
 
 
 def test_eliminate_char_zero_example():

@@ -110,6 +110,20 @@ def test_characteristic_zero_restrictions():
         _ = Q.order
 
 
+def test_fractions_map_to_inverses_in_positive_characteristic():
+    F3 = FieldDescriptor.parse("F3")
+    assert F3.element(Fraction(1, 2)) == F3.element(2)
+    assert F5.element(Fraction(-3, 4)) == F5.element(-3) / F5.element(4)
+    assert F9.element(Fraction(1, 2)) == F9.element(2)
+    assert F4.element(Fraction(1, 3)) == F4.one()
+    assert F4.generator() * Fraction(1, 3) == F4.generator()
+    for field in (F2, F4):
+        with pytest.raises(FieldError):
+            field.element(Fraction(1, 2))
+    with pytest.raises(FieldError):
+        F5.element(Fraction(3, 10))
+
+
 def test_reducible_modulus_rejected():
     with pytest.raises(FieldError):
         FieldDescriptor.parse("F4:t^2+1")  # (t+1)^2 over F_2

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from reeselim import (INFINITE_ORDER, FieldDescriptor, RingContext, RingError,
-                      univ_divmod, univ_gcd, univ_radical)
+from reeselim import (INFINITE_ORDER, FieldDescriptor, FieldError,
+                      RingContext, RingError, univ_divmod, univ_gcd,
+                      univ_radical)
 from reeselim.poly import formal_derivative
 
 
@@ -182,6 +183,26 @@ def test_parser_round_trip():
         assert QYZ.parse(str(f)) == f
     with pytest.raises(RingError):
         QYZ.parse("W^2")
+
+
+def test_fraction_coefficients_in_positive_characteristic():
+    F3X = ring("F3", "x")
+    assert F3X.parse("1/2*x") == F3X.parse("2*x")
+    with pytest.raises(FieldError):
+        ring("F2", "x").parse("1/2*x")
+    F4X = ring("F4", "x")
+    assert F4X.parse("1/3*t*x") == F4X.parse("t*x")
+
+
+def test_t_is_reserved_in_extension_field_rings():
+    with pytest.raises(RingError):
+        ring("F4", "t", "x")
+    with pytest.raises(RingError):
+        ring("F9", "x", "t")
+    assert ring("F2", "t", "x").variables == ("t", "x")
+    F4X = ring("F4", "x")
+    f = F4X.parse("t*x+t^2")
+    assert F4X.parse(str(f)) == f
 
 
 def test_projection_and_lift():

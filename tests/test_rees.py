@@ -1,8 +1,15 @@
 """Weighted Rees algebras: saturation, singular loci, invariants, transforms."""
+import itertools
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import reeselim
 from reeselim import (FieldDescriptor, Ideal, ReesAlgebra, ReesError,
                       ReesGenerator, RingContext, component_order,
                       degree_ideal, diff_saturate, e0_invariant,
@@ -186,6 +193,67 @@ def test_degree_ideal_minimal_products():
     G3 = diff_saturate(algebra(QYZ, ("Z^2+Y^5", 2)))
     assert ideal_equal(degree_ideal(G3, 1),
                        Ideal(QYZ, [g.poly for g in G3.generators]))
+
+
+def brute_force_degree_ideal(G, k):
+    """Oracle: products over every minimal multiset of total weight >= k,
+    without the monomials strictly divisible by another monomial product."""
+    products = set()
+    for size in range(1, k + 1):
+        for combo in itertools.combinations_with_replacement(G.generators,
+                                                             size):
+            weights = [g.weight for g in combo]
+            if sum(weights) >= k > sum(weights) - min(weights):
+                product = G.ring.one()
+                for g in combo:
+                    product = product * g.poly
+                products.add(product)
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    monomials = [p for p in products if len(p.terms) == 1]
+    return {p for p in products
+            if len(p.terms) > 1 or not any(
+                q != p and divides(q.leading_monomial(), p.leading_monomial())
+                for q in monomials)}
+
+
+def test_degree_ideal_matches_brute_force_enumeration():
+    rng = random.Random(7)
+    for spec in ("Q", "F2", "F3"):
+        R = ring(spec, "X", "Y")
+        for _ in range(12):
+            pairs = []
+            for _ in range(rng.randrange(1, 4)):
+                # monic monomials and binomials: equal monomial products are
+                # then equal polynomials, so the oracle's set is exact
+                p = R.monomial((rng.randrange(3), rng.randrange(3)))
+                if rng.random() < 0.5:
+                    p = p + R.monomial((rng.randrange(3), rng.randrange(3)),
+                                       rng.randrange(1, 3))
+                pairs.append((p, rng.randrange(1, 4)))
+            G = ReesAlgebra.from_pairs(R, pairs)
+            for k in range(1, 6):
+                gens = degree_ideal(G, k).generators
+                assert len(set(gens)) == len(gens)
+                assert set(gens) == brute_force_degree_ideal(G, k)
+
+
+def test_degree_ideal_order_does_not_depend_on_hash_seed():
+    script = (
+        "from reeselim import *\n"
+        "R = RingContext(FieldDescriptor.parse('F3'), ['x', 'y'])\n"
+        "G = diff_saturate(ReesAlgebra.from_pairs(R, [\n"
+        "    (R.parse('x^2*y+2*y^3+x'), 3), (R.parse('x*y^2+y'), 2)]))\n"
+        "print([str(g) for g in degree_ideal(G, 3).generators])\n")
+    src = str(Path(reeselim.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outputs.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                      capture_output=True, check=True).stdout)
+    assert outputs[0] == outputs[1] and outputs[0].startswith(b"[")
 
 
 def test_singular_zero_set_invariant_under_saturation():
