@@ -1,9 +1,12 @@
 """Ideals with Groebner-based membership and finite-field point scans.
 
-Plain Buchberger under grevlex with the normal selection strategy
-(smallest lcm first) and full inter-reduction.  Instances here are tiny,
-so determinism is worth more than speed; a hard cap on the basis size
-turns runaway computations into a clean error.
+Buchberger under grevlex with the normal selection strategy (smallest
+lcm first) and full inter-reduction.  S-pairs are skipped by Buchberger's
+two criteria: coprime leading monomials, and the chain criterion
+(Cox-Little-O'Shea §2.10).  Leading monomials are cached on the
+polynomials, so reduction does not recompute them.  The reduced basis is
+unique, so neither changes an answer; a hard cap on the basis size turns
+runaway computations into a clean error that reports the progress made.
 """
 from __future__ import annotations
 
@@ -116,29 +119,47 @@ def buchberger(ideal, cap=DEFAULT_BASIS_CAP):
             seen.add(g)
             basis.append(g)
     heap = []
+    pending = set()   # pairs (i, j), i < j, still on the heap
+    reductions = 0
 
     def push_pairs(new):
         lm_new = basis[new].leading_monomial()
         for k in range(new):
             lcm = _lcm(basis[k].leading_monomial(), lm_new)
             heapq.heappush(heap, (grevlex_key(lcm), k, new))
+            pending.add((k, new))
+
+    def treated(a, b):
+        return (min(a, b), max(a, b)) not in pending
 
     for n in range(len(basis)):
         push_pairs(n)
     while heap:
         _, i, j = heapq.heappop(heap)
+        pending.remove((i, j))
         f, g = basis[i], basis[j]
         lf, lg = f.leading_monomial(), g.leading_monomial()
+        lcm = _lcm(lf, lg)
         # Buchberger's first criterion: disjoint leading supports
-        if _lcm(lf, lg) == tuple(a + b for a, b in zip(lf, lg)):
+        if lcm == tuple(a + b for a, b in zip(lf, lg)):
+            continue
+        # second (chain) criterion, CLO 2.10: lm(basis[k]) divides the lcm
+        # and both pairs (i, k) and (j, k) are already treated
+        if any(k != i and k != j and _divides(h.leading_monomial(), lcm)
+               and treated(i, k) and treated(j, k)
+               for k, h in enumerate(basis)):
             continue
         s = normal_form(_s_polynomial(f, g), basis)
+        reductions += 1
         if s.is_zero():
             continue
         s = s.scale(s.leading_coefficient().inverse())
         basis.append(s)
         if len(basis) > cap:
-            raise ResourceCapError("Groebner basis exceeded %d elements" % cap)
+            raise ResourceCapError(
+                "Groebner basis reached %d elements > cap %d after %d S-pair "
+                "reductions, %d pairs pending"
+                % (len(basis), cap, reductions, len(pending)))
         push_pairs(len(basis) - 1)
     return GroebnerBasis(ideal, _interreduce(basis))
 

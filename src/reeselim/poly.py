@@ -154,7 +154,7 @@ class RationalPoint:
 class Polynomial:
     """Sparse polynomial; term map from exponent tuple to nonzero coefficient."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_lm")
 
     def __init__(self, ring, terms):
         object.__setattr__(self, "ring", ring)
@@ -301,10 +301,17 @@ class Polynomial:
         return self.recenter(point).order_at_origin()
 
     def leading_monomial(self):
-        """Greatest exponent tuple under grevlex."""
+        """Greatest exponent tuple under grevlex, cached on first use (the
+        term map never changes after construction)."""
+        try:
+            return self._lm
+        except AttributeError:
+            pass
         if not self.terms:
             raise RingError("zero polynomial has no leading monomial")
-        return max(self.terms, key=grevlex_key)
+        lm = max(self.terms, key=grevlex_key)
+        object.__setattr__(self, "_lm", lm)
+        return lm
 
     def leading_coefficient(self):
         return self.terms[self.leading_monomial()]

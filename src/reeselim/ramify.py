@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .elim import eliminate
+from .groebner import ResourceCapError
 from .poly import RationalPoint, RingError, univ_radical
 from .rees import ReesAlgebra, ReesError, ReesGenerator
 
@@ -117,8 +118,8 @@ def _base_points(base):
         raise RingError("point scan needs a finite coefficient field")
     count = field.order**base.nvars
     if count > SCAN_BUDGET:
-        raise ReesError("scan of %d points exceeds budget %d"
-                        % (count, SCAN_BUDGET))
+        raise ResourceCapError("scan of %d points exceeds budget %d"
+                               % (count, SCAN_BUDGET))
     for coords in itertools.product(field.elements(), repeat=base.nvars):
         yield RationalPoint(base, coords)
 

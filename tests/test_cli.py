@@ -109,6 +109,15 @@ def test_ramify_verify_field_override(tmp_path):
     assert "points: 5" in text
 
 
+def test_ramify_verify_scan_budget_exits_three(tmp_path, monkeypatch):
+    monkeypatch.setattr("reeselim.ramify.SCAN_BUDGET", 4)
+    path = tmp_path / "ram.alg"
+    path.write_text("ring: F5[Y,Z]\ngen: Z^2-Y w 2\n")
+    code, text = run(["ramify-verify", str(path), "--var", "Z"])
+    assert code == 3
+    assert "error: scan of 5 points exceeds budget 4" in text
+
+
 def test_scenario_command(capsys):
     code, text = run(["scenario", "ex6.10"])
     assert code == 0

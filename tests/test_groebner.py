@@ -1,9 +1,13 @@
 """Buchberger bases, membership, ideal equality, and point scans."""
+import random
+from fractions import Fraction
+
 import pytest
 
 from reeselim import (FieldDescriptor, Ideal, ResourceCapError, RingContext,
                       buchberger, ideal_equal, membership, rational_zero_set)
 from reeselim.groebner import normal_form
+from reeselim.poly import grevlex_key
 
 
 def ring(spec, *names):
@@ -83,5 +87,119 @@ def test_zero_set_containment_reverses_generator_membership():
 
 def test_basis_cap_raises_resource_error():
     I = Ideal(QYZ, [QYZ.parse("Y^2"), QYZ.parse("Y*Z+Z^2")])
-    with pytest.raises(ResourceCapError):
+    with pytest.raises(ResourceCapError, match=r"3 elements > cap 2 after 1 "
+                       r"S-pair reductions, 0 pairs pending"):
         buchberger(I, cap=2)
+
+
+# -- oracles: the definition of a reduced basis, and sympy ------------
+
+_Q_COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3))
+
+
+def _random_ideal(rng, spec, nvars):
+    R = ring(spec, *("x", "y", "z")[:nvars])
+    if R.field.p:
+        coeffs = [c for c in R.field.elements() if not c.is_zero()]
+    else:
+        coeffs = _Q_COEFFS
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        f = R.zero()
+        for _ in range(rng.randint(1, 3)):
+            exps = [0] * nvars
+            for _ in range(rng.randint(1, 4)):
+                exps[rng.randrange(nvars)] += 1
+            f = f + R.monomial(exps, rng.choice(coeffs))
+        gens.append(f)
+    return R, gens
+
+
+def _random_ideals(seed, specs):
+    rng = random.Random(seed)
+    for spec in specs:
+        for i in range(24):
+            yield _random_ideal(rng, spec, 2 + i % 2)
+
+
+def _lm(f):
+    return max(f.terms, key=grevlex_key)
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _remainder(f, divisors):
+    """Plain multivariate division, written apart from groebner.normal_form."""
+    R = f.ring
+    rem = R.zero()
+    while f:
+        lm = _lm(f)
+        c = f.terms[lm]
+        for g in divisors:
+            glm = _lm(g)
+            if _divides(glm, lm):
+                quot = [a - b for a, b in zip(lm, glm)]
+                f = f - R.monomial(quot, c / g.terms[glm]) * g
+                break
+        else:
+            rem = rem + R.monomial(lm, c)
+            f = f - R.monomial(lm, c)
+    return rem
+
+
+def _s_poly(f, g):
+    R = f.ring
+    lf, lg = _lm(f), _lm(g)
+    lcm = [max(a, b) for a, b in zip(lf, lg)]
+    return (R.monomial([a - b for a, b in zip(lcm, lf)], f.terms[lf].inverse())
+            * f
+            - R.monomial([a - b for a, b in zip(lcm, lg)], g.terms[lg].inverse())
+            * g)
+
+
+def test_buchberger_output_is_the_reduced_basis():
+    for R, gens in _random_ideals(3, ("F2", "F3", "F4", "F5", "Q")):
+        basis = list(buchberger(Ideal(R, gens)).basis)
+        assert basis, gens
+        for g in basis:
+            assert g.terms[_lm(g)] == R.field.one(), (gens, g)
+            for h in basis:
+                if h is not g:
+                    assert not any(_divides(_lm(h), e) for e in g.terms), \
+                        (gens, g, h)
+        for f in gens:
+            assert _remainder(f, basis).is_zero(), (gens, f)
+        for i, g in enumerate(basis):
+            for h in basis[i + 1:]:
+                assert _remainder(_s_poly(g, h), basis).is_zero(), (gens, g, h)
+
+
+def test_buchberger_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    moduli = {"F2": 2, "F3": 3, "F5": 5, "Q": None}
+    for R, gens in _random_ideals(5, tuple(moduli)):
+        p = moduli[R.field.spec()]
+        syms = sympy.symbols(R.variables)
+        exprs = []
+        for f in gens:
+            expr = 0
+            for exps, c in f.terms.items():
+                term = sympy.Rational(c.val.numerator, c.val.denominator) \
+                    if p is None else c.val
+                for s, e in zip(syms, exps):
+                    term *= s**e
+                expr += term
+            exprs.append(expr)
+        options = {} if p is None else {"modulus": p}
+        theirs = set()
+        for poly in sympy.groebner(exprs, *syms, order="grevlex",
+                                   **options).polys:
+            g = R.zero()
+            for exps, c in poly.terms():
+                # sympy prints residues mod p symmetrically (-1 for 2 mod 3)
+                c = Fraction(str(c)) if p is None else int(c) % p
+                g = g + R.monomial(exps, c)
+            theirs.add(g.scale(g.terms[_lm(g)].inverse()))
+        assert set(buchberger(Ideal(R, gens)).basis) == theirs, gens

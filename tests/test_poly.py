@@ -6,7 +6,7 @@ import pytest
 from reeselim import (INFINITE_ORDER, FieldDescriptor, FieldError,
                       RingContext, RingError, univ_divmod, univ_gcd,
                       univ_radical)
-from reeselim.poly import formal_derivative
+from reeselim.poly import formal_derivative, grevlex_key
 
 
 def ring(spec, *names):
@@ -183,6 +183,29 @@ def test_parser_round_trip():
         assert QYZ.parse(str(f)) == f
     with pytest.raises(RingError):
         QYZ.parse("W^2")
+
+
+def test_leading_monomial_cache():
+    f, g = QYZ.parse("Z^2+Y^5"), QYZ.parse("Z-Y^5+3*Y*Z^3")
+    for operand in (f, g):
+        operand.leading_monomial()   # filled before the operations below
+    built = [f + g, f - g, g - g * 1 + f, f * g, f.scale(3), -g,
+             QYZ.parse("Y^2*Z-Z^3+7"), F2YZ.parse("Y*Z+Z^2") * F2YZ.one()]
+    for h in built:
+        twin = h.ring.parse(str(h))
+        before = (hash(h), h == twin, hash(twin))
+        expected = max(h.terms, key=grevlex_key)
+        assert h.leading_monomial() == expected
+        assert h.leading_monomial() == expected
+        assert h.leading_coefficient() == h.terms[expected]
+        assert (hash(h), h == twin, hash(twin)) == before
+        assert before[1] and before[0] == before[2]
+        twin.leading_monomial()
+        assert h == twin and hash(h) == hash(twin)
+    zero = f - f
+    for _ in range(2):
+        with pytest.raises(RingError):
+            zero.leading_monomial()
 
 
 def test_fraction_coefficients_in_positive_characteristic():

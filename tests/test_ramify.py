@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from reeselim import (FieldDescriptor, MonicInput, ReesError, RingContext,
+from reeselim import (FieldDescriptor, MonicInput, ReesError,
+                      ResourceCapError, RingContext,
                       generalized_discriminants, hasse_derivative,
                       purely_ramified_at, univ_divmod, univ_radical,
                       verify_thm_1_16, verify_thm_1_16_ii)
@@ -95,6 +96,16 @@ def test_field_argument_must_match_the_ring():
     assert verify_thm_1_16(inp, FieldDescriptor.parse("F3")).agree
     with pytest.raises(RingError):
         verify_thm_1_16(inp, FieldDescriptor.parse("F5"))
+
+
+def test_scan_budget_is_a_resource_cap(monkeypatch):
+    monkeypatch.setattr("reeselim.ramify.SCAN_BUDGET", 24)
+    R = ring("F5", "u", "v", "Z")
+    inp = MonicInput(R, "Z", [R.parse("Z^2-u")])
+    with pytest.raises(ResourceCapError, match="25 points exceeds budget 24"):
+        verify_thm_1_16(inp)
+    monkeypatch.setattr("reeselim.ramify.SCAN_BUDGET", 25)
+    assert verify_thm_1_16(inp).points_scanned == 25
 
 
 def test_b_fold_point_criterion():
