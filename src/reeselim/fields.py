@@ -68,6 +68,33 @@ def _polymul(a, b, p):
     return _trim(out)
 
 
+def _add_scaled(x, y, c, shift, p):
+    """x + c * t^shift * y over F_p, trimmed."""
+    out = list(x) + [0] * (len(y) + shift - len(x))
+    for i, cy in enumerate(y):
+        out[shift + i] = (out[shift + i] + c * cy) % p
+    return _trim(out)
+
+
+def _polyinv(a, mod, p):
+    """Inverse of a nonzero residue a modulo the irreducible mod over F_p,
+    by the extended Euclidean algorithm.  Invariant: s_i * a = r_i mod
+    `mod`; each step cancels the leading term of r0 against r1 and applies
+    the same step to s0."""
+    r0, s0 = list(mod), []
+    r1, s1 = _trim(a), [1]
+    while len(r1) > 1:
+        inv = pow(r1[-1], p - 2, p)
+        while len(r0) >= len(r1):
+            shift = len(r0) - len(r1)
+            c = -r0[-1] * inv % p
+            r0 = _add_scaled(r0, r1, c, shift, p)
+            s0 = _add_scaled(s0, s1, c, shift, p)
+        r0, s0, r1, s1 = r1, s1, r0, s0
+    inv = pow(r1[0], p - 2, p)
+    return [c * inv % p for c in s1]
+
+
 def _poly_divides(d, f, p):
     """True if monic d divides f over F_p."""
     return not _polymod(f, d, p)
@@ -358,7 +385,7 @@ class FieldElement:
             return FieldElement(f, 1 / self.val)
         if f.k == 1:
             return FieldElement(f, pow(self.val, f.p - 2, f.p))
-        return self**(f.order - 2)
+        return f.element(tuple(_polyinv(self.val, f.modulus, f.p)))
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -7,15 +7,21 @@ two criteria: coprime leading monomials, and the chain criterion
 polynomials, so reduction does not recompute them.  The reduced basis is
 unique, so neither changes an answer; a hard cap on the basis size turns
 runaway computations into a clean error that reports the progress made.
+
+Rational zero sets over a finite field come from a projection scan that
+fixes one coordinate at a time and abandons a branch as soon as a
+generator specializes to a nonzero constant.  Its branches count against
+``SCAN_BUDGET``, which the ramification scan shares; exceeding it raises
+``ResourceCapError`` (CLI exit 3).
 """
 from __future__ import annotations
 
 import heapq
-import itertools
 
 from .poly import Polynomial, RationalPoint, RingError, grevlex_key
 
 DEFAULT_BASIS_CAP = 10_000
+SCAN_BUDGET = 10**6
 
 
 class ResourceCapError(RuntimeError):
@@ -202,14 +208,73 @@ def ideal_equal(I, J, cap=DEFAULT_BASIS_CAP):
 
 def rational_zero_set(ideal):
     """All rational points of the (finite) coefficient field where every
-    generator vanishes, by exhaustive scan."""
+    generator vanishes, by a projection scan.
+
+    The scan fixes one coordinate at a time.  Each branch specializes the
+    surviving generators to polynomials in the remaining variables, with
+    powers of the field elements read from a table built once per scan,
+    drops those that become zero, and is abandoned as soon as one becomes
+    a nonzero constant; a point is emitted only when every coordinate is
+    fixed.  Every branch visited counts against ``SCAN_BUDGET``.
+    """
     ring = ideal.ring
-    if ring.field.p == 0:
+    field = ring.field
+    if field.p == 0:
         raise RingError("point scan needs a finite coefficient field")
-    elements = ring.field.elements()
+    nvars = ring.nvars
+    if field.order > SCAN_BUDGET:
+        raise ResourceCapError(
+            "point scan exceeds budget %d: the first of %d coordinates "
+            "alone has %d values" % (SCAN_BUDGET, nvars, field.order))
+    gens = [g.terms for g in ideal.generators]
+    top = max((max(e) for t in gens for e in t), default=0)
+    elements = field.elements()
+    powers = []   # powers[i][e] == elements[i]**e for e <= top
+    for c in elements:
+        row = [field.one()]
+        for _ in range(top):
+            row.append(row[-1] * c)
+        powers.append(row)
     points = set()
-    for coords in itertools.product(elements, repeat=ring.nvars):
-        point = RationalPoint(ring, coords)
-        if all(g.evaluate(point).is_zero() for g in ideal.generators):
-            points.add(point)
+    prefix = []
+    visited = 0
+
+    def scan(gens):
+        nonlocal visited
+        if len(prefix) == nvars:
+            points.add(RationalPoint(ring, prefix))
+            return
+        for c, row in zip(elements, powers):
+            visited += 1
+            if visited > SCAN_BUDGET:
+                raise ResourceCapError(
+                    "point scan exceeds budget %d: %d branches visited, "
+                    "%d of %d coordinates fixed"
+                    % (SCAN_BUDGET, visited, len(prefix) + 1, nvars))
+            special = []
+            for t in gens:
+                s = _specialize(t, row)
+                if len(s) == 1 and not any(next(iter(s))):
+                    break   # a nonzero constant: no point on this branch
+                if s:
+                    special.append(s)
+            else:
+                prefix.append(c)
+                scan(special)
+                prefix.pop()
+
+    scan(gens)
     return points
+
+
+def _specialize(terms, powers):
+    """The term map with its first variable set to the value whose powers
+    are given: keys lose their first entry, zero coefficients are dropped."""
+    out = {}
+    for e, c in terms.items():
+        if e[0]:
+            c = c * powers[e[0]]
+        rest = e[1:]
+        s = out.get(rest)
+        out[rest] = c if s is None else s + c
+    return {e: c for e, c in out.items() if c}

@@ -12,11 +12,9 @@ from __future__ import annotations
 import itertools
 
 from .elim import eliminate
-from .groebner import ResourceCapError
+from .groebner import SCAN_BUDGET, Ideal, ResourceCapError, rational_zero_set
 from .poly import RationalPoint, RingError, univ_radical
 from .rees import ReesAlgebra, ReesError, ReesGenerator
-
-SCAN_BUDGET = 10**6
 
 
 class MonicInput:
@@ -120,8 +118,8 @@ def _base_points(base):
     if count > SCAN_BUDGET:
         raise ResourceCapError("scan of %d points exceeds budget %d"
                                % (count, SCAN_BUDGET))
-    for coords in itertools.product(field.elements(), repeat=base.nvars):
-        yield RationalPoint(base, coords)
+    return (RationalPoint(base, coords) for coords
+            in itertools.product(field.elements(), repeat=base.nvars))
 
 
 def verify_thm_1_16(inp, field=None):
@@ -132,25 +130,21 @@ def verify_thm_1_16(inp, field=None):
         raise RingError("field %s does not match the input's %s"
                         % (field.spec(), base.field.spec()))
     disc = generalized_discriminants(inp)
-    zero_algebra = disc.is_empty()
-    ramified, vanishing, counterexamples = set(), set(), []
+    points = _base_points(base)
+    # an empty (zero) elimination algebra vanishes at every point
+    vanishing = rational_zero_set(
+        Ideal(base, [g.poly for g in disc.generators]))
+    ramified, counterexamples = set(), []
     scanned = 0
-    for point in _base_points(base):
+    for point in points:
         scanned += 1
         is_ram = purely_ramified_at(inp, point)
-        if zero_algebra:
-            disc_zero = True
-        else:
-            disc_zero = all(g.poly.evaluate(point).is_zero()
-                            for g in disc.generators)
         if is_ram:
             ramified.add(point)
-        if disc_zero:
-            vanishing.add(point)
-        if is_ram != disc_zero:
+        if is_ram != (point in vanishing):
             counterexamples.append(point)
     return RamificationReport(scanned, ramified, vanishing,
-                              counterexamples, zero_algebra)
+                              counterexamples, disc.is_empty())
 
 
 def verify_thm_1_16_ii(inp, point):

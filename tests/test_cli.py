@@ -64,6 +64,18 @@ def test_sing_reports_points(ex610):
     assert "#! ideal-generators:" in text
 
 
+def test_sing_scan_budget_exits_three(ex610, monkeypatch):
+    # the scan visits Y=0, then Z=0 and Z=1, then Y=1, where Y^4 prunes
+    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 3)
+    code, text = run(["sing", ex610])
+    assert code == 3
+    assert ("error: point scan exceeds budget 3: 4 branches visited, "
+            "1 of 2 coordinates fixed") in text
+    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 4)
+    assert run(["sing", ex610]) == (0, "gen: Y^5+Z^2\ngen: Y^4\npoint: 0,0\n"
+                                     "#! ideal-generators: 2 points: 1\n")
+
+
 def test_point_invariant_commands(tmp_path):
     path = tmp_path / "e0.alg"
     path.write_text(EX514)

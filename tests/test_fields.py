@@ -31,6 +31,15 @@ def test_extension_field_inverse_matches_brute_force():
     assert inv == t + 1
 
 
+@pytest.mark.parametrize("spec", ["F4", "F8", "F16", "F9", "F27", "F25",
+                                  "F49", "F25:t^2+t+2"])
+def test_extension_field_inverse_matches_power_formula(spec):
+    F = FieldDescriptor.parse(spec)
+    for x in F.elements()[1:]:
+        assert x.inverse() == x**(F.order - 2)
+        assert x * x.inverse() == F.one()
+
+
 def test_pth_root_prime_field_is_identity():
     assert pth_root(F5.element(3)) == F5.element(3)
     assert pth_root(F5.zero()) == F5.zero()

@@ -1,4 +1,5 @@
 """Buchberger bases, membership, ideal equality, and point scans."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from reeselim import (FieldDescriptor, Ideal, ResourceCapError, RingContext,
                       buchberger, ideal_equal, membership, rational_zero_set)
 from reeselim.groebner import normal_form
-from reeselim.poly import grevlex_key
+from reeselim.poly import RationalPoint, grevlex_key
 
 
 def ring(spec, *names):
@@ -61,6 +62,90 @@ def test_rational_zero_sets():
     F5Y = ring("F5", "Y")
     pts = rational_zero_set(Ideal(F5Y, [F5Y.parse("Y^2-1")]))
     assert {p.coords[0].val for p in pts} == {1, 4}
+
+
+def test_zero_set_scan_budget_is_a_resource_cap(monkeypatch):
+    F3XY = ring("F3", "X", "Y")
+    everything = Ideal(F3XY, [])   # 3 + 9 branches, 9 points
+    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 11)
+    with pytest.raises(ResourceCapError, match=r"point scan exceeds budget "
+                       r"11: 12 branches visited, 2 of 2 coordinates fixed"):
+        rational_zero_set(everything)
+    # X = 1 and X = 2 are abandoned after one branch each: 3 + 3 branches
+    assert rational_zero_set(Ideal(F3XY, [F3XY.var("X")])) == \
+        {F3XY.point([0, y]) for y in range(3)}
+    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 2)
+    with pytest.raises(ResourceCapError, match=r"budget 2: the first of 2 "
+                       r"coordinates alone has 3 values"):
+        rational_zero_set(everything)
+    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 12)
+    assert len(rational_zero_set(everything)) == 9
+
+
+def _brute_zero_set(ideal):
+    R = ideal.ring
+    points = (RationalPoint(R, c) for c
+              in itertools.product(R.field.elements(), repeat=R.nvars))
+    return {pt for pt in points
+            if all(g.evaluate(pt).is_zero() for g in ideal.generators)}
+
+
+def _random_scan_ideal(rng, R):
+    """0-3 generators: random sparse polynomials, or products of random
+    affine linear forms, whose zero sets are unions of hyperplanes."""
+    elements = R.field.elements()
+    gens = []
+    for _ in range(rng.randint(0, 3)):
+        if rng.random() < 0.5:
+            f = R.zero()
+            for _ in range(rng.randint(1, 4)):
+                exps = [rng.randint(0, 4) for _ in R.variables]
+                f = f + R.monomial(exps, rng.choice(elements))
+        else:
+            f = R.one()
+            for _ in range(rng.randint(1, 3)):
+                form = R.constant(rng.choice(elements))
+                for v in R.variables:
+                    form = form + R.var(v).scale(rng.choice(elements))
+                f = f * form
+        gens.append(f)
+    return Ideal(R, gens)
+
+
+def test_rational_zero_set_matches_brute_force():
+    rng = random.Random(4)
+    specs = ("F2", "F3", "F4", "F5", "F7", "F8", "F9")
+    checked = 0
+    for spec in specs:
+        for nvars in (1, 2, 3):
+            R = ring(spec, *("x", "y", "z")[:nvars])
+            for _ in range(5):
+                I = _random_scan_ideal(rng, R)
+                assert rational_zero_set(I) == _brute_zero_set(I), I
+                checked += 1
+    assert checked == 105
+    for spec in ("F2", "F3", "F4", "F5", "F9"):
+        R = ring(spec, "x", "y", "z")
+        q = R.field.order
+        x, y, z = R.var("x"), R.var("y"), R.var("z")
+        every = set(_brute_zero_set(Ideal(R, [])))
+        assert len(every) == q**3
+        edge_cases = [
+            (Ideal(R, []), every),
+            (Ideal(R, [R.zero()]), every),
+            (Ideal(R, [R.constant(1)]), set()),
+            (Ideal(R, [x, R.constant(1)]), set()),
+            (Ideal(R, [x**q - x]), every),
+            (Ideal(R, [z**q - z, y**q - y]), every),
+            (Ideal(R, [x * (y * y + z + 1)]), None),
+            (Ideal(R, [z * (x + y), y * z]), None),
+            (Ideal(R, [y**2 * (x**q - x) + z * y]), None),
+        ]
+        for I, expected in edge_cases:
+            brute = _brute_zero_set(I)
+            if expected is not None:
+                assert brute == expected
+            assert rational_zero_set(I) == brute, I
 
 
 def test_normal_form_is_linear():
