@@ -5,8 +5,7 @@ transforms — all over Q or small finite fields, with no floating point
 anywhere.
 """
 
-from .fields import (FieldDescriptor, FieldElement, FieldError,
-                     enumerate_elements, field_arith, pth_root)
+from .fields import FieldDescriptor, FieldElement, FieldError
 from .poly import (INFINITE_ORDER, Polynomial, RationalPoint, RingContext,
                    RingError, formal_derivative, parse_polynomial,
                    univ_divmod, univ_gcd, univ_radical)
@@ -30,7 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FieldDescriptor", "FieldElement", "FieldError",
-    "enumerate_elements", "field_arith", "pth_root",
     "INFINITE_ORDER", "Polynomial", "RationalPoint", "RingContext",
     "RingError", "formal_derivative", "parse_polynomial", "univ_divmod",
     "univ_gcd", "univ_radical",

@@ -18,12 +18,12 @@ import sys
 from fractions import Fraction
 
 from .fields import FieldDescriptor, FieldError
-from .groebner import ResourceCapError
+from .groebner import ResourceCapError, rational_zero_set
 from .poly import RationalPoint, RingError
 from .rees import (ReesError, ReesGenerator, diff_saturate, e0_invariant,
                    format_algebra, normalize_generators, ord_at_point,
-                   parse_algebra, rational_singular_points, singular_ideal,
-                   tau_estimate, weighted_transform)
+                   parse_algebra, singular_ideal, tau_estimate,
+                   weighted_transform)
 from .elim import eliminate, format_elimination
 from .ramify import MonicInput, verify_thm_1_16
 from .scenarios import SCENARIO_NAMES, run_scenario
@@ -88,18 +88,18 @@ def _cmd_saturate(args, out):
 def _cmd_sing(args, out):
     G = _load_algebra(args.file)
     ideal = singular_ideal(G)
+    # scan before the first write, so a scan over budget prints only its error
+    points = None
+    if G.ring.field.p > 0:
+        points = sorted(rational_zero_set(ideal),
+                        key=lambda p: [str(c) for c in p.coords])
     for g in ideal.generators:
         out.write("gen: %s\n" % g)
-    if G.ring.field.p > 0:
-        points = sorted(rational_singular_points(G),
-                        key=lambda p: [str(c) for c in p.coords])
-        for p in points:
-            out.write("point: %s\n" % ",".join(str(c) for c in p.coords))
-        out.write("#! ideal-generators: %d points: %d\n"
-                  % (len(ideal.generators), len(points)))
-    else:
-        out.write("#! ideal-generators: %d points: n/a\n"
-                  % len(ideal.generators))
+    for p in points or ():
+        out.write("point: %s\n" % ",".join(str(c) for c in p.coords))
+    count = "n/a" if points is None else len(points)
+    out.write("#! ideal-generators: %d points: %s\n"
+              % (len(ideal.generators), count))
     return EXIT_OK
 
 

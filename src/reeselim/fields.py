@@ -35,25 +35,23 @@ def _is_prime(n):
     return True
 
 
+def _iroot(n, k):
+    """The integer part of the k-th root of n >= 0."""
+    lo, hi = 0, 1 << (n.bit_length() // k + 1)   # lo^k <= n < hi^k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**k <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def _trim(coeffs):
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
-
-
-def _polymod(num, mod, p):
-    """Remainder of num by monic mod, coefficients over F_p (lists, low-to-high)."""
-    num = [c % p for c in num]
-    dm = len(mod) - 1
-    while len(_trim(num)) - 1 >= dm:
-        num = _trim(num)
-        shift = len(num) - 1 - dm
-        lead = num[-1]
-        for i, c in enumerate(mod):
-            num[shift + i] = (num[shift + i] - lead * c) % p
-    num = _trim(num)
-    return num
 
 
 def _polymul(a, b, p):
@@ -76,6 +74,15 @@ def _add_scaled(x, y, c, shift, p):
     return _trim(out)
 
 
+def _polymod(num, mod, p):
+    """Remainder of num by monic mod over F_p (coefficients low-to-high);
+    each step cancels the leading term against a shifted copy of mod."""
+    num = _trim(c % p for c in num)
+    while len(num) >= len(mod):
+        num = _add_scaled(num, mod, -num[-1], len(num) - len(mod), p)
+    return num
+
+
 def _polyinv(a, mod, p):
     """Inverse of a nonzero residue a modulo the irreducible mod over F_p,
     by the extended Euclidean algorithm.  Invariant: s_i * a = r_i mod
@@ -95,11 +102,6 @@ def _polyinv(a, mod, p):
     return [c * inv % p for c in s1]
 
 
-def _poly_divides(d, f, p):
-    """True if monic d divides f over F_p."""
-    return not _polymod(f, d, p)
-
-
 class FieldError(ValueError):
     pass
 
@@ -117,7 +119,7 @@ class FieldDescriptor:
             if modulus is not None:
                 raise FieldError("characteristic 0 admits no modulus")
         else:
-            if not _is_prime(p) or p >= 2**31:
+            if p >= 2**31 or not _is_prime(p):
                 raise FieldError("characteristic must be 0 or a prime < 2^31")
             if not 1 <= k <= 4:
                 raise FieldError("extension degree must be in 1..4")
@@ -144,7 +146,7 @@ class FieldDescriptor:
         for deg in range(1, k // 2 + 1):
             for code in range(p**deg):
                 cand = [(code // p**i) % p for i in range(deg)] + [1]
-                if _poly_divides(cand, list(modulus), p):
+                if not _polymod(modulus, cand, p):
                     raise FieldError("modulus is reducible over F_%d" % p)
 
     # -- constructors -------------------------------------------------
@@ -170,7 +172,7 @@ class FieldDescriptor:
                 value = value[0] if value else 0
             return FieldElement(self, self._residue(value))
         if isinstance(value, (tuple, list)):
-            coeffs = _polymod(list(value), list(self.modulus), self.p)
+            coeffs = _polymod(value, self.modulus, self.p)
         else:
             coeffs = [self._residue(value)]
         coeffs = coeffs + [0] * (self.k - len(coeffs))
@@ -227,18 +229,13 @@ class FieldDescriptor:
             q = int(body)
         except ValueError:
             raise FieldError("bad field spec %r" % spec) from None
-        # factor q = p^k
-        for p in range(2, q + 1):
-            if _is_prime(p) and q % p == 0:
-                k = 0
-                n = q
-                while n % p == 0:
-                    n //= p
-                    k += 1
-                if n != 1:
-                    raise FieldError("%d is not a prime power" % q)
-                break
-        else:
+        if q < 2:
+            raise FieldError("%d is not a prime power" % q)
+        # q = p^k: the largest k with an exact k-th root leaves p itself
+        k = max(k for k in range(1, q.bit_length() + 1)
+                if _iroot(q, k)**k == q)
+        p = _iroot(q, k)
+        if p < 2**31 and not _is_prime(p):
             raise FieldError("%d is not a prime power" % q)
         modulus = _parse_modulus(modtext, p, k) if modtext else None
         return FieldDescriptor(p, k, modulus)
@@ -432,35 +429,4 @@ class FieldElement:
         f = self.field
         if f.p == 0 or f.k == 1:
             return str(self.val)
-        parts = []
-        for exp in range(f.k - 1, -1, -1):
-            c = self.val[exp]
-            if c == 0:
-                continue
-            if exp == 0:
-                parts.append(str(c))
-            else:
-                var = "t" if exp == 1 else "t^%d" % exp
-                parts.append(var if c == 1 else "%d*%s" % (c, var))
-        return "+".join(parts) if parts else "0"
-
-
-def field_arith(a, b, op):
-    """Binary field operation by name: add, sub, mul, div."""
-    try:
-        fn = {"add": a.__add__, "sub": a.__sub__,
-              "mul": a.__mul__, "div": a.__truediv__}[op]
-    except KeyError:
-        raise FieldError("unknown op %r" % op) from None
-    out = fn(b)
-    if out is NotImplemented:
-        raise FieldError("incompatible operands")
-    return out
-
-
-def pth_root(a):
-    return a.pth_root()
-
-
-def enumerate_elements(descriptor):
-    return descriptor.elements()
+        return _format_modulus(self.val)

@@ -5,8 +5,9 @@ lcm first) and full inter-reduction.  S-pairs are skipped by Buchberger's
 two criteria: coprime leading monomials, and the chain criterion
 (Cox-Little-O'Shea §2.10).  Leading monomials are cached on the
 polynomials, so reduction does not recompute them.  The reduced basis is
-unique, so neither changes an answer; a hard cap on the basis size turns
-runaway computations into a clean error that reports the progress made.
+unique, so neither changes an answer.  A hard cap on the basis size,
+``BASIS_CAP``, turns runaway computations into a clean error that reports
+the progress made.
 
 Rational zero sets over a finite field come from a projection scan that
 fixes one coordinate at a time and abandons a branch as soon as a
@@ -20,7 +21,7 @@ import heapq
 
 from .poly import Polynomial, RationalPoint, RingError, grevlex_key
 
-DEFAULT_BASIS_CAP = 10_000
+BASIS_CAP = 10_000
 SCAN_BUDGET = 10**6
 
 
@@ -45,9 +46,6 @@ class Ideal:
 
     def __setattr__(self, *a):
         raise AttributeError("Ideal is immutable")
-
-    def groebner(self, cap=DEFAULT_BASIS_CAP):
-        return buchberger(self, cap=cap)
 
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(str(g) for g in self.generators)
@@ -114,14 +112,14 @@ def _s_polynomial(f, g):
     return mf * f - mg * g
 
 
-def buchberger(ideal, cap=DEFAULT_BASIS_CAP):
+def buchberger(ideal):
     """Reduced Groebner basis under grevlex, normal selection strategy
     (smallest lcm first, via a heap keyed at pair creation)."""
     seen = set()
     basis = []
     for g in ideal.generators:
         g = g.scale(g.leading_coefficient().inverse())
-        if not g.is_zero() and g not in seen:
+        if g not in seen:
             seen.add(g)
             basis.append(g)
     heap = []
@@ -161,25 +159,29 @@ def buchberger(ideal, cap=DEFAULT_BASIS_CAP):
             continue
         s = s.scale(s.leading_coefficient().inverse())
         basis.append(s)
-        if len(basis) > cap:
+        if len(basis) > BASIS_CAP:
             raise ResourceCapError(
                 "Groebner basis reached %d elements > cap %d after %d S-pair "
                 "reductions, %d pairs pending"
-                % (len(basis), cap, reductions, len(pending)))
+                % (len(basis), BASIS_CAP, reductions, len(pending)))
         push_pairs(len(basis) - 1)
     return GroebnerBasis(ideal, _interreduce(basis))
 
 
+def minimal_leads(polys):
+    """The polynomials sorted by grevlex leading monomial, without those whose
+    leading monomial is divisible by that of one kept before them."""
+    kept = []
+    for g in sorted(polys, key=lambda g: grevlex_key(g.leading_monomial())):
+        lm = g.leading_monomial()
+        if not any(_divides(h.leading_monomial(), lm) for h in kept):
+            kept.append(g)
+    return kept
+
+
 def _interreduce(basis):
     # remove redundant leading monomials, then fully reduce each element
-    basis = sorted((g for g in basis if not g.is_zero()),
-                   key=lambda g: grevlex_key(g.leading_monomial()))
-    kept = []
-    for g in basis:
-        lm = g.leading_monomial()
-        if any(_divides(h.leading_monomial(), lm) for h in kept):
-            continue
-        kept.append(g)
+    kept = minimal_leads(basis)
     reduced = []
     for i, g in enumerate(kept):
         rest = kept[:i] + kept[i + 1:]
@@ -197,12 +199,12 @@ def membership(f, gb):
     return normal_form(f, list(gb.basis)).is_zero()
 
 
-def ideal_equal(I, J, cap=DEFAULT_BASIS_CAP):
+def ideal_equal(I, J):
     """Equality of ideals via identical reduced Groebner bases."""
     if I.ring != J.ring:
         raise RingError("ring mismatch")
-    gi = buchberger(I, cap=cap)
-    gj = buchberger(J, cap=cap)
+    gi = buchberger(I)
+    gj = buchberger(J)
     return list(gi.basis) == list(gj.basis)
 
 

@@ -7,12 +7,13 @@ the operators are correct in every characteristic.
 """
 from __future__ import annotations
 
+from itertools import product
 from math import comb
 
 from .poly import Polynomial, RingError
 
 
-def normalize_multiindex(ring, alpha, active=None):
+def normalize_multiindex(ring, alpha):
     """Accept a full exponent tuple or a {variable: exponent} dict."""
     if isinstance(alpha, dict):
         exps = [0] * ring.nvars
@@ -25,11 +26,6 @@ def normalize_multiindex(ring, alpha, active=None):
             raise RingError("multi-index length mismatch")
     if any(a < 0 for a in alpha):
         raise RingError("multi-index entries must be non-negative")
-    if active is not None:
-        active_idx = {ring.var_index(v) for v in active}
-        for i, a in enumerate(alpha):
-            if a and i not in active_idx:
-                raise RingError("multi-index touches an inactive variable")
     return alpha
 
 
@@ -58,24 +54,26 @@ def hasse_derivative(f, alpha):
     return Polynomial(ring, terms)
 
 
-def _multiindices(active_idx, nvars, total):
-    """All alpha supported on active_idx with |alpha| == total."""
-    active_idx = list(active_idx)
-
-    def rec(pos, remaining):
-        if pos == len(active_idx):
-            if remaining == 0:
-                yield ()
-            return
-        for e in range(remaining + 1):
-            for tail in rec(pos + 1, remaining - e):
-                yield (e,) + tail
-
-    for combo in rec(0, total):
-        exps = [0] * nvars
+def hasse_derivatives(f, n, active=None):
+    """{alpha: Delta^alpha(f)} for |alpha| < n, alpha supported on the active
+    variables (all variables when None), by increasing |alpha| and then
+    lexicographically; zero derivatives are left out."""
+    ring = f.ring
+    if active is None:
+        active_idx = range(ring.nvars)
+    else:
+        active_idx = sorted(ring.var_index(v) for v in active)
+    combos = product(range(n), repeat=len(active_idx))
+    out = {}
+    for combo in sorted((c for c in combos if sum(c) < n), key=sum):
+        exps = [0] * ring.nvars
         for i, e in zip(active_idx, combo):
             exps[i] = e
-        yield tuple(exps)
+        alpha = tuple(exps)
+        df = hasse_derivative(f, alpha)
+        if not df.is_zero():
+            out[alpha] = df
+    return out
 
 
 def diff_closure_list(f, n, active=None):
@@ -88,20 +86,9 @@ def diff_closure_list(f, n, active=None):
     """
     if n < 1:
         raise RingError("weight must be >= 1")
-    ring = f.ring
-    if active is None:
-        active_idx = range(ring.nvars)
-    else:
-        active_idx = sorted(ring.var_index(v) for v in active)
     out = []
     seen = set()
-    cache = {}
-    for size in range(n):
-        for alpha in _multiindices(active_idx, ring.nvars, size):
-            df = hasse_derivative(f, alpha)
-            if df.is_zero():
-                continue
-            cache[alpha] = df
+    cache = hasse_derivatives(f, n, active)
     for nprime in range(1, n + 1):
         for alpha, df in cache.items():
             if sum(alpha) >= nprime:

@@ -262,11 +262,6 @@ class Polynomial:
 
     # -- queries ------------------------------------------------------
 
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, var):
         i = self.ring.var_index(var)
         if not self.terms:

@@ -122,13 +122,10 @@ def _base_points(base):
             in itertools.product(field.elements(), repeat=base.nvars))
 
 
-def verify_thm_1_16(inp, field=None):
+def verify_thm_1_16(inp):
     """Scan every rational base point and compare pure ramification with the
     simultaneous vanishing of the generalized discriminants."""
     base = inp.base_ring()
-    if field is not None and field != base.field:
-        raise RingError("field %s does not match the input's %s"
-                        % (field.spec(), base.field.spec()))
     disc = generalized_discriminants(inp)
     points = _base_points(base)
     # an empty (zero) elimination algebra vanishes at every point

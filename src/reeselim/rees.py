@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fields import FieldDescriptor
-from .groebner import Ideal, rational_zero_set
-from .hasse import diff_closure_list, hasse_derivative, _multiindices
+from .groebner import Ideal, minimal_leads, rational_zero_set
+from .hasse import diff_closure_list, hasse_derivatives
 from .poly import (INFINITE_ORDER, Polynomial, RingContext, RingError,
                    grevlex_key)
 
@@ -138,11 +138,7 @@ def singular_ideal(G):
     |alpha| <= n_i - 1, over all generators and all variables."""
     gens = []
     for g in G.generators:
-        for size in range(g.weight):
-            for alpha in _multiindices(range(G.ring.nvars), G.ring.nvars, size):
-                d = hasse_derivative(g.poly, alpha)
-                if not d.is_zero():
-                    gens.append(d)
+        gens.extend(hasse_derivatives(g.poly, g.weight).values())
     return Ideal(G.ring, gens)
 
 
@@ -380,22 +376,12 @@ def degree_ideal(G, k):
 
 
 def _drop_divisible_monomials(products):
-    """Discard monomial products strictly divisible by another monomial
-    product (sound for monomials; other polynomials are kept untouched)."""
-    monomials = []
-    rest = []
-    for p in products:
-        (monomials if len(p.terms) == 1 else rest).append(p)
-    monomials.sort(key=lambda p: grevlex_key(p.leading_monomial()))
-    kept = []
-    for p in monomials:
-        e = p.leading_monomial()
-        if any(all(x <= y for x, y in zip(q.leading_monomial(), e))
-               for q in kept):
-            continue
-        kept.append(p)
+    """Discard monomial products divisible by another monomial product
+    (sound for monomials; other polynomials are kept untouched)."""
+    monomials = [p for p in products if len(p.terms) == 1]
+    rest = [p for p in products if len(p.terms) != 1]
     rest.sort(key=lambda p: grevlex_key(p.leading_monomial()))
-    return kept + rest
+    return minimal_leads(monomials) + rest
 
 
 # -- file format ------------------------------------------------------

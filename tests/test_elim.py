@@ -139,6 +139,24 @@ def test_char_poly_matches_leibniz_oracle():
                 assert char_poly(M) == leibniz_char_poly(M)
 
 
+def test_char_poly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(77)
+    for spec in ("Q", "F2", "F3", "F5"):
+        R = ring(spec, "X")
+        for c in range(1, 7):
+            for _ in range(3):
+                ints = [[rng.randrange(-4, 5) for _ in range(c)]
+                        for _ in range(c)]
+                M = MultiplicationMatrix(
+                    None, None, [[R.constant(a) for a in row] for row in ints],
+                    None)
+                # over F_p the char-poly of the reduced matrix is the integer
+                # char-poly reduced mod p
+                theirs = sympy.Matrix(ints).charpoly().all_coeffs()
+                assert char_poly(M) == [R.constant(int(h)) for h in theirs[1:]]
+
+
 def test_char_poly_degree_cap_is_a_resource_cap():
     zero = QYZ.zero()
     M = MultiplicationMatrix(None, None, [[zero] * 13 for _ in range(13)], "Z")

@@ -1,10 +1,11 @@
 """Exact field arithmetic: Q, prime fields, and small extensions."""
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from reeselim import FieldDescriptor, FieldError, field_arith, pth_root
+from reeselim import FieldDescriptor, FieldError
 
 Q = FieldDescriptor.parse("Q")
 F2 = FieldDescriptor.parse("F2")
@@ -16,7 +17,7 @@ F9 = FieldDescriptor.parse("F9")
 def test_rational_addition_exact():
     a = Q.element(Fraction(2, 3))
     b = Q.element(Fraction(1, 6))
-    assert field_arith(a, b, "add") == Q.element(Fraction(5, 6))
+    assert a + b == Q.element(Fraction(5, 6))
 
 
 def test_prime_field_multiplication():
@@ -27,7 +28,7 @@ def test_extension_field_inverse_matches_brute_force():
     t = F4.generator()
     # oracle: the unique element whose product with t is 1
     (inv,) = [x for x in F4.elements() if x * t == F4.one()]
-    assert field_arith(F4.one(), t, "div") == inv
+    assert F4.one() / t == inv
     assert inv == t + 1
 
 
@@ -41,15 +42,15 @@ def test_extension_field_inverse_matches_power_formula(spec):
 
 
 def test_pth_root_prime_field_is_identity():
-    assert pth_root(F5.element(3)) == F5.element(3)
-    assert pth_root(F5.zero()) == F5.zero()
+    assert F5.element(3).pth_root() == F5.element(3)
+    assert F5.zero().pth_root() == F5.zero()
 
 
 def test_pth_root_in_f4_matches_square_table():
     t = F4.generator()
     # oracle: enumerate squares of all four elements
     (root,) = [x for x in F4.elements() if x * x == t]
-    assert pth_root(t) == root
+    assert t.pth_root() == root
     assert root == t + 1
 
 
@@ -84,9 +85,9 @@ def test_field_laws_randomized(field):
 @pytest.mark.parametrize("field", [F2, F4, F5, F9])
 def test_pth_root_is_frobenius_inverse_automorphism(field):
     for a in field.elements():
-        assert pth_root(a)**field.p == a
+        assert a.pth_root()**field.p == a
         for b in field.elements():
-            assert pth_root(a * b) == pth_root(a) * pth_root(b)
+            assert (a * b).pth_root() == a.pth_root() * b.pth_root()
 
 
 def test_enumeration_closed_under_arithmetic():
@@ -105,14 +106,14 @@ def test_spec_string_round_trip():
 
 def test_descriptor_mismatch_and_zero_division():
     with pytest.raises(FieldError):
-        field_arith(F5.element(1), FieldDescriptor.parse("F3").element(1), "add")
+        F5.element(1) + FieldDescriptor.parse("F3").element(1)
     with pytest.raises(ZeroDivisionError):
-        field_arith(F5.one(), F5.zero(), "div")
+        F5.one() / F5.zero()
 
 
 def test_characteristic_zero_restrictions():
     with pytest.raises(FieldError):
-        pth_root(Q.one())
+        Q.one().pth_root()
     with pytest.raises(FieldError):
         Q.elements()
     with pytest.raises(FieldError):
@@ -136,3 +137,28 @@ def test_fractions_map_to_inverses_in_positive_characteristic():
 def test_reducible_modulus_rejected():
     with pytest.raises(FieldError):
         FieldDescriptor.parse("F4:t^2+1")  # (t+1)^2 over F_2
+
+
+def test_spec_parsing_factors_large_orders_quickly():
+    start = time.perf_counter()
+    assert FieldDescriptor.parse("F1000003") == FieldDescriptor(1000003)
+    assert time.perf_counter() - start < 0.5
+    assert FieldDescriptor.parse("F2147483647").p == 2**31 - 1
+    assert FieldDescriptor.parse("F16") == FieldDescriptor(2, 4)
+    start = time.perf_counter()
+    with pytest.raises(FieldError, match="prime < 2"):
+        FieldDescriptor.parse("F100000000000000000000000000319")   # prime
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("F6", "6 is not a prime power"),
+    ("F0", "0 is not a prime power"),
+    ("F1", "1 is not a prime power"),
+    ("F36", "36 is not a prime power"),
+    ("F64", "extension degree must be in 1..4"),
+    ("F81", "no built-in modulus for F_3"),
+])
+def test_spec_parsing_messages(spec, message):
+    with pytest.raises(FieldError, match=message):
+        FieldDescriptor.parse(spec)

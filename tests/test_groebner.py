@@ -170,11 +170,12 @@ def test_zero_set_containment_reverses_generator_membership():
     assert rational_zero_set(J) <= rational_zero_set(I)
 
 
-def test_basis_cap_raises_resource_error():
+def test_basis_cap_raises_resource_error(monkeypatch):
+    monkeypatch.setattr("reeselim.groebner.BASIS_CAP", 2)
     I = Ideal(QYZ, [QYZ.parse("Y^2"), QYZ.parse("Y*Z+Z^2")])
     with pytest.raises(ResourceCapError, match=r"3 elements > cap 2 after 1 "
                        r"S-pair reductions, 0 pairs pending"):
-        buchberger(I, cap=2)
+        buchberger(I)
 
 
 # -- oracles: the definition of a reduced basis, and sympy ------------

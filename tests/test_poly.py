@@ -137,6 +137,28 @@ def test_radical_counts_distinct_roots_of_shifted_powers():
         assert d.is_zero() or univ_gcd(rad, d, "Z").is_constant()
 
 
+def test_radical_degree_matches_sympy_factorization():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(19)
+    z = sympy.Symbol("Z")
+    for p in (2, 3, 5, 7):
+        R = ring("F%d" % p, "Z")
+        for _ in range(12):
+            # products of random factors with multiplicities, p-th powers
+            # included, so the radical must peel and deflate
+            f = R.one()
+            for _ in range(rng.randrange(1, 4)):
+                coeffs = [rng.randrange(p) for _ in range(rng.randrange(1, 4))]
+                factor = R.parse("Z^%d" % len(coeffs))
+                for e, c in enumerate(coeffs):
+                    factor = factor + R.monomial((e,), c)
+                f = f * factor**rng.choice((1, 2, p, p + 1))
+            expr = sum(int(c.val) * z**e[0] for e, c in f.terms.items())
+            _, factors = sympy.Poly(expr, z, modulus=p).factor_list()
+            distinct = sum(g.degree() for g, _ in factors)
+            assert univ_radical(f).degree_in("Z") == distinct, f
+
+
 def test_random_ring_laws_and_evaluation_homomorphism():
     rng = random.Random(3)
     R = ring("F3", "X", "Y")

@@ -89,15 +89,6 @@ def test_theorem_verifier_split_quadratic_diagonal():
         assert p["u"] == p["v"]
 
 
-def test_field_argument_must_match_the_ring():
-    from reeselim import RingError
-    R = ring("F3", "u", "Z")
-    inp = MonicInput(R, "Z", [R.parse("Z^2-u")])
-    assert verify_thm_1_16(inp, FieldDescriptor.parse("F3")).agree
-    with pytest.raises(RingError):
-        verify_thm_1_16(inp, FieldDescriptor.parse("F5"))
-
-
 def test_scan_budget_is_a_resource_cap(monkeypatch):
     monkeypatch.setattr("reeselim.ramify.SCAN_BUDGET", 24)
     R = ring("F5", "u", "v", "Z")
