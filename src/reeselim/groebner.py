@@ -9,6 +9,10 @@ unique, so neither changes an answer.  A hard cap on the basis size,
 ``BASIS_CAP``, turns runaway computations into a clean error that reports
 the progress made.
 
+A monomial ideal skips the pair loop: every S-polynomial of two monomials
+is zero, so its reduced basis is its minimal monomials made monic, read
+off by ``minimal_exponents`` (which ``rees.degree_ideal`` shares).
+
 Rational zero sets over a finite field come from a projection scan that
 fixes one coordinate at a time and abandons a branch as soon as a
 generator specializes to a nonzero constant.  Its branches count against
@@ -18,6 +22,7 @@ generator specializes to a nonzero constant.  Its branches count against
 from __future__ import annotations
 
 import heapq
+from operator import le
 
 from .poly import Polynomial, RationalPoint, RingError, grevlex_key
 
@@ -70,7 +75,7 @@ class GroebnerBasis:
 
 
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _lcm(a, b):
@@ -114,7 +119,14 @@ def _s_polynomial(f, g):
 
 def buchberger(ideal):
     """Reduced Groebner basis under grevlex, normal selection strategy
-    (smallest lcm first, via a heap keyed at pair creation)."""
+    (smallest lcm first, via a heap keyed at pair creation).  A monomial
+    ideal's reduced basis is its minimal monomials, monic, in grevlex
+    order."""
+    if all(len(g.terms) == 1 for g in ideal.generators):
+        one = ideal.ring.field.one()
+        return GroebnerBasis(ideal, [
+            Polynomial(ideal.ring, {e: one}) for e in
+            minimal_exponents(next(iter(g.terms)) for g in ideal.generators)])
     seen = set()
     basis = []
     for g in ideal.generators:
@@ -166,6 +178,17 @@ def buchberger(ideal):
                 % (len(basis), BASIS_CAP, reductions, len(pending)))
         push_pairs(len(basis) - 1)
     return GroebnerBasis(ideal, _interreduce(basis))
+
+
+def minimal_exponents(exps):
+    """The distinct exponent vectors not divisible by another one, in
+    increasing grevlex order: the minimal generators of a monomial ideal."""
+    kept = []
+    # a proper divisor has smaller total degree, so it is kept first
+    for e in sorted(set(exps), key=grevlex_key):
+        if not any(_divides(d, e) for d in kept):
+            kept.append(e)
+    return kept
 
 
 def minimal_leads(polys):

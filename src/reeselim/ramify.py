@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 
+from . import groebner
 from .elim import eliminate
-from .groebner import SCAN_BUDGET, Ideal, ResourceCapError, rational_zero_set
+from .groebner import Ideal, ResourceCapError, rational_zero_set
 from .poly import RationalPoint, RingError, univ_radical
 from .rees import ReesAlgebra, ReesError, ReesGenerator
 
@@ -115,9 +116,10 @@ def _base_points(base):
     if field.p == 0:
         raise RingError("point scan needs a finite coefficient field")
     count = field.order**base.nvars
-    if count > SCAN_BUDGET:
+    budget = groebner.SCAN_BUDGET   # read per call, so raising it works here
+    if count > budget:
         raise ResourceCapError("scan of %d points exceeds budget %d"
-                               % (count, SCAN_BUDGET))
+                               % (count, budget))
     return (RationalPoint(base, coords) for coords
             in itertools.product(field.elements(), repeat=base.nvars))
 

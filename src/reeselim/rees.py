@@ -9,9 +9,11 @@ for 1 <= n' <= n_i, so the degree filtration is decreasing.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, le, sub
 
 from .fields import FieldDescriptor
-from .groebner import Ideal, minimal_leads, rational_zero_set
+from .groebner import (Ideal, minimal_exponents, minimal_leads,
+                       rational_zero_set)
 from .hasse import diff_closure_list, hasse_derivatives
 from .poly import (INFINITE_ORDER, Polynomial, RingContext, RingError,
                    grevlex_key)
@@ -352,12 +354,22 @@ def degree_ideal(G, k):
     """Ideal generated by products of generators over minimal multisets with
     total weight >= k (minimal: dropping any factor falls below k).
 
-    Multisets are enumerated depth first in generator order and each
-    minimal one is multiplied out once, so the generator order is
-    deterministic."""
+    When every generator is a monomial, I_k = sum_g g * I_{k - w_g} with
+    I_j = (1) for j <= 0: the minimal exponent vectors of I_1..I_k are
+    computed bottom up, one level at a time, and the output lists those of
+    I_k in grevlex order.  Each carries the scalar of the first minimal
+    multiset whose product has that exponent vector, taking multisets as
+    sorted index tuples in lexicographic order (the enumeration order
+    below).
+
+    Otherwise multisets are enumerated depth first in generator order, each
+    minimal one is multiplied out once, and monomial products divisible by
+    another are dropped; the generator order is deterministic either way."""
     if k < 1:
         raise ReesError("degree must be >= 1")
     gens = G.generators
+    if all(len(g.poly.terms) == 1 for g in gens):
+        return Ideal(G.ring, _monomial_degree_ideal(G.ring, gens, k))
     products = {}
 
     def rec(start, weight_sum, product, lightest):
@@ -373,6 +385,43 @@ def degree_ideal(G, k):
 
     rec(0, 0, G.ring.one(), INFINITE_ORDER)
     return Ideal(G.ring, _drop_divisible_monomials(products))
+
+
+def _monomial_degree_ideal(ring, gens, k):
+    terms = [next(iter(g.poly.terms.items())) for g in gens]
+    weights = [g.weight for g in gens]
+    levels = [[(0,) * ring.nvars]]   # levels[j]: minimal exponents of I_j
+    for j in range(1, k + 1):
+        levels.append(minimal_exponents(
+            tuple(map(add, e, v))
+            for (e, _), w in zip(terms, weights)
+            for v in levels[max(j - w, 0)]))
+
+    def first_scalar(start, rest, weight_sum, scalar):
+        # depth first in generator order, as the enumeration above, but
+        # only through generators that divide what is left of the target.
+        # No minimality test is needed: if a multiset reaching the target
+        # stayed at weight >= k without its lightest factor, that factor
+        # would be a constant, so I_k = (1) and the target is constant; the
+        # first multiset reaching it is a power of the first constant
+        # generator, which is minimal.
+        for i in range(start, len(terms)):
+            e, c = terms[i]
+            if not all(map(le, e, rest)):
+                continue
+            left = tuple(map(sub, rest, e))
+            total = weight_sum + weights[i]
+            if total < k:
+                found = first_scalar(i, left, total, scalar * c)
+                if found is not None:
+                    return found
+            elif not any(left):
+                return scalar * c
+        return None
+
+    one = ring.field.one()
+    return [Polynomial(ring, {e: first_scalar(0, e, 0, one)})
+            for e in levels[k]]
 
 
 def _drop_divisible_monomials(products):

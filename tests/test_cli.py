@@ -123,7 +123,7 @@ def test_ramify_verify_field_override(tmp_path):
 
 
 def test_ramify_verify_scan_budget_exits_three(tmp_path, monkeypatch):
-    monkeypatch.setattr("reeselim.ramify.SCAN_BUDGET", 4)
+    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 4)
     path = tmp_path / "ram.alg"
     path.write_text("ring: F5[Y,Z]\ngen: Z^2-Y w 2\n")
     code, text = run(["ramify-verify", str(path), "--var", "Z"])

@@ -183,12 +183,15 @@ def test_basis_cap_raises_resource_error(monkeypatch):
 _Q_COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3))
 
 
+def _nonzero_coeffs(R):
+    if R.field.p:
+        return [c for c in R.field.elements() if not c.is_zero()]
+    return _Q_COEFFS
+
+
 def _random_ideal(rng, spec, nvars):
     R = ring(spec, *("x", "y", "z")[:nvars])
-    if R.field.p:
-        coeffs = [c for c in R.field.elements() if not c.is_zero()]
-    else:
-        coeffs = _Q_COEFFS
+    coeffs = _nonzero_coeffs(R)
     gens = []
     for _ in range(rng.randint(2, 3)):
         f = R.zero()
@@ -206,6 +209,27 @@ def _random_ideals(seed, specs):
     for spec in specs:
         for i in range(24):
             yield _random_ideal(rng, spec, 2 + i % 2)
+
+
+def _monomial_ideals(seed, specs):
+    """Monomial ideals with non-monic generators, duplicates, a constant,
+    one generator dividing another, the empty ideal, and random ones."""
+    rng = random.Random(seed)
+    for spec in specs:
+        R = ring(spec, "x", "y", "z")
+        coeffs = _nonzero_coeffs(R)
+
+        def m(*exps):
+            return R.monomial(exps, rng.choice(coeffs))
+
+        yield R, [m(2, 1, 0), m(0, 3, 1), m(1, 0, 2)]
+        yield R, [m(1, 1, 0), m(1, 1, 0), R.monomial((1, 1, 0)), m(0, 2, 0)]
+        yield R, [m(2, 0, 1), m(0, 0, 0)]
+        yield R, [m(1, 0, 0), m(2, 1, 0), m(0, 0, 3), m(0, 0, 4)]
+        yield R, []
+        for _ in range(6):
+            yield R, [m(*(rng.randrange(3) for _ in range(3)))
+                      for _ in range(rng.randint(1, 4))]
 
 
 def _lm(f):
@@ -246,9 +270,15 @@ def _s_poly(f, g):
 
 
 def test_buchberger_output_is_the_reduced_basis():
-    for R, gens in _random_ideals(3, ("F2", "F3", "F4", "F5", "Q")):
+    specs = ("F2", "F3", "F4", "F5", "Q")
+    for R, gens in itertools.chain(_random_ideals(3, specs),
+                                   _monomial_ideals(5, specs)):
         basis = list(buchberger(Ideal(R, gens)).basis)
-        assert basis, gens
+        assert bool(basis) == bool(gens), gens
+        if all(len(f.terms) == 1 for f in gens):
+            # a monomial lies in a monomial ideal iff a generator divides it
+            for g in basis:
+                assert any(_divides(_lm(f), _lm(g)) for f in gens), (gens, g)
         for g in basis:
             assert g.terms[_lm(g)] == R.field.one(), (gens, g)
             for h in basis:
@@ -265,7 +295,8 @@ def test_buchberger_output_is_the_reduced_basis():
 def test_buchberger_matches_sympy():
     sympy = pytest.importorskip("sympy")
     moduli = {"F2": 2, "F3": 3, "F5": 5, "Q": None}
-    for R, gens in _random_ideals(5, tuple(moduli)):
+    for R, gens in itertools.chain(_random_ideals(5, tuple(moduli)),
+                                   _monomial_ideals(7, tuple(moduli))):
         p = moduli[R.field.spec()]
         syms = sympy.symbols(R.variables)
         exprs = []

@@ -8,6 +8,7 @@ from reeselim import (FieldDescriptor, MonicInput, ReesError,
                       generalized_discriminants, hasse_derivative,
                       purely_ramified_at, univ_divmod, univ_radical,
                       verify_thm_1_16, verify_thm_1_16_ii)
+from reeselim.ramify import _base_points
 
 
 def ring(spec, *names):
@@ -90,13 +91,27 @@ def test_theorem_verifier_split_quadratic_diagonal():
 
 
 def test_scan_budget_is_a_resource_cap(monkeypatch):
-    monkeypatch.setattr("reeselim.ramify.SCAN_BUDGET", 24)
+    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 24)
     R = ring("F5", "u", "v", "Z")
     inp = MonicInput(R, "Z", [R.parse("Z^2-u")])
     with pytest.raises(ResourceCapError, match="25 points exceeds budget 24"):
         verify_thm_1_16(inp)
-    monkeypatch.setattr("reeselim.ramify.SCAN_BUDGET", 25)
+    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 25)
     assert verify_thm_1_16(inp).points_scanned == 25
+
+
+def test_raising_the_groebner_scan_budget_admits_a_ramification_scan(
+        monkeypatch):
+    # 11^6 base points: over the default budget, under a raised one
+    R = ring("F11", "a", "b", "c", "d", "e", "f", "Z")
+    inp = MonicInput(R, "Z", [R.parse("Z^2-a")])
+    with pytest.raises(ResourceCapError,
+                       match="1771561 points exceeds budget 1000000"):
+        verify_thm_1_16(inp)
+    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 2 * 10**6)
+    # the full scan takes minutes; its budget check runs before the first
+    # point is produced
+    assert next(_base_points(inp.base_ring())).is_origin()
 
 
 def test_b_fold_point_criterion():

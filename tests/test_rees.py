@@ -17,6 +17,7 @@ from reeselim import (FieldDescriptor, Ideal, ReesAlgebra, ReesError,
                       normalize_generators, ord_at_point, parse_algebra,
                       rational_singular_points, singular_ideal, tau_estimate,
                       total_transform, weighted_transform)
+from reeselim.poly import grevlex_key
 
 
 def ring(spec, *names):
@@ -238,6 +239,90 @@ def test_degree_ideal_matches_brute_force_enumeration():
                 gens = degree_ideal(G, k).generators
                 assert len(set(gens)) == len(gens)
                 assert set(gens) == brute_force_degree_ideal(G, k)
+
+
+def scalar_oracle_degree_ideal(G, k):
+    """Oracle with scalars and order: every minimal multiset as a sorted
+    index tuple, in lexicographic order; the first product per monomial
+    exponent vector, without those divisible by another monomial product,
+    in grevlex order; then each distinct non-monomial product, in order of
+    first appearance, stably sorted by grevlex leading monomial."""
+    gens = G.generators
+    combos = []
+    for size in range(1, k + 1):
+        for combo in itertools.combinations_with_replacement(
+                range(len(gens)), size):
+            weights = [gens[i].weight for i in combo]
+            if sum(weights) >= k > sum(weights) - min(weights):
+                combos.append(combo)
+    first, rest = {}, {}
+    for combo in sorted(combos):
+        product = G.ring.one()
+        for i in combo:
+            product = product * gens[i].poly
+        if len(product.terms) == 1:
+            first.setdefault(next(iter(product.terms)), product)
+        else:
+            rest.setdefault(product, None)
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    def lead(p):
+        return grevlex_key(max(p.terms, key=grevlex_key))
+
+    minimal = [p for e, p in first.items()
+               if not any(d != e and divides(d, e) for d in first)]
+    return tuple(sorted(minimal, key=lead) + sorted(rest, key=lead))
+
+
+def _nonzero_coeffs(R):
+    if R.field.p:
+        return [c for c in R.field.elements() if not c.is_zero()]
+    return [1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]
+
+
+def test_degree_ideal_keeps_the_first_minimal_multisets_scalar():
+    R = ring("Q", "X", "Y")
+    # (0, 0) -> 4X^2 comes before (0, 1) -> 6X^2 and (1, 1) -> 9X^2
+    G = algebra(R, ("2*X", 1), ("3*X", 1))
+    assert degree_ideal(G, 2).generators == (R.parse("4*X^2"),)
+    # (0,) -> 3X divides (1, 1) -> 4X^2
+    G = algebra(R, ("3*X", 2), ("2*X", 1))
+    assert degree_ideal(G, 2).generators == (R.parse("3*X"),)
+    # constant generators: (1, 1) -> 25 comes before (1, 2) -> 35 and
+    # (2, 2, 2) -> 343, and the constant divides every other product
+    G = algebra(R, ("2*X*Y", 1), ("5", 2), ("7", 1))
+    assert degree_ideal(G, 3).generators == (R.constant(25),)
+
+
+def test_degree_ideal_matches_scalar_oracle():
+    rng = random.Random(11)
+    for spec in ("Q", "F2", "F3", "F4", "F5"):
+        coeffs = _nonzero_coeffs(ring(spec, "X"))
+        for n in range(16):
+            R = ring(spec, *("X", "Y", "Z")[:2 + n % 2])
+            pairs = []
+            for _ in range(rng.randrange(1, 5)):
+                exps = tuple(rng.randrange(3) for _ in R.variables)
+                if rng.random() < 0.1:
+                    exps = (0,) * R.nvars   # a constant generator
+                pairs.append((R.monomial(exps, rng.choice(coeffs)),
+                              rng.randrange(1, 4)))
+            if rng.random() < 0.5:
+                # the same exponent vector again, with another scalar
+                p, _ = rng.choice(pairs)
+                pairs.append((p.scale(rng.choice(coeffs)),
+                              rng.randrange(1, 4)))
+            if n % 4 == 3:
+                # one binomial: the multiset enumeration path
+                p, w = pairs[0]
+                exps = tuple(rng.randrange(3) for _ in R.variables)
+                pairs[0] = (p + R.monomial(exps, rng.choice(coeffs)), w)
+            G = ReesAlgebra.from_pairs(R, pairs)
+            for k in range(1, 7):
+                assert degree_ideal(G, k).generators == \
+                    scalar_oracle_degree_ideal(G, k), (pairs, k)
 
 
 def test_degree_ideal_order_does_not_depend_on_hash_seed():
