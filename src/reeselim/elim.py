@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .fields import Immutable
 from .groebner import ResourceCapError
 from .poly import RingError, univ_divmod
 from .rees import ReesAlgebra, ReesError, diff_saturate
@@ -14,7 +15,7 @@ from .rees import ReesAlgebra, ReesError, diff_saturate
 CHARPOLY_DEGREE_CAP = 12
 
 
-class MultiplicationMatrix:
+class MultiplicationMatrix(Immutable):
     """Matrix of multiplication by `element` on the basis 1, Z, ..., Z^{c-1}
     of S[Z]/<modulus>; entries live in the full ring but are Z-free."""
 
@@ -26,24 +27,18 @@ class MultiplicationMatrix:
         object.__setattr__(self, "matrix", tuple(tuple(row) for row in matrix))
         object.__setattr__(self, "z_var", z_var)
 
-    def __setattr__(self, *a):
-        raise AttributeError("MultiplicationMatrix is immutable")
-
     @property
     def size(self):
         return len(self.matrix)
 
 
-class EliminationResult:
+class EliminationResult(Immutable):
     __slots__ = ("base_ring", "algebra", "provenance")
 
     def __init__(self, base_ring, algebra, provenance):
         object.__setattr__(self, "base_ring", base_ring)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "provenance", tuple(provenance))
-
-    def __setattr__(self, *a):
-        raise AttributeError("EliminationResult is immutable")
 
     def is_zero_algebra(self):
         return self.algebra.is_empty()
@@ -155,27 +150,17 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
         G = ReesAlgebra(ring, G.generators + (f_gen,))
     sat = diff_saturate(G, {z_var})
     base = ring.drop_variable(z_var)
-    pairs = []
-    provenance = []
-    seen = set()
+    found = {}   # (h_j projected, weight) -> provenance of its first source
     for g in sat.generators:
-        _, reduced = univ_divmod(g.poly, f, z_var)
-        if reduced.is_zero():
+        M = mult_matrix(g.poly, f, z_var)
+        if M.element.is_zero():
             continue
-        coeffs = char_poly(mult_matrix(reduced, f, z_var))
-        for j, h in enumerate(coeffs, start=1):
-            if h.is_zero():
-                continue
-            hb = h.project_out(z_var)
-            weight = j * g.weight
-            key = (hb, weight)
-            if key in seen:
-                continue
-            seen.add(key)
-            pairs.append((hb, weight))
-            provenance.append((str(g.poly), g.weight, j))
-    algebra = ReesAlgebra.from_pairs(base, pairs)
-    return EliminationResult(base, algebra, provenance)
+        for j, h in enumerate(char_poly(M), start=1):
+            if not h.is_zero():
+                found.setdefault((h.project_out(z_var), j * g.weight),
+                                 (str(g.poly), g.weight, j))
+    algebra = ReesAlgebra.from_pairs(base, found)
+    return EliminationResult(base, algebra, found.values())
 
 
 def format_elimination(result):

@@ -106,7 +106,17 @@ class FieldError(ValueError):
     pass
 
 
-class FieldDescriptor:
+class Immutable:
+    """Base of the library's value types: __init__ sets each slot once with
+    object.__setattr__, and any later assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class FieldDescriptor(Immutable):
     """Q (characteristic 0) or F_{p^k} with a monic irreducible modulus for k > 1."""
 
     __slots__ = ("p", "k", "modulus")
@@ -136,9 +146,10 @@ class FieldDescriptor:
                 if len(modulus) != k + 1 or modulus[-1] != 1:
                     raise FieldError("modulus must be monic of degree %d" % k)
                 self._check_irreducible(modulus, p, k)
-        self.p = p
-        self.k = k
-        self.modulus = tuple(modulus) if modulus is not None else None
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "modulus",
+                           tuple(modulus) if modulus is not None else None)
 
     @staticmethod
     def _check_irreducible(modulus, p, k):
@@ -300,7 +311,7 @@ def _format_modulus(modulus):
     return "+".join(parts) if parts else "0"
 
 
-class FieldElement:
+class FieldElement(Immutable):
     """Immutable exact element of a FieldDescriptor."""
 
     __slots__ = ("field", "val")
@@ -308,9 +319,6 @@ class FieldElement:
     def __init__(self, field, val):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "val", val)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FieldElement is immutable")
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):

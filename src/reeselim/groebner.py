@@ -24,6 +24,7 @@ from __future__ import annotations
 import heapq
 from operator import le
 
+from .fields import Immutable
 from .poly import Polynomial, RationalPoint, RingError, grevlex_key
 
 BASIS_CAP = 10_000
@@ -34,7 +35,7 @@ class ResourceCapError(RuntimeError):
     pass
 
 
-class Ideal:
+class Ideal(Immutable):
     """Finitely generated ideal; zero generators are dropped."""
 
     __slots__ = ("ring", "generators")
@@ -49,22 +50,16 @@ class Ideal:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "generators", tuple(gens))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Ideal is immutable")
-
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(str(g) for g in self.generators)
 
 
-class GroebnerBasis:
+class GroebnerBasis(Immutable):
     __slots__ = ("ideal", "basis")
 
     def __init__(self, ideal, basis):
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "basis", tuple(basis))
-
-    def __setattr__(self, *a):
-        raise AttributeError("GroebnerBasis is immutable")
 
     @property
     def ring(self):

@@ -11,7 +11,7 @@ import math
 import re
 from fractions import Fraction
 
-from .fields import FieldDescriptor, FieldElement, FieldError
+from .fields import FieldDescriptor, FieldElement, FieldError, Immutable
 
 INFINITE_ORDER = math.inf
 
@@ -20,7 +20,7 @@ class RingError(ValueError):
     pass
 
 
-class RingContext:
+class RingContext(Immutable):
     """A polynomial ring: a coefficient field and an ordered variable list."""
 
     __slots__ = ("field", "variables", "_index")
@@ -37,9 +37,6 @@ class RingContext:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(variables)})
-
-    def __setattr__(self, *a):
-        raise AttributeError("RingContext is immutable")
 
     @property
     def nvars(self):
@@ -112,7 +109,7 @@ def grevlex_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-class RationalPoint:
+class RationalPoint(Immutable):
     """A point with coordinates in the coefficient field."""
 
     __slots__ = ("ring", "coords")
@@ -123,9 +120,6 @@ class RationalPoint:
             raise RingError("coordinate count mismatch")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RationalPoint is immutable")
 
     def __getitem__(self, name):
         return self.coords[self.ring.var_index(name)]
@@ -151,7 +145,7 @@ class RationalPoint:
             "%s=%s" % (v, c) for v, c in zip(self.ring.variables, self.coords)))
 
 
-class Polynomial:
+class Polynomial(Immutable):
     """Sparse polynomial; term map from exponent tuple to nonzero coefficient."""
 
     __slots__ = ("ring", "terms", "_lm")
@@ -159,9 +153,6 @@ class Polynomial:
     def __init__(self, ring, terms):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", dict(terms))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Polynomial is immutable")
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -275,8 +266,9 @@ class Polynomial:
         return min(sum(e) for e in self.terms)
 
     def order_along(self, center_vars):
-        """Minimum exponent sum over the center variables; +inf for zero."""
-        idx = [self.ring.var_index(v) for v in center_vars]
+        """Minimum exponent sum over the center variables (a repeated name
+        counts once); +inf for zero."""
+        idx = {self.ring.var_index(v) for v in center_vars}
         if not idx:
             raise RingError("center must be nonempty")
         if not self.terms:
@@ -496,13 +488,9 @@ def univ_radical(f):
     if f.is_zero():
         raise RingError("radical of the zero polynomial")
     var = _only_variable(f)
-    coeffs = f.coefficients_in(var)
-    for c in coeffs:
-        if not c.is_constant():
-            raise RingError("polynomial is not univariate")
     if f.degree_in(var) == 0:
         return ring.one()
-    lead = coeffs[-1].constant_value()
+    lead = f.coefficients_in(var)[-1].constant_value()
     f = f.scale(lead.inverse())
     deriv = formal_derivative(f, var)
     if deriv.is_zero():

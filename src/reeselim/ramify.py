@@ -13,12 +13,13 @@ import itertools
 
 from . import groebner
 from .elim import eliminate
+from .fields import Immutable
 from .groebner import Ideal, ResourceCapError, rational_zero_set
 from .poly import RationalPoint, RingError, univ_radical
 from .rees import ReesAlgebra, ReesError, ReesGenerator
 
 
-class MonicInput:
+class MonicInput(Immutable):
     """Monic-in-z_var factors over a common ring; b is the total degree."""
 
     __slots__ = ("ring", "z_var", "factors", "degrees")
@@ -39,9 +40,6 @@ class MonicInput:
         object.__setattr__(self, "factors", tuple(factors))
         object.__setattr__(self, "degrees", tuple(degs))
 
-    def __setattr__(self, *a):
-        raise AttributeError("MonicInput is immutable")
-
     @property
     def b(self):
         return sum(self.degrees)
@@ -56,7 +54,7 @@ class MonicInput:
         return self.ring.drop_variable(self.z_var)
 
 
-class RamificationReport:
+class RamificationReport(Immutable):
     __slots__ = ("points_scanned", "ramified_points", "discriminant_zero_points",
                  "agree", "counterexamples", "zero_algebra")
 
@@ -69,9 +67,6 @@ class RamificationReport:
         object.__setattr__(self, "counterexamples", tuple(counterexamples))
         object.__setattr__(self, "agree", not counterexamples)
         object.__setattr__(self, "zero_algebra", zero_algebra)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RamificationReport is immutable")
 
     def format_text(self):
         lines = ["points scanned: %d" % self.points_scanned,

@@ -1,6 +1,7 @@
 """Rees algebras given by weighted generators: differential saturation,
 singular loci, point invariants (ord, simplicity, e0, tau), and monoidal
-transforms at coordinate-subspace centers.
+transforms at coordinate-subspace centers, computed as exponent maps on the
+generators' terms.
 
 An algebra with generators {g_i W^{n_i}} always denotes the subalgebra
 spanned by those elements together with every down-shifted copy g_i W^{n'}
@@ -11,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, le, sub
 
-from .fields import FieldDescriptor
+from .fields import FieldDescriptor, Immutable
 from .groebner import (Ideal, minimal_exponents, minimal_leads,
                        rational_zero_set)
 from .hasse import diff_closure_list, hasse_derivatives
@@ -23,7 +24,7 @@ class ReesError(ValueError):
     pass
 
 
-class ReesGenerator:
+class ReesGenerator(Immutable):
     """A weighted generator g W^n, n >= 1, g != 0."""
 
     __slots__ = ("poly", "weight")
@@ -36,9 +37,6 @@ class ReesGenerator:
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "weight", int(weight))
 
-    def __setattr__(self, *a):
-        raise AttributeError("ReesGenerator is immutable")
-
     def __eq__(self, other):
         return (isinstance(other, ReesGenerator)
                 and self.poly == other.poly and self.weight == other.weight)
@@ -50,7 +48,7 @@ class ReesGenerator:
         return "ReesGenerator(%s, w=%d)" % (self.poly, self.weight)
 
 
-class ReesAlgebra:
+class ReesAlgebra(Immutable):
     __slots__ = ("ring", "generators", "saturated_active")
 
     def __init__(self, ring, generators, saturated_active=None):
@@ -70,9 +68,6 @@ class ReesAlgebra:
         object.__setattr__(self, "saturated_active",
                            frozenset(saturated_active) if saturated_active is not None
                            else None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ReesAlgebra is immutable")
 
     @classmethod
     def from_pairs(cls, ring, pairs, saturated_active=None):
@@ -100,24 +95,23 @@ class ReesAlgebra:
             "%s w %d" % (g.poly, g.weight) for g in self.generators)
 
 
-class BlowupChart:
+class BlowupChart(Immutable):
     """One coordinate chart of a monoidal transform: x_l -> x_j * x_l for
     l in the center, at the chart of x_j (which becomes the exceptional
     variable)."""
 
-    __slots__ = ("ring", "exceptional", "center", "substitution")
+    __slots__ = ("ring", "exceptional", "center")
 
-    def __init__(self, ring, exceptional, center, substitution):
+    def __init__(self, ring, exceptional, center):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "exceptional", exceptional)
         object.__setattr__(self, "center", tuple(center))
-        object.__setattr__(self, "substitution", dict(substitution))
-
-    def __setattr__(self, *a):
-        raise AttributeError("BlowupChart is immutable")
 
     def __repr__(self):
-        subs = ", ".join("%s->%s" % (k, v) for k, v in self.substitution.items())
+        x = self.ring.var(self.exceptional)
+        subs = ", ".join("%s->%s" % (v, x * self.ring.var(v))
+                         for v in dict.fromkeys(self.center)
+                         if v != self.exceptional)
         return "BlowupChart(exceptional=%s, %s)" % (self.exceptional, subs)
 
 
@@ -297,55 +291,53 @@ def tau_estimate(G, at):
 
 # -- transforms -------------------------------------------------------
 
-def _exact_divide(f, var, n):
-    """f / var^n; every term must carry var-exponent >= n."""
-    i = f.ring.var_index(var)
-    terms = {}
-    for e, c in f.terms.items():
-        if e[i] < n:
-            raise ReesError("exact division by %s^%d failed" % (var, n))
-        terms[e[:i] + (e[i] - n,) + e[i + 1:]] = c
-    return Polynomial(f.ring, terms)
-
-
-def _chart_substitution(G, center, chart_var):
-    center = list(center)
+def _chart_pairs(G, center, chart_var, weighted):
+    """(polynomial, weight) pairs of the generators in the chart of
+    chart_var, as an exponent map: each term keeps its coefficient, its
+    chart exponent becomes its exponent sum over the center (a repeated name
+    counts once), less the weight when weighted, and its other exponents
+    stay.  Distinct terms keep distinct exponents, so none merge; a negative
+    chart exponent means the generator's order along the center is below
+    its weight."""
     if chart_var not in center:
         raise ReesError("chart variable must lie in the center")
-    for v in center:
-        G.ring.var_index(v)
-    chart = G.ring.var(chart_var)
-    return {v: chart * G.ring.var(v) for v in center if v != chart_var}
+    ring = G.ring
+    idx = {ring.var_index(v) for v in center}
+    j = ring.var_index(chart_var)
+    pairs = []
+    for g in G.generators:
+        drop = g.weight if weighted else 0
+        terms = {}
+        for e, c in g.poly.terms.items():
+            n = sum(e[i] for i in idx) - drop
+            if n < 0:
+                raise ReesError(
+                    "center is not permissible: %s has order < %d along it"
+                    % (g.poly, g.weight))
+            terms[e[:j] + (n,) + e[j + 1:]] = c
+        pairs.append((Polynomial(ring, terms), g.weight))
+    return pairs
 
 
 def weighted_transform(G, center, chart_var):
     """Weighted (strict-level) transform at a coordinate-subspace center, in
-    the chart of chart_var: substitute x_l -> chart * x_l for the other
-    center variables, then divide each generator exactly by chart^weight.
+    the chart of chart_var: x_l -> chart * x_l for the other center
+    variables, then each generator divided by chart^weight.
 
     The center must be permissible: every generator has order >= its weight
-    along the center subspace.
+    along the center subspace, which is exactly when no chart exponent goes
+    negative.  Otherwise ReesError names the first generator that fails.
     """
-    mapping = _chart_substitution(G, center, chart_var)
-    for g in G.generators:
-        if g.poly.order_along(center) < g.weight:
-            raise ReesError(
-                "center is not permissible: %s has order < %d along it"
-                % (g.poly, g.weight))
-    pairs = []
-    for g in G.generators:
-        moved = g.poly.substitute(mapping) if mapping else g.poly
-        pairs.append((_exact_divide(moved, chart_var, g.weight), g.weight))
-    chart = BlowupChart(G.ring, chart_var, center, mapping)
-    return ReesAlgebra.from_pairs(G.ring, pairs), chart
+    pairs = _chart_pairs(G, center, chart_var, weighted=True)
+    return (ReesAlgebra.from_pairs(G.ring, pairs),
+            BlowupChart(G.ring, chart_var, center))
 
 
 def total_transform(G, center, chart_var):
-    """Substitution only, no exceptional division."""
-    mapping = _chart_substitution(G, center, chart_var)
-    pairs = [(g.poly.substitute(mapping) if mapping else g.poly, g.weight)
-             for g in G.generators]
-    return ReesAlgebra.from_pairs(G.ring, pairs)
+    """x_l -> chart * x_l for the other center variables, with no
+    exceptional division."""
+    return ReesAlgebra.from_pairs(
+        G.ring, _chart_pairs(G, center, chart_var, weighted=False))
 
 
 # -- degree parts -----------------------------------------------------

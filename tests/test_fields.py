@@ -162,3 +162,31 @@ def test_spec_parsing_factors_large_orders_quickly():
 def test_spec_parsing_messages(spec, message):
     with pytest.raises(FieldError, match=message):
         FieldDescriptor.parse(spec)
+
+
+def test_value_types_refuse_assignment():
+    from reeselim import (GroebnerBasis, Ideal, MonicInput, ReesAlgebra,
+                          RingContext, buchberger, eliminate, mult_matrix,
+                          verify_thm_1_16, weighted_transform)
+    F = FieldDescriptor(5)
+    R = RingContext(F, ["Y", "Z"])
+    f = R.parse("Z^2-Y")
+    G = ReesAlgebra.from_pairs(R, [(f, 2)])
+    cover = MonicInput(R, "Z", [f])
+    Z = ReesAlgebra.from_pairs(R, [(R.var("Z"), 1)])
+    values = [F, F.element(2), R, R.point([0, 1]), f, Ideal(R, [f]),
+              buchberger(Ideal(R, [f])), G.generators[0], G,
+              weighted_transform(Z, ["Y", "Z"], "Y")[1],
+              mult_matrix(R.var("Y"), f, "Z"),
+              eliminate(G, G.generators[0], "Z", check_transversal=False),
+              cover, verify_thm_1_16(cover)]
+    assert len({type(v) for v in values}) == 14
+    assert isinstance(values[6], GroebnerBasis)
+    for value in values:
+        name = type(value).__name__
+        for attr in type(value).__slots__ + ("extra",):
+            with pytest.raises(AttributeError,
+                               match="^%s is immutable$" % name):
+                setattr(value, attr, None)
+    # a descriptor is hashed as a dict key: it must stay F5
+    assert (F.p, F.spec()) == (5, "F5") and F == FieldDescriptor(5)

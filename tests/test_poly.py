@@ -62,6 +62,9 @@ def test_order_along_center_subspaces():
     f = QYZ.parse("Z^2+Y^5")
     assert f.order_along(["Y", "Z"]) == 2
     assert f.order_along(["Z"]) == 0
+    # a repeated name counts once: the order along Z = 0 is 1
+    assert QYZ.var("Z").order_along(["Z", "Z"]) == 1
+    assert f.order_along(["Z", "Y", "Z"]) == 2
     R3 = ring("F3", "X", "Z")
     g = R3.parse("X^3*Z^3+X^14*Z+X^16")
     assert g.order_along(["X", "Z"]) == 6

@@ -10,13 +10,13 @@ from pathlib import Path
 import pytest
 
 import reeselim
-from reeselim import (FieldDescriptor, Ideal, ReesAlgebra, ReesError,
-                      ReesGenerator, RingContext, component_order,
-                      degree_ideal, diff_saturate, e0_invariant,
-                      format_algebra, ideal_equal, is_simple, is_singular_at,
-                      normalize_generators, ord_at_point, parse_algebra,
-                      rational_singular_points, singular_ideal, tau_estimate,
-                      total_transform, weighted_transform)
+from reeselim import (FieldDescriptor, Ideal, Polynomial, ReesAlgebra,
+                      ReesError, ReesGenerator, RingContext, RingError,
+                      component_order, degree_ideal, diff_saturate,
+                      e0_invariant, format_algebra, ideal_equal, is_simple,
+                      is_singular_at, normalize_generators, ord_at_point,
+                      parse_algebra, rational_singular_points, singular_ideal,
+                      tau_estimate, total_transform, weighted_transform)
 from reeselim.poly import grevlex_key
 
 
@@ -140,6 +140,10 @@ def test_weighted_transform_quadratic_chart():
     assert set(G1.generators) == {ReesGenerator(QYZ.var("Z"), 1),
                                   ReesGenerator(QYZ.parse("Y^3"), 1)}
     assert chart.exceptional == "Y" and set(chart.center) == {"Y", "Z"}
+    assert repr(chart) == "BlowupChart(exceptional=Y, Z->Y*Z)"
+    _, chart = weighted_transform(G, ["Z", "Y", "Z"], "Y")
+    assert chart.center == ("Z", "Y", "Z")
+    assert repr(chart) == "BlowupChart(exceptional=Y, Z->Y*Z)"
 
 
 def test_weighted_transform_char_two_strict_transform():
@@ -181,6 +185,81 @@ def test_weighted_times_exceptional_power_recovers_total():
     e = G.ring.var(chart.exceptional)
     rebuilt = {(g.poly * e**g.weight, g.weight) for g in W.generators}
     assert rebuilt == {(g.poly, g.weight) for g in T.generators}
+
+
+def reference_chart(G, center, chart_var, weighted):
+    """Oracle: substitute x_l -> chart * x_l for the other center variables,
+    then, when weighted, divide each generator exactly by chart^weight; the
+    first generator whose division fails makes the center impermissible."""
+    R = G.ring
+    x = R.var(chart_var)
+    mapping = {v: x * R.var(v) for v in center if v != chart_var}
+    j = R.var_index(chart_var)
+    pairs = []
+    for g in G.generators:
+        moved = g.poly.substitute(mapping)
+        drop = g.weight if weighted else 0
+        divisible = all(e[j] >= drop for e in moved.terms)
+        assert divisible == (g.poly.order_along(center) >= drop)
+        if not divisible:
+            raise ReesError("center is not permissible: %s has order < %d "
+                            "along it" % (g.poly, g.weight))
+        pairs.append((Polynomial(R, {e[:j] + (e[j] - drop,) + e[j + 1:]: c
+                                     for e, c in moved.terms.items()}),
+                      g.weight))
+    return ReesAlgebra.from_pairs(R, pairs)
+
+
+def test_transforms_match_substitution_oracle():
+    rng = random.Random(6)
+    outcomes = set()
+    for spec in ("Q", "F2", "F3", "F4", "F5"):
+        coeffs = _nonzero_coeffs(ring(spec, "X"))
+        for n in range(12):
+            R = ring(spec, *("X", "Y", "Z", "U")[:2 + n % 3])
+            pairs = []
+            for _ in range(rng.randrange(1, 4)):
+                f = R.zero()
+                while len(f.terms) < 2:   # non-monomial generators
+                    exps = tuple(rng.randrange(4) for _ in R.variables)
+                    f = f + R.monomial(exps, rng.choice(coeffs))
+                pairs.append((f, rng.randrange(1, 4)))
+            G = ReesAlgebra.from_pairs(R, pairs)
+            for size in range(1, R.nvars + 1):
+                for center in itertools.combinations(R.variables, size):
+                    for chart_var in center:
+                        # a repeated name counts once
+                        repeated = [chart_var, *center, center[-1]]
+                        assert total_transform(G, repeated, chart_var) \
+                            .generators == reference_chart(
+                                G, center, chart_var, False).generators
+                        try:
+                            expected = reference_chart(G, center, chart_var,
+                                                       True).generators
+                        except ReesError as exc:
+                            expected = str(exc)
+                        for c in (list(center), repeated):
+                            try:
+                                got = weighted_transform(G, c, chart_var)[0]
+                                got = got.generators
+                            except ReesError as exc:
+                                got = str(exc)
+                            assert got == expected, (G, c, chart_var)
+                        outcomes.add(isinstance(expected, str))
+    assert outcomes == {False, True}
+
+
+def test_transform_errors_in_order():
+    G = algebra(QYZ, ("Y*Z", 2), ("Z", 1), ("Y", 2), ("Z^2+Y", 2))
+    with pytest.raises(ReesError, match="chart variable must lie in the "
+                                        "center"):
+        weighted_transform(G, ["W", "Y"], "Z")
+    with pytest.raises(RingError, match="unknown variable 'W'"):
+        weighted_transform(G, ["Y", "W"], "Y")
+    with pytest.raises(ReesError, match=r"not permissible: Y has order < 2"):
+        weighted_transform(G, ["Y", "Z", "Z"], "Z")
+    with pytest.raises(ReesError, match=r"not permissible: Y\*Z has order"):
+        weighted_transform(G, ["Z"], "Z")
 
 
 def test_degree_ideal_minimal_products():
