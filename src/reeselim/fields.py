@@ -3,7 +3,8 @@
 Characteristic 0 elements are arbitrary-precision rationals; prime-field
 elements are residues in [0, p); extension-field elements are coefficient
 tuples of degree < k polynomials over F_p reduced modulo a monic
-irreducible modulus.  Everything is immutable and exact.
+irreducible modulus.  Everything is immutable and exact, and each field
+has one descriptor, so checking that two elements share a field is cheap.
 """
 from __future__ import annotations
 
@@ -117,11 +118,13 @@ class Immutable:
 
 
 class FieldDescriptor(Immutable):
-    """Q (characteristic 0) or F_{p^k} with a monic irreducible modulus for k > 1."""
+    """Q (characteristic 0) or F_{p^k} with a monic irreducible modulus for k > 1.
+    One instance per (p, k, modulus): equal fields are the same object."""
 
     __slots__ = ("p", "k", "modulus")
+    _instances = {}
 
-    def __init__(self, characteristic, extension_degree=1, modulus=None):
+    def __new__(cls, characteristic, extension_degree=1, modulus=None):
         p, k = characteristic, extension_degree
         if p == 0:
             if k != 1:
@@ -145,11 +148,18 @@ class FieldDescriptor(Immutable):
                 modulus = tuple(c % p for c in modulus)
                 if len(modulus) != k + 1 or modulus[-1] != 1:
                     raise FieldError("modulus must be monic of degree %d" % k)
-                self._check_irreducible(modulus, p, k)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "modulus",
-                           tuple(modulus) if modulus is not None else None)
+        key = (p, k, modulus)
+        field = cls._instances.get(key)
+        if field is not None:
+            return field
+        if modulus is not None:
+            cls._check_irreducible(modulus, p, k)
+        field = object.__new__(cls)
+        object.__setattr__(field, "p", p)
+        object.__setattr__(field, "k", k)
+        object.__setattr__(field, "modulus", modulus)
+        # setdefault: threads that race to build one field all get one instance
+        return cls._instances.setdefault(key, field)
 
     @staticmethod
     def _check_irreducible(modulus, p, k):
@@ -259,14 +269,6 @@ class FieldDescriptor(Immutable):
         return "F%d:%s" % (self.order, _format_modulus(self.modulus))
 
     # -- plumbing -----------------------------------------------------
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldDescriptor)
-                and self.p == other.p and self.k == other.k
-                and self.modulus == other.modulus)
-
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
 
     def __repr__(self):
         return "FieldDescriptor(%s)" % self.spec()

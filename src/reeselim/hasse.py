@@ -42,15 +42,9 @@ def hasse_derivative(f, alpha):
         for b, a in zip(exps, alpha):
             binom *= comb(b, a)
         c = coeff * field.element(binom)
-        if c.is_zero():
-            continue
-        e = tuple(b - a for b, a in zip(exps, alpha))
-        s = terms.get(e)
-        s = c if s is None else s + c
-        if s.is_zero():
-            terms.pop(e, None)
-        else:
-            terms[e] = s
+        if not c.is_zero():
+            # exps -> exps - alpha is injective: no two terms share a key
+            terms[tuple(b - a for b, a in zip(exps, alpha))] = c
     return Polynomial(ring, terms)
 
 

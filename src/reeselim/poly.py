@@ -3,7 +3,8 @@ toolkit (division, gcd, radical) used by the ramification oracle.
 
 Terms are kept in a dict keyed by exponent tuples; zero coefficients are
 never stored, so equal polynomials have identical term maps.  The only
-monomial order is grevlex over the ring's declared variable order.
+monomial order is grevlex over the ring's declared variable order.  Like
+fields, rings have one instance each, so ring checks are identity tests.
 """
 from __future__ import annotations
 
@@ -21,12 +22,18 @@ class RingError(ValueError):
 
 
 class RingContext(Immutable):
-    """A polynomial ring: a coefficient field and an ordered variable list."""
+    """A polynomial ring: a coefficient field and an ordered variable list.
+    One instance per (field, variables): equal rings are the same object."""
 
     __slots__ = ("field", "variables", "_index")
+    _instances = {}
 
-    def __init__(self, field, variables):
+    def __new__(cls, field, variables):
         variables = tuple(variables)
+        key = (field, variables)
+        ring = cls._instances.get(key)
+        if ring is not None:
+            return ring
         if not variables:
             raise RingError("ring needs at least one variable")
         if len(set(variables)) != len(variables) or any(not v for v in variables):
@@ -34,9 +41,11 @@ class RingContext(Immutable):
         if field.k > 1 and "t" in variables:
             raise RingError("'t' names the generator of %s; pick another "
                             "variable name" % field.spec())
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(variables)})
+        ring = object.__new__(cls)
+        object.__setattr__(ring, "field", field)
+        object.__setattr__(ring, "variables", variables)
+        object.__setattr__(ring, "_index", {v: i for i, v in enumerate(variables)})
+        return cls._instances.setdefault(key, ring)
 
     @property
     def nvars(self):
@@ -91,14 +100,6 @@ class RingContext(Immutable):
 
     def parse(self, text):
         return parse_polynomial(self, text)
-
-    def __eq__(self, other):
-        return (isinstance(other, RingContext)
-                and self.field == other.field
-                and self.variables == other.variables)
-
-    def __hash__(self):
-        return hash((self.field, self.variables))
 
     def __repr__(self):
         return "RingContext(%s[%s])" % (self.field.spec(), ",".join(self.variables))

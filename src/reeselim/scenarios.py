@@ -217,18 +217,12 @@ def _scenario_ex611(rep, rng):
             rep.check("unique multiplicity-3 center at each step", False)
             return
         pt = pts[0]
-        if not pt.is_origin():
-            shift = {v: R.var(v) + R.constant(pt[v])
-                     for v in R.variables if not pt[v].is_zero()}
-            curG = ReesAlgebra.from_pairs(
-                R, [(g.poly.substitute(shift), g.weight)
-                    for g in curG.generators])
-            curf = curf.substitute(shift)
-            if not pt["X"].is_zero():
-                base_shift = {"X": S.var("X") + S.constant(pt["X"])}
-                curH = ReesAlgebra.from_pairs(
-                    S, [(g.poly.substitute(base_shift), g.weight)
-                        for g in curH.generators])
+        curG = ReesAlgebra.from_pairs(
+            R, [(g.poly.recenter(pt), g.weight) for g in curG.generators])
+        curf = curf.recenter(pt)
+        curH = ReesAlgebra.from_pairs(
+            S, [(g.poly.recenter(pt.drop("Z")), g.weight)
+                for g in curH.generators])
         curG, _ = weighted_transform(curG, ["X", "Z"], "X")
         curH, _ = weighted_transform(curH, ["X"], "X")
         curf = weighted_transform(

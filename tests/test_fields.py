@@ -1,5 +1,7 @@
 """Exact field arithmetic: Q, prime fields, and small extensions."""
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -109,6 +111,54 @@ def test_descriptor_mismatch_and_zero_division():
         F5.element(1) + FieldDescriptor.parse("F3").element(1)
     with pytest.raises(ZeroDivisionError):
         F5.one() / F5.zero()
+
+
+def test_descriptors_are_canonical():
+    assert FieldDescriptor.parse("F16") is FieldDescriptor(2, 4)
+    assert FieldDescriptor(2, 2) is FieldDescriptor(2, 2, (1, 1, 1)) is F4
+    # the modulus is normalized before the lookup
+    assert FieldDescriptor(3, 2, (4, -3, 1)) is F9
+    other = FieldDescriptor.parse("F9:t^2+t+2")
+    assert other is FieldDescriptor(3, 2, (2, 1, 1))
+    assert other is not F9 and other != F9
+    with pytest.raises(FieldError, match="field descriptor mismatch"):
+        F9.one() + other.one()
+    with pytest.raises(FieldError, match="different field"):
+        other.element(F9.one())
+    # invalid input is never stored
+    for _ in range(2):
+        with pytest.raises(FieldError, match="reducible"):
+            FieldDescriptor(2, 2, (1, 0, 1))
+
+
+def test_threads_building_one_field_get_one_instance():
+    # F_{p^2} with modulus t^2 - n, n the least non-residue mod p; no other
+    # test builds these fields, so every thread races to create them
+    moduli = []
+    for p in (211, 223, 227, 229, 233, 239, 241, 251):
+        n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+        moduli.append((p, (-n, 0, 1)))
+    barrier = threading.Barrier(8, timeout=10)
+    built = [None] * 8
+
+    def build(i):
+        barrier.wait()
+        built[i] = [FieldDescriptor(p, 2, m) for p, m in moduli]
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert None not in built
+    for fields in zip(*built):
+        assert len({id(f) for f in fields}) == 1
 
 
 def test_characteristic_zero_restrictions():

@@ -260,3 +260,18 @@ def test_projection_and_lift():
     assert base.lift(QYZ) == f
     with pytest.raises(RingError):
         QYZ.parse("Z*Y").project_out("Z")
+
+
+def test_rings_are_canonical():
+    F = FieldDescriptor.parse("F5")
+    R = RingContext(F, ["Y", "Z"])
+    assert RingContext(F, ["x", "y"]) is RingContext(F, ("x", "y"))
+    assert R.drop_variable("Z") is RingContext(F, ["Y"])
+    assert R.parse("Y^3").project_out("Z").ring is RingContext(F, ("Y",))
+    assert R.point([1, 2]).drop("Z").ring is RingContext(F, "Y")
+    assert RingContext(F, ["Z", "Y"]) is not R
+    assert RingContext(FieldDescriptor(5), ["Y", "Z"]) is R
+    # invalid input is never stored
+    for _ in range(2):
+        with pytest.raises(RingError):
+            ring("F4", "x", "t")

@@ -1,5 +1,6 @@
-"""Property tests: the Hasse Leibniz and composition laws, and the monomial
-degree_ideal path against its scalar oracle."""
+"""Property tests: field-spec and polynomial-text round trips, the Hasse
+Leibniz and composition laws, and the monomial degree_ideal path against
+its scalar oracle."""
 import itertools
 import math
 
@@ -8,8 +9,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from reeselim import (FieldDescriptor, ReesAlgebra, RingContext,  # noqa: E402
-                      degree_ideal, hasse_derivative)
+from reeselim import (FieldDescriptor, FieldError,  # noqa: E402
+                      ReesAlgebra, RingContext, degree_ideal,
+                      hasse_derivative)
 from test_rees import scalar_oracle_degree_ideal  # noqa: E402
 
 SPECS = ("Q", "F2", "F3", "F4", "F5", "F9")
@@ -86,3 +88,65 @@ def test_monomial_degree_ideal_matches_scalar_oracle(data):
     k = data.draw(st.integers(1, 6))
     assert degree_ideal(G, k).generators == scalar_oracle_degree_ideal(G, k)
 
+
+def _builtin_fields():
+    """Q and every F_q, q <= 49, that needs no user-supplied modulus."""
+    out = [FieldDescriptor.parse("Q")]
+    for q in range(2, 50):
+        try:
+            out.append(FieldDescriptor.parse("F%d" % q))
+        except FieldError:
+            pass
+    return out
+
+
+BUILTIN_FIELDS = _builtin_fields()
+
+
+@st.composite
+def user_moduli(draw):
+    """(p, k, modulus) with a monic irreducible modulus whose low
+    coefficients are drawn outside [0, p) too; q stays <= 125."""
+    p, k = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
+                                 (3, 4), (5, 2), (5, 3), (7, 2)]))
+    low = draw(st.tuples(*[st.integers(-p, 2 * p)] * k))
+    try:
+        FieldDescriptor(p, k, low + (1,))
+    except FieldError:
+        hypothesis.reject()
+    return p, k, low + (1,)
+
+
+@st.composite
+def fields(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(BUILTIN_FIELDS))
+    return FieldDescriptor(*draw(user_moduli()))
+
+
+def test_builtin_field_spec_round_trip():
+    assert [F.spec().partition(":")[0] for F in BUILTIN_FIELDS] == [
+        "Q", "F2", "F3", "F4", "F5", "F7", "F8", "F9", "F11", "F13", "F16",
+        "F17", "F19", "F23", "F25", "F27", "F29", "F31", "F37", "F41", "F43",
+        "F47", "F49"]
+    for F in BUILTIN_FIELDS:
+        assert FieldDescriptor.parse(F.spec()) is F
+
+
+@SETTINGS
+@hypothesis.given(user_moduli())
+def test_user_modulus_spec_round_trip(field_args):
+    F = FieldDescriptor(*field_args)
+    p, k, modulus = field_args
+    assert F.modulus == tuple(c % p for c in modulus)
+    assert FieldDescriptor.parse(F.spec()) is F
+    assert FieldDescriptor(p, k, F.modulus) is F
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_polynomial_text_round_trip(data):
+    F = data.draw(fields())
+    R = RingContext(F, ("x", "y", "z")[:data.draw(st.integers(1, 3))])
+    f = data.draw(polynomials(R))
+    assert R.parse(str(f)) == f
