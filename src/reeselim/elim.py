@@ -59,6 +59,8 @@ def mult_matrix(g, f, z_var):
     matrix = [[ring.zero()] * c for _ in range(c)]
     col = g
     for j in range(c):
+        if col.is_zero():
+            break   # col * Z mod f stays zero from here on
         coeffs = col.coefficients_in(z_var)
         for i in range(min(len(coeffs), c)):
             matrix[i][j] = coeffs[i]

@@ -163,12 +163,22 @@ class FieldDescriptor(Immutable):
 
     @staticmethod
     def _check_irreducible(modulus, p, k):
-        # trial division against every monic polynomial of degree <= k/2
-        for deg in range(1, k // 2 + 1):
-            for code in range(p**deg):
-                cand = [(code // p**i) % p for i in range(deg)] + [1]
-                if not _polymod(modulus, cand, p):
-                    raise FieldError("modulus is reducible over F_%d" % p)
+        # Rabin (1980): for k <= 4, f is reducible iff it has a factor of
+        # degree <= k//2, iff gcd(f, t^(p^(k//2)) - t) != 1; the power comes
+        # by square-and-multiply mod f, so the cost grows with log p
+        power, square, n = [1], [0, 1], p**(k // 2)
+        while n:
+            if n & 1:
+                power = _polymod(_polymul(power, square, p), modulus, p)
+            square = _polymod(_polymul(square, square, p), modulus, p)
+            n >>= 1
+        a, b = list(modulus), _add_scaled(power, [1], -1, 1, p)
+        while b:
+            inv = pow(b[-1], p - 2, p)
+            b = [c * inv % p for c in b]
+            a, b = b, _polymod(a, b, p)
+        if len(a) > 1:
+            raise FieldError("modulus is reducible over F_%d" % p)
 
     # -- constructors -------------------------------------------------
 
@@ -332,9 +342,7 @@ class FieldElement(Immutable):
         return NotImplemented
 
     def is_zero(self):
-        if self.field.p == 0 or self.field.k == 1:
-            return self.val == 0
-        return all(c == 0 for c in self.val)
+        return not (any(self.val) if self.field.k > 1 else self.val)
 
     def __bool__(self):
         return not self.is_zero()

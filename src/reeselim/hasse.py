@@ -41,10 +41,9 @@ def hasse_derivative(f, alpha):
         binom = 1
         for b, a in zip(exps, alpha):
             binom *= comb(b, a)
-        c = coeff * field.element(binom)
-        if not c.is_zero():
-            # exps -> exps - alpha is injective: no two terms share a key
-            terms[tuple(b - a for b, a in zip(exps, alpha))] = c
+        # exps -> exps - alpha is injective: no two terms share a key
+        terms[tuple(b - a for b, a in zip(exps, alpha))] = \
+            coeff * field.element(binom)
     return Polynomial(ring, terms)
 
 
@@ -76,21 +75,12 @@ def diff_closure_list(f, n, active=None):
 
     Realizes the generating set of the smallest differential extension, in
     both the relative (active = one variable) and absolute flavors.  Zero
-    polynomials are dropped and duplicates removed.
+    polynomials are dropped, but a pair may occur more than once (for X+Y,
+    Delta_X and Delta_Y are both 1); ReesAlgebra drops the repeats.
     """
     if n < 1:
         raise RingError("weight must be >= 1")
-    out = []
-    seen = set()
     cache = hasse_derivatives(f, n, active)
-    for nprime in range(1, n + 1):
-        for alpha, df in cache.items():
-            if sum(alpha) >= nprime:
-                continue
-            weight = nprime - sum(alpha)
-            key = (frozenset(df.terms.items()), weight)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append((df, weight))
-    return out
+    return [(df, nprime - sum(alpha))
+            for nprime in range(1, n + 1)
+            for alpha, df in cache.items() if sum(alpha) < nprime]

@@ -1,8 +1,9 @@
 """Sparse multivariate polynomials over an exact field, plus the univariate
 toolkit (division, gcd, radical) used by the ramification oracle.
 
-Terms are kept in a dict keyed by exponent tuples; zero coefficients are
-never stored, so equal polynomials have identical term maps.  The only
+Terms are kept in a dict keyed by exponent tuples; the Polynomial
+constructor drops zero coefficients, so equal polynomials have identical
+term maps and no producer filters its own.  The only
 monomial order is grevlex over the ring's declared variable order.  Like
 fields, rings have one instance each, so ring checks are identity tests.
 """
@@ -67,10 +68,7 @@ class RingContext(Immutable):
         return self.constant(1)
 
     def constant(self, value):
-        c = self.coeff(value)
-        if c.is_zero():
-            return self.zero()
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return Polynomial(self, {(0,) * self.nvars: self.coeff(value)})
 
     def var(self, name):
         exps = [0] * self.nvars
@@ -78,13 +76,10 @@ class RingContext(Immutable):
         return Polynomial(self, {tuple(exps): self.field.one()})
 
     def monomial(self, exps, coeff=1):
-        c = self.coeff(coeff)
-        if c.is_zero():
-            return self.zero()
         exps = tuple(exps)
         if len(exps) != self.nvars:
             raise RingError("exponent vector length mismatch")
-        return Polynomial(self, {exps: c})
+        return Polynomial(self, {exps: self.coeff(coeff)})
 
     def point(self, coords):
         return RationalPoint(self, coords)
@@ -147,13 +142,15 @@ class RationalPoint(Immutable):
 
 
 class Polynomial(Immutable):
-    """Sparse polynomial; term map from exponent tuple to nonzero coefficient."""
+    """Sparse polynomial; term map from exponent tuple to nonzero
+    coefficient.  The constructor is the one place that drops zeros."""
 
     __slots__ = ("ring", "terms", "_lm")
 
     def __init__(self, ring, terms):
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", dict(terms))
+        object.__setattr__(self, "terms",
+                           {e: c for e, c in terms.items() if not c.is_zero()})
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -184,11 +181,7 @@ class Polynomial(Immutable):
         terms = dict(self.terms)
         for e, c in other.terms.items():
             s = terms.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(e, None)
-            else:
-                terms[e] = s
+            terms[e] = c if s is None else s + c
         return Polynomial(self.ring, terms)
 
     __radd__ = __add__
@@ -215,11 +208,7 @@ class Polynomial(Immutable):
                 e = tuple(a + b for a, b in zip(e1, e2))
                 c = c1 * c2
                 s = terms.get(e)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
+                terms[e] = c if s is None else s + c
         return Polynomial(self.ring, terms)
 
     __rmul__ = __mul__
@@ -238,8 +227,6 @@ class Polynomial(Immutable):
 
     def scale(self, c):
         c = self.ring.coeff(c)
-        if c.is_zero():
-            return self.ring.zero()
         return Polynomial(self.ring, {e: k * c for e, k in self.terms.items()})
 
     def __eq__(self, other):
@@ -452,15 +439,8 @@ def univ_gcd(f, g, var):
 def formal_derivative(f, var):
     """d/d(var), the ordinary (not Hasse) derivative."""
     i = f.ring.var_index(var)
-    terms = {}
-    for e, c in f.terms.items():
-        if e[i] == 0:
-            continue
-        coef = c * f.ring.field.element(e[i])
-        if coef.is_zero():
-            continue
-        terms[e[:i] + (e[i] - 1,) + e[i + 1:]] = coef
-    return Polynomial(f.ring, terms)
+    return Polynomial(f.ring, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                               for e, c in f.terms.items() if e[i]})
 
 
 def _only_variable(f):

@@ -53,10 +53,8 @@ class ReesAlgebra(Immutable):
 
     def __init__(self, ring, generators, saturated_active=None):
         gens = []
-        seen = set()
+        seen = set()   # the one place duplicate generators are dropped
         for g in generators:
-            if not isinstance(g, ReesGenerator):
-                g = ReesGenerator(*g)
             if g.poly.ring != ring:
                 raise RingError("generator in a different ring")
             if g in seen:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from reeselim import elim
 from reeselim import (FieldDescriptor, MultiplicationMatrix, ReesAlgebra,
                       ReesError, ReesGenerator, ResourceCapError, RingContext,
                       RingError, buchberger,
@@ -11,7 +12,7 @@ from reeselim import (FieldDescriptor, MultiplicationMatrix, ReesAlgebra,
                       diff_saturate, eliminate, format_elimination, is_simple,
                       membership, mult_matrix, ord_at_point,
                       rational_singular_points, rational_zero_set,
-                      singular_ideal, slope_equivalent)
+                      singular_ideal, slope_equivalent, univ_divmod)
 
 
 def ring(spec, *names):
@@ -251,6 +252,24 @@ def test_slope_equivalence_refuses_unsupported_input():
     S = ring("Q", "Y")
     with pytest.raises(ReesError):
         slope_equivalent(algebra(S, ("Y+1", 1)), algebra(S, ("Y", 1)))
+
+
+def test_mult_matrix_stops_at_the_first_zero_column(monkeypatch):
+    calls = []
+
+    def counting_divmod(f, g, var):
+        calls.append(f)
+        return univ_divmod(f, g, var)
+
+    monkeypatch.setattr(elim, "univ_divmod", counting_divmod)
+    f = QYZ.parse("Z^3+Y*Z+1")
+    M = mult_matrix(f * QYZ.parse("Y+Z"), f, "Z")
+    assert M.element.is_zero() and len(calls) == 1
+    assert all(e.is_zero() for row in M.matrix for e in row)
+    assert M.size == 3
+    calls.clear()
+    M = mult_matrix(QYZ.one(), f, "Z")
+    assert len(calls) == 4 and M.matrix[2][2] == QYZ.one()
 
 
 def test_zero_elimination_algebra_warning_path():

@@ -1,4 +1,5 @@
 """Exact field arithmetic: Q, prime fields, and small extensions."""
+import itertools
 import random
 import sys
 import threading
@@ -187,6 +188,54 @@ def test_fractions_map_to_inverses_in_positive_characteristic():
 def test_reducible_modulus_rejected():
     with pytest.raises(FieldError):
         FieldDescriptor.parse("F4:t^2+1")  # (t+1)^2 over F_2
+
+
+def _remainder(num, den, p):
+    """num mod the monic den over F_p, coefficients low to high."""
+    num = [c % p for c in num]
+    for top in range(len(num) - 1, len(den) - 2, -1):
+        c = num[top]
+        for i, d in enumerate(den):
+            num[top - len(den) + 1 + i] = (num[top - len(den) + 1 + i]
+                                           - c * d) % p
+    return num[:len(den) - 1]
+
+
+def irreducible_by_trial_division(modulus, p, k):
+    """Oracle: no monic polynomial of degree 1..k//2 divides the modulus."""
+    return all(any(_remainder(modulus, low + (1,), p))
+               for deg in range(1, k // 2 + 1)
+               for low in itertools.product(range(p), repeat=deg))
+
+
+def test_irreducibility_test_matches_trial_division():
+    count = 0
+    for p, degrees in [(2, (2, 3, 4)), (3, (2, 3, 4)), (5, (2, 3, 4)),
+                       (7, (2, 3)), (11, (2,))]:
+        for k in degrees:
+            for low in itertools.product(range(p), repeat=k):
+                modulus = low + (1,)
+                count += 1
+                if irreducible_by_trial_division(modulus, p, k):
+                    assert FieldDescriptor(p, k, modulus).modulus == modulus
+                else:
+                    with pytest.raises(FieldError, match="modulus is "
+                                       "reducible over F_%d$" % p):
+                        FieldDescriptor(p, k, modulus)
+    assert count == 1433
+
+
+def test_irreducibility_test_is_fast_for_large_p():
+    q = (2**31 - 1)**2
+    start = time.perf_counter()
+    F = FieldDescriptor.parse("F%d:t^2+1" % q)
+    assert time.perf_counter() - start < 0.5
+    assert (F.p, F.k, F.modulus) == (2**31 - 1, 2, (1, 0, 1))
+    with pytest.raises(FieldError, match="reducible over F_2147483647"):
+        FieldDescriptor.parse("F%d:t^2-4" % q)
+    # (t^2+1)(t^2+t+2) over F_3: reducible without a root
+    with pytest.raises(FieldError, match="reducible over F_3"):
+        FieldDescriptor.parse("F81:t^4+t^3+t+2")
 
 
 def test_spec_parsing_factors_large_orders_quickly():

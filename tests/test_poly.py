@@ -4,8 +4,8 @@ import random
 import pytest
 
 from reeselim import (INFINITE_ORDER, FieldDescriptor, FieldError,
-                      RingContext, RingError, univ_divmod, univ_gcd,
-                      univ_radical)
+                      Polynomial, RingContext, RingError, univ_divmod,
+                      univ_gcd, univ_radical)
 from reeselim.poly import formal_derivative, grevlex_key
 
 
@@ -275,3 +275,24 @@ def test_rings_are_canonical():
     for _ in range(2):
         with pytest.raises(RingError):
             ring("F4", "x", "t")
+
+
+def test_constructor_drops_zero_coefficients():
+    R = ring("F3", "Y", "Z")
+    F3 = R.field
+    f = Polynomial(R, {(1, 0): F3.element(3), (0, 2): F3.element(1)})
+    assert f == R.var("Z")**2
+    assert f.terms == {(0, 2): F3.one()}
+    assert str(f) == "Z^2"
+    zero = Polynomial(R, {(1, 0): F3.zero(), (0, 0): F3.element(6)})
+    assert zero.is_zero() and not zero and zero == R.zero()
+    assert str(zero) == "0"
+
+
+def test_monomial_checks_its_exponents_also_for_a_zero_coefficient():
+    R = ring("F3", "Y", "Z")
+    assert R.monomial((1, 2), 0).is_zero()
+    assert R.monomial((1, 2), 3).is_zero()
+    for coeff in (0, 1):
+        with pytest.raises(RingError, match="exponent vector length"):
+            R.monomial((1, 2, 3), coeff)

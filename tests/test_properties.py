@@ -1,6 +1,6 @@
-"""Property tests: field-spec and polynomial-text round trips, the Hasse
-Leibniz and composition laws, and the monomial degree_ideal path against
-its scalar oracle."""
+"""Property tests: field-spec and polynomial-text round trips, zero
+coefficients in term maps, the Hasse Leibniz and composition laws, and the
+monomial degree_ideal path against its scalar oracle."""
 import itertools
 import math
 
@@ -10,8 +10,9 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from reeselim import (FieldDescriptor, FieldError,  # noqa: E402
-                      ReesAlgebra, RingContext, degree_ideal,
+                      Polynomial, ReesAlgebra, RingContext, degree_ideal,
                       hasse_derivative)
+from test_fields import irreducible_by_trial_division  # noqa: E402
 from test_rees import scalar_oracle_degree_ideal  # noqa: E402
 
 SPECS = ("Q", "F2", "F3", "F4", "F5", "F9")
@@ -103,18 +104,22 @@ def _builtin_fields():
 BUILTIN_FIELDS = _builtin_fields()
 
 
+IRREDUCIBLE_LOW = {
+    (p, k): [low for low in itertools.product(range(p), repeat=k)
+             if irreducible_by_trial_division(low + (1,), p, k)]
+    for p, k in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (5, 2),
+                 (5, 3), (7, 2)]}
+
+
 @st.composite
 def user_moduli(draw):
     """(p, k, modulus) with a monic irreducible modulus whose low
-    coefficients are drawn outside [0, p) too; q stays <= 125."""
-    p, k = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
-                                 (3, 4), (5, 2), (5, 3), (7, 2)]))
-    low = draw(st.tuples(*[st.integers(-p, 2 * p)] * k))
-    try:
-        FieldDescriptor(p, k, low + (1,))
-    except FieldError:
-        hypothesis.reject()
-    return p, k, low + (1,)
+    coefficients are drawn outside [0, p) too; q stays <= 125.  The
+    moduli come from a trial-division list, so no draw is rejected."""
+    p, k = draw(st.sampled_from(sorted(IRREDUCIBLE_LOW)))
+    low = draw(st.sampled_from(IRREDUCIBLE_LOW[p, k]))
+    shifts = draw(st.tuples(*[st.integers(-1, 1)] * k))
+    return p, k, tuple(c + s * p for c, s in zip(low, shifts)) + (1,)
 
 
 @st.composite
@@ -150,3 +155,18 @@ def test_polynomial_text_round_trip(data):
     R = RingContext(F, ("x", "y", "z")[:data.draw(st.integers(1, 3))])
     f = data.draw(polynomials(R))
     assert R.parse(str(f)) == f
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_term_map_with_zero_coefficients(data):
+    F = data.draw(fields())
+    R = RingContext(F, ("x", "y", "z")[:data.draw(st.integers(1, 3))])
+    terms = data.draw(st.dictionaries(
+        exponents(R, 3), st.one_of(st.just(F.zero()),
+                                   coefficients(R).map(R.coeff)),
+        max_size=5))
+    f = Polynomial(R, terms)
+    assert f == sum((R.monomial(e, c) for e, c in terms.items()), R.zero())
+    assert not any(c.is_zero() for c in f.terms.values())
+    assert f.is_zero() == all(c.is_zero() for c in terms.values())

@@ -474,3 +474,29 @@ def test_normalize_generators_scales_to_monic():
     N = normalize_generators(G)
     assert set(N.generators) == {ReesGenerator(QYZ.var("Z"), 1),
                                  ReesGenerator(QYZ.parse("Y^4"), 1)}
+
+
+def test_generator_refuses_an_all_zero_term_map():
+    R = ring("F3", "Y", "Z")
+    zero = Polynomial(R, {(1, 0): R.coeff(3), (0, 1): R.coeff(0)})
+    with pytest.raises(ReesError, match="nonzero"):
+        ReesGenerator(zero, 1)
+
+
+def test_transform_of_a_generator_built_with_a_zero_term():
+    R = ring("F2", "Y", "Z")
+    F2 = R.field
+    g = Polynomial(R, {(0, 2): F2.one(), (5, 0): F2.one(), (1, 3): F2.element(2)})
+    G = ReesAlgebra(R, [ReesGenerator(g, 2)])
+    G1, _ = weighted_transform(G, ["Y", "Z"], "Y")
+    (g1,) = G1.generators
+    assert g1.poly.terms == {(0, 2): F2.one(), (3, 0): F2.one()}
+    assert str(g1.poly) == "Y^3+Z^2"
+
+
+def test_saturation_lists_a_repeated_derivative_once():
+    R = ring("Q", "X", "Y")
+    G = diff_saturate(algebra(R, ("X+Y", 2)))
+    # Delta_X and Delta_Y of X+Y are both 1: one generator 1 W
+    assert [(str(g.poly), g.weight) for g in G.generators] == [
+        ("X+Y", 1), ("X+Y", 2), ("1", 1)]
