@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
-from .fields import FieldDescriptor, FieldError
+from .fields import FieldError
 from .groebner import ResourceCapError, rational_zero_set
 from .poly import RationalPoint, RingError
-from .rees import (ReesError, ReesGenerator, diff_saturate, e0_invariant,
-                   format_algebra, normalize_generators, ord_at_point,
-                   parse_algebra, singular_ideal, tau_estimate,
-                   weighted_transform)
+from .rees import (ReesError, diff_saturate, e0_invariant, format_algebra,
+                   normalize_generators, ord_at_point, parse_algebra,
+                   singular_ideal, tau_estimate, weighted_transform)
 from .elim import eliminate, format_elimination
 from .ramify import MonicInput, verify_thm_1_16
 from .scenarios import SCENARIO_NAMES, run_scenario

@@ -1,9 +1,10 @@
 """Exact coefficient fields: Q and finite fields F_{p^k} with k <= 4.
 
-Characteristic 0 elements are arbitrary-precision rationals; prime-field
-elements are residues in [0, p); extension-field elements are coefficient
-tuples of degree < k polynomials over F_p reduced modulo a monic
-irreducible modulus.  Everything is immutable and exact, and each field
+A characteristic 0 value is an `int` while it is integral and a `Fraction`
+otherwise, so integer matrices never pay for `Fraction` arithmetic;
+prime-field values are residues in [0, p); extension-field values are
+coefficient tuples of degree < k polynomials over F_p reduced modulo a
+monic irreducible modulus.  Everything is immutable and exact, and each field
 has one descriptor, so checking that two elements share a field is cheap.
 """
 from __future__ import annotations
@@ -46,6 +47,11 @@ def _iroot(n, k):
         else:
             hi = mid
     return lo
+
+
+def _integral(v):
+    """A rational value held as an int when its denominator is 1."""
+    return v.numerator if v.denominator == 1 else v
 
 
 def _trim(coeffs):
@@ -189,13 +195,17 @@ class FieldDescriptor(Immutable):
         return self.element(1)
 
     def element(self, value):
-        """Coerce an int, Fraction, coefficient tuple, or FieldElement."""
+        """Coerce an int, Fraction, coefficient tuple, or FieldElement.
+        Reduces an unreduced raw value: an int of any size mod p, or an
+        integer tuple of any length mod p and mod the modulus."""
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise FieldError("element belongs to a different field")
             return value
         if self.p == 0:
-            return FieldElement(self, Fraction(value))
+            if type(value) is not int:
+                value = _integral(Fraction(value))
+            return FieldElement(self, value)
         if self.k == 1:
             if isinstance(value, (tuple, list)):
                 if len(value) > 1 and any(c % self.p for c in value[1:]):
@@ -353,7 +363,7 @@ class FieldElement(Immutable):
             return NotImplemented
         f = self.field
         if f.p == 0:
-            return FieldElement(f, self.val + other.val)
+            return FieldElement(f, _integral(self.val + other.val))
         if f.k == 1:
             return FieldElement(f, (self.val + other.val) % f.p)
         return FieldElement(f, tuple((a + b) % f.p
@@ -384,7 +394,7 @@ class FieldElement(Immutable):
             return NotImplemented
         f = self.field
         if f.p == 0:
-            return FieldElement(f, self.val * other.val)
+            return FieldElement(f, _integral(self.val * other.val))
         if f.k == 1:
             return FieldElement(f, (self.val * other.val) % f.p)
         prod = _polymul(list(self.val), list(other.val), f.p)
@@ -397,7 +407,8 @@ class FieldElement(Immutable):
             raise ZeroDivisionError("division by zero in field")
         f = self.field
         if f.p == 0:
-            return FieldElement(f, 1 / self.val)
+            # Fraction(1, v), never 1 / v: on an int value that is a float
+            return FieldElement(f, _integral(Fraction(1, self.val)))
         if f.k == 1:
             return FieldElement(f, pow(self.val, f.p - 2, f.p))
         return f.element(tuple(_polyinv(self.val, f.modulus, f.p)))

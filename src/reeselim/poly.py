@@ -1,19 +1,22 @@
 """Sparse multivariate polynomials over an exact field, plus the univariate
 toolkit (division, gcd, radical) used by the ramification oracle.
 
-Terms are kept in a dict keyed by exponent tuples; the Polynomial
-constructor drops zero coefficients, so equal polynomials have identical
-term maps and no producer filters its own.  The only
-monomial order is grevlex over the ring's declared variable order.  Like
-fields, rings have one instance each, so ring checks are identity tests.
+Terms are kept in a dict keyed by exponent tuples, with FieldElement
+coefficients; the Polynomial constructor drops zero coefficients, so equal
+polynomials have identical term maps and no producer filters its own.
+Products are summed on the coefficients' raw values and each output
+coefficient is reduced once by its field.  The only monomial order is
+grevlex over the ring's declared variable order.  Like fields, rings have
+one instance each, so ring checks are identity tests.
 """
 from __future__ import annotations
 
 import math
 import re
 from fractions import Fraction
+from operator import add
 
-from .fields import FieldDescriptor, FieldElement, FieldError, Immutable
+from .fields import FieldElement, Immutable
 
 INFINITE_ORDER = math.inf
 
@@ -145,7 +148,7 @@ class Polynomial(Immutable):
     """Sparse polynomial; term map from exponent tuple to nonzero
     coefficient.  The constructor is the one place that drops zeros."""
 
-    __slots__ = ("ring", "terms", "_lm")
+    __slots__ = ("ring", "terms", "_lm", "_hash")
 
     def __init__(self, ring, terms):
         object.__setattr__(self, "ring", ring)
@@ -193,7 +196,11 @@ class Polynomial(Immutable):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            s = terms.get(e)
+            terms[e] = -c if s is None else s - c
+        return Polynomial(self.ring, terms)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -202,14 +209,33 @@ class Polynomial(Immutable):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = terms.get(e)
-                terms[e] = c if s is None else s + c
-        return Polynomial(self.ring, terms)
+        # Each output coefficient is summed on raw values and reduced once
+        # by field.element: a sum of products in Q and F_p, an unreduced
+        # convolution of the coefficient tuples in F_{p^k}.
+        field = self.ring.field
+        other_terms = other.terms.items()
+        raw = {}
+        if field.k == 1:
+            for e1, c1 in self.terms.items():
+                v1 = c1.val
+                for e2, c2 in other_terms:
+                    e = tuple(map(add, e1, e2))
+                    raw[e] = raw.get(e, 0) + v1 * c2.val
+        else:
+            width = 2 * field.k - 1
+            for e1, c1 in self.terms.items():
+                v1 = c1.val
+                for e2, c2 in other_terms:
+                    e = tuple(map(add, e1, e2))
+                    conv = raw.get(e)
+                    if conv is None:
+                        conv = raw[e] = [0] * width
+                    for i, a in enumerate(v1):
+                        if a:
+                            for j, b in enumerate(c2.val, i):
+                                conv[j] += a * b
+        element = field.element
+        return Polynomial(self.ring, {e: element(v) for e, v in raw.items()})
 
     __rmul__ = __mul__
 
@@ -237,7 +263,14 @@ class Polynomial(Immutable):
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        """Computed on first use and cached, like the leading monomial."""
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        h = hash((self.ring, frozenset(self.terms.items())))
+        object.__setattr__(self, "_hash", h)
+        return h
 
     # -- queries ------------------------------------------------------
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from reeselim import FieldDescriptor, FieldError
+from reeselim import FieldDescriptor, FieldElement, FieldError
 
 Q = FieldDescriptor.parse("Q")
 F2 = FieldDescriptor.parse("F2")
@@ -21,6 +21,32 @@ def test_rational_addition_exact():
     a = Q.element(Fraction(2, 3))
     b = Q.element(Fraction(1, 6))
     assert a + b == Q.element(Fraction(5, 6))
+
+
+def test_integral_rational_is_held_as_int():
+    two = Q.element(Fraction(4, 2))
+    assert type(two.val) is int and two.val == 2
+    half = Q.element(Fraction(1, 2))
+    assert type((half + half).val) is int and half + half == Q.one()
+    assert type((two * half).val) is int and two * half == Q.one()
+    assert type((half - half).val) is int and (half - half).is_zero()
+
+
+def test_inverse_of_an_integral_rational_is_an_exact_fraction():
+    three = Q.element(3)
+    inv = three.inverse()
+    assert type(inv.val) is Fraction and inv.val == Fraction(1, 3)
+    assert type(inv.inverse().val) is int and inv.inverse().val == 3
+    assert Q.element(-4).inverse().val == Fraction(-1, 4)
+    assert type((Q.one() / Fraction(1, 5)).val) is int
+
+
+def test_int_and_fraction_values_agree():
+    a, b = Q.element(3), Q.element(Fraction(3))
+    # a value built without element keeps its Fraction type
+    raw = FieldElement(Q, Fraction(3))
+    for x, y in [(a, b), (a, raw)]:
+        assert x == y and hash(x) == hash(y) and str(x) == str(y) == "3"
 
 
 def test_prime_field_multiplication():

@@ -17,6 +17,18 @@ QYZ = ring("Q", "Y", "Z")
 F2YZ = ring("F2", "Y", "Z")
 
 
+def schoolbook_product(f, g):
+    """f * g term by term with FieldElement arithmetic: the oracle for the
+    product on raw values in Polynomial.__mul__."""
+    R = f.ring
+    coeffs = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            coeffs[e] = coeffs.get(e, R.field.zero()) + c1 * c2
+    return sum((R.monomial(e, c) for e, c in coeffs.items()), R.zero())
+
+
 def test_product_difference_of_squares():
     Y, Z = QYZ.var("Y"), QYZ.var("Z")
     assert (Z + Y) * (Z - Y) == QYZ.parse("Z^2-Y^2")
@@ -27,6 +39,56 @@ def test_frobenius_square_in_char_two():
     assert (Z + Y)**2 == F2YZ.parse("Z^2+Y^2")
     f = F2YZ.parse("Z^2+Y^5")
     assert f * f == F2YZ.parse("Z^4+Y^10")
+
+
+def test_products_that_cancel_to_zero():
+    R = ring("F2", "x")
+    x = R.var("x")
+    # the raw x coefficient is 1 + 1; it must reduce to zero and be dropped
+    assert ((x + 1) * (x - 1)).terms == R.parse("x^2+1").terms
+    for spec in ("F2", "F3", "F5", "F7", "F4", "F9", "F25"):
+        R = ring(spec, "x", "y")
+        x, y = R.var("x"), R.var("y")
+        p = R.field.p
+        if R.field.k > 1:
+            y = y * R.field.generator()
+        f = R.one()
+        for _ in range(p):
+            f = f * (x + y)
+        assert f == x**p + y**p and len(f.terms) == 2
+        assert f == schoolbook_product(x + y, (x + y)**(p - 1))
+
+
+@pytest.mark.parametrize("spec", ["F2147483647", "F4611686014132420609:t^2+1"])
+def test_product_over_a_field_near_two_to_the_31(spec):
+    R = ring(spec, "x", "y")
+    p = R.field.p
+    x = R.var("x")
+    c = R.constant(R.field.generator() if R.field.k > 1 else p - 1)
+    # (x + c)(x - c) = x^2 - c^2: c^2 is 1 in F_p (c = -1) and -1 in F_{p^2}
+    expected = R.parse("x^2-1" if R.field.k == 1 else "x^2+1")
+    assert ((x + c) * (x - c)).terms == expected.terms
+    rng = random.Random(7)
+
+    def draw():
+        terms = {}
+        for _ in range(5):
+            e = (rng.randrange(3), rng.randrange(3))
+            v = rng.randrange(p - 5, p) if R.field.k == 1 else \
+                tuple(rng.randrange(p - 5, p) for _ in range(2))
+            terms[e] = R.coeff(v)
+        return Polynomial(R, terms)
+
+    for _ in range(20):
+        f, g = draw(), draw()
+        assert f * g == schoolbook_product(f, g)
+
+
+def test_rational_product_holds_integral_values_as_int():
+    R = ring("Q", "x")
+    f = R.parse("1/2*x+1") * R.parse("2*x-4/3")
+    assert f == R.parse("x^2+4/3*x-4/3")
+    assert type(f.terms[(2,)].val) is int
 
 
 def test_substitution_blowup_charts():

@@ -1,6 +1,7 @@
 """Property tests: field-spec and polynomial-text round trips, zero
-coefficients in term maps, the Hasse Leibniz and composition laws, and the
-monomial degree_ideal path against its scalar oracle."""
+coefficients in term maps, the polynomial product against a schoolbook
+oracle, the Hasse Leibniz and composition laws, and the monomial
+degree_ideal path against its scalar oracle."""
 import itertools
 import math
 
@@ -13,6 +14,7 @@ from reeselim import (FieldDescriptor, FieldError,  # noqa: E402
                       Polynomial, ReesAlgebra, RingContext, degree_ideal,
                       hasse_derivative)
 from test_fields import irreducible_by_trial_division  # noqa: E402
+from test_poly import schoolbook_product  # noqa: E402
 from test_rees import scalar_oracle_degree_ideal  # noqa: E402
 
 SPECS = ("Q", "F2", "F3", "F4", "F5", "F9")
@@ -170,3 +172,17 @@ def test_term_map_with_zero_coefficients(data):
     assert f == sum((R.monomial(e, c) for e, c in terms.items()), R.zero())
     assert not any(c.is_zero() for c in f.terms.values())
     assert f.is_zero() == all(c.is_zero() for c in terms.values())
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_product_matches_schoolbook_oracle(data):
+    F = data.draw(fields())
+    R = RingContext(F, ("x", "y", "z")[:data.draw(st.integers(1, 3))])
+    f, g = data.draw(polynomials(R)), data.draw(polynomials(R))
+    h = f * g
+    assert h == schoolbook_product(f, g)
+    if F.p == 0:
+        # an integral rational is held as an int, never as Fraction(n, 1)
+        assert all(type(c.val) is int or c.val.denominator > 1
+                   for c in h.terms.values())
