@@ -195,36 +195,39 @@ class FieldDescriptor(Immutable):
         return self.element(1)
 
     def element(self, value):
-        """Coerce an int, Fraction, coefficient tuple, or FieldElement.
-        Reduces an unreduced raw value: an int of any size mod p, or an
-        integer tuple of any length mod p and mod the modulus."""
-        if isinstance(value, FieldElement):
+        """Coerce an int, a Fraction, a FieldElement of this field, or, when
+        k > 1, an integer coefficient tuple or list.  Anything else (a float
+        or a string, say) raises FieldError rather than being rounded or
+        parsed.  Reduces an unreduced raw value: an int of any size mod p,
+        or an integer tuple of any length mod p and mod the modulus."""
+        if isinstance(value, int):
+            if self.p == 0:
+                return FieldElement(self, int(value))
+        elif isinstance(value, (tuple, list)):
+            if self.k == 1:
+                raise FieldError("coefficient tuple needs an extension field")
+            coeffs = _polymod(value, self.modulus, self.p)
+            return FieldElement(
+                self, tuple(coeffs) + (0,) * (self.k - len(coeffs)))
+        elif isinstance(value, Fraction):
+            if self.p == 0:
+                return FieldElement(self, _integral(value))
+        elif isinstance(value, FieldElement):
             if value.field != self:
                 raise FieldError("element belongs to a different field")
             return value
-        if self.p == 0:
-            if type(value) is not int:
-                value = _integral(Fraction(value))
-            return FieldElement(self, value)
-        if self.k == 1:
-            if isinstance(value, (tuple, list)):
-                if len(value) > 1 and any(c % self.p for c in value[1:]):
-                    raise FieldError("tuple value too long for prime field")
-                value = value[0] if value else 0
-            return FieldElement(self, self._residue(value))
-        if isinstance(value, (tuple, list)):
-            coeffs = _polymod(value, self.modulus, self.p)
         else:
-            coeffs = [self._residue(value)]
-        coeffs = coeffs + [0] * (self.k - len(coeffs))
-        return FieldElement(self, tuple(coeffs[:self.k]))
+            raise FieldError("cannot coerce %r into %s" % (value, self.spec()))
+        residue = self._residue(value)
+        if self.k == 1:
+            return FieldElement(self, residue)
+        return FieldElement(self, (residue,) + (0,) * (self.k - 1))
 
     def _residue(self, value):
-        """An integer mod p; a Fraction a/b maps to a * b^-1 and has no image
+        """An int or a Fraction mod p; a/b maps to a * b^-1 and has no image
         when p divides b."""
         if isinstance(value, int):
             return value % self.p
-        value = Fraction(value)
         if value.denominator % self.p == 0:
             raise FieldError("%s has no image in characteristic %d"
                              % (value, self.p))

@@ -15,9 +15,9 @@ off by ``minimal_exponents`` (which ``rees.degree_ideal`` shares).
 
 Rational zero sets over a finite field come from a projection scan that
 fixes one coordinate at a time and abandons a branch as soon as a
-generator specializes to a nonzero constant.  Its branches count against
-``SCAN_BUDGET``, which the ramification scan shares; exceeding it raises
-``ResourceCapError`` (CLI exit 3).
+generator specializes to a nonzero constant.  The branches of each scan,
+the ramification check's included, count against ``SCAN_BUDGET``;
+exceeding it raises ``ResourceCapError`` (CLI exit 3).
 """
 from __future__ import annotations
 

@@ -129,9 +129,6 @@ class RationalPoint(Immutable):
         return RationalPoint(self.ring.drop_variable(name),
                              self.coords[:i] + self.coords[i + 1:])
 
-    def is_origin(self):
-        return all(c.is_zero() for c in self.coords)
-
     def __eq__(self, other):
         return (isinstance(other, RationalPoint)
                 and self.ring == other.ring and self.coords == other.coords)
@@ -571,8 +568,10 @@ def parse_polynomial(ring, text):
             raise RingError("unexpected end of polynomial")
         advance()
         if tok.replace("/", "").isdigit():
-            base = ring.constant(Fraction(tok)) if "/" in tok \
-                else ring.constant(int(tok))
+            try:
+                base = ring.constant(Fraction(tok) if "/" in tok else int(tok))
+            except ZeroDivisionError:
+                raise RingError("zero denominator in %r" % tok) from None
         elif tok in ring.variables:
             base = ring.var(tok)
         elif tok == "t" and ring.field.k > 1:

@@ -1,21 +1,21 @@
 """Pure ramification versus the vanishing of generalized discriminants.
 
-A monic input is a list of monic-in-Z factors f_1, ..., f_r; the product f
+A monic input is a list of monic-in-Z factors f_1, ..., f_r; the product h
 of degree b cuts a hypersurface finite over the base.  The fiber over a base
-point P is purely ramified when the specialized product has a single root,
-i.e. its radical has degree 1.  The generalized discriminants are the
-elimination algebra of the algebra spanned by (f_i, deg f_i), and the two
-notions detect the same base points.
+point P is purely ramified when the specialized product has a single root
+a, i.e. h(P, a + T) = T^b: (P, a) is then a common zero of the Hasse
+derivatives Delta_Z^j h, j < b.  Frobenius fixes a unique root, so a is
+rational and the ramified base points are the projection of that zero set.
+The generalized discriminants are the elimination algebra of the algebra
+spanned by (f_i, deg f_i); Theorem 1.16 says the two zero sets agree.
 """
 from __future__ import annotations
 
-import itertools
-
-from . import groebner
 from .elim import eliminate
 from .fields import Immutable
-from .groebner import Ideal, ResourceCapError, rational_zero_set
-from .poly import RationalPoint, RingError, univ_radical
+from .groebner import Ideal, rational_zero_set
+from .hasse import hasse_derivatives
+from .poly import RingError, univ_radical
 from .rees import ReesAlgebra, ReesError, ReesGenerator
 
 
@@ -83,7 +83,8 @@ class RamificationReport(Immutable):
 
 def purely_ramified_at(inp, point):
     """True iff the specialized product over the base point has exactly one
-    root in the algebraic closure (radical of degree 1)."""
+    root in the algebraic closure (radical of degree 1).  A per-point check;
+    ``verify_thm_1_16`` finds the same points by a scan."""
     ring = inp.ring
     base = inp.base_ring()
     if point.ring != base:
@@ -106,39 +107,28 @@ def generalized_discriminants(inp):
     return result.algebra
 
 
-def _base_points(base):
-    field = base.field
-    if field.p == 0:
-        raise RingError("point scan needs a finite coefficient field")
-    count = field.order**base.nvars
-    budget = groebner.SCAN_BUDGET   # read per call, so raising it works here
-    if count > budget:
-        raise ResourceCapError("scan of %d points exceeds budget %d"
-                               % (count, budget))
-    return (RationalPoint(base, coords) for coords
-            in itertools.product(field.elements(), repeat=base.nvars))
-
-
 def verify_thm_1_16(inp):
-    """Scan every rational base point and compare pure ramification with the
-    simultaneous vanishing of the generalized discriminants."""
+    """Compare the purely ramified rational base points with the common
+    zeros of the generalized discriminants.
+
+    Both sets come from one projection scan each: the discriminants' zero
+    set in the base, and the projection of the zero set of the Z-Hasse
+    derivatives of order < b of the product.  Counterexamples (the points
+    in exactly one set) are listed with coordinates ordered as in
+    ``field.elements()``."""
     base = inp.base_ring()
     disc = generalized_discriminants(inp)
-    points = _base_points(base)
     # an empty (zero) elimination algebra vanishes at every point
     vanishing = rational_zero_set(
         Ideal(base, [g.poly for g in disc.generators]))
-    ramified, counterexamples = set(), []
-    scanned = 0
-    for point in points:
-        scanned += 1
-        is_ram = purely_ramified_at(inp, point)
-        if is_ram:
-            ramified.add(point)
-        if is_ram != (point in vanishing):
-            counterexamples.append(point)
-    return RamificationReport(scanned, ramified, vanishing,
-                              counterexamples, disc.is_empty())
+    fiber = hasse_derivatives(inp.product(), inp.b, [inp.z_var]).values()
+    ramified = {P.drop(inp.z_var)
+                for P in rational_zero_set(Ideal(inp.ring, fiber))}
+    index = {c: i for i, c in enumerate(base.field.elements())}
+    counterexamples = sorted(ramified ^ vanishing,
+                             key=lambda P: [index[c] for c in P.coords])
+    return RamificationReport(base.field.order**base.nvars, ramified,
+                              vanishing, counterexamples, disc.is_empty())
 
 
 def verify_thm_1_16_ii(inp, point):

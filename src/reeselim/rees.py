@@ -49,9 +49,9 @@ class ReesGenerator(Immutable):
 
 
 class ReesAlgebra(Immutable):
-    __slots__ = ("ring", "generators", "saturated_active")
+    __slots__ = ("ring", "generators")
 
-    def __init__(self, ring, generators, saturated_active=None):
+    def __init__(self, ring, generators):
         gens = []
         seen = set()   # the one place duplicate generators are dropped
         for g in generators:
@@ -63,15 +63,12 @@ class ReesAlgebra(Immutable):
             gens.append(g)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "generators", tuple(gens))
-        object.__setattr__(self, "saturated_active",
-                           frozenset(saturated_active) if saturated_active is not None
-                           else None)
 
     @classmethod
-    def from_pairs(cls, ring, pairs, saturated_active=None):
+    def from_pairs(cls, ring, pairs):
         """Build from (polynomial, weight) pairs, silently dropping zeros."""
-        gens = [ReesGenerator(p, w) for p, w in pairs if not p.is_zero()]
-        return cls(ring, gens, saturated_active)
+        return cls(ring, [ReesGenerator(p, w) for p, w in pairs
+                          if not p.is_zero()])
 
     @property
     def max_weight(self):
@@ -118,13 +115,10 @@ class BlowupChart(Immutable):
 def diff_saturate(G, active=None):
     """Smallest differential extension w.r.t. the active variable set
     (all variables when None).  Idempotent and extensive."""
-    key = frozenset(active) if active is not None else frozenset(G.ring.variables)
-    if G.saturated_active is not None and G.saturated_active == key:
-        return G
     pairs = []
     for g in G.generators:
         pairs.extend(diff_closure_list(g.poly, g.weight, active))
-    return ReesAlgebra.from_pairs(G.ring, pairs, saturated_active=key)
+    return ReesAlgebra.from_pairs(G.ring, pairs)
 
 
 def singular_ideal(G):
@@ -480,5 +474,4 @@ def normalize_generators(G):
     for g in G.generators:
         lead = g.poly.leading_coefficient()
         pairs.append((g.poly.scale(lead.inverse()), g.weight))
-    return ReesAlgebra.from_pairs(G.ring, pairs,
-                                  saturated_active=G.saturated_active)
+    return ReesAlgebra.from_pairs(G.ring, pairs)

@@ -128,7 +128,9 @@ def test_ramify_verify_scan_budget_exits_three(tmp_path, monkeypatch):
     path.write_text("ring: F5[Y,Z]\ngen: Z^2-Y w 2\n")
     code, text = run(["ramify-verify", str(path), "--var", "Z"])
     assert code == 3
-    assert "error: scan of 5 points exceeds budget 4" in text
+    # the discriminants' base scan runs first and hits the cap at once
+    assert text == ("error: point scan exceeds budget 4: the first of 1 "
+                    "coordinates alone has 5 values\n")
 
 
 def test_scenario_command(capsys):
@@ -166,6 +168,38 @@ def test_fraction_coefficients_in_positive_characteristic(tmp_path):
     path.write_text("ring: F2[x]\ngen: 1/2*x w 1\n")
     code, text = run(["saturate", str(path)])
     assert code == 2 and "error:" in text
+
+
+ZERO_DENOMINATOR_ARGS = {
+    "saturate": [],
+    "sing": [],
+    "ord": ["--at", "0,0"],
+    "e0": ["--at", "0,0"],
+    "tau": ["--at", "0,0"],
+    "eliminate": ["--monic", "0", "--var", "Z"],
+    "blowup": ["--center", "Y,Z", "--chart", "Z"],
+    "ramify-verify": ["--var", "Z"],
+}
+
+
+@pytest.mark.parametrize("spec", ["Q", "F3"])
+@pytest.mark.parametrize("command", list(ZERO_DENOMINATOR_ARGS))
+def test_zero_denominator_coefficient_exits_two(tmp_path, capsys, spec,
+                                                command):
+    path = tmp_path / "zero.alg"
+    path.write_text("ring: %s[Y,Z]\ngen: 1/0*Y w 1\n" % spec)
+    code, text = run([command, str(path)] + ZERO_DENOMINATOR_ARGS[command])
+    assert (code, text) == (2, "error: zero denominator in '1/0'\n")
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("spec", ["Q", "F3"])
+def test_zero_denominator_coordinate_exits_two(tmp_path, capsys, spec):
+    path = tmp_path / "ok.alg"
+    path.write_text("ring: %s[Y,Z]\ngen: Z^2+Y w 2\n" % spec)
+    code, text = run(["ord", str(path), "--at", "1/0,0"])
+    assert (code, text) == (2, "error: zero denominator in '1/0'\n")
+    assert capsys.readouterr().err == ""
 
 
 def test_variable_t_in_extension_field_ring_exits_two(tmp_path):

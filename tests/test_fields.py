@@ -211,6 +211,20 @@ def test_fractions_map_to_inverses_in_positive_characteristic():
         F5.element(Fraction(3, 10))
 
 
+def test_inexact_and_untyped_values_are_refused():
+    # a float would be rounded and a string parsed: neither is coerced
+    for field, value in ((Q, 0.1), (F5, 0.5), (Q, "3/4"), (F9, "1"),
+                         (F5, None)):
+        with pytest.raises(FieldError, match="cannot coerce"):
+            field.element(value)
+    # coefficient tuples name extension-field elements only
+    for field, value in ((F5, (3,)), (F5, [3, 0]), (Q, (1,))):
+        with pytest.raises(FieldError, match="extension field"):
+            field.element(value)
+    assert F9.element([1, 2]) == F9.element((1, 2)) == F9.element((10, 5, 0))
+    assert Q.element(True) == Q.one() and type(Q.element(True).val) is int
+
+
 def test_reducible_modulus_rejected():
     with pytest.raises(FieldError):
         FieldDescriptor.parse("F4:t^2+1")  # (t+1)^2 over F_2

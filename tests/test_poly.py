@@ -270,6 +270,9 @@ def test_parser_round_trip():
         assert QYZ.parse(str(f)) == f
     with pytest.raises(RingError):
         QYZ.parse("W^2")
+    for text in ("1/0*Y", "Z+0/0", "(Y-3/00)^2"):
+        with pytest.raises(RingError, match="zero denominator"):
+            QYZ.parse(text)
 
 
 def test_leading_monomial_cache():

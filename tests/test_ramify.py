@@ -1,14 +1,14 @@
 """Pure ramification versus generalized-discriminant vanishing."""
+import itertools
 import random
 
 import pytest
 
-from reeselim import (FieldDescriptor, MonicInput, ReesError,
+from reeselim import (FieldDescriptor, MonicInput, ReesAlgebra, ReesError,
                       ResourceCapError, RingContext,
                       generalized_discriminants, hasse_derivative,
                       purely_ramified_at, univ_divmod, univ_radical,
                       verify_thm_1_16, verify_thm_1_16_ii)
-from reeselim.ramify import _base_points
 
 
 def ring(spec, *names):
@@ -91,27 +91,92 @@ def test_theorem_verifier_split_quadratic_diagonal():
 
 
 def test_scan_budget_is_a_resource_cap(monkeypatch):
-    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 24)
+    # the fiber scan fixes u, v and Z: 5 + 25 + 125 branches, none pruned
+    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 154)
     R = ring("F5", "u", "v", "Z")
     inp = MonicInput(R, "Z", [R.parse("Z^2-u")])
-    with pytest.raises(ResourceCapError, match="25 points exceeds budget 24"):
+    with pytest.raises(ResourceCapError, match="point scan exceeds budget 154"):
         verify_thm_1_16(inp)
-    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 25)
+    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 155)
     assert verify_thm_1_16(inp).points_scanned == 25
 
 
-def test_raising_the_groebner_scan_budget_admits_a_ramification_scan(
-        monkeypatch):
-    # 11^6 base points: over the default budget, under a raised one
-    R = ring("F11", "a", "b", "c", "d", "e", "f", "Z")
-    inp = MonicInput(R, "Z", [R.parse("Z^2-a")])
-    with pytest.raises(ResourceCapError,
-                       match="1771561 points exceeds budget 1000000"):
-        verify_thm_1_16(inp)
-    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 2 * 10**6)
-    # the full scan takes minutes; its budget check runs before the first
-    # point is produced
-    assert next(_base_points(inp.base_ring())).is_origin()
+def _random_monic_input(rng, spec, nbase):
+    """Factors built to hit pure ramification often: shifted powers
+    (Z - s)^d, possibly perturbed by a sparse base polynomial times Z^j,
+    p-th power covers (Z^(p^e) - s)^m, and fully random monic factors."""
+    R = ring(spec, *("x", "y")[:nbase], "Z")
+    field = R.field
+    z = R.var("Z")
+
+    def small():
+        f = R.zero()
+        for _ in range(rng.randrange(0, 3)):
+            exps = tuple(rng.randrange(3) for _ in range(nbase)) + (0,)
+            f = f + R.monomial(exps, rng.choice(field.elements()))
+        return f
+
+    b = rng.randrange(1, 2 * field.p + 2)
+    degrees = [b]
+    if b > 1 and rng.random() < 0.4:
+        split = rng.randrange(1, b)
+        degrees = [split, b - split]
+    shift = small()
+    factors = []
+    for d in degrees:
+        shape = rng.randrange(4)
+        if shape == 0:
+            f = (z - shift)**d
+        elif shape == 1:
+            f = (z - shift)**d + small() * z**rng.randrange(d)
+        elif shape == 2:
+            q = 1
+            while d % (q * field.p) == 0:
+                q *= field.p
+            f = (z**q - small())**(d // q)
+        else:
+            f = z**d
+            for j in range(d):
+                f = f + small() * z**j
+        factors.append(f)
+    return MonicInput(R, "Z", factors)
+
+
+@pytest.mark.parametrize("spec", ["F2", "F3", "F4", "F5", "F7", "F8", "F9"])
+def test_ramified_set_matches_the_per_point_radical(spec, monkeypatch):
+    # The elimination is not under test here; skipping it keeps b up to
+    # 2p + 1 cheap.
+    monkeypatch.setattr("reeselim.ramify.generalized_discriminants",
+                        lambda inp: ReesAlgebra(inp.base_ring(), []))
+    rng = random.Random("ramified/" + spec)
+    ramified_seen = 0
+    for trial in range(12):
+        inp = _random_monic_input(rng, spec, 1 + trial % 2)
+        base = inp.base_ring()
+        expected = {P for P in (base.point(c) for c in itertools.product(
+            base.field.elements(), repeat=base.nvars))
+            if purely_ramified_at(inp, P)}
+        assert verify_thm_1_16(inp).ramified_points == expected, inp.factors
+        ramified_seen += len(expected)
+    assert ramified_seen > 0
+
+
+def test_counterexamples_follow_the_element_order(monkeypatch):
+    # with no discriminants every base point "vanishes", so every
+    # unramified point is a counterexample
+    monkeypatch.setattr("reeselim.ramify.generalized_discriminants",
+                        lambda inp: ReesAlgebra(inp.base_ring(), []))
+    R = ring("F4", "u", "v", "Z")
+    inp = MonicInput(R, "Z", [R.parse("Z^3+u")])   # ramified at u = 0 only
+    base = inp.base_ring()
+    report = verify_thm_1_16(inp)
+    expected = [P for P in (base.point(c) for c in itertools.product(
+        base.field.elements(), repeat=2)) if not P["u"].is_zero()]
+    assert len(report.ramified_points) == 4
+    assert list(report.counterexamples) == expected
+    shown = [line for line in report.format_text().splitlines()
+             if line.startswith("counterexample: ")]
+    assert shown == ["counterexample: %r" % (P,) for P in expected[:10]]
 
 
 def test_b_fold_point_criterion():

@@ -134,6 +134,17 @@ def test_tau_estimate_values():
         tau_estimate(algebra(SY, ("Y^4", 1)), SY.origin())  # not simple
 
 
+def test_tau_estimate_eliminates_dependent_rows():
+    # rows (1,1), (1,0) over F2 are independent; (1,1), (2,2) over F3 are
+    # not, and the second reduces to zero against the first
+    R2 = ring("F2", "x", "y")
+    G = diff_saturate(algebra(R2, ("x^2+y^2", 2), ("x^2", 2)))
+    assert tau_estimate(G, R2.origin()) == 2
+    R3 = ring("F3", "x", "y")
+    G = diff_saturate(algebra(R3, ("x^3+y^3", 3), ("2*x^3+2*y^3+x^4", 3)))
+    assert tau_estimate(G, R3.origin()) == 1
+
+
 def test_weighted_transform_quadratic_chart():
     G = algebra(QYZ, ("Z", 1), ("Y^4", 1))
     G1, chart = weighted_transform(G, ["Y", "Z"], "Y")
