@@ -67,8 +67,8 @@ def _parse_point(ring, text):
     return RationalPoint(ring, coords)
 
 
-def _emit_algebra(G, out, provenance=None):
-    out.write(format_algebra(G, provenance=provenance))
+def _emit_algebra(G, out):
+    out.write(format_algebra(G))
     out.write("#! generators: %d max-weight: %d\n"
               % (len(G.generators), G.max_weight))
 

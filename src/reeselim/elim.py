@@ -40,8 +40,11 @@ class EliminationResult(Immutable):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "provenance", tuple(provenance))
 
-    def is_zero_algebra(self):
-        return self.algebra.is_empty()
+
+def _check_degree_cap(c):
+    if c > CHARPOLY_DEGREE_CAP:
+        raise ResourceCapError("characteristic polynomial degree cap exceeded "
+                               "(degree %d > cap %d)" % (c, CHARPOLY_DEGREE_CAP))
 
 
 def mult_matrix(g, f, z_var):
@@ -88,9 +91,7 @@ def char_poly(M):
     skipped.
     """
     c = M.size
-    if c > CHARPOLY_DEGREE_CAP:
-        raise ResourceCapError("characteristic polynomial degree cap exceeded "
-                               "(degree %d > cap %d)" % (c, CHARPOLY_DEGREE_CAP))
+    _check_degree_cap(c)
     A = M.matrix
     cols = tuple(zip(*A))
     zero = A[0][0].ring.zero()
@@ -133,7 +134,8 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
     Relative diff-saturation in z_var first; then every saturated generator
     (g, n) is reduced mod f and contributes the coefficients h_j of the
     characteristic polynomial of multiplication-by-g, at weight j*n.
-    Generators reducing to zero contribute nothing.
+    Generators reducing to zero contribute nothing.  A weight above
+    CHARPOLY_DEGREE_CAP raises ResourceCapError before any saturation.
     """
     ring = G.ring
     f = f_gen.poly
@@ -148,6 +150,7 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
     if check_transversal and f.order_at_origin() != c:
         raise ReesError("transversality failure: order %s != weight %d"
                         % (f.order_at_origin(), c))
+    _check_degree_cap(c)
     if f_gen not in G.generators:
         G = ReesAlgebra(ring, G.generators + (f_gen,))
     sat = diff_saturate(G, {z_var})

@@ -6,6 +6,11 @@ prime-field values are residues in [0, p); extension-field values are
 coefficient tuples of degree < k polynomials over F_p reduced modulo a
 monic irreducible modulus.  Everything is immutable and exact, and each field
 has one descriptor, so checking that two elements share a field is cheap.
+
+This module alone decides how raw values are added, negated, multiplied,
+inverted and reduced: each descriptor binds those functions once, and
+FieldElement and the polynomial product both call them.  An F_{p^k}
+product is one convolution (convolve_into) and one fold by the modulus.
 """
 from __future__ import annotations
 
@@ -61,52 +66,66 @@ def _trim(coeffs):
     return coeffs
 
 
-def _polymul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = (out[i + j] + ca * cb) % p
-    return _trim(out)
-
-
-def _add_scaled(x, y, c, shift, p):
-    """x + c * t^shift * y over F_p, trimmed."""
-    out = list(x) + [0] * (len(y) + shift - len(x))
-    for i, cy in enumerate(y):
-        out[shift + i] = (out[shift + i] + c * cy) % p
-    return _trim(out)
+def convolve_into(acc, a, b):
+    """acc[i + j] += a[i] * b[j]: adds the unreduced product of two
+    coefficient sequences into acc, which is long enough to hold it."""
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                acc[j] += x * y
 
 
 def _polymod(num, mod, p):
-    """Remainder of num by monic mod over F_p (coefficients low-to-high);
-    each step cancels the leading term against a shifted copy of mod."""
-    num = _trim(c % p for c in num)
-    while len(num) >= len(mod):
-        num = _add_scaled(num, mod, -num[-1], len(num) - len(mod), p)
-    return num
+    """Remainder of an integer sequence num by the monic mod over F_p, as a
+    tuple of deg(mod) residues low-to-high: a top-down fold that cancels
+    each coefficient above the degree against a shifted copy of mod."""
+    d = len(mod) - 1
+    num = list(num) + [0] * (d - len(num))
+    for top in range(len(num) - 1, d - 1, -1):
+        c = num[top] % p
+        if c:
+            base = top - d
+            for i in range(d):
+                num[base + i] -= c * mod[i]
+    return tuple(c % p for c in num[:d])
 
 
-def _polyinv(a, mod, p):
-    """Inverse of a nonzero residue a modulo the irreducible mod over F_p,
-    by the extended Euclidean algorithm.  Invariant: s_i * a = r_i mod
-    `mod`; each step cancels the leading term of r0 against r1 and applies
-    the same step to s0."""
-    r0, s0 = list(mod), []
-    r1, s1 = _trim(a), [1]
-    while len(r1) > 1:
-        inv = pow(r1[-1], p - 2, p)
-        while len(r0) >= len(r1):
-            shift = len(r0) - len(r1)
-            c = -r0[-1] * inv % p
-            r0 = _add_scaled(r0, r1, c, shift, p)
-            s0 = _add_scaled(s0, s1, c, shift, p)
-        r0, s0, r1, s1 = r1, s1, r0, s0
-    inv = pow(r1[0], p - 2, p)
-    return [c * inv % p for c in s1]
+def _power(mul, a, n):
+    """a^n for n >= 1 by square-and-multiply, on F_{p^k} raw values."""
+    out = (1,)
+    while n:
+        if n & 1:
+            out = mul(out, a)
+        a = mul(a, a)
+        n >>= 1
+    return out
+
+
+def _raw_arithmetic(p, k, modulus):
+    """The functions (reduce, add, neg, mul, inv) on one field's raw values.
+    `reduce` takes an unreduced value (any int or Fraction in Q, any int in
+    F_p, an integer sequence of any length in F_{p^k}) to the canonical one;
+    the other four take and return canonical values."""
+    if p == 0:
+        # Fraction(1, v), never 1 / v: on an int value that is a float
+        return (_integral, lambda a, b: _integral(a + b), lambda a: -a,
+                lambda a, b: _integral(a * b),
+                lambda a: _integral(Fraction(1, a)))
+    if k == 1:
+        return (lambda v: v % p, lambda a, b: (a + b) % p, lambda a: -a % p,
+                lambda a, b: a * b % p, lambda a: pow(a, p - 2, p))
+    width = 2 * k - 1
+
+    def mul(a, b):
+        acc = [0] * width
+        convolve_into(acc, a, b)
+        return _polymod(acc, modulus, p)
+
+    # a^(q-2) is the inverse of a nonzero a in F_q
+    return (lambda v: _polymod(v, modulus, p),
+            lambda a, b: tuple((x + y) % p for x, y in zip(a, b)),
+            lambda a: tuple(-x % p for x in a), mul,
+            lambda a: _power(mul, a, p**k - 2))
 
 
 class FieldError(ValueError):
@@ -125,9 +144,10 @@ class Immutable:
 
 class FieldDescriptor(Immutable):
     """Q (characteristic 0) or F_{p^k} with a monic irreducible modulus for k > 1.
-    One instance per (p, k, modulus): equal fields are the same object."""
+    One instance per (p, k, modulus): equal fields are the same object.
+    reduce, add, neg, mul and inv are its functions on raw values."""
 
-    __slots__ = ("p", "k", "modulus")
+    __slots__ = ("p", "k", "modulus", "reduce", "add", "neg", "mul", "inv")
     _instances = {}
 
     def __new__(cls, characteristic, extension_degree=1, modulus=None):
@@ -158,31 +178,27 @@ class FieldDescriptor(Immutable):
         field = cls._instances.get(key)
         if field is not None:
             return field
-        if modulus is not None:
-            cls._check_irreducible(modulus, p, k)
         field = object.__new__(cls)
-        object.__setattr__(field, "p", p)
-        object.__setattr__(field, "k", k)
-        object.__setattr__(field, "modulus", modulus)
+        for name, value in zip(cls.__slots__, (p, k, modulus)
+                               + _raw_arithmetic(p, k, modulus)):
+            object.__setattr__(field, name, value)
+        if modulus is not None:
+            cls._check_irreducible(modulus, p, k, field.mul)
         # setdefault: threads that race to build one field all get one instance
         return cls._instances.setdefault(key, field)
 
     @staticmethod
-    def _check_irreducible(modulus, p, k):
+    def _check_irreducible(modulus, p, k, mul):
         # Rabin (1980): for k <= 4, f is reducible iff it has a factor of
         # degree <= k//2, iff gcd(f, t^(p^(k//2)) - t) != 1; the power comes
         # by square-and-multiply mod f, so the cost grows with log p
-        power, square, n = [1], [0, 1], p**(k // 2)
-        while n:
-            if n & 1:
-                power = _polymod(_polymul(power, square, p), modulus, p)
-            square = _polymod(_polymul(square, square, p), modulus, p)
-            n >>= 1
-        a, b = list(modulus), _add_scaled(power, [1], -1, 1, p)
+        power = _power(mul, (0, 1), p**(k // 2))
+        a, b = list(modulus), _trim((c - (i == 1)) % p
+                                    for i, c in enumerate(power))
         while b:
             inv = pow(b[-1], p - 2, p)
             b = [c * inv % p for c in b]
-            a, b = b, _polymod(a, b, p)
+            a, b = b, _trim(_polymod(a, b, p))
         if len(a) > 1:
             raise FieldError("modulus is reducible over F_%d" % p)
 
@@ -195,43 +211,31 @@ class FieldDescriptor(Immutable):
         return self.element(1)
 
     def element(self, value):
-        """Coerce an int, a Fraction, a FieldElement of this field, or, when
-        k > 1, an integer coefficient tuple or list.  Anything else (a float
-        or a string, say) raises FieldError rather than being rounded or
-        parsed.  Reduces an unreduced raw value: an int of any size mod p,
-        or an integer tuple of any length mod p and mod the modulus."""
-        if isinstance(value, int):
-            if self.p == 0:
-                return FieldElement(self, int(value))
-        elif isinstance(value, (tuple, list)):
+        """Coerce a value from outside the field's arithmetic: an int, a
+        Fraction, a FieldElement of this field, or, when k > 1, an integer
+        coefficient tuple or list.  Anything else (a float or a string, say)
+        raises FieldError rather than being rounded or parsed.  An int of
+        any size is reduced mod p, an integer tuple of any length mod p and
+        mod the modulus; in positive characteristic a/b maps to a * b^-1 and
+        has no image when p divides b."""
+        if isinstance(value, (int, Fraction)):
+            if self.p:
+                if value.denominator % self.p == 0:
+                    raise FieldError("%s has no image in characteristic %d"
+                                     % (value, self.p))
+                value = value.numerator * pow(value.denominator, -1, self.p)
+                if self.k > 1:
+                    value = (value,)
+            return FieldElement(self, self.reduce(value))
+        if isinstance(value, (tuple, list)):
             if self.k == 1:
                 raise FieldError("coefficient tuple needs an extension field")
-            coeffs = _polymod(value, self.modulus, self.p)
-            return FieldElement(
-                self, tuple(coeffs) + (0,) * (self.k - len(coeffs)))
-        elif isinstance(value, Fraction):
-            if self.p == 0:
-                return FieldElement(self, _integral(value))
-        elif isinstance(value, FieldElement):
+            return FieldElement(self, self.reduce(value))
+        if isinstance(value, FieldElement):
             if value.field != self:
                 raise FieldError("element belongs to a different field")
             return value
-        else:
-            raise FieldError("cannot coerce %r into %s" % (value, self.spec()))
-        residue = self._residue(value)
-        if self.k == 1:
-            return FieldElement(self, residue)
-        return FieldElement(self, (residue,) + (0,) * (self.k - 1))
-
-    def _residue(self, value):
-        """An int or a Fraction mod p; a/b maps to a * b^-1 and has no image
-        when p divides b."""
-        if isinstance(value, int):
-            return value % self.p
-        if value.denominator % self.p == 0:
-            raise FieldError("%s has no image in characteristic %d"
-                             % (value, self.p))
-        return value.numerator * pow(value.denominator, -1, self.p) % self.p
+        raise FieldError("cannot coerce %r into %s" % (value, self.spec()))
 
     def generator(self):
         """The class of t in F_p[t]/<modulus> (k > 1 only)."""
@@ -365,22 +369,13 @@ class FieldElement(Immutable):
         if other is NotImplemented:
             return NotImplemented
         f = self.field
-        if f.p == 0:
-            return FieldElement(f, _integral(self.val + other.val))
-        if f.k == 1:
-            return FieldElement(f, (self.val + other.val) % f.p)
-        return FieldElement(f, tuple((a + b) % f.p
-                                     for a, b in zip(self.val, other.val)))
+        return FieldElement(f, f.add(self.val, other.val))
 
     __radd__ = __add__
 
     def __neg__(self):
         f = self.field
-        if f.p == 0:
-            return FieldElement(f, -self.val)
-        if f.k == 1:
-            return FieldElement(f, (-self.val) % f.p)
-        return FieldElement(f, tuple((-c) % f.p for c in self.val))
+        return FieldElement(f, f.neg(self.val))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -396,12 +391,7 @@ class FieldElement(Immutable):
         if other is NotImplemented:
             return NotImplemented
         f = self.field
-        if f.p == 0:
-            return FieldElement(f, _integral(self.val * other.val))
-        if f.k == 1:
-            return FieldElement(f, (self.val * other.val) % f.p)
-        prod = _polymul(list(self.val), list(other.val), f.p)
-        return f.element(tuple(prod))
+        return FieldElement(f, f.mul(self.val, other.val))
 
     __rmul__ = __mul__
 
@@ -409,12 +399,7 @@ class FieldElement(Immutable):
         if self.is_zero():
             raise ZeroDivisionError("division by zero in field")
         f = self.field
-        if f.p == 0:
-            # Fraction(1, v), never 1 / v: on an int value that is a float
-            return FieldElement(f, _integral(Fraction(1, self.val)))
-        if f.k == 1:
-            return FieldElement(f, pow(self.val, f.p - 2, f.p))
-        return f.element(tuple(_polyinv(self.val, f.modulus, f.p)))
+        return FieldElement(f, f.inv(self.val))
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -50,19 +50,22 @@ def hasse_derivative(f, alpha):
 def hasse_derivatives(f, n, active=None):
     """{alpha: Delta^alpha(f)} for |alpha| < n, alpha supported on the active
     variables (all variables when None), by increasing |alpha| and then
-    lexicographically; zero derivatives are left out."""
+    lexicographically; zero derivatives are left out.
+
+    Delta^alpha(f) is zero unless alpha <= some exponent of f, so only the
+    alpha below a term of f are tried: the cost follows the support, not
+    the n^m multi-indices of the whole simplex."""
     ring = f.ring
     if active is None:
         active_idx = range(ring.nvars)
     else:
-        active_idx = sorted(ring.var_index(v) for v in active)
-    combos = product(range(n), repeat=len(active_idx))
+        active_idx = {ring.var_index(v) for v in active}
+    tops = {tuple(min(b, n - 1) + 1 if i in active_idx else 1
+                  for i, b in enumerate(beta)) for beta in f.terms}
+    alphas = {a for top in tops for a in product(*map(range, top))
+              if sum(a) < n}
     out = {}
-    for combo in sorted((c for c in combos if sum(c) < n), key=sum):
-        exps = [0] * ring.nvars
-        for i, e in zip(active_idx, combo):
-            exps[i] = e
-        alpha = tuple(exps)
+    for alpha in sorted(alphas, key=lambda a: (sum(a), a)):
         df = hasse_derivative(f, alpha)
         if not df.is_zero():
             out[alpha] = df

@@ -5,9 +5,10 @@ Terms are kept in a dict keyed by exponent tuples, with FieldElement
 coefficients; the Polynomial constructor drops zero coefficients, so equal
 polynomials have identical term maps and no producer filters its own.
 Products are summed on the coefficients' raw values and each output
-coefficient is reduced once by its field.  The only monomial order is
-grevlex over the ring's declared variable order.  Like fields, rings have
-one instance each, so ring checks are identity tests.
+coefficient is reduced once by `field.reduce`; the fields module decides
+all coefficient arithmetic, the F_{p^k} convolution included.  The only
+monomial order is grevlex over the ring's declared variable order.  Like
+fields, rings have one instance each, so ring checks are identity tests.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import re
 from fractions import Fraction
 from operator import add
 
-from .fields import FieldElement, Immutable
+from .fields import FieldElement, Immutable, convolve_into
 
 INFINITE_ORDER = math.inf
 
@@ -207,8 +208,9 @@ class Polynomial(Immutable):
         if other is NotImplemented:
             return NotImplemented
         # Each output coefficient is summed on raw values and reduced once
-        # by field.element: a sum of products in Q and F_p, an unreduced
-        # convolution of the coefficient tuples in F_{p^k}.
+        # by field.reduce: a sum of products in Q and F_p, an unreduced
+        # convolution of the coefficient tuples in F_{p^k}.  The two loops
+        # stay apart: one loop with a branch per term pair is slower.
         field = self.ring.field
         other_terms = other.terms.items()
         raw = {}
@@ -227,12 +229,10 @@ class Polynomial(Immutable):
                     conv = raw.get(e)
                     if conv is None:
                         conv = raw[e] = [0] * width
-                    for i, a in enumerate(v1):
-                        if a:
-                            for j, b in enumerate(c2.val, i):
-                                conv[j] += a * b
-        element = field.element
-        return Polynomial(self.ring, {e: element(v) for e, v in raw.items()})
+                    convolve_into(conv, v1, c2.val)
+        reduce = field.reduce
+        return Polynomial(self.ring, {e: FieldElement(field, reduce(v))
+                                      for e, v in raw.items()})
 
     __rmul__ = __mul__
 
@@ -414,8 +414,13 @@ class Polynomial(Immutable):
         return [Polynomial(self.ring, b) for b in buckets]
 
     def is_monic_in(self, var):
-        coeffs = self.coefficients_in(var)
-        return bool(coeffs) and coeffs[-1] == self.ring.one()
+        """Whether the coefficient of the top power of var is 1; reads only
+        the terms, so the cost does not grow with the degree."""
+        i = self.ring.var_index(var)
+        d = self.degree_in(var)
+        top = [(e, c) for e, c in self.terms.items() if e[i] == d]
+        return (len(top) == 1 and sum(top[0][0]) == d
+                and top[0][1] == self.ring.field.one())
 
     def __repr__(self):
         return "Polynomial(%s)" % format_polynomial(self)

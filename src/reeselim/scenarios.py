@@ -272,11 +272,11 @@ def _random_monic_factor(rng, ring, z_var, degree):
     return f
 
 
-def _scenario_thm116(rep, rng, instances=50):
-    """Pure ramification vs discriminant vanishing on random monic inputs."""
+def _scenario_thm116(rep, rng):
+    """Pure ramification vs discriminant vanishing on 50 random monic inputs."""
     produced = 0
     attempts = 0
-    while produced < instances and attempts < instances * 20:
+    while produced < 50 and attempts < 1000:
         attempts += 1
         fieldspec, base_vars = _RAMIFY_CONFIGS[rng.randrange(
             len(_RAMIFY_CONFIGS))]
@@ -358,11 +358,12 @@ def _random_monomial_algebra(rng, ring, center, count):
     return ReesAlgebra.from_pairs(ring, pairs)
 
 
-def _scenario_thm66(rep, rng, instances=10):
+def _scenario_thm66(rep, rng):
     """Transforming an algebra or its saturation spans the same Diff-algebra,
-    checked degreewise through Groebner ideal equality."""
+    checked degreewise through Groebner ideal equality, on 10 random
+    monomial algebras."""
     specs = ("F2", "F3", "Q")
-    for i in range(instances):
+    for i in range(10):
         spec = specs[i % len(specs)]
         nvars = rng.choice((2, 3))
         names = ["x", "y", "z"][:nvars]

@@ -215,3 +215,84 @@ def test_char_poly_cap_exits_three(tmp_path):
     code, text = run(["eliminate", str(path), "--monic", "0", "--var", "Z"])
     assert code == 3
     assert "error:" in text and "13" in text and "12" in text
+
+
+def _rejection(name, command, text, extra, message):
+    return pytest.param(command, text, extra, message, id=name)
+
+
+REJECTIONS = [
+    _rejection("bad-polynomial-syntax", "saturate",
+               "ring: F2[Y,Z]\ngen: Z^2+Y$ w 1\n", [],
+               "bad polynomial syntax near '$'"),
+    _rejection("unbalanced-parentheses", "saturate",
+               "ring: F2[Y,Z]\ngen: (Z+Y w 1\n", [],
+               "unbalanced parentheses"),
+    _rejection("unexpected-end", "saturate",
+               "ring: F2[Y,Z]\ngen: Z+ w 1\n", [],
+               "unexpected end of polynomial"),
+    _rejection("bad-exponent", "saturate",
+               "ring: F2[Y,Z]\ngen: Z^Y w 1\n", [], "bad exponent"),
+    _rejection("trailing-tokens", "saturate",
+               "ring: F2[Y,Z]\ngen: Z) w 1\n", [],
+               "trailing tokens in polynomial text"),
+    _rejection("bad-ring-header", "saturate",
+               "ring: F2 Y,Z\ngen: Z w 1\n", [],
+               "bad ring header 'ring: F2 Y,Z'"),
+    _rejection("bad-generator-line", "saturate",
+               "ring: F2[Y,Z]\ngen: Z^2\n", [],
+               "bad generator line 'gen: Z^2'"),
+    _rejection("missing-ring-header", "saturate", "# nothing\n", [],
+               "missing ring header"),
+    _rejection("gen-before-ring", "saturate",
+               "gen: Z w 1\nring: F2[Y,Z]\n", [],
+               "gen line before ring header"),
+    _rejection("weight-zero", "saturate", "ring: F2[Y,Z]\ngen: Z w 0\n", [],
+               "generator weight must be >= 1"),
+    _rejection("at-coordinate-count", "ord",
+               "ring: F2[Y,Z]\ngen: Z^2+Y^3 w 2\n", ["--at", "0"],
+               "expected 2 coordinates, got 1"),
+    _rejection("at-non-constant", "ord",
+               "ring: F2[Y,Z]\ngen: Z^2+Y^3 w 2\n", ["--at", "Y,0"],
+               "coordinate 'Y' is not a constant"),
+    _rejection("monic-out-of-range", "eliminate",
+               "ring: F2[Y,Z]\ngen: Z^2+Y^3 w 2\n",
+               ["--monic", "1", "--var", "Z"],
+               "generator index 1 out of range (1 generators)"),
+    # is_monic_in reads the top degree only, so Z^1000000 costs one term
+    _rejection("z-degree-differs-from-weight", "eliminate",
+               "ring: F3[Y,Z]\ngen: Z^1000000+Y w 1\n",
+               ["--monic", "0", "--var", "Z"],
+               "Z-degree of the distinguished generator (1000000) differs "
+               "from its weight (1)"),
+    _rejection("ramify-non-monic-factor", "ramify-verify",
+               "ring: F5[Y,Z]\ngen: 2*Z^2+Y w 2\n", ["--var", "Z"],
+               "factor 2*Z^2+Y is not monic in Z"),
+]
+
+
+@pytest.mark.parametrize("command,text,extra,message", REJECTIONS)
+def test_input_rejection_exits_two(tmp_path, capsys, command, text, extra,
+                                   message):
+    path = tmp_path / "input.alg"
+    path.write_text(text)
+    assert run([command, str(path)] + extra) == (2, "error: %s\n" % message)
+    assert capsys.readouterr().err == ""
+
+
+def test_zero_elimination_algebra_warns_and_exits_zero(tmp_path, capsys):
+    # Z^2 reduces to 0 mod itself and its Z-derivative 2Z is 0 over F2
+    path = tmp_path / "zero.alg"
+    path.write_text("ring: F2[Y,Z]\ngen: Z^2 w 2\n")
+    assert run(["eliminate", str(path), "--monic", "0", "--var", "Z"]) == (
+        0, "ring: F2[Y]\n# warning: zero elimination algebra "
+           "(all coefficients vanished)\n#! generators: 0 max-weight: 0\n")
+    assert capsys.readouterr().err == ""
+
+
+def test_ramify_verify_refuses_a_large_degree_before_saturating(tmp_path):
+    path = tmp_path / "big.alg"
+    path.write_text("ring: F3[x,Z]\ngen: Z^600+x w 600\n")
+    assert run(["ramify-verify", str(path), "--var", "Z"]) == (
+        3, "error: characteristic polynomial degree cap exceeded "
+           "(degree 600 > cap 12)\n")

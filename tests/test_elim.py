@@ -165,6 +165,18 @@ def test_char_poly_degree_cap_is_a_resource_cap():
         char_poly(M)
 
 
+def test_eliminate_refuses_a_degree_above_the_cap_before_saturating(
+        monkeypatch):
+    def no_saturation(*args):
+        raise AssertionError("diff_saturate called")
+
+    monkeypatch.setattr(elim, "diff_saturate", no_saturation)
+    R = ring("F3", "x", "Z")
+    f = ReesGenerator(R.parse("Z^13+x^13"), 13)
+    with pytest.raises(ResourceCapError, match="degree 13 > cap 12"):
+        eliminate(algebra(R, ("Z^13+x^13", 13)), f, "Z")
+
+
 def test_eliminate_char_zero_example():
     G = diff_saturate(algebra(QYZ, ("Z^2+Y^5", 2)))
     result = eliminate(G, ReesGenerator(QYZ.var("Z"), 1), "Z")
@@ -276,7 +288,7 @@ def test_zero_elimination_algebra_warning_path():
     G = algebra(F2YZ, ("Z^2+Y", 2))
     f = ReesGenerator(F2YZ.parse("Z^2+Y"), 2)
     result = eliminate(G, f, "Z", check_transversal=False)
-    assert result.is_zero_algebra()
+    assert result.algebra.is_empty()
 
 
 def test_format_elimination_carries_provenance():

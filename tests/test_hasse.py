@@ -1,9 +1,13 @@
 """Hasse derivatives: Taylor-shift coefficients in every characteristic."""
+import io
+import itertools
 import math
 import random
 
 from reeselim import (FieldDescriptor, RingContext, diff_closure_list,
                       hasse_derivative)
+from reeselim.cli import main
+from reeselim.hasse import hasse_derivatives
 from reeselim.poly import formal_derivative
 
 
@@ -109,6 +113,56 @@ def test_composition_in_one_variable():
                     lhs = hasse_derivative(hasse_derivative(f, (b,)), (a,))
                     rhs = hasse_derivative(f, (a + b,)).scale(binom(a, b))
                     assert lhs == rhs
+
+
+def simplex_oracle_derivatives(f, n, active):
+    """hasse_derivatives by brute force: every alpha in the simplex
+    |alpha| < n over the active variables, by (|alpha|, alpha)."""
+    idx = [f.ring.var_index(v) for v in active]
+    alphas = []
+    for combo in itertools.product(range(n), repeat=len(idx)):
+        alpha = [0] * f.ring.nvars
+        for i, e in zip(idx, combo):
+            alpha[i] = e
+        if sum(alpha) < n:
+            alphas.append(tuple(alpha))
+    out = {}
+    for alpha in sorted(alphas, key=lambda a: (sum(a), a)):
+        df = hasse_derivative(f, alpha)
+        if not df.is_zero():
+            out[alpha] = df
+    return out
+
+
+def test_support_enumeration_matches_the_simplex_oracle():
+    rng = random.Random(37)
+    for spec in ("Q", "F2", "F3", "F4"):
+        for names in (("X",), ("X", "Y"), ("X", "Y", "Z")):
+            R = ring(spec, *names)
+            for _ in range(8):
+                f = _rand_poly(R, rng, deg=6)
+                n = rng.randrange(1, 7)
+                active = sorted(rng.sample(names, rng.randrange(1, len(names)
+                                                                + 1)))
+                got = hasse_derivatives(f, n, active)
+                want = simplex_oracle_derivatives(f, n, active)
+                # same derivatives in the same order
+                assert list(got.items()) == list(want.items())
+                if active == list(names):
+                    assert list(hasse_derivatives(f, n).items()) == \
+                        list(want.items())
+
+
+def test_saturation_of_sparse_high_weight_input_follows_the_support(
+        tmp_path):
+    # the simplex over six variables at weight 30 has 30^6 multi-indices;
+    # the support of a^40+b^40+c^40 lies below only 88 of them
+    path = tmp_path / "sparse.alg"
+    path.write_text("ring: F2[a,b,c,d,e,f]\ngen: a^40+b^40+c^40 w 30\n")
+    out = io.StringIO()
+    assert main(["saturate", str(path)], out=out) == 0
+    assert out.getvalue().splitlines()[-1] == \
+        "#! generators: 96 max-weight: 30"
 
 
 def test_char_zero_matches_scaled_partial_derivatives():

@@ -91,6 +91,18 @@ def test_rational_product_holds_integral_values_as_int():
     assert type(f.terms[(2,)].val) is int
 
 
+def test_is_monic_in_reads_only_the_top_degree():
+    # a coefficient list up to Z^(10^12) would not fit in memory
+    Z = QYZ.var("Z")**10**12
+    assert Z.is_monic_in("Z")
+    assert (Z + QYZ.parse("Y^3*Z+1")).is_monic_in("Z")
+    assert not (Z.scale(2) + QYZ.var("Y")).is_monic_in("Z")
+    assert not (Z * QYZ.var("Y")).is_monic_in("Z")
+    assert not (Z + Z * QYZ.var("Y")).is_monic_in("Z")
+    assert not QYZ.zero().is_monic_in("Z")
+    assert QYZ.one().is_monic_in("Z") and not QYZ.constant(3).is_monic_in("Z")
+
+
 def test_substitution_blowup_charts():
     f = QYZ.parse("Z^2+Y^5")
     sub = f.substitute({"Z": QYZ.var("Y") * QYZ.var("Z")})

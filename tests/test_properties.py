@@ -1,5 +1,6 @@
 """Property tests: field-spec and polynomial-text round trips, zero
-coefficients in term maps, the polynomial product against a schoolbook
+coefficients in term maps, the field product against a reference written
+apart from the library, the polynomial product against a schoolbook
 oracle, the Hasse Leibniz and composition laws, and the monomial
 degree_ideal path against its scalar oracle."""
 import itertools
@@ -172,6 +173,47 @@ def test_term_map_with_zero_coefficients(data):
     assert f == sum((R.monomial(e, c) for e, c in terms.items()), R.zero())
     assert not any(c.is_zero() for c in f.terms.values())
     assert f.is_zero() == all(c.is_zero() for c in terms.values())
+
+
+def reference_field_product(F, a, b):
+    """a * b on raw values without the library's arithmetic: in F_{p^k},
+    the schoolbook product of the coefficient tuples, mapped to the
+    residues of t^0 .. t^(2k-2) mod the modulus, each built from the last
+    by a shift and one subtraction of the modulus."""
+    if F.p == 0:
+        return a * b
+    if F.k == 1:
+        return a * b % F.p
+    p, k = F.p, F.k
+    powers = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    while len(powers) < 2 * k - 1:
+        shifted = (0,) + powers[-1]
+        top = shifted[k]
+        powers.append(tuple((s - top * m) % p
+                            for s, m in zip(shifted[:k], F.modulus)))
+    out = [0] * k
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            for r, c in enumerate(powers[i + j]):
+                out[r] += x * y * c
+    return tuple(c % p for c in out)
+
+
+def raw_values(F):
+    if F.p == 0:
+        return st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    residues = st.integers(0, F.p - 1)
+    return residues if F.k == 1 else st.tuples(*[residues] * F.k)
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_field_product_matches_reference(data):
+    F = data.draw(st.one_of(fields(), st.just(
+        FieldDescriptor.parse("F4611686014132420609:t^2+1"))))
+    a, b = data.draw(raw_values(F)), data.draw(raw_values(F))
+    assert (F.element(a) * F.element(b)).val == \
+        reference_field_product(F, a, b)
 
 
 @SETTINGS
