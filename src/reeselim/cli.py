@@ -59,8 +59,10 @@ def _parse_point(ring, text):
         raise RingError("expected %d coordinates, got %d"
                         % (ring.nvars, len(parts)))
     coords = []
-    for part in parts:
-        value = ring.parse(part if part else "0")
+    for position, part in enumerate(parts, start=1):
+        if not part:
+            raise RingError("coordinate %d is empty" % position)
+        value = ring.parse(part)
         if not value.is_constant():
             raise RingError("coordinate %r is not a constant" % part)
         coords.append(value.constant_value())
@@ -130,11 +132,10 @@ def _cmd_tau(args, out):
 
 def _cmd_eliminate(args, out):
     G = _load_algebra(args.file)
-    try:
-        f = G.generators[args.monic]
-    except IndexError:
+    if not 0 <= args.monic < len(G.generators):
         raise ReesError("generator index %d out of range (%d generators)"
-                        % (args.monic, len(G.generators))) from None
+                        % (args.monic, len(G.generators)))
+    f = G.generators[args.monic]
     result = eliminate(G, f, args.var,
                        check_transversal=not args.no_transversal_check)
     out.write(format_elimination(result))

@@ -2,6 +2,10 @@
 S[Z]/<f>, division-free characteristic polynomials, the elimination algebra
 of char-poly coefficients with its weight law, and the slope test that
 compares one-variable monomial algebras up to integral closure.
+
+A multiplication matrix costs one division (g mod f), the other columns
+come from the companion recurrence, and every sum of products there and in
+Berkowitz's recursion is one raw-value accumulation (_sum_of_products).
 """
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ from fractions import Fraction
 
 from .fields import Immutable
 from .groebner import ResourceCapError
-from .poly import RingError, univ_divmod
+from .poly import RingError, _sum_of_products, univ_divmod
 from .rees import ReesAlgebra, ReesError, diff_saturate
 
 CHARPOLY_DEGREE_CAP = 12
@@ -56,28 +60,23 @@ def mult_matrix(g, f, z_var):
     c = f.degree_in(z_var)
     if c < 1:
         raise RingError("modulus must have positive degree in %r" % z_var)
-    ring = f.ring
-    z = ring.var(z_var)
     _, g = univ_divmod(g, f, z_var)
-    matrix = [[ring.zero()] * c for _ in range(c)]
-    col = g
-    for j in range(c):
-        if col.is_zero():
-            break   # col * Z mod f stays zero from here on
-        coeffs = col.coefficients_in(z_var)
-        for i in range(min(len(coeffs), c)):
-            matrix[i][j] = coeffs[i]
-        _, col = univ_divmod(col * z, f, z_var)
-    return MultiplicationMatrix(f, g, matrix, z_var)
-
-
-def _dot(xs, ys):
-    """Sum of x*y over the pairs with both factors nonzero; None if none."""
-    total = None
-    for x, y in zip(xs, ys):
-        if x and y:
-            total = x * y if total is None else total + x * y
-    return total
+    # column j+1 is Z * (column j) mod f: shift the coefficients up one
+    # power of Z, then replace the t*Z^c that reaches the top by
+    # -t*(f - Z^c), one accumulation per entry; a zero column stays zero
+    ring, one, zero = f.ring, f.ring.one(), f.ring.zero()
+    neg_low = [-a for a in f.coefficients_in(z_var)[:c]]
+    col = g.coefficients_in(z_var)
+    col += [zero] * (c - len(col))
+    columns = []
+    for _ in range(c):
+        columns.append(col)
+        t = col[-1]
+        col = [zero] + col[:-1]
+        if t:
+            col = [_sum_of_products(ring, ((x, one), (t, a))) if a else x
+                   for x, a in zip(col, neg_low)]
+    return MultiplicationMatrix(f, g, zip(*columns), z_var)
 
 
 def char_poly(M):
@@ -86,15 +85,17 @@ def char_poly(M):
 
     Berkowitz's division-free recursion, valid in any characteristic: with
     the leading (r+1)-block split as [[A, col], [row, a]], the coefficients
-    grow as h'_i = h_i - s_i - sum_{j<i} s_{i-j} h_j, where s_1 = a and
-    s_k = row * A^{k-2} * col.  h_0 = 1 stays implicit and zero factors are
-    skipped.
+    grow as h'_i = h_i - sum_{j<i} s_{i-j} h_j with h_0 = 1, where s_1 = a
+    and s_k = row * A^{k-2} * col.  Each s_k, each entry of row * A and each
+    of those sums is one accumulation on raw values; zero factors add
+    nothing.
     """
     c = M.size
     _check_degree_cap(c)
     A = M.matrix
     cols = tuple(zip(*A))
-    zero = A[0][0].ring.zero()
+    ring = A[0][0].ring
+    zero = ring.zero()
     h = []
     for r in range(c):
         # powers act on the row: column j of a multiplication matrix is
@@ -103,17 +104,14 @@ def char_poly(M):
         row, col = A[r][:r], cols[r][:r]
         s = [A[r][r]]
         for k in range(r):
-            s.append(_dot(row, col))
+            s.append(_sum_of_products(ring, zip(row, col)))
             if k < r - 1:
-                row = [_dot(row, cols[j][:r]) for j in range(r)]
-        new = []
-        for i in range(1, r + 2):
-            acc = _dot(reversed(s[:i - 1]), h)
-            if s[i - 1]:
-                acc = s[i - 1] if acc is None else acc + s[i - 1]
-            old = h[i - 1] if i <= r else zero
-            new.append(old if acc is None else old - acc)
-        h = new
+                row = [_sum_of_products(ring, zip(row, cols[j][:r]))
+                       for j in range(r)]
+        h_from_0 = [ring.one()] + h
+        h = [(h[i - 1] if i <= r else zero)
+             - _sum_of_products(ring, zip(reversed(s[:i]), h_from_0))
+             for i in range(1, r + 2)]
     return h
 
 

@@ -4,8 +4,9 @@ toolkit (division, gcd, radical) used by the ramification oracle.
 Terms are kept in a dict keyed by exponent tuples, with FieldElement
 coefficients; the Polynomial constructor drops zero coefficients, so equal
 polynomials have identical term maps and no producer filters its own.
-Products are summed on the coefficients' raw values and each output
-coefficient is reduced once by `field.reduce`; the fields module decides
+One kernel, _sum_of_products, sums f_1*g_1 + ... + f_n*g_n on raw values
+and reduces each output coefficient once by `field.reduce`; the product
+and the elimination's sums both use it.  The fields module decides
 all coefficient arithmetic, the F_{p^k} convolution included.  The only
 monomial order is grevlex over the ring's declared variable order.  Like
 fields, rings have one instance each, so ring checks are identity tests.
@@ -142,6 +143,39 @@ class RationalPoint(Immutable):
             "%s=%s" % (v, c) for v, c in zip(self.ring.variables, self.coords)))
 
 
+def _sum_of_products(ring, pairs):
+    """f_1*g_1 + ... + f_n*g_n for the (f_i, g_i) in pairs, all in ring: each
+    output coefficient is summed on raw values (in F_{p^k} an unreduced
+    convolution) and reduced once by field.reduce; the constructor drops the
+    sums that cancel.  The two loops stay apart: one loop with a branch per
+    term pair is slower."""
+    field = ring.field
+    raw = {}
+    if field.k == 1:
+        for f, g in pairs:
+            g_terms = g.terms.items()
+            for e1, c1 in f.terms.items():
+                v1 = c1.val
+                for e2, c2 in g_terms:
+                    e = tuple(map(add, e1, e2))
+                    raw[e] = raw.get(e, 0) + v1 * c2.val
+    else:
+        width = 2 * field.k - 1
+        for f, g in pairs:
+            g_terms = g.terms.items()
+            for e1, c1 in f.terms.items():
+                v1 = c1.val
+                for e2, c2 in g_terms:
+                    e = tuple(map(add, e1, e2))
+                    conv = raw.get(e)
+                    if conv is None:
+                        conv = raw[e] = [0] * width
+                    convolve_into(conv, v1, c2.val)
+    reduce = field.reduce
+    return Polynomial(ring, {e: FieldElement(field, reduce(v))
+                             for e, v in raw.items()})
+
+
 class Polynomial(Immutable):
     """Sparse polynomial; term map from exponent tuple to nonzero
     coefficient.  The constructor is the one place that drops zeros."""
@@ -207,32 +241,7 @@ class Polynomial(Immutable):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # Each output coefficient is summed on raw values and reduced once
-        # by field.reduce: a sum of products in Q and F_p, an unreduced
-        # convolution of the coefficient tuples in F_{p^k}.  The two loops
-        # stay apart: one loop with a branch per term pair is slower.
-        field = self.ring.field
-        other_terms = other.terms.items()
-        raw = {}
-        if field.k == 1:
-            for e1, c1 in self.terms.items():
-                v1 = c1.val
-                for e2, c2 in other_terms:
-                    e = tuple(map(add, e1, e2))
-                    raw[e] = raw.get(e, 0) + v1 * c2.val
-        else:
-            width = 2 * field.k - 1
-            for e1, c1 in self.terms.items():
-                v1 = c1.val
-                for e2, c2 in other_terms:
-                    e = tuple(map(add, e1, e2))
-                    conv = raw.get(e)
-                    if conv is None:
-                        conv = raw[e] = [0] * width
-                    convolve_into(conv, v1, c2.val)
-        reduce = field.reduce
-        return Polynomial(self.ring, {e: FieldElement(field, reduce(v))
-                                      for e, v in raw.items()})
+        return _sum_of_products(self.ring, ((self, other),))
 
     __rmul__ = __mul__
 

@@ -252,6 +252,12 @@ REJECTIONS = [
     _rejection("at-coordinate-count", "ord",
                "ring: F2[Y,Z]\ngen: Z^2+Y^3 w 2\n", ["--at", "0"],
                "expected 2 coordinates, got 1"),
+    _rejection("at-empty-coordinate", "ord",
+               "ring: F2[Y,Z]\ngen: Z^2+Y^3 w 2\n", ["--at", ","],
+               "coordinate 1 is empty"),
+    _rejection("at-empty-second-coordinate", "ord",
+               "ring: F2[Y,Z]\ngen: Z^2+Y^3 w 2\n", ["--at", "0, "],
+               "coordinate 2 is empty"),
     _rejection("at-non-constant", "ord",
                "ring: F2[Y,Z]\ngen: Z^2+Y^3 w 2\n", ["--at", "Y,0"],
                "coordinate 'Y' is not a constant"),
@@ -259,6 +265,10 @@ REJECTIONS = [
                "ring: F2[Y,Z]\ngen: Z^2+Y^3 w 2\n",
                ["--monic", "1", "--var", "Z"],
                "generator index 1 out of range (1 generators)"),
+    _rejection("monic-negative", "eliminate",
+               "ring: F2[Y,Z]\ngen: Y^4 w 1\ngen: Z^2+Y^5 w 2\n",
+               ["--monic", "-1", "--var", "Z"],
+               "generator index -1 out of range (2 generators)"),
     # is_monic_in reads the top degree only, so Z^1000000 costs one term
     _rejection("z-degree-differs-from-weight", "eliminate",
                "ring: F3[Y,Z]\ngen: Z^1000000+Y w 1\n",

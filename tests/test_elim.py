@@ -1,6 +1,7 @@
 """Multiplication matrices, characteristic polynomials, and elimination."""
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -266,7 +267,9 @@ def test_slope_equivalence_refuses_unsupported_input():
         slope_equivalent(algebra(S, ("Y+1", 1)), algebra(S, ("Y", 1)))
 
 
-def test_mult_matrix_stops_at_the_first_zero_column(monkeypatch):
+def test_mult_matrix_divides_once(monkeypatch):
+    # g is reduced mod f once; the columns come from the companion
+    # recurrence, and a zero column stays zero without a division
     calls = []
 
     def counting_divmod(f, g, var):
@@ -281,7 +284,53 @@ def test_mult_matrix_stops_at_the_first_zero_column(monkeypatch):
     assert M.size == 3
     calls.clear()
     M = mult_matrix(QYZ.one(), f, "Z")
-    assert len(calls) == 4 and M.matrix[2][2] == QYZ.one()
+    assert len(calls) == 1 and M.matrix[2][2] == QYZ.one()
+
+
+def mult_matrix_by_columns(g, f, z_var):
+    """Entry (i, j) is the Z^i coefficient of g*Z^j mod f, one division per
+    column: the oracle for mult_matrix's companion recurrence."""
+    R = f.ring
+    c = f.degree_in(z_var)
+    rows = [[R.zero()] * c for _ in range(c)]
+    for j in range(c):
+        _, col = univ_divmod(g * R.var(z_var)**j, f, z_var)
+        for i, x in enumerate(col.coefficients_in(z_var)):
+            rows[i][j] = x
+    return tuple(tuple(row) for row in rows)
+
+
+@pytest.mark.parametrize("spec", ["Q", "F2", "F3", "F4", "F5"])
+@pytest.mark.parametrize("base", [("Y",), ("X", "Y")])
+def test_mult_matrix_matches_the_column_definition(spec, base):
+    R = ring(spec, *base, "Z")
+    field = R.field
+    rng = random.Random(spec + "".join(base))
+    values = (field.elements() if field.p else
+              [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)])
+
+    def draw(z_max, nterms):
+        # few terms over several Z powers, so some coefficients are zero
+        out = R.zero()
+        for _ in range(nterms):
+            exps = [rng.randrange(3) for _ in base] + [rng.randrange(z_max + 1)]
+            out = out + R.monomial(exps, rng.choice(values))
+        return out
+
+    Z, Y = R.var("Z"), R.var("Y")
+    for c in range(1, 6):
+        moduli = [Z**c, Z**c + Y * Z**(c - 1)]   # zero low coefficients
+        moduli += [Z**c + draw(c - 1, rng.randrange(1, 5)) for _ in range(4)]
+        for f in moduli:
+            elements = [draw(c + 2, rng.randrange(1, 6)) for _ in range(3)]
+            elements += [R.one(), Z, f * draw(2, 3)]   # the last is 0 mod f
+            for g in elements:
+                M = mult_matrix(g, f, "Z")
+                assert M.matrix == mult_matrix_by_columns(g, f, "Z")
+                assert M.element == univ_divmod(g, f, "Z")[1]
+    f = Z**3 + Y * Z
+    M = mult_matrix(f * (Y + Z**4), f, "Z")
+    assert M.matrix == ((R.zero(),) * 3,) * 3
 
 
 def test_zero_elimination_algebra_warning_path():

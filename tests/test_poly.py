@@ -1,12 +1,13 @@
 """Sparse polynomial arithmetic and the univariate toolkit."""
 import random
+from fractions import Fraction
 
 import pytest
 
 from reeselim import (INFINITE_ORDER, FieldDescriptor, FieldError,
                       Polynomial, RingContext, RingError, univ_divmod,
                       univ_gcd, univ_radical)
-from reeselim.poly import formal_derivative, grevlex_key
+from reeselim.poly import _sum_of_products, formal_derivative, grevlex_key
 
 
 def ring(spec, *names):
@@ -82,6 +83,55 @@ def test_product_over_a_field_near_two_to_the_31(spec):
     for _ in range(20):
         f, g = draw(), draw()
         assert f * g == schoolbook_product(f, g)
+
+
+def schoolbook_sum(R, pairs):
+    """The sum of the schoolbook products of the pairs: the oracle for
+    _sum_of_products."""
+    total = R.zero()
+    for f, g in pairs:
+        total = total + schoolbook_product(f, g)
+    return total
+
+
+@pytest.mark.parametrize("spec", ["Q", "F2", "F4", "F25", "F2147483647"])
+def test_sum_of_products_matches_the_schoolbook_sum(spec):
+    R = ring(spec, "x", "y")
+    field = R.field
+    rng = random.Random(spec)
+
+    def value():
+        if field.p == 0:
+            return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+        if field.k == 1:
+            return rng.randrange(field.p)
+        return tuple(rng.randrange(field.p) for _ in range(field.k))
+
+    def draw():
+        return Polynomial(R, {(rng.randrange(3), rng.randrange(3)):
+                              R.coeff(value())
+                              for _ in range(rng.randrange(6))})
+
+    for _ in range(20):
+        pairs = [(draw(), draw()) for _ in range(rng.randrange(6))]
+        total = _sum_of_products(R, pairs)
+        assert total == schoolbook_sum(R, pairs)
+        if field.p == 0:
+            assert all(type(c.val) is int or c.val.denominator > 1
+                       for c in total.terms.values())
+    assert _sum_of_products(R, []) == R.zero()
+
+
+@pytest.mark.parametrize("spec", ["Q", "F2", "F4", "F25"])
+def test_sum_of_products_that_cancels(spec):
+    R = ring(spec, "x", "y")
+    x, y = R.var("x"), R.var("y")
+    total = _sum_of_products(R, [(x, y), (-x, y)])
+    assert total.is_zero() and total.terms == {}
+    # x*y cancels, the other three terms of (x+1)(y+1) stay
+    pairs = [(x + 1, y + 1), (-x, y)]
+    assert _sum_of_products(R, pairs).terms == (x + y + 1).terms
+    assert _sum_of_products(R, pairs) == schoolbook_sum(R, pairs)
 
 
 def test_rational_product_holds_integral_values_as_int():

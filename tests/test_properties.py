@@ -1,8 +1,8 @@
 """Property tests: field-spec and polynomial-text round trips, zero
 coefficients in term maps, the field product against a reference written
-apart from the library, the polynomial product against a schoolbook
-oracle, the Hasse Leibniz and composition laws, and the monomial
-degree_ideal path against its scalar oracle."""
+apart from the library, the polynomial product and the sum of products
+against a schoolbook oracle, the Hasse Leibniz and composition laws, and
+the monomial degree_ideal path against its scalar oracle."""
 import itertools
 import math
 
@@ -14,6 +14,7 @@ st = hypothesis.strategies
 from reeselim import (FieldDescriptor, FieldError,  # noqa: E402
                       Polynomial, ReesAlgebra, RingContext, degree_ideal,
                       hasse_derivative)
+from reeselim.poly import _sum_of_products  # noqa: E402
 from test_fields import irreducible_by_trial_division  # noqa: E402
 from test_poly import schoolbook_product  # noqa: E402
 from test_rees import scalar_oracle_degree_ideal  # noqa: E402
@@ -228,3 +229,18 @@ def test_product_matches_schoolbook_oracle(data):
         # an integral rational is held as an int, never as Fraction(n, 1)
         assert all(type(c.val) is int or c.val.denominator > 1
                    for c in h.terms.values())
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_sum_of_products_matches_schoolbook_oracle(data):
+    F = data.draw(fields())
+    R = RingContext(F, ("x", "y", "z")[:data.draw(st.integers(1, 3))])
+    pairs = data.draw(st.lists(st.tuples(polynomials(R), polynomials(R)),
+                               max_size=4))
+    if pairs and data.draw(st.booleans()):
+        pairs.append((-pairs[0][0], pairs[0][1]))   # cancels the first pair
+    expected = R.zero()
+    for f, g in pairs:
+        expected = expected + schoolbook_product(f, g)
+    assert _sum_of_products(R, pairs) == expected
