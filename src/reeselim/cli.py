@@ -208,7 +208,9 @@ def build_parser():
     p = sub.add_parser("eliminate", help="eliminate the distinguished variable")
     p.add_argument("file")
     p.add_argument("--monic", type=int, required=True,
-                   help="index of the monic generator (0-based)")
+                   help="index of the monic generator, 0-based, counting "
+                   "the distinct nonzero generators in file order; a zero "
+                   "or repeated gen: line takes no index")
     p.add_argument("--var", required=True, help="variable to eliminate")
     p.add_argument("--no-transversal-check", action="store_true")
     p.set_defaults(func=_cmd_eliminate)

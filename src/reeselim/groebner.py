@@ -15,7 +15,9 @@ off by ``minimal_exponents`` (which ``rees.degree_ideal`` shares).
 
 Rational zero sets over a finite field come from a projection scan that
 fixes one coordinate at a time and abandons a branch as soon as a
-generator specializes to a nonzero constant.  The branches of each scan,
+generator specializes to a nonzero constant.  It specializes raw values
+and reduces once per output coefficient, as the product kernel does;
+only the emitted points hold FieldElements.  The branches of each scan,
 the ramification check's included, count against ``SCAN_BUDGET``;
 exceeding it raises ``ResourceCapError`` (CLI exit 3).
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 import heapq
 from operator import le
 
-from .fields import Immutable
+from .fields import Immutable, convolve_into
 from .poly import Polynomial, RationalPoint, RingError, grevlex_key
 
 BASIS_CAP = 10_000
@@ -231,11 +233,13 @@ def rational_zero_set(ideal):
     generator vanishes, by a projection scan.
 
     The scan fixes one coordinate at a time.  Each branch specializes the
-    surviving generators to polynomials in the remaining variables, with
-    powers of the field elements read from a table built once per scan,
-    drops those that become zero, and is abandoned as soon as one becomes
-    a nonzero constant; a point is emitted only when every coordinate is
-    fixed.  Every branch visited counts against ``SCAN_BUDGET``.
+    surviving generators, as raw term maps, to the remaining variables,
+    with raw powers of the field elements read from a table built once per
+    scan; each output coefficient is summed unreduced and reduced once.
+    It drops the generators that become zero and is abandoned as soon as
+    one becomes a nonzero constant; a point is emitted only when every
+    coordinate is fixed.  Every branch visited counts against
+    ``SCAN_BUDGET``.
     """
     ring = ideal.ring
     field = ring.field
@@ -246,14 +250,16 @@ def rational_zero_set(ideal):
         raise ResourceCapError(
             "point scan exceeds budget %d: the first of %d coordinates "
             "alone has %d values" % (SCAN_BUDGET, nvars, field.order))
-    gens = [g.terms for g in ideal.generators]
+    gens = [{e: c.val for e, c in g.terms.items()}
+            for g in ideal.generators]
     top = max((max(e) for t in gens for e in t), default=0)
     elements = field.elements()
-    powers = []   # powers[i][e] == elements[i]**e for e <= top
+    one = field.one().val
+    powers = []   # powers[i][e] == elements[i].val**e for e <= top, raw
     for c in elements:
-        row = [field.one()]
+        row = [one]
         for _ in range(top):
-            row.append(row[-1] * c)
+            row.append(field.mul(row[-1], c.val))
         powers.append(row)
     points = set()
     prefix = []
@@ -273,7 +279,7 @@ def rational_zero_set(ideal):
                     % (SCAN_BUDGET, visited, len(prefix) + 1, nvars))
             special = []
             for t in gens:
-                s = _specialize(t, row)
+                s = _specialize(field, t, row)
                 if len(s) == 1 and not any(next(iter(s))):
                     break   # a nonzero constant: no point on this branch
                 if s:
@@ -287,14 +293,25 @@ def rational_zero_set(ideal):
     return points
 
 
-def _specialize(terms, powers):
-    """The term map with its first variable set to the value whose powers
-    are given: keys lose their first entry, zero coefficients are dropped."""
+def _specialize(field, terms, powers):
+    """The raw term map with its first variable set to the value whose raw
+    powers are given: keys lose their first entry.  Each output coefficient
+    is summed unreduced (in F_{p^k} an unreduced convolution), reduced once,
+    and dropped if zero."""
     out = {}
+    if field.k == 1:
+        for e, c in terms.items():
+            rest = e[1:]
+            out[rest] = out.get(rest, 0) + c * powers[e[0]]
+        p = field.p
+        return {e: r for e, v in out.items() if (r := v % p)}
+    width = 2 * field.k - 1
     for e, c in terms.items():
-        if e[0]:
-            c = c * powers[e[0]]
         rest = e[1:]
-        s = out.get(rest)
-        out[rest] = c if s is None else s + c
-    return {e: c for e, c in out.items() if c}
+        conv = out.get(rest)
+        if conv is None:
+            conv = out[rest] = [0] * width
+        convolve_into(conv, powers[e[0]], c)
+    reduce = field.reduce
+    # a tuple of zeros is truthy, so test its entries
+    return {e: r for e, v in out.items() if any(r := reduce(v))}

@@ -269,6 +269,12 @@ REJECTIONS = [
                "ring: F2[Y,Z]\ngen: Y^4 w 1\ngen: Z^2+Y^5 w 2\n",
                ["--monic", "-1", "--var", "Z"],
                "generator index -1 out of range (2 generators)"),
+    # the repeated Y^4 line takes no index: index 2 would be a fourth line
+    _rejection("monic-counts-distinct-generators", "eliminate",
+               "ring: F2[Y,Z]\ngen: Y^4 w 1\ngen: Y^4 w 1\n"
+               "gen: Z^2+Y^5 w 2\n",
+               ["--monic", "2", "--var", "Z"],
+               "generator index 2 out of range (2 generators)"),
     # is_monic_in reads the top degree only, so Z^1000000 costs one term
     _rejection("z-degree-differs-from-weight", "eliminate",
                "ring: F3[Y,Z]\ngen: Z^1000000+Y w 1\n",
@@ -287,6 +293,28 @@ def test_input_rejection_exits_two(tmp_path, capsys, command, text, extra,
     path = tmp_path / "input.alg"
     path.write_text(text)
     assert run([command, str(path)] + extra) == (2, "error: %s\n" % message)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("skipped", [
+    pytest.param("gen: Y^4 w 1\n", id="repeated-line"),
+    pytest.param("gen: 0 w 3\n", id="zero-line"),
+])
+def test_monic_index_counts_distinct_nonzero_generators(tmp_path, capsys,
+                                                        skipped):
+    # --monic 1 names Z^2+Y^5, the third gen: line, as in the file without
+    # the skipped line
+    distinct = "ring: F2[Y,Z]\ngen: Y^4 w 1\ngen: Z^2+Y^5 w 2\n"
+    path = tmp_path / "input.alg"
+    path.write_text(distinct.replace("gen: Y^4 w 1\n",
+                                     "gen: Y^4 w 1\n" + skipped))
+    expected = "ring: F2[Y]\ngen: Y^8 w 2  # from: Y^4 w 1 coeff 2\n" \
+        "#! generators: 1 max-weight: 2\n"
+    assert run(["eliminate", str(path), "--monic", "1", "--var", "Z"]) == (
+        0, expected)
+    path.write_text(distinct)
+    assert run(["eliminate", str(path), "--monic", "1", "--var", "Z"]) == (
+        0, expected)
     assert capsys.readouterr().err == ""
 
 

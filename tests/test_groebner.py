@@ -148,6 +148,69 @@ def test_rational_zero_set_matches_brute_force():
             assert rational_zero_set(I) == brute, I
 
 
+def _collapsing_generator(rng, R):
+    """Terms that share their exponents past the first variable, with
+    coefficients from the top of the field (entries p - 1, p - 2, ...), so
+    that each coefficient of a specialization sums past p before it is
+    reduced."""
+    top = R.field.elements()[-3:]
+    f = R.zero()
+    for _ in range(rng.randint(1, 2)):
+        rest = [rng.randint(0, 2) for _ in R.variables[1:]]
+        for first in rng.sample(range(6), rng.randint(2, 4)):
+            f = f + R.monomial([first] + rest, rng.choice(top))
+    return f
+
+
+def test_raw_scan_matches_brute_force_over_larger_fields():
+    rng = random.Random(14)
+    cases = [(spec, nvars) for spec in ("F16", "F25") for nvars in (1, 2)]
+    cases += [("F8:t^3+t^2+1", nvars) for nvars in (1, 2, 3)]
+    cases += [(spec, nvars) for spec in ("F11", "F13") for nvars in (1, 2, 3)]
+    checked = 0
+    for spec, nvars in cases:
+        R = ring(spec, *("x", "y", "z")[:nvars])
+        # the brute force over q^3 points is the slow part
+        for _ in range(3 if nvars < 3 else 1):
+            gens = list(_random_scan_ideal(rng, R).generators)[:1]
+            gens.append(_collapsing_generator(rng, R))
+            zeros = [_brute_zero_set(Ideal(R, [g])) for g in gens]
+            assert rational_zero_set(Ideal(R, gens[-1:])) == zeros[-1], gens
+            assert rational_zero_set(Ideal(R, gens)) == \
+                set.intersection(*zeros), gens
+            checked += 1
+    assert checked == 33
+
+
+def test_raw_scan_edge_cases():
+    F4 = ring("F4", "x", "y")
+    x, y = F4.var("x"), F4.var("y")
+    prime = F4.field.elements()[:2]   # the subfield F_2
+    # x^2 + x specializes to the zero tuple at x in F_2 and to a nonzero
+    # constant at t and t + 1
+    assert rational_zero_set(Ideal(F4, [x**2 + x])) == {
+        F4.point([a, b]) for a in prime for b in F4.field.elements()}
+    for spec in ("F5", "F9"):
+        R = ring(spec, "x", "y")
+        x, y = R.var("x"), R.var("y")
+        # a nonzero constant at x = 1 and x = -1 only; one y at every other x
+        I = Ideal(R, [(x**2 - 1) * y + x])
+        pts = rational_zero_set(I)
+        assert pts == _brute_zero_set(I)
+        assert len(pts) == R.field.order - 2
+
+
+def test_extension_field_scan_budget_is_exact(monkeypatch):
+    F4 = ring("F4", "x", "y")
+    everything = Ideal(F4, [])   # 4 + 16 branches, 16 points
+    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 20)
+    assert rational_zero_set(everything) == _brute_zero_set(everything)
+    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 19)
+    with pytest.raises(ResourceCapError, match=r"point scan exceeds budget "
+                       r"19: 20 branches visited, 2 of 2 coordinates fixed"):
+        rational_zero_set(everything)
+
+
 def test_normal_form_is_linear():
     gb = buchberger(Ideal(QYZ, [QYZ.parse("Z^2+Y^5"), QYZ.parse("Y*Z")]))
     basis = list(gb.basis)
