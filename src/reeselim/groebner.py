@@ -1,10 +1,10 @@
 """Ideals with Groebner-based membership and finite-field point scans.
 
 Buchberger under grevlex with the normal selection strategy (smallest
-lcm first) and full inter-reduction.  S-pairs are skipped by Buchberger's
-two criteria: coprime leading monomials, and the chain criterion
-(Cox-Little-O'Shea §2.10).  Leading monomials are cached on the
-polynomials, so reduction does not recompute them.  The reduced basis is
+lcm first) and full inter-reduction.  S-pairs are pruned once, when an
+element joins the basis, by the Gebauer-Moeller update (Becker-Weispfenning's
+UPDATE).  Reduction runs on raw term maps; each divisor caches its leading
+monomial, inverse leading coefficient and raw terms.  The reduced basis is
 unique, so neither changes an answer.  A hard cap on the basis size,
 ``BASIS_CAP``, turns runaway computations into a clean error that reports
 the progress made.
@@ -24,9 +24,9 @@ exceeding it raises ``ResourceCapError`` (CLI exit 3).
 from __future__ import annotations
 
 import heapq
-from operator import le
+from operator import add, le, sub
 
-from .fields import Immutable, convolve_into
+from .fields import FieldElement, Immutable, convolve_into
 from .poly import Polynomial, RationalPoint, RingError, grevlex_key
 
 BASIS_CAP = 10_000
@@ -76,105 +76,143 @@ def _divides(a, b):
 
 
 def _lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
+
+
+def _lead(g):
+    """(lm, raw inverse of lc, raw non-leading terms) of a nonzero g: what
+    reducing by g needs.  Cached on first use, like the leading monomial."""
+    lead = getattr(g, "_lead", None)
+    if lead is None:
+        lm = g.leading_monomial()
+        lead = (lm, g.ring.field.inv(g.terms[lm].val),
+                [(e, c.val) for e, c in g.terms.items() if e != lm])
+        object.__setattr__(g, "_lead", lead)
+    return lead
+
+
+def _subtract(field, work, shift, c, tail, zero):
+    """work -= c * x^shift * tail, on a raw term map; zero is the field's
+    raw zero (in F_{p^k} a tuple of zeros, which is truthy)."""
+    mul, plus = field.mul, field.add
+    c = field.neg(c)
+    for e, v in tail:
+        e = tuple(map(add, e, shift))
+        t = mul(c, v)
+        old = work.get(e)
+        if old is not None:
+            t = plus(old, t)
+            if t == zero:
+                del work[e]
+                continue
+        work[e] = t
 
 
 def normal_form(f, basis):
-    """Remainder of f on full reduction by the basis (a list of polynomials)."""
-    if not basis:
-        return f
+    """Remainder of f on full reduction by the basis (a list of nonzero
+    polynomials in f's ring).  The reduction runs on a raw term map; only
+    the remainder holds FieldElements."""
     ring = f.ring
-    leads = [(g.leading_monomial(), g.leading_coefficient(), g) for g in basis]
-    remainder = ring.zero()
-    work = f
-    while not work.is_zero():
-        lm = work.leading_monomial()
-        lc = work.terms[lm]
-        for glm, glc, g in leads:
+    for i, g in enumerate(basis):
+        if g.ring != ring:
+            raise RingError("ring mismatch")
+        if not g.terms:
+            raise RingError("divisor %d of the basis is zero" % i)
+    field = ring.field
+    zero = field.zero().val
+    leads = [_lead(g) for g in basis]
+    work = {e: c.val for e, c in f.terms.items()}
+    remainder = {}
+    while work:
+        lm = max(work, key=grevlex_key)
+        lc = work.pop(lm)
+        for glm, ginv, tail in leads:
             if _divides(glm, lm):
-                quot_exp = tuple(x - y for x, y in zip(lm, glm))
-                factor = ring.monomial(quot_exp, lc / glc)
-                work = work - factor * g
+                _subtract(field, work, tuple(map(sub, lm, glm)),
+                          field.mul(lc, ginv), tail, zero)
                 break
         else:
-            head = ring.monomial(lm, lc)
-            remainder = remainder + head
-            work = work - head
-    return remainder
-
-
-def _s_polynomial(f, g):
-    ring = f.ring
-    lf, lg = f.leading_monomial(), g.leading_monomial()
-    lcm = _lcm(lf, lg)
-    mf = ring.monomial(tuple(a - b for a, b in zip(lcm, lf)),
-                       f.leading_coefficient().inverse())
-    mg = ring.monomial(tuple(a - b for a, b in zip(lcm, lg)),
-                       g.leading_coefficient().inverse())
-    return mf * f - mg * g
+            remainder[lm] = lc
+    return Polynomial(ring, {e: FieldElement(field, c)
+                             for e, c in remainder.items()})
 
 
 def buchberger(ideal):
     """Reduced Groebner basis under grevlex, normal selection strategy
-    (smallest lcm first, via a heap keyed at pair creation).  A monomial
-    ideal's reduced basis is its minimal monomials, monic, in grevlex
-    order."""
+    (smallest lcm first, via a heap keyed at pair creation) and the
+    Gebauer-Moeller pair update.  A monomial ideal's reduced basis is its
+    minimal monomials, monic, in grevlex order."""
+    ring = ideal.ring
     if all(len(g.terms) == 1 for g in ideal.generators):
-        one = ideal.ring.field.one()
+        one = ring.field.one()
         return GroebnerBasis(ideal, [
-            Polynomial(ideal.ring, {e: one}) for e in
+            Polynomial(ring, {e: one}) for e in
             minimal_exponents(next(iter(g.terms)) for g in ideal.generators)])
-    seen = set()
-    basis = []
-    for g in ideal.generators:
-        g = g.scale(g.leading_coefficient().inverse())
-        if g not in seen:
-            seen.add(g)
-            basis.append(g)
-    heap = []
-    pending = set()   # pairs (i, j), i < j, still on the heap
+    field = ring.field
+    zero, one = field.zero().val, field.one().val
+    # distinct and monic, smallest leading monomial first, as
+    # Becker-Weispfenning insert them
+    basis = sorted(dict.fromkeys(g.scale(g.leading_coefficient().inverse())
+                                 for g in ideal.generators),
+                   key=lambda g: grevlex_key(g.leading_monomial()))
+    lms = [g.leading_monomial() for g in basis]
+    live = []   # indices of the elements that take new pairs and reduce
+    heap = []   # [grevlex key of the lcm, i, j, lcm, dropped], i < j
+
+    def update(h):
+        """Gebauer-Moeller on adding h: drop the old pairs h makes
+        redundant, keep the new pairs of minimal lcm (one per lcm) that are
+        not coprime, and pair no later element with those whose leading
+        monomial lm(h) divides."""
+        lm_h = lms[h]
+        for pair in heap:
+            _, i, j, lcm, dropped = pair
+            if (not dropped and _divides(lm_h, lcm)
+                    and lcm != _lcm(lms[i], lm_h)
+                    and lcm != _lcm(lms[j], lm_h)):
+                pair[4] = True
+        lcms = [_lcm(lms[g], lm_h) for g in live]
+        kept = []   # lcms of the new pairs kept, coprime ones included
+        for n, g in enumerate(live):
+            lcm = lcms[n]
+            coprime = lcm == tuple(map(add, lms[g], lm_h))
+            if coprime or not any(_divides(m, lcm)
+                                  for m in kept + lcms[n + 1:]):
+                kept.append(lcm)
+                if not coprime:
+                    heapq.heappush(heap, [grevlex_key(lcm), g, h, lcm, False])
+        live[:] = [g for g in live if not _divides(lm_h, lms[g])]
+        live.append(h)
+
+    for h in range(len(basis)):
+        update(h)
     reductions = 0
-
-    def push_pairs(new):
-        lm_new = basis[new].leading_monomial()
-        for k in range(new):
-            lcm = _lcm(basis[k].leading_monomial(), lm_new)
-            heapq.heappush(heap, (grevlex_key(lcm), k, new))
-            pending.add((k, new))
-
-    def treated(a, b):
-        return (min(a, b), max(a, b)) not in pending
-
-    for n in range(len(basis)):
-        push_pairs(n)
     while heap:
-        _, i, j = heapq.heappop(heap)
-        pending.remove((i, j))
-        f, g = basis[i], basis[j]
-        lf, lg = f.leading_monomial(), g.leading_monomial()
-        lcm = _lcm(lf, lg)
-        # Buchberger's first criterion: disjoint leading supports
-        if lcm == tuple(a + b for a, b in zip(lf, lg)):
+        _, i, j, lcm, dropped = heapq.heappop(heap)
+        if dropped:
             continue
-        # second (chain) criterion, CLO 2.10: lm(basis[k]) divides the lcm
-        # and both pairs (i, k) and (j, k) are already treated
-        if any(k != i and k != j and _divides(h.leading_monomial(), lcm)
-               and treated(i, k) and treated(j, k)
-               for k, h in enumerate(basis)):
-            continue
-        s = normal_form(_s_polynomial(f, g), basis)
+        # the basis is monic, so the S-polynomial is x^a*tail_i - x^b*tail_j
+        lf, _, tf = _lead(basis[i])
+        lg, _, tg = _lead(basis[j])
+        a = tuple(map(sub, lcm, lf))
+        s = {tuple(map(add, e, a)): v for e, v in tf}
+        _subtract(field, s, tuple(map(sub, lcm, lg)), one, tg, zero)
+        s = normal_form(Polynomial(ring, {e: FieldElement(field, v)
+                                          for e, v in s.items()}),
+                        [basis[g] for g in live])
         reductions += 1
         if s.is_zero():
             continue
-        s = s.scale(s.leading_coefficient().inverse())
-        basis.append(s)
+        basis.append(s.scale(s.leading_coefficient().inverse()))
         if len(basis) > BASIS_CAP:
             raise ResourceCapError(
                 "Groebner basis reached %d elements > cap %d after %d S-pair "
                 "reductions, %d pairs pending"
-                % (len(basis), BASIS_CAP, reductions, len(pending)))
-        push_pairs(len(basis) - 1)
-    return GroebnerBasis(ideal, _interreduce(basis))
+                % (len(basis), BASIS_CAP, reductions,
+                   sum(not pair[4] for pair in heap)))
+        lms.append(basis[-1].leading_monomial())
+        update(len(basis) - 1)
+    return GroebnerBasis(ideal, _interreduce([basis[g] for g in live]))
 
 
 def minimal_exponents(exps):
@@ -200,16 +238,14 @@ def minimal_leads(polys):
 
 
 def _interreduce(basis):
-    # remove redundant leading monomials, then fully reduce each element
+    # drop redundant leading monomials, then fully reduce each (monic)
+    # element by the others: no other leading monomial divides its own, so
+    # its leading term, and the grevlex order of the list, stay
     kept = minimal_leads(basis)
-    reduced = []
-    for i, g in enumerate(kept):
-        rest = kept[:i] + kept[i + 1:]
-        r = normal_form(g, rest) if rest else g
-        if not r.is_zero():
-            reduced.append(r.scale(r.leading_coefficient().inverse()))
-    reduced.sort(key=lambda g: grevlex_key(g.leading_monomial()))
-    return reduced
+    if len(kept) < 2:
+        return kept
+    return [normal_form(g, kept[:i] + kept[i + 1:])
+            for i, g in enumerate(kept)]
 
 
 def membership(f, gb):

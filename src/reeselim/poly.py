@@ -180,7 +180,8 @@ class Polynomial(Immutable):
     """Sparse polynomial; term map from exponent tuple to nonzero
     coefficient.  The constructor is the one place that drops zeros."""
 
-    __slots__ = ("ring", "terms", "_lm", "_hash")
+    # _lm, _hash and groebner's _lead are cached on first use
+    __slots__ = ("ring", "terms", "_lm", "_hash", "_lead")
 
     def __init__(self, ring, terms):
         object.__setattr__(self, "ring", ring)

@@ -1,14 +1,16 @@
 """Buchberger bases, membership, ideal equality, and point scans."""
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from reeselim import (FieldDescriptor, Ideal, ResourceCapError, RingContext,
                       buchberger, ideal_equal, membership, rational_zero_set)
+from reeselim import groebner
 from reeselim.groebner import normal_form
-from reeselim.poly import RationalPoint, grevlex_key
+from reeselim.poly import RationalPoint, RingError, grevlex_key
 
 
 def ring(spec, *names):
@@ -219,6 +221,18 @@ def test_normal_form_is_linear():
         normal_form(f, basis) + normal_form(g, basis)
 
 
+@pytest.mark.parametrize("divisors, message", [
+    ([ring("F3", "Y", "Z").var("Y")], "ring mismatch"),
+    ([ring("Q", "Y", "Z", "W").var("Y")], "ring mismatch"),
+    ([QYZ.var("Z"), QYZ.zero()], "divisor 1 of the basis is zero"),
+], ids=["Q-against-F3", "2-variables-against-3", "zero-divisor"])
+def test_normal_form_refuses_a_foreign_or_zero_divisor(divisors, message):
+    # raw reduction would zip exponent tuples of unequal length, or run
+    # another field's arithmetic on the values, without noticing
+    with pytest.raises(RingError, match=message):
+        normal_form(QYZ.parse("Y^2*Z+Z"), divisors)
+
+
 def test_membership_absorbs_multiplication():
     gb = buchberger(Ideal(QYZ, [QYZ.parse("Z^2+Y^5"), QYZ.parse("Y*Z")]))
     f = QYZ.parse("Z^2+Y^5")
@@ -239,6 +253,63 @@ def test_basis_cap_raises_resource_error(monkeypatch):
     with pytest.raises(ResourceCapError, match=r"3 elements > cap 2 after 1 "
                        r"S-pair reductions, 0 pairs pending"):
         buchberger(I)
+
+
+@pytest.fixture
+def normal_form_calls(monkeypatch):
+    """The polynomials passed to groebner.normal_form through the module,
+    which is how buchberger calls it and how the benchmark traces it."""
+    calls = []
+    real = groebner.normal_form
+
+    def counted(f, basis):
+        calls.append(f)
+        return real(f, basis)
+
+    monkeypatch.setattr("reeselim.groebner.normal_form", counted)
+    return calls
+
+
+def test_cap_message_counts_the_reductions_the_trace_counts(
+        monkeypatch, normal_form_calls):
+    """The benchmark's trace counts the S-pair reductions as the
+    normal_form calls made under buchberger; before the final
+    inter-reduction those are all of them, and the cap message's figure
+    must equal their number."""
+    R = ring("F3", "x", "y", "z")
+    I = Ideal(R, [R.parse("x^2*y+z^2+1"), R.parse("x*y^2-z"),
+                  R.parse("y*z^2+x")])
+    for cap in (3, 5, 7):
+        monkeypatch.setattr("reeselim.groebner.BASIS_CAP", cap)
+        normal_form_calls.clear()
+        with pytest.raises(ResourceCapError) as error:
+            buchberger(I)
+        reported = re.search(r"after (\d+) S-pair", str(error.value))
+        assert int(reported.group(1)) == len(normal_form_calls) >= cap - 2, \
+            error.value
+
+
+@pytest.mark.parametrize("gens, s_pairs", [
+    # the one pair gives y^2*z^2; its new pair with x+1 is coprime, and its
+    # pair with x*y^2*z^2 has the same lcm, so the update drops both
+    (["x+1", "x*y^2*z^2"], 1),
+    # the three pairs of the generators share the lcm x*y*z, so only one
+    # of the two new pairs of x*y-z is kept
+    (["y*z-x", "x*z-y", "x*y-z"], 8),
+], ids=["coprime-pair-drops-an-equal-lcm", "one-pair-per-equal-lcm"])
+def test_gebauer_moeller_update_drops_redundant_pairs(
+        monkeypatch, normal_form_calls, gens, s_pairs):
+    before_interreduction = []
+    real = groebner._interreduce
+
+    def interreduce(basis):
+        before_interreduction.append(len(normal_form_calls))
+        return real(basis)
+
+    monkeypatch.setattr("reeselim.groebner._interreduce", interreduce)
+    R = ring("Q", "x", "y", "z")
+    buchberger(Ideal(R, [R.parse(g) for g in gens]))
+    assert before_interreduction == [s_pairs]
 
 
 # -- oracles: the definition of a reduced basis, and sympy ------------
@@ -322,6 +393,34 @@ def _remainder(f, divisors):
     return rem
 
 
+def test_normal_form_matches_the_division_oracle():
+    """Random f against random lists of non-monic divisors, so that the
+    inverse leading coefficients and the raw zero of each field count."""
+    rng = random.Random(9)
+    checked = 0
+    for spec in ("Q", "F2", "F3", "F4", "F9", "F8:t^3+t^2+1"):
+        for nvars in (1, 2, 3):
+            R = ring(spec, *("x", "y", "z")[:nvars])
+            coeffs = _nonzero_coeffs(R)
+
+            def poly(terms):
+                f = R.zero()
+                for _ in range(terms):
+                    exps = [rng.randrange(4) for _ in range(nvars)]
+                    f = f + R.monomial(exps, rng.choice(coeffs))
+                return f
+
+            for _ in range(8):
+                divisors = [poly(rng.randint(1, 3))
+                            for _ in range(rng.randint(1, 3))]
+                divisors = [d for d in divisors if d] or [R.var("x")]
+                f = poly(rng.randint(0, 8))
+                assert normal_form(f, divisors) == _remainder(f, divisors), \
+                    (f, divisors)
+                checked += 1
+    assert checked == 144
+
+
 def _s_poly(f, g):
     R = f.ring
     lf, lg = _lm(f), _lm(g)
@@ -333,7 +432,7 @@ def _s_poly(f, g):
 
 
 def test_buchberger_output_is_the_reduced_basis():
-    specs = ("F2", "F3", "F4", "F5", "Q")
+    specs = ("F2", "F3", "F4", "F5", "Q", "F8", "F9", "F8:t^3+t^2+1")
     for R, gens in itertools.chain(_random_ideals(3, specs),
                                    _monomial_ideals(5, specs)):
         basis = list(buchberger(Ideal(R, gens)).basis)
