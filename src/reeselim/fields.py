@@ -2,15 +2,20 @@
 
 A characteristic 0 value is an `int` while it is integral and a `Fraction`
 otherwise, so integer matrices never pay for `Fraction` arithmetic;
-prime-field values are residues in [0, p); extension-field values are
-coefficient tuples of degree < k polynomials over F_p reduced modulo a
-monic irreducible modulus.  Everything is immutable and exact, and each field
-has one descriptor, so checking that two elements share a field is cheap.
+prime-field values are residues in [0, p); an extension-field value, a
+degree < k polynomial over F_p modulo a monic irreducible modulus, is packed
+into one int, sum c_i * 2^(s*i), with s = 2*bitlen(p-1) + bitlen(k) + 65
+bits per coefficient.  So every raw value is a Python number, every raw zero
+is falsy, and the product of two packed values is one int multiply whose
+digits are the unreduced convolution (Kronecker substitution).  Everything is
+immutable and exact, and each field has one descriptor, so checking that two
+elements share a field is cheap.
 
 This module alone decides how raw values are added, negated, multiplied,
 inverted and reduced: each descriptor binds those functions once, and
-FieldElement and the polynomial product both call them.  An F_{p^k}
-product is one convolution (convolve_into) and one fold by the modulus.
+FieldElement, the polynomial product and the point scan call them.  An
+F_{p^k} reduction is a packed fold: each digit above the k low ones, taken
+mod p, adds its multiple of the packed residue of t^j mod the modulus.
 """
 from __future__ import annotations
 
@@ -66,15 +71,6 @@ def _trim(coeffs):
     return coeffs
 
 
-def convolve_into(acc, a, b):
-    """acc[i + j] += a[i] * b[j]: adds the unreduced product of two
-    coefficient sequences into acc, which is long enough to hold it."""
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                acc[j] += x * y
-
-
 def _polymod(num, mod, p):
     """Remainder of an integer sequence num by the monic mod over F_p, as a
     tuple of deg(mod) residues low-to-high: a top-down fold that cancels
@@ -92,7 +88,7 @@ def _polymod(num, mod, p):
 
 def _power(mul, a, n):
     """a^n for n >= 1 by square-and-multiply, on F_{p^k} raw values."""
-    out = (1,)
+    out = 1
     while n:
         if n & 1:
             out = mul(out, a)
@@ -102,30 +98,53 @@ def _power(mul, a, n):
 
 
 def _raw_arithmetic(p, k, modulus):
-    """The functions (reduce, add, neg, mul, inv) on one field's raw values.
-    `reduce` takes an unreduced value (any int or Fraction in Q, any int in
-    F_p, an integer sequence of any length in F_{p^k}) to the canonical one;
-    the other four take and return canonical values."""
+    """The functions (reduce, add, neg, mul, inv, pack, unpack) on one
+    field's raw values.  `reduce` takes an unreduced value (any int or
+    Fraction in Q, any int in F_p, in F_{p^k} a packed value of 2k - 1
+    digits, each below 2^(s-1): a sum of up to 2^64 products of canonical
+    values) to the canonical one; add, neg, mul and inv take and return
+    canonical values.  pack and unpack convert between F_{p^k} values and
+    coefficient sequences (None in the other fields)."""
     if p == 0:
         # Fraction(1, v), never 1 / v: on an int value that is a float
         return (_integral, lambda a, b: _integral(a + b), lambda a: -a,
                 lambda a, b: _integral(a * b),
-                lambda a: _integral(Fraction(1, a)))
+                lambda a: _integral(Fraction(1, a)), None, None)
     if k == 1:
         return (lambda v: v % p, lambda a, b: (a + b) % p, lambda a: -a % p,
-                lambda a, b: a * b % p, lambda a: pow(a, p - 2, p))
-    width = 2 * k - 1
+                lambda a, b: a * b % p, lambda a: pow(a, p - 2, p), None, None)
+    # a digit below 2^(s-1) plus the (k-1)(p-1)^2 the fold adds to it stays
+    # below 2^s, so no digit carries into the next
+    s = 2 * (p - 1).bit_length() + k.bit_length() + 65
+    mask, low, shifts = (1 << s) - 1, (1 << s * k) - 1, range(0, s * k, s)
+
+    def pack(coeffs):
+        return sum(c << s * i for i, c in enumerate(coeffs))
+
+    def unpack(v):
+        return tuple(v >> i & mask for i in shifts)
+
+    # (shift of digit j, packed t^j mod the modulus) for j = k .. 2k-2
+    folds = [(s * j, pack(_polymod((0,) * j + (1,), modulus, p)))
+             for j in range(k, 2 * k - 1)]
+
+    def reduce(v):
+        acc = v & low
+        if v > low:
+            for shift, r in folds:
+                acc += (v >> shift & mask) % p * r
+        out = 0
+        for i in shifts:
+            out |= (acc >> i & mask) % p << i
+        return out
 
     def mul(a, b):
-        acc = [0] * width
-        convolve_into(acc, a, b)
-        return _polymod(acc, modulus, p)
+        return reduce(a * b)
 
+    ps = pack((p,) * k)   # p in every digit: ps - a has no negative digit
     # a^(q-2) is the inverse of a nonzero a in F_q
-    return (lambda v: _polymod(v, modulus, p),
-            lambda a, b: tuple((x + y) % p for x, y in zip(a, b)),
-            lambda a: tuple(-x % p for x in a), mul,
-            lambda a: _power(mul, a, p**k - 2))
+    return (reduce, lambda a, b: reduce(a + b), lambda a: reduce(ps - a), mul,
+            lambda a: _power(mul, a, p**k - 2), pack, unpack)
 
 
 class FieldError(ValueError):
@@ -145,9 +164,11 @@ class Immutable:
 class FieldDescriptor(Immutable):
     """Q (characteristic 0) or F_{p^k} with a monic irreducible modulus for k > 1.
     One instance per (p, k, modulus): equal fields are the same object.
-    reduce, add, neg, mul and inv are its functions on raw values."""
+    reduce, add, neg, mul and inv are its functions on raw values; _pack and
+    _unpack convert F_{p^k} values to and from coefficient sequences."""
 
-    __slots__ = ("p", "k", "modulus", "reduce", "add", "neg", "mul", "inv")
+    __slots__ = ("p", "k", "modulus", "reduce", "add", "neg", "mul", "inv",
+                 "_pack", "_unpack")
     _instances = {}
 
     def __new__(cls, characteristic, extension_degree=1, modulus=None):
@@ -183,18 +204,19 @@ class FieldDescriptor(Immutable):
                                + _raw_arithmetic(p, k, modulus)):
             object.__setattr__(field, name, value)
         if modulus is not None:
-            cls._check_irreducible(modulus, p, k, field.mul)
+            field._check_irreducible()
         # setdefault: threads that race to build one field all get one instance
         return cls._instances.setdefault(key, field)
 
-    @staticmethod
-    def _check_irreducible(modulus, p, k, mul):
+    def _check_irreducible(self):
         # Rabin (1980): for k <= 4, f is reducible iff it has a factor of
         # degree <= k//2, iff gcd(f, t^(p^(k//2)) - t) != 1; the power comes
         # by square-and-multiply mod f, so the cost grows with log p
-        power = _power(mul, (0, 1), p**(k // 2))
-        a, b = list(modulus), _trim((c - (i == 1)) % p
-                                    for i, c in enumerate(power))
+        p, k = self.p, self.k
+        power = self._unpack(_power(self.mul, self._pack((0, 1)),
+                                    p**(k // 2)))
+        a, b = list(self.modulus), _trim((c - (i == 1)) % p
+                                         for i, c in enumerate(power))
         while b:
             inv = pow(b[-1], p - 2, p)
             b = [c * inv % p for c in b]
@@ -213,24 +235,28 @@ class FieldDescriptor(Immutable):
     def element(self, value):
         """Coerce a value from outside the field's arithmetic: an int, a
         Fraction, a FieldElement of this field, or, when k > 1, an integer
-        coefficient tuple or list.  Anything else (a float or a string, say)
-        raises FieldError rather than being rounded or parsed.  An int of
-        any size is reduced mod p, an integer tuple of any length mod p and
-        mod the modulus; in positive characteristic a/b maps to a * b^-1 and
-        has no image when p divides b."""
+        coefficient tuple or list.  Anything else (a float or a string, say,
+        also as a tuple entry) raises FieldError rather than being rounded
+        or parsed.  An int of any size is reduced mod p, an integer tuple of
+        any length mod p and mod the modulus; in positive characteristic a/b
+        maps to a * b^-1 and has no image when p divides b."""
         if isinstance(value, (int, Fraction)):
-            if self.p:
-                if value.denominator % self.p == 0:
-                    raise FieldError("%s has no image in characteristic %d"
-                                     % (value, self.p))
-                value = value.numerator * pow(value.denominator, -1, self.p)
-                if self.k > 1:
-                    value = (value,)
-            return FieldElement(self, self.reduce(value))
+            if not self.p:
+                return FieldElement(self, _integral(value))
+            if value.denominator % self.p == 0:
+                raise FieldError("%s has no image in characteristic %d"
+                                 % (value, self.p))
+            # a residue < p is the packed constant when k > 1
+            return FieldElement(self, value.numerator
+                                * pow(value.denominator, -1, self.p) % self.p)
         if isinstance(value, (tuple, list)):
             if self.k == 1:
                 raise FieldError("coefficient tuple needs an extension field")
-            return FieldElement(self, self.reduce(value))
+            if not all(isinstance(c, int) for c in value):
+                raise FieldError("cannot coerce %r into %s: coefficients "
+                                 "must be ints" % (value, self.spec()))
+            return FieldElement(self, self._pack(
+                _polymod(value, self.modulus, self.p)))
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise FieldError("element belongs to a different field")
@@ -247,14 +273,12 @@ class FieldDescriptor(Immutable):
         """All p^k elements, residues ascending / lexicographic coefficient order."""
         if self.p == 0:
             raise FieldError("cannot enumerate an infinite field")
-        out = []
-        for code in range(self.order):
-            if self.k == 1:
-                out.append(self.element(code))
-            else:
-                coeffs = tuple((code // self.p**i) % self.p for i in range(self.k))
-                out.append(FieldElement(self, coeffs))
-        return out
+        p, k = self.p, self.k
+        if k == 1:
+            return [FieldElement(self, c) for c in range(p)]
+        pack = self._pack
+        return [FieldElement(self, pack([code // p**i % p for i in range(k)]))
+                for code in range(self.order)]
 
     @property
     def order(self):
@@ -359,7 +383,7 @@ class FieldElement(Immutable):
         return NotImplemented
 
     def is_zero(self):
-        return not (any(self.val) if self.field.k > 1 else self.val)
+        return not self.val
 
     def __bool__(self):
         return not self.is_zero()
@@ -446,4 +470,4 @@ class FieldElement(Immutable):
         f = self.field
         if f.p == 0 or f.k == 1:
             return str(self.val)
-        return _format_modulus(self.val)
+        return _format_modulus(f._unpack(self.val))

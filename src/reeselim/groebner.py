@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 from operator import add, le, sub
 
-from .fields import FieldElement, Immutable, convolve_into
+from .fields import FieldElement, Immutable
 from .poly import Polynomial, RationalPoint, RingError, grevlex_key
 
 BASIS_CAP = 10_000
@@ -91,9 +91,8 @@ def _lead(g):
     return lead
 
 
-def _subtract(field, work, shift, c, tail, zero):
-    """work -= c * x^shift * tail, on a raw term map; zero is the field's
-    raw zero (in F_{p^k} a tuple of zeros, which is truthy)."""
+def _subtract(field, work, shift, c, tail):
+    """work -= c * x^shift * tail, on a raw term map."""
     mul, plus = field.mul, field.add
     c = field.neg(c)
     for e, v in tail:
@@ -102,7 +101,7 @@ def _subtract(field, work, shift, c, tail, zero):
         old = work.get(e)
         if old is not None:
             t = plus(old, t)
-            if t == zero:
+            if not t:
                 del work[e]
                 continue
         work[e] = t
@@ -119,7 +118,6 @@ def normal_form(f, basis):
         if not g.terms:
             raise RingError("divisor %d of the basis is zero" % i)
     field = ring.field
-    zero = field.zero().val
     leads = [_lead(g) for g in basis]
     work = {e: c.val for e, c in f.terms.items()}
     remainder = {}
@@ -129,7 +127,7 @@ def normal_form(f, basis):
         for glm, ginv, tail in leads:
             if _divides(glm, lm):
                 _subtract(field, work, tuple(map(sub, lm, glm)),
-                          field.mul(lc, ginv), tail, zero)
+                          field.mul(lc, ginv), tail)
                 break
         else:
             remainder[lm] = lc
@@ -149,7 +147,7 @@ def buchberger(ideal):
             Polynomial(ring, {e: one}) for e in
             minimal_exponents(next(iter(g.terms)) for g in ideal.generators)])
     field = ring.field
-    zero, one = field.zero().val, field.one().val
+    one = field.one().val
     # distinct and monic, smallest leading monomial first, as
     # Becker-Weispfenning insert them
     basis = sorted(dict.fromkeys(g.scale(g.leading_coefficient().inverse())
@@ -196,7 +194,7 @@ def buchberger(ideal):
         lg, _, tg = _lead(basis[j])
         a = tuple(map(sub, lcm, lf))
         s = {tuple(map(add, e, a)): v for e, v in tf}
-        _subtract(field, s, tuple(map(sub, lcm, lg)), one, tg, zero)
+        _subtract(field, s, tuple(map(sub, lcm, lg)), one, tg)
         s = normal_form(Polynomial(ring, {e: FieldElement(field, v)
                                           for e, v in s.items()}),
                         [basis[g] for g in live])
@@ -332,22 +330,10 @@ def rational_zero_set(ideal):
 def _specialize(field, terms, powers):
     """The raw term map with its first variable set to the value whose raw
     powers are given: keys lose their first entry.  Each output coefficient
-    is summed unreduced (in F_{p^k} an unreduced convolution), reduced once,
-    and dropped if zero."""
+    is summed unreduced, reduced once, and dropped if zero."""
     out = {}
-    if field.k == 1:
-        for e, c in terms.items():
-            rest = e[1:]
-            out[rest] = out.get(rest, 0) + c * powers[e[0]]
-        p = field.p
-        return {e: r for e, v in out.items() if (r := v % p)}
-    width = 2 * field.k - 1
     for e, c in terms.items():
         rest = e[1:]
-        conv = out.get(rest)
-        if conv is None:
-            conv = out[rest] = [0] * width
-        convolve_into(conv, powers[e[0]], c)
+        out[rest] = out.get(rest, 0) + c * powers[e[0]]
     reduce = field.reduce
-    # a tuple of zeros is truthy, so test its entries
-    return {e: r for e, v in out.items() if any(r := reduce(v))}
+    return {e: r for e, v in out.items() if (r := reduce(v))}

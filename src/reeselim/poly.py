@@ -7,7 +7,8 @@ polynomials have identical term maps and no producer filters its own.
 One kernel, _sum_of_products, sums f_1*g_1 + ... + f_n*g_n on raw values
 and reduces each output coefficient once by `field.reduce`; the product
 and the elimination's sums both use it.  The fields module decides
-all coefficient arithmetic, the F_{p^k} convolution included.  The only
+all coefficient arithmetic; an F_{p^k} value is a packed int, so one loop
+serves every field.  The only
 monomial order is grevlex over the ring's declared variable order.  Like
 fields, rings have one instance each, so ring checks are identity tests.
 """
@@ -18,7 +19,7 @@ import re
 from fractions import Fraction
 from operator import add
 
-from .fields import FieldElement, Immutable, convolve_into
+from .fields import FieldElement, Immutable
 
 INFINITE_ORDER = math.inf
 
@@ -145,32 +146,18 @@ class RationalPoint(Immutable):
 
 def _sum_of_products(ring, pairs):
     """f_1*g_1 + ... + f_n*g_n for the (f_i, g_i) in pairs, all in ring: each
-    output coefficient is summed on raw values (in F_{p^k} an unreduced
-    convolution) and reduced once by field.reduce; the constructor drops the
-    sums that cancel.  The two loops stay apart: one loop with a branch per
-    term pair is slower."""
+    output coefficient is summed on raw values (in F_{p^k} packed ints, whose
+    product is the unreduced convolution) and reduced once by field.reduce;
+    the constructor drops the sums that cancel."""
     field = ring.field
     raw = {}
-    if field.k == 1:
-        for f, g in pairs:
-            g_terms = g.terms.items()
-            for e1, c1 in f.terms.items():
-                v1 = c1.val
-                for e2, c2 in g_terms:
-                    e = tuple(map(add, e1, e2))
-                    raw[e] = raw.get(e, 0) + v1 * c2.val
-    else:
-        width = 2 * field.k - 1
-        for f, g in pairs:
-            g_terms = g.terms.items()
-            for e1, c1 in f.terms.items():
-                v1 = c1.val
-                for e2, c2 in g_terms:
-                    e = tuple(map(add, e1, e2))
-                    conv = raw.get(e)
-                    if conv is None:
-                        conv = raw[e] = [0] * width
-                    convolve_into(conv, v1, c2.val)
+    for f, g in pairs:
+        g_terms = g.terms.items()
+        for e1, c1 in f.terms.items():
+            v1 = c1.val
+            for e2, c2 in g_terms:
+                e = tuple(map(add, e1, e2))
+                raw[e] = raw.get(e, 0) + v1 * c2.val
     reduce = field.reduce
     return Polynomial(ring, {e: FieldElement(field, reduce(v))
                              for e, v in raw.items()})

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from reeselim import FieldDescriptor, FieldElement, FieldError
+from reeselim.fields import _polymod
 
 Q = FieldDescriptor.parse("Q")
 F2 = FieldDescriptor.parse("F2")
@@ -223,6 +224,20 @@ def test_inexact_and_untyped_values_are_refused():
             field.element(value)
     assert F9.element([1, 2]) == F9.element((1, 2)) == F9.element((10, 5, 0))
     assert Q.element(True) == Q.one() and type(Q.element(True).val) is int
+    assert F4.element((True, False)) == F4.one()
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param((0.5, 1), id="float-coefficient"),
+    pytest.param((1.0, 0), id="integral-float"),
+    pytest.param(("1", 0), id="string-coefficient"),
+    pytest.param((Fraction(1, 2), 1), id="fraction-coefficient"),
+])
+def test_coefficient_tuples_hold_ints_only(value):
+    with pytest.raises(FieldError, match="coefficients must be ints"):
+        F4.element(value)
+    with pytest.raises(FieldError, match="coefficients must be ints"):
+        F4.element(list(value))
 
 
 def test_reducible_modulus_rejected():
@@ -276,6 +291,35 @@ def test_irreducibility_test_is_fast_for_large_p():
     # (t^2+1)(t^2+t+2) over F_3: reducible without a root
     with pytest.raises(FieldError, match="reducible over F_3"):
         FieldDescriptor.parse("F81:t^4+t^3+t+2")
+
+
+# p = 2^31 - 1, the largest characteristic, with moduli whose reductions
+# t^k = -(lower terms) have coefficients near p - 1
+FOLD_FIELDS = ["F4", "F8", "F9", "F16", "F25",
+               "F%d:t^2+1" % (2**31 - 1)**2,
+               "F%d:t^3+t+4" % (2**31 - 1)**3,
+               "F%d:t^4+t+10" % (2**31 - 1)**4]
+
+
+@pytest.mark.parametrize("spec", FOLD_FIELDS)
+def test_packed_fold_at_the_digit_bound(spec):
+    """reduce on packed values of 2k - 1 digits against the tuple _polymod
+    of those digits.  A sum of 2^64 products of canonical values puts at
+    most 2^64 * k * (p-1)^2 in a digit; the digit width rounds that up to
+    2^(64 + 2*bitlen(p-1) + bitlen(k)), and every digit below it must fold
+    without carrying into the next."""
+    F = FieldDescriptor.parse(spec)
+    p, k = F.p, F.k
+    exact = 2**64 * k * (p - 1)**2
+    ceiling = 2**(64 + 2 * (p - 1).bit_length() + k.bit_length()) - 1
+    assert exact <= ceiling
+    rng = random.Random(spec)
+    cases = [[exact] * (2 * k - 1), [ceiling] * (2 * k - 1)]
+    cases += [[rng.choice((0, p - 1, exact, ceiling, rng.randrange(ceiling)))
+               for _ in range(2 * k - 1)] for _ in range(60)]
+    for digits in cases:
+        assert F._unpack(F.reduce(F._pack(digits))) == \
+            _polymod(digits, F.modulus, p), digits
 
 
 def test_spec_parsing_factors_large_orders_quickly():

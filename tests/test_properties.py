@@ -1,8 +1,9 @@
 """Property tests: field-spec and polynomial-text round trips, zero
-coefficients in term maps, the field product against a reference written
-apart from the library, the polynomial product and the sum of products
-against a schoolbook oracle, the Hasse Leibniz and composition laws, and
-the monomial degree_ideal path against its scalar oracle."""
+coefficients in term maps, the field product and F_{p^k} sums of many
+products near p - 1 against a reference written apart from the library,
+the polynomial product and the sum of products against a schoolbook
+oracle, the Hasse Leibniz and composition laws, and the monomial
+degree_ideal path against its scalar oracle."""
 import itertools
 import math
 
@@ -15,7 +16,8 @@ from reeselim import (FieldDescriptor, FieldError,  # noqa: E402
                       Polynomial, ReesAlgebra, RingContext, degree_ideal,
                       hasse_derivative)
 from reeselim.poly import _sum_of_products  # noqa: E402
-from test_fields import irreducible_by_trial_division  # noqa: E402
+from test_fields import (FOLD_FIELDS,  # noqa: E402
+                         irreducible_by_trial_division)
 from test_poly import schoolbook_product  # noqa: E402
 from test_rees import scalar_oracle_degree_ideal  # noqa: E402
 
@@ -200,6 +202,16 @@ def reference_field_product(F, a, b):
     return tuple(c % p for c in out)
 
 
+def coefficient_tuple(x):
+    """x.val, except in F_{p^k}: the coefficient tuple, low to high, read
+    off the packed int with s = 2*bitlen(p-1) + bitlen(k) + 65 bits each."""
+    F = x.field
+    if F.p == 0 or F.k == 1:
+        return x.val
+    s = 2 * (F.p - 1).bit_length() + F.k.bit_length() + 65
+    return tuple(x.val >> s * i & (1 << s) - 1 for i in range(F.k))
+
+
 def raw_values(F):
     if F.p == 0:
         return st.fractions(min_value=-9, max_value=9, max_denominator=5)
@@ -213,8 +225,36 @@ def test_field_product_matches_reference(data):
     F = data.draw(st.one_of(fields(), st.just(
         FieldDescriptor.parse("F4611686014132420609:t^2+1"))))
     a, b = data.draw(raw_values(F)), data.draw(raw_values(F))
-    assert (F.element(a) * F.element(b)).val == \
+    assert coefficient_tuple(F.element(a) * F.element(b)) == \
         reference_field_product(F, a, b)
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_sum_of_many_products_near_the_top_of_the_field(data):
+    """_sum_of_products over the FOLD_FIELDS with up to 40 pairs in one
+    variable, so that many products land on one exponent, and coefficients
+    near p - 1, against sums of reference_field_product on coefficient
+    tuples."""
+    F = FieldDescriptor.parse(data.draw(st.sampled_from(FOLD_FIELDS)))
+    R = RingContext(F, ("x",))
+    p, k = F.p, F.k
+    entry = st.one_of(st.just(0), st.integers(max(p - 3, 0), p - 1))
+    term_map = st.dictionaries(st.integers(0, 2), st.tuples(*[entry] * k),
+                               max_size=3)
+    pairs = data.draw(st.lists(st.tuples(term_map, term_map), max_size=40))
+    expected = {}
+    for f, g in pairs:
+        for e1, a in f.items():
+            for e2, b in g.items():
+                c = reference_field_product(F, a, b)
+                old = expected.get(e1 + e2, (0,) * k)
+                expected[e1 + e2] = tuple((x + y) % p for x, y in zip(old, c))
+    got = _sum_of_products(R, [
+        tuple(Polynomial(R, {(e,): F.element(c) for e, c in t.items()})
+              for t in pair) for pair in pairs])
+    assert {e: coefficient_tuple(c) for (e,), c in got.terms.items()} == \
+        {e: c for e, c in expected.items() if any(c)}
 
 
 @SETTINGS
