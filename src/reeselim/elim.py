@@ -37,6 +37,9 @@ class MultiplicationMatrix(Immutable):
 
 
 class EliminationResult(Immutable):
+    """provenance[i] is (source polynomial, its weight, j): generator i is
+    the j-th char-poly coefficient of that saturated generator."""
+
     __slots__ = ("base_ring", "algebra", "provenance")
 
     def __init__(self, base_ring, algebra, provenance):
@@ -153,7 +156,7 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
         G = ReesAlgebra(ring, G.generators + (f_gen,))
     sat = diff_saturate(G, {z_var})
     base = ring.drop_variable(z_var)
-    found = {}   # (h_j projected, weight) -> provenance of its first source
+    found = {}   # (h_j projected, weight) -> (g, weight of g, j), first source
     for g in sat.generators:
         M = mult_matrix(g.poly, f, z_var)
         if M.element.is_zero():
@@ -161,7 +164,7 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
         for j, h in enumerate(char_poly(M), start=1):
             if not h.is_zero():
                 found.setdefault((h.project_out(z_var), j * g.weight),
-                                 (str(g.poly), g.weight, j))
+                                 (g.poly, g.weight, j))
     algebra = ReesAlgebra.from_pairs(base, found)
     return EliminationResult(base, algebra, found.values())
 

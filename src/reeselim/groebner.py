@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 from operator import add, le, sub
 
-from .fields import FieldElement, Immutable
+from .fields import Immutable
 from .poly import Polynomial, RationalPoint, RingError, grevlex_key
 
 BASIS_CAP = 10_000
@@ -85,8 +85,8 @@ def _lead(g):
     lead = getattr(g, "_lead", None)
     if lead is None:
         lm = g.leading_monomial()
-        lead = (lm, g.ring.field.inv(g.terms[lm].val),
-                [(e, c.val) for e, c in g.terms.items() if e != lm])
+        lead = (lm, g.ring.field.inv(g._raw[lm]),
+                [(e, v) for e, v in g._raw.items() if e != lm])
         object.__setattr__(g, "_lead", lead)
     return lead
 
@@ -109,17 +109,16 @@ def _subtract(field, work, shift, c, tail):
 
 def normal_form(f, basis):
     """Remainder of f on full reduction by the basis (a list of nonzero
-    polynomials in f's ring).  The reduction runs on a raw term map; only
-    the remainder holds FieldElements."""
+    polynomials in f's ring), on raw term maps."""
     ring = f.ring
     for i, g in enumerate(basis):
         if g.ring != ring:
             raise RingError("ring mismatch")
-        if not g.terms:
+        if not g._raw:
             raise RingError("divisor %d of the basis is zero" % i)
     field = ring.field
     leads = [_lead(g) for g in basis]
-    work = {e: c.val for e, c in f.terms.items()}
+    work = dict(f._raw)
     remainder = {}
     while work:
         lm = max(work, key=grevlex_key)
@@ -131,8 +130,7 @@ def normal_form(f, basis):
                 break
         else:
             remainder[lm] = lc
-    return Polynomial(ring, {e: FieldElement(field, c)
-                             for e, c in remainder.items()})
+    return Polynomial._from_raw(ring, remainder)
 
 
 def buchberger(ideal):
@@ -141,13 +139,12 @@ def buchberger(ideal):
     Gebauer-Moeller pair update.  A monomial ideal's reduced basis is its
     minimal monomials, monic, in grevlex order."""
     ring = ideal.ring
-    if all(len(g.terms) == 1 for g in ideal.generators):
-        one = ring.field.one()
-        return GroebnerBasis(ideal, [
-            Polynomial(ring, {e: one}) for e in
-            minimal_exponents(next(iter(g.terms)) for g in ideal.generators)])
     field = ring.field
     one = field.one().val
+    if all(len(g._raw) == 1 for g in ideal.generators):
+        return GroebnerBasis(ideal, [
+            Polynomial._from_raw(ring, {e: one}) for e in
+            minimal_exponents(next(iter(g._raw)) for g in ideal.generators)])
     # distinct and monic, smallest leading monomial first, as
     # Becker-Weispfenning insert them
     basis = sorted(dict.fromkeys(g.scale(g.leading_coefficient().inverse())
@@ -195,8 +192,7 @@ def buchberger(ideal):
         a = tuple(map(sub, lcm, lf))
         s = {tuple(map(add, e, a)): v for e, v in tf}
         _subtract(field, s, tuple(map(sub, lcm, lg)), one, tg)
-        s = normal_form(Polynomial(ring, {e: FieldElement(field, v)
-                                          for e, v in s.items()}),
+        s = normal_form(Polynomial._from_raw(ring, s),
                         [basis[g] for g in live])
         reductions += 1
         if s.is_zero():
@@ -284,8 +280,7 @@ def rational_zero_set(ideal):
         raise ResourceCapError(
             "point scan exceeds budget %d: the first of %d coordinates "
             "alone has %d values" % (SCAN_BUDGET, nvars, field.order))
-    gens = [{e: c.val for e, c in g.terms.items()}
-            for g in ideal.generators]
+    gens = [g._raw for g in ideal.generators]
     top = max((max(e) for t in gens for e in t), default=0)
     elements = field.elements()
     one = field.one().val

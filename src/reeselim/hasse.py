@@ -10,6 +10,7 @@ from __future__ import annotations
 from itertools import product
 from math import comb
 
+from .fields import FieldElement
 from .poly import Polynomial, RingError
 
 
@@ -34,17 +35,19 @@ def hasse_derivative(f, alpha):
     ring = f.ring
     alpha = normalize_multiindex(ring, alpha)
     field = ring.field
-    terms = {}
-    for exps, coeff in f.terms.items():
+    raw = {}
+    for exps, v in f._raw.items():
         if any(a > b for a, b in zip(alpha, exps)):
             continue
         binom = 1
         for b, a in zip(exps, alpha):
             binom *= comb(b, a)
-        # exps -> exps - alpha is injective: no two terms share a key
-        terms[tuple(b - a for b, a in zip(exps, alpha))] = \
-            coeff * field.element(binom)
-    return Polynomial(ring, terms)
+        if binom != 1:   # a field product, zero when p divides binom
+            v = (FieldElement(field, v) * field.element(binom)).val
+        if v:
+            # exps -> exps - alpha is injective: no two terms share a key
+            raw[tuple(b - a for b, a in zip(exps, alpha))] = v
+    return Polynomial._from_raw(ring, raw)
 
 
 def hasse_derivatives(f, n, active=None):
@@ -61,7 +64,7 @@ def hasse_derivatives(f, n, active=None):
     else:
         active_idx = {ring.var_index(v) for v in active}
     tops = {tuple(min(b, n - 1) + 1 if i in active_idx else 1
-                  for i, b in enumerate(beta)) for beta in f.terms}
+                  for i, b in enumerate(beta)) for beta in f._raw}
     alphas = {a for top in tops for a in product(*map(range, top))
               if sum(a) < n}
     out = {}

@@ -1,16 +1,17 @@
 """Sparse multivariate polynomials over an exact field, plus the univariate
 toolkit (division, gcd, radical) used by the ramification oracle.
 
-Terms are kept in a dict keyed by exponent tuples, with FieldElement
-coefficients; the Polynomial constructor drops zero coefficients, so equal
-polynomials have identical term maps and no producer filters its own.
-One kernel, _sum_of_products, sums f_1*g_1 + ... + f_n*g_n on raw values
-and reduces each output coefficient once by `field.reduce`; the product
-and the elimination's sums both use it.  The fields module decides
-all coefficient arithmetic; an F_{p^k} value is a packed int, so one loop
-serves every field.  The only
-monomial order is grevlex over the ring's declared variable order.  Like
-fields, rings have one instance each, so ring checks are identity tests.
+Terms are kept in a dict keyed by exponent tuples, with the field's
+canonical nonzero raw values, so equal polynomials have equal maps.
+FieldElements are built only at the API boundary (`.terms` wraps the raw
+map lazily); arithmetic hands its zero-free raw maps to `_from_raw`.  One
+kernel, _sum_of_products, sums f_1*g_1 + ... + f_n*g_n on raw values and
+reduces each output coefficient once by `field.reduce`; the product and the
+elimination's sums both use it.  The fields module decides all coefficient
+arithmetic; an F_{p^k} value is a packed int, so one loop serves every
+field.  The only monomial order is grevlex over the ring's declared variable
+order.  Like fields, rings have one instance each, so ring checks are
+identity tests.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import math
 import re
 from fractions import Fraction
 from operator import add
+from types import MappingProxyType
 
 from .fields import FieldElement, Immutable
 
@@ -68,24 +70,25 @@ class RingContext(Immutable):
         return self.field.element(value)
 
     def zero(self):
-        return Polynomial(self, {})
+        return Polynomial._from_raw(self, {})
 
     def one(self):
         return self.constant(1)
 
     def constant(self, value):
-        return Polynomial(self, {(0,) * self.nvars: self.coeff(value)})
+        v = self.coeff(value).val
+        return Polynomial._from_raw(self, {(0,) * self.nvars: v} if v else {})
 
     def var(self, name):
         exps = [0] * self.nvars
         exps[self.var_index(name)] = 1
-        return Polynomial(self, {tuple(exps): self.field.one()})
+        return Polynomial._from_raw(self, {tuple(exps): 1})
 
     def monomial(self, exps, coeff=1):
         exps = tuple(exps)
         if len(exps) != self.nvars:
             raise RingError("exponent vector length mismatch")
-        return Polynomial(self, {exps: self.coeff(coeff)})
+        return Polynomial(self, {exps: coeff})
 
     def point(self, coords):
         return RationalPoint(self, coords)
@@ -147,33 +150,57 @@ class RationalPoint(Immutable):
 def _sum_of_products(ring, pairs):
     """f_1*g_1 + ... + f_n*g_n for the (f_i, g_i) in pairs, all in ring: each
     output coefficient is summed on raw values (in F_{p^k} packed ints, whose
-    product is the unreduced convolution) and reduced once by field.reduce;
-    the constructor drops the sums that cancel."""
-    field = ring.field
+    product is the unreduced convolution), reduced once by field.reduce and
+    dropped if the sum cancels."""
     raw = {}
     for f, g in pairs:
-        g_terms = g.terms.items()
-        for e1, c1 in f.terms.items():
-            v1 = c1.val
-            for e2, c2 in g_terms:
+        g_terms = g._raw.items()
+        for e1, v1 in f._raw.items():
+            for e2, v2 in g_terms:
                 e = tuple(map(add, e1, e2))
-                raw[e] = raw.get(e, 0) + v1 * c2.val
-    reduce = field.reduce
-    return Polynomial(ring, {e: FieldElement(field, reduce(v))
-                             for e, v in raw.items()})
+                raw[e] = raw.get(e, 0) + v1 * v2
+    reduce = ring.field.reduce
+    return Polynomial._from_raw(ring, {e: r for e, v in raw.items()
+                                       if (r := reduce(v))})
 
 
 class Polynomial(Immutable):
-    """Sparse polynomial; term map from exponent tuple to nonzero
-    coefficient.  The constructor is the one place that drops zeros."""
+    """Sparse polynomial; `_raw` maps exponent tuples to nonzero raw values.
+    The constructor checks the keys, coerces the values and drops zeros."""
 
-    # _lm, _hash and groebner's _lead are cached on first use
-    __slots__ = ("ring", "terms", "_lm", "_hash", "_lead")
+    # _terms, _lm, _hash and groebner's _lead are cached on first use
+    __slots__ = ("ring", "_raw", "_terms", "_lm", "_hash", "_lead")
 
     def __init__(self, ring, terms):
+        n = ring.nvars
+        raw = {}
+        for e, c in terms.items():
+            if not (isinstance(e, tuple) and len(e) == n and all(
+                    isinstance(x, int) and x >= 0 for x in e)):
+                raise RingError("key %r is not %d non-negative ints" % (e, n))
+            if v := ring.coeff(c).val:
+                raw[e] = v
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms",
-                           {e: c for e, c in terms.items() if not c.is_zero()})
+        object.__setattr__(self, "_raw", raw)
+
+    @classmethod
+    def _from_raw(cls, ring, raw):
+        f = object.__new__(cls)
+        object.__setattr__(f, "ring", ring)
+        object.__setattr__(f, "_raw", raw)
+        return f
+
+    @property
+    def terms(self):
+        """A read-only term map with FieldElement values, built on first
+        read: writing to it cannot leave it out of step with the raw map."""
+        terms = getattr(self, "_terms", None)
+        if terms is None:
+            field = self.ring.field
+            terms = MappingProxyType({e: FieldElement(field, v)
+                                      for e, v in self._raw.items()})
+            object.__setattr__(self, "_terms", terms)
+        return terms
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -185,42 +212,41 @@ class Polynomial(Immutable):
         return NotImplemented
 
     def is_zero(self):
-        return not self.terms
+        return not self._raw
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._raw)
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self._raw)
 
     def constant_value(self):
         zero_exp = (0,) * self.ring.nvars
-        return self.terms.get(zero_exp, self.ring.field.zero())
+        return FieldElement(self.ring.field, self._raw.get(zero_exp, 0))
 
-    def __add__(self, other):
+    def __add__(self, other, neg=None):
+        """self + other; self - other when neg is the field's negation."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            terms[e] = c if s is None else s + c
-        return Polynomial(self.ring, terms)
+        plus = self.ring.field.add
+        raw = dict(self._raw)
+        items = other._raw.items() if neg is None else \
+            zip(other._raw, map(neg, other._raw.values()))
+        for e, v in items:
+            if e in raw and not (v := plus(raw[e], v)):
+                del raw[e]
+            else:
+                raw[e] = v
+        return Polynomial._from_raw(self.ring, raw)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            terms[e] = -c if s is None else s - c
-        return Polynomial(self.ring, terms)
+        return self.__add__(other, self.ring.field.neg)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -246,15 +272,16 @@ class Polynomial(Immutable):
         return result
 
     def scale(self, c):
-        c = self.ring.coeff(c)
-        return Polynomial(self.ring, {e: k * c for e, k in self.terms.items()})
+        mul, c = self.ring.field.mul, self.ring.coeff(c).val
+        return Polynomial._from_raw(self.ring, {
+            e: r for e, v in self._raw.items() if (r := mul(v, c))})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
             other = self.ring.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self._raw == other._raw
 
     def __hash__(self):
         """Computed on first use and cached, like the leading monomial."""
@@ -262,7 +289,7 @@ class Polynomial(Immutable):
             return self._hash
         except AttributeError:
             pass
-        h = hash((self.ring, frozenset(self.terms.items())))
+        h = hash((self.ring, frozenset(self._raw.items())))
         object.__setattr__(self, "_hash", h)
         return h
 
@@ -270,15 +297,15 @@ class Polynomial(Immutable):
 
     def degree_in(self, var):
         i = self.ring.var_index(var)
-        if not self.terms:
+        if not self._raw:
             return -1
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self._raw)
 
     def order_at_origin(self):
         """Minimum total degree of the support; +inf for the zero polynomial."""
-        if not self.terms:
+        if not self._raw:
             return INFINITE_ORDER
-        return min(sum(e) for e in self.terms)
+        return min(sum(e) for e in self._raw)
 
     def order_along(self, center_vars):
         """Minimum exponent sum over the center variables (a repeated name
@@ -286,17 +313,17 @@ class Polynomial(Immutable):
         idx = {self.ring.var_index(v) for v in center_vars}
         if not idx:
             raise RingError("center must be nonempty")
-        if not self.terms:
+        if not self._raw:
             return INFINITE_ORDER
-        return min(sum(e[i] for i in idx) for e in self.terms)
+        return min(sum(e[i] for i in idx) for e in self._raw)
 
     def initial_form(self):
         """Sum of terms of minimal total degree."""
-        if not self.terms:
+        if not self._raw:
             raise RingError("zero polynomial has no initial form")
         d = self.order_at_origin()
-        return Polynomial(self.ring,
-                          {e: c for e, c in self.terms.items() if sum(e) == d})
+        return Polynomial._from_raw(
+            self.ring, {e: v for e, v in self._raw.items() if sum(e) == d})
 
     def order_at(self, point):
         """Order at a rational point (translate to origin, then at origin)."""
@@ -309,14 +336,14 @@ class Polynomial(Immutable):
             return self._lm
         except AttributeError:
             pass
-        if not self.terms:
+        if not self._raw:
             raise RingError("zero polynomial has no leading monomial")
-        lm = max(self.terms, key=grevlex_key)
+        lm = max(self._raw, key=grevlex_key)
         object.__setattr__(self, "_lm", lm)
         return lm
 
     def leading_coefficient(self):
-        return self.terms[self.leading_monomial()]
+        return FieldElement(self.ring.field, self._raw[self.leading_monomial()])
 
     # -- substitution -------------------------------------------------
 
@@ -334,20 +361,16 @@ class Polynomial(Immutable):
             images[i] = image
         result = ring.zero()
         power_cache = {}
-        for exps, coeff in self.terms.items():
-            part = ring.constant(coeff)
-            plain = [0] * ring.nvars
+        for exps, v in self._raw.items():
+            plain = tuple(0 if i in images else e for i, e in enumerate(exps))
+            part = Polynomial._from_raw(ring, {plain: v})
             for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                if i in images:
+                if e and i in images:
                     key = (i, e)
                     if key not in power_cache:
                         power_cache[key] = images[i]**e
                     part = part * power_cache[key]
-                else:
-                    plain[i] = e
-            result = result + part * ring.monomial(plain)
+            result = result + part
         return result
 
     def evaluate(self, point):
@@ -378,12 +401,12 @@ class Polynomial(Immutable):
         """Image in the ring without var; requires no dependence on var."""
         i = self.ring.var_index(var)
         target = self.ring.drop_variable(var)
-        terms = {}
-        for e, c in self.terms.items():
+        raw = {}
+        for e, v in self._raw.items():
             if e[i] != 0:
                 raise RingError("polynomial depends on %r" % var)
-            terms[e[:i] + e[i + 1:]] = c
-        return Polynomial(target, terms)
+            raw[e[:i] + e[i + 1:]] = v
+        return Polynomial._from_raw(target, raw)
 
     def lift(self, ring):
         """Image in a bigger ring containing all of this ring's variables."""
@@ -393,7 +416,7 @@ class Polynomial(Immutable):
             exps = [0] * ring.nvars
             for p, x in zip(pos, e):
                 exps[p] = x
-            terms[tuple(exps)] = ring.coeff(c)
+            terms[tuple(exps)] = c
         return Polynomial(ring, terms)
 
     # -- univariate toolkit -------------------------------------------
@@ -405,19 +428,18 @@ class Polynomial(Immutable):
         if d < 0:
             return []
         buckets = [dict() for _ in range(d + 1)]
-        for e, c in self.terms.items():
-            rest = e[:i] + (0,) + e[i + 1:]
-            buckets[e[i]][rest] = c
-        return [Polynomial(self.ring, b) for b in buckets]
+        for e, v in self._raw.items():
+            buckets[e[i]][e[:i] + (0,) + e[i + 1:]] = v
+        return [Polynomial._from_raw(self.ring, b) for b in buckets]
 
     def is_monic_in(self, var):
         """Whether the coefficient of the top power of var is 1; reads only
         the terms, so the cost does not grow with the degree."""
         i = self.ring.var_index(var)
         d = self.degree_in(var)
-        top = [(e, c) for e, c in self.terms.items() if e[i] == d]
+        top = [(e, v) for e, v in self._raw.items() if e[i] == d]
         return (len(top) == 1 and sum(top[0][0]) == d
-                and top[0][1] == self.ring.field.one())
+                and top[0][1] == self.ring.field.one().val)
 
     def __repr__(self):
         return "Polynomial(%s)" % format_polynomial(self)
@@ -439,9 +461,9 @@ def univ_divmod(f, g, var):
     r = f
     while r.degree_in(var) >= dg:
         dr = r.degree_in(var)
-        lead_terms = {e[:i] + (dr - dg,) + e[i + 1:]: c
-                      for e, c in r.terms.items() if e[i] == dr}
-        step = Polynomial(ring, lead_terms)
+        step = Polynomial._from_raw(ring, {e[:i] + (dr - dg,) + e[i + 1:]: v
+                                           for e, v in r._raw.items()
+                                           if e[i] == dr})
         q = q + step
         r = r - step * g
     return q, r
@@ -471,13 +493,15 @@ def univ_gcd(f, g, var):
 def formal_derivative(f, var):
     """d/d(var), the ordinary (not Hasse) derivative."""
     i = f.ring.var_index(var)
-    return Polynomial(f.ring, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
-                               for e, c in f.terms.items() if e[i]})
+    mul, element = f.ring.field.mul, f.ring.field.element
+    return Polynomial._from_raw(f.ring, {
+        e[:i] + (e[i] - 1,) + e[i + 1:]: d for e, v in f._raw.items()
+        if e[i] and (d := mul(v, element(e[i]).val))})
 
 
 def _only_variable(f):
     used = set()
-    for e in f.terms:
+    for e in f._raw:
         for i, x in enumerate(e):
             if x:
                 used.add(i)

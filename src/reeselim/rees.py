@@ -299,15 +299,15 @@ def _chart_pairs(G, center, chart_var, weighted):
     pairs = []
     for g in G.generators:
         drop = g.weight if weighted else 0
-        terms = {}
-        for e, c in g.poly.terms.items():
+        raw = {}
+        for e, v in g.poly._raw.items():
             n = sum(e[i] for i in idx) - drop
             if n < 0:
                 raise ReesError(
                     "center is not permissible: %s has order < %d along it"
                     % (g.poly, g.weight))
-            terms[e[:j] + (n,) + e[j + 1:]] = c
-        pairs.append((Polynomial(ring, terms), g.weight))
+            raw[e[:j] + (n,) + e[j + 1:]] = v
+        pairs.append((Polynomial._from_raw(ring, raw), g.weight))
     return pairs
 
 
@@ -352,7 +352,7 @@ def degree_ideal(G, k):
     if k < 1:
         raise ReesError("degree must be >= 1")
     gens = G.generators
-    if all(len(g.poly.terms) == 1 for g in gens):
+    if all(len(g.poly._raw) == 1 for g in gens):
         return Ideal(G.ring, _monomial_degree_ideal(G.ring, gens, k))
     products = {}
 
@@ -372,7 +372,7 @@ def degree_ideal(G, k):
 
 
 def _monomial_degree_ideal(ring, gens, k):
-    terms = [next(iter(g.poly.terms.items())) for g in gens]
+    terms = [next(iter(g.poly._raw.items())) for g in gens]
     weights = [g.weight for g in gens]
     levels = [[(0,) * ring.nvars]]   # levels[j]: minimal exponents of I_j
     for j in range(1, k + 1):
@@ -396,23 +396,23 @@ def _monomial_degree_ideal(ring, gens, k):
             left = tuple(map(sub, rest, e))
             total = weight_sum + weights[i]
             if total < k:
-                found = first_scalar(i, left, total, scalar * c)
+                found = first_scalar(i, left, total, mul(scalar, c))
                 if found is not None:
                     return found
             elif not any(left):
-                return scalar * c
+                return mul(scalar, c)
         return None
 
-    one = ring.field.one()
-    return [Polynomial(ring, {e: first_scalar(0, e, 0, one)})
+    mul, one = ring.field.mul, ring.field.one().val
+    return [Polynomial._from_raw(ring, {e: first_scalar(0, e, 0, one)})
             for e in levels[k]]
 
 
 def _drop_divisible_monomials(products):
     """Discard monomial products divisible by another monomial product
     (sound for monomials; other polynomials are kept untouched)."""
-    monomials = [p for p in products if len(p.terms) == 1]
-    rest = [p for p in products if len(p.terms) != 1]
+    monomials = [p for p in products if len(p._raw) == 1]
+    rest = [p for p in products if len(p._raw) != 1]
     rest.sort(key=lambda p: grevlex_key(p.leading_monomial()))
     return minimal_leads(monomials) + rest
 

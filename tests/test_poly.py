@@ -416,6 +416,49 @@ def test_constructor_drops_zero_coefficients():
     assert str(zero) == "0"
 
 
+def test_constructor_refuses_a_value_from_another_field():
+    R = ring("F3", "x")
+    F5 = FieldDescriptor(5)
+    # once stored raw, 4 in F5 would be read as 1 in F3
+    with pytest.raises(FieldError):
+        Polynomial(R, {(1,): F5.element(4)})
+
+
+def test_constructor_refuses_float_and_string_values():
+    R = ring("F3", "x")
+    for value in (0.5, 1.0, "1", "1/2"):
+        with pytest.raises(FieldError):
+            Polynomial(R, {(1,): value})
+
+
+def test_constructor_coerces_ints_and_fractions():
+    R = ring("F3", "x")
+    x = R.var("x")
+    assert Polynomial(R, {(1,): 7, (0,): 3}) == x
+    # 1/2 is 2 in F3
+    q = Polynomial(R, {(1,): Fraction(1, 2)})
+    assert q == -x and str(q * q) == "x^2"
+    assert Polynomial(QYZ, {(0, 1): Fraction(1, 2)}).terms == {
+        (0, 1): QYZ.coeff(Fraction(1, 2))}
+
+
+def test_constructor_refuses_malformed_exponent_keys():
+    R = ring("F3", "x", "y")
+    for key in ((1,), (0, 1, 5), (-1, 0), (1.0, 0), "xy", 1):
+        with pytest.raises(RingError, match="non-negative ints"):
+            Polynomial(R, {key: 1})
+    assert Polynomial(R, {(1, 0): 1, (0, 0): 1}) + R.var("y") == \
+        R.parse("x+y+1")
+
+
+def test_terms_is_a_read_only_view():
+    R = ring("F3", "x")
+    f = R.var("x") + 1
+    with pytest.raises(TypeError):
+        f.terms[(2,)] = R.coeff(1)
+    assert str(f) == "x+1" and f.degree_in("x") == 1
+
+
 def test_monomial_checks_its_exponents_also_for_a_zero_coefficient():
     R = ring("F3", "Y", "Z")
     assert R.monomial((1, 2), 0).is_zero()

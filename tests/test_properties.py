@@ -2,8 +2,10 @@
 coefficients in term maps, the field product and F_{p^k} sums of many
 products near p - 1 against a reference written apart from the library,
 the polynomial product and the sum of products against a schoolbook
-oracle, the Hasse Leibniz and composition laws, and the monomial
-degree_ideal path against its scalar oracle."""
+oracle, the Hasse Leibniz and composition laws, the monomial
+degree_ideal path against its scalar oracle, and the raw-value sums,
+scalings, coefficient and division paths against a FieldElement
+reference."""
 import itertools
 import math
 
@@ -14,8 +16,8 @@ st = hypothesis.strategies
 
 from reeselim import (FieldDescriptor, FieldError,  # noqa: E402
                       Polynomial, ReesAlgebra, RingContext, degree_ideal,
-                      hasse_derivative)
-from reeselim.poly import _sum_of_products  # noqa: E402
+                      hasse_derivative, univ_divmod)
+from reeselim.poly import _sum_of_products, formal_derivative  # noqa: E402
 from test_fields import (FOLD_FIELDS,  # noqa: E402
                          irreducible_by_trial_division)
 from test_poly import schoolbook_product  # noqa: E402
@@ -284,3 +286,122 @@ def test_sum_of_products_matches_schoolbook_oracle(data):
     for f, g in pairs:
         expected = expected + schoolbook_product(f, g)
     assert _sum_of_products(R, pairs) == expected
+
+
+# -- raw term maps against a FieldElement reference -------------------------
+
+ORACLE_FIELDS = [FieldDescriptor.parse(spec) for spec in (
+    "Q", "F2", "F3", "F5", "F4", "F9", "F8:t^3+t^2+1", "F2147483647")]
+
+
+def field_values(F):
+    """Values of F, zero included; near p - 1 in the large prime field."""
+    if not F.p:
+        return st.fractions(min_value=-4, max_value=4,
+                            max_denominator=3).map(F.element)
+    if F.k == 1:
+        return st.one_of(st.integers(0, 3),
+                         st.integers(F.p - 3, F.p - 1)).map(F.element)
+    return st.lists(st.integers(0, F.p - 1), min_size=F.k,
+                    max_size=F.k).map(F.element)
+
+
+def nonzero(terms):
+    return {e: c for e, c in terms.items() if not c.is_zero()}
+
+
+@st.composite
+def term_maps(draw, R, top=3):
+    """A FieldElement term map without zeros: the reference's operand."""
+    return nonzero(dict(draw(st.lists(
+        st.tuples(exponents(R, top), field_values(R.field)), max_size=5))))
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out[e] + c if e in out else c
+    return nonzero(out)
+
+
+def ref_scale(a, c):
+    return nonzero({e: k * c for e, k in a.items()})
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out = ref_add(out, {tuple(map(sum, zip(e1, e2))): c1 * c2})
+    return out
+
+
+def ref_divmod(a, b, i):
+    """Long division of a by b, monic in variable i, on term maps."""
+    d = max(e[i] for e in b)
+    q, r = {}, dict(a)
+    while r and max(e[i] for e in r) >= d:
+        top = max(e[i] for e in r)
+        step = {e[:i] + (top - d,) + e[i + 1:]: c
+                for e, c in r.items() if e[i] == top}
+        q = ref_add(q, step)
+        r = ref_add(r, ref_scale(ref_mul(step, b), -1))
+    return q, r
+
+
+def ref_hasse(a, alpha):
+    return nonzero({tuple(x - y for x, y in zip(e, alpha)):
+                    c * math.prod(map(math.comb, e, alpha))
+                    for e, c in a.items()
+                    if all(x >= y for x, y in zip(e, alpha))})
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_raw_arithmetic_matches_field_element_reference(data):
+    F = data.draw(st.sampled_from(ORACLE_FIELDS))
+    R = RingContext(F, ("x", "y"))
+    a, b = data.draw(term_maps(R)), data.draw(term_maps(R))
+    c = data.draw(field_values(F))
+    f, g = Polynomial(R, a), Polynomial(R, b)
+    assert f.terms == a
+    for h, expected in ((f + g, ref_add(a, b)),
+                        (f - g, ref_add(a, ref_scale(b, -1))),
+                        (-f, ref_scale(a, -1)), (f.scale(c), ref_scale(a, c))):
+        # equal term maps of FieldElements: the raw values are canonical
+        assert h.terms == expected
+        assert h == Polynomial(R, expected)
+        assert hash(h) == hash(Polynomial(R, expected))
+    for i, var in enumerate(R.variables):
+        d = max((e[i] for e in a), default=-1)
+        assert [h.terms for h in f.coefficients_in(var)] == [
+            {e[:i] + (0,) + e[i + 1:]: c for e, c in a.items() if e[i] == n}
+            for n in range(d + 1)]
+        assert formal_derivative(f, var).terms == nonzero(
+            {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+             for e, c in a.items() if e[i]})
+    alpha = data.draw(exponents(R, 3))
+    assert hasse_derivative(f, alpha).terms == ref_hasse(a, alpha)
+    x_only = {e: c for e, c in a.items() if not e[1]}
+    S = RingContext(F, ("x",))
+    assert Polynomial(R, x_only).project_out("y") == Polynomial(
+        S, {e[:1]: c for e, c in x_only.items()})
+    # a divisor monic in x: x^d plus the terms of b below degree d in x
+    d = data.draw(st.integers(1, 3))
+    monic = {e: c for e, c in b.items() if e[0] < d}
+    monic[(d, 0)] = F.one()
+    q, r = univ_divmod(f, Polynomial(R, monic), "x")
+    ref_q, ref_r = ref_divmod(a, monic, 0)
+    assert (q.terms, r.terms) == (ref_q, ref_r)
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_full_cancellation_is_the_zero_polynomial(data):
+    F = data.draw(st.sampled_from(ORACLE_FIELDS))
+    R = RingContext(F, ("x", "y"))
+    f = Polynomial(R, data.draw(term_maps(R)))
+    for z in (f - f, f + (-f), -f + f, f.scale(0), f.scale(F.zero())):
+        assert z.is_zero() and not z and z.terms == {}
+        assert z == R.zero() and hash(z) == hash(R.zero())
+        assert str(z) == "0"
