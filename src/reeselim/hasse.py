@@ -3,12 +3,15 @@
 Delta^alpha extracts the T^alpha coefficient of f(x + T); termwise this is
 Delta^alpha(x^beta) = prod_i C(beta_i, alpha_i) * x^(beta - alpha) with the
 binomials computed as exact integers and then reduced into the field, so
-the operators are correct in every characteristic.
+the operators are correct in every characteristic.  `hasse_derivatives`
+builds a whole table in one pass over the support of f: each term x^beta
+feeds Delta^alpha for every alpha <= beta it reaches.
 """
 from __future__ import annotations
 
 from itertools import product
-from math import comb
+from math import comb, prod
+from operator import sub
 
 from .fields import FieldElement
 from .poly import Polynomial, RingError
@@ -30,23 +33,27 @@ def normalize_multiindex(ring, alpha):
     return alpha
 
 
+def _term_coefficient(field, v, beta, alpha):
+    """The raw coefficient of x^(beta - alpha) in Delta^alpha(v x^beta), for
+    alpha <= beta: v times the binomial, which is zero when p divides it."""
+    binom = prod(map(comb, beta, alpha))
+    if binom == 1:
+        return v
+    return (FieldElement(field, v) * field.element(binom)).val
+
+
 def hasse_derivative(f, alpha):
     """Delta^alpha(f): the coefficient of T^alpha in f(x + T)."""
     ring = f.ring
     alpha = normalize_multiindex(ring, alpha)
     field = ring.field
     raw = {}
-    for exps, v in f._raw.items():
-        if any(a > b for a, b in zip(alpha, exps)):
+    for beta, v in f._raw.items():
+        if any(a > b for a, b in zip(alpha, beta)):
             continue
-        binom = 1
-        for b, a in zip(exps, alpha):
-            binom *= comb(b, a)
-        if binom != 1:   # a field product, zero when p divides binom
-            v = (FieldElement(field, v) * field.element(binom)).val
-        if v:
-            # exps -> exps - alpha is injective: no two terms share a key
-            raw[tuple(b - a for b, a in zip(exps, alpha))] = v
+        if v := _term_coefficient(field, v, beta, alpha):
+            # beta -> beta - alpha is injective: no two terms share a key
+            raw[tuple(map(sub, beta, alpha))] = v
     return Polynomial._from_raw(ring, raw)
 
 
@@ -55,24 +62,26 @@ def hasse_derivatives(f, n, active=None):
     variables (all variables when None), by increasing |alpha| and then
     lexicographically; zero derivatives are left out.
 
-    Delta^alpha(f) is zero unless alpha <= some exponent of f, so only the
-    alpha below a term of f are tried: the cost follows the support, not
-    the n^m multi-indices of the whole simplex."""
+    One pass over the terms of f: each x^beta contributes to Delta^alpha
+    for every alpha <= beta in the simplex, so the cost follows the
+    support, not the n^m multi-indices of the whole simplex."""
     ring = f.ring
+    field = ring.field
     if active is None:
         active_idx = range(ring.nvars)
     else:
         active_idx = {ring.var_index(v) for v in active}
-    tops = {tuple(min(b, n - 1) + 1 if i in active_idx else 1
-                  for i, b in enumerate(beta)) for beta in f._raw}
-    alphas = {a for top in tops for a in product(*map(range, top))
-              if sum(a) < n}
-    out = {}
-    for alpha in sorted(alphas, key=lambda a: (sum(a), a)):
-        df = hasse_derivative(f, alpha)
-        if not df.is_zero():
-            out[alpha] = df
-    return out
+    table = {}
+    for beta, v in f._raw.items():
+        tops = [min(b, n - 1) + 1 if i in active_idx else 1
+                for i, b in enumerate(beta)]
+        for alpha in product(*map(range, tops)):
+            if sum(alpha) < n and (
+                    c := _term_coefficient(field, v, beta, alpha)):
+                # beta -> beta - alpha is injective for a fixed alpha
+                table.setdefault(alpha, {})[tuple(map(sub, beta, alpha))] = c
+    return {alpha: Polynomial._from_raw(ring, table[alpha])
+            for alpha in sorted(table, key=lambda a: (sum(a), a))}
 
 
 def diff_closure_list(f, n, active=None):

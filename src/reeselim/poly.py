@@ -73,7 +73,8 @@ class RingContext(Immutable):
         return Polynomial._from_raw(self, {})
 
     def one(self):
-        return self.constant(1)
+        # 1 is the raw one of every field, as in var
+        return Polynomial._from_raw(self, {(0,) * self.nvars: 1})
 
     def constant(self, value):
         v = self.coeff(value).val
@@ -439,7 +440,7 @@ class Polynomial(Immutable):
         d = self.degree_in(var)
         top = [(e, v) for e, v in self._raw.items() if e[i] == d]
         return (len(top) == 1 and sum(top[0][0]) == d
-                and top[0][1] == self.ring.field.one().val)
+                and top[0][1] == 1)   # the raw one of every field
 
     def __repr__(self):
         return "Polynomial(%s)" % format_polynomial(self)

@@ -341,10 +341,13 @@ def degree_ideal(G, k):
     When every generator is a monomial, I_k = sum_g g * I_{k - w_g} with
     I_j = (1) for j <= 0: the minimal exponent vectors of I_1..I_k are
     computed bottom up, one level at a time, and the output lists those of
-    I_k in grevlex order.  Each carries the scalar of the first minimal
-    multiset whose product has that exponent vector, taking multisets as
-    sorted index tuples in lexicographic order (the enumeration order
-    below).
+    I_k in grevlex order.  The levels skip every generator x^d W^v
+    dominated by another x^e W^w (e | d and w >= v), such as the
+    down-shifted copies a saturation lists, since it adds nothing to any
+    level.  Each output monomial carries the scalar of the first minimal
+    multiset whose product has that exponent vector, taking multisets over
+    all the generators, skipped or not, as sorted index tuples in
+    lexicographic order (the enumeration order below).
 
     Otherwise multisets are enumerated depth first in generator order, each
     minimal one is multiplied out once, and monomial products divisible by
@@ -374,11 +377,22 @@ def degree_ideal(G, k):
 def _monomial_degree_ideal(ring, gens, k):
     terms = [next(iter(g.poly._raw.items())) for g in gens]
     weights = [g.weight for g in gens]
+    # x^e W^w dominates x^d W^v when e | d and w >= v: the levels decrease,
+    # so x^d I_{j-v} lies in x^e I_{j-w} and the dominated generator adds no
+    # minimal exponent to any level.  Visited by decreasing weight, then
+    # total degree, a dominator comes before what it dominates, and every
+    # kept generator weighs at least as much as the one tested, so the
+    # divisibility test is the whole dominance test.
+    kept = []
+    for e, w in sorted(((e, w) for (e, _), w in zip(terms, weights)),
+                       key=lambda g: (-g[1], sum(g[0]))):
+        if not any(all(map(le, d, e)) for d, _ in kept):
+            kept.append((e, w))
     levels = [[(0,) * ring.nvars]]   # levels[j]: minimal exponents of I_j
     for j in range(1, k + 1):
         levels.append(minimal_exponents(
             tuple(map(add, e, v))
-            for (e, _), w in zip(terms, weights)
+            for e, w in kept
             for v in levels[max(j - w, 0)]))
 
     def first_scalar(start, rest, weight_sum, scalar):
@@ -403,8 +417,8 @@ def _monomial_degree_ideal(ring, gens, k):
                 return mul(scalar, c)
         return None
 
-    mul, one = ring.field.mul, ring.field.one().val
-    return [Polynomial._from_raw(ring, {e: first_scalar(0, e, 0, one)})
+    mul = ring.field.mul
+    return [Polynomial._from_raw(ring, {e: first_scalar(0, e, 0, 1)})
             for e in levels[k]]
 
 

@@ -136,7 +136,7 @@ def simplex_oracle_derivatives(f, n, active):
 
 def test_support_enumeration_matches_the_simplex_oracle():
     rng = random.Random(37)
-    for spec in ("Q", "F2", "F3", "F4"):
+    for spec in ("Q", "F2", "F3", "F4", "F9", "F8:t^3+t^2+1"):
         for names in (("X",), ("X", "Y"), ("X", "Y", "Z")):
             R = ring(spec, *names)
             for _ in range(8):
@@ -151,6 +151,15 @@ def test_support_enumeration_matches_the_simplex_oracle():
                 if active == list(names):
                     assert list(hasse_derivatives(f, n).items()) == \
                         list(want.items())
+
+
+def test_a_derivative_every_binomial_of_which_p_divides_is_left_out():
+    # Delta_X(X^2) = 2X and Delta_X(X^2*Y) = 2XY vanish over F2
+    R = ring("F2", "X", "Y")
+    f = R.parse("X^2+X^2*Y")
+    assert hasse_derivative(f, (1, 0)).is_zero()
+    assert hasse_derivatives(f, 2) == {(0, 0): f, (0, 1): R.parse("X^2")}
+    assert list(hasse_derivatives(f, 2)) == [(0, 0), (0, 1)]
 
 
 def test_saturation_of_sparse_high_weight_input_follows_the_support(

@@ -415,6 +415,47 @@ def test_degree_ideal_matches_scalar_oracle():
                     scalar_oracle_degree_ideal(G, k), (pairs, k)
 
 
+def test_degree_ideal_scalar_comes_from_a_dominated_generator():
+    R = ring("Q", "X", "Y")
+    # 2X W is dominated by X W^2 and left out of the levels, but the first
+    # minimal multiset of I_1 is (0,) -> 2X
+    G = algebra(R, ("2*X", 1), ("X", 2))
+    assert degree_ideal(G, 1).generators == (R.parse("2*X"),)
+    assert degree_ideal(G, 2).generators == (R.parse("X"),)
+    # X^2 W^3 dominates X^2*Y W^2 and X^3 W^1, but not X W^1
+    G = algebra(R, ("X^3", 1), ("X^2*Y", 2), ("X^2", 3), ("X", 1))
+    for k in range(1, 5):
+        assert degree_ideal(G, k).generators == \
+            scalar_oracle_degree_ideal(G, k), k
+
+
+def test_degree_ideal_of_saturated_monomials_matches_scalar_oracle():
+    # the transform pool's shape: a saturation lists each derivative with
+    # its down-shifted copies, most of them dominated by another generator
+    rng = random.Random(13)
+    for spec in ("Q", "F2", "F3"):
+        coeffs = _nonzero_coeffs(ring(spec, "X"))
+        for n in range(10):
+            R = ring(spec, *("X", "Y", "Z")[:2 + n % 2])
+            pairs = [(R.monomial(tuple(rng.randrange(4) for _ in R.variables),
+                                 rng.choice(coeffs)), rng.randrange(1, 4))
+                     for _ in range(rng.randrange(1, 4))]
+            gens = list(diff_saturate(ReesAlgebra.from_pairs(R,
+                                                             pairs)).generators)
+            if n % 2 and len(coeffs) > 1:
+                # one exponent again, first in file order, at a lower
+                # weight and with another scalar
+                g = max(gens, key=lambda g: g.weight)
+                if g.weight > 1:
+                    gens.insert(0, ReesGenerator(
+                        g.poly.scale(rng.choice(coeffs[1:])),
+                        rng.randrange(1, g.weight)))
+            G = ReesAlgebra(R, gens)
+            for k in range(1, 5):
+                assert degree_ideal(G, k).generators == \
+                    scalar_oracle_degree_ideal(G, k), (pairs, k)
+
+
 def test_degree_ideal_order_does_not_depend_on_hash_seed():
     script = (
         "from reeselim import *\n"
