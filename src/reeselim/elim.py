@@ -135,7 +135,9 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
     Relative diff-saturation in z_var first; then every saturated generator
     (g, n) is reduced mod f and contributes the coefficients h_j of the
     characteristic polynomial of multiplication-by-g, at weight j*n.
-    Generators reducing to zero contribute nothing.  A weight above
+    Generators reducing to zero contribute nothing.  Saturation emits a
+    polynomial again at each lower weight, so each distinct g gets one
+    multiplication matrix and one char poly per call.  A weight above
     CHARPOLY_DEGREE_CAP raises ResourceCapError before any saturation.
     """
     ring = G.ring
@@ -157,14 +159,16 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
     sat = diff_saturate(G, {z_var})
     base = ring.drop_variable(z_var)
     found = {}   # (h_j projected, weight) -> (g, weight of g, j), first source
+    coeffs = {}   # g -> its (j, nonzero h_j projected), () if g = 0 mod f
     for g in sat.generators:
-        M = mult_matrix(g.poly, f, z_var)
-        if M.element.is_zero():
-            continue
-        for j, h in enumerate(char_poly(M), start=1):
-            if not h.is_zero():
-                found.setdefault((h.project_out(z_var), j * g.weight),
-                                 (g.poly, g.weight, j))
+        hs = coeffs.get(g.poly)
+        if hs is None:
+            M = mult_matrix(g.poly, f, z_var)
+            hs = coeffs[g.poly] = () if M.element.is_zero() else tuple(
+                (j, h.project_out(z_var))
+                for j, h in enumerate(char_poly(M), start=1) if not h.is_zero())
+        for j, h in hs:
+            found.setdefault((h, j * g.weight), (g.poly, g.weight, j))
     algebra = ReesAlgebra.from_pairs(base, found)
     return EliminationResult(base, algebra, found.values())
 

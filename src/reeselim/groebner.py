@@ -19,7 +19,10 @@ generator specializes to a nonzero constant.  It specializes raw values
 and reduces once per output coefficient, as the product kernel does;
 only the emitted points hold FieldElements.  The branches of each scan,
 the ramification check's included, count against ``SCAN_BUDGET``;
-exceeding it raises ``ResourceCapError`` (CLI exit 3).
+exceeding it raises ``ResourceCapError`` (CLI exit 3).  A generator
+a*X + b in the next coordinate X alone pins X to -b/a, so only that value
+is visited; the values it skips still count, one branch each, so the cap
+falls exactly where visiting every value would put it.
 """
 from __future__ import annotations
 
@@ -268,8 +271,14 @@ def rational_zero_set(ideal):
     scan; each output coefficient is summed unreduced and reduced once.
     It drops the generators that become zero and is abandoned as soon as
     one becomes a nonzero constant; a point is emitted only when every
-    coordinate is fixed.  Every branch visited counts against
-    ``SCAN_BUDGET``.
+    coordinate is fixed.
+
+    When a surviving generator is a*X + b in the next coordinate X alone,
+    only its root X = -b/a is visited: every other value makes it a nonzero
+    constant.  Every value counts against ``SCAN_BUDGET`` as one branch in
+    enumeration order, the skipped ones included: those up to the root
+    before its subtree, the rest after it.  So the cap is reached, and
+    reported, exactly where visiting every value would reach it.
     """
     ring = ideal.ring
     field = ring.field
@@ -283,29 +292,51 @@ def rational_zero_set(ideal):
     gens = [g._raw for g in ideal.generators]
     top = max((max(e) for t in gens for e in t), default=0)
     elements = field.elements()
+    q = len(elements)
+    index = {c.val: i for i, c in enumerate(elements)}
+    mul, neg, inv = field.mul, field.neg, field.inv
     one = field.one().val
     powers = []   # powers[i][e] == elements[i].val**e for e <= top, raw
     for c in elements:
         row = [one]
         for _ in range(top):
-            row.append(field.mul(row[-1], c.val))
+            row.append(mul(row[-1], c.val))
         powers.append(row)
+    # the keys of X and of 1 when `fixed` coordinates are fixed
+    linear = [((1,) + (0,) * (nvars - fixed - 1), (0,) * (nvars - fixed))
+              for fixed in range(nvars)]
     points = set()
     prefix = []
     visited = 0
 
-    def scan(gens):
+    def charge(branches):
         nonlocal visited
-        if len(prefix) == nvars:
+        visited += branches
+        if visited > SCAN_BUDGET:
+            raise ResourceCapError(
+                "point scan exceeds budget %d: %d branches visited, "
+                "%d of %d coordinates fixed"
+                % (SCAN_BUDGET, SCAN_BUDGET + 1, len(prefix) + 1, nvars))
+
+    def scan(gens):
+        fixed = len(prefix)
+        if fixed == nvars:
             points.add(RationalPoint(ring, prefix))
             return
-        for c, row in zip(elements, powers):
-            visited += 1
-            if visited > SCAN_BUDGET:
-                raise ResourceCapError(
-                    "point scan exceeds budget %d: %d branches visited, "
-                    "%d of %d coordinates fixed"
-                    % (SCAN_BUDGET, visited, len(prefix) + 1, nvars))
+        x, constant = linear[fixed]
+        root = None
+        for t in gens:
+            if x in t and (len(t) == 1 or len(t) == 2 and constant in t):
+                root = index[mul(neg(t.get(constant, 0)), inv(t[x]))]
+                break
+        if root is None:
+            values = range(q)
+        else:
+            charge(root)   # the values before the root
+            values = (root,)
+        for i in values:
+            charge(1)
+            row = powers[i]
             special = []
             for t in gens:
                 s = _specialize(field, t, row)
@@ -314,9 +345,11 @@ def rational_zero_set(ideal):
                 if s:
                     special.append(s)
             else:
-                prefix.append(c)
+                prefix.append(elements[i])
                 scan(special)
                 prefix.pop()
+        if root is not None:
+            charge(q - 1 - root)   # the values after it
 
     scan(gens)
     return points

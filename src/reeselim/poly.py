@@ -244,7 +244,9 @@ class Polynomial(Immutable):
     __radd__ = __add__
 
     def __neg__(self):
-        return self.scale(-1)
+        neg = self.ring.field.neg
+        return Polynomial._from_raw(
+            self.ring, {e: neg(v) for e, v in self._raw.items()})
 
     def __sub__(self, other):
         return self.__add__(other, self.ring.field.neg)

@@ -287,6 +287,30 @@ def test_mult_matrix_divides_once(monkeypatch):
     assert len(calls) == 1 and M.matrix[2][2] == QYZ.one()
 
 
+def test_eliminate_builds_one_char_poly_per_distinct_polynomial(monkeypatch):
+    # saturation emits Z^2+X^3+Y^4 at weights 1 and 2: five generators,
+    # four distinct polynomials, four multiplication matrices
+    calls = []
+
+    def counting_mult_matrix(g, f, z_var):
+        calls.append(g)
+        return mult_matrix(g, f, z_var)
+
+    monkeypatch.setattr(elim, "mult_matrix", counting_mult_matrix)
+    R = ring("Q", "X", "Y", "Z")
+    G = diff_saturate(algebra(R, ("Z^2+X^3+Y^4", 2)))
+    result = eliminate(G, ReesGenerator(R.parse("Z^2+X^3+Y^4"), 2), "Z")
+    assert len(G.generators) == 5 and len(calls) == 4
+    assert len(set(calls)) == 4
+    assert format_elimination(result) == (
+        "ring: Q[X,Y]\n"
+        "gen: 4*Y^4+4*X^3 w 2  # from: 2*Z w 1 coeff 2\n"
+        "gen: -8*Y^3 w 1  # from: 4*Y^3 w 1 coeff 1\n"
+        "gen: 16*Y^6 w 2  # from: 4*Y^3 w 1 coeff 2\n"
+        "gen: -6*X^2 w 1  # from: 3*X^2 w 1 coeff 1\n"
+        "gen: 9*X^4 w 2  # from: 3*X^2 w 1 coeff 2\n")
+
+
 def mult_matrix_by_columns(g, f, z_var):
     """Entry (i, j) is the Z^i coefficient of g*Z^j mod f, one division per
     column: the oracle for mult_matrix's companion recurrence."""

@@ -213,6 +213,107 @@ def test_extension_field_scan_budget_is_exact(monkeypatch):
         rational_zero_set(everything)
 
 
+def _linear_in_middle(R):
+    """Ideals over R = F[x, Z, y] with a generator a(x)*Z + b(x): once x is
+    fixed, the scan solves Z instead of trying all q values."""
+    x, Z, y = (R.var(v) for v in R.variables)
+    return [
+        [Z - x**2 - 1],
+        [Z - x, y**2 - Z],
+        # a = x^2 - x vanishes at x = 0 (where b = 0 too: Z is free) and
+        # at x = 1 (where b = 2: no point unless p = 2)
+        [(x**2 - x) * Z + x**3 + x, y**2 - Z * x],
+        # no b: the root is 0, and Z is free at x = -1
+        [(x + 1) * Z, y - Z - x],
+        # b = -1 is a nonzero constant where a = x vanishes
+        [x * Z - 1, Z * y - x],
+        # linear in Z, but also in y: Z is enumerated unless x = 0
+        [Z + x * y, y**2 - x],
+    ]
+
+
+@pytest.mark.parametrize("spec", ["F2", "F3", "F4", "F5", "F8", "F9", "F16",
+                                  "F25"])
+def test_solved_coordinate_matches_brute_force(spec):
+    R = ring(spec, "x", "Z", "y")
+    cases = _linear_in_middle(R)
+    if R.field.order > 9:
+        # the brute force over q^3 points is the slow part: keep the cases
+        # where a vanishes on some branches, and where b is absent
+        cases = cases[2:4]
+    for gens in cases:
+        I = Ideal(R, gens)
+        assert rational_zero_set(I) == _brute_zero_set(I), gens
+
+
+def test_solved_coordinate_visits_only_the_root(monkeypatch):
+    # the answers are the same whether Z is solved or enumerated: only the
+    # number of specializations tells a solve that never fires
+    calls = []
+
+    def counting_specialize(field, terms, powers):
+        calls.append(terms)
+        return specialize(field, terms, powers)
+
+    specialize = groebner._specialize
+    monkeypatch.setattr(groebner, "_specialize", counting_specialize)
+    R = ring("F25", "x", "Z")
+    x, Z = R.var("x"), R.var("Z")
+    assert rational_zero_set(Ideal(R, [Z - x])) == \
+        {R.point([c, c]) for c in R.field.elements()}
+    # 25 values of x, then one Z each, where enumeration makes 25 + 25 * 25
+    assert len(calls) == 50
+    calls.clear()
+    # Z^2 - x is not linear: every Z is tried; x = 0 has one root, each
+    # of the 12 nonzero squares two
+    assert len(rational_zero_set(Ideal(R, [Z**2 - x]))) == 25
+    assert len(calls) == 25 + 25 * 25
+
+
+def _enumeration_levels(ideal):
+    """The level (coordinates fixed, 1-based) of each branch in the order a
+    scan that tries every value of every coordinate visits them; a branch is
+    abandoned when a generator becomes a nonzero constant."""
+    R = ideal.ring
+    levels = []
+
+    def walk(prefix):
+        if len(prefix) == R.nvars:
+            return
+        for c in R.field.elements():
+            levels.append(len(prefix) + 1)
+            values = dict(zip(R.variables, prefix + [c]))
+            special = [g.substitute(values) for g in ideal.generators]
+            if not any(s.is_constant() and not s.is_zero() for s in special):
+                walk(prefix + [c])
+
+    walk([])
+    return levels
+
+
+def test_solved_coordinate_caps_where_enumeration_does(monkeypatch):
+    # the values a solve skips count as branches in enumeration order, so
+    # every budget raises with enumeration's message, or does not raise
+    F5 = ring("F5", "x", "Z")
+    F9 = ring("F9", "x", "Z", "y")
+    x, Z = F5.var("x"), F5.var("Z")
+    cases = [Ideal(F5, [Z - x]), Ideal(F5, [(x - 2) * Z + x])]
+    cases += [Ideal(F9, gens) for gens in _linear_in_middle(F9)[1:4]]
+    for I in cases:
+        levels = _enumeration_levels(I)
+        n, q = I.ring.nvars, I.ring.field.order
+        assert 2 in levels[q:]   # some budgets cross inside a solved level
+        for budget in range(q, len(levels)):
+            monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", budget)
+            message = ("point scan exceeds budget %d: %d branches visited, "
+                       "%d of %d coordinates fixed"
+                       % (budget, budget + 1, levels[budget], n))
+            with pytest.raises(ResourceCapError, match="^%s$" % message):
+                rational_zero_set(I)
+        monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", len(levels))
+        assert rational_zero_set(I) == _brute_zero_set(I)
+
+
 def test_normal_form_is_linear():
     gb = buchberger(Ideal(QYZ, [QYZ.parse("Z^2+Y^5"), QYZ.parse("Y*Z")]))
     basis = list(gb.basis)
