@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .fields import FieldError
 from .groebner import ResourceCapError, rational_zero_set
 from .poly import RationalPoint, RingError
 from .rees import (ReesError, diff_saturate, e0_invariant, format_algebra,
@@ -39,18 +38,8 @@ def _read_text(path):
         return fh.read()
 
 
-def _load_algebra(path, field_override=None):
-    text = _read_text(path)
-    if field_override:
-        lines = []
-        for line in text.splitlines():
-            if line.strip().startswith("ring:"):
-                head, _, body = line.partition(":")
-                varlist = body[body.index("["):]
-                line = "ring: %s%s" % (field_override, varlist)
-            lines.append(line)
-        text = "\n".join(lines)
-    return parse_algebra(text)
+def _load_algebra(path, field=None):
+    return parse_algebra(_read_text(path), field)
 
 
 def _parse_point(ring, text):
@@ -161,7 +150,7 @@ def _cmd_blowup(args, out):
 
 
 def _cmd_ramify_verify(args, out):
-    G = _load_algebra(args.file, field_override=args.field)
+    G = _load_algebra(args.file, args.field)
     if not G.generators:
         raise ReesError("no factors in input")
     inp = MonicInput(G.ring, args.var, [g.poly for g in G.generators])
@@ -252,7 +241,7 @@ def main(argv=None, out=None):
     except ResourceCapError as exc:
         out.write("error: %s\n" % exc)
         return EXIT_CAP
-    except (ReesError, RingError, FieldError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:   # Field/Ring/ReesError among them
         out.write("error: %s\n" % exc)
         return EXIT_USAGE
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .fields import Immutable
 from .groebner import ResourceCapError
 from .poly import RingError, _sum_of_products, univ_divmod
-from .rees import ReesAlgebra, ReesError, diff_saturate
+from .rees import ReesAlgebra, ReesError, diff_saturate, format_algebra
 
 CHARPOLY_DEGREE_CAP = 12
 
@@ -175,7 +175,6 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
 
 def format_elimination(result):
     """Algebra file format with per-generator provenance comments."""
-    from .rees import format_algebra
     comments = {i: "from: %s w %d coeff %d" % prov
                 for i, prov in enumerate(result.provenance)}
     return format_algebra(result.algebra, provenance=comments)

@@ -16,6 +16,8 @@ inverted and reduced: each descriptor binds those functions once, and
 FieldElement, the polynomial product and the point scan call them.  An
 F_{p^k} reduction is a packed fold: each digit above the k low ones, taken
 mod p, adds its multiple of the packed residue of t^j mod the modulus.
+A spec's modulus is read by the polynomial parser over F_p[t], and every
+power, here and in poly, is one square-and-multiply (_power).
 """
 from __future__ import annotations
 
@@ -86,15 +88,16 @@ def _polymod(num, mod, p):
     return tuple(c % p for c in num[:d])
 
 
-def _power(mul, a, n):
-    """a^n for n >= 1 by square-and-multiply, on F_{p^k} raw values."""
-    out = 1
-    while n:
+def _power(mul, a, n, out=1):
+    """out * a^n for n >= 0 by square-and-multiply under mul: every power
+    in the library, on raw field values and on polynomials alike."""
+    while True:
         if n & 1:
             out = mul(out, a)
-        a = mul(a, a)
         n >>= 1
-    return out
+        if not n:
+            return out
+        a = mul(a, a)
 
 
 def _raw_arithmetic(p, k, modulus):
@@ -290,7 +293,9 @@ class FieldDescriptor(Immutable):
 
     @staticmethod
     def parse(spec):
-        """Parse "Q", "F5", or "F4:t^2+t+1"."""
+        """Parse "Q", "F5", or "F4:t^2+t+1".  The modulus is a polynomial
+        over F_p[t] in the syntax of poly.parse_polynomial, so "t*t+t+1"
+        and "t^2+1/2" (1/2 is the inverse of 2 mod p) are read too."""
         spec = spec.strip()
         if spec == "Q":
             return FieldDescriptor(0)
@@ -309,8 +314,14 @@ class FieldDescriptor(Immutable):
         p = _iroot(q, k)
         if p < 2**31 and not _is_prime(p):
             raise FieldError("%d is not a prime power" % q)
-        modulus = _parse_modulus(modtext, p, k) if modtext else None
-        return FieldDescriptor(p, k, modulus)
+        if not modtext:
+            return FieldDescriptor(p, k)
+        from .poly import RingContext   # poly imports this module
+        f = RingContext(FieldDescriptor(p), ("t",)).parse(modtext)
+        if f.degree_in("t") > k:
+            raise FieldError("modulus degree exceeds extension degree")
+        return FieldDescriptor(p, k, tuple(f._raw.get((i,), 0)
+                                           for i in range(k + 1)))
 
     def spec(self):
         if self.p == 0:
@@ -323,31 +334,6 @@ class FieldDescriptor(Immutable):
 
     def __repr__(self):
         return "FieldDescriptor(%s)" % self.spec()
-
-
-def _parse_modulus(text, p, k):
-    """Parse "t^2+t+1" into a coefficient tuple over F_p."""
-    coeffs = [0] * (k + 1)
-    text = text.replace(" ", "").replace("-", "+-")
-    for term in filter(None, text.split("+")):
-        coef = 1
-        if term.startswith("-"):
-            coef = -1
-            term = term[1:]
-        if "t" in term:
-            head, _, tail = term.partition("t")
-            if head.endswith("*"):
-                head = head[:-1]
-            if head:
-                coef *= int(head)
-            exp = int(tail[1:]) if tail.startswith("^") else 1
-        else:
-            coef *= int(term)
-            exp = 0
-        if exp > k:
-            raise FieldError("modulus degree exceeds extension degree")
-        coeffs[exp] = (coeffs[exp] + coef) % p
-    return tuple(coeffs)
 
 
 def _format_modulus(modulus):
@@ -437,14 +423,8 @@ class FieldElement(Immutable):
     def __pow__(self, n):
         if n < 0:
             return self.inverse()**(-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        f = self.field
+        return FieldElement(f, _power(f.mul, self.val, n))
 
     def pth_root(self):
         """The unique b with b^p = self; Frobenius is bijective on F_{p^k}."""

@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import add
 from types import MappingProxyType
 
-from .fields import FieldElement, Immutable
+from .fields import FieldElement, Immutable, _power
 
 INFINITE_ORDER = math.inf
 
@@ -265,14 +265,7 @@ class Polynomial(Immutable):
     def __pow__(self, n):
         if n < 0:
             raise RingError("negative polynomial power")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(Polynomial.__mul__, self, n, self.ring.one())
 
     def scale(self, c):
         mul, c = self.ring.field.mul, self.ring.coeff(c).val
@@ -472,24 +465,22 @@ def univ_divmod(f, g, var):
     return q, r
 
 
+def _monic_in(f, var):
+    """f != 0 over its top coefficient in var, which must be a constant."""
+    lead = f.coefficients_in(var)[-1]
+    if not lead.is_constant():
+        raise RingError("gcd requires univariate input")
+    return f.scale(lead.constant_value().inverse())
+
+
 def univ_gcd(f, g, var):
     """Monic gcd of two polynomials univariate in var over their field."""
+    if not g:
+        return _monic_in(f, var) if f else f
     a, b = f, g
-    while not b.is_zero():
-        lead = b.coefficients_in(var)[-1]
-        if not lead.is_constant():
-            raise RingError("gcd requires univariate input")
-        b_monic = b.scale(lead.constant_value().inverse())
-        _, r = univ_divmod(a, b_monic, var)
-        a, b = b_monic, r
-    if a.is_zero():
-        return a
-    lead = a.coefficients_in(var)
-    if lead:
-        c = lead[-1]
-        if not c.is_constant():
-            raise RingError("gcd requires univariate input")
-        a = a.scale(c.constant_value().inverse())
+    while b:
+        b = _monic_in(b, var)
+        a, b = b, univ_divmod(a, b, var)[1]
     return a
 
 
@@ -530,8 +521,7 @@ def univ_radical(f):
     var = _only_variable(f)
     if f.degree_in(var) == 0:
         return ring.one()
-    lead = f.coefficients_in(var)[-1].constant_value()
-    f = f.scale(lead.inverse())
+    f = _monic_in(f, var)
     deriv = formal_derivative(f, var)
     if deriv.is_zero():
         # f = h(var^p); take p-th roots of coefficients and recurse
@@ -586,17 +576,16 @@ def parse_polynomial(ring, text):
         return tok
 
     def parse_factor():
-        tok = peek()
+        tok = advance()
         if tok == "(":
-            advance()
-            inner = parse_sum()
+            base = parse_sum()
             if advance() != ")":
                 raise RingError("unbalanced parentheses")
-            return inner
-        if tok is None:
+        elif tok is None:
             raise RingError("unexpected end of polynomial")
-        advance()
-        if tok.replace("/", "").isdigit():
+        elif tok in ("^", "*", "+", "-", ")"):
+            raise RingError("unexpected %r in polynomial text" % tok)
+        elif tok.replace("/", "").isdigit():
             try:
                 base = ring.constant(Fraction(tok) if "/" in tok else int(tok))
             except ZeroDivisionError:

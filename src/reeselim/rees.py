@@ -6,6 +6,9 @@ generators' terms.
 An algebra with generators {g_i W^{n_i}} always denotes the subalgebra
 spanned by those elements together with every down-shifted copy g_i W^{n'}
 for 1 <= n' <= n_i, so the degree filtration is decreasing.
+
+The file format's grammar lives in parse_algebra alone, which also applies
+a caller's field override (the CLI's --field).
 """
 from __future__ import annotations
 
@@ -243,18 +246,15 @@ def tau_estimate(G, at):
     if not is_simple(G, at):
         raise ReesError("tau is defined at simple points only")
     rows = []
-    levels = [1]
-    if field.p > 0:
-        q = field.p
-        while q <= G.max_weight:
-            levels.append(q)
-            q *= field.p
+    levels = [1]   # the Frobenius levels p^e <= max weight (only 1 over Q)
+    while field.p and levels[-1] * field.p <= G.max_weight:
+        levels.append(levels[-1] * field.p)
     for g in G.generators:
         shifted = g.poly.recenter(at)
         order = shifted.order_at_origin()
         if order != g.weight or g.weight not in levels:
             continue
-        q = g.weight
+        q = g.weight   # = p^e with e = levels.index(q)
         init = shifted.initial_form()
         vector = [field.zero()] * ring.nvars
         diagonal = True
@@ -265,14 +265,8 @@ def tau_estimate(G, at):
                 break
             i = nonzero[0][0]
             root = coeff
-            if field.p > 0:
-                e = 0
-                qq = q
-                while qq > 1:
-                    qq //= field.p
-                    e += 1
-                for _ in range(e):
-                    root = root.pth_root()
+            for _ in range(levels.index(q)):
+                root = root.pth_root()
             vector[i] = vector[i] + root
         if diagonal and any(not c.is_zero() for c in vector):
             rows.append(vector)
@@ -433,12 +427,14 @@ def _drop_divisible_monomials(products):
 
 # -- file format ------------------------------------------------------
 
-def parse_algebra(text):
+def parse_algebra(text, field=None):
     """Parse the algebra file format:
 
         ring: F2[Y,Z]
         gen: Z^2+Y^5 w 2
-    """
+
+    A field spec such as "F5" in `field` replaces the header's field (the
+    header must still be well formed); the generators are read over it."""
     ring = None
     pairs = []
     for raw in text.splitlines():
@@ -450,9 +446,8 @@ def parse_algebra(text):
             if "[" not in body or not body.endswith("]"):
                 raise ReesError("bad ring header %r" % line)
             fieldspec, varlist = body[:-1].split("[", 1)
-            field = FieldDescriptor.parse(fieldspec.strip())
-            variables = [v.strip() for v in varlist.split(",")]
-            ring = RingContext(field, variables)
+            ring = RingContext(FieldDescriptor.parse(field or fieldspec),
+                               [v.strip() for v in varlist.split(",")])
         elif line.startswith("gen:"):
             if ring is None:
                 raise ReesError("gen line before ring header")

@@ -239,6 +239,10 @@ REJECTIONS = [
     _rejection("bad-ring-header", "saturate",
                "ring: F2 Y,Z\ngen: Z w 1\n", [],
                "bad ring header 'ring: F2 Y,Z'"),
+    # --field replaces the field of a well-formed header only
+    _rejection("field-override-bad-ring-header", "ramify-verify",
+               "ring: F2\ngen: Z^2+Y w 2\n", ["--field", "F5"],
+               "bad ring header 'ring: F2'"),
     _rejection("bad-generator-line", "saturate",
                "ring: F2[Y,Z]\ngen: Z^2\n", [],
                "bad generator line 'gen: Z^2'"),

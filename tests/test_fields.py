@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from reeselim import FieldDescriptor, FieldElement, FieldError
+from reeselim import FieldDescriptor, FieldElement, FieldError, RingError
 from reeselim.fields import _polymod
 
 Q = FieldDescriptor.parse("Q")
@@ -373,3 +373,46 @@ def test_value_types_refuse_assignment():
                 setattr(value, attr, None)
     # a descriptor is hashed as a dict key: it must stay F5
     assert (F.p, F.spec()) == (5, "F5") and F == FieldDescriptor(5)
+
+
+def test_modulus_is_read_by_the_polynomial_parser():
+    # t*t is t^2: a modulus grammar of its own once read it as t
+    assert FieldDescriptor.parse("F8:t^3+t*t+1").spec() == "F8:t^3+t^2+1"
+    assert FieldDescriptor.parse("F8:t^3+t*t+1") is \
+        FieldDescriptor.parse("F8:t^3+t^2+1")
+    # 1/2 is the inverse of 2 mod 3, that is 2
+    assert FieldDescriptor.parse("F9:t^2+1/2*t+2") is \
+        FieldDescriptor.parse("F9:t^2+2*t+2")
+
+
+def test_modulus_with_a_foreign_name_is_refused():
+    with pytest.raises(RingError, match="'x'"):
+        FieldDescriptor.parse("F8:t^3+t+1+x")
+
+
+def test_modulus_of_degree_above_k_is_refused():
+    with pytest.raises(FieldError, match="exceeds extension degree"):
+        FieldDescriptor.parse("F8:t^4+t+1")
+
+
+def test_modulus_coefficient_before_t_multiplies():
+    assert FieldDescriptor.parse("F9:t^2+2t+2") is \
+        FieldDescriptor.parse("F9:t^2+2*t+2")
+    assert FieldDescriptor.parse("F9:t^2+2t+2").modulus == (2, 2, 1)
+
+
+@pytest.mark.parametrize("spec", ["Q", "F5", "F9", "F8:t^3+t^2+1"])
+def test_power_matches_repeated_products(spec):
+    F = FieldDescriptor.parse(spec)
+    values = ([F.element(Fraction(-3, 2)), F.element(7)] if F.p == 0
+              else F.elements())
+    for a in values:
+        assert a**0 == F.one()
+        product = F.one()
+        for n in range(1, 9):
+            product = product * a
+            assert a**n == product
+            if a:
+                assert a**-n * product == F.one()
+    with pytest.raises(ZeroDivisionError):
+        F.zero()**-1

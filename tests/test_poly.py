@@ -1,5 +1,6 @@
 """Sparse polynomial arithmetic and the univariate toolkit."""
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -335,6 +336,48 @@ def test_parser_round_trip():
     for text in ("1/0*Y", "Z+0/0", "(Y-3/00)^2"):
         with pytest.raises(RingError, match="zero denominator"):
             QYZ.parse(text)
+
+
+def test_parenthesized_group_takes_an_exponent():
+    R = ring("F5", "x", "y")
+    x = R.var("x")
+    assert R.parse("(x+1)^2") == (x + 1) * (x + 1)
+    assert R.parse("-(x+y)^3*2") == -((x + R.var("y"))**3) * 2
+    assert R.parse("(x^2)^2") == x**4
+
+
+@pytest.mark.parametrize("text, token", [
+    ("x^2^2", "^"), ("x**2", "*"), ("x*-y", "-"), ("(x+1)^2^3", "^")])
+def test_stray_operator_is_refused_by_name(text, token):
+    with pytest.raises(RingError, match="unexpected '%s'" % re.escape(token)):
+        ring("F5", "x", "y").parse(text)
+
+
+def test_polynomial_power_zero_is_one():
+    for R in (QYZ, F2YZ, ring("F9", "Y", "Z")):
+        for f in (R.zero(), R.one(), R.parse("Y^2+Z+1")):
+            assert f**0 == R.one()
+            assert f**3 == f * f * f
+
+
+def test_univ_gcd_with_zero_arguments():
+    R = ring("F5", "Y", "Z")
+    f = R.parse("2*Z^2+2")
+    assert univ_gcd(f, R.zero(), "Z") == R.parse("Z^2+1")
+    assert univ_gcd(R.zero(), f, "Z") == R.parse("Z^2+1")
+    assert univ_gcd(R.zero(), R.zero(), "Z").is_zero()
+    assert univ_gcd(R.constant(3), R.zero(), "Z") == R.one()
+    assert univ_gcd(f, R.parse("3*Z+3"), "Z") == R.one()
+    assert univ_gcd(R.parse("Z^2-1"), R.parse("2*Z+2"), "Z") == \
+        R.parse("Z+1")
+
+
+@pytest.mark.parametrize("f, g", [
+    ("Y*Z^2+1", "0"), ("Z+1", "Y*Z+1"), ("Y", "0"), ("Z^2", "Z+Y")])
+def test_univ_gcd_refuses_input_that_is_not_univariate(f, g):
+    R = ring("F5", "Y", "Z")
+    with pytest.raises(RingError, match="univariate"):
+        univ_gcd(R.parse(f), R.parse(g), "Z")
 
 
 def test_leading_monomial_cache():
