@@ -10,10 +10,15 @@ machine-readable lines prefixed with "#!".
 
 Exit codes: 0 all good, 1 assertion/agreement failure, 2 usage or input
 error, 3 resource cap exceeded.
+
+ord, e0 and tau are one command read from a table.  The parser is built on
+the first `main` call and reused by later calls in the process; each call
+parses into a fresh Namespace.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .groebner import ResourceCapError, rational_zero_set
@@ -92,30 +97,22 @@ def _cmd_sing(args, out):
     return EXIT_OK
 
 
-def _cmd_ord(args, out):
+# the --at commands: the invariant, whether it reads the saturation of the
+# file's algebra, and the report line
+_POINT_INVARIANTS = {
+    "ord": (ord_at_point, False, "ord: %s\n"),
+    "e0": (e0_invariant, True, "e0: %s\n"),
+    "tau": (tau_estimate, True, "tau: %s  (lower bound)\n"),
+}
+
+
+def _cmd_point_invariant(args, out):
+    invariant, saturate, report = _POINT_INVARIANTS[args.command]
     G = _load_algebra(args.file)
     at = _parse_point(G.ring, args.at)
-    value = ord_at_point(G, at)
-    out.write("ord: %s\n" % value)
-    out.write("#! ord: %s\n" % value)
-    return EXIT_OK
-
-
-def _cmd_e0(args, out):
-    G = _load_algebra(args.file)
-    at = _parse_point(G.ring, args.at)
-    value = e0_invariant(diff_saturate(G), at)
-    out.write("e0: %d\n" % value)
-    out.write("#! e0: %d\n" % value)
-    return EXIT_OK
-
-
-def _cmd_tau(args, out):
-    G = _load_algebra(args.file)
-    at = _parse_point(G.ring, args.at)
-    value = tau_estimate(diff_saturate(G), at)
-    out.write("tau: %d  (lower bound)\n" % value)
-    out.write("#! tau: %d\n" % value)
+    value = invariant(diff_saturate(G) if saturate else G, at)
+    out.write(report % value)
+    out.write("#! %s: %s\n" % (args.command, value))
     return EXIT_OK
 
 
@@ -168,7 +165,9 @@ def _cmd_scenario(args, out):
     return EXIT_OK if report.ok() else EXIT_FAIL
 
 
+@functools.cache
 def build_parser():
+    """The argparse parser, built once per process on the first call."""
     parser = argparse.ArgumentParser(
         prog="reeselim",
         description="Exact Rees-algebra computations for hypersurface "
@@ -187,12 +186,12 @@ def build_parser():
     p.add_argument("file")
     p.set_defaults(func=_cmd_sing)
 
-    for name, func in (("ord", _cmd_ord), ("e0", _cmd_e0), ("tau", _cmd_tau)):
+    for name in _POINT_INVARIANTS:
         p = sub.add_parser(name, help="%s at a rational point" % name)
         p.add_argument("file")
         p.add_argument("--at", required=True,
                        help="comma-separated coordinates, e.g. 0,0")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_point_invariant)
 
     p = sub.add_parser("eliminate", help="eliminate the distinguished variable")
     p.add_argument("file")

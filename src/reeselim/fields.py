@@ -66,13 +66,6 @@ def _integral(v):
     return v.numerator if v.denominator == 1 else v
 
 
-def _trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 def _polymod(num, mod, p):
     """Remainder of an integer sequence num by the monic mod over F_p, as a
     tuple of deg(mod) residues low-to-high: a top-down fold that cancels
@@ -214,17 +207,16 @@ class FieldDescriptor(Immutable):
     def _check_irreducible(self):
         # Rabin (1980): for k <= 4, f is reducible iff it has a factor of
         # degree <= k//2, iff gcd(f, t^(p^(k//2)) - t) != 1; the power comes
-        # by square-and-multiply mod f, so the cost grows with log p
+        # by square-and-multiply mod f, so the cost grows with log p; the gcd
+        # is poly's over F_p[t] (imported here: poly imports this module)
+        from .poly import Polynomial, RingContext, univ_gcd
         p, k = self.p, self.k
         power = self._unpack(_power(self.mul, self._pack((0, 1)),
                                     p**(k // 2)))
-        a, b = list(self.modulus), _trim((c - (i == 1)) % p
-                                         for i, c in enumerate(power))
-        while b:
-            inv = pow(b[-1], p - 2, p)
-            b = [c * inv % p for c in b]
-            a, b = b, _trim(_polymod(a, b, p))
-        if len(a) > 1:
+        ring = RingContext(FieldDescriptor(p), ("t",))
+        f, g = (Polynomial(ring, {(i,): c for i, c in enumerate(cs)})
+                for cs in (self.modulus, power))
+        if univ_gcd(f, g - ring.var("t"), "t").degree_in("t") > 0:
             raise FieldError("modulus is reducible over F_%d" % p)
 
     # -- constructors -------------------------------------------------

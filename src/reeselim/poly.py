@@ -24,6 +24,8 @@ from types import MappingProxyType
 from .fields import FieldElement, Immutable, _power
 
 INFINITE_ORDER = math.inf
+# a variable name: the one pattern RingContext accepts and the parser reads
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 
 
 class RingError(ValueError):
@@ -45,8 +47,12 @@ class RingContext(Immutable):
             return ring
         if not variables:
             raise RingError("ring needs at least one variable")
-        if len(set(variables)) != len(variables) or any(not v for v in variables):
-            raise RingError("variable names must be distinct and nonempty")
+        for v in variables:
+            if not re.fullmatch(_NAME, v):
+                raise RingError("bad variable name %r: letters, digits and _, "
+                                "not starting with a digit" % v)
+        if len(set(variables)) != len(variables):
+            raise RingError("variable names must be distinct")
         if field.k > 1 and "t" in variables:
             raise RingError("'t' names the generator of %s; pick another "
                             "variable name" % field.spec())
@@ -546,7 +552,7 @@ def univ_radical(f):
 
 # -- text format ------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-|\(|\))")
+_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|%s|\^|\*|\+|-|\(|\))" % _NAME)
 
 
 def parse_polynomial(ring, text):

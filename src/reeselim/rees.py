@@ -365,7 +365,10 @@ def degree_ideal(G, k):
                 products[product * g.poly] = None
 
     rec(0, 0, G.ring.one(), INFINITE_ORDER)
-    return Ideal(G.ring, _drop_divisible_monomials(products))
+    monomials = [p for p in products if len(p._raw) == 1]
+    rest = sorted((p for p in products if len(p._raw) != 1),
+                  key=lambda p: grevlex_key(p.leading_monomial()))
+    return Ideal(G.ring, minimal_leads(monomials) + rest)
 
 
 def _monomial_degree_ideal(ring, gens, k):
@@ -416,15 +419,6 @@ def _monomial_degree_ideal(ring, gens, k):
             for e in levels[k]]
 
 
-def _drop_divisible_monomials(products):
-    """Discard monomial products divisible by another monomial product
-    (sound for monomials; other polynomials are kept untouched)."""
-    monomials = [p for p in products if len(p._raw) == 1]
-    rest = [p for p in products if len(p._raw) != 1]
-    rest.sort(key=lambda p: grevlex_key(p.leading_monomial()))
-    return minimal_leads(monomials) + rest
-
-
 # -- file format ------------------------------------------------------
 
 def parse_algebra(text, field=None):
@@ -434,7 +428,8 @@ def parse_algebra(text, field=None):
         gen: Z^2+Y^5 w 2
 
     A field spec such as "F5" in `field` replaces the header's field (the
-    header must still be well formed); the generators are read over it."""
+    header must still be well formed); the generators are read over it.
+    A second ring: line and a weight that is not an integer are refused."""
     ring = None
     pairs = []
     for raw in text.splitlines():
@@ -442,6 +437,8 @@ def parse_algebra(text, field=None):
         if not line:
             continue
         if line.startswith("ring:"):
+            if ring is not None:
+                raise ReesError("second ring header %r" % line)
             body = line[len("ring:"):].strip()
             if "[" not in body or not body.endswith("]"):
                 raise ReesError("bad ring header %r" % line)
@@ -455,7 +452,12 @@ def parse_algebra(text, field=None):
             polytext, sep, weighttext = body.rpartition(" w ")
             if not sep:
                 raise ReesError("bad generator line %r" % line)
-            pairs.append((ring.parse(polytext.strip()), int(weighttext)))
+            try:
+                weight = int(weighttext)
+            except ValueError:
+                raise ReesError("weight %r is not an integer in %r"
+                                % (weighttext.strip(), line)) from None
+            pairs.append((ring.parse(polytext.strip()), weight))
         else:
             raise ReesError("unrecognized line %r" % line)
     if ring is None:

@@ -248,6 +248,30 @@ REJECTIONS = [
                "bad generator line 'gen: Z^2'"),
     _rejection("missing-ring-header", "saturate", "# nothing\n", [],
                "missing ring header"),
+    # read as a second header, F2 would silently replace Q
+    _rejection("second-ring-header", "saturate",
+               "ring: Q[x]\nring: F2[x]\ngen: 3*x w 1\n", [],
+               "second ring header 'ring: F2[x]'"),
+    # a variable the polynomial grammar reads as something else: 2 would be
+    # the constant 2 in every gen: line
+    _rejection("variable-name-is-a-number", "saturate",
+               "ring: Q[x,2]\ngen: 2^2+x w 1\n", [],
+               "bad variable name '2': letters, digits and _, "
+               "not starting with a digit"),
+    _rejection("variable-name-with-a-space", "saturate",
+               "ring: Q[x,y z]\ngen: x w 1\n", [],
+               "bad variable name 'y z': letters, digits and _, "
+               "not starting with a digit"),
+    _rejection("variable-name-is-an-expression", "saturate",
+               "ring: F5[x,x+y]\ngen: x w 1\n", [],
+               "bad variable name 'x+y': letters, digits and _, "
+               "not starting with a digit"),
+    _rejection("weight-not-an-integer", "saturate",
+               "ring: F2[Y,Z]\ngen: Z w abc\n", [],
+               "weight 'abc' is not an integer in 'gen: Z w abc'"),
+    _rejection("weight-fraction", "saturate",
+               "ring: F2[Y,Z]\ngen: Z w 1.5\n", [],
+               "weight '1.5' is not an integer in 'gen: Z w 1.5'"),
     _rejection("gen-before-ring", "saturate",
                "gen: Z w 1\nring: F2[Y,Z]\n", [],
                "gen line before ring header"),
@@ -338,3 +362,29 @@ def test_ramify_verify_refuses_a_large_degree_before_saturating(tmp_path):
     assert run(["ramify-verify", str(path), "--var", "Z"]) == (
         3, "error: characteristic polynomial degree cap exceeded "
            "(degree 600 > cap 12)\n")
+
+
+def test_consecutive_calls_each_print_their_own_output(ex69, tmp_path,
+                                                      capsys):
+    # the parser is built once per process; no flag or subcommand of one
+    # call may reach the next
+    e0_file = tmp_path / "ex514.alg"
+    e0_file.write_text(EX514)
+    normalized = (0, "ring: Q[Y,Z]\ngen: Y^5+Z^2 w 1\ngen: Y^5+Z^2 w 2\n"
+                     "gen: Z w 1\ngen: Y^4 w 1\n"
+                     "#! generators: 4 max-weight: 2\n")
+    assert run(["saturate", ex69, "--normalize"]) == normalized
+    assert run(["saturate", ex69]) == (
+        0, "ring: Q[Y,Z]\ngen: Y^5+Z^2 w 1\ngen: Y^5+Z^2 w 2\n"
+           "gen: 2*Z w 1\ngen: 5*Y^4 w 1\n#! generators: 4 max-weight: 2\n")
+    assert run(["saturate", ex69, "--normalize"]) == normalized
+    assert run(["ord", str(e0_file), "--at", "0,0"]) == (
+        0, "ord: 1\n#! ord: 1\n")
+    assert run(["e0", str(e0_file), "--at", "0,0"]) == (
+        0, "e0: 2\n#! e0: 2\n")
+    # a usage error, then a valid call
+    assert run(["ord", str(e0_file)]) == (2, "")
+    assert "required: --at" in capsys.readouterr().err
+    assert run(["e0", str(e0_file), "--at", "0,0"]) == (
+        0, "e0: 2\n#! e0: 2\n")
+    assert capsys.readouterr().err == ""

@@ -423,6 +423,21 @@ def test_t_is_reserved_in_extension_field_rings():
     assert F4X.parse(str(f)) == f
 
 
+@pytest.mark.parametrize("name", ["2", "1x", "y z", "x+y", "", "x-1", "\u00e9"])
+def test_variable_names_the_parser_cannot_read_are_refused(name):
+    # "2" would be read as the constant 2, "y z" as the product y*z
+    with pytest.raises(RingError, match="^bad variable name %s:"
+                       % re.escape(repr(name))):
+        ring("F5", "x", name)
+
+
+@pytest.mark.parametrize("name", ["_", "x_1", "Z10", "A_b9", "t"])
+def test_every_accepted_variable_name_parses_as_itself(name):
+    R = ring("F5", "x", name)
+    assert R.parse("%s^2*x" % name) == R.var(name)**2 * R.var("x")
+    assert str(R.var(name)) == name
+
+
 def test_projection_and_lift():
     f = QYZ.parse("Y^4+2*Y")
     base = f.project_out("Z")
