@@ -4,16 +4,22 @@ of char-poly coefficients with its weight law, and the slope test that
 compares one-variable monomial algebras up to integral closure.
 
 A multiplication matrix costs one division (g mod f), the other columns
-come from the companion recurrence, and every sum of products there and in
-Berkowitz's recursion is one raw-value accumulation (_sum_of_products).
+come from the companion recurrence, and each of its sums of products is one
+raw-value accumulation (_sum_of_products).  A characteristic polynomial packs
+its matrix once into Python ints (mixed-radix Kronecker substitution, sized
+by a closed-form coefficient bound), runs Berkowitz's recursion on them and
+unpacks its c outputs once.
 """
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
+from operator import mul
 
 from .fields import Immutable
 from .groebner import ResourceCapError
-from .poly import RingError, _sum_of_products, univ_divmod
+from .poly import Polynomial, RingError, _sum_of_products, univ_divmod
 from .rees import ReesAlgebra, ReesError, diff_saturate, format_algebra
 
 CHARPOLY_DEGREE_CAP = 12
@@ -82,38 +88,162 @@ def mult_matrix(g, f, z_var):
     return MultiplicationMatrix(f, g, zip(*columns), z_var)
 
 
+def _integer_entries(A, field):
+    """Each entry of A as a list of (key, int) pairs, and D: the entries
+    are D*A over Z.  Q scales by the lcm D of the denominators; F_p takes
+    balanced residues in (-p/2, p/2]; in F_{p^k} a key is t's exponent
+    followed by the exponent tuple, one pair per nonzero digit of the
+    packed value.  Smaller integers give narrower digits in char_poly."""
+    p = field.p
+    if not p:
+        D = math.lcm(*{v.denominator for row in A for e in row
+                       for v in e._raw.values()})
+        if D == 1:
+            return [[list(e._raw.items()) for e in row] for row in A], 1
+        return [[[(x, v.numerator * (D // v.denominator))
+                  for x, v in e._raw.items()] for e in row] for row in A], D
+    half = p >> 1
+    if field.k == 1:
+        return [[[(x, v - p if v > half else v) for x, v in e._raw.items()]
+                 for e in row] for row in A], 1
+    unpack = field._unpack
+    digits = {v: [((j,), q - p if q > half else q)
+                  for j, q in enumerate(unpack(v)) if q]
+              for v in {v for row in A for e in row for v in e._raw.values()}}
+    return [[[(j + x, q) for x, v in e._raw.items() for j, q in digits[v]]
+             for e in row] for row in A], 1
+
+
+@functools.cache
+def _t_powers(field, n):
+    """Packed residues of t^0, ..., t^(n-1) modulo the field's modulus."""
+    t, out = field._pack((0, 1)), [1]
+    while len(out) < n:
+        out.append(field.mul(out[-1], t))
+    return tuple(out)
+
+
 def char_poly(M):
     """Coefficients (h_1, ..., h_c) of det(V*Id - M) = V^c + h_1 V^{c-1} + ...,
     in the ring of the entries.
 
-    Berkowitz's division-free recursion, valid in any characteristic: with
-    the leading (r+1)-block split as [[A, col], [row, a]], the coefficients
-    grow as h'_i = h_i - sum_{j<i} s_{i-j} h_j with h_0 = 1, where s_1 = a
-    and s_k = row * A^{k-2} * col.  Each s_k, each entry of row * A and each
-    of those sums is one accumulation on raw values; zero factors add
-    nothing.
+    Berkowitz's division-free recursion (_berkowitz), valid in any
+    characteristic, run on plain ints.  The matrix is lifted to integer
+    polynomials once (_integer_entries; in F_{p^k} the generator t is one
+    more variable) and each entry is packed into one int by mixed-radix
+    Kronecker substitution: the term of exponent e is a signed digit at
+    slot sum_j e_j R_j, R_j = prod_{i<j} (c*d_i + 1), d_i the largest
+    exponent of variable i in any entry.  Substitution is a ring
+    homomorphism and ints are exact, so intermediates may carry freely;
+    an output decodes uniquely once its exponents fit their slots (h_i is
+    a sum of products of i <= c entries) and its coefficients fit a
+    balanced digit of w = bitlen(B) + 1 bits.  B = max_i e_i(rho_1..rho_c),
+    the elementary symmetric polynomials of the row sums of the entries'
+    l1 norms, bounds every coefficient: h_i is a signed sum of principal
+    i-minors.  Each output is unpacked once, one step per nonzero monomial
+    or run of zero ones (in F_{p^k} plus one per t-digit of the monomial),
+    and each coefficient is divided exactly by D^i over Q, or reduced mod p
+    and, in F_{p^k}, mod the modulus.
     """
     c = M.size
     _check_degree_cap(c)
     A = M.matrix
-    cols = tuple(zip(*A))
     ring = A[0][0].ring
-    zero = ring.zero()
+    field = ring.field
+    entries, D = _integer_entries(A, field)
+    keys = [x for row in entries for e in row for x, _ in e]
+    if not keys:
+        return [ring.zero()] * c
+    esym = [1] + [0] * c   # e_i of the row sums seen so far
+    for row in entries:
+        rho = sum(abs(v) for entry in row for _, v in entry)
+        esym = [a + b * rho for a, b in zip(esym, [0] + esym)]
+    w = max(esym).bit_length() + 1
+    radices, slots = [], 1
+    for d in map(max, zip(*keys)):
+        radices.append((slots, c * d + 1))
+        slots *= c * d + 1
+    shifts = [w * r for r, _ in radices]
+    h = _berkowitz([[sum(v << sum(map(mul, x, shifts)) for x, v in entry)
+                     for entry in row] for row in entries])
+
+    # adding the bias, half in every slot, makes every digit non-negative,
+    # and xor with it leaves a zero digit wherever the output's is zero
+    half, mask, top = 1 << (w - 1), (1 << w) - 1, 1 << w * slots
+    bias = (top - 1) // mask * half
+    p, nt = field.p, 1
+    if field.k > 1:
+        # t's slot is the lowest: one monomial's t-digits are a group of nt
+        nt = radices[0][1]
+        tpow = _t_powers(field, nt)
+        radices = [(r // nt, n) for r, n in radices[1:]]
+        # below t^k every power has a digit of its own, so the sum of the
+        # residues mod p is already the canonical packed value
+        reduce = field.reduce if nt > field.k else int
+    gw = w * nt
+    gmask = (1 << gw) - 1
+    out, Di = [], 1
+    for v in h:
+        Di *= D
+        x = v + bias
+        if not 0 <= x < top:   # cannot happen while B bounds h_i
+            raise ArithmeticError("char_poly output exceeds its digit bound")
+        x ^= bias
+        groups, m = [], 0   # (monomial slot, its nonzero group of digits)
+        while x:
+            g = x & gmask
+            if g:
+                groups.append((m, g))
+                x >>= gw
+                m += 1
+            else:   # skip the run of zero groups up to the next nonzero one
+                z = ((x & -x).bit_length() - 1) // gw
+                x >>= gw * z
+                m += z
+        if not p:
+            raw = {tuple([m // r % n for r, n in radices]):
+                   q // Di if q % Di == 0 else Fraction(q, Di)
+                   for m, g in groups for q in [(g ^ half) - half]}
+        elif nt == 1:
+            raw = {tuple([m // r % n for r, n in radices]): a
+                   for m, g in groups if (a := ((g ^ half) - half) % p)}
+        else:
+            raw = {}
+            for m, g in groups:
+                acc = j = 0
+                while g:   # t^j's digit, taken mod p, times t^j's residue
+                    if u := g & mask:
+                        acc += ((u ^ half) - half) % p * tpow[j]
+                    g >>= w
+                    j += 1
+                if a := reduce(acc):
+                    raw[tuple([m // r % n for r, n in radices])] = a
+        out.append(Polynomial._from_raw(ring, raw))
+    return out
+
+
+def _berkowitz(A):
+    """Berkowitz's division-free recursion on a square int matrix A: with
+    the leading (r+1)-block split as [[B, col], [row, a]], the coefficients
+    grow as h'_i = h_i - sum_{j<i} s_{i-j} h_j with h_0 = 1, where s_1 = a
+    and s_k = row * B^{k-2} * col."""
+    c = len(A)
+    cols = tuple(zip(*A))
     h = []
     for r in range(c):
         # powers act on the row: column j of a multiplication matrix is
         # g*Z^j mod f, whose entries grow with j, so row r's first r entries
         # start the powers smaller than column r's would
+        block = [col[:r] for col in cols[:r]]
         row, col = A[r][:r], cols[r][:r]
         s = [A[r][r]]
         for k in range(r):
-            s.append(_sum_of_products(ring, zip(row, col)))
+            s.append(sum(map(mul, row, col)))
             if k < r - 1:
-                row = [_sum_of_products(ring, zip(row, cols[j][:r]))
-                       for j in range(r)]
-        h_from_0 = [ring.one()] + h
-        h = [(h[i - 1] if i <= r else zero)
-             - _sum_of_products(ring, zip(reversed(s[:i]), h_from_0))
+                row = [sum(map(mul, row, b)) for b in block]
+        h_from_0 = [1] + h
+        h = [(h[i - 1] if i <= r else 0)
+             - sum(map(mul, reversed(s[:i]), h_from_0))
              for i in range(1, r + 2)]
     return h
 

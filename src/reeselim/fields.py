@@ -13,7 +13,10 @@ elements share a field is cheap.
 
 This module alone decides how raw values are added, negated, multiplied,
 inverted and reduced: each descriptor binds those functions once, and
-FieldElement, the polynomial product and the point scan call them.  An
+FieldElement, the polynomial product and the point scan call them.  The one
+computation off them is elim.char_poly, which lifts raw values to integers
+(balanced residues; in F_{p^k} the digits of _unpack), runs on ints and
+brings each output coefficient back once, by % p and reduce.  An
 F_{p^k} reduction is a packed fold: each digit above the k low ones, taken
 mod p, adds its multiple of the packed residue of t^j mod the modulus.
 A spec's modulus is read by the polynomial parser over F_p[t], and every
@@ -21,6 +24,7 @@ power, here and in poly, is one square-and-multiply (_power).
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 # monic irreducible moduli, low-to-high coefficient order, used when the
@@ -294,10 +298,10 @@ class FieldDescriptor(Immutable):
         if not spec.startswith("F"):
             raise FieldError("bad field spec %r" % spec)
         body, _, modtext = spec[1:].partition(":")
-        try:
-            q = int(body)
-        except ValueError:
-            raise FieldError("bad field spec %r" % spec) from None
+        # ASCII digits only: int() would also read 1_1 and other scripts'
+        if not re.fullmatch("[0-9]+", body):
+            raise FieldError("bad field spec %r" % spec)
+        q = int(body)
         if q < 2:
             raise FieldError("%d is not a prime power" % q)
         # q = p^k: the largest k with an exact k-th root leaves p itself

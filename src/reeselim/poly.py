@@ -6,12 +6,12 @@ canonical nonzero raw values, so equal polynomials have equal maps.
 FieldElements are built only at the API boundary (`.terms` wraps the raw
 map lazily); arithmetic hands its zero-free raw maps to `_from_raw`.  One
 kernel, _sum_of_products, sums f_1*g_1 + ... + f_n*g_n on raw values and
-reduces each output coefficient once by `field.reduce`; the product and the
-elimination's sums both use it.  The fields module decides all coefficient
-arithmetic; an F_{p^k} value is a packed int, so one loop serves every
-field.  The only monomial order is grevlex over the ring's declared variable
-order.  Like fields, rings have one instance each, so ring checks are
-identity tests.
+reduces each output coefficient once by `field.reduce`; the product and
+elim.mult_matrix's companion step both use it.  The fields module decides
+all coefficient arithmetic; an F_{p^k} value is a packed int, so one loop
+serves every field.  The only monomial order is grevlex over the ring's
+declared variable order.  Like fields, rings have one instance each, so ring
+checks are identity tests.
 """
 from __future__ import annotations
 
@@ -552,7 +552,8 @@ def univ_radical(f):
 
 # -- text format ------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|%s|\^|\*|\+|-|\(|\))" % _NAME)
+# numbers are ASCII digits only, as in a gen: weight and a field spec
+_TOKEN = re.compile(r"\s*([0-9]+/[0-9]+|[0-9]+|%s|\^|\*|\+|-|\(|\))" % _NAME)
 
 
 def parse_polynomial(ring, text):

@@ -12,6 +12,7 @@ a caller's field override (the CLI's --field).
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from operator import add, le, sub
 
@@ -452,11 +453,13 @@ def parse_algebra(text, field=None):
             polytext, sep, weighttext = body.rpartition(" w ")
             if not sep:
                 raise ReesError("bad generator line %r" % line)
-            try:
-                weight = int(weighttext)
-            except ValueError:
+            weighttext = weighttext.strip()
+            # ASCII digits, as in the polynomial text: int() would also
+            # read 1_0 and Unicode digits
+            if not re.fullmatch("[+-]?[0-9]+", weighttext):
                 raise ReesError("weight %r is not an integer in %r"
-                                % (weighttext.strip(), line)) from None
+                                % (weighttext, line))
+            weight = int(weighttext)
             pairs.append((ring.parse(polytext.strip()), weight))
         else:
             raise ReesError("unrecognized line %r" % line)

@@ -272,6 +272,27 @@ REJECTIONS = [
     _rejection("weight-fraction", "saturate",
                "ring: F2[Y,Z]\ngen: Z w 1.5\n", [],
                "weight '1.5' is not an integer in 'gen: Z w 1.5'"),
+    # one ASCII digit rule: int() would read 1_0 as 10 and the
+    # Arabic-Indic digits as 3 and 5, and \d read x^\u0663 as x^3
+    _rejection("weight-with-an-underscore", "saturate",
+               "ring: Q[x,Z]\ngen: Z w 1_0\n", [],
+               "weight '1_0' is not an integer in 'gen: Z w 1_0'"),
+    _rejection("weight-in-non-ascii-digits", "saturate",
+               "ring: Q[x,Z]\ngen: x^3+Z w \u0663\n", [],
+               "weight '\u0663' is not an integer in "
+               "'gen: x^3+Z w \u0663'"),
+    _rejection("exponent-in-non-ascii-digits", "saturate",
+               "ring: Q[x,Z]\ngen: x^\u0663+Z w 3\n", [],
+               "bad polynomial syntax near '\u0663+Z'"),
+    _rejection("coordinate-in-non-ascii-digits", "ord",
+               "ring: F5[x,Z]\ngen: Z^2+x^3 w 2\n", ["--at", "\u0663,0"],
+               "bad polynomial syntax near '\u0663'"),
+    _rejection("field-size-in-non-ascii-digits", "saturate",
+               "ring: F\u0665[x,Z]\ngen: Z w 1\n", [],
+               "bad field spec 'F\u0665'"),
+    _rejection("field-size-with-an-underscore", "saturate",
+               "ring: F1_1[x,Z]\ngen: Z w 1\n", [],
+               "bad field spec 'F1_1'"),
     _rejection("gen-before-ring", "saturate",
                "gen: Z w 1\nring: F2[Y,Z]\n", [],
                "gen line before ring header"),
@@ -319,7 +340,7 @@ REJECTIONS = [
 def test_input_rejection_exits_two(tmp_path, capsys, command, text, extra,
                                    message):
     path = tmp_path / "input.alg"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     assert run([command, str(path)] + extra) == (2, "error: %s\n" % message)
     assert capsys.readouterr().err == ""
 

@@ -6,14 +6,15 @@ from fractions import Fraction
 import pytest
 
 from reeselim import elim
-from reeselim import (FieldDescriptor, MultiplicationMatrix, ReesAlgebra,
-                      ReesError, ReesGenerator, ResourceCapError, RingContext,
-                      RingError, buchberger,
+from reeselim import (FieldDescriptor, MultiplicationMatrix, Polynomial,
+                      ReesAlgebra, ReesError, ReesGenerator, ResourceCapError,
+                      RingContext, RingError, buchberger,
                       cayley_hamilton_residue, char_poly, degree_ideal,
                       diff_saturate, eliminate, format_elimination, is_simple,
                       membership, mult_matrix, ord_at_point,
                       rational_singular_points, rational_zero_set,
                       singular_ideal, slope_equivalent, univ_divmod)
+from reeselim.poly import _sum_of_products
 
 
 def ring(spec, *names):
@@ -139,6 +140,94 @@ def test_char_poly_matches_leibniz_oracle():
             for _ in range(4 if c < 5 else 2):
                 M = random_matrix(rng, R, c)
                 assert char_poly(M) == leibniz_char_poly(M)
+
+
+def berkowitz_on_polynomials(M):
+    """The recursion of char_poly run on the entries as polynomials, each
+    dot product one sum-of-products accumulation: the reference for the
+    packed path, which runs the same recursion on Kronecker-packed ints."""
+    c = M.size
+    A = M.matrix
+    cols = tuple(zip(*A))
+    ring = A[0][0].ring
+    zero = ring.zero()
+    h = []
+    for r in range(c):
+        row, col = A[r][:r], cols[r][:r]
+        s = [A[r][r]]
+        for k in range(r):
+            s.append(_sum_of_products(ring, zip(row, col)))
+            if k < r - 1:
+                row = [_sum_of_products(ring, zip(row, cols[j][:r]))
+                       for j in range(r)]
+        h_from_0 = [ring.one()] + h
+        h = [(h[i - 1] if i <= r else zero)
+             - _sum_of_products(ring, zip(reversed(s[:i]), h_from_0))
+             for i in range(1, r + 2)]
+    return h
+
+
+PACKED_SPECS = ("Q", "F2", "F5", "F4", "F9", "F8:t^3+t^2+1", "F2147483647")
+
+
+def test_packed_char_poly_matches_berkowitz_on_polynomials():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def coefficients(field):
+        if not field.p:
+            return st.fractions(min_value=-9, max_value=9, max_denominator=4)
+        if field.k == 1:
+            return st.integers(0, field.p - 1)
+        return st.lists(st.integers(0, field.p - 1), min_size=field.k,
+                        max_size=field.k).map(tuple)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        R = ring(data.draw(st.sampled_from(PACKED_SPECS)),
+                 *("X", "Y", "W")[:data.draw(st.integers(1, 3))])
+        c = data.draw(st.integers(1, 6))
+        # up to 3 terms an entry, none half the time: zero entries, rows
+        # and columns come up often
+        terms = st.lists(st.tuples(
+            st.tuples(*[st.integers(0, 2)] * R.nvars),
+            coefficients(R.field)), max_size=3)
+        M = MultiplicationMatrix(None, None, [
+            [Polynomial(R, dict(data.draw(terms) if data.draw(st.booleans())
+                                else [])) for _ in range(c)]
+            for _ in range(c)], None)
+        assert char_poly(M) == berkowitz_on_polynomials(M)
+
+    check()
+
+
+@pytest.mark.parametrize("base,monomial,scalars", [
+    (("X",), "1", (3, 5)),
+    (("X",), "X", (3, 5, 7)),
+    (("X", "Y"), "X*Y^2", (2, 9, 4, 6)),
+    (("X", "Y", "W"), "X^2*Y*W", (11, 13, 6, 9, 5)),
+])
+def test_char_poly_of_a_positive_diagonal_reaches_the_coefficient_bound(
+        base, monomial, scalars):
+    # diag(a_1 m, ..., a_c m) with a_r > 0 has h_i = (-1)^i e_i(a) m^i: its
+    # largest |coefficient| is max_i e_i(a), exactly the bound the packed
+    # path sizes its digits by (not a power of two here, so a digit one bit
+    # short fails both signs), and m^c takes every variable of m to c times
+    # its largest exponent, the top of its slot range
+    R = ring("Q", *base)
+    m = R.parse(monomial)
+    c = len(scalars)
+    M = MultiplicationMatrix(None, None, [
+        [m.scale(a) if i == j else R.zero() for j in range(c)]
+        for i, a in enumerate(scalars)], None)
+    esym = [1] + [0] * c
+    for a in scalars:
+        for i in range(c, 0, -1):
+            esym[i] += esym[i - 1] * a
+    assert max(esym) & (max(esym) - 1)
+    assert char_poly(M) == [(m**i).scale((-1)**i * esym[i])
+                            for i in range(1, c + 1)]
 
 
 def test_char_poly_matches_sympy():
