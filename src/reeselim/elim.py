@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from operator import mul
+from operator import floordiv, mul
 
 from .fields import Immutable
 from .groebner import ResourceCapError
@@ -23,6 +23,10 @@ from .poly import Polynomial, RingError, _sum_of_products, univ_divmod
 from .rees import ReesAlgebra, ReesError, diff_saturate, format_algebra
 
 CHARPOLY_DEGREE_CAP = 12
+# a packed entry's length, w * slots bits, grows with the entries' degrees
+# however few terms they have; at c = 12, 2^20 bits is about ten seconds
+# of Berkowitz
+_PACKED_BITS_CAP = 1 << 20
 
 
 class MultiplicationMatrix(Immutable):
@@ -98,8 +102,6 @@ def _integer_entries(A, field):
     if not p:
         D = math.lcm(*{v.denominator for row in A for e in row
                        for v in e._raw.values()})
-        if D == 1:
-            return [[list(e._raw.items()) for e in row] for row in A], 1
         return [[[(x, v.numerator * (D // v.denominator))
                   for x, v in e._raw.items()] for e in row] for row in A], D
     half = p >> 1
@@ -132,8 +134,10 @@ def char_poly(M):
     polynomials once (_integer_entries; in F_{p^k} the generator t is one
     more variable) and each entry is packed into one int by mixed-radix
     Kronecker substitution: the term of exponent e is a signed digit at
-    slot sum_j e_j R_j, R_j = prod_{i<j} (c*d_i + 1), d_i the largest
-    exponent of variable i in any entry.  Substitution is a ring
+    slot sum_j (e_j/g_j) R_j, R_j = prod_{i<j} (c*d_i + 1), where g_i is
+    the gcd of variable i's exponents in the entries (y^g -> y embeds the
+    polynomials in y^g; t keeps g = 1) and d_i the largest of them over
+    g_i.  Substitution is a ring
     homomorphism and ints are exact, so intermediates may carry freely;
     an output decodes uniquely once its exponents fit their slots (h_i is
     a sum of products of i <= c entries) and its coefficients fit a
@@ -143,7 +147,9 @@ def char_poly(M):
     i-minors.  Each output is unpacked once, one step per nonzero monomial
     or run of zero ones (in F_{p^k} plus one per t-digit of the monomial),
     and each coefficient is divided exactly by D^i over Q, or reduced mod p
-    and, in F_{p^k}, mod the modulus.
+    and, in F_{p^k}, mod the modulus.  The packed length w * slots grows
+    with the entries' degrees however sparse they are; above
+    _PACKED_BITS_CAP it raises ResourceCapError before any product.
     """
     c = M.size
     _check_degree_cap(c)
@@ -159,10 +165,22 @@ def char_poly(M):
         rho = sum(abs(v) for entry in row for _, v in entry)
         esym = [a + b * rho for a, b in zip(esym, [0] + esym)]
     w = max(esym).bit_length() + 1
+    cols = list(zip(*keys))
+    gs = [math.gcd(*col) or 1 for col in cols]
+    if field.k > 1:
+        gs[0] = 1   # t's exponents index its powers
+    scaled = max(gs) > 1
+    if scaled:
+        entries = [[[(tuple(map(floordiv, x, gs)), v) for x, v in e]
+                    for e in row] for row in entries]
     radices, slots = [], 1
-    for d in map(max, zip(*keys)):
-        radices.append((slots, c * d + 1))
-        slots *= c * d + 1
+    for d, g in zip(map(max, cols), gs):
+        radices.append((slots, c * (d // g) + 1))
+        slots *= c * (d // g) + 1
+    if w * slots > _PACKED_BITS_CAP:
+        raise ResourceCapError("characteristic polynomial size cap exceeded "
+                               "(packed entries of %d bits > cap %d)"
+                               % (w * slots, _PACKED_BITS_CAP))
     shifts = [w * r for r, _ in radices]
     h = _berkowitz([[sum(v << sum(map(mul, x, shifts)) for x, v in entry)
                      for entry in row] for row in entries])
@@ -177,9 +195,7 @@ def char_poly(M):
         nt = radices[0][1]
         tpow = _t_powers(field, nt)
         radices = [(r // nt, n) for r, n in radices[1:]]
-        # below t^k every power has a digit of its own, so the sum of the
-        # residues mod p is already the canonical packed value
-        reduce = field.reduce if nt > field.k else int
+        gs = gs[1:]
     gw = w * nt
     gmask = (1 << gw) - 1
     out, Di = [], 1
@@ -216,8 +232,10 @@ def char_poly(M):
                         acc += ((u ^ half) - half) % p * tpow[j]
                     g >>= w
                     j += 1
-                if a := reduce(acc):
+                if a := field.reduce(acc):
                     raw[tuple([m // r % n for r, n in radices])] = a
+        if scaled:
+            raw = {tuple(map(mul, x, gs)): a for x, a in raw.items()}
         out.append(Polynomial._from_raw(ring, raw))
     return out
 

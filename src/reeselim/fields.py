@@ -297,9 +297,9 @@ class FieldDescriptor(Immutable):
             return FieldDescriptor(0)
         if not spec.startswith("F"):
             raise FieldError("bad field spec %r" % spec)
+        from .poly import _DIGITS, RingContext   # poly imports this module
         body, _, modtext = spec[1:].partition(":")
-        # ASCII digits only: int() would also read 1_1 and other scripts'
-        if not re.fullmatch("[0-9]+", body):
+        if not re.fullmatch(_DIGITS, body):
             raise FieldError("bad field spec %r" % spec)
         q = int(body)
         if q < 2:
@@ -312,7 +312,6 @@ class FieldDescriptor(Immutable):
             raise FieldError("%d is not a prime power" % q)
         if not modtext:
             return FieldDescriptor(p, k)
-        from .poly import RingContext   # poly imports this module
         f = RingContext(FieldDescriptor(p), ("t",)).parse(modtext)
         if f.degree_in("t") > k:
             raise FieldError("modulus degree exceeds extension degree")

@@ -26,6 +26,9 @@ from .fields import FieldElement, Immutable, _power
 INFINITE_ORDER = math.inf
 # a variable name: the one pattern RingContext accepts and the parser reads
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+# a number: ASCII digits only, in the parser, a gen: weight and a field
+# spec (int() would also read 1_0 and other scripts' digits)
+_DIGITS = r"[0-9]+"
 
 
 class RingError(ValueError):
@@ -552,8 +555,8 @@ def univ_radical(f):
 
 # -- text format ------------------------------------------------------
 
-# numbers are ASCII digits only, as in a gen: weight and a field spec
-_TOKEN = re.compile(r"\s*([0-9]+/[0-9]+|[0-9]+|%s|\^|\*|\+|-|\(|\))" % _NAME)
+_TOKEN = re.compile(r"\s*(%s/%s|%s|%s|\^|\*|\+|-|\(|\))"
+                    % (_DIGITS, _DIGITS, _DIGITS, _NAME))
 
 
 def parse_polynomial(ring, text):

@@ -20,8 +20,8 @@ from .fields import FieldDescriptor, Immutable
 from .groebner import (Ideal, minimal_exponents, minimal_leads,
                        rational_zero_set)
 from .hasse import diff_closure_list, hasse_derivatives
-from .poly import (INFINITE_ORDER, Polynomial, RingContext, RingError,
-                   grevlex_key)
+from .poly import (_DIGITS, INFINITE_ORDER, Polynomial, RingContext,
+                   RingError, grevlex_key)
 
 
 class ReesError(ValueError):
@@ -454,9 +454,7 @@ def parse_algebra(text, field=None):
             if not sep:
                 raise ReesError("bad generator line %r" % line)
             weighttext = weighttext.strip()
-            # ASCII digits, as in the polynomial text: int() would also
-            # read 1_0 and Unicode digits
-            if not re.fullmatch("[+-]?[0-9]+", weighttext):
+            if not re.fullmatch("[+-]?" + _DIGITS, weighttext):
                 raise ReesError("weight %r is not an integer in %r"
                                 % (weighttext, line))
             weight = int(weighttext)

@@ -385,6 +385,18 @@ def test_ramify_verify_refuses_a_large_degree_before_saturating(tmp_path):
            "(degree 600 > cap 12)\n")
 
 
+def test_eliminate_refuses_a_char_poly_whose_packed_size_exceeds_the_cap(
+        tmp_path):
+    # sparse entries of degree 60 in X and Y with no common exponent
+    # factor: c*60+1 slots in each at c = 12
+    path = tmp_path / "sparse.alg"
+    path.write_text("ring: Q[X,Y,W,Z]\n"
+                    "gen: Z^12+X^60*Y^60*W^60+X^11*Y w 12\n")
+    assert run(["eliminate", str(path), "--monic", "0", "--var", "Z"]) == (
+        3, "error: characteristic polynomial size cap exceeded "
+           "(packed entries of 378444248 bits > cap 1048576)\n")
+
+
 def test_consecutive_calls_each_print_their_own_output(ex69, tmp_path,
                                                       capsys):
     # the parser is built once per process; no flag or subcommand of one

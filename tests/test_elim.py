@@ -230,6 +230,57 @@ def test_char_poly_of_a_positive_diagonal_reaches_the_coefficient_bound(
                             for i in range(1, c + 1)]
 
 
+def test_sparse_high_degree_entries_pack_by_their_exponent_gcd():
+    # entries 1 and -X^60*Y^60*W^60: as packed exponents 60 each variable
+    # would take 721 slots at c = 12 (about 10^10 bits an int); as 60
+    # times (1, 1, 1) it takes 13
+    R = ring("Q", "X", "Y", "W", "Z")
+    f = R.parse("Z^12+X^60*Y^60*W^60")
+    for g in ("Z", "Z^5", "Z^11", "3*Z^11+X^120*Y^60*Z^2"):
+        M = mult_matrix(R.parse(g), f, "Z")
+        assert char_poly(M) == berkowitz_on_polynomials(M)
+
+
+def test_t_packs_unscaled_when_only_even_powers_of_it_appear():
+    # every coefficient in {1, t^2, 1 + t^2}: t's exponents share the
+    # factor 2, but they index t's powers, so t must keep g = 1
+    R = ring("F8:t^3+t^2+1", "Y")
+    t2 = R.field.generator()**2
+    coefficients = [R.field.one(), t2, R.field.one() + t2]
+    rng = random.Random(8)
+    M = MultiplicationMatrix(None, None, [
+        [R.constant(rng.choice(coefficients)) + R.var("Y").scale(
+            rng.choice(coefficients)) for _ in range(4)]
+        for _ in range(4)], None)
+    assert char_poly(M) == berkowitz_on_polynomials(M)
+
+
+def test_sparse_high_degree_entries_without_a_common_factor_hit_the_size_cap():
+    R = ring("Q", "X", "Y", "W", "Z")
+    f = R.parse("Z^12+X^60*Y^60*W^60+X^11*Y")
+    M = mult_matrix(R.parse("Z"), f, "Z")
+    with pytest.raises(ResourceCapError, match="size cap exceeded"):
+        char_poly(M)
+
+
+def test_dense_extension_field_char_poly_at_the_degree_cap():
+    # the eliminate pool's shape at c = 12 over F_4: every entry uses t, so
+    # t packs as one more variable of radix c(k-1) + 1
+    R = ring("F4", "Y", "Z")
+    rng = random.Random("dense/F4/12")
+    units = [a for a in R.field.elements() if not a.is_zero()]
+
+    def linear():
+        return R.constant(rng.choice(units)) + R.var("Y").scale(
+            rng.choice(units))
+
+    Z = R.var("Z")
+    f = Z**12 + sum((linear() * Z**j for j in range(12)), R.zero())
+    g = sum((linear() * Z**j for j in range(12)), R.zero())
+    M = mult_matrix(g, f, "Z")
+    assert char_poly(M) == berkowitz_on_polynomials(M)
+
+
 def test_char_poly_matches_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(77)
