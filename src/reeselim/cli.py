@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from .groebner import ResourceCapError, rational_zero_set
-from .poly import RationalPoint, RingError
+from .poly import _DIGITS, RationalPoint, RingError
 from .rees import (ReesError, diff_saturate, e0_invariant, format_algebra,
                    normalize_generators, ord_at_point, parse_algebra,
                    singular_ideal, tau_estimate, weighted_transform)
@@ -63,6 +64,21 @@ def _parse_point(ring, text):
     return RationalPoint(ring, coords)
 
 
+def _integer(text):
+    """argparse type: the file format's integers, ASCII digits only."""
+    if not re.fullmatch("[+-]?" + _DIGITS, text):
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    return int(text)
+
+
+def _names(text):
+    """argparse type: comma-separated names, stripped, none empty."""
+    names = [v.strip() for v in text.split(",")]
+    if not all(names):
+        raise argparse.ArgumentTypeError("empty name in %r" % text)
+    return names
+
+
 def _emit_algebra(G, out):
     out.write(format_algebra(G))
     out.write("#! generators: %d max-weight: %d\n"
@@ -71,8 +87,7 @@ def _emit_algebra(G, out):
 
 def _cmd_saturate(args, out):
     G = _load_algebra(args.file)
-    active = args.active.split(",") if args.active else None
-    sat = diff_saturate(G, active)
+    sat = diff_saturate(G, args.active)
     if args.normalize:
         sat = normalize_generators(sat)
     _emit_algebra(sat, out)
@@ -136,8 +151,7 @@ def _cmd_eliminate(args, out):
 
 def _cmd_blowup(args, out):
     G = _load_algebra(args.file)
-    center = [v.strip() for v in args.center.split(",")]
-    transformed, chart = weighted_transform(G, center, args.chart)
+    transformed, chart = weighted_transform(G, args.center, args.chart)
     if args.normalize:
         transformed = normalize_generators(transformed)
     out.write("# chart: %s, center: %s\n" % (chart.exceptional,
@@ -176,8 +190,8 @@ def build_parser():
 
     p = sub.add_parser("saturate", help="differential saturation")
     p.add_argument("file")
-    p.add_argument("--active", help="comma-separated active variables "
-                                    "(default: all)")
+    p.add_argument("--active", type=_names,
+                   help="comma-separated active variables (default: all)")
     p.add_argument("--normalize", action="store_true",
                    help="scale generators by leading-coefficient inverses")
     p.set_defaults(func=_cmd_saturate)
@@ -195,7 +209,7 @@ def build_parser():
 
     p = sub.add_parser("eliminate", help="eliminate the distinguished variable")
     p.add_argument("file")
-    p.add_argument("--monic", type=int, required=True,
+    p.add_argument("--monic", type=_integer, required=True,
                    help="index of the monic generator, 0-based, counting "
                    "the distinct nonzero generators in file order; a zero "
                    "or repeated gen: line takes no index")
@@ -206,7 +220,7 @@ def build_parser():
     p = sub.add_parser("blowup", help="weighted transform at a coordinate "
                                       "center")
     p.add_argument("file")
-    p.add_argument("--center", required=True, help="e.g. Y,Z")
+    p.add_argument("--center", type=_names, required=True, help="e.g. Y,Z")
     p.add_argument("--chart", required=True, help="chart variable")
     p.add_argument("--normalize", action="store_true")
     p.set_defaults(func=_cmd_blowup)
@@ -222,7 +236,7 @@ def build_parser():
 
     p = sub.add_parser("scenario", help="run a built-in scenario")
     p.add_argument("name", choices=SCENARIO_NAMES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.set_defaults(func=_cmd_scenario)
 
     return parser

@@ -5,10 +5,12 @@ compares one-variable monomial algebras up to integral closure.
 
 A multiplication matrix costs one division (g mod f), the other columns
 come from the companion recurrence, and each of its sums of products is one
-raw-value accumulation (_sum_of_products).  A characteristic polynomial packs
-its matrix once into Python ints (mixed-radix Kronecker substitution, sized
-by a closed-form coefficient bound), runs Berkowitz's recursion on them and
-unpacks its c outputs once.
+raw-value accumulation (_sum_of_products).  A characteristic polynomial
+lifts its matrix once to integer polynomials in t and the variables (t only
+in F_{p^k}), packs each entry into one Python int (mixed-radix Kronecker
+substitution, sized by a closed-form coefficient bound), runs Berkowitz's
+recursion on the ints and unpacks its c outputs in one loop, the same for
+every field.
 """
 from __future__ import annotations
 
@@ -94,21 +96,18 @@ def mult_matrix(g, f, z_var):
 
 def _integer_entries(A, field):
     """Each entry of A as a list of (key, int) pairs, and D: the entries
-    are D*A over Z.  Q scales by the lcm D of the denominators; F_p takes
-    balanced residues in (-p/2, p/2]; in F_{p^k} a key is t's exponent
-    followed by the exponent tuple, one pair per nonzero digit of the
-    packed value.  Smaller integers give narrower digits in char_poly."""
+    are D*A over Z.  A key is t's exponent followed by the exponent tuple.
+    Q scales by the lcm D of the denominators, all at t^0; a finite field
+    gives one pair per nonzero digit of the value (F_p has one digit, F_{p^k}
+    the k of _unpack), each a balanced residue in (-p/2, p/2] at t^j.
+    Smaller integers give narrower digits in char_poly."""
     p = field.p
     if not p:
         D = math.lcm(*{v.denominator for row in A for e in row
                        for v in e._raw.values()})
-        return [[[(x, v.numerator * (D // v.denominator))
+        return [[[((0,) + x, v.numerator * (D // v.denominator))
                   for x, v in e._raw.items()] for e in row] for row in A], D
-    half = p >> 1
-    if field.k == 1:
-        return [[[(x, v - p if v > half else v) for x, v in e._raw.items()]
-                 for e in row] for row in A], 1
-    unpack = field._unpack
+    half, unpack = p >> 1, field._unpack or (lambda v: (v,))
     digits = {v: [((j,), q - p if q > half else q)
                   for j, q in enumerate(unpack(v)) if q]
               for v in {v for row in A for e in row for v in e._raw.values()}}
@@ -119,9 +118,9 @@ def _integer_entries(A, field):
 @functools.cache
 def _t_powers(field, n):
     """Packed residues of t^0, ..., t^(n-1) modulo the field's modulus."""
-    t, out = field._pack((0, 1)), [1]
+    out = [1]
     while len(out) < n:
-        out.append(field.mul(out[-1], t))
+        out.append(field.mul(out[-1], field._pack((0, 1))))
     return tuple(out)
 
 
@@ -130,26 +129,25 @@ def char_poly(M):
     in the ring of the entries.
 
     Berkowitz's division-free recursion (_berkowitz), valid in any
-    characteristic, run on plain ints.  The matrix is lifted to integer
-    polynomials once (_integer_entries; in F_{p^k} the generator t is one
-    more variable) and each entry is packed into one int by mixed-radix
-    Kronecker substitution: the term of exponent e is a signed digit at
-    slot sum_j (e_j/g_j) R_j, R_j = prod_{i<j} (c*d_i + 1), where g_i is
-    the gcd of variable i's exponents in the entries (y^g -> y embeds the
-    polynomials in y^g; t keeps g = 1) and d_i the largest of them over
-    g_i.  Substitution is a ring
-    homomorphism and ints are exact, so intermediates may carry freely;
-    an output decodes uniquely once its exponents fit their slots (h_i is
-    a sum of products of i <= c entries) and its coefficients fit a
-    balanced digit of w = bitlen(B) + 1 bits.  B = max_i e_i(rho_1..rho_c),
-    the elementary symmetric polynomials of the row sums of the entries'
-    l1 norms, bounds every coefficient: h_i is a signed sum of principal
-    i-minors.  Each output is unpacked once, one step per nonzero monomial
-    or run of zero ones (in F_{p^k} plus one per t-digit of the monomial),
-    and each coefficient is divided exactly by D^i over Q, or reduced mod p
-    and, in F_{p^k}, mod the modulus.  The packed length w * slots grows
-    with the entries' degrees however sparse they are; above
-    _PACKED_BITS_CAP it raises ResourceCapError before any product.
+    characteristic, run on plain ints.  The matrix is lifted once
+    (_integer_entries) and each entry packed into one int by mixed-radix
+    Kronecker substitution: the term of key e (t's exponent first) is a
+    signed digit at slot sum_j (e_j/g_j) R_j, R_j = prod_{i<j} (c*d_i + 1),
+    where g_i is the gcd of coordinate i's exponents in the entries (y^g ->
+    y embeds the polynomials in y^g) and d_i the largest of them over g_i.
+    Substitution is a ring homomorphism and ints are exact, so
+    intermediates may carry freely; an output decodes uniquely once its
+    exponents fit their slots (h_i is a sum of products of i <= c entries)
+    and its coefficients fit a balanced digit of w = bitlen(B) + 1 bits.
+    B = max_i e_i(rho_1..rho_c), the elementary symmetric polynomials of
+    the row sums of the entries' l1 norms, bounds every coefficient: h_i is
+    a signed sum of principal i-minors.  One decode loop serves every
+    field: a monomial's t-digits are one group, one step per nonzero group
+    or run of zero ones, and a group is one coefficient, divided exactly by
+    D^i over Q or sum_j (digit_j mod p) t^(j*g_t) reduced once.  The packed
+    length w * slots grows with the entries' degrees however sparse they
+    are; above _PACKED_BITS_CAP it raises ResourceCapError before any
+    product.
     """
     c = M.size
     _check_degree_cap(c)
@@ -157,7 +155,7 @@ def char_poly(M):
     ring = A[0][0].ring
     field = ring.field
     entries, D = _integer_entries(A, field)
-    keys = [x for row in entries for e in row for x, _ in e]
+    keys = {x for row in entries for e in row for x, _ in e}
     if not keys:
         return [ring.zero()] * c
     esym = [1] + [0] * c   # e_i of the row sums seen so far
@@ -167,36 +165,27 @@ def char_poly(M):
     w = max(esym).bit_length() + 1
     cols = list(zip(*keys))
     gs = [math.gcd(*col) or 1 for col in cols]
-    if field.k > 1:
-        gs[0] = 1   # t's exponents index its powers
-    scaled = max(gs) > 1
-    if scaled:
-        entries = [[[(tuple(map(floordiv, x, gs)), v) for x, v in e]
-                    for e in row] for row in entries]
     radices, slots = [], 1
     for d, g in zip(map(max, cols), gs):
-        radices.append((slots, c * (d // g) + 1))
+        radices.append((slots, c * (d // g) + 1, g))
         slots *= c * (d // g) + 1
     if w * slots > _PACKED_BITS_CAP:
         raise ResourceCapError("characteristic polynomial size cap exceeded "
                                "(packed entries of %d bits > cap %d)"
                                % (w * slots, _PACKED_BITS_CAP))
-    shifts = [w * r for r, _ in radices]
-    h = _berkowitz([[sum(v << sum(map(mul, x, shifts)) for x, v in entry)
-                     for entry in row] for row in entries])
+    shifts = [w * r for r, _, _ in radices]
+    shift = {x: sum(map(mul, map(floordiv, x, gs), shifts)) for x in keys}
+    h = _berkowitz([[sum(v << shift[x] for x, v in entry) for entry in row]
+                    for row in entries])
 
     # adding the bias, half in every slot, makes every digit non-negative,
     # and xor with it leaves a zero digit wherever the output's is zero
     half, mask, top = 1 << (w - 1), (1 << w) - 1, 1 << w * slots
     bias = (top - 1) // mask * half
-    p, nt = field.p, 1
-    if field.k > 1:
-        # t's slot is the lowest: one monomial's t-digits are a group of nt
-        nt = radices[0][1]
-        tpow = _t_powers(field, nt)
-        radices = [(r // nt, n) for r, n in radices[1:]]
-        gs = gs[1:]
-    gw = w * nt
+    (_, nt, gt), *radices = radices
+    radices = [(r // nt, n, g) for r, n, g in radices]
+    tpow = _t_powers(field, (nt - 1) * gt + 1)
+    p, gw = field.p, w * nt
     gmask = (1 << gw) - 1
     out, Di = [], 1
     for v in h:
@@ -205,37 +194,28 @@ def char_poly(M):
         if not 0 <= x < top:   # cannot happen while B bounds h_i
             raise ArithmeticError("char_poly output exceeds its digit bound")
         x ^= bias
-        groups, m = [], 0   # (monomial slot, its nonzero group of digits)
+        raw, m = {}, 0   # m: the monomial slot of the group at x's bottom
         while x:
-            g = x & gmask
-            if g:
-                groups.append((m, g))
+            if y := x & gmask:
+                if not p:
+                    q = (y ^ half) - half
+                    a = q // Di if q % Di == 0 else Fraction(q, Di)
+                else:
+                    acc = j = 0
+                    while y:   # t^j's digit, taken mod p, times t^(j*gt)
+                        if u := y & mask:
+                            acc += ((u ^ half) - half) % p * tpow[j * gt]
+                        y >>= w
+                        j += 1
+                    a = field.reduce(acc)
+                if a:
+                    raw[tuple([m // r % n * g for r, n, g in radices])] = a
                 x >>= gw
                 m += 1
             else:   # skip the run of zero groups up to the next nonzero one
                 z = ((x & -x).bit_length() - 1) // gw
                 x >>= gw * z
                 m += z
-        if not p:
-            raw = {tuple([m // r % n for r, n in radices]):
-                   q // Di if q % Di == 0 else Fraction(q, Di)
-                   for m, g in groups for q in [(g ^ half) - half]}
-        elif nt == 1:
-            raw = {tuple([m // r % n for r, n in radices]): a
-                   for m, g in groups if (a := ((g ^ half) - half) % p)}
-        else:
-            raw = {}
-            for m, g in groups:
-                acc = j = 0
-                while g:   # t^j's digit, taken mod p, times t^j's residue
-                    if u := g & mask:
-                        acc += ((u ^ half) - half) % p * tpow[j]
-                    g >>= w
-                    j += 1
-                if a := field.reduce(acc):
-                    raw[tuple([m // r % n for r, n in radices])] = a
-        if scaled:
-            raw = {tuple(map(mul, x, gs)): a for x, a in raw.items()}
         out.append(Polynomial._from_raw(ring, raw))
     return out
 

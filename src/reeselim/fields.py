@@ -15,10 +15,12 @@ This module alone decides how raw values are added, negated, multiplied,
 inverted and reduced: each descriptor binds those functions once, and
 FieldElement, the polynomial product and the point scan call them.  The one
 computation off them is elim.char_poly, which lifts raw values to integers
-(balanced residues; in F_{p^k} the digits of _unpack), runs on ints and
-brings each output coefficient back once, by % p and reduce.  An
-F_{p^k} reduction is a packed fold: each digit above the k low ones, taken
-mod p, adds its multiple of the packed residue of t^j mod the modulus.
+(Q over a common denominator; a finite-field value as one balanced residue
+per digit, the one of F_p or the k of _unpack), runs on ints and brings
+each output coefficient back once, as sum (digit_j mod p) t^j and one
+reduce.  An F_{p^k} reduction is a packed fold: each digit above the k low
+ones, taken mod p, adds its multiple of the packed residue of t^j mod the
+modulus.
 A spec's modulus is read by the polynomial parser over F_p[t], and every
 power, here and in poly, is one square-and-multiply (_power).
 """

@@ -367,6 +367,46 @@ def test_monic_index_counts_distinct_nonzero_generators(tmp_path, capsys,
     assert capsys.readouterr().err == ""
 
 
+# option values argparse refuses before any file is read: exit 2, nothing
+# on stdout.  Integers follow the file format's ASCII digit rule (int()
+# would read the Arabic-Indic one as 1 and 1_0 as 10), and every name in
+# a comma list must be nonempty once stripped
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["eliminate", "FILE", "--monic", "\u0661", "--var", "Z"],
+                 "argument --monic: invalid int value: '\u0661'",
+                 id="monic-non-ascii-digit"),
+    pytest.param(["eliminate", "FILE", "--monic", "1_0", "--var", "Z"],
+                 "argument --monic: invalid int value: '1_0'",
+                 id="monic-with-an-underscore"),
+    pytest.param(["eliminate", "FILE", "--monic", "abc", "--var", "Z"],
+                 "argument --monic: invalid int value: 'abc'",
+                 id="monic-not-an-integer"),
+    pytest.param(["scenario", "ex6.9", "--seed", "\u0663"],
+                 "argument --seed: invalid int value: '\u0663'",
+                 id="seed-non-ascii-digit"),
+    pytest.param(["saturate", "FILE", "--active", ""],
+                 "argument --active: empty name in ''", id="active-empty"),
+    pytest.param(["saturate", "FILE", "--active", "Y, ,Z"],
+                 "argument --active: empty name in 'Y, ,Z'",
+                 id="active-empty-name"),
+    pytest.param(["blowup", "FILE", "--center", "Y,", "--chart", "Y"],
+                 "argument --center: empty name in 'Y,'",
+                 id="center-trailing-comma"),
+])
+def test_option_value_refusal_is_a_usage_error(ex610, capsys, argv, message):
+    assert run([ex610 if a == "FILE" else a for a in argv]) == (2, "")
+    assert message in capsys.readouterr().err
+
+
+def test_comma_lists_strip_their_names(ex610, capsys):
+    for command, option, extra in (("saturate", "--active", []),
+                                   ("blowup", "--center", ["--chart", "Y"])):
+        code, text = run([command, ex610, option, "Y,Z"] + extra)
+        assert code == 0 and "\n#! generators: " in text
+        assert run([command, ex610, option, " Y , Z"] + extra) == (code, text)
+    assert capsys.readouterr().err == ""
+
+
 def test_zero_elimination_algebra_warns_and_exits_zero(tmp_path, capsys):
     # Z^2 reduces to 0 mod itself and its Z-derivative 2Z is 0 over F2
     path = tmp_path / "zero.alg"

@@ -231,19 +231,24 @@ def test_char_poly_of_a_positive_diagonal_reaches_the_coefficient_bound(
 
 
 def test_sparse_high_degree_entries_pack_by_their_exponent_gcd():
-    # entries 1 and -X^60*Y^60*W^60: as packed exponents 60 each variable
+    # entries 1 and -a*X^60*Y^60*W^60: as packed exponents 60 each variable
     # would take 721 slots at c = 12 (about 10^10 bits an int); as 60
-    # times (1, 1, 1) it takes 13
-    R = ring("Q", "X", "Y", "W", "Z")
-    f = R.parse("Z^12+X^60*Y^60*W^60")
-    for g in ("Z", "Z^5", "Z^11", "3*Z^11+X^120*Y^60*Z^2"):
-        M = mult_matrix(R.parse(g), f, "Z")
-        assert char_poly(M) == berkowitz_on_polynomials(M)
+    # times (1, 1, 1) it takes 13.  a = t in F_4 puts t in the keys too;
+    # there the last g stretches t's slot past the size cap
+    gs = ("Z", "Z^5", "Z^11", "3*Z^11+X^120*Y^60*Z^2")
+    for spec, a, gs in (("Q", 3, gs), ("F5", 3, gs), ("F4", (0, 1), gs[:3])):
+        R = ring(spec, "X", "Y", "W", "Z")
+        f = R.parse("Z^12") + R.parse("X^60*Y^60*W^60").scale(
+            R.field.element(a))
+        for g in gs:
+            M = mult_matrix(R.parse(g), f, "Z")
+            assert char_poly(M) == berkowitz_on_polynomials(M)
 
 
-def test_t_packs_unscaled_when_only_even_powers_of_it_appear():
+def test_t_packs_as_its_root_when_only_even_powers_of_it_appear():
     # every coefficient in {1, t^2, 1 + t^2}: t's exponents share the
-    # factor 2, but they index t's powers, so t must keep g = 1
+    # factor 2, so t packs as its square root like any variable, and the
+    # decode reads t-digit j as t^(2j)
     R = ring("F8:t^3+t^2+1", "Y")
     t2 = R.field.generator()**2
     coefficients = [R.field.one(), t2, R.field.one() + t2]
