@@ -3,25 +3,25 @@ S[Z]/<f>, division-free characteristic polynomials, the elimination algebra
 of char-poly coefficients with its weight law, and the slope test that
 compares one-variable monomial algebras up to integral closure.
 
-A multiplication matrix costs one division (g mod f), the other columns
-come from the companion recurrence, and each of its sums of products is one
-raw-value accumulation (_sum_of_products).  A characteristic polynomial
-lifts its matrix once to integer polynomials in t and the variables (t only
-in F_{p^k}), packs each entry into one Python int (mixed-radix Kronecker
-substitution, sized by a closed-form coefficient bound), runs Berkowitz's
-recursion on the ints and unpacks its c outputs in one loop, the same for
-every field.
+A multiplication matrix costs one division (g mod f); the other columns
+come from the companion recurrence on raw term maps, one shift per column,
+where each entry that f touches takes its products unreduced and is reduced
+once per coefficient.  A characteristic polynomial lifts its matrix once to
+integer polynomials in t and the variables (t only in F_{p^k}), packs each
+entry into one Python int (mixed-radix Kronecker substitution, sized by a
+closed-form coefficient bound), runs Berkowitz's recursion on the ints and
+unpacks its c outputs in one loop, the same for every field.
 """
 from __future__ import annotations
 
 import functools
 import math
 from fractions import Fraction
-from operator import floordiv, mul
+from operator import add, floordiv, mul
 
 from .fields import Immutable
 from .groebner import ResourceCapError
-from .poly import Polynomial, RingError, _sum_of_products, univ_divmod
+from .poly import Polynomial, RingError, univ_divmod
 from .rees import ReesAlgebra, ReesError, diff_saturate, format_algebra
 
 CHARPOLY_DEGREE_CAP = 12
@@ -67,7 +67,11 @@ def _check_degree_cap(c):
 
 
 def mult_matrix(g, f, z_var):
-    """Multiplication-by-g endomorphism of S[Z]/<f>, f monic of degree c."""
+    """Multiplication-by-g endomorphism of S[Z]/<f>, f monic of degree c.
+
+    Column j holds the Z^0..Z^(c-1) coefficients of g*Z^j mod f: one
+    division gives column 0, and each later column is one companion step
+    on raw term maps, wrapped as Polynomials once it is complete."""
     if g.ring != f.ring:
         raise RingError("ring mismatch")
     if not f.is_monic_in(z_var):
@@ -76,21 +80,39 @@ def mult_matrix(g, f, z_var):
     if c < 1:
         raise RingError("modulus must have positive degree in %r" % z_var)
     _, g = univ_divmod(g, f, z_var)
-    # column j+1 is Z * (column j) mod f: shift the coefficients up one
-    # power of Z, then replace the t*Z^c that reaches the top by
-    # -t*(f - Z^c), one accumulation per entry; a zero column stays zero
-    ring, one, zero = f.ring, f.ring.one(), f.ring.zero()
-    neg_low = [-a for a in f.coefficients_in(z_var)[:c]]
-    col = g.coefficients_in(z_var)
-    col += [zero] * (c - len(col))
+    # entries are raw term maps keyed with Z's slot at 0.  Column j+1 is
+    # Z * (column j) mod f: shift the entries up one power of Z, then
+    # replace the t*Z^c that reaches the top by -t*(f - Z^c).  An entry
+    # that a nonzero -f_n touches is a copy plus the unreduced products
+    # t*(-f_n), each value reduced once: the sum _sum_of_products would give
+    # for x*1 + t*(-f_n) (in F_{p^k}, one canonical value and |t|*|f_n|
+    # products, far inside reduce's bound).  A zero column stays zero.  g
+    # and f are split by Z's exponent here, not by coefficients_in, which
+    # scans for the degree and wraps every power as a Polynomial.
+    ring = f.ring
+    reduce, neg = ring.field.reduce, ring.field.neg
+    i = ring.var_index(z_var)
+    col = [{} for _ in range(c)]
+    for e, v in g._raw.items():
+        col[e[i]][e[:i] + (0,) + e[i + 1:]] = v
+    neg_low = {}   # n -> the terms of -f_n, for each nonzero f_n, n < c
+    for e, v in f._raw.items():
+        if e[i] < c:
+            neg_low.setdefault(e[i], []).append(
+                (e[:i] + (0,) + e[i + 1:], neg(v)))
     columns = []
     for _ in range(c):
-        columns.append(col)
-        t = col[-1]
-        col = [zero] + col[:-1]
+        columns.append([Polynomial._from_raw(ring, x) for x in col])
+        t = col[-1].items()
+        col = [{}] + col[:-1]
         if t:
-            col = [_sum_of_products(ring, ((x, one), (t, a))) if a else x
-                   for x, a in zip(col, neg_low)]
+            for n, a in neg_low.items():
+                raw = dict(col[n])
+                for e1, v1 in t:
+                    for e2, v2 in a:
+                        e = tuple(map(add, e1, e2))
+                        raw[e] = raw.get(e, 0) + v1 * v2
+                col[n] = {e: r for e, v in raw.items() if (r := reduce(v))}
     return MultiplicationMatrix(f, g, zip(*columns), z_var)
 
 

@@ -469,21 +469,30 @@ def mult_matrix_by_columns(g, f, z_var):
     return tuple(tuple(row) for row in rows)
 
 
-@pytest.mark.parametrize("spec", ["Q", "F2", "F3", "F4", "F5"])
-@pytest.mark.parametrize("base", [("Y",), ("X", "Y")])
+@pytest.mark.parametrize("spec", ["Q", "F2", "F3", "F4", "F5", "F9",
+                                  "F8:t^3+t^2+1", "F2147483647"])
+@pytest.mark.parametrize("base", [("Y",), ("X", "Y"), ("X", "Y", "W")])
 def test_mult_matrix_matches_the_column_definition(spec, base):
     R = ring(spec, *base, "Z")
     field = R.field
     rng = random.Random(spec + "".join(base))
-    values = (field.elements() if field.p else
-              [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)])
+    if not field.p:
+        values = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)]
+    elif field.p**field.k < 100:
+        values = field.elements()
+    else:   # F_{2^31-1}: elements() would list 2^31 values
+        values = None
+
+    def coefficient():
+        return (rng.choice(values) if values
+                else field.element(rng.randrange(field.p)))
 
     def draw(z_max, nterms):
         # few terms over several Z powers, so some coefficients are zero
         out = R.zero()
         for _ in range(nterms):
             exps = [rng.randrange(3) for _ in base] + [rng.randrange(z_max + 1)]
-            out = out + R.monomial(exps, rng.choice(values))
+            out = out + R.monomial(exps, coefficient())
         return out
 
     Z, Y = R.var("Z"), R.var("Y")
@@ -500,6 +509,48 @@ def test_mult_matrix_matches_the_column_definition(spec, base):
     f = Z**3 + Y * Z
     M = mult_matrix(f * (Y + Z**4), f, "Z")
     assert M.matrix == ((R.zero(),) * 3,) * 3
+    # Z*(Z+Y) = -1 mod Z^2+Y*Z+1: entry (1, 1) is Y + 1*(-Y), which cancels
+    # exactly and must leave an empty term map, not a zero coefficient
+    f = Z**2 + Y * Z + 1
+    M = mult_matrix(Z + Y, f, "Z")
+    assert M.matrix == ((Y, -R.one()), (R.one(), R.zero()))
+    assert M.matrix == mult_matrix_by_columns(Z + Y, f, "Z")
+
+
+def test_eliminate_does_not_depend_on_the_order_of_the_other_generators():
+    # a metamorphic relation: the same input with the generators besides
+    # f listed the other way round (and f last, not first) must give the
+    # same elimination algebra, compared as a set
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        base = ("X", "Y")[:data.draw(st.integers(1, 2))]
+        R = ring(data.draw(st.sampled_from(("Q", "F2", "F3", "F4", "F9"))),
+                 *base, "Z")
+        field = R.field
+        nonzero = (st.fractions(-3, 3, max_denominator=2) if not field.p
+                   else st.sampled_from(field.elements())).filter(bool)
+
+        def poly(z_max):
+            exps = st.tuples(*[st.integers(0, 2)] * len(base),
+                             st.integers(0, z_max))
+            return Polynomial(R, data.draw(st.dictionaries(
+                exps, nonzero, min_size=1, max_size=3)))
+
+        c = data.draw(st.integers(1, 3))
+        low = poly(c - 1) if data.draw(st.booleans()) else R.zero()
+        f = ReesGenerator(R.var("Z")**c + low, c)
+        others = [ReesGenerator(poly(3), data.draw(st.integers(1, 2)))
+                  for _ in range(data.draw(st.integers(1, 2)))]
+        results = [eliminate(ReesAlgebra(R, gens), f, "Z",
+                             check_transversal=False).algebra
+                   for gens in ([f] + others, others[::-1] + [f])]
+        assert results[0] == results[1]
+
+    check()
 
 
 def test_zero_elimination_algebra_warning_path():
