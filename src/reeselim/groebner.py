@@ -1,13 +1,16 @@
 """Ideals with Groebner-based membership and finite-field point scans.
 
 Buchberger under grevlex with the normal selection strategy (smallest
-lcm first) and full inter-reduction.  S-pairs are pruned once, when an
-element joins the basis, by the Gebauer-Moeller update (Becker-Weispfenning's
-UPDATE).  Reduction runs on raw term maps; each divisor caches its leading
-monomial, inverse leading coefficient and raw terms.  The reduced basis is
-unique, so neither changes an answer.  A hard cap on the basis size,
-``BASIS_CAP``, turns runaway computations into a clean error that reports
-the progress made.
+lcm first) and full inter-reduction.  The inputs, one at a time, and then
+the S-polynomials are reduced by the basis built so far, and only a
+nonzero remainder joins it, so an input already in the ideal makes no
+pair.  S-pairs are pruned once, when an element joins the basis, by the
+Gebauer-Moeller update (Becker-Weispfenning's UPDATE).  Reduction runs on
+raw term maps; each divisor caches its leading monomial, inverse leading
+coefficient and raw terms.  The reduced basis is unique, so none of this
+changes an answer.  A hard cap on the basis size, ``BASIS_CAP``, checked
+on every element added, turns runaway computations into a clean error
+that reports the progress made.
 
 A monomial ideal skips the pair loop: every S-polynomial of two monomials
 is zero, so its reduced basis is its minimal monomials made monic, read
@@ -139,7 +142,9 @@ def normal_form(f, basis):
 def buchberger(ideal):
     """Reduced Groebner basis under grevlex, normal selection strategy
     (smallest lcm first, via a heap keyed at pair creation) and the
-    Gebauer-Moeller pair update.  A monomial ideal's reduced basis is its
+    Gebauer-Moeller pair update.  The inputs, smallest leading monomial
+    first as Becker-Weispfenning insert them, and then the S-polynomials
+    take one path, ``insert``.  A monomial ideal's reduced basis is its
     minimal monomials, monic, in grevlex order."""
     ring = ideal.ring
     field = ring.field
@@ -148,14 +153,11 @@ def buchberger(ideal):
         return GroebnerBasis(ideal, [
             Polynomial._from_raw(ring, {e: one}) for e in
             minimal_exponents(next(iter(g._raw)) for g in ideal.generators)])
-    # distinct and monic, smallest leading monomial first, as
-    # Becker-Weispfenning insert them
-    basis = sorted(dict.fromkeys(g.scale(g.leading_coefficient().inverse())
-                                 for g in ideal.generators),
-                   key=lambda g: grevlex_key(g.leading_monomial()))
-    lms = [g.leading_monomial() for g in basis]
+    basis = []  # monic, in the order they were added
+    lms = []    # their leading monomials
     live = []   # indices of the elements that take new pairs and reduce
     heap = []   # [grevlex key of the lcm, i, j, lcm, dropped], i < j
+    reductions = 0
 
     def update(h):
         """Gebauer-Moeller on adding h: drop the old pairs h makes
@@ -182,9 +184,29 @@ def buchberger(ideal):
         live[:] = [g for g in live if not _divides(lm_h, lms[g])]
         live.append(h)
 
-    for h in range(len(basis)):
-        update(h)
-    reductions = 0
+    def insert(g):
+        """Reduce g by the live elements; a nonzero remainder joins the
+        basis monic, under the cap, and updates the pairs."""
+        nonlocal reductions
+        g = normal_form(g, [basis[i] for i in live])
+        reductions += 1
+        if g.is_zero():
+            return
+        basis.append(g.scale(g.leading_coefficient().inverse()))
+        if len(basis) > BASIS_CAP:
+            raise ResourceCapError(
+                "Groebner basis reached %d elements > cap %d after %d "
+                "reductions, %d pairs pending"
+                % (len(basis), BASIS_CAP, reductions,
+                   sum(not pair[4] for pair in heap)))
+        lms.append(basis[-1].leading_monomial())
+        update(len(basis) - 1)
+
+    # a duplicate input, or one already in the ideal of those before it,
+    # reduces to zero and makes no pair
+    for g in sorted(ideal.generators,
+                    key=lambda g: grevlex_key(g.leading_monomial())):
+        insert(g)
     while heap:
         _, i, j, lcm, dropped = heapq.heappop(heap)
         if dropped:
@@ -195,20 +217,7 @@ def buchberger(ideal):
         a = tuple(map(sub, lcm, lf))
         s = {tuple(map(add, e, a)): v for e, v in tf}
         _subtract(field, s, tuple(map(sub, lcm, lg)), one, tg)
-        s = normal_form(Polynomial._from_raw(ring, s),
-                        [basis[g] for g in live])
-        reductions += 1
-        if s.is_zero():
-            continue
-        basis.append(s.scale(s.leading_coefficient().inverse()))
-        if len(basis) > BASIS_CAP:
-            raise ResourceCapError(
-                "Groebner basis reached %d elements > cap %d after %d S-pair "
-                "reductions, %d pairs pending"
-                % (len(basis), BASIS_CAP, reductions,
-                   sum(not pair[4] for pair in heap)))
-        lms.append(basis[-1].leading_monomial())
-        update(len(basis) - 1)
+        insert(Polynomial._from_raw(ring, s))
     return GroebnerBasis(ideal, _interreduce([basis[g] for g in live]))
 
 

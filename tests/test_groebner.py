@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from reeselim import (FieldDescriptor, Ideal, ResourceCapError, RingContext,
-                      buchberger, ideal_equal, membership, rational_zero_set)
+from reeselim import (FieldDescriptor, Ideal, ReesAlgebra, ResourceCapError,
+                      RingContext, buchberger, degree_ideal, diff_saturate,
+                      ideal_equal, membership, rational_zero_set)
 from reeselim import groebner
 from reeselim.groebner import normal_form
 from reeselim.poly import RationalPoint, RingError, grevlex_key
@@ -351,9 +352,20 @@ def test_zero_set_containment_reverses_generator_membership():
 def test_basis_cap_raises_resource_error(monkeypatch):
     monkeypatch.setattr("reeselim.groebner.BASIS_CAP", 2)
     I = Ideal(QYZ, [QYZ.parse("Y^2"), QYZ.parse("Y*Z+Z^2")])
-    with pytest.raises(ResourceCapError, match=r"3 elements > cap 2 after 1 "
-                       r"S-pair reductions, 0 pairs pending"):
+    with pytest.raises(ResourceCapError, match=r"3 elements > cap 2 after 3 "
+                       r"reductions, 0 pairs pending"):
         buchberger(I)
+
+
+def test_basis_cap_counts_the_inputs(monkeypatch):
+    """The cap holds on every element added: two coprime inputs make no
+    pair, so a cap checked only after an S-polynomial joins never fires."""
+    monkeypatch.setattr("reeselim.groebner.BASIS_CAP", 1)
+    R = ring("Q", "x", "y")
+    with pytest.raises(ResourceCapError, match=r"^Groebner basis reached 2 "
+                       r"elements > cap 1 after 2 reductions, 0 pairs "
+                       r"pending$"):
+        buchberger(Ideal(R, [R.parse("x+1"), R.parse("y+1")]))
 
 
 @pytest.fixture
@@ -373,10 +385,10 @@ def normal_form_calls(monkeypatch):
 
 def test_cap_message_counts_the_reductions_the_trace_counts(
         monkeypatch, normal_form_calls):
-    """The benchmark's trace counts the S-pair reductions as the
-    normal_form calls made under buchberger; before the final
-    inter-reduction those are all of them, and the cap message's figure
-    must equal their number."""
+    """The benchmark's trace counts the reductions, one per input and one
+    per S-pair, as the normal_form calls made under buchberger; before the
+    final inter-reduction those are all of them, and the cap message's
+    figure must equal their number."""
     R = ring("F3", "x", "y", "z")
     I = Ideal(R, [R.parse("x^2*y+z^2+1"), R.parse("x*y^2-z"),
                   R.parse("y*z^2+x")])
@@ -385,21 +397,27 @@ def test_cap_message_counts_the_reductions_the_trace_counts(
         normal_form_calls.clear()
         with pytest.raises(ResourceCapError) as error:
             buchberger(I)
-        reported = re.search(r"after (\d+) S-pair", str(error.value))
+        reported = re.search(r"after (\d+) reductions", str(error.value))
         assert int(reported.group(1)) == len(normal_form_calls) >= cap - 2, \
             error.value
 
 
-@pytest.mark.parametrize("gens, s_pairs", [
-    # the one pair gives y^2*z^2; its new pair with x+1 is coprime, and its
-    # pair with x*y^2*z^2 has the same lcm, so the update drops both
-    (["x+1", "x*y^2*z^2"], 1),
+@pytest.mark.parametrize("gens, reductions", [
+    # the inputs go in as z^2-z, x*z+x, x*y-1, and their pair of lcm x*z^2
+    # gives x, which divides the lcm x*y*z of the pair of x*z+x and x*y-1
+    # but neither of its lcms with them, so the update drops that pair:
+    # 3 inputs and 3 S-pairs, the last giving 1
+    (["x*y-1", "x*z+x", "z^2-z"], 6),
+    # x+1 reduces the input x*y^2*z^2 to -y^2*z^2, coprime to it: 2 inputs
+    # and no pair
+    (["x+1", "x*y^2*z^2"], 2),
     # the three pairs of the generators share the lcm x*y*z, so only one
-    # of the two new pairs of x*y-z is kept
-    (["y*z-x", "x*z-y", "x*y-z"], 8),
-], ids=["coprime-pair-drops-an-equal-lcm", "one-pair-per-equal-lcm"])
+    # of the two new pairs of x*y-z is kept: 3 inputs and 8 S-pairs
+    (["y*z-x", "x*z-y", "x*y-z"], 11),
+], ids=["drops-an-old-pair", "reduced-input-makes-no-pair",
+        "one-pair-per-equal-lcm"])
 def test_gebauer_moeller_update_drops_redundant_pairs(
-        monkeypatch, normal_form_calls, gens, s_pairs):
+        monkeypatch, normal_form_calls, gens, reductions):
     before_interreduction = []
     real = groebner._interreduce
 
@@ -410,7 +428,7 @@ def test_gebauer_moeller_update_drops_redundant_pairs(
     monkeypatch.setattr("reeselim.groebner._interreduce", interreduce)
     R = ring("Q", "x", "y", "z")
     buchberger(Ideal(R, [R.parse(g) for g in gens]))
-    assert before_interreduction == [s_pairs]
+    assert before_interreduction == [reductions]
 
 
 # -- oracles: the definition of a reduced basis, and sympy ------------
@@ -532,54 +550,166 @@ def _s_poly(f, g):
             * g)
 
 
+def _assert_reduced_basis(gens, basis):
+    """basis is the reduced Groebner basis of the ideal of gens, by the
+    definition: monic, no leading monomial dividing a term of another
+    element, every generator reducing to zero and every S-polynomial too."""
+    assert bool(basis) == bool(gens), gens
+    for g in basis:
+        assert g.terms[_lm(g)] == g.ring.field.one(), (gens, g)
+        for h in basis:
+            if h is not g:
+                assert not any(_divides(_lm(h), e) for e in g.terms), \
+                    (gens, g, h)
+    for f in gens:
+        assert _remainder(f, basis).is_zero(), (gens, f)
+    for i, g in enumerate(basis):
+        for h in basis[i + 1:]:
+            assert _remainder(_s_poly(g, h), basis).is_zero(), (gens, g, h)
+
+
 def test_buchberger_output_is_the_reduced_basis():
     specs = ("F2", "F3", "F4", "F5", "Q", "F8", "F9", "F8:t^3+t^2+1")
     for R, gens in itertools.chain(_random_ideals(3, specs),
                                    _monomial_ideals(5, specs)):
         basis = list(buchberger(Ideal(R, gens)).basis)
-        assert bool(basis) == bool(gens), gens
         if all(len(f.terms) == 1 for f in gens):
             # a monomial lies in a monomial ideal iff a generator divides it
             for g in basis:
                 assert any(_divides(_lm(f), _lm(g)) for f in gens), (gens, g)
-        for g in basis:
-            assert g.terms[_lm(g)] == R.field.one(), (gens, g)
-            for h in basis:
-                if h is not g:
-                    assert not any(_divides(_lm(h), e) for e in g.terms), \
-                        (gens, g, h)
-        for f in gens:
-            assert _remainder(f, basis).is_zero(), (gens, f)
-        for i, g in enumerate(basis):
-            for h in basis[i + 1:]:
-                assert _remainder(_s_poly(g, h), basis).is_zero(), (gens, g, h)
+        _assert_reduced_basis(gens, basis)
+
+
+_SYMPY_MODULI = {"F2": 2, "F3": 3, "F5": 5, "Q": None}
+
+
+def _sympy_basis(R, gens):
+    """The reduced grevlex basis of the ideal of gens by sympy, monic, as
+    a set of polynomials of R."""
+    sympy = pytest.importorskip("sympy")
+    p = _SYMPY_MODULI[R.field.spec()]
+    syms = sympy.symbols(R.variables)
+    exprs = []
+    for f in gens:
+        expr = 0
+        for exps, c in f.terms.items():
+            term = sympy.Rational(c.val.numerator, c.val.denominator) \
+                if p is None else c.val
+            for s, e in zip(syms, exps):
+                term *= s**e
+            expr += term
+        exprs.append(expr)
+    options = {} if p is None else {"modulus": p}
+    theirs = set()
+    for poly in sympy.groebner(exprs, *syms, order="grevlex",
+                               **options).polys:
+        g = R.zero()
+        for exps, c in poly.terms():
+            # sympy prints residues mod p symmetrically (-1 for 2 mod 3)
+            c = Fraction(str(c)) if p is None else int(c) % p
+            g = g + R.monomial(exps, c)
+        theirs.add(g.scale(g.terms[_lm(g)].inverse()))
+    return theirs
 
 
 def test_buchberger_matches_sympy():
-    sympy = pytest.importorskip("sympy")
-    moduli = {"F2": 2, "F3": 3, "F5": 5, "Q": None}
-    for R, gens in itertools.chain(_random_ideals(5, tuple(moduli)),
-                                   _monomial_ideals(7, tuple(moduli))):
-        p = moduli[R.field.spec()]
-        syms = sympy.symbols(R.variables)
-        exprs = []
-        for f in gens:
-            expr = 0
-            for exps, c in f.terms.items():
-                term = sympy.Rational(c.val.numerator, c.val.denominator) \
-                    if p is None else c.val
-                for s, e in zip(syms, exps):
-                    term *= s**e
-                expr += term
-            exprs.append(expr)
-        options = {} if p is None else {"modulus": p}
-        theirs = set()
-        for poly in sympy.groebner(exprs, *syms, order="grevlex",
-                                   **options).polys:
-            g = R.zero()
-            for exps, c in poly.terms():
-                # sympy prints residues mod p symmetrically (-1 for 2 mod 3)
-                c = Fraction(str(c)) if p is None else int(c) % p
-                g = g + R.monomial(exps, c)
-            theirs.add(g.scale(g.terms[_lm(g)].inverse()))
-        assert set(buchberger(Ideal(R, gens)).basis) == theirs, gens
+    for R, gens in itertools.chain(_random_ideals(5, tuple(_SYMPY_MODULI)),
+                                   _monomial_ideals(7, tuple(_SYMPY_MODULI))):
+        assert set(buchberger(Ideal(R, gens)).basis) == \
+            _sympy_basis(R, gens), gens
+
+
+def test_basis_does_not_depend_on_how_the_inputs_are_given():
+    """Inputs are reduced one at a time against the basis built so far, so
+    their order, duplicates, scalars and members of the ideal change the
+    path taken; the reduced basis must not change."""
+    rng = random.Random(11)
+    specs = ("F2", "F3", "F4", "F5", "Q", "F9")
+    for R, gens in _random_ideals(13, specs):
+        basis = buchberger(Ideal(R, gens)).basis
+        coeffs = _nonzero_coeffs(R)
+        shuffled = gens[:]
+        rng.shuffle(shuffled)
+        h = R.monomial([rng.randrange(2) for _ in R.variables],
+                       rng.choice(coeffs)) + R.one()
+        i, j = rng.sample(range(len(gens)), 2)
+        variants = {
+            "shuffled": shuffled,
+            "duplicated": gens + [rng.choice(gens), rng.choice(gens)],
+            "scaled": [g.scale(rng.choice(coeffs)) for g in gens],
+            "extended": gens + [h * gens[i] + gens[j]],
+        }
+        for name, variant in variants.items():
+            assert buchberger(Ideal(R, variant)).basis == basis, \
+                (name, gens, variant)
+
+
+def test_an_input_in_the_ideal_of_those_before_it_adds_nothing(
+        normal_form_calls):
+    R = ring("Q", "x", "y", "z")
+    f = R.parse("x*y-z")
+    gb = buchberger(Ideal(R, [f, f * R.parse("x+1")]))
+    assert gb.basis == (f,)
+    assert len(normal_form_calls) == 2
+
+
+# -- degree ideals of the sizes the membership benchmark reduces ------
+
+_POOL_MAX_PRODUCTS = 60
+
+
+def _minimal_products(weights, k):
+    """Number of multisets of the weights (by index) whose sum reaches k and
+    drops below k without its lightest member: a bound on the generators
+    of I_k."""
+    count = 0
+    for size in range(1, k + 1):
+        for ws in itertools.combinations_with_replacement(weights, size):
+            count += sum(ws) >= k > sum(ws) - min(ws)
+    return count
+
+
+def _pool_degree_ideals(seed, specs, per_spec):
+    """Degree ideals I_k of random saturated algebras in 2-3 variables,
+    drawn as the membership benchmark draws them: one or two generators of
+    one or two terms with exponents below 4 and weights 1-4, saturated,
+    and k up to the top weight, with at most 60 minimal products."""
+    rng = random.Random(seed)
+    for spec in specs:
+        drawn = 0
+        while drawn < per_spec:
+            nvars = rng.choice((2, 3))
+            R = ring(spec, *("x", "y", "z")[:nvars])
+            coeffs = _nonzero_coeffs(R)
+            pairs = []
+            for _ in range(rng.randrange(1, 3)):
+                f = R.zero()
+                while f.is_zero():
+                    for _ in range(rng.randrange(1, 3)):
+                        exps = [rng.randrange(4) for _ in range(nvars)]
+                        f = f + R.monomial(exps, rng.choice(coeffs))
+                pairs.append((f, rng.randrange(1, 5)))
+            G = diff_saturate(ReesAlgebra.from_pairs(R, pairs))
+            if G.is_empty() or G.max_weight < 2:
+                continue
+            k = rng.randrange(1, G.max_weight + 1)
+            weights = [g.weight for g in G.generators]
+            if _minimal_products(weights, k) > _POOL_MAX_PRODUCTS:
+                continue
+            drawn += 1
+            yield R, list(degree_ideal(G, k).generators)
+
+
+def test_degree_ideal_bases_are_reduced_bases():
+    sizes = []
+    for R, gens in _pool_degree_ideals(17, ("Q", "F2", "F3"), 40):
+        _assert_reduced_basis(gens, list(buchberger(Ideal(R, gens)).basis))
+        sizes.append(len(gens))
+    # the pool's inputs, unlike the random ideals' 2-3 generators
+    assert max(sizes) > 10, sizes
+
+
+def test_degree_ideal_bases_match_sympy():
+    for R, gens in _pool_degree_ideals(19, ("Q", "F2", "F3"), 20):
+        assert set(buchberger(Ideal(R, gens)).basis) == \
+            _sympy_basis(R, gens), gens
