@@ -36,6 +36,8 @@ class ReesGenerator(Immutable):
     def __init__(self, poly, weight):
         if poly.is_zero():
             raise ReesError("generator polynomial must be nonzero")
+        if not isinstance(weight, int):
+            raise ReesError("generator weight %r is not an int" % (weight,))
         if weight < 1:
             raise ReesError("generator weight must be >= 1")
         object.__setattr__(self, "poly", poly)
@@ -118,7 +120,10 @@ class BlowupChart(Immutable):
 
 def diff_saturate(G, active=None):
     """Smallest differential extension w.r.t. the active variable set
-    (all variables when None).  Idempotent and extensive."""
+    (all variables when None).  Extensive, and idempotent up to nonzero
+    scalars: saturating again can list scalar multiples of generators
+    already there (over Q, Z^3+X^4+Y^5 W^3 goes from 12 generators to 15),
+    so compare the two after normalize_generators."""
     pairs = []
     for g in G.generators:
         pairs.extend(diff_closure_list(g.poly, g.weight, active))
@@ -154,8 +159,7 @@ def component_order(G, k, at):
     """nu_at(I_k) for the generated algebra: minimum over generator multisets
     of total weight >= k of the summed point orders, via an unbounded
     knapsack DP."""
-    if k < 1:
-        raise ReesError("component index must be >= 1")
+    _check_degree(k)
     orders = generator_orders(G, at)
     if not orders:
         return INFINITE_ORDER
@@ -329,29 +333,47 @@ def total_transform(G, center, chart_var):
 
 # -- degree parts -----------------------------------------------------
 
+def _check_degree(k):
+    """Refuse a degree that is not an int >= 1 (a bool counts as an int)."""
+    if not isinstance(k, int):
+        raise ReesError("degree %r is not an int" % (k,))
+    if k < 1:
+        raise ReesError("degree must be >= 1")
+
+
 def degree_ideal(G, k):
     """Ideal generated by products of generators over minimal multisets with
     total weight >= k (minimal: dropping any factor falls below k).
 
+    Both paths skip every generator g W^v dominated by another f W^w with
+    w >= v, such as the down-shifted copies a saturation lists: a multiset
+    through g W^v gives a product that f W^w divides, at no less weight, so
+    g W^v adds nothing to I_k.  When every generator is a monomial, f
+    dominates when it divides g; otherwise only when f = g, so each
+    polynomial keeps its heaviest copy alone.
+
     When every generator is a monomial, I_k = sum_g g * I_{k - w_g} with
     I_j = (1) for j <= 0: the minimal exponent vectors of I_1..I_k are
-    computed bottom up, one level at a time, and the output lists those of
-    I_k in grevlex order.  The levels skip every generator x^d W^v
-    dominated by another x^e W^w (e | d and w >= v), such as the
-    down-shifted copies a saturation lists, since it adds nothing to any
-    level.  Each output monomial carries the scalar of the first minimal
-    multiset whose product has that exponent vector, taking multisets over
-    all the generators, skipped or not, as sorted index tuples in
-    lexicographic order (the enumeration order below).
+    computed bottom up over the kept generators, one level at a time, and
+    the output lists those of I_k in grevlex order.  Each output monomial
+    carries the scalar of the first minimal multiset whose product has that
+    exponent vector, taking multisets over all the generators, skipped or
+    not, as sorted index tuples in lexicographic order (the enumeration
+    order below).
 
-    Otherwise multisets are enumerated depth first in generator order, each
-    minimal one is multiplied out once, and monomial products divisible by
-    another are dropped; the generator order is deterministic either way."""
-    if k < 1:
-        raise ReesError("degree must be >= 1")
+    Otherwise multisets of the kept generators are enumerated depth first in
+    generator order, each minimal one is multiplied out once, and monomial
+    products divisible by another are dropped; the generator order is
+    deterministic either way."""
+    _check_degree(k)
     gens = G.generators
     if all(len(g.poly._raw) == 1 for g in gens):
         return Ideal(G.ring, _monomial_degree_ideal(G.ring, gens, k))
+    heaviest = {}
+    for g in gens:
+        if g.weight > heaviest.get(g.poly, 0):
+            heaviest[g.poly] = g.weight
+    gens = [g for g in gens if heaviest[g.poly] == g.weight]
     products = {}
 
     def rec(start, weight_sum, product, lightest):

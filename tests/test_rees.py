@@ -64,6 +64,21 @@ def test_saturation_idempotent_and_extensive():
     assert diff_saturate(rel, ["X"]) == rel
 
 
+def test_saturation_idempotent_up_to_scalars_over_q():
+    # over Q a second saturation adds scalar multiples of generators already
+    # listed (Delta_X of X^4 is 4*X^3, whose Delta_X is 12*X^2, but
+    # Delta_{X^2} of X^4 is 6*X^2), so the algebras agree only once each
+    # generator is made monic
+    R = ring("Q", "X", "Y", "Z")
+    G = algebra(R, ("Z^3+X^4+Y^5", 3))
+    for active, counts in ((None, (12, 15)), (["Z"], (6, 7))):
+        S1 = diff_saturate(G, active)
+        S2 = diff_saturate(S1, active)
+        assert (len(S1.generators), len(S2.generators)) == counts
+        assert S2 != S1
+        assert normalize_generators(S2) == normalize_generators(S1)
+
+
 def test_singular_ideal_reduces_to_z_y4():
     G = diff_saturate(algebra(QYZ, ("Z^2+Y^5", 2)))
     assert ideal_equal(singular_ideal(G),
@@ -78,6 +93,25 @@ def test_singular_ideal_weight_one_generator():
 def test_singular_points_of_quartic_surface():
     G = diff_saturate(algebra(F2XY, ("X^4+X^2*Y^5", 4)))
     assert rational_singular_points(G) == {F2XY.origin()}
+
+
+@pytest.mark.parametrize("k", [2.5, Fraction(5, 2), 2.0, "2", None])
+def test_degree_parts_refuse_a_degree_that_is_not_an_int(k):
+    general = algebra(QYZ, ("Z^2+Y^5", 2))
+    monomial = algebra(QYZ, ("Z", 1), ("Y^4", 1))
+    for G in (general, monomial):
+        with pytest.raises(ReesError, match="is not an int"):
+            degree_ideal(G, k)
+    with pytest.raises(ReesError, match="is not an int"):
+        component_order(general, k, QYZ.origin())
+
+
+def test_degree_parts_take_a_bool_degree_as_an_int():
+    G = algebra(QYZ, ("Z^2+Y^5", 2), ("Y", 1))
+    assert degree_ideal(G, True).generators == degree_ideal(G, 1).generators
+    assert component_order(G, True, QYZ.origin()) == 1
+    with pytest.raises(ReesError, match="degree must be >= 1"):
+        degree_ideal(G, False)
 
 
 def test_component_orders_knapsack():
@@ -286,13 +320,26 @@ def test_degree_ideal_minimal_products():
                        Ideal(QYZ, [g.poly for g in G3.generators]))
 
 
-def brute_force_degree_ideal(G, k):
+def heaviest_copies(G):
+    """The generators the enumeration multiplies out: all of them when every
+    one is a monomial, else those whose polynomial is listed at no larger
+    weight."""
+    gens = G.generators
+    if all(len(g.poly.terms) == 1 for g in gens):
+        return gens
+    return tuple(g for g in gens
+                 if not any(h.poly == g.poly and h.weight > g.weight
+                            for h in gens))
+
+
+def brute_force_degree_ideal(G, k, heaviest=True):
     """Oracle: products over every minimal multiset of total weight >= k,
-    without the monomials strictly divisible by another monomial product."""
+    without the monomials strictly divisible by another monomial product;
+    multisets of heaviest_copies(G) only, unless heaviest is false."""
+    gens = heaviest_copies(G) if heaviest else G.generators
     products = set()
     for size in range(1, k + 1):
-        for combo in itertools.combinations_with_replacement(G.generators,
-                                                             size):
+        for combo in itertools.combinations_with_replacement(gens, size):
             weights = [g.weight for g in combo]
             if sum(weights) >= k > sum(weights) - min(weights):
                 product = G.ring.one()
@@ -329,15 +376,18 @@ def test_degree_ideal_matches_brute_force_enumeration():
                 gens = degree_ideal(G, k).generators
                 assert len(set(gens)) == len(gens)
                 assert set(gens) == brute_force_degree_ideal(G, k)
+                assert ideal_equal(Ideal(R, gens), Ideal(
+                    R, list(brute_force_degree_ideal(G, k, heaviest=False))))
 
 
-def scalar_oracle_degree_ideal(G, k):
+def scalar_oracle_degree_ideal(G, k, heaviest=True):
     """Oracle with scalars and order: every minimal multiset as a sorted
     index tuple, in lexicographic order; the first product per monomial
     exponent vector, without those divisible by another monomial product,
     in grevlex order; then each distinct non-monomial product, in order of
-    first appearance, stably sorted by grevlex leading monomial."""
-    gens = G.generators
+    first appearance, stably sorted by grevlex leading monomial.  Multisets
+    of heaviest_copies(G) only, unless heaviest is false."""
+    gens = heaviest_copies(G) if heaviest else G.generators
     combos = []
     for size in range(1, k + 1):
         for combo in itertools.combinations_with_replacement(
@@ -364,6 +414,17 @@ def scalar_oracle_degree_ideal(G, k):
     minimal = [p for e, p in first.items()
                if not any(d != e and divides(d, e) for d in first)]
     return tuple(sorted(minimal, key=lead) + sorted(rest, key=lead))
+
+
+def assert_matches_scalar_oracle(G, k):
+    """degree_ideal(G, k) is the scalar oracle's tuple, and spans the ideal
+    of the oracle's enumeration over every generator (the same enumeration
+    when heaviest_copies keeps them all)."""
+    got = degree_ideal(G, k)
+    assert got.generators == scalar_oracle_degree_ideal(G, k), (G, k)
+    if heaviest_copies(G) != G.generators:
+        assert ideal_equal(got, Ideal(G.ring, list(
+            scalar_oracle_degree_ideal(G, k, heaviest=False)))), (G, k)
 
 
 def _nonzero_coeffs(R):
@@ -411,8 +472,7 @@ def test_degree_ideal_matches_scalar_oracle():
                 pairs[0] = (p + R.monomial(exps, rng.choice(coeffs)), w)
             G = ReesAlgebra.from_pairs(R, pairs)
             for k in range(1, 7):
-                assert degree_ideal(G, k).generators == \
-                    scalar_oracle_degree_ideal(G, k), (pairs, k)
+                assert_matches_scalar_oracle(G, k)
 
 
 def test_degree_ideal_scalar_comes_from_a_dominated_generator():
@@ -425,8 +485,7 @@ def test_degree_ideal_scalar_comes_from_a_dominated_generator():
     # X^2 W^3 dominates X^2*Y W^2 and X^3 W^1, but not X W^1
     G = algebra(R, ("X^3", 1), ("X^2*Y", 2), ("X^2", 3), ("X", 1))
     for k in range(1, 5):
-        assert degree_ideal(G, k).generators == \
-            scalar_oracle_degree_ideal(G, k), k
+        assert_matches_scalar_oracle(G, k)
 
 
 def test_degree_ideal_of_saturated_monomials_matches_scalar_oracle():
@@ -452,8 +511,36 @@ def test_degree_ideal_of_saturated_monomials_matches_scalar_oracle():
                         rng.randrange(1, g.weight)))
             G = ReesAlgebra(R, gens)
             for k in range(1, 5):
-                assert degree_ideal(G, k).generators == \
-                    scalar_oracle_degree_ideal(G, k), (pairs, k)
+                assert_matches_scalar_oracle(G, k)
+
+
+def test_degree_ideal_of_a_saturated_algebra_keeps_the_heaviest_copies():
+    # saturation lists each generator again at every lower weight, lighter
+    # copies first; products through a lighter copy are left out
+    R = ring("Q", "X", "Y")
+    G = diff_saturate(algebra(R, ("X^2+Y^3", 2)))
+    assert [(str(g.poly), g.weight) for g in G.generators] == [
+        ("Y^3+X^2", 1), ("Y^3+X^2", 2), ("3*Y^2", 1), ("2*X", 1)]
+    assert [str(p) for p in degree_ideal(G, 2).generators] == [
+        "4*X^2", "6*X*Y^2", "9*Y^4", "Y^3+X^2"]
+    assert len(scalar_oracle_degree_ideal(G, 2, heaviest=False)) == 7
+    rng = random.Random(17)
+    coeffs = _nonzero_coeffs(R)
+    dropped = 0
+    for n in range(12):
+        R = ring("Q", *("X", "Y", "Z")[:2 + n % 2])
+        pairs = []
+        for _ in range(rng.randrange(1, 3)):
+            f = R.zero()
+            while len(f.terms) < 2:
+                exps = tuple(rng.randrange(3) for _ in R.variables)
+                f = f + R.monomial(exps, rng.choice(coeffs))
+            pairs.append((f, rng.randrange(2, 4)))
+        G = diff_saturate(ReesAlgebra.from_pairs(R, pairs))
+        dropped += len(G.generators) - len(heaviest_copies(G))
+        for k in range(1, G.max_weight + 1):
+            assert_matches_scalar_oracle(G, k)
+    assert dropped > 0
 
 
 def test_degree_ideal_order_does_not_depend_on_hash_seed():
@@ -526,6 +613,22 @@ def test_normalize_generators_scales_to_monic():
     N = normalize_generators(G)
     assert set(N.generators) == {ReesGenerator(QYZ.var("Z"), 1),
                                  ReesGenerator(QYZ.parse("Y^4"), 1)}
+
+
+@pytest.mark.parametrize("weight", [2.5, Fraction(7, 2), 2.0, "2", None])
+def test_generator_refuses_a_weight_that_is_not_an_int(weight):
+    # 2.5 and 7/2 were truncated to 2 and 3, and "2" raised a TypeError
+    with pytest.raises(ReesError, match="is not an int"):
+        ReesGenerator(QYZ.var("Z"), weight)
+    with pytest.raises(ReesError, match="is not an int"):
+        ReesAlgebra.from_pairs(QYZ, [(QYZ.var("Z"), weight)])
+
+
+def test_generator_takes_a_bool_weight_as_an_int():
+    g = ReesGenerator(QYZ.var("Z"), True)
+    assert g == ReesGenerator(QYZ.var("Z"), 1) and type(g.weight) is int
+    with pytest.raises(ReesError, match="weight must be >= 1"):
+        ReesGenerator(QYZ.var("Z"), False)
 
 
 def test_generator_refuses_an_all_zero_term_map():
