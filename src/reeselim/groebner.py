@@ -14,7 +14,8 @@ that reports the progress made.
 
 A monomial ideal skips the pair loop: every S-polynomial of two monomials
 is zero, so its reduced basis is its minimal monomials made monic, read
-off by ``minimal_exponents`` (which ``rees.degree_ideal`` shares).
+off by ``minimal_exponents``.  ``rees.degree_ideal`` lists its monomials
+the same way, so on all-monomial input it returns this basis.
 
 Rational zero sets over a finite field come from a projection scan that
 fixes one coordinate at a time and abandons a branch as soon as a
@@ -142,7 +143,8 @@ def normal_form(f, basis):
 def buchberger(ideal):
     """Reduced Groebner basis under grevlex, normal selection strategy
     (smallest lcm first, via a heap keyed at pair creation) and the
-    Gebauer-Moeller pair update.  The inputs, smallest leading monomial
+    Gebauer-Moeller pair update, which skips a new pair with coprime leading
+    monomials before its lcm test.  The inputs, smallest leading monomial
     first as Becker-Weispfenning insert them, and then the S-polynomials
     take one path, ``insert``.  A monomial ideal's reduced basis is its
     minimal monomials, monic, in grevlex order."""
@@ -161,9 +163,9 @@ def buchberger(ideal):
 
     def update(h):
         """Gebauer-Moeller on adding h: drop the old pairs h makes
-        redundant, keep the new pairs of minimal lcm (one per lcm) that are
-        not coprime, and pair no later element with those whose leading
-        monomial lm(h) divides."""
+        redundant, skip the new pairs with coprime leading monomials, keep
+        the other new pairs of minimal lcm (one per lcm), and pair no later
+        element with those whose leading monomial lm(h) divides."""
         lm_h = lms[h]
         for pair in heap:
             _, i, j, lcm, dropped = pair
@@ -172,15 +174,16 @@ def buchberger(ideal):
                     and lcm != _lcm(lms[j], lm_h)):
                 pair[4] = True
         lcms = [_lcm(lms[g], lm_h) for g in live]
-        kept = []   # lcms of the new pairs kept, coprime ones included
+        kept = []   # lcms of the new pairs kept
         for n, g in enumerate(live):
             lcm = lcms[n]
-            coprime = lcm == tuple(map(add, lms[g], lm_h))
-            if coprime or not any(_divides(m, lcm)
-                                  for m in kept + lcms[n + 1:]):
+            # coprime: the S-polynomial reduces to zero, and lcm divides no
+            # other new lcm, as no live leading monomial divides another
+            if lcm == tuple(map(add, lms[g], lm_h)):
+                continue
+            if not any(_divides(m, lcm) for m in kept + lcms[n + 1:]):
                 kept.append(lcm)
-                if not coprime:
-                    heapq.heappush(heap, [grevlex_key(lcm), g, h, lcm, False])
+                heapq.heappush(heap, [grevlex_key(lcm), g, h, lcm, False])
         live[:] = [g for g in live if not _divides(lm_h, lms[g])]
         live.append(h)
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add, le, sub
+from operator import add, le
 
 from .fields import FieldDescriptor, Immutable
-from .groebner import (Ideal, minimal_exponents, minimal_leads,
-                       rational_zero_set)
+from .groebner import Ideal, minimal_exponents, rational_zero_set
 from .hasse import diff_closure_list, hasse_derivatives
 from .poly import (_DIGITS, INFINITE_ORDER, Polynomial, RingContext,
                    RingError, grevlex_key)
@@ -354,49 +353,51 @@ def degree_ideal(G, k):
 
     When every generator is a monomial, I_k = sum_g g * I_{k - w_g} with
     I_j = (1) for j <= 0: the minimal exponent vectors of I_1..I_k are
-    computed bottom up over the kept generators, one level at a time, and
-    the output lists those of I_k in grevlex order.  Each output monomial
-    carries the scalar of the first minimal multiset whose product has that
-    exponent vector, taking multisets over all the generators, skipped or
-    not, as sorted index tuples in lexicographic order (the enumeration
-    order below).
-
+    computed bottom up over the kept generators, one level at a time.
     Otherwise multisets of the kept generators are enumerated depth first in
-    generator order, each minimal one is multiplied out once, and monomial
-    products divisible by another are dropped; the generator order is
-    deterministic either way."""
+    generator order and each minimal one is multiplied out once.
+
+    Either way the output lists the minimal exponent vectors of the monomial
+    products as monic monomials in grevlex order, then the distinct
+    non-monomial products sorted stably by grevlex leading monomial, so the
+    generator order is deterministic.  Only the ideal is meant: a monomial
+    (2X)(2X) is listed as X^2.  On all-monomial input the list is the
+    reduced Groebner basis of I_k."""
     _check_degree(k)
     gens = G.generators
+    rest = []
     if all(len(g.poly._raw) == 1 for g in gens):
-        return Ideal(G.ring, _monomial_degree_ideal(G.ring, gens, k))
-    heaviest = {}
-    for g in gens:
-        if g.weight > heaviest.get(g.poly, 0):
-            heaviest[g.poly] = g.weight
-    gens = [g for g in gens if heaviest[g.poly] == g.weight]
-    products = {}
+        exps = _monomial_degree_exponents(G.ring, gens, k)
+    else:
+        heaviest = {}
+        for g in gens:
+            if g.weight > heaviest.get(g.poly, 0):
+                heaviest[g.poly] = g.weight
+        gens = [g for g in gens if heaviest[g.poly] == g.weight]
+        products = {}
 
-    def rec(start, weight_sum, product, lightest):
-        for i in range(start, len(gens)):
-            g = gens[i]
-            total = weight_sum + g.weight
-            if total < k:
-                rec(i, total, product * g.poly, min(lightest, g.weight))
-            elif total - lightest < k:
-                # minimal iff removing the lightest member drops below k;
-                # when g itself is lightest, weight_sum < k already says so
-                products[product * g.poly] = None
+        def rec(start, weight_sum, product, lightest):
+            for i in range(start, len(gens)):
+                g = gens[i]
+                total = weight_sum + g.weight
+                if total < k:
+                    rec(i, total, product * g.poly, min(lightest, g.weight))
+                elif total - lightest < k:
+                    # minimal iff removing the lightest member drops below k;
+                    # when g itself is lightest, weight_sum < k already says so
+                    products[product * g.poly] = None
 
-    rec(0, 0, G.ring.one(), INFINITE_ORDER)
-    monomials = [p for p in products if len(p._raw) == 1]
-    rest = sorted((p for p in products if len(p._raw) != 1),
-                  key=lambda p: grevlex_key(p.leading_monomial()))
-    return Ideal(G.ring, minimal_leads(monomials) + rest)
+        rec(0, 0, G.ring.one(), INFINITE_ORDER)
+        exps = minimal_exponents(next(iter(p._raw)) for p in products
+                                 if len(p._raw) == 1)
+        rest = sorted((p for p in products if len(p._raw) != 1),
+                      key=lambda p: grevlex_key(p.leading_monomial()))
+    # 1 is the raw one of every field, as in RingContext.one
+    return Ideal(G.ring, [Polynomial._from_raw(G.ring, {e: 1}) for e in exps]
+                 + rest)
 
 
-def _monomial_degree_ideal(ring, gens, k):
-    terms = [next(iter(g.poly._raw.items())) for g in gens]
-    weights = [g.weight for g in gens]
+def _monomial_degree_exponents(ring, gens, k):
     # x^e W^w dominates x^d W^v when e | d and w >= v: the levels decrease,
     # so x^d I_{j-v} lies in x^e I_{j-w} and the dominated generator adds no
     # minimal exponent to any level.  Visited by decreasing weight, then
@@ -404,7 +405,7 @@ def _monomial_degree_ideal(ring, gens, k):
     # kept generator weighs at least as much as the one tested, so the
     # divisibility test is the whole dominance test.
     kept = []
-    for e, w in sorted(((e, w) for (e, _), w in zip(terms, weights)),
+    for e, w in sorted(((next(iter(g.poly._raw)), g.weight) for g in gens),
                        key=lambda g: (-g[1], sum(g[0]))):
         if not any(all(map(le, d, e)) for d, _ in kept):
             kept.append((e, w))
@@ -414,32 +415,7 @@ def _monomial_degree_ideal(ring, gens, k):
             tuple(map(add, e, v))
             for e, w in kept
             for v in levels[max(j - w, 0)]))
-
-    def first_scalar(start, rest, weight_sum, scalar):
-        # depth first in generator order, as the enumeration above, but
-        # only through generators that divide what is left of the target.
-        # No minimality test is needed: if a multiset reaching the target
-        # stayed at weight >= k without its lightest factor, that factor
-        # would be a constant, so I_k = (1) and the target is constant; the
-        # first multiset reaching it is a power of the first constant
-        # generator, which is minimal.
-        for i in range(start, len(terms)):
-            e, c = terms[i]
-            if not all(map(le, e, rest)):
-                continue
-            left = tuple(map(sub, rest, e))
-            total = weight_sum + weights[i]
-            if total < k:
-                found = first_scalar(i, left, total, mul(scalar, c))
-                if found is not None:
-                    return found
-            elif not any(left):
-                return mul(scalar, c)
-        return None
-
-    mul = ring.field.mul
-    return [Polynomial._from_raw(ring, {e: first_scalar(0, e, 0, 1)})
-            for e in levels[k]]
+    return levels[k]
 
 
 # -- file format ------------------------------------------------------

@@ -1,18 +1,31 @@
 """Base change as an oracle for the extension-field code: an algebra with
 coefficients in F_p, read into F_{p^k}, must give the same text apart from
-the ring header under every construction that uses only field operations.
-The prime-field path is the simpler one, so a slip in the packed F_{p^k}
-arithmetic shows up as a difference between the two."""
+the ring header under every construction that uses only field operations,
+and its zeros over F_p must be its zeros over F_{p^k} with coordinates in
+F_p.  The prime-field path is the simpler one, so a slip in the packed
+F_{p^k} arithmetic shows up as a difference between the two."""
 import random
 
 import pytest
 
-from reeselim import (FieldDescriptor, ReesAlgebra, RingContext, buchberger,
-                      degree_ideal, diff_saturate, format_algebra,
-                      parse_algebra)
+from reeselim import (FieldDescriptor, Ideal, ReesAlgebra, RingContext,
+                      buchberger, degree_ideal, diff_saturate, eliminate,
+                      format_algebra, format_elimination, parse_algebra,
+                      rational_zero_set)
 
 # each extension with its prime field; F8's modulus makes t^3 carry into t^2
 EXTENSIONS = [("F4", "F2"), ("F8:t^3+t^2+1", "F2"), ("F9", "F3")]
+
+
+def _random_polynomial(rng, R, top=4):
+    """A nonzero polynomial of 1-3 terms with exponents below top."""
+    units = [c for c in R.field.elements() if not c.is_zero()]
+    f = R.zero()
+    while f.is_zero():
+        for _ in range(rng.randrange(1, 4)):
+            exps = tuple(rng.randrange(top) for _ in R.variables)
+            f = f + R.monomial(exps, rng.choice(units))
+    return f
 
 
 def _random_algebra_text(rng, spec):
@@ -20,15 +33,8 @@ def _random_algebra_text(rng, spec):
     2-3 variables, as the membership workload draws them."""
     R = RingContext(FieldDescriptor.parse(spec),
                     ("X", "Y", "Z")[:rng.choice((2, 3))])
-    units = [c for c in R.field.elements() if not c.is_zero()]
-    pairs = []
-    for _ in range(rng.randrange(1, 3)):
-        f = R.zero()
-        while f.is_zero():
-            for _ in range(rng.randrange(1, 4)):
-                exps = tuple(rng.randrange(4) for _ in R.variables)
-                f = f + R.monomial(exps, rng.choice(units))
-        pairs.append((f, rng.randrange(1, 4)))
+    pairs = [(_random_polynomial(rng, R), rng.randrange(1, 4))
+             for _ in range(rng.randrange(1, 3))]
     return format_algebra(ReesAlgebra.from_pairs(R, pairs))
 
 
@@ -53,3 +59,53 @@ def test_saturated_degree_ideal_bases_do_not_change_under_base_change(
         assert large.ring.field == FieldDescriptor.parse(extension)
         assert _body(large) == _body(small), text
         assert _degree_bases(large) == _degree_bases(small), text
+
+
+def _random_elimination_text(rng, spec):
+    """A file over F_p in 2-3 variables ending in Z whose first generator is
+    monic in Z of degree and weight c in 1-3, with 0-1 more generators."""
+    R = RingContext(FieldDescriptor.parse(spec),
+                    ("X", "Y", "Z")[-rng.choice((2, 3)):])
+    base = R.drop_variable("Z")
+    c = rng.randrange(1, 4)
+    f = R.var("Z")**c
+    for j in range(c):
+        f = f + _random_polynomial(rng, base, 3).lift(R) * R.var("Z")**j
+    pairs = [(f, c)] + [(_random_polynomial(rng, R, 3), rng.randrange(1, 3))
+                        for _ in range(rng.randrange(2))]
+    return format_algebra(ReesAlgebra.from_pairs(R, pairs))
+
+
+@pytest.mark.parametrize("extension,prime", EXTENSIONS)
+def test_elimination_does_not_change_under_base_change(extension, prime):
+    rng = random.Random("base-change/eliminate/" + extension)
+    for _ in range(15):
+        text = _random_elimination_text(rng, prime)
+        bodies = []
+        for field in (None, extension):
+            G = parse_algebra(text, field=field)
+            result = eliminate(G, G.generators[0], "Z",
+                               check_transversal=False)
+            bodies.append(format_elimination(result).split("\n", 1)[1])
+        assert bodies[0] == bodies[1], text
+
+
+@pytest.mark.parametrize("extension,prime", EXTENSIONS)
+def test_prime_field_zeros_are_the_extension_zeros_with_prime_coordinates(
+        extension, prime):
+    """Z(F_p) = Z(F_{p^k}) meet F_p^n, compared as coordinate text."""
+    rng = random.Random("base-change/zeros/" + extension)
+    p = FieldDescriptor.parse(prime).p
+    nonempty = 0
+    for _ in range(15):
+        text = _random_algebra_text(rng, prime)
+        zeros = []
+        for field in (None, extension):
+            G = parse_algebra(text, field=field)
+            points = rational_zero_set(
+                Ideal(G.ring, [g.poly for g in G.generators]))
+            zeros.append({tuple(map(str, P.coords)) for P in points
+                          if all(c**p == c for c in P.coords)})
+        assert zeros[0] == zeros[1], text
+        nonempty += bool(zeros[0])
+    assert nonempty > 0

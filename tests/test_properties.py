@@ -3,9 +3,9 @@ coefficients in term maps, the field product and F_{p^k} sums of many
 products near p - 1 against a reference written apart from the library,
 the polynomial product and the sum of products against a schoolbook
 oracle, the Hasse Leibniz and composition laws, the monomial
-degree_ideal path against its scalar oracle, and the raw-value sums,
-scalings, coefficient and division paths against a FieldElement
-reference."""
+degree_ideal path against its scalar oracle and as its own reduced basis,
+and the raw-value sums, scalings, coefficient and division paths against
+a FieldElement reference."""
 import itertools
 import math
 
@@ -15,8 +15,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from reeselim import (FieldDescriptor, FieldError,  # noqa: E402
-                      Polynomial, ReesAlgebra, RingContext, degree_ideal,
-                      hasse_derivative, univ_divmod)
+                      Polynomial, ReesAlgebra, RingContext, buchberger,
+                      degree_ideal, hasse_derivative, univ_divmod)
 from reeselim.poly import _sum_of_products, formal_derivative  # noqa: E402
 from test_fields import (FOLD_FIELDS,  # noqa: E402
                          irreducible_by_trial_division)
@@ -95,7 +95,10 @@ def test_monomial_degree_ideal_matches_scalar_oracle(data):
     G = ReesAlgebra.from_pairs(R, [(R.monomial(e, c), w)
                                    for e, c, w in pairs])
     k = data.draw(st.integers(1, 6))
-    assert degree_ideal(G, k).generators == scalar_oracle_degree_ideal(G, k)
+    I = degree_ideal(G, k)
+    assert I.generators == scalar_oracle_degree_ideal(G, k)
+    # monic minimal monomials in grevlex order: its own reduced basis
+    assert I.generators == buchberger(I).basis
 
 
 def _builtin_fields():

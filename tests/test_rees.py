@@ -334,8 +334,9 @@ def heaviest_copies(G):
 
 def brute_force_degree_ideal(G, k, heaviest=True):
     """Oracle: products over every minimal multiset of total weight >= k,
-    without the monomials strictly divisible by another monomial product;
-    multisets of heaviest_copies(G) only, unless heaviest is false."""
+    with the monomial ones replaced by the monic monomials of their minimal
+    exponent vectors; multisets of heaviest_copies(G) only, unless heaviest
+    is false."""
     gens = heaviest_copies(G) if heaviest else G.generators
     products = set()
     for size in range(1, k + 1):
@@ -350,11 +351,10 @@ def brute_force_degree_ideal(G, k, heaviest=True):
     def divides(a, b):
         return all(x <= y for x, y in zip(a, b))
 
-    monomials = [p for p in products if len(p.terms) == 1]
-    return {p for p in products
-            if len(p.terms) > 1 or not any(
-                q != p and divides(q.leading_monomial(), p.leading_monomial())
-                for q in monomials)}
+    exps = {p.leading_monomial() for p in products if len(p.terms) == 1}
+    return {p for p in products if len(p.terms) > 1} | {
+        G.ring.monomial(e) for e in exps
+        if not any(d != e and divides(d, e) for d in exps)}
 
 
 def test_degree_ideal_matches_brute_force_enumeration():
@@ -382,11 +382,11 @@ def test_degree_ideal_matches_brute_force_enumeration():
 
 def scalar_oracle_degree_ideal(G, k, heaviest=True):
     """Oracle with scalars and order: every minimal multiset as a sorted
-    index tuple, in lexicographic order; the first product per monomial
-    exponent vector, without those divisible by another monomial product,
-    in grevlex order; then each distinct non-monomial product, in order of
-    first appearance, stably sorted by grevlex leading monomial.  Multisets
-    of heaviest_copies(G) only, unless heaviest is false."""
+    index tuple, in lexicographic order; the monic monomial of each minimal
+    exponent vector of the monomial products, in grevlex order; then each
+    distinct non-monomial product, in order of first appearance, stably
+    sorted by grevlex leading monomial.  Multisets of heaviest_copies(G)
+    only, unless heaviest is false."""
     gens = heaviest_copies(G) if heaviest else G.generators
     combos = []
     for size in range(1, k + 1):
@@ -395,13 +395,13 @@ def scalar_oracle_degree_ideal(G, k, heaviest=True):
             weights = [gens[i].weight for i in combo]
             if sum(weights) >= k > sum(weights) - min(weights):
                 combos.append(combo)
-    first, rest = {}, {}
+    exps, rest = set(), {}
     for combo in sorted(combos):
         product = G.ring.one()
         for i in combo:
             product = product * gens[i].poly
         if len(product.terms) == 1:
-            first.setdefault(next(iter(product.terms)), product)
+            exps.add(next(iter(product.terms)))
         else:
             rest.setdefault(product, None)
 
@@ -411,8 +411,8 @@ def scalar_oracle_degree_ideal(G, k, heaviest=True):
     def lead(p):
         return grevlex_key(max(p.terms, key=grevlex_key))
 
-    minimal = [p for e, p in first.items()
-               if not any(d != e and divides(d, e) for d in first)]
+    minimal = [G.ring.monomial(e) for e in exps
+               if not any(d != e and divides(d, e) for d in exps)]
     return tuple(sorted(minimal, key=lead) + sorted(rest, key=lead))
 
 
@@ -433,18 +433,18 @@ def _nonzero_coeffs(R):
     return [1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]
 
 
-def test_degree_ideal_keeps_the_first_minimal_multisets_scalar():
+def test_degree_ideal_lists_monomial_products_monic():
     R = ring("Q", "X", "Y")
-    # (0, 0) -> 4X^2 comes before (0, 1) -> 6X^2 and (1, 1) -> 9X^2
+    # 4X^2, 6X^2 and 9X^2 span one ideal, listed once as X^2
     G = algebra(R, ("2*X", 1), ("3*X", 1))
-    assert degree_ideal(G, 2).generators == (R.parse("4*X^2"),)
-    # (0,) -> 3X divides (1, 1) -> 4X^2
+    assert degree_ideal(G, 2).generators == (R.parse("X^2"),)
+    # 3X divides 4X^2
     G = algebra(R, ("3*X", 2), ("2*X", 1))
-    assert degree_ideal(G, 2).generators == (R.parse("3*X"),)
-    # constant generators: (1, 1) -> 25 comes before (1, 2) -> 35 and
-    # (2, 2, 2) -> 343, and the constant divides every other product
+    assert degree_ideal(G, 2).generators == (R.parse("X"),)
+    # constant generators: 25, 35 and 343 are units, and a unit divides
+    # every other product
     G = algebra(R, ("2*X*Y", 1), ("5", 2), ("7", 1))
-    assert degree_ideal(G, 3).generators == (R.constant(25),)
+    assert degree_ideal(G, 3).generators == (R.one(),)
 
 
 def test_degree_ideal_matches_scalar_oracle():
@@ -475,12 +475,11 @@ def test_degree_ideal_matches_scalar_oracle():
                 assert_matches_scalar_oracle(G, k)
 
 
-def test_degree_ideal_scalar_comes_from_a_dominated_generator():
+def test_degree_ideal_ignores_a_dominated_generators_scalar():
     R = ring("Q", "X", "Y")
-    # 2X W is dominated by X W^2 and left out of the levels, but the first
-    # minimal multiset of I_1 is (0,) -> 2X
+    # 2X W is dominated by X W^2 and left out of the levels; I_1 is (X)
     G = algebra(R, ("2*X", 1), ("X", 2))
-    assert degree_ideal(G, 1).generators == (R.parse("2*X"),)
+    assert degree_ideal(G, 1).generators == (R.parse("X"),)
     assert degree_ideal(G, 2).generators == (R.parse("X"),)
     # X^2 W^3 dominates X^2*Y W^2 and X^3 W^1, but not X W^1
     G = algebra(R, ("X^3", 1), ("X^2*Y", 2), ("X^2", 3), ("X", 1))
@@ -522,7 +521,7 @@ def test_degree_ideal_of_a_saturated_algebra_keeps_the_heaviest_copies():
     assert [(str(g.poly), g.weight) for g in G.generators] == [
         ("Y^3+X^2", 1), ("Y^3+X^2", 2), ("3*Y^2", 1), ("2*X", 1)]
     assert [str(p) for p in degree_ideal(G, 2).generators] == [
-        "4*X^2", "6*X*Y^2", "9*Y^4", "Y^3+X^2"]
+        "X^2", "X*Y^2", "Y^4", "Y^3+X^2"]
     assert len(scalar_oracle_degree_ideal(G, 2, heaviest=False)) == 7
     rng = random.Random(17)
     coeffs = _nonzero_coeffs(R)
