@@ -45,9 +45,11 @@ class ResourceCapError(RuntimeError):
 
 
 class Ideal(Immutable):
-    """Finitely generated ideal; zero generators are dropped."""
+    """Finitely generated ideal; zero generators are dropped.  An ideal
+    whose generators are already its reduced Groebner basis may carry them
+    as _basis (rees.degree_ideal sets it), which buchberger returns."""
 
-    __slots__ = ("ring", "generators")
+    __slots__ = ("ring", "generators", "_basis")
 
     def __init__(self, ring, generators):
         gens = []
@@ -147,7 +149,11 @@ def buchberger(ideal):
     monomials before its lcm test.  The inputs, smallest leading monomial
     first as Becker-Weispfenning insert them, and then the S-polynomials
     take one path, ``insert``.  A monomial ideal's reduced basis is its
-    minimal monomials, monic, in grevlex order."""
+    minimal monomials, monic, in grevlex order.  A basis the ideal carries
+    is returned as it is."""
+    carried = getattr(ideal, "_basis", None)
+    if carried is not None:
+        return GroebnerBasis(ideal, carried)
     ring = ideal.ring
     field = ring.field
     one = field.one().val

@@ -54,20 +54,20 @@ class ReesGenerator(Immutable):
 
 
 class ReesAlgebra(Immutable):
-    __slots__ = ("ring", "generators")
+    """The algebra of weighted generators in one ring, each listed once, in
+    the order first given.  degree_ideal's all-monomial levels are cached on
+    the algebra in _levels, on first use, like Polynomial's _lm."""
+
+    __slots__ = ("ring", "generators", "_levels")
 
     def __init__(self, ring, generators):
-        gens = []
-        seen = set()   # the one place duplicate generators are dropped
-        for g in generators:
+        # the one place duplicate generators are dropped, one hash each
+        gens = tuple(dict.fromkeys(generators))
+        for g in gens:
             if g.poly.ring != ring:
                 raise RingError("generator in a different ring")
-            if g in seen:
-                continue
-            seen.add(g)
-            gens.append(g)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "generators", gens)
 
     @classmethod
     def from_pairs(cls, ring, pairs):
@@ -353,21 +353,24 @@ def degree_ideal(G, k):
 
     When every generator is a monomial, I_k = sum_g g * I_{k - w_g} with
     I_j = (1) for j <= 0: the minimal exponent vectors of I_1..I_k are
-    computed bottom up over the kept generators, one level at a time.
-    Otherwise multisets of the kept generators are enumerated depth first in
-    generator order and each minimal one is multiplied out once.
+    computed bottom up over the kept generators, one level at a time.  The
+    levels are kept on G, so a later call for any k' builds only the levels
+    above the highest one built so far.  Otherwise multisets of the kept
+    generators are enumerated depth first in generator order and each
+    minimal one is multiplied out once.
 
     Either way the output lists the minimal exponent vectors of the monomial
     products as monic monomials in grevlex order, then the distinct
     non-monomial products sorted stably by grevlex leading monomial, so the
     generator order is deterministic.  Only the ideal is meant: a monomial
     (2X)(2X) is listed as X^2.  On all-monomial input the list is the
-    reduced Groebner basis of I_k."""
+    reduced Groebner basis of I_k, and the returned Ideal carries it, so
+    buchberger hands it back as it is."""
     _check_degree(k)
     gens = G.generators
     rest = []
     if all(len(g.poly._raw) == 1 for g in gens):
-        exps = _monomial_degree_exponents(G.ring, gens, k)
+        exps = _monomial_degree_exponents(G, k)
     else:
         heaviest = {}
         for g in gens:
@@ -393,28 +396,46 @@ def degree_ideal(G, k):
         rest = sorted((p for p in products if len(p._raw) != 1),
                       key=lambda p: grevlex_key(p.leading_monomial()))
     # 1 is the raw one of every field, as in RingContext.one
-    return Ideal(G.ring, [Polynomial._from_raw(G.ring, {e: 1}) for e in exps]
-                 + rest)
+    ideal = Ideal(G.ring, [Polynomial._from_raw(G.ring, {e: 1}) for e in exps]
+                  + rest)
+    if not rest:
+        # all-monomial input (a non-monomial generator has non-monomial
+        # powers): monic minimal monomials in grevlex order, the reduced basis
+        object.__setattr__(ideal, "_basis", ideal.generators)
+    return ideal
 
 
-def _monomial_degree_exponents(ring, gens, k):
-    # x^e W^w dominates x^d W^v when e | d and w >= v: the levels decrease,
-    # so x^d I_{j-v} lies in x^e I_{j-w} and the dominated generator adds no
-    # minimal exponent to any level.  Visited by decreasing weight, then
-    # total degree, a dominator comes before what it dominates, and every
-    # kept generator weighs at least as much as the one tested, so the
-    # divisibility test is the whole dominance test.
-    kept = []
-    for e, w in sorted(((next(iter(g.poly._raw)), g.weight) for g in gens),
-                       key=lambda g: (-g[1], sum(g[0]))):
-        if not any(all(map(le, d, e)) for d, _ in kept):
-            kept.append((e, w))
-    levels = [[(0,) * ring.nvars]]   # levels[j]: minimal exponents of I_j
-    for j in range(1, k + 1):
-        levels.append(minimal_exponents(
+def _monomial_degree_exponents(G, k):
+    """The minimal exponent vectors of I_k of the all-monomial G, from the
+    (kept generators, levels) memo in G._levels, extended up to level k."""
+    memo = getattr(G, "_levels", None)
+    if memo is None:
+        # x^e W^w dominates x^d W^v when e | d and w >= v: the levels
+        # decrease, so x^d I_{j-v} lies in x^e I_{j-w} and the dominated
+        # generator adds no minimal exponent to any level.  Visited by
+        # decreasing weight, then total degree, a dominator comes before
+        # what it dominates, and every kept generator weighs at least as
+        # much as the one tested, so the divisibility test is the whole
+        # dominance test.
+        kept = []
+        for e, w in sorted(((next(iter(g.poly._raw)), g.weight)
+                            for g in G.generators),
+                           key=lambda g: (-g[1], sum(g[0]))):
+            if not any(all(map(le, d, e)) for d, _ in kept):
+                kept.append((e, w))
+        memo = (tuple(kept), (((0,) * G.ring.nvars,),))
+    kept, levels = memo
+    if k < len(levels):
+        return levels[k]
+    levels = list(levels)   # levels[j]: minimal exponents of I_j
+    for j in range(len(levels), k + 1):
+        levels.append(tuple(minimal_exponents(
             tuple(map(add, e, v))
             for e, w in kept
-            for v in levels[max(j - w, 0)]))
+            for v in levels[max(j - w, 0)])))
+    # published whole, never grown in place: a reader of G._levels sees
+    # either the old memo or the new one
+    object.__setattr__(G, "_levels", (kept, tuple(levels)))
     return levels[k]
 
 

@@ -11,7 +11,7 @@ import pytest
 from reeselim import (FieldDescriptor, Ideal, ReesAlgebra, RingContext,
                       buchberger, degree_ideal, diff_saturate, eliminate,
                       format_algebra, format_elimination, parse_algebra,
-                      rational_zero_set)
+                      rational_zero_set, weighted_transform)
 
 # each extension with its prime field; F8's modulus makes t^3 carry into t^2
 EXTENSIONS = [("F4", "F2"), ("F8:t^3+t^2+1", "F2"), ("F9", "F3")]
@@ -59,6 +59,50 @@ def test_saturated_degree_ideal_bases_do_not_change_under_base_change(
         assert large.ring.field == FieldDescriptor.parse(extension)
         assert _body(large) == _body(small), text
         assert _degree_bases(large) == _degree_bases(small), text
+
+
+def _random_transform_case(rng, spec):
+    """As the transform workload draws them: a file over F_p with 1-3
+    monomial generators of weight 1-3 in 2-3 variables, each of order at
+    least its weight along a center of two variables (both, in two), and a
+    chart variable in the center."""
+    R = RingContext(FieldDescriptor.parse(spec),
+                    ("X", "Y", "Z")[:rng.choice((2, 3))])
+    center = sorted(rng.sample(R.variables, 2))
+    idx = [R.var_index(v) for v in center]
+    units = [c for c in R.field.elements() if not c.is_zero()]
+    pairs = []
+    for _ in range(rng.randrange(1, 4)):
+        weight = rng.randrange(1, 4)
+        exps = [rng.randrange(3) for _ in R.variables]
+        while sum(exps[i] for i in idx) < weight:
+            exps[rng.choice(idx)] += 1
+        pairs.append((R.monomial(tuple(exps), rng.choice(units)), weight))
+    return (format_algebra(ReesAlgebra.from_pairs(R, pairs)), center,
+            rng.choice(center))
+
+
+def _transform_texts(G, center, chart):
+    """The transform of G, its saturation, and the degree ideals of that
+    saturation for k = 1..max weight of G, asked in increasing k as the
+    transform workload asks them, as text."""
+    T, _ = weighted_transform(G, center, chart)
+    S = diff_saturate(T)
+    return [_body(T), _body(S)] + [
+        "\n".join(map(str, degree_ideal(S, k).generators))
+        for k in range(1, G.max_weight + 1)]
+
+
+@pytest.mark.parametrize("extension,prime", EXTENSIONS)
+def test_monomial_transform_does_not_change_under_base_change(extension,
+                                                             prime):
+    rng = random.Random("base-change/transform/" + extension)
+    for _ in range(30):
+        text, center, chart = _random_transform_case(rng, prime)
+        small = parse_algebra(text)
+        large = parse_algebra(text, field=extension)
+        assert (_transform_texts(large, center, chart)
+                == _transform_texts(small, center, chart)), text
 
 
 def _random_elimination_text(rng, spec):

@@ -4,8 +4,8 @@ products near p - 1 against a reference written apart from the library,
 the polynomial product and the sum of products against a schoolbook
 oracle, the Hasse Leibniz and composition laws, the monomial
 degree_ideal path against its scalar oracle and as its own reduced basis,
-and the raw-value sums, scalings, coefficient and division paths against
-a FieldElement reference."""
+its level memo asked in any order, and the raw-value sums, scalings,
+coefficient and division paths against a FieldElement reference."""
 import itertools
 import math
 
@@ -14,14 +14,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from reeselim import (FieldDescriptor, FieldError,  # noqa: E402
+from reeselim import (FieldDescriptor, FieldError, Ideal,  # noqa: E402
                       Polynomial, ReesAlgebra, RingContext, buchberger,
                       degree_ideal, hasse_derivative, univ_divmod)
 from reeselim.poly import _sum_of_products, formal_derivative  # noqa: E402
 from test_fields import (FOLD_FIELDS,  # noqa: E402
                          irreducible_by_trial_division)
 from test_poly import schoolbook_product  # noqa: E402
-from test_rees import scalar_oracle_degree_ideal  # noqa: E402
+from test_rees import (assert_levels_memo_in_any_order,  # noqa: E402
+                       scalar_oracle_degree_ideal)
 
 SPECS = ("Q", "F2", "F3", "F4", "F5", "F9")
 RINGS = {(spec, n): RingContext(FieldDescriptor.parse(spec),
@@ -97,8 +98,27 @@ def test_monomial_degree_ideal_matches_scalar_oracle(data):
     k = data.draw(st.integers(1, 6))
     I = degree_ideal(G, k)
     assert I.generators == scalar_oracle_degree_ideal(G, k)
-    # monic minimal monomials in grevlex order: its own reduced basis
-    assert I.generators == buchberger(I).basis
+    # monic minimal monomials in grevlex order: its own reduced basis, which
+    # the ideal carries
+    assert I.generators == buchberger(Ideal(R, I.generators)).basis
+    assert buchberger(I).basis == I.generators
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_degree_ideal_levels_memo_in_any_order(data):
+    """Two monomial algebras over F2, F3 or Q, asked for I_1..I_6 in a drawn
+    order: each answer is the fresh algebra's and the scalar oracle's, and
+    no later call changes a memo seen before."""
+    R = RINGS[data.draw(st.sampled_from(("F2", "F3", "Q"))),
+              data.draw(st.integers(1, 3))]
+    algebras = [ReesAlgebra.from_pairs(R, [
+        (R.monomial(e, c), w) for e, c, w in data.draw(st.lists(
+            st.tuples(exponents(R, 2), coefficients(R), st.integers(1, 3)),
+            min_size=1, max_size=4))]) for _ in range(2)]
+    ks = data.draw(st.permutations([(i, k) for i in range(2)
+                                    for k in range(1, 7)]))
+    assert_levels_memo_in_any_order(algebras, ks)
 
 
 def _builtin_fields():

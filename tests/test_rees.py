@@ -1,4 +1,5 @@
 """Weighted Rees algebras: saturation, singular loci, invariants, transforms."""
+import copy
 import itertools
 import os
 import random
@@ -12,7 +13,7 @@ import pytest
 import reeselim
 from reeselim import (FieldDescriptor, Ideal, Polynomial, ReesAlgebra,
                       ReesError, ReesGenerator, RingContext, RingError,
-                      component_order, degree_ideal, diff_saturate,
+                      buchberger, component_order, degree_ideal, diff_saturate,
                       e0_invariant, format_algebra, ideal_equal, is_simple,
                       is_singular_at, normalize_generators, ord_at_point,
                       parse_algebra, rational_singular_points, singular_ideal,
@@ -556,6 +557,84 @@ def test_degree_ideal_order_does_not_depend_on_hash_seed():
         outputs.append(subprocess.run([sys.executable, "-c", script], env=env,
                                       capture_output=True, check=True).stdout)
     assert outputs[0] == outputs[1] and outputs[0].startswith(b"[")
+
+
+def random_monomial_algebra(rng, R, coeffs):
+    """1-4 monomial generators with exponents below 3, weights 1-3."""
+    return ReesAlgebra.from_pairs(R, [
+        (R.monomial(tuple(rng.randrange(3) for _ in R.variables),
+                    rng.choice(coeffs)), rng.randrange(1, 4))
+        for _ in range(rng.randrange(1, 5))])
+
+
+def assert_levels_memo_in_any_order(algebras, ks):
+    """degree_ideal(G, k) for each (G, k) in ks (indices into algebras), in
+    that order, equals the call on a freshly built equal algebra and the
+    scalar oracle; its carried basis is the basis of the same generators
+    with nothing carried; and a later call never changes a memo seen
+    before."""
+    snapshots = []
+    for i, k in ks:
+        G = algebras[i]
+        I = degree_ideal(G, k)
+        fresh = ReesAlgebra(G.ring, G.generators)
+        assert I.generators == degree_ideal(fresh, k).generators, (G, k)
+        assert I.generators == scalar_oracle_degree_ideal(G, k), (G, k)
+        assert buchberger(I).basis == buchberger(
+            Ideal(G.ring, I.generators)).basis, (G, k)
+        snapshots.append((G._levels, copy.deepcopy(G._levels)))
+    for memo, saved in snapshots:
+        assert memo == saved
+
+
+def test_degree_ideal_levels_memo_does_not_depend_on_the_order_of_k():
+    rng = random.Random(19)
+    for spec in ("F2", "F3", "Q"):
+        coeffs = _nonzero_coeffs(ring(spec, "X"))
+        for n in range(8):
+            R = ring(spec, *("X", "Y", "Z")[:2 + n % 2])
+            algebras = [random_monomial_algebra(rng, R, coeffs)
+                        for _ in range(2)]
+            ks = [(i, k) for i in range(2) for k in range(1, 7)]
+            rng.shuffle(ks)
+            assert_levels_memo_in_any_order(algebras, ks)
+
+
+def test_degree_ideal_levels_memo_grows_by_a_new_tuple():
+    R = ring("F3", "X", "Y")
+    G = algebra(R, ("X", 1), ("Y^2", 2), ("X*Y", 3))
+    assert degree_ideal(G, 2).generators == tuple(
+        map(R.parse, ("Y^2", "X*Y", "X^2")))
+    kept, levels = memo = G._levels
+    assert levels == (((0, 0),), ((1, 0), (0, 2)),
+                      ((0, 2), (1, 1), (2, 0)))
+    degree_ideal(G, 5)
+    assert G._levels is not memo and G._levels[0] is kept
+    assert G._levels[1][:3] == levels and len(G._levels[1]) == 6
+    # a lower degree reads the memo and leaves it as it is
+    extended = G._levels
+    assert degree_ideal(G, 4).generators == scalar_oracle_degree_ideal(G, 4)
+    assert G._levels is extended
+
+
+def test_degree_ideal_carries_its_basis_only_on_all_monomial_input():
+    R = ring("Q", "X", "Y")
+    I = degree_ideal(algebra(R, ("2*X*Y", 1), ("3*Y^2", 2)), 3)
+    assert I._basis is I.generators
+    assert buchberger(I).basis == buchberger(Ideal(R, I.generators)).basis
+    I = degree_ideal(algebra(R, ("X^2+Y^3", 2), ("Y", 1)), 2)
+    assert getattr(I, "_basis", None) is None
+
+
+def test_algebra_drops_repeated_generators_keeping_the_first():
+    a, b, c = (ReesGenerator(QYZ.parse(t), w)
+               for t, w in (("Z", 1), ("Y^2", 2), ("Z", 2)))
+    assert ReesAlgebra(QYZ, [a, b, a, c]).generators == (a, b, c)
+    assert ReesAlgebra(QYZ, iter([c, c, b])).generators == (c, b)
+    foreign = ReesGenerator(F2YZ.parse("Z"), 1)
+    for gens in ([a, foreign], [a, a, foreign], [foreign, a]):
+        with pytest.raises(RingError, match="different ring"):
+            ReesAlgebra(QYZ, gens)
 
 
 def test_singular_zero_set_invariant_under_saturation():
