@@ -57,6 +57,16 @@ def hasse_derivative(f, alpha):
     return Polynomial._from_raw(ring, raw)
 
 
+def _multi_indices(beta, n, active_idx):
+    """Every alpha <= beta with |alpha| < n, supported on active_idx, by
+    increasing |alpha| and then lexicographically: product yields the box
+    in lexicographic order, and the stable sort by |alpha| keeps it."""
+    tops = [min(b, n - 1) + 1 if i in active_idx else 1
+            for i, b in enumerate(beta)]
+    return sorted([alpha for alpha in product(*map(range, tops))
+                   if sum(alpha) < n], key=sum)
+
+
 def hasse_derivatives(f, n, active=None):
     """{alpha: Delta^alpha(f)} for |alpha| < n, alpha supported on the active
     variables (all variables when None), by increasing |alpha| and then
@@ -64,24 +74,33 @@ def hasse_derivatives(f, n, active=None):
 
     One pass over the terms of f: each x^beta contributes to Delta^alpha
     for every alpha <= beta in the simplex, so the cost follows the
-    support, not the n^m multi-indices of the whole simplex."""
+    support, not the n^m multi-indices of the whole simplex.  A one-term f
+    reaches each alpha once, already in order, so it needs no table and no
+    sort."""
     ring = f.ring
     field = ring.field
     if active is None:
         active_idx = range(ring.nvars)
     else:
         active_idx = {ring.var_index(v) for v in active}
+    # Delta^0 f is f itself, and it comes first
+    out = {(0,) * ring.nvars: f} if f._raw and n >= 1 else {}
+    if len(f._raw) == 1:
+        (beta, v), = f._raw.items()
+        for alpha in _multi_indices(beta, n, active_idx)[1:]:
+            if c := _term_coefficient(field, v, beta, alpha):
+                out[alpha] = Polynomial._from_raw(
+                    ring, {tuple(map(sub, beta, alpha)): c})
+        return out
     table = {}
     for beta, v in f._raw.items():
-        tops = [min(b, n - 1) + 1 if i in active_idx else 1
-                for i, b in enumerate(beta)]
-        for alpha in product(*map(range, tops)):
-            if sum(alpha) < n and (
-                    c := _term_coefficient(field, v, beta, alpha)):
+        for alpha in _multi_indices(beta, n, active_idx)[1:]:
+            if c := _term_coefficient(field, v, beta, alpha):
                 # beta -> beta - alpha is injective for a fixed alpha
                 table.setdefault(alpha, {})[tuple(map(sub, beta, alpha))] = c
-    return {alpha: Polynomial._from_raw(ring, table[alpha])
-            for alpha in sorted(table, key=lambda a: (sum(a), a))}
+    for alpha in sorted(sorted(table), key=sum):
+        out[alpha] = Polynomial._from_raw(ring, table[alpha])
+    return out
 
 
 def diff_closure_list(f, n, active=None):
@@ -91,11 +110,23 @@ def diff_closure_list(f, n, active=None):
     Realizes the generating set of the smallest differential extension, in
     both the relative (active = one variable) and absolute flavors.  Zero
     polynomials are dropped, but a pair may occur more than once (for X+Y,
-    Delta_X and Delta_Y are both 1); ReesAlgebra drops the repeats.
-    """
+    Delta_X and Delta_Y are both 1); diff_saturate drops the repeats.
+
+    The list is emitted block by block for n' = 1..n: block n' opens with
+    (f, n') and weighs no more than n' anywhere, so for every n' < n,
+    diff_closure_list(f, n') is the part of this list before its first pair
+    of weight n' + 1.  A weight that is not an int is refused (a bool
+    counts as an int)."""
+    if not isinstance(n, int):
+        raise RingError("weight %r is not an int" % (n,))
     if n < 1:
         raise RingError("weight must be >= 1")
-    cache = hasse_derivatives(f, n, active)
-    return [(df, nprime - sum(alpha))
-            for nprime in range(1, n + 1)
-            for alpha, df in cache.items() if sum(alpha) < nprime]
+    table = [(df, sum(alpha))
+             for alpha, df in hasse_derivatives(f, n, active).items()]
+    out = []
+    for nprime in range(1, n + 1):
+        for df, size in table:   # by increasing |alpha|
+            if size >= nprime:
+                break
+            out.append((df, nprime - size))
+    return out

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import compress
 from operator import add, le
 
 from .fields import FieldDescriptor, Immutable
@@ -55,19 +56,31 @@ class ReesGenerator(Immutable):
 
 class ReesAlgebra(Immutable):
     """The algebra of weighted generators in one ring, each listed once, in
-    the order first given.  degree_ideal's all-monomial levels are cached on
-    the algebra in _levels, on first use, like Polynomial's _lm."""
+    the order first given: __init__ drops repeats, and _distinct takes
+    generators already distinct.  degree_ideal's all-monomial levels are
+    cached on the algebra in _levels, on first use, like Polynomial's
+    _lm."""
 
     __slots__ = ("ring", "generators", "_levels")
 
     def __init__(self, ring, generators):
-        # the one place duplicate generators are dropped, one hash each
+        # duplicate generators are dropped here, one hash each
         gens = tuple(dict.fromkeys(generators))
         for g in gens:
             if g.poly.ring != ring:
                 raise RingError("generator in a different ring")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "generators", gens)
+
+    @classmethod
+    def _distinct(cls, ring, generators):
+        """Build from generators already known to be distinct and in ring,
+        with no second pass: saturation's deduplicated pairs and the chart
+        transforms' images."""
+        G = object.__new__(cls)
+        object.__setattr__(G, "ring", ring)
+        object.__setattr__(G, "generators", tuple(generators))
+        return G
 
     @classmethod
     def from_pairs(cls, ring, pairs):
@@ -117,16 +130,40 @@ class BlowupChart(Immutable):
 
 # -- saturation and singular locus ------------------------------------
 
+def _heaviest_weights(generators):
+    """{polynomial: the heaviest weight it is listed at}, in first-listed
+    order."""
+    heaviest = {}
+    for g in generators:
+        if g.weight > heaviest.get(g.poly, 0):
+            heaviest[g.poly] = g.weight
+    return heaviest
+
+
 def diff_saturate(G, active=None):
     """Smallest differential extension w.r.t. the active variable set
     (all variables when None).  Extensive, and idempotent up to nonzero
     scalars: saturating again can list scalar multiples of generators
     already there (over Q, Z^3+X^4+Y^5 W^3 goes from 12 generators to 15),
-    so compare the two after normalize_generators."""
-    pairs = []
+    so compare the two after normalize_generators.
+
+    The generators are the pairs of diff_closure_list(g, w) over the listed
+    g W^w, in that order, each pair once.  The closure list of each distinct
+    polynomial is built once, at its heaviest listed weight: a lighter copy
+    g W^w takes the part of it before its first pair of weight w + 1, which
+    is diff_closure_list(g, w)."""
+    heaviest = _heaviest_weights(G.generators)
+    closures = {f: diff_closure_list(f, n, active)
+                for f, n in heaviest.items()}
+    pairs = {}
     for g in G.generators:
-        pairs.extend(diff_closure_list(g.poly, g.weight, active))
-    return ReesAlgebra.from_pairs(G.ring, pairs)
+        closure = closures[g.poly]
+        if g.weight < heaviest[g.poly]:
+            closure = closure[:next(i for i, (_, w) in enumerate(closure)
+                                    if w > g.weight)]
+        pairs.update(dict.fromkeys(closure))
+    return ReesAlgebra._distinct(G.ring, [ReesGenerator(p, w)
+                                          for p, w in pairs])
 
 
 def singular_ideal(G):
@@ -281,53 +318,56 @@ def tau_estimate(G, at):
 
 # -- transforms -------------------------------------------------------
 
-def _chart_pairs(G, center, chart_var, weighted):
-    """(polynomial, weight) pairs of the generators in the chart of
-    chart_var, as an exponent map: each term keeps its coefficient, its
-    chart exponent becomes its exponent sum over the center (a repeated name
-    counts once), less the weight when weighted, and its other exponents
-    stay.  Distinct terms keep distinct exponents, so none merge; a negative
-    chart exponent means the generator's order along the center is below
-    its weight."""
+def _chart_algebra(G, center, chart_var, weighted):
+    """The generators in the chart of chart_var, as an exponent map: each
+    term keeps its coefficient, its chart exponent becomes its exponent sum
+    over the center (a repeated name counts once), less the weight when
+    weighted, and its other exponents stay.  Given the weight w, the map
+    inverts on exponents, e_j = n + w - (the other center exponents), so
+    distinct terms stay distinct and distinct generators have distinct
+    images: the algebra is built with no dedupe pass.  A negative chart
+    exponent means the generator's order along the center is below its
+    weight."""
     if chart_var not in center:
         raise ReesError("chart variable must lie in the center")
     ring = G.ring
     idx = {ring.var_index(v) for v in center}
+    in_center = [i in idx for i in range(ring.nvars)]
     j = ring.var_index(chart_var)
-    pairs = []
+    gens = []
     for g in G.generators:
         drop = g.weight if weighted else 0
         raw = {}
         for e, v in g.poly._raw.items():
-            n = sum(e[i] for i in idx) - drop
+            n = sum(compress(e, in_center)) - drop
             if n < 0:
                 raise ReesError(
                     "center is not permissible: %s has order < %d along it"
                     % (g.poly, g.weight))
             raw[e[:j] + (n,) + e[j + 1:]] = v
-        pairs.append((Polynomial._from_raw(ring, raw), g.weight))
-    return pairs
+        gens.append(ReesGenerator(Polynomial._from_raw(ring, raw), g.weight))
+    return ReesAlgebra._distinct(ring, gens)
 
 
 def weighted_transform(G, center, chart_var):
     """Weighted (strict-level) transform at a coordinate-subspace center, in
     the chart of chart_var: x_l -> chart * x_l for the other center
-    variables, then each generator divided by chart^weight.
+    variables, then each generator divided by chart^weight.  Distinct
+    generators have distinct transforms, so the generators correspond one
+    to one, in order.
 
     The center must be permissible: every generator has order >= its weight
     along the center subspace, which is exactly when no chart exponent goes
     negative.  Otherwise ReesError names the first generator that fails.
     """
-    pairs = _chart_pairs(G, center, chart_var, weighted=True)
-    return (ReesAlgebra.from_pairs(G.ring, pairs),
+    return (_chart_algebra(G, center, chart_var, weighted=True),
             BlowupChart(G.ring, chart_var, center))
 
 
 def total_transform(G, center, chart_var):
     """x_l -> chart * x_l for the other center variables, with no
     exceptional division."""
-    return ReesAlgebra.from_pairs(
-        G.ring, _chart_pairs(G, center, chart_var, weighted=False))
+    return _chart_algebra(G, center, chart_var, weighted=False)
 
 
 # -- degree parts -----------------------------------------------------
@@ -372,10 +412,7 @@ def degree_ideal(G, k):
     if all(len(g.poly._raw) == 1 for g in gens):
         exps = _monomial_degree_exponents(G, k)
     else:
-        heaviest = {}
-        for g in gens:
-            if g.weight > heaviest.get(g.poly, 0):
-                heaviest[g.poly] = g.weight
+        heaviest = _heaviest_weights(gens)
         gens = [g for g in gens if heaviest[g.poly] == g.weight]
         products = {}
 

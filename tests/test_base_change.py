@@ -2,8 +2,9 @@
 coefficients in F_p, read into F_{p^k}, must give the same text apart from
 the ring header under every construction that uses only field operations,
 and its zeros over F_p must be its zeros over F_{p^k} with coordinates in
-F_p.  The prime-field path is the simpler one, so a slip in the packed
-F_{p^k} arithmetic shows up as a difference between the two."""
+F_p.  Saturation is compared absolute and relative to Z.  The prime-field
+path is the simpler one, so a slip in the packed F_{p^k} arithmetic shows
+up as a difference between the two."""
 import random
 
 import pytest
@@ -59,6 +60,33 @@ def test_saturated_degree_ideal_bases_do_not_change_under_base_change(
         assert large.ring.field == FieldDescriptor.parse(extension)
         assert _body(large) == _body(small), text
         assert _degree_bases(large) == _degree_bases(small), text
+
+
+def _random_relative_text(rng, spec):
+    """A file over F_p in 2-3 variables ending in Z with 1-2 generators of
+    1-3 terms and weights 1-4."""
+    R = RingContext(FieldDescriptor.parse(spec),
+                    ("X", "Y", "Z")[-rng.choice((2, 3)):])
+    pairs = [(_random_polynomial(rng, R), rng.randrange(1, 5))
+             for _ in range(rng.randrange(1, 3))]
+    return format_algebra(ReesAlgebra.from_pairs(R, pairs))
+
+
+@pytest.mark.parametrize("extension,prime", EXTENSIONS)
+def test_relative_saturation_does_not_change_under_base_change(extension,
+                                                              prime):
+    """diff_saturate(G, {Z}) of G and of its absolute saturation, which
+    lists each derivative at several weights, so that lighter copies take
+    their part of the heaviest copy's closure list."""
+    rng = random.Random("base-change/relative/" + extension)
+    for _ in range(30):
+        text = _random_relative_text(rng, prime)
+        bodies = []
+        for field in (None, extension):
+            G = parse_algebra(text, field=field)
+            bodies.append([_body(diff_saturate(A, {"Z"}))
+                           for A in (G, diff_saturate(G))])
+        assert bodies[0] == bodies[1], text
 
 
 def _random_transform_case(rng, spec):

@@ -3,9 +3,13 @@ import io
 import itertools
 import math
 import random
+import re
+from fractions import Fraction
 
-from reeselim import (FieldDescriptor, RingContext, diff_closure_list,
-                      hasse_derivative)
+import pytest
+
+from reeselim import (FieldDescriptor, RingContext, RingError,
+                      diff_closure_list, hasse_derivative)
 from reeselim.cli import main
 from reeselim.hasse import hasse_derivatives
 from reeselim.poly import formal_derivative
@@ -136,6 +140,8 @@ def simplex_oracle_derivatives(f, n, active):
 
 def test_support_enumeration_matches_the_simplex_oracle():
     rng = random.Random(37)
+    # one-term f take their own path; drawn apart, so rng's cases stay
+    monomial_rng = random.Random(41)
     for spec in ("Q", "F2", "F3", "F4", "F9", "F8:t^3+t^2+1"):
         for names in (("X",), ("X", "Y"), ("X", "Y", "Z")):
             R = ring(spec, *names)
@@ -144,13 +150,54 @@ def test_support_enumeration_matches_the_simplex_oracle():
                 n = rng.randrange(1, 7)
                 active = sorted(rng.sample(names, rng.randrange(1, len(names)
                                                                 + 1)))
-                got = hasse_derivatives(f, n, active)
-                want = simplex_oracle_derivatives(f, n, active)
-                # same derivatives in the same order
-                assert list(got.items()) == list(want.items())
-                if active == list(names):
-                    assert list(hasse_derivatives(f, n).items()) == \
-                        list(want.items())
+                for f in (f, _rand_poly(R, monomial_rng, terms=1, deg=6)):
+                    got = hasse_derivatives(f, n, active)
+                    want = simplex_oracle_derivatives(f, n, active)
+                    # same derivatives in the same order
+                    assert list(got.items()) == list(want.items())
+                    if active == list(names):
+                        assert list(hasse_derivatives(f, n).items()) == \
+                            list(want.items())
+
+
+def test_closure_list_at_a_lower_weight_is_a_prefix():
+    """For every n' < n, the list at n' is the part of the list at n before
+    its first pair of weight n' + 1: saturation cuts lighter copies of a
+    polynomial from the list at its heaviest weight."""
+    rng = random.Random(43)
+    for spec in ("Q", "F2", "F3", "F4"):
+        for names in (("X",), ("X", "Y"), ("X", "Y", "Z")):
+            R = ring(spec, *names)
+            for trial in range(8):
+                f = _rand_poly(R, rng, terms=1 if trial % 2 else 4, deg=5)
+                if f.is_zero():
+                    continue
+                n = rng.randrange(2, 7)
+                for active in (None, [rng.choice(names)]):
+                    full = diff_closure_list(f, n, active)
+                    weights = [w for _, w in full]
+                    for lower in range(1, n):
+                        cut = weights.index(lower + 1)
+                        assert full[cut] == (f, lower + 1)
+                        assert diff_closure_list(f, lower, active) == \
+                            full[:cut]
+
+
+@pytest.mark.parametrize("weight", [2.5, Fraction(7, 2), 2.0, "2", None])
+def test_closure_list_refuses_a_weight_that_is_not_an_int(weight):
+    # 2.5 and 2.0 raised a bare TypeError from range
+    f = QYZ.parse("Z^2+Y^5")
+    with pytest.raises(RingError, match="weight %s is not an int"
+                       % re.escape(repr(weight))):
+        diff_closure_list(f, weight)
+
+
+def test_closure_list_takes_a_bool_weight_as_an_int():
+    f = QYZ.parse("Z^2+Y^5")
+    assert diff_closure_list(f, True) == [(f, 1)]
+    assert type(diff_closure_list(f, True)[0][1]) is int
+    with pytest.raises(RingError, match="weight must be >= 1"):
+        diff_closure_list(f, False)
 
 
 def test_a_derivative_every_binomial_of_which_p_divides_is_left_out():

@@ -4,8 +4,10 @@ products near p - 1 against a reference written apart from the library,
 the polynomial product and the sum of products against a schoolbook
 oracle, the Hasse Leibniz and composition laws, the monomial
 degree_ideal path against its scalar oracle and as its own reduced basis,
-its level memo asked in any order, and the raw-value sums, scalings,
-coefficient and division paths against a FieldElement reference."""
+its level memo asked in any order, saturation against the concatenated
+closure lists, the chart transforms' distinct generators, and the
+raw-value sums, scalings, coefficient and division paths against a
+FieldElement reference."""
 import itertools
 import math
 
@@ -16,7 +18,9 @@ st = hypothesis.strategies
 
 from reeselim import (FieldDescriptor, FieldError, Ideal,  # noqa: E402
                       Polynomial, ReesAlgebra, RingContext, buchberger,
-                      degree_ideal, hasse_derivative, univ_divmod)
+                      degree_ideal, diff_closure_list, diff_saturate,
+                      hasse_derivative, total_transform, univ_divmod,
+                      weighted_transform)
 from reeselim.poly import _sum_of_products, formal_derivative  # noqa: E402
 from test_fields import (FOLD_FIELDS,  # noqa: E402
                          irreducible_by_trial_division)
@@ -119,6 +123,84 @@ def test_degree_ideal_levels_memo_in_any_order(data):
     ks = data.draw(st.permutations([(i, k) for i in range(2)
                                     for k in range(1, 7)]))
     assert_levels_memo_in_any_order(algebras, ks)
+
+
+def nonzero_polynomials(R, top=3):
+    """1-4 terms with distinct exponents, so nothing cancels."""
+    return st.dictionaries(exponents(R, top), coefficients(R), min_size=1,
+                           max_size=4).map(lambda terms: Polynomial(R, terms))
+
+
+@st.composite
+def algebras_with_repeated_polynomials(draw, R):
+    """1-2 polynomials listed at several weights each, with 0-3 other
+    generators, in a drawn order.  A drawn cut puts each polynomial's
+    lighter copies before its heaviest one, after it, or on both sides."""
+    entries = []
+    for f in draw(st.lists(nonzero_polynomials(R), min_size=1, max_size=2,
+                           unique=True)):
+        heavy = draw(st.integers(2, 4))
+        lighter = draw(st.lists(st.integers(1, heavy - 1), min_size=1,
+                                max_size=3, unique=True))
+        cut = draw(st.integers(0, len(lighter)))
+        entries.append([(f, w) for w in lighter[:cut]] + [(f, heavy)]
+                       + [(f, w) for w in lighter[cut:]])
+    others = draw(st.lists(st.tuples(nonzero_polynomials(R),
+                                     st.integers(1, 3)), max_size=3))
+    # interleave: a drawn permutation of every slot, each polynomial's copies
+    # then placed into its slots in their drawn order
+    slots = draw(st.permutations([i for i, copies in enumerate(entries)
+                                  for _ in copies] + [None] * len(others)))
+    queues = [iter(copies) for copies in entries] + [iter(others)]
+    return ReesAlgebra.from_pairs(R, [next(queues[i if i is not None else -1])
+                                      for i in slots])
+
+
+CLOSURE_SPECS = ("F2", "F3", "Q", "F4")
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_saturation_is_the_deduplicated_closure_lists(data):
+    """diff_saturate builds one closure list per polynomial, at its heaviest
+    weight; the oracle concatenates diff_closure_list over every listed
+    generator and lets ReesAlgebra drop the repeats.  Same generators, in
+    the same order, absolute and relative."""
+    R = RINGS[data.draw(st.sampled_from(CLOSURE_SPECS)),
+              data.draw(st.integers(1, 3))]
+    G = data.draw(algebras_with_repeated_polynomials(R))
+    active = data.draw(st.one_of(st.none(), st.lists(
+        st.sampled_from(R.variables), min_size=1, unique=True)))
+    S = diff_saturate(G, active)
+    oracle = ReesAlgebra.from_pairs(R, [
+        p for g in G.generators
+        for p in diff_closure_list(g.poly, g.weight, active)])
+    assert S.generators == oracle.generators
+    assert S.generators == ReesAlgebra(R, S.generators).generators
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_transforms_list_distinct_generators(data):
+    """A chart transform builds its algebra with no dedupe pass: its
+    generators are already distinct, one for each generator of G, also when
+    the center repeats a name."""
+    R = RINGS[data.draw(st.sampled_from(CLOSURE_SPECS)),
+              data.draw(st.integers(1, 3))]
+    center = data.draw(st.lists(st.sampled_from(R.variables), min_size=1,
+                                max_size=4))
+    chart = data.draw(st.sampled_from(center))
+    x = R.var(chart)
+    # f * chart^w has order >= w along any center through chart
+    G = ReesAlgebra.from_pairs(R, [
+        (g.poly * x**g.weight, g.weight)
+        for g in data.draw(algebras_with_repeated_polynomials(R)).generators])
+    for c in (center, center + [chart]):
+        for T in (weighted_transform(G, c, chart)[0],
+                  total_transform(G, c, chart)):
+            assert T.generators == ReesAlgebra(R, T.generators).generators
+            assert [g.weight for g in T.generators] == \
+                [g.weight for g in G.generators]
 
 
 def _builtin_fields():

@@ -733,3 +733,27 @@ def test_saturation_lists_a_repeated_derivative_once():
     # Delta_X and Delta_Y of X+Y are both 1: one generator 1 W
     assert [(str(g.poly), g.weight) for g in G.generators] == [
         ("X+Y", 1), ("X+Y", 2), ("1", 1)]
+
+
+def test_saturation_builds_one_closure_list_per_polynomial(monkeypatch):
+    R = ring("Q", "X", "Y")
+    f = "X^2*Y+Y^3"
+    # lighter copies of f before and after its heaviest, between others
+    G = algebra(R, (f, 1), ("X+Y", 2), (f, 3), ("X*Y", 1), (f, 2))
+    oracle = ReesAlgebra.from_pairs(R, [
+        p for g in G.generators
+        for p in reeselim.diff_closure_list(g.poly, g.weight)])
+    calls = []
+    original = reeselim.rees.diff_closure_list
+
+    def counted(poly, weight, active=None):
+        calls.append((str(poly), weight))
+        return original(poly, weight, active)
+
+    monkeypatch.setattr(reeselim.rees, "diff_closure_list", counted)
+    S = diff_saturate(G)
+    assert calls == [(f, 3), ("X+Y", 2), ("X*Y", 1)]
+    assert S.generators == oracle.generators
+    # Delta_X and Delta_Y of X+Y are both 1: listed once
+    assert [(str(g.poly), g.weight) for g in S.generators].count(("1", 1)) \
+        == 1
