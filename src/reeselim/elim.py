@@ -287,14 +287,16 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
     characteristic polynomial of multiplication-by-g, at weight j*n.
     Generators reducing to zero contribute nothing.  Saturation emits a
     polynomial again at each lower weight, so each distinct g gets one
-    multiplication matrix and one char poly per call.  A weight above
-    CHARPOLY_DEGREE_CAP raises ResourceCapError before any saturation.
+    multiplication matrix and one char poly per call.  Before any
+    saturation, a weight above CHARPOLY_DEGREE_CAP raises ResourceCapError
+    and a z_var that is the ring's only variable RingError.
     """
     ring = G.ring
     f = f_gen.poly
     c = f_gen.weight
     if f.ring != ring:
         raise RingError("ring mismatch")
+    base = ring.drop_variable(z_var)
     if not f.is_monic_in(z_var):
         raise ReesError("distinguished generator is not monic in %r" % z_var)
     if f.degree_in(z_var) != c:
@@ -307,7 +309,6 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
     if f_gen not in G.generators:
         G = ReesAlgebra(ring, G.generators + (f_gen,))
     sat = diff_saturate(G, {z_var})
-    base = ring.drop_variable(z_var)
     found = {}   # (h_j projected, weight) -> (g, weight of g, j), first source
     coeffs = {}   # g -> its (j, nonzero h_j projected), () if g = 0 mod f
     for g in sat.generators:

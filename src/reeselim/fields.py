@@ -418,6 +418,8 @@ class FieldElement(Immutable):
         return self.inverse() * other
 
     def __pow__(self, n):
+        if not isinstance(n, int):
+            raise FieldError("exponent %r is not an int" % (n,))
         if n < 0:
             return self.inverse()**(-n)
         f = self.field

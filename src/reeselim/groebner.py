@@ -12,10 +12,10 @@ changes an answer.  A hard cap on the basis size, ``BASIS_CAP``, checked
 on every element added, turns runaway computations into a clean error
 that reports the progress made.
 
-A monomial ideal skips the pair loop: every S-polynomial of two monomials
-is zero, so its reduced basis is its minimal monomials made monic, read
-off by ``minimal_exponents``.  ``rees.degree_ideal`` lists its monomials
-the same way, so on all-monomial input it returns this basis.
+Every Groebner basis comes from ``buchberger``, tau's linear ones too.  Its
+one shortcut is a basis the ideal carries (``rees.degree_ideal``'s minimal
+monomials of an all-monomial I_k); any other monomial ideal runs the pair
+loop, where every S-polynomial is zero, and counts against ``BASIS_CAP``.
 
 Rational zero sets over a finite field come from a projection scan that
 fixes one coordinate at a time and abandons a branch as soon as a
@@ -148,19 +148,15 @@ def buchberger(ideal):
     Gebauer-Moeller pair update, which skips a new pair with coprime leading
     monomials before its lcm test.  The inputs, smallest leading monomial
     first as Becker-Weispfenning insert them, and then the S-polynomials
-    take one path, ``insert``.  A monomial ideal's reduced basis is its
-    minimal monomials, monic, in grevlex order.  A basis the ideal carries
-    is returned as it is."""
+    take one path, ``insert``.  The basis comes out monic in grevlex order.
+    A basis the ideal carries is returned as it is; every other ideal, a
+    monomial one included, runs the pair loop."""
     carried = getattr(ideal, "_basis", None)
     if carried is not None:
         return GroebnerBasis(ideal, carried)
     ring = ideal.ring
     field = ring.field
     one = field.one().val
-    if all(len(g._raw) == 1 for g in ideal.generators):
-        return GroebnerBasis(ideal, [
-            Polynomial._from_raw(ring, {e: one}) for e in
-            minimal_exponents(next(iter(g._raw)) for g in ideal.generators)])
     basis = []  # monic, in the order they were added
     lms = []    # their leading monomials
     live = []   # indices of the elements that take new pairs and reduce
@@ -241,26 +237,15 @@ def minimal_exponents(exps):
     return kept
 
 
-def minimal_leads(polys):
-    """The polynomials sorted by grevlex leading monomial, without those whose
-    leading monomial is divisible by that of one kept before them."""
-    kept = []
-    for g in sorted(polys, key=lambda g: grevlex_key(g.leading_monomial())):
-        lm = g.leading_monomial()
-        if not any(_divides(h.leading_monomial(), lm) for h in kept):
-            kept.append(g)
-    return kept
-
-
-def _interreduce(basis):
-    # drop redundant leading monomials, then fully reduce each (monic)
-    # element by the others: no other leading monomial divides its own, so
-    # its leading term, and the grevlex order of the list, stay
-    kept = minimal_leads(basis)
-    if len(kept) < 2:
-        return kept
-    return [normal_form(g, kept[:i] + kept[i + 1:])
-            for i, g in enumerate(kept)]
+def _interreduce(live):
+    # no live leading monomial divides another (each joins reduced by the
+    # live ones, and update drops those its own divides), so fully reducing
+    # each monic element by the others keeps its leading term and the order
+    live = sorted(live, key=lambda g: grevlex_key(g.leading_monomial()))
+    if len(live) < 2:
+        return live
+    return [normal_form(g, live[:i] + live[i + 1:])
+            for i, g in enumerate(live)]
 
 
 def membership(f, gb):

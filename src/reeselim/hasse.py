@@ -18,7 +18,8 @@ from .poly import Polynomial, RingError
 
 
 def normalize_multiindex(ring, alpha):
-    """Accept a full exponent tuple or a {variable: exponent} dict."""
+    """Accept a full exponent tuple or a {variable: exponent} dict of
+    non-negative ints (a bool counts as an int)."""
     if isinstance(alpha, dict):
         exps = [0] * ring.nvars
         for name, e in alpha.items():
@@ -28,8 +29,11 @@ def normalize_multiindex(ring, alpha):
         alpha = tuple(alpha)
         if len(alpha) != ring.nvars:
             raise RingError("multi-index length mismatch")
-    if any(a < 0 for a in alpha):
-        raise RingError("multi-index entries must be non-negative")
+    for a in alpha:
+        if not isinstance(a, int):
+            raise RingError("multi-index entry %r is not an int" % (a,))
+        if a < 0:
+            raise RingError("multi-index entries must be non-negative")
     return alpha
 
 

@@ -110,6 +110,8 @@ class RingContext(Immutable):
         """Ring with one variable removed (used by elimination)."""
         rest = [v for v in self.variables if v != name]
         self.var_index(name)
+        if not rest:
+            raise RingError("cannot drop %r, the ring's only variable" % name)
         return RingContext(self.field, rest)
 
     def parse(self, text):
@@ -272,6 +274,8 @@ class Polynomial(Immutable):
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if not isinstance(n, int):
+            raise RingError("exponent %r is not an int" % (n,))
         if n < 0:
             raise RingError("negative polynomial power")
         return _power(Polynomial.__mul__, self, n, self.ring.one())

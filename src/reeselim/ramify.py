@@ -16,7 +16,7 @@ from .fields import Immutable
 from .groebner import Ideal, rational_zero_set
 from .hasse import hasse_derivatives
 from .poly import RingError, univ_radical
-from .rees import ReesAlgebra, ReesError, ReesGenerator
+from .rees import ReesAlgebra, ReesError, ReesGenerator, is_singular_at
 
 
 class MonicInput(Immutable):
@@ -143,5 +143,4 @@ def verify_thm_1_16_ii(inp, point):
                         % inp.b)
     base_point = point.drop(inp.z_var)
     disc = generalized_discriminants(inp)
-    return all(g.poly.order_at(base_point) >= g.weight
-               for g in disc.generators)
+    return is_singular_at(disc, base_point)

@@ -18,7 +18,7 @@ from itertools import compress
 from operator import add, le
 
 from .fields import FieldDescriptor, Immutable
-from .groebner import Ideal, minimal_exponents, rational_zero_set
+from .groebner import Ideal, buchberger, minimal_exponents, rational_zero_set
 from .hasse import diff_closure_list, hasse_derivatives
 from .poly import (_DIGITS, INFINITE_ORDER, Polynomial, RingContext,
                    RingError, grevlex_key)
@@ -250,34 +250,12 @@ def e0_invariant(G, at):
     raise ReesError("no Frobenius level attains its weight; algebra not simple?")
 
 
-def _rank(rows, field):
-    """Rank of a list of coefficient vectors by Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if not rows[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [c * inv for c in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def tau_estimate(G, at):
     """Dimension of the span of linear forms extracted from additive-diagonal
     initial forms sum_i c_i x_i^{p^e} of generators with nu = weight = p^e
-    (weight-1 linear parts in characteristic 0).
+    (weight-1 linear parts in characteristic 0), each read as sum_i
+    c_i^{1/p^e} x_i: the size of their reduced Groebner basis, which is
+    their row echelon form.
 
     A lower bound for the full Frobenius-flag invariant; exact on diagonal
     instances.
@@ -292,28 +270,19 @@ def tau_estimate(G, at):
         levels.append(levels[-1] * field.p)
     for g in G.generators:
         shifted = g.poly.recenter(at)
-        order = shifted.order_at_origin()
-        if order != g.weight or g.weight not in levels:
+        q = g.weight
+        if shifted.order_at_origin() != q or q not in levels:
             continue
-        q = g.weight   # = p^e with e = levels.index(q)
-        init = shifted.initial_form()
-        vector = [field.zero()] * ring.nvars
-        diagonal = True
-        for exps, coeff in init.terms.items():
-            nonzero = [(i, e) for i, e in enumerate(exps) if e]
-            if len(nonzero) != 1 or nonzero[0][1] != q:
-                diagonal = False
+        row = {}
+        for exps, coeff in shifted.initial_form().terms.items():
+            if [e for e in exps if e] != [q]:
                 break
-            i = nonzero[0][0]
-            root = coeff
-            for _ in range(levels.index(q)):
-                root = root.pth_root()
-            vector[i] = vector[i] + root
-        if diagonal and any(not c.is_zero() for c in vector):
-            rows.append(vector)
-    if not rows:
-        return 0
-    return _rank(rows, field)
+            for _ in range(levels.index(q)):   # q = p^e: c -> c^(1/p^e)
+                coeff = coeff.pth_root()
+            row[tuple(e // q for e in exps)] = coeff   # x_i^q -> x_i
+        else:
+            rows.append(Polynomial(ring, row))
+    return len(buchberger(Ideal(ring, rows)).basis)
 
 
 # -- transforms -------------------------------------------------------

@@ -5,14 +5,16 @@ and its zeros over F_p must be its zeros over F_{p^k} with coordinates in
 F_p.  Saturation is compared absolute and relative to Z.  The prime-field
 path is the simpler one, so a slip in the packed F_{p^k} arithmetic shows
 up as a difference between the two."""
+import itertools
 import random
 
 import pytest
 
 from reeselim import (FieldDescriptor, Ideal, ReesAlgebra, RingContext,
                       buchberger, degree_ideal, diff_saturate, eliminate,
-                      format_algebra, format_elimination, parse_algebra,
-                      rational_zero_set, weighted_transform)
+                      format_algebra, format_elimination, is_singular_at,
+                      ord_at_point, parse_algebra, rational_zero_set,
+                      tau_estimate, weighted_transform)
 
 # each extension with its prime field; F8's modulus makes t^3 carry into t^2
 EXTENSIONS = [("F4", "F2"), ("F8:t^3+t^2+1", "F2"), ("F9", "F3")]
@@ -181,3 +183,62 @@ def test_prime_field_zeros_are_the_extension_zeros_with_prime_coordinates(
         assert zeros[0] == zeros[1], text
         nonempty += bool(zeros[0])
     assert nonempty > 0
+
+
+def _random_diagonal_text(rng, spec):
+    """A file over F_p in 2-3 variables with 1-3 generators, each an
+    additive form sum c_i x_i^q over 1-3 of the variables at weight q of
+    1, p or (over F2) p^2, plus 0-2 terms of degree q + 1 or q + 2."""
+    R = RingContext(FieldDescriptor.parse(spec),
+                    ("X", "Y", "Z")[:rng.choice((2, 3))])
+    p = R.field.p
+    units = [c for c in R.field.elements() if not c.is_zero()]
+    pairs = []
+    for _ in range(rng.randrange(1, 4)):
+        q = rng.choice((1, p, p * p) if p == 2 else (1, p))
+        f = R.zero()
+        for i in rng.sample(range(R.nvars), rng.randrange(1, R.nvars + 1)):
+            exps = [0] * R.nvars
+            exps[i] = q
+            f = f + R.monomial(tuple(exps), rng.choice(units))
+        for _ in range(rng.randrange(3)):
+            exps = [0] * R.nvars
+            for _ in range(q + rng.randrange(1, 3)):
+                exps[rng.randrange(R.nvars)] += 1
+            f = f + R.monomial(tuple(exps), rng.choice(units))
+        pairs.append((f, q))
+    return format_algebra(ReesAlgebra.from_pairs(R, pairs))
+
+
+def _point_invariants(G, points):
+    """ord at every point, and tau at the simple ones (None elsewhere)."""
+    out = []
+    for P in points:
+        P = G.ring.point(P)
+        simple = is_singular_at(G, P) and ord_at_point(G, P) == 1
+        out.append((ord_at_point(G, P),
+                    tau_estimate(G, P) if simple else None))
+    return out
+
+
+@pytest.mark.parametrize("extension,prime", EXTENSIONS)
+def test_tau_and_ord_at_prime_points_do_not_change_under_base_change(
+        extension, prime):
+    """tau ranks the diagonal rows through buchberger, whose arithmetic
+    over F_{p^k} is the packed one; the rows' p-th roots stay in F_p."""
+    rng = random.Random("base-change/tau/" + extension)
+    p = FieldDescriptor.parse(prime).p
+    taus = []
+    for _ in range(15):
+        text = _random_diagonal_text(rng, prime)
+        invariants = []
+        for field in (None, extension):
+            G = parse_algebra(text, field=field)
+            points = list(itertools.product(range(p), repeat=G.ring.nvars))
+            invariants.append([_point_invariants(A, points)
+                               for A in (G, diff_saturate(G))])
+        assert invariants[0] == invariants[1], text
+        taus += [tau for per_algebra in invariants[0]
+                 for _, tau in per_algebra if tau is not None]
+    # several simple points, some of them with more than one row
+    assert len(taus) > 15 and max(taus) > 1, taus

@@ -333,6 +333,14 @@ REJECTIONS = [
     _rejection("ramify-non-monic-factor", "ramify-verify",
                "ring: F5[Y,Z]\ngen: 2*Z^2+Y w 2\n", ["--var", "Z"],
                "factor 2*Z^2+Y is not monic in Z"),
+    # eliminating the only variable leaves no ring: refused by name,
+    # before any saturation
+    _rejection("eliminate-the-only-variable", "eliminate",
+               "ring: F2[X]\ngen: X^2 w 2\n", ["--monic", "0", "--var", "X"],
+               "cannot drop 'X', the ring's only variable"),
+    _rejection("ramify-the-only-variable", "ramify-verify",
+               "ring: F2[x]\ngen: x^2 w 2\n", ["--var", "x"],
+               "cannot drop 'x', the ring's only variable"),
 ]
 
 

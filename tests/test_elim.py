@@ -323,6 +323,18 @@ def test_eliminate_refuses_a_degree_above_the_cap_before_saturating(
         eliminate(algebra(R, ("Z^13+x^13", 13)), f, "Z")
 
 
+def test_eliminate_refuses_the_only_variable_before_saturating(monkeypatch):
+    def no_saturation(*args):
+        raise AssertionError("diff_saturate called")
+
+    monkeypatch.setattr(elim, "diff_saturate", no_saturation)
+    R = ring("F2", "X")
+    f = ReesGenerator(R.parse("X^2"), 2)
+    with pytest.raises(RingError, match="^cannot drop 'X', the ring's only "
+                       "variable$"):
+        eliminate(algebra(R, ("X^2", 2)), f, "X")
+
+
 def test_eliminate_char_zero_example():
     G = diff_saturate(algebra(QYZ, ("Z^2+Y^5", 2)))
     result = eliminate(G, ReesGenerator(QYZ.var("Z"), 1), "Z")

@@ -1,6 +1,7 @@
 """Exact field arithmetic: Q, prime fields, and small extensions."""
 import itertools
 import random
+import re
 import sys
 import threading
 import time
@@ -416,3 +417,17 @@ def test_power_matches_repeated_products(spec):
                 assert a**-n * product == F.one()
     with pytest.raises(ZeroDivisionError):
         F.zero()**-1
+
+
+@pytest.mark.parametrize("n", [2.5, Fraction(3), 2.0, "2", None])
+def test_power_refuses_an_exponent_that_is_not_an_int(n):
+    # 2.5 raised a bare TypeError from the square-and-multiply loop
+    for F in (Q, F5, F9):
+        with pytest.raises(FieldError, match="^exponent %s is not an int$"
+                           % re.escape(repr(n))):
+            F.element(2)**n
+
+
+def test_power_takes_a_bool_exponent_as_an_int():
+    for a in F9.elements():
+        assert a**True == a and a**False == F9.one()

@@ -357,6 +357,17 @@ def test_basis_cap_raises_resource_error(monkeypatch):
         buchberger(I)
 
 
+def test_a_monomial_ideal_counts_against_the_cap(monkeypatch):
+    """Only a carried basis skips the pair loop: a monomial ideal built by
+    hand runs it, and each input that joins the basis counts."""
+    monkeypatch.setattr("reeselim.groebner.BASIS_CAP", 2)
+    R = ring("Q", "x", "y", "z")
+    with pytest.raises(ResourceCapError, match=r"^Groebner basis reached 3 "
+                       r"elements > cap 2 after 3 reductions, 0 pairs "
+                       r"pending$"):
+        buchberger(Ideal(R, [R.var("x"), R.var("y"), R.var("z")]))
+
+
 def test_basis_cap_counts_the_inputs(monkeypatch):
     """The cap holds on every element added: two coprime inputs make no
     pair, so a cap checked only after an S-polynomial joins never fires."""
@@ -553,8 +564,11 @@ def _s_poly(f, g):
 def _assert_reduced_basis(gens, basis):
     """basis is the reduced Groebner basis of the ideal of gens, by the
     definition: monic, no leading monomial dividing a term of another
-    element, every generator reducing to zero and every S-polynomial too."""
+    element, every generator reducing to zero and every S-polynomial too;
+    and it is listed in increasing grevlex order of leading monomials."""
     assert bool(basis) == bool(gens), gens
+    leads = [grevlex_key(_lm(g)) for g in basis]
+    assert leads == sorted(leads), (gens, basis)
     for g in basis:
         assert g.terms[_lm(g)] == g.ring.field.one(), (gens, g)
         for h in basis:

@@ -192,6 +192,22 @@ def test_closure_list_refuses_a_weight_that_is_not_an_int(weight):
         diff_closure_list(f, weight)
 
 
+@pytest.mark.parametrize("alpha,entry", [
+    ((1.5, 0), 1.5), ((Fraction(1), 0), Fraction(1)), ((None, 0), None),
+    ({"Y": 1.5}, 1.5), ({"Z": "1"}, "1")])
+def test_multi_index_refuses_an_entry_that_is_not_an_int(alpha, entry):
+    # (1.5, 0) raised a bare TypeError from math.comb
+    with pytest.raises(RingError, match="^multi-index entry %s is not an int$"
+                       % re.escape(repr(entry))):
+        hasse_derivative(QYZ.parse("Y*Y"), alpha)
+
+
+def test_multi_index_takes_a_bool_entry_as_an_int():
+    f = QYZ.parse("Y^2*Z+Y")
+    assert hasse_derivative(f, (True, False)) == hasse_derivative(f, (1, 0))
+    assert hasse_derivative(f, {"Z": True}) == QYZ.parse("Y^2")
+
+
 def test_closure_list_takes_a_bool_weight_as_an_int():
     f = QYZ.parse("Z^2+Y^5")
     assert diff_closure_list(f, True) == [(f, 1)]

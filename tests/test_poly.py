@@ -360,6 +360,19 @@ def test_polynomial_power_zero_is_one():
             assert f**3 == f * f * f
 
 
+@pytest.mark.parametrize("n", [2.5, Fraction(3), 2.0, "2", None])
+def test_polynomial_power_refuses_an_exponent_that_is_not_an_int(n):
+    # 2.5 raised a bare TypeError from the square-and-multiply loop
+    with pytest.raises(RingError, match="^exponent %s is not an int$"
+                       % re.escape(repr(n))):
+        QYZ.parse("Y+Z")**n
+
+
+def test_polynomial_power_takes_a_bool_exponent_as_an_int():
+    f = F2YZ.parse("Y+Z")
+    assert f**True == f and f**False == F2YZ.one()
+
+
 def test_univ_gcd_with_zero_arguments():
     R = ring("F5", "Y", "Z")
     f = R.parse("2*Z^2+2")

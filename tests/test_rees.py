@@ -180,6 +180,17 @@ def test_tau_estimate_eliminates_dependent_rows():
     assert tau_estimate(G, R3.origin()) == 1
 
 
+def test_tau_estimate_ranks_rows_over_an_extension_field():
+    # over F4 the square roots of (1, t) and (t^2, 1) are (1, t^2) and
+    # (t, 1) = t * (1, t^2): one row, until z^2 adds a second
+    R = ring("F4", "x", "y")
+    G = algebra(R, ("x^2+t*y^2", 2), ("t^2*x^2+y^2", 2))
+    assert tau_estimate(G, R.origin()) == 1
+    R = ring("F4", "x", "y", "z")
+    G = algebra(R, ("x^2+t*y^2", 2), ("t^2*x^2+y^2", 2), ("z^2", 2))
+    assert tau_estimate(G, R.origin()) == 2
+
+
 def test_weighted_transform_quadratic_chart():
     G = algebra(QYZ, ("Z", 1), ("Y^4", 1))
     G1, chart = weighted_transform(G, ["Y", "Z"], "Y")
