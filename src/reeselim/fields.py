@@ -23,6 +23,9 @@ ones, taken mod p, adds its multiple of the packed residue of t^j mod the
 modulus.
 A spec's modulus is read by the polynomial parser over F_p[t], and every
 power, here and in poly, is one square-and-multiply (_power).
+
+A finite field keeps one table (_scan_table) of its raw values, their
+positions and their powers, which elements() and the point scan share.
 """
 from __future__ import annotations
 
@@ -170,7 +173,7 @@ class FieldDescriptor(Immutable):
     _unpack convert F_{p^k} values to and from coefficient sequences."""
 
     __slots__ = ("p", "k", "modulus", "reduce", "add", "neg", "mul", "inv",
-                 "_pack", "_unpack")
+                 "_pack", "_unpack", "_table")
     _instances = {}
 
     def __new__(cls, characteristic, extension_degree=1, modulus=None):
@@ -203,7 +206,7 @@ class FieldDescriptor(Immutable):
             return field
         field = object.__new__(cls)
         for name, value in zip(cls.__slots__, (p, k, modulus)
-                               + _raw_arithmetic(p, k, modulus)):
+                               + _raw_arithmetic(p, k, modulus) + (None,)):
             object.__setattr__(field, name, value)
         if modulus is not None:
             field._check_irreducible()
@@ -271,15 +274,47 @@ class FieldDescriptor(Immutable):
         return self.element((0, 1))
 
     def elements(self):
-        """All p^k elements, residues ascending / lexicographic coefficient order."""
+        """All p^k elements, residues ascending / lexicographic coefficient
+        order: a new list each call, over the raw values of _scan_table."""
         if self.p == 0:
             raise FieldError("cannot enumerate an infinite field")
-        p, k = self.p, self.k
-        if k == 1:
-            return [FieldElement(self, c) for c in range(p)]
-        pack = self._pack
-        return [FieldElement(self, pack([code // p**i % p for i in range(k)]))
-                for code in range(self.order)]
+        return [FieldElement(self, v) for v in self._scan_table(0)[0]]
+
+    def _scan_table(self, top):
+        """(values, index, powers) of a finite field: its raw values in
+        elements() order, {raw value: position}, and one tuple per value
+        with powers[i][e] == values[i]**e for every e <= top.  Built once
+        per field and widened to a larger top when a call needs it.  A
+        wider table is published whole, never grown in place, where two
+        threads could put a power at the wrong index; each call returns the
+        table it found or built, so if a narrower one wins a race, that
+        costs a rebuild, never a wrong power."""
+        table = self._table
+        if table is None:
+            p, k = self.p, self.k
+            if k == 1:
+                values = tuple(range(p))
+            else:
+                pack = self._pack
+                values = tuple(pack([code // p**i % p for i in range(k)])
+                               for code in range(p**k))
+            # 1 is the raw one of every field
+            table = (values, {v: i for i, v in enumerate(values)},
+                     tuple((1,) for _ in values))
+        values, index, powers = table
+        width = len(powers[0])
+        if width <= top:
+            mul = self.mul
+            rows = []
+            for v, row in zip(values, powers):
+                row = list(row)
+                for _ in range(width, top + 1):
+                    row.append(mul(row[-1], v))
+                rows.append(tuple(row))
+            table = (values, index, tuple(rows))
+        if table is not self._table:
+            object.__setattr__(self, "_table", table)
+        return table
 
     @property
     def order(self):

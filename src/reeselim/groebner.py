@@ -17,23 +17,26 @@ one shortcut is a basis the ideal carries (``rees.degree_ideal``'s minimal
 monomials of an all-monomial I_k); any other monomial ideal runs the pair
 loop, where every S-polynomial is zero, and counts against ``BASIS_CAP``.
 
-Rational zero sets over a finite field come from a projection scan that
-fixes one coordinate at a time and abandons a branch as soon as a
-generator specializes to a nonzero constant.  It specializes raw values
-and reduces once per output coefficient, as the product kernel does;
-only the emitted points hold FieldElements.  The branches of each scan,
-the ramification check's included, count against ``SCAN_BUDGET``;
-exceeding it raises ``ResourceCapError`` (CLI exit 3).  A generator
-a*X + b in the next coordinate X alone pins X to -b/a, so only that value
-is visited; the values it skips still count, one branch each, so the cap
-falls exactly where visiting every value would put it.
+Rational zero sets over a finite field F_q come from a projection scan
+that fixes one coordinate at a time and abandons a branch as soon as a
+generator specializes to a nonzero constant.  It first folds every
+exponent e >= q to (e - 1) mod (q - 1) + 1 (x^q = x on F_q), so it reads
+powers below q only, from the table the field keeps
+(``FieldDescriptor._scan_table``).  It specializes raw values and reduces
+once per output coefficient, as the product kernel does; only the emitted
+points hold FieldElements.  The branches of each scan, the ramification
+check's included, count against ``SCAN_BUDGET``; exceeding it raises
+``ResourceCapError`` (CLI exit 3).  A generator a*X + b in the next
+coordinate X alone pins X to -b/a, so only that value is visited; the
+values it skips still count, one branch each, so the cap falls exactly
+where visiting every value of the folded generators would put it.
 """
 from __future__ import annotations
 
 import heapq
 from operator import add, le, sub
 
-from .fields import Immutable
+from .fields import FieldElement, Immutable
 from .poly import Polynomial, RationalPoint, RingError, grevlex_key
 
 BASIS_CAP = 10_000
@@ -268,43 +271,43 @@ def rational_zero_set(ideal):
     """All rational points of the (finite) coefficient field where every
     generator vanishes, by a projection scan.
 
-    The scan fixes one coordinate at a time.  Each branch specializes the
-    surviving generators, as raw term maps, to the remaining variables,
-    with raw powers of the field elements read from a table built once per
-    scan; each output coefficient is summed unreduced and reduced once.
-    It drops the generators that become zero and is abandoned as soon as
-    one becomes a nonzero constant; a point is emitted only when every
-    coordinate is fixed.
+    First every exponent e >= q is folded to (e - 1) mod (q - 1) + 1,
+    since x^q = x on F_q: each generator keeps its value at every point,
+    and one that folds to zero is dropped.  So no power past x^(q-1) is
+    read.  The scan fixes one coordinate at a time.  Each branch
+    specializes the surviving generators, as raw term maps, to the
+    remaining variables, with raw powers of the field elements read from
+    the table the field keeps; each output coefficient is summed unreduced
+    and reduced once.  It drops the generators that become zero and is
+    abandoned as soon as one becomes a nonzero constant; a point is
+    emitted only when every coordinate is fixed.
 
     When a surviving generator is a*X + b in the next coordinate X alone,
     only its root X = -b/a is visited: every other value makes it a nonzero
     constant.  Every value counts against ``SCAN_BUDGET`` as one branch in
     enumeration order, the skipped ones included: those up to the root
     before its subtree, the rest after it.  So the cap is reached, and
-    reported, exactly where visiting every value would reach it.
+    reported, exactly where visiting every value of the folded generators
+    would reach it; folding can make a generator a nonzero constant, or
+    linear, sooner, so it can only lower the count.
     """
     ring = ideal.ring
     field = ring.field
     if field.p == 0:
         raise RingError("point scan needs a finite coefficient field")
-    nvars = ring.nvars
-    if field.order > SCAN_BUDGET:
+    nvars, q = ring.nvars, field.order
+    if q > SCAN_BUDGET:
         raise ResourceCapError(
             "point scan exceeds budget %d: the first of %d coordinates "
-            "alone has %d values" % (SCAN_BUDGET, nvars, field.order))
+            "alone has %d values" % (SCAN_BUDGET, nvars, q))
     gens = [g._raw for g in ideal.generators]
     top = max((max(e) for t in gens for e in t), default=0)
-    elements = field.elements()
-    q = len(elements)
-    index = {c.val: i for i, c in enumerate(elements)}
+    if top >= q:
+        gens = [t for t in (_fold(field, t, q) for t in gens) if t]
+        top = max((max(e) for t in gens for e in t), default=0)
+    # powers[i][e] == raw[i]**e for e <= top
+    raw, index, powers = field._scan_table(top)
     mul, neg, inv = field.mul, field.neg, field.inv
-    one = field.one().val
-    powers = []   # powers[i][e] == elements[i].val**e for e <= top, raw
-    for c in elements:
-        row = [one]
-        for _ in range(top):
-            row.append(mul(row[-1], c.val))
-        powers.append(row)
     # the keys of X and of 1 when `fixed` coordinates are fixed
     linear = [((1,) + (0,) * (nvars - fixed - 1), (0,) * (nvars - fixed))
               for fixed in range(nvars)]
@@ -324,7 +327,8 @@ def rational_zero_set(ideal):
     def scan(gens):
         fixed = len(prefix)
         if fixed == nvars:
-            points.add(RationalPoint(ring, prefix))
+            points.add(RationalPoint(
+                ring, [FieldElement(field, v) for v in prefix]))
             return
         x, constant = linear[fixed]
         root = None
@@ -348,7 +352,7 @@ def rational_zero_set(ideal):
                 if s:
                     special.append(s)
             else:
-                prefix.append(elements[i])
+                prefix.append(raw[i])
                 scan(special)
                 prefix.pop()
         if root is not None:
@@ -356,6 +360,19 @@ def rational_zero_set(ideal):
 
     scan(gens)
     return points
+
+
+def _fold(field, terms, q):
+    """The raw term map of the same function on F_q^n with every exponent
+    e >= q lowered to (e - 1) mod (q - 1) + 1, since x^q = x on F_q: the
+    terms that merge are summed unreduced and reduced once, zeros dropped.
+    A positive exponent stays positive, so 0^e keeps its value."""
+    out = {}
+    for e, c in terms.items():
+        e = tuple(d if d < q else (d - 1) % (q - 1) + 1 for d in e)
+        out[e] = out.get(e, 0) + c
+    reduce = field.reduce
+    return {e: r for e, v in out.items() if (r := reduce(v))}
 
 
 def _specialize(field, terms, powers):

@@ -77,6 +77,15 @@ def test_sing_scan_budget_exits_three(ex610, monkeypatch):
                                      "#! ideal-generators: 2 points: 1\n")
 
 
+def test_sing_folds_exponents_past_the_field_order(monkeypatch):
+    # x^q = x on F_q: the scan reads x^1000000000 over F2 as x, so it needs
+    # the powers x^0 and x^1 only
+    text = "ring: F2[x,y]\ngen: x^1000000000+y w 1\n"
+    assert run(["sing", "-"], stdin=text, monkeypatch=monkeypatch) == (
+        0, "gen: x^1000000000+y\npoint: 0,0\npoint: 1,1\n"
+        "#! ideal-generators: 1 points: 2\n")
+
+
 def test_point_invariant_commands(tmp_path):
     path = tmp_path / "e0.alg"
     path.write_text(EX514)

@@ -94,6 +94,37 @@ def test_element_enumeration_orders():
     assert len(elems) == 25 and len(set(elems)) == 25
 
 
+@pytest.mark.parametrize("spec", ["F2", "F5", "F4", "F8:t^3+t^2+1", "F9"])
+def test_elements_wrap_the_table_values(spec):
+    field = FieldDescriptor.parse(spec)
+    values, index, _ = field._scan_table(0)
+    elems = field.elements()
+    assert [c.val for c in elems] == list(values)
+    assert index == {v: i for i, v in enumerate(values)}
+    # a new list each call: changing one leaves the next call intact
+    elems.reverse()
+    elems.append(field.one())
+    assert [c.val for c in field.elements()] == list(values)
+    assert field.elements() is not field.elements()
+
+
+def test_a_wider_table_leaves_a_narrower_one_unchanged():
+    # a modulus no other test uses, so this test builds the table
+    field = FieldDescriptor.parse("F27:t^3+2*t+2")
+    small = field._scan_table(2)
+    values, index, powers = small
+    before = (values, dict(index), [tuple(row) for row in powers])
+    assert all(type(row) is tuple and len(row) == 3 for row in powers)
+    wide = field._scan_table(30)
+    assert field._scan_table(4) is wide   # wide enough: nothing is rebuilt
+    assert (small[0], small[1], list(small[2])) == before
+    assert wide[0] == values and wide[1] == index
+    for v, row, old in zip(values, wide[2], powers):
+        assert type(row) is tuple and row[:3] == old
+        assert row == tuple((FieldElement(field, v)**e).val
+                            for e in range(31))
+
+
 @pytest.mark.parametrize("field", [Q, F4, F5, F9])
 def test_field_laws_randomized(field):
     rng = random.Random(11)
@@ -188,6 +219,39 @@ def test_threads_building_one_field_get_one_instance():
     assert None not in built
     for fields in zip(*built):
         assert len({id(f) for f in fields}) == 1
+
+
+def test_threads_that_widen_one_table_each_read_a_correct_one():
+    # prime fields no other test uses, so every thread races to build and
+    # widen their tables; a table is published whole, so whatever a call
+    # returns holds the right power at every index up to its top
+    fields = [FieldDescriptor(p) for p in (61, 67, 71, 73)]
+    barrier = threading.Barrier(8, timeout=10)
+    wrong, done = [], [False] * 8
+
+    def widen(i):
+        barrier.wait()
+        for top in random.Random(i).sample(range(1, 40), 12):
+            for field in fields:
+                values, _, powers = field._scan_table(top)
+                if any(len(row) <= top or row[:top + 1] != tuple(
+                        pow(v, e, field.p) for e in range(top + 1))
+                       for v, row in zip(values, powers)):
+                    wrong.append((field.p, top))
+        done[i] = True
+
+    threads = [threading.Thread(target=widen, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(done) and wrong == []
 
 
 def test_characteristic_zero_restrictions():

@@ -203,6 +203,68 @@ def test_raw_scan_edge_cases():
         assert len(pts) == R.field.order - 2
 
 
+def test_scan_folds_exponents_past_the_field_order():
+    # x^q = x on F_q, so the scan lowers an exponent e >= q to
+    # (e - 1) mod (q - 1) + 1; a positive exponent stays positive, so a
+    # zero coordinate still gives 0^(q-1) = 0 and not 1.  Each drawn
+    # generator is shifted half the time to vanish at a drawn point, which
+    # has a zero coordinate at least half the time
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        spec = data.draw(st.sampled_from(("F2", "F3", "F4", "F5", "F9")))
+        nvars = data.draw(st.integers(1, 2 if spec == "F9" else 3))
+        R = ring(spec, *("x", "y", "z")[:nvars])
+        q = R.field.order
+        elements = R.field.elements()
+        multiple = st.integers(1, 3)
+        exponent = st.one_of(st.integers(0, 3 * q),
+                             multiple.map(lambda m: m * (q - 1)),
+                             multiple.map(lambda m: m * q))
+        coord = st.one_of(st.just(elements[0]), st.sampled_from(elements))
+        point = R.point([data.draw(coord) for _ in range(nvars)])
+        gens = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            g = R.zero()
+            for _ in range(data.draw(st.integers(1, 4))):
+                g = g + R.monomial(
+                    [data.draw(exponent) for _ in range(nvars)],
+                    data.draw(st.sampled_from(elements[1:])))
+            if data.draw(st.booleans()):
+                g = g - R.constant(g.evaluate(point))
+            gens.append(g)
+        I = Ideal(R, gens)
+        assert rational_zero_set(I) == _brute_zero_set(I), gens
+        # folded, no scan needs a power past q - 1
+        assert len(R.field._scan_table(0)[2][0]) <= q
+
+    check()
+
+
+def test_folding_abandons_branches_sooner(monkeypatch):
+    # y^4 + y + x is x on F4 (y^4 = y, and y + y = 0): the folded generator
+    # is linear in x, so the scan visits x = 0 and its 4 values of y and
+    # charges the 3 skipped values of x, 8 branches in all; unfolded, every
+    # x and every y would be tried, 4 + 16 branches
+    F4 = ring("F4", "x", "y")
+    x, y = F4.var("x"), F4.var("y")
+    I = Ideal(F4, [y**4 + y + x])
+    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 8)
+    assert rational_zero_set(I) == _brute_zero_set(I) == {
+        F4.point([0, c]) for c in F4.field.elements()}
+    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 7)
+    with pytest.raises(ResourceCapError, match=r"^point scan exceeds budget "
+                       r"7: 8 branches visited, 1 of 2 coordinates fixed$"):
+        rational_zero_set(I)
+    # a generator that folds to zero is dropped: every point, q + q^2
+    # branches
+    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 20)
+    assert len(rational_zero_set(Ideal(F4, [x**7 - x]))) == 16
+
+
 def test_extension_field_scan_budget_is_exact(monkeypatch):
     F4 = ring("F4", "x", "y")
     everything = Ideal(F4, [])   # 4 + 16 branches, 16 points
