@@ -69,9 +69,10 @@ def _check_degree_cap(c):
 def mult_matrix(g, f, z_var):
     """Multiplication-by-g endomorphism of S[Z]/<f>, f monic of degree c.
 
-    Column j holds the Z^0..Z^(c-1) coefficients of g*Z^j mod f: one
-    division gives column 0, and each later column is one companion step
-    on raw term maps, wrapped as Polynomials once it is complete."""
+    Column j holds the Z^0..Z^(c-1) coefficients of g*Z^j mod f: column 0
+    is g mod f, which takes a division only when g's Z-degree reaches c,
+    and each later column is one companion step on raw term maps, wrapped
+    as Polynomials once it is complete."""
     if g.ring != f.ring:
         raise RingError("ring mismatch")
     if not f.is_monic_in(z_var):
@@ -79,7 +80,8 @@ def mult_matrix(g, f, z_var):
     c = f.degree_in(z_var)
     if c < 1:
         raise RingError("modulus must have positive degree in %r" % z_var)
-    _, g = univ_divmod(g, f, z_var)
+    if g.degree_in(z_var) >= c:   # a saturated g is mostly reduced already
+        _, g = univ_divmod(g, f, z_var)
     # entries are raw term maps keyed with Z's slot at 0.  Column j+1 is
     # Z * (column j) mod f: shift the entries up one power of Z, then
     # replace the t*Z^c that reaches the top by -t*(f - Z^c).  An entry

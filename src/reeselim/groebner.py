@@ -64,6 +64,15 @@ class Ideal(Immutable):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "generators", tuple(gens))
 
+    @classmethod
+    def _trusted(cls, ring, generators):
+        """Build from nonzero generators already in ring, with no checks:
+        rees.degree_ideal's monomials and products."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "ring", ring)
+        object.__setattr__(ideal, "generators", tuple(generators))
+        return ideal
+
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(str(g) for g in self.generators)
 

@@ -6,9 +6,15 @@ binomials computed as exact integers and then reduced into the field, so
 the operators are correct in every characteristic.  `hasse_derivatives`
 builds a whole table in one pass over the support of f: each term x^beta
 feeds Delta^alpha for every alpha <= beta it reaches.
+
+Which alpha a term x^beta reaches, the shifted exponent beta - alpha and
+the integer binomial depend on exponents alone, so `_shifts` keeps them in
+one bounded table per (beta, n, active set), shared by every field; each
+call still reduces the binomial into its own field.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from math import comb, prod
 from operator import sub
@@ -37,10 +43,10 @@ def normalize_multiindex(ring, alpha):
     return alpha
 
 
-def _term_coefficient(field, v, beta, alpha):
-    """The raw coefficient of x^(beta - alpha) in Delta^alpha(v x^beta), for
-    alpha <= beta: v times the binomial, which is zero when p divides it."""
-    binom = prod(map(comb, beta, alpha))
+def _term_coefficient(field, v, binom):
+    """The raw coefficient of x^(beta - alpha) in Delta^alpha(v x^beta): v
+    times the integer binomial prod C(beta_i, alpha_i), reduced into the
+    field, so it is zero when p divides the binomial."""
     if binom == 1:
         return v
     return (FieldElement(field, v) * field.element(binom)).val
@@ -55,20 +61,27 @@ def hasse_derivative(f, alpha):
     for beta, v in f._raw.items():
         if any(a > b for a, b in zip(alpha, beta)):
             continue
-        if v := _term_coefficient(field, v, beta, alpha):
+        if v := _term_coefficient(field, v, prod(map(comb, beta, alpha))):
             # beta -> beta - alpha is injective: no two terms share a key
             raw[tuple(map(sub, beta, alpha))] = v
     return Polynomial._from_raw(ring, raw)
 
 
-def _multi_indices(beta, n, active_idx):
-    """Every alpha <= beta with |alpha| < n, supported on active_idx, by
-    increasing |alpha| and then lexicographically: product yields the box
-    in lexicographic order, and the stable sort by |alpha| keeps it."""
+@lru_cache(maxsize=1024)
+def _shifts(beta, n, active_idx):
+    """(alpha, beta - alpha, prod C(beta_i, alpha_i)) for every nonzero
+    alpha <= beta with |alpha| < n, supported on active_idx (a frozenset or
+    a range, so that it can key the cache), by increasing |alpha| and then
+    lexicographically: product yields the box in lexicographic order, and
+    the stable sort by |alpha| keeps it.  The binomials are exact integers,
+    the same for every field."""
     tops = [min(b, n - 1) + 1 if i in active_idx else 1
             for i, b in enumerate(beta)]
-    return sorted([alpha for alpha in product(*map(range, tops))
-                   if sum(alpha) < n], key=sum)
+    alphas = sorted([alpha for alpha in product(*map(range, tops))
+                     if sum(alpha) < n], key=sum)
+    return tuple((alpha, tuple(map(sub, beta, alpha)),
+                  prod(map(comb, beta, alpha)))
+                 for alpha in alphas[1:])
 
 
 def hasse_derivatives(f, n, active=None):
@@ -80,28 +93,28 @@ def hasse_derivatives(f, n, active=None):
     for every alpha <= beta in the simplex, so the cost follows the
     support, not the n^m multi-indices of the whole simplex.  A one-term f
     reaches each alpha once, already in order, so it needs no table and no
-    sort."""
+    sort.  The multi-indices, shifted exponents and binomials of each term
+    come from the _shifts table."""
     ring = f.ring
     field = ring.field
     if active is None:
         active_idx = range(ring.nvars)
     else:
-        active_idx = {ring.var_index(v) for v in active}
+        active_idx = frozenset(ring.var_index(v) for v in active)
     # Delta^0 f is f itself, and it comes first
     out = {(0,) * ring.nvars: f} if f._raw and n >= 1 else {}
     if len(f._raw) == 1:
         (beta, v), = f._raw.items()
-        for alpha in _multi_indices(beta, n, active_idx)[1:]:
-            if c := _term_coefficient(field, v, beta, alpha):
-                out[alpha] = Polynomial._from_raw(
-                    ring, {tuple(map(sub, beta, alpha)): c})
+        for alpha, shifted, binom in _shifts(beta, n, active_idx):
+            if c := _term_coefficient(field, v, binom):
+                out[alpha] = Polynomial._from_raw(ring, {shifted: c})
         return out
     table = {}
     for beta, v in f._raw.items():
-        for alpha in _multi_indices(beta, n, active_idx)[1:]:
-            if c := _term_coefficient(field, v, beta, alpha):
+        for alpha, shifted, binom in _shifts(beta, n, active_idx):
+            if c := _term_coefficient(field, v, binom):
                 # beta -> beta - alpha is injective for a fixed alpha
-                table.setdefault(alpha, {})[tuple(map(sub, beta, alpha))] = c
+                table.setdefault(alpha, {})[shifted] = c
     for alpha in sorted(sorted(table), key=sum):
         out[alpha] = Polynomial._from_raw(ring, table[alpha])
     return out

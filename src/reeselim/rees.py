@@ -43,6 +43,16 @@ class ReesGenerator(Immutable):
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "weight", int(weight))
 
+    @classmethod
+    def _trusted(cls, poly, weight):
+        """Build with no checks, from a nonzero poly and an int weight >= 1:
+        saturation's pairs and the chart transforms' images, which are
+        nonzero with such weights by construction."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "poly", poly)
+        object.__setattr__(g, "weight", weight)
+        return g
+
     def __eq__(self, other):
         return (isinstance(other, ReesGenerator)
                 and self.poly == other.poly and self.weight == other.weight)
@@ -162,7 +172,9 @@ def diff_saturate(G, active=None):
             closure = closure[:next(i for i, (_, w) in enumerate(closure)
                                     if w > g.weight)]
         pairs.update(dict.fromkeys(closure))
-    return ReesAlgebra._distinct(G.ring, [ReesGenerator(p, w)
+    # diff_closure_list drops zeros, and its weights n' - |alpha| are ints
+    # >= 1, so the generators need no checks
+    return ReesAlgebra._distinct(G.ring, [ReesGenerator._trusted(p, w)
                                           for p, w in pairs])
 
 
@@ -314,7 +326,10 @@ def _chart_algebra(G, center, chart_var, weighted):
                     "center is not permissible: %s has order < %d along it"
                     % (g.poly, g.weight))
             raw[e[:j] + (n,) + e[j + 1:]] = v
-        gens.append(ReesGenerator(Polynomial._from_raw(ring, raw), g.weight))
+        # the exponent map is injective, so a nonzero g has a nonzero image,
+        # and g's weight was checked when g was built
+        gens.append(ReesGenerator._trusted(Polynomial._from_raw(ring, raw),
+                                           g.weight))
     return ReesAlgebra._distinct(ring, gens)
 
 
@@ -378,7 +393,9 @@ def degree_ideal(G, k):
     _check_degree(k)
     gens = G.generators
     rest = []
-    if all(len(g.poly._raw) == 1 for g in gens):
+    # an algebra with levels kept on it is all-monomial: no scan needed
+    if (getattr(G, "_levels", None) is not None
+            or all(len(g.poly._raw) == 1 for g in gens)):
         exps = _monomial_degree_exponents(G, k)
     else:
         heaviest = _heaviest_weights(gens)
@@ -401,9 +418,11 @@ def degree_ideal(G, k):
                                  if len(p._raw) == 1)
         rest = sorted((p for p in products if len(p._raw) != 1),
                       key=lambda p: grevlex_key(p.leading_monomial()))
-    # 1 is the raw one of every field, as in RingContext.one
-    ideal = Ideal(G.ring, [Polynomial._from_raw(G.ring, {e: 1}) for e in exps]
-                  + rest)
+    # 1 is the raw one of every field, as in RingContext.one.  The monomials
+    # and the products of nonzero generators are nonzero and in G.ring, so
+    # the ideal needs no checks
+    ideal = Ideal._trusted(G.ring, [Polynomial._from_raw(G.ring, {e: 1})
+                                    for e in exps] + rest)
     if not rest:
         # all-monomial input (a non-monomial generator has non-monomial
         # powers): monic minimal monomials in grevlex order, the reduced basis

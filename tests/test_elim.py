@@ -425,8 +425,9 @@ def test_slope_equivalence_refuses_unsupported_input():
 
 
 def test_mult_matrix_divides_once(monkeypatch):
-    # g is reduced mod f once; the columns come from the companion
-    # recurrence, and a zero column stays zero without a division
+    # g is reduced mod f once, and only when its Z-degree reaches f's; the
+    # columns come from the companion recurrence, and a zero column stays
+    # zero without a division
     calls = []
 
     def counting_divmod(f, g, var):
@@ -441,7 +442,7 @@ def test_mult_matrix_divides_once(monkeypatch):
     assert M.size == 3
     calls.clear()
     M = mult_matrix(QYZ.one(), f, "Z")
-    assert len(calls) == 1 and M.matrix[2][2] == QYZ.one()
+    assert not calls and M.matrix[2][2] == QYZ.one()
 
 
 def test_eliminate_builds_one_char_poly_per_distinct_polynomial(monkeypatch):
@@ -527,6 +528,32 @@ def test_mult_matrix_matches_the_column_definition(spec, base):
     M = mult_matrix(Z + Y, f, "Z")
     assert M.matrix == ((Y, -R.one()), (R.one(), R.zero()))
     assert M.matrix == mult_matrix_by_columns(Z + Y, f, "Z")
+
+
+@pytest.mark.parametrize("spec", ["Q", "F2", "F3", "F4"])
+def test_mult_matrix_divides_only_a_g_of_z_degree_c_or_more(spec,
+                                                            monkeypatch):
+    # g of Z-degree 0 and c - 1 is already reduced mod f and takes no
+    # division; Z-degree c and c + 2 take one.  Every matrix matches the
+    # one-division-per-column oracle.
+    calls = []
+
+    def counting_divmod(f, g, var):
+        calls.append(f)
+        return univ_divmod(f, g, var)
+
+    monkeypatch.setattr(elim, "univ_divmod", counting_divmod)
+    R = ring(spec, "X", "Y", "Z")
+    X, Y, Z = R.var("X"), R.var("Y"), R.var("Z")
+    for c in (1, 2, 3, 4):
+        f = Z**c + X * Y * Z**(c - 1) + Y**2 + 1
+        for d in (0, c - 1, c, c + 2):
+            g = (X + Y) * Z**d + Y * Z**(d // 2) + X**2
+            calls.clear()
+            M = mult_matrix(g, f, "Z")
+            assert len(calls) == (d >= c)
+            assert M.element == univ_divmod(g, f, "Z")[1]
+            assert M.matrix == mult_matrix_by_columns(g, f, "Z")
 
 
 def test_eliminate_does_not_depend_on_the_order_of_the_other_generators():

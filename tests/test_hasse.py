@@ -8,10 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from reeselim import (FieldDescriptor, RingContext, RingError,
-                      diff_closure_list, hasse_derivative)
+from reeselim import (FieldDescriptor, ReesAlgebra, RingContext, RingError,
+                      diff_closure_list, diff_saturate, hasse_derivative)
 from reeselim.cli import main
-from reeselim.hasse import hasse_derivatives
+from reeselim.hasse import _shifts, hasse_derivatives
 from reeselim.poly import formal_derivative
 
 
@@ -158,6 +158,46 @@ def test_support_enumeration_matches_the_simplex_oracle():
                     if active == list(names):
                         assert list(hasse_derivatives(f, n).items()) == \
                             list(want.items())
+
+
+def test_shift_table_matches_the_simplex_oracle_cold_and_warm():
+    # one beta under two n and two active sets: a table keyed without n or
+    # without the active set would hand one of them another's multi-indices
+    for spec in ("Q", "F3"):
+        R = ring(spec, "X", "Y", "Z")
+        beta = R.parse("X^3*Y^2*Z")
+        cases = [(n, active) for n in (2, 4)
+                 for active in (["X", "Y", "Z"], ["Y"])]
+        for f in (beta.scale(R.field.element(2)), beta + R.parse("X*Z^2+Y")):
+            _shifts.cache_clear()
+            for warm in (False, True):
+                for n, active in cases:
+                    want = simplex_oracle_derivatives(f, n, active)
+                    assert list(hasse_derivatives(f, n, active).items()) == \
+                        list(want.items()), (warm, n, active)
+            assert _shifts.cache_info().hits > 0
+
+
+def test_one_shift_table_serves_every_field_in_either_order():
+    # X^3*Y^2 w 3 has the same beta over every field, so one table serves
+    # Q, F3 and F2, and each field reduces the binomials itself: the
+    # binomials 3 of Delta_(1,0) and Delta_(2,0) vanish over F3, 2 of
+    # Delta_(0,1) over F2, and 6 of Delta_(1,1) over both
+    def saturate(spec):
+        R = ring(spec, "X", "Y")
+        return diff_saturate(ReesAlgebra.from_pairs(
+            R, [(R.parse("X^3*Y^2"), 3)])).generators
+
+    alone = {}
+    for spec in ("Q", "F3", "F2"):
+        _shifts.cache_clear()
+        alone[spec] = saturate(spec)
+    assert {spec: len(gens) for spec, gens in alone.items()} == \
+        {"Q": 10, "F3": 6, "F2": 7}
+    for order in (("Q", "F3", "F2"), ("F2", "F3", "Q")):
+        _shifts.cache_clear()
+        for spec in order:
+            assert saturate(spec) == alone[spec], (order, spec)
 
 
 def test_closure_list_at_a_lower_weight_is_a_prefix():

@@ -5,9 +5,10 @@ the polynomial product and the sum of products against a schoolbook
 oracle, the Hasse Leibniz and composition laws, the monomial
 degree_ideal path against its scalar oracle and as its own reduced basis,
 its level memo asked in any order, saturation against the concatenated
-closure lists, the chart transforms' distinct generators, and the
-raw-value sums, scalings, coefficient and division paths against a
-FieldElement reference."""
+closure lists, the chart transforms' distinct generators, the unchecked
+generators of saturation and the transforms against the checking
+constructor, and the raw-value sums, scalings, coefficient and division
+paths against a FieldElement reference."""
 import itertools
 import math
 
@@ -17,7 +18,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from reeselim import (FieldDescriptor, FieldError, Ideal,  # noqa: E402
-                      Polynomial, ReesAlgebra, RingContext, buchberger,
+                      Polynomial, ReesAlgebra, ReesGenerator, RingContext,
+                      buchberger,
                       degree_ideal, diff_closure_list, diff_saturate,
                       hasse_derivative, total_transform, univ_divmod,
                       weighted_transform)
@@ -201,6 +203,32 @@ def test_transforms_list_distinct_generators(data):
             assert T.generators == ReesAlgebra(R, T.generators).generators
             assert [g.weight for g in T.generators] == \
                 [g.weight for g in G.generators]
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_unchecked_generators_pass_the_checking_constructor(data):
+    """Saturation and the chart transforms build their generators with no
+    checks; each must be one the checking constructor builds the same: a
+    nonzero polynomial and an int weight >= 1."""
+    R = RINGS[data.draw(st.sampled_from(CLOSURE_SPECS)),
+              data.draw(st.integers(1, 3))]
+    G = data.draw(algebras_with_repeated_polynomials(R))
+    active = data.draw(st.one_of(st.none(), st.lists(
+        st.sampled_from(R.variables), min_size=1, unique=True)))
+    center = data.draw(st.lists(st.sampled_from(R.variables), min_size=1,
+                                max_size=3))
+    chart = data.draw(st.sampled_from(center))
+    x = R.var(chart)
+    # f * chart^w has order >= w along any center through chart
+    H = ReesAlgebra.from_pairs(R, [(g.poly * x**g.weight, g.weight)
+                                   for g in G.generators])
+    for T in (diff_saturate(G, active),
+              weighted_transform(H, center, chart)[0],
+              total_transform(H, center, chart)):
+        for g in T.generators:
+            assert type(g.weight) is int
+            assert g == ReesGenerator(g.poly, g.weight)
 
 
 def _builtin_fields():
