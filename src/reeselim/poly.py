@@ -6,12 +6,14 @@ canonical nonzero raw values, so equal polynomials have equal maps.
 FieldElements are built only at the API boundary (`.terms` wraps the raw
 map lazily); arithmetic hands its zero-free raw maps to `_from_raw`.  One
 kernel, _sum_of_products, sums f_1*g_1 + ... + f_n*g_n on raw values and
-reduces each output coefficient once by `field.reduce`; the product is the
-kernel on one pair.  The fields module decides all coefficient arithmetic;
-an F_{p^k} value is a packed int, so one loop serves every field.  The
-only monomial order is grevlex over the ring's declared variable order.
-Like fields, rings have one instance each, so ring checks are identity
-tests.
+reduces each output coefficient once by `field.reduce`; the product of two
+multi-term factors is the kernel on one pair, and a single-term factor
+only shifts the other's keys and scales its values.  Substitution builds
+each image's powers once, each from the one before, and sums the terms in
+one kernel call.  The fields module decides all coefficient arithmetic; an
+F_{p^k} value is a packed int, so one loop serves every field.  The only
+monomial order is grevlex over the ring's declared variable order.  Like
+fields, rings have one instance each, so ring checks are identity tests.
 """
 from __future__ import annotations
 
@@ -266,10 +268,28 @@ class Polynomial(Immutable):
         return (-self) + other
 
     def __mul__(self, other):
+        """self * other.  A single-term factor c*x^e skips the kernel:
+        shifting the other factor's exponents by e is injective, so nothing
+        collides and the product is one pass over its terms, each value
+        times c reduced once, or kept when c is 1 (the values are canonical);
+        the constant 1 returns the other factor itself."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _sum_of_products(self.ring, ((self, other),))
+        mono, f = (self, other) if len(self._raw) == 1 else (other, self)
+        if len(mono._raw) != 1:
+            return _sum_of_products(self.ring, ((self, other),))
+        ((e, c),) = mono._raw.items()
+        if c == 1 and not any(e):   # 1 is the raw one of every field
+            return f
+        if len(f._raw) == 1 and f._raw.get((0,) * len(e)) == 1:
+            return mono
+        if c == 1:
+            return Polynomial._from_raw(self.ring, {
+                tuple(map(add, e, e2)): v for e2, v in f._raw.items()})
+        reduce = self.ring.field.reduce
+        return Polynomial._from_raw(self.ring, {
+            tuple(map(add, e, e2)): reduce(c * v) for e2, v in f._raw.items()})
 
     __rmul__ = __mul__
 
@@ -357,7 +377,15 @@ class Polynomial(Immutable):
     # -- substitution -------------------------------------------------
 
     def substitute(self, mapping):
-        """Simultaneous substitution variable -> polynomial (same ring)."""
+        """Simultaneous substitution variable -> polynomial (same ring).
+
+        Each image's powers are built once, in increasing exponent order,
+        each from the one before: one product per distinct exponent when
+        the exponents are consecutive.  The first substituted variable's
+        terms are visited in that order, so only its current power is kept;
+        the other images' powers are kept whole.  Every term's product is
+        summed by one _sum_of_products call, so a degree-d polynomial costs
+        O(d^2) coefficient products, not O(d^3)."""
         ring = self.ring
         images = {}
         for name, image in mapping.items():
@@ -368,19 +396,32 @@ class Polynomial(Immutable):
             else:
                 image = ring.constant(image)
             images[i] = image
-        result = ring.zero()
-        power_cache = {}
-        for exps, v in self._raw.items():
-            plain = tuple(0 if i in images else e for i, e in enumerate(exps))
-            part = Polynomial._from_raw(ring, {plain: v})
-            for i, e in enumerate(exps):
-                if e and i in images:
-                    key = (i, e)
-                    if key not in power_cache:
-                        power_cache[key] = images[i]**e
-                    part = part * power_cache[key]
-            result = result + part
-        return result
+        if not images:
+            return self
+        outer, *inner = sorted(images)
+        powers = {}   # (i, e) -> images[i]**e, for each inner variable i
+        for i in inner:
+            power, prev = ring.one(), 0
+            for e in sorted({exps[i] for exps in self._raw} - {0}):
+                power = powers[i, e] = _power(Polynomial.__mul__, images[i],
+                                              e - prev, power)
+                prev = e
+
+        def pairs():
+            power, prev = ring.one(), 0
+            for exps, v in sorted(self._raw.items(), key=lambda t: t[0][outer]):
+                # a repeated exponent is a zeroth power: no product
+                power = _power(Polynomial.__mul__, images[outer],
+                               exps[outer] - prev, power)
+                prev = exps[outer]
+                part = Polynomial._from_raw(ring, {tuple(
+                    0 if i in images else e for i, e in enumerate(exps)): v})
+                for i in inner:
+                    if exps[i]:
+                        part = part * powers[i, exps[i]]
+                yield part, power
+
+        return _sum_of_products(ring, pairs())
 
     def evaluate(self, point):
         if point.ring != self.ring:

@@ -10,11 +10,12 @@ import random
 
 import pytest
 
-from reeselim import (FieldDescriptor, Ideal, ReesAlgebra, RingContext,
-                      buchberger, degree_ideal, diff_saturate, eliminate,
-                      format_algebra, format_elimination, is_singular_at,
+from reeselim import (FieldDescriptor, Ideal, MonicInput, ReesAlgebra,
+                      RingContext, buchberger, char_poly, degree_ideal,
+                      diff_saturate, eliminate, format_algebra,
+                      format_elimination, is_singular_at, mult_matrix,
                       ord_at_point, parse_algebra, rational_zero_set,
-                      tau_estimate, weighted_transform)
+                      tau_estimate, verify_thm_1_16, weighted_transform)
 
 # each extension with its prime field; F8's modulus makes t^3 carry into t^2
 EXTENSIONS = [("F4", "F2"), ("F8:t^3+t^2+1", "F2"), ("F9", "F3")]
@@ -140,14 +141,20 @@ def _random_elimination_text(rng, spec):
     monic in Z of degree and weight c in 1-3, with 0-1 more generators."""
     R = RingContext(FieldDescriptor.parse(spec),
                     ("X", "Y", "Z")[-rng.choice((2, 3)):])
-    base = R.drop_variable("Z")
     c = rng.randrange(1, 4)
+    pairs = [(_random_monic(rng, R, c), c)] + [
+        (_random_polynomial(rng, R, 3), rng.randrange(1, 3))
+        for _ in range(rng.randrange(2))]
+    return format_algebra(ReesAlgebra.from_pairs(R, pairs))
+
+
+def _random_monic(rng, R, c):
+    """Z^c plus, below it, a random polynomial of the base times each Z^j."""
+    base = R.drop_variable("Z")
     f = R.var("Z")**c
     for j in range(c):
         f = f + _random_polynomial(rng, base, 3).lift(R) * R.var("Z")**j
-    pairs = [(f, c)] + [(_random_polynomial(rng, R, 3), rng.randrange(1, 3))
-                        for _ in range(rng.randrange(2))]
-    return format_algebra(ReesAlgebra.from_pairs(R, pairs))
+    return f
 
 
 @pytest.mark.parametrize("extension,prime", EXTENSIONS)
@@ -162,6 +169,60 @@ def test_elimination_does_not_change_under_base_change(extension, prime):
                                check_transversal=False)
             bodies.append(format_elimination(result).split("\n", 1)[1])
         assert bodies[0] == bodies[1], text
+
+
+def _in_ring(spec, f):
+    """f read into the ring over spec with the same variables."""
+    return RingContext(FieldDescriptor.parse(spec), f.ring.variables).parse(
+        str(f))
+
+
+@pytest.mark.parametrize("extension,prime", EXTENSIONS)
+def test_char_poly_does_not_change_under_base_change(extension, prime):
+    """The coefficients of char_poly(mult_matrix(g, f, "Z")) as text; over
+    F_{p^k} they are packed values, and the dividing column runs
+    univ_divmod's single-term products on them."""
+    rng = random.Random("base-change/char-poly/" + extension)
+    for _ in range(20):
+        R = RingContext(FieldDescriptor.parse(prime),
+                        ("X", "Y", "Z")[-rng.choice((2, 3)):])
+        f = _random_monic(rng, R, rng.randrange(1, 4))
+        g = _random_polynomial(rng, R, 5)
+        texts = [[str(h) for h in char_poly(mult_matrix(
+            _in_ring(spec, g), _in_ring(spec, f), "Z"))]
+            for spec in (prime, extension)]
+        assert texts[0] == texts[1], (f, g)
+
+
+def _prime_points(points, p):
+    return {tuple(map(str, P.coords)) for P in points
+            if all(c**p == c for c in P.coords)}
+
+
+@pytest.mark.parametrize("extension,prime", EXTENSIONS)
+def test_ramification_zero_sets_do_not_change_under_base_change(extension,
+                                                               prime):
+    """verify_thm_1_16's purely ramified points and the zeros of the
+    generalized discriminants, restricted to F_p coordinates, over F_p and
+    over F_{p^k}; MonicInput.product multiplies the factors from 1."""
+    rng = random.Random("base-change/ramify/" + extension)
+    p = FieldDescriptor.parse(prime).p
+    nonempty = 0
+    for _ in range(10):
+        R = RingContext(FieldDescriptor.parse(prime),
+                        ("X", "Y", "Z")[-rng.choice((2, 3)):])
+        factors = [_random_monic(rng, R, rng.randrange(1, 3))
+                   for _ in range(rng.randrange(1, 3))]
+        sets = []
+        for spec in (prime, extension):
+            report = verify_thm_1_16(MonicInput(
+                RingContext(FieldDescriptor.parse(spec), R.variables), "Z",
+                [_in_ring(spec, f) for f in factors]))
+            sets.append((_prime_points(report.ramified_points, p),
+                         _prime_points(report.discriminant_zero_points, p)))
+        assert sets[0] == sets[1], factors
+        nonempty += bool(sets[0][0]) + bool(sets[0][1])
+    assert nonempty > 0
 
 
 @pytest.mark.parametrize("extension,prime", EXTENSIONS)

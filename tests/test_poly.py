@@ -1,4 +1,5 @@
 """Sparse polynomial arithmetic and the univariate toolkit."""
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -214,6 +215,87 @@ def test_recenter():
     assert shifted.order_at_origin() == 1
     h = F2YZ.parse("Z^2+Y^5")
     assert h.recenter(F2YZ.origin()) == h
+
+
+def _random_polynomial(rng, R, terms, top):
+    units = [1, 2, -1, Fraction(1, 2)] if R.field.p == 0 else \
+        [c for c in R.field.elements() if c]
+    return sum((R.monomial([rng.randrange(top) for _ in R.variables],
+                           rng.choice(units)) for _ in range(terms)),
+               R.zero())
+
+
+@pytest.mark.parametrize("spec", ["F7", "F4", "Q"])
+def test_substitution_matches_evaluation(spec):
+    """Evaluation as the oracle: f(x + P) at Q is f at Q + P, and the
+    simultaneous substitution x -> x*y + c, y -> x + y^2 at Q is f at the
+    images' values, at every point of F7^2 and F4^2 and at random Q
+    points."""
+    rng = random.Random("substitute/" + spec)
+    R = ring(spec, "x", "y")
+    F = R.field
+    if F.p:
+        values = list(F.elements())
+        points = [R.point(P) for P in itertools.product(values, repeat=2)]
+    else:
+        values = [F.element(Fraction(rng.randrange(-9, 10),
+                                     rng.randrange(1, 5))) for _ in range(8)]
+        points = [R.point(rng.sample(values, 2)) for _ in range(10)]
+    x, y = R.var("x"), R.var("y")
+    for _ in range(5):
+        f = _random_polynomial(rng, R, 6, 9)
+        P = R.point([rng.choice(values), rng.choice(values)])
+        c = rng.choice(values)
+        images = {"x": x * y + R.constant(c), "y": x + y**2}
+        g, shifted = f.substitute(images), f.recenter(P)
+        for Q in points:
+            a, b = Q.coords
+            assert shifted.evaluate(Q) == f.evaluate(
+                R.point([a + P.coords[0], b + P.coords[1]]))
+            assert g.evaluate(Q) == f.evaluate(R.point([a * b + c, a + b * b]))
+
+
+def test_geometric_sum_over_f7_is_a_power_of_x_minus_one():
+    """sum_{i<343} x^i = (x^343 - 1)/(x - 1) = (x - 1)^342 over F7."""
+    R = ring("F7", "x")
+    f = R.parse("+".join("x^%d" % i for i in range(343)))
+    P = R.point([1])
+    assert f.recenter(P) == R.var("x")**342
+    assert f.order_at(P) == 342
+
+
+def _count_products(monkeypatch):
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    return calls
+
+
+def test_substitution_builds_each_power_from_the_one_before(monkeypatch):
+    """One product per distinct exponent when the exponents are
+    consecutive, where a square-and-multiply per exponent e costs about
+    2*log2(e); a gap g costs the popcount(g) + bit_length(g) - 1 products
+    of its square-and-multiply.  A term costs one more product for each
+    substituted variable after the first; the sum itself is none."""
+    R = ring("F7", "x", "y")
+    x, y = R.var("x"), R.var("y")
+    geometric = R.parse("+".join("x^%d" % i for i in range(41)))
+    sparse = R.parse("x^3+x^10+x^11+5")
+    two = R.parse("x^2*y^3+y")
+    calls = _count_products(monkeypatch)
+    cases = [(geometric, {"x": x + 1}, 40),
+             (sparse, {"x": x + 1}, 3 + 5 + 1),
+             # y^1 and y^3: 1 + 2; x^2: 2; x^2 * y^3 and y * y^1: 2
+             (two, {"x": x + 2, "y": y + 3}, 7)]
+    for f, mapping, products in cases:
+        del calls[:]
+        f.substitute(mapping)
+        assert len(calls) == products
 
 
 def test_univariate_division():

@@ -538,3 +538,53 @@ def test_full_cancellation_is_the_zero_polynomial(data):
         assert z.is_zero() and not z and z.terms == {}
         assert z == R.zero() and hash(z) == hash(R.zero())
         assert str(z) == "0"
+
+
+# -- products with a single-term factor against the kernel ------------------
+
+PRODUCT_FIELDS = [FieldDescriptor.parse(spec) for spec in (
+    "Q", "F2", "F3", "F5", "F4", "F8:t^3+t^2+1", "F9")]
+
+
+def assert_kernel_product(f, g):
+    """f * g is the map _sum_of_products gives for the one pair (f, g),
+    with its keys in the same order."""
+    h, expected = f * g, _sum_of_products(f.ring, [(f, g)])
+    assert h == expected
+    assert list(h.terms.items()) == list(expected.terms.items())
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_products_with_a_single_term_factor_match_the_kernel(data):
+    """Polynomial.__mul__ skips _sum_of_products when a factor is one term
+    c*x^e: the term, monic or scaled, times a multi-term factor in both
+    orders, times another term and times zero; a scalar other than 1; the
+    constant 1, which gives back the other factor itself; and f**n against
+    n - 1 kernel products."""
+    F = data.draw(st.sampled_from(PRODUCT_FIELDS))
+    R = RingContext(F, ("x", "y")[:data.draw(st.integers(1, 2))])
+    units = field_values(F).filter(bool)
+    multi = Polynomial(R, data.draw(st.dictionaries(
+        exponents(R, 3), units, min_size=2, max_size=5)))
+    c = data.draw(st.one_of(st.just(F.one()), units))
+    term = R.monomial(data.draw(exponents(R, 3)), c)
+    other = R.monomial(data.draw(exponents(R, 3)), data.draw(units))
+    for f, g in ((term, multi), (multi, term), (term, other), (other, term),
+                 (term, R.zero()), (R.zero(), multi)):
+        assert_kernel_product(f, g)
+    scalar = data.draw(units)
+    for s in (R.constant(scalar), scalar):
+        assert s * multi == multi * s == _sum_of_products(
+            R, [(R.constant(scalar), multi)])
+    for f in (multi, term, R.zero()):
+        if f == 1:
+            continue   # 1 * 1 may give back either factor
+        for one in (R.one(), 1, F.one()):
+            assert one * f is f and f * one is f
+    n = data.draw(st.integers(1, 4))
+    for f in (term, multi):
+        expected = f
+        for _ in range(n - 1):
+            expected = _sum_of_products(R, [(expected, f)])
+        assert f**n == expected
