@@ -7,10 +7,10 @@ nonzero remainder joins it, so an input already in the ideal makes no
 pair.  S-pairs are pruned once, when an element joins the basis, by the
 Gebauer-Moeller update (Becker-Weispfenning's UPDATE).  Reduction runs on
 raw term maps; each divisor caches its leading monomial, inverse leading
-coefficient and raw terms.  The reduced basis is unique, so none of this
-changes an answer.  A hard cap on the basis size, ``BASIS_CAP``, checked
-on every element added, turns runaway computations into a clean error
-that reports the progress made.
+coefficient and raw terms, and divisibility is poly's ``_divides``.  The
+reduced basis is unique, so none of this changes an answer.  A hard cap on
+the basis size, ``BASIS_CAP``, checked on every element added, turns
+runaway computations into a clean error that reports the progress made.
 
 Every Groebner basis comes from ``buchberger``, tau's linear ones too.  Its
 one shortcut is a basis the ideal carries (``rees.degree_ideal``'s minimal
@@ -34,10 +34,11 @@ where visiting every value of the folded generators would put it.
 from __future__ import annotations
 
 import heapq
-from operator import add, le, sub
+from operator import add, sub
 
 from .fields import FieldElement, Immutable
-from .poly import Polynomial, RationalPoint, RingError, grevlex_key
+from .poly import (Polynomial, RationalPoint, RingError, _divides,
+                   grevlex_key)
 
 BASIS_CAP = 10_000
 SCAN_BUDGET = 10**6
@@ -90,10 +91,6 @@ class GroebnerBasis(Immutable):
 
     def __repr__(self):
         return "GroebnerBasis(%s)" % ", ".join(str(g) for g in self.basis)
-
-
-def _divides(a, b):
-    return all(map(le, a, b))
 
 
 def _lcm(a, b):

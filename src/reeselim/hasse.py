@@ -20,7 +20,7 @@ from math import comb, prod
 from operator import sub
 
 from .fields import FieldElement
-from .poly import Polynomial, RingError
+from .poly import Polynomial, RingError, _divides
 
 
 def normalize_multiindex(ring, alpha):
@@ -59,7 +59,7 @@ def hasse_derivative(f, alpha):
     field = ring.field
     raw = {}
     for beta, v in f._raw.items():
-        if any(a > b for a, b in zip(alpha, beta)):
+        if not _divides(alpha, beta):
             continue
         if v := _term_coefficient(field, v, prod(map(comb, beta, alpha))):
             # beta -> beta - alpha is injective: no two terms share a key

@@ -10,7 +10,9 @@ reduces each output coefficient once by `field.reduce`; the product of two
 multi-term factors is the kernel on one pair, and a single-term factor
 only shifts the other's keys and scales its values.  Substitution builds
 each image's powers once, each from the one before, and sums the terms in
-one kernel call.  The fields module decides all coefficient arithmetic; an
+one kernel call; the parser sums each sum's terms in one kernel call too.
+Subtraction adds the negation, and `_divides` is the one divisibility test
+for monomials.  The fields module decides all coefficient arithmetic; an
 F_{p^k} value is a packed int, so one loop serves every field.  The only
 monomial order is grevlex over the ring's declared variable order.  Like
 fields, rings have one instance each, so ring checks are identity tests.
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add
+from operator import add, le
 from types import MappingProxyType
 
 from .fields import FieldElement, Immutable, _power
@@ -126,6 +128,11 @@ class RingContext(Immutable):
 def grevlex_key(exps):
     """Sort key: bigger key means bigger monomial in grevlex."""
     return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def _divides(a, b):
+    """Whether the monomial x^a divides x^b."""
+    return all(map(le, a, b))
 
 
 class RationalPoint(Immutable):
@@ -238,16 +245,13 @@ class Polynomial(Immutable):
         zero_exp = (0,) * self.ring.nvars
         return FieldElement(self.ring.field, self._raw.get(zero_exp, 0))
 
-    def __add__(self, other, neg=None):
-        """self + other; self - other when neg is the field's negation."""
+    def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         plus = self.ring.field.add
         raw = dict(self._raw)
-        items = other._raw.items() if neg is None else \
-            zip(other._raw, map(neg, other._raw.values()))
-        for e, v in items:
+        for e, v in other._raw.items():
             if e in raw and not (v := plus(raw[e], v)):
                 del raw[e]
             else:
@@ -262,7 +266,8 @@ class Polynomial(Immutable):
             self.ring, {e: neg(v) for e, v in self._raw.items()})
 
     def __sub__(self, other):
-        return self.__add__(other, self.ring.field.neg)
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else self + -other
 
     def __rsub__(self, other):
         return (-self) + other
@@ -499,7 +504,8 @@ class Polynomial(Immutable):
 
 
 def univ_divmod(f, g, var):
-    """Division of f by g, monic in var: f = q*g + r with deg_var(r) < deg_var(g)."""
+    """Division of f by g, monic in var: f = q*g + r with deg_var(r) < deg_var(g).
+    A step that does not lower the degree in var raises ArithmeticError."""
     if f.ring != g.ring:
         raise RingError("ring mismatch")
     ring = f.ring
@@ -508,14 +514,17 @@ def univ_divmod(f, g, var):
     i = ring.var_index(var)
     dg = g.degree_in(var)
     q = ring.zero()
-    r = f
-    while r.degree_in(var) >= dg:
-        dr = r.degree_in(var)
+    r, dr = f, f.degree_in(var)
+    while dr >= dg:
         step = Polynomial._from_raw(ring, {e[:i] + (dr - dg,) + e[i + 1:]: v
                                            for e, v in r._raw.items()
                                            if e[i] == dr})
         q = q + step
         r = r - step * g
+        last, dr = dr, r.degree_in(var)
+        if dr >= last:   # cannot happen while the product is right
+            raise ArithmeticError("division step left the degree in %r at %d"
+                                  % (var, dr))
     return q, r
 
 
@@ -619,23 +628,18 @@ def parse_polynomial(ring, text):
     if not tokens:
         raise RingError("empty polynomial text")
 
-    it = iter(tokens)
-    current = [next(it, None)]
-
-    def peek():
-        return current[0]
-
-    def advance():
-        tok = current[0]
-        current[0] = next(it, None)
-        return tok
+    tokens.append(None)   # the end: reading past the text gives None
+    at = 0   # the cursor: tokens[at] is the next token
 
     def parse_factor():
-        tok = advance()
+        nonlocal at
+        tok = tokens[at]
+        at += 1
         if tok == "(":
             base = parse_sum()
-            if advance() != ")":
+            if tokens[at] != ")":
                 raise RingError("unbalanced parentheses")
+            at += 1
         elif tok is None:
             raise RingError("unexpected end of polynomial")
         elif tok in ("^", "*", "+", "-", ")"):
@@ -651,34 +655,37 @@ def parse_polynomial(ring, text):
             base = ring.constant(ring.field.generator())
         else:
             raise RingError("undeclared name %r" % tok)
-        if peek() == "^":
-            advance()
-            exp = advance()
+        if tokens[at] == "^":
+            exp = tokens[at + 1]
             if exp is None or not exp.isdigit():
                 raise RingError("bad exponent")
+            at += 2
             base = base**int(exp)
         return base
 
-    def parse_term():
-        sign = 1
-        while peek() in ("+", "-"):
-            if advance() == "-":
-                sign = -sign
-        f = parse_factor()
-        while peek() == "*" or (peek() is not None and peek() not in "+-)"):
-            if peek() == "*":
-                advance()
-            f = f * parse_factor()
-        return f if sign == 1 else -f
-
     def parse_sum():
-        total = parse_term()
-        while peek() in ("+", "-"):
-            total = total + parse_term()
-        return total
+        nonlocal at
+        terms = []
+        while not terms or tokens[at] in ("+", "-"):
+            sign = 1
+            while tokens[at] in ("+", "-"):
+                if tokens[at] == "-":
+                    sign = -sign
+                at += 1
+            f = parse_factor()
+            while tokens[at] is not None and tokens[at] not in "+-)":
+                if tokens[at] == "*":
+                    at += 1
+                f = f * parse_factor()
+            terms.append(f if sign == 1 else -f)
+        if len(terms) == 1:
+            return terms[0]
+        # one kernel pass: adding term by term would copy the running sum
+        one = ring.one()
+        return _sum_of_products(ring, ((term, one) for term in terms))
 
     result = parse_sum()
-    if peek() is not None:
+    if tokens[at] is not None:
         raise RingError("trailing tokens in polynomial text")
     return result
 

@@ -5,7 +5,9 @@ generators' terms.
 
 An algebra with generators {g_i W^{n_i}} always denotes the subalgebra
 spanned by those elements together with every down-shifted copy g_i W^{n'}
-for 1 <= n' <= n_i, so the degree filtration is decreasing.
+for 1 <= n' <= n_i, so the degree filtration is decreasing.  A generator
+is the tuple (g_i, n_i) itself, with checks on construction and names for
+its two entries.
 
 The file format's grammar lives in parse_algebra alone, which also applies
 a caller's field override (the CLI's --field).
@@ -15,50 +17,42 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import compress
-from operator import add, le
+from operator import add, itemgetter
 
 from .fields import FieldDescriptor, Immutable
 from .groebner import Ideal, buchberger, minimal_exponents, rational_zero_set
 from .hasse import diff_closure_list, hasse_derivatives
 from .poly import (_DIGITS, INFINITE_ORDER, Polynomial, RingContext,
-                   RingError, grevlex_key)
+                   RingError, _divides, grevlex_key)
 
 
 class ReesError(ValueError):
     pass
 
 
-class ReesGenerator(Immutable):
-    """A weighted generator g W^n, n >= 1, g != 0."""
+class ReesGenerator(Immutable, tuple):
+    """A weighted generator g W^n, n >= 1, g != 0: the pair (g, n), which
+    it equals, hashes like and unpacks to."""
 
-    __slots__ = ("poly", "weight")
+    __slots__ = ()
+    poly = property(itemgetter(0))
+    weight = property(itemgetter(1))
 
-    def __init__(self, poly, weight):
+    def __new__(cls, poly, weight):
         if poly.is_zero():
             raise ReesError("generator polynomial must be nonzero")
         if not isinstance(weight, int):
             raise ReesError("generator weight %r is not an int" % (weight,))
         if weight < 1:
             raise ReesError("generator weight must be >= 1")
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "weight", int(weight))
+        return tuple.__new__(cls, (poly, int(weight)))
 
     @classmethod
     def _trusted(cls, poly, weight):
         """Build with no checks, from a nonzero poly and an int weight >= 1:
         saturation's pairs and the chart transforms' images, which are
         nonzero with such weights by construction."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "poly", poly)
-        object.__setattr__(g, "weight", weight)
-        return g
-
-    def __eq__(self, other):
-        return (isinstance(other, ReesGenerator)
-                and self.poly == other.poly and self.weight == other.weight)
-
-    def __hash__(self):
-        return hash((self.poly, self.weight))
+        return tuple.__new__(cls, (poly, weight))
 
     def __repr__(self):
         return "ReesGenerator(%s, w=%d)" % (self.poly, self.weight)
@@ -446,7 +440,7 @@ def _monomial_degree_exponents(G, k):
         for e, w in sorted(((next(iter(g.poly._raw)), g.weight)
                             for g in G.generators),
                            key=lambda g: (-g[1], sum(g[0]))):
-            if not any(all(map(le, d, e)) for d, _ in kept):
+            if not any(_divides(d, e) for d, _ in kept):
                 kept.append((e, w))
         memo = (tuple(kept), (((0,) * G.ring.nvars,),))
     kept, levels = memo

@@ -1,0 +1,115 @@
+"""Tame elimination is the coefficient ideal: an oracle for `eliminate` that
+shares no code with saturation, multiplication matrices or char polys.
+
+Take f = Z^n + a_2 Z^(n-2) + ... + a_n, each a_i of order >= i at the
+origin, over a field whose characteristic does not divide n.  Relative
+saturation lists Delta_Z^(n-1) f = n Z at weight 1, whose char poly has
+the coefficients n^j a_j at weight j, and every other coefficient h_j of a
+generator of weight w is isobaric of weight j*w in the a_i, when a_i
+weighs i.  So at every point P of the base
+
+    ord_P(E) = min_i ord_P(a_i) / i,
+
+read off the a_i by Polynomial.order_at.  The algebra is f W^n alone:
+eliminate saturates it relative to Z.  Where p | n there is no such
+form: with an a_1 term only >= holds (over F2, Z^2+Y^5 eliminates to
+Y^8 W^2, slope 4 against 5/2).  Each case is checked at the origin and at
+three random rational points."""
+from fractions import Fraction
+
+import pytest
+
+from reeselim import (FieldDescriptor, ReesAlgebra, ReesGenerator,
+                      RingContext, diff_saturate, eliminate, ord_at_point)
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+# (field, degrees n): the characteristic does not divide n
+TAME = [("Q", (2, 3, 4)), ("F5", (2, 3, 4)), ("F7", (2, 3, 4)),
+        ("F4", (3,)), ("F8:t^3+t^2+1", (3,)), ("F9", (2, 4))]
+# the characteristic divides n
+WILD = [("F2", (2, 4)), ("F3", (3,)), ("F4", (2, 4))]
+RINGS = {spec: RingContext(FieldDescriptor.parse(spec), ("X", "Y", "Z"))
+         for spec, _ in TAME + WILD}
+SETTINGS = hypothesis.settings(max_examples=120, deadline=None,
+                               database=None)
+
+
+def values(field):
+    """Nonzero coefficients; over F_{p^k} only those that carry t, so that
+    char_poly's t-digit decode is reached."""
+    if not field.p:
+        return st.fractions(-3, 3, max_denominator=3).filter(bool)
+    prime = {field.element(j) for j in range(field.p if field.k > 1 else 1)}
+    return st.sampled_from([c for c in field.elements() if c not in prime])
+
+
+def points(field):
+    if not field.p:
+        return st.fractions(-2, 2, max_denominator=2)
+    return st.sampled_from(field.elements())
+
+
+@st.composite
+def coefficient(draw, R, i):
+    """0 or a sum of 1-2 terms in X, Y of total degree i to i + 2."""
+    a = R.zero()
+    for _ in range(draw(st.integers(0, 2))):
+        d = draw(st.integers(i, i + 2))
+        x = draw(st.integers(0, d))
+        a = a + R.monomial((x, d - x, 0), draw(values(R.field)))
+    return a
+
+
+@st.composite
+def case(draw, fields, lowest):
+    """(E, the a_i by i, the origin and three rational points of the base)
+    for f = Z^n + sum_{i >= lowest} a_i Z^(n-i) with some a_i nonzero, and
+    a_1 nonzero when lowest is 1."""
+    spec, degrees = draw(st.sampled_from(fields))
+    R = RINGS[spec]
+    n = draw(st.sampled_from(degrees))
+    a = {i: draw(coefficient(R, i)) for i in range(lowest, n + 1)}
+    hypothesis.assume(any(a.values()) and (lowest > 1 or a[1]))
+    f = R.var("Z")**n
+    for i, ai in a.items():
+        f = f + ai * R.var("Z")**(n - i)
+    E = eliminate(ReesAlgebra(R, [ReesGenerator(f, n)]),
+                  ReesGenerator(f, n), "Z").algebra
+    base = E.ring
+    ps = [base.origin()] + [
+        base.point([draw(points(R.field)) for _ in base.variables])
+        for _ in range(3)]
+    return E, {i: ai.project_out("Z") for i, ai in a.items()}, ps
+
+
+def coefficient_slope(a, P):
+    """min_i ord_P(a_i) / i over the nonzero a_i."""
+    return min(Fraction(ai.order_at(P), i) for i, ai in a.items() if ai)
+
+
+@SETTINGS
+@hypothesis.given(case(TAME, lowest=2))
+def test_tame_elimination_order_is_the_coefficient_slope(data):
+    E, a, ps = data
+    for P in ps:
+        assert ord_at_point(E, P) == coefficient_slope(a, P), (E, a, P)
+
+
+@SETTINGS
+@hypothesis.given(case(WILD, lowest=1))
+def test_wild_elimination_order_is_at_least_the_coefficient_slope(data):
+    E, a, ps = data
+    for P in ps:
+        assert ord_at_point(E, P) >= coefficient_slope(a, P), (E, a, P)
+
+
+def test_example_6_10_is_strictly_above_the_slope():
+    # saturated in every variable, as in the paper: relative to Z alone,
+    # Delta_Z f = 2Z vanishes and the elimination algebra is empty
+    R = RINGS["F2"]
+    f = R.parse("Z^2+Y^5")
+    G = diff_saturate(ReesAlgebra(R, [ReesGenerator(f, 2)]))
+    E = eliminate(G, ReesGenerator(f, 2), "Z").algebra
+    assert ord_at_point(E, E.ring.origin()) == 4 > Fraction(5, 2)

@@ -2,6 +2,7 @@
 import itertools
 import random
 import re
+import signal
 from fractions import Fraction
 
 import pytest
@@ -308,6 +309,40 @@ def test_univariate_division():
     assert q.is_zero() and r == F2YZ.parse("Y^4")
     with pytest.raises(RingError):
         univ_divmod(f, F2YZ.parse("Y*Z+1"), "Z")
+
+
+def test_division_refuses_a_step_that_leaves_the_degree(monkeypatch):
+    # a product that ignores its first factor gives step * g = g, so r keeps
+    # its Z^3: the loop would never end.  The alarm fails the test instead
+    # of hanging it, where no such check exists
+    def timeout(signum, frame):
+        raise AssertionError("univ_divmod did not return within 5 s")
+
+    f, g = F2YZ.parse("Z^3"), F2YZ.parse("Z+Y")
+    monkeypatch.setattr(Polynomial, "__mul__", lambda self, other: other)
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ArithmeticError,
+                           match="left the degree in 'Z' at 3"):
+            univ_divmod(f, g, "Z")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("spec", ["Q", "F5", "F4"])
+def test_subtraction_is_adding_the_negation(spec):
+    R = ring(spec, "Y", "Z")
+    f, g = R.parse("Z^2+3*Y*Z-1"), R.parse("Y*Z+2*Y^2")
+    one = R.field.one()
+    operands = [g, f, R.zero(), 2, 0, Fraction(1, 3) if not R.field.p else 7,
+                one, one + one, R.field.generator() if R.field.k > 1 else -one]
+    for h in operands:
+        assert f - h == f + (-h) and (f - h).ring is R
+        assert h - f == -(f - h)
+    assert 1 - f == R.one() + (-f)
+    assert f - f == R.zero() and (f - f).is_zero()
 
 
 def test_radical_triple_root():

@@ -720,6 +720,33 @@ def test_generator_takes_a_bool_weight_as_an_int():
         ReesGenerator(QYZ.var("Z"), False)
 
 
+def test_a_generator_is_its_pair():
+    f = QYZ.parse("Z^2+Y^5")
+    g = ReesGenerator(f, 2)
+    assert g == (f, 2) and (f, 2) == g and hash(g) == hash((f, 2))
+    poly, weight = g
+    assert poly is f and weight == 2 and (g.poly, g.weight) == (f, 2)
+    assert g != (f, 1) and g != ReesGenerator(f, 1)
+    assert {g: "g"}[(f, 2)] == "g"
+    assert (f, 2) in ReesAlgebra(QYZ, [g]).generators
+    assert repr(g) == "ReesGenerator(Y^5+Z^2, w=2)"
+
+
+def test_trusted_generator_is_the_checked_one_and_the_checks_stay():
+    f = QYZ.parse("Z^2+Y^5")
+    g = ReesGenerator._trusted(f, 2)
+    assert type(g) is ReesGenerator and g == ReesGenerator(f, 2)
+    assert hash(g) == hash(ReesGenerator(f, 2))
+    for weight, message in [(0, "generator weight must be >= 1"),
+                            (2.5, "generator weight 2.5 is not an int")]:
+        with pytest.raises(ReesError) as refusal:
+            ReesGenerator(f, weight)
+        assert str(refusal.value) == message
+    with pytest.raises(ReesError) as refusal:
+        ReesGenerator(QYZ.zero(), 1)
+    assert str(refusal.value) == "generator polynomial must be nonzero"
+
+
 def test_generator_refuses_an_all_zero_term_map():
     R = ring("F3", "Y", "Z")
     zero = Polynomial(R, {(1, 0): R.coeff(3), (0, 1): R.coeff(0)})
