@@ -17,12 +17,14 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from operator import add, floordiv, mul
+from operator import floordiv, mul
 
 from .fields import Immutable
 from .groebner import ResourceCapError
-from .poly import Polynomial, RingError, univ_divmod
-from .rees import ReesAlgebra, ReesError, diff_saturate, format_algebra
+from .poly import (Polynomial, RingError, _accumulate, _reduced, _split,
+                   univ_divmod)
+from .rees import (ReesAlgebra, ReesError, ReesGenerator, diff_saturate,
+                   format_algebra)
 
 CHARPOLY_DEGREE_CAP = 12
 # a packed entry's length, w * slots bits, grows with the entries' degrees
@@ -82,26 +84,20 @@ def mult_matrix(g, f, z_var):
         raise RingError("modulus must have positive degree in %r" % z_var)
     if g.degree_in(z_var) >= c:   # a saturated g is mostly reduced already
         _, g = univ_divmod(g, f, z_var)
-    # entries are raw term maps keyed with Z's slot at 0.  Column j+1 is
-    # Z * (column j) mod f: shift the entries up one power of Z, then
-    # replace the t*Z^c that reaches the top by -t*(f - Z^c).  An entry
-    # that a nonzero -f_n touches is a copy plus the unreduced products
-    # t*(-f_n), each value reduced once: the sum _sum_of_products would give
-    # for x*1 + t*(-f_n) (in F_{p^k}, one canonical value and |t|*|f_n|
-    # products, far inside reduce's bound).  A zero column stays zero.  g
-    # and f are split by Z's exponent here, not by coefficients_in, which
-    # scans for the degree and wraps every power as a Polynomial.
+    # entries are raw term maps keyed with Z's slot at 0, as poly's _split
+    # parts g and f.  Column j+1 is Z * (column j) mod f: shift the entries
+    # up one power of Z, then replace the t*Z^c at the top by -t*(f - Z^c).
+    # An entry a nonzero -f_n touches adds the products t*(-f_n) by
+    # _sum_of_products's own steps, _accumulate and _reduced (in F_{p^k}, at
+    # most |t|*|f_n| + 1 summands, far inside reduce's bound).  A zero column
+    # stays zero.
     ring = f.ring
-    reduce, neg = ring.field.reduce, ring.field.neg
+    field = ring.field
     i = ring.var_index(z_var)
-    col = [{} for _ in range(c)]
-    for e, v in g._raw.items():
-        col[e[i]][e[:i] + (0,) + e[i + 1:]] = v
-    neg_low = {}   # n -> the terms of -f_n, for each nonzero f_n, n < c
-    for e, v in f._raw.items():
-        if e[i] < c:
-            neg_low.setdefault(e[i], []).append(
-                (e[:i] + (0,) + e[i + 1:], neg(v)))
+    parts = _split(g._raw, i)
+    col = [parts.get(n, {}) for n in range(c)]
+    neg_low = {n: [(e, field.neg(v)) for e, v in part.items()]   # -f_n
+               for n, part in _split(f._raw, i).items() if n < c}
     columns = []
     for _ in range(c):
         columns.append([Polynomial._from_raw(ring, x) for x in col])
@@ -110,11 +106,8 @@ def mult_matrix(g, f, z_var):
         if t:
             for n, a in neg_low.items():
                 raw = dict(col[n])
-                for e1, v1 in t:
-                    for e2, v2 in a:
-                        e = tuple(map(add, e1, e2))
-                        raw[e] = raw.get(e, 0) + v1 * v2
-                col[n] = {e: r for e, v in raw.items() if (r := reduce(v))}
+                _accumulate(raw, t, a)
+                col[n] = _reduced(field, raw)
     return MultiplicationMatrix(f, g, zip(*columns), z_var)
 
 
@@ -293,9 +286,9 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
     saturation, a weight above CHARPOLY_DEGREE_CAP raises ResourceCapError
     and a z_var that is the ring's only variable RingError.
     """
+    f_gen = ReesGenerator(*f_gen)   # a generator or a plain (f, c) pair
     ring = G.ring
-    f = f_gen.poly
-    c = f_gen.weight
+    f, c = f_gen
     if f.ring != ring:
         raise RingError("ring mismatch")
     base = ring.drop_variable(z_var)

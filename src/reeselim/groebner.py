@@ -5,10 +5,11 @@ lcm first) and full inter-reduction.  The inputs, one at a time, and then
 the S-polynomials are reduced by the basis built so far, and only a
 nonzero remainder joins it, so an input already in the ideal makes no
 pair.  S-pairs are pruned once, when an element joins the basis, by the
-Gebauer-Moeller update (Becker-Weispfenning's UPDATE).  Reduction runs on
-raw term maps; each divisor caches its leading monomial, inverse leading
-coefficient and raw terms, and divisibility is poly's ``_divides``.  The
-reduced basis is unique, so none of this changes an answer.  A hard cap on
+Gebauer-Moeller update (Becker-Weispfenning's UPDATE).  Reduction and the
+S-polynomials run on raw term maps by poly's kernel ``_subtract``, and
+every exponent vector comes from poly's helpers; each divisor caches its
+leading monomial, inverse leading coefficient and raw terms.  The reduced
+basis is unique, so none of this changes an answer.  A hard cap on
 the basis size, ``BASIS_CAP``, checked on every element added, turns
 runaway computations into a clean error that reports the progress made.
 
@@ -23,7 +24,7 @@ generator specializes to a nonzero constant.  It first folds every
 exponent e >= q to (e - 1) mod (q - 1) + 1 (x^q = x on F_q), so it reads
 powers below q only, from the table the field keeps
 (``FieldDescriptor._scan_table``).  It specializes raw values and reduces
-once per output coefficient, as the product kernel does; only the emitted
+once per output coefficient, by poly's ``_reduced``; only the emitted
 points hold FieldElements.  The branches of each scan, the ramification
 check's included, count against ``SCAN_BUDGET``; exceeding it raises
 ``ResourceCapError`` (CLI exit 3).  A generator a*X + b in the next
@@ -34,11 +35,10 @@ where visiting every value of the folded generators would put it.
 from __future__ import annotations
 
 import heapq
-from operator import add, sub
 
 from .fields import FieldElement, Immutable
-from .poly import (Polynomial, RationalPoint, RingError, _divides,
-                   grevlex_key)
+from .poly import (Polynomial, RationalPoint, RingError, _divides, _lcm,
+                   _product, _quotient, _reduced, _subtract, grevlex_key)
 
 BASIS_CAP = 10_000
 SCAN_BUDGET = 10**6
@@ -93,10 +93,6 @@ class GroebnerBasis(Immutable):
         return "GroebnerBasis(%s)" % ", ".join(str(g) for g in self.basis)
 
 
-def _lcm(a, b):
-    return tuple(map(max, a, b))
-
-
 def _lead(g):
     """(lm, raw inverse of lc, raw non-leading terms) of a nonzero g: what
     reducing by g needs.  Cached on first use, like the leading monomial."""
@@ -107,22 +103,6 @@ def _lead(g):
                 [(e, v) for e, v in g._raw.items() if e != lm])
         object.__setattr__(g, "_lead", lead)
     return lead
-
-
-def _subtract(field, work, shift, c, tail):
-    """work -= c * x^shift * tail, on a raw term map."""
-    mul, plus = field.mul, field.add
-    c = field.neg(c)
-    for e, v in tail:
-        e = tuple(map(add, e, shift))
-        t = mul(c, v)
-        old = work.get(e)
-        if old is not None:
-            t = plus(old, t)
-            if not t:
-                del work[e]
-                continue
-        work[e] = t
 
 
 def normal_form(f, basis):
@@ -143,7 +123,7 @@ def normal_form(f, basis):
         lc = work.pop(lm)
         for glm, ginv, tail in leads:
             if _divides(glm, lm):
-                _subtract(field, work, tuple(map(sub, lm, glm)),
+                _subtract(field, work, _quotient(lm, glm),
                           field.mul(lc, ginv), tail)
                 break
         else:
@@ -166,6 +146,7 @@ def buchberger(ideal):
     ring = ideal.ring
     field = ring.field
     one = field.one().val
+    minus_one = field.neg(one)
     basis = []  # monic, in the order they were added
     lms = []    # their leading monomials
     live = []   # indices of the elements that take new pairs and reduce
@@ -190,7 +171,7 @@ def buchberger(ideal):
             lcm = lcms[n]
             # coprime: the S-polynomial reduces to zero, and lcm divides no
             # other new lcm, as no live leading monomial divides another
-            if lcm == tuple(map(add, lms[g], lm_h)):
+            if lcm == _product(lms[g], lm_h):
                 continue
             if not any(_divides(m, lcm) for m in kept + lcms[n + 1:]):
                 kept.append(lcm)
@@ -228,9 +209,9 @@ def buchberger(ideal):
         # the basis is monic, so the S-polynomial is x^a*tail_i - x^b*tail_j
         lf, _, tf = _lead(basis[i])
         lg, _, tg = _lead(basis[j])
-        a = tuple(map(sub, lcm, lf))
-        s = {tuple(map(add, e, a)): v for e, v in tf}
-        _subtract(field, s, tuple(map(sub, lcm, lg)), one, tg)
+        s = {}
+        _subtract(field, s, _quotient(lcm, lf), minus_one, tf)
+        _subtract(field, s, _quotient(lcm, lg), one, tg)
         insert(Polynomial._from_raw(ring, s))
     return GroebnerBasis(ideal, _interreduce([basis[g] for g in live]))
 
@@ -370,24 +351,21 @@ def rational_zero_set(ideal):
 
 def _fold(field, terms, q):
     """The raw term map of the same function on F_q^n with every exponent
-    e >= q lowered to (e - 1) mod (q - 1) + 1, since x^q = x on F_q: the
-    terms that merge are summed unreduced and reduced once, zeros dropped.
-    A positive exponent stays positive, so 0^e keeps its value."""
+    e >= q lowered to (e - 1) mod (q - 1) + 1, since x^q = x on F_q, merged
+    terms reduced once.  A positive exponent stays positive, so 0^e keeps
+    its value."""
     out = {}
     for e, c in terms.items():
         e = tuple(d if d < q else (d - 1) % (q - 1) + 1 for d in e)
         out[e] = out.get(e, 0) + c
-    reduce = field.reduce
-    return {e: r for e, v in out.items() if (r := reduce(v))}
+    return _reduced(field, out)
 
 
 def _specialize(field, terms, powers):
     """The raw term map with its first variable set to the value whose raw
-    powers are given: keys lose their first entry.  Each output coefficient
-    is summed unreduced, reduced once, and dropped if zero."""
+    powers are given: keys lose their first entry, values are reduced once."""
     out = {}
     for e, c in terms.items():
         rest = e[1:]
         out[rest] = out.get(rest, 0) + c * powers[e[0]]
-    reduce = field.reduce
-    return {e: r for e, v in out.items() if (r := reduce(v))}
+    return _reduced(field, out)

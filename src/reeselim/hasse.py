@@ -17,10 +17,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import comb, prod
-from operator import sub
 
 from .fields import FieldElement
-from .poly import Polynomial, RingError, _divides
+from .poly import Polynomial, RingError, _divides, _quotient
 
 
 def normalize_multiindex(ring, alpha):
@@ -63,7 +62,7 @@ def hasse_derivative(f, alpha):
             continue
         if v := _term_coefficient(field, v, prod(map(comb, beta, alpha))):
             # beta -> beta - alpha is injective: no two terms share a key
-            raw[tuple(map(sub, beta, alpha))] = v
+            raw[_quotient(beta, alpha)] = v
     return Polynomial._from_raw(ring, raw)
 
 
@@ -79,7 +78,7 @@ def _shifts(beta, n, active_idx):
             for i, b in enumerate(beta)]
     alphas = sorted([alpha for alpha in product(*map(range, tops))
                      if sum(alpha) < n], key=sum)
-    return tuple((alpha, tuple(map(sub, beta, alpha)),
+    return tuple((alpha, _quotient(beta, alpha),
                   prod(map(comb, beta, alpha)))
                  for alpha in alphas[1:])
 

@@ -4,25 +4,31 @@ toolkit (division, gcd, radical) used by the ramification oracle.
 Terms are kept in a dict keyed by exponent tuples, with the field's
 canonical nonzero raw values, so equal polynomials have equal maps.
 FieldElements are built only at the API boundary (`.terms` wraps the raw
-map lazily); arithmetic hands its zero-free raw maps to `_from_raw`.  One
-kernel, _sum_of_products, sums f_1*g_1 + ... + f_n*g_n on raw values and
-reduces each output coefficient once by `field.reduce`; the product of two
-multi-term factors is the kernel on one pair, and a single-term factor
-only shifts the other's keys and scales its values.  Substitution builds
-each image's powers once, each from the one before, and sums the terms in
-one kernel call; the parser sums each sum's terms in one kernel call too.
-Subtraction adds the negation, and `_divides` is the one divisibility test
-for monomials.  The fields module decides all coefficient arithmetic; an
-F_{p^k} value is a packed int, so one loop serves every field.  The only
-monomial order is grevlex over the ring's declared variable order.  Like
-fields, rings have one instance each, so ring checks are identity tests.
+map lazily); arithmetic hands its zero-free raw maps to `_from_raw`.
+
+This is the one module that builds and compares exponent vectors, by
+`grevlex_key` (the only order: grevlex over the declared variables),
+`_divides`, `_product`, `_quotient`, `_lcm` and `_splice` (one entry set),
+and that holds the raw term-map kernels: `_accumulate` (products summed
+unreduced), `_reduced` (each value reduced once, zeros dropped),
+`_sum_of_products` (the two over f_1*g_1 + ... + f_n*g_n), Groebner's
+`_subtract` (work -= c*x^shift*tail) and `_split` (by one variable's
+exponent).  Other modules read entries and sums; only these still know the
+layout: the point scan's fold, first-coordinate reads and linear keys
+(groebner), the multi-index boxes (hasse), the zero key and tau's e // q
+(rees), and char_poly's Kronecker keys (elim).
+
+Substitution, the parser's sums and products of two multi-term factors
+call `_sum_of_products`.  Coefficient arithmetic is the fields module's
+(an F_{p^k} value is a packed int, so one loop serves every field).
+Rings, like fields, have one instance each: ring checks are identity tests.
 """
 from __future__ import annotations
 
 import math
 import re
 from fractions import Fraction
-from operator import add, le
+from operator import add, le, sub
 from types import MappingProxyType
 
 from .fields import FieldElement, Immutable, _power
@@ -94,9 +100,8 @@ class RingContext(Immutable):
         return Polynomial._from_raw(self, {(0,) * self.nvars: v} if v else {})
 
     def var(self, name):
-        exps = [0] * self.nvars
-        exps[self.var_index(name)] = 1
-        return Polynomial._from_raw(self, {tuple(exps): 1})
+        e = _splice((0,) * self.nvars, self.var_index(name), 1)
+        return Polynomial._from_raw(self, {e: 1})
 
     def monomial(self, exps, coeff=1):
         exps = tuple(exps)
@@ -135,6 +140,26 @@ def _divides(a, b):
     return all(map(le, a, b))
 
 
+def _product(a, b):
+    """The exponents of x^a * x^b."""
+    return tuple(map(add, a, b))
+
+
+def _quotient(b, a):
+    """The exponents of x^b / x^a, for x^a dividing x^b."""
+    return tuple(map(sub, b, a))
+
+
+def _lcm(a, b):
+    """The exponents of lcm(x^a, x^b)."""
+    return tuple(map(max, a, b))
+
+
+def _splice(e, i, x):
+    """The exponents e with entry i set to x."""
+    return e[:i] + (x,) + e[i + 1:]
+
+
 class RationalPoint(Immutable):
     """A point with coordinates in the coefficient field."""
 
@@ -168,21 +193,52 @@ class RationalPoint(Immutable):
             "%s=%s" % (v, c) for v, c in zip(self.ring.variables, self.coords)))
 
 
+def _accumulate(raw, terms, other):
+    """raw[e1 + e2] += v1 * v2, unreduced, over (e1, v1) in terms and (e2, v2)
+    in other (in F_{p^k} a product is the unreduced convolution)."""
+    for e1, v1 in terms:
+        for e2, v2 in other:
+            e = tuple(map(add, e1, e2))
+            raw[e] = raw.get(e, 0) + v1 * v2
+
+
+def _reduced(field, raw):
+    """raw with each value reduced once by field.reduce, zeros dropped."""
+    reduce = field.reduce
+    return {e: r for e, v in raw.items() if (r := reduce(v))}
+
+
 def _sum_of_products(ring, pairs):
-    """f_1*g_1 + ... + f_n*g_n for the (f_i, g_i) in pairs, all in ring: each
-    output coefficient is summed on raw values (in F_{p^k} packed ints, whose
-    product is the unreduced convolution), reduced once by field.reduce and
-    dropped if the sum cancels."""
+    """f_1*g_1 + ... + f_n*g_n for the (f_i, g_i) in pairs, all in ring: one
+    _accumulate per pair, then one _reduced."""
     raw = {}
     for f, g in pairs:
-        g_terms = g._raw.items()
-        for e1, v1 in f._raw.items():
-            for e2, v2 in g_terms:
-                e = tuple(map(add, e1, e2))
-                raw[e] = raw.get(e, 0) + v1 * v2
-    reduce = ring.field.reduce
-    return Polynomial._from_raw(ring, {e: r for e, v in raw.items()
-                                       if (r := reduce(v))})
+        _accumulate(raw, f._raw.items(), g._raw.items())
+    return Polynomial._from_raw(ring, _reduced(ring.field, raw))
+
+
+def _subtract(field, work, shift, c, tail):
+    """work -= c * x^shift * tail on a raw term map, tail (e, v) pairs."""
+    mul, plus = field.mul, field.add
+    c = field.neg(c)
+    for e, v in tail:
+        e = tuple(map(add, e, shift))
+        t = mul(c, v)
+        old = work.get(e)
+        if old is not None:
+            t = plus(old, t)
+            if not t:
+                del work[e]
+                continue
+        work[e] = t
+
+
+def _split(raw, i):
+    """{d: the raw map of the terms whose entry i is d, with it set to 0}."""
+    parts = {}
+    for e, v in raw.items():
+        parts.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = v
+    return parts
 
 
 class Polynomial(Immutable):
@@ -331,9 +387,7 @@ class Polynomial(Immutable):
 
     def degree_in(self, var):
         i = self.ring.var_index(var)
-        if not self._raw:
-            return -1
-        return max(e[i] for e in self._raw)
+        return max((e[i] for e in self._raw), default=-1)
 
     def order_at_origin(self):
         """Minimum total degree of the support; +inf for the zero polynomial."""
@@ -478,14 +532,9 @@ class Polynomial(Immutable):
 
     def coefficients_in(self, var):
         """List of coefficient polynomials [c_0, ..., c_d] viewing self in var."""
-        i = self.ring.var_index(var)
-        d = self.degree_in(var)
-        if d < 0:
-            return []
-        buckets = [dict() for _ in range(d + 1)]
-        for e, v in self._raw.items():
-            buckets[e[i]][e[:i] + (0,) + e[i + 1:]] = v
-        return [Polynomial._from_raw(self.ring, b) for b in buckets]
+        parts = _split(self._raw, self.ring.var_index(var))
+        return [Polynomial._from_raw(self.ring, parts.get(d, {}))
+                for d in range(max(parts, default=-1) + 1)]
 
     def is_monic_in(self, var):
         """Whether the coefficient of the top power of var is 1; reads only
@@ -516,7 +565,7 @@ def univ_divmod(f, g, var):
     q = ring.zero()
     r, dr = f, f.degree_in(var)
     while dr >= dg:
-        step = Polynomial._from_raw(ring, {e[:i] + (dr - dg,) + e[i + 1:]: v
+        step = Polynomial._from_raw(ring, {_splice(e, i, dr - dg): v
                                            for e, v in r._raw.items()
                                            if e[i] == dr})
         q = q + step
@@ -552,21 +601,15 @@ def formal_derivative(f, var):
     i = f.ring.var_index(var)
     mul, element = f.ring.field.mul, f.ring.field.element
     return Polynomial._from_raw(f.ring, {
-        e[:i] + (e[i] - 1,) + e[i + 1:]: d for e, v in f._raw.items()
+        _splice(e, i, e[i] - 1): d for e, v in f._raw.items()
         if e[i] and (d := mul(v, element(e[i]).val))})
 
 
 def _only_variable(f):
-    used = set()
-    for e in f._raw:
-        for i, x in enumerate(e):
-            if x:
-                used.add(i)
+    used = {i for e in f._raw for i, x in enumerate(e) if x}
     if len(used) > 1:
         raise RingError("polynomial is not univariate")
-    if used:
-        return f.ring.variables[used.pop()]
-    return f.ring.variables[0]
+    return f.ring.variables[used.pop() if used else 0]
 
 
 def univ_radical(f):
@@ -588,14 +631,10 @@ def univ_radical(f):
     deriv = formal_derivative(f, var)
     if deriv.is_zero():
         # f = h(var^p); take p-th roots of coefficients and recurse
-        p = ring.field.p
         i = ring.var_index(var)
-        terms = {}
-        for e, c in f.terms.items():
-            exps = list(e)
-            exps[i] //= p
-            terms[tuple(exps)] = c.pth_root()
-        return univ_radical(Polynomial(ring, terms))
+        return univ_radical(Polynomial(ring, {
+            _splice(e, i, e[i] // ring.field.p): c.pth_root()
+            for e, c in f.terms.items()}))
     g = univ_gcd(f, deriv, var)
     sqfree, rem = univ_divmod(f, g, var)
     assert rem.is_zero()
@@ -684,7 +723,10 @@ def parse_polynomial(ring, text):
         one = ring.one()
         return _sum_of_products(ring, ((term, one) for term in terms))
 
-    result = parse_sum()
+    try:
+        result = parse_sum()
+    except RecursionError:   # two calls per level of parentheses
+        raise RingError("parentheses nested too deeply") from None
     if tokens[at] is not None:
         raise RingError("trailing tokens in polynomial text")
     return result

@@ -17,13 +17,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import compress
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .fields import FieldDescriptor, Immutable
 from .groebner import Ideal, buchberger, minimal_exponents, rational_zero_set
 from .hasse import diff_closure_list, hasse_derivatives
 from .poly import (_DIGITS, INFINITE_ORDER, Polynomial, RingContext,
-                   RingError, _divides, grevlex_key)
+                   RingError, _divides, _product, _splice, grevlex_key)
 
 
 class ReesError(ValueError):
@@ -205,14 +205,10 @@ def component_order(G, k, at):
     orders = generator_orders(G, at)
     if not orders:
         return INFINITE_ORDER
-    dp = [0] + [INFINITE_ORDER] * k
+    dp = [0]
     for j in range(1, k + 1):
-        best = INFINITE_ORDER
-        for order, weight in orders:
-            cand = dp[max(0, j - weight)] + order
-            if cand < best:
-                best = cand
-        dp[j] = best
+        dp.append(min(dp[max(0, j - weight)] + order
+                      for order, weight in orders))
     return dp[k]
 
 
@@ -220,16 +216,9 @@ def ord_at_point(G, at):
     """ord_at(G) = min over generators of (point order)/(weight), exact."""
     if G.is_empty():
         raise ReesError("ord of the empty algebra is undefined")
-    best = None
-    for order, weight in generator_orders(G, at):
-        if order == INFINITE_ORDER:
-            continue
-        value = Fraction(order, weight)
-        if best is None or value < best:
-            best = value
-    if best is None:
-        return INFINITE_ORDER
-    return best
+    return min((Fraction(order, weight)
+                for order, weight in generator_orders(G, at)
+                if order != INFINITE_ORDER), default=INFINITE_ORDER)
 
 
 def is_simple(G, at):
@@ -319,7 +308,7 @@ def _chart_algebra(G, center, chart_var, weighted):
                 raise ReesError(
                     "center is not permissible: %s has order < %d along it"
                     % (g.poly, g.weight))
-            raw[e[:j] + (n,) + e[j + 1:]] = v
+            raw[_splice(e, j, n)] = v
         # the exponent map is injective, so a nonzero g has a nonzero image,
         # and g's weight was checked when g was built
         gens.append(ReesGenerator._trusted(Polynomial._from_raw(ring, raw),
@@ -449,8 +438,7 @@ def _monomial_degree_exponents(G, k):
     levels = list(levels)   # levels[j]: minimal exponents of I_j
     for j in range(len(levels), k + 1):
         levels.append(tuple(minimal_exponents(
-            tuple(map(add, e, v))
-            for e, w in kept
+            _product(e, v) for e, w in kept
             for v in levels[max(j - w, 0)])))
     # published whole, never grown in place: a reader of G._levels sees
     # either the old memo or the new one

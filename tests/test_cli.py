@@ -478,3 +478,25 @@ def test_consecutive_calls_each_print_their_own_output(ex69, tmp_path,
     assert run(["e0", str(e0_file), "--at", "0,0"]) == (
         0, "e0: 2\n#! e0: 2\n")
     assert capsys.readouterr().err == ""
+
+
+def nested_generator(tmp_path, depth):
+    path = tmp_path / "nested.alg"
+    path.write_text("ring: F7[x]\ngen: %sx%s w 1\n"
+                    % ("(" * depth, ")" * depth))
+    return str(path)
+
+
+@pytest.mark.parametrize("depth", [600, 5000])
+def test_deeply_nested_parentheses_exit_two(tmp_path, capsys, depth):
+    """The parser recurses once per level: too deep a nesting is a parse
+    error, at whatever depth the caller's stack leaves, not a traceback."""
+    assert run(["ord", nested_generator(tmp_path, depth), "--at", "0"]) == (
+        2, "error: parentheses nested too deeply\n")
+    assert capsys.readouterr().err == ""
+
+
+def test_parentheses_300_deep_still_parse(tmp_path, capsys):
+    assert run(["ord", nested_generator(tmp_path, 300), "--at", "0"]) == (
+        0, "ord: 1\n#! ord: 1\n")
+    assert capsys.readouterr().err == ""

@@ -389,6 +389,21 @@ def test_eliminate_transversality_check():
         eliminate(G, ReesGenerator(R.parse("Y*Z+1"), 1), "Z")  # not monic
 
 
+def test_eliminate_takes_a_plain_pair_as_the_generator():
+    """A (f, c) pair eliminates as ReesGenerator(f, c) does, and goes
+    through the generator's checks."""
+    f = QYZ.parse("Z^2+Y^3")
+    G = algebra(QYZ, ("Z^2+Y^3", 2), ("Y^2", 1))
+    by_generator = eliminate(G, ReesGenerator(f, 2), "Z")
+    by_pair = eliminate(G, (f, 2), "Z")
+    assert by_pair.base_ring == by_generator.base_ring
+    assert by_pair.algebra == by_generator.algebra
+    assert by_pair.provenance == by_generator.provenance
+    assert format_elimination(by_pair) == format_elimination(by_generator)
+    with pytest.raises(ReesError, match=r"^generator weight must be >= 1$"):
+        eliminate(G, (f, 0), "Z")
+
+
 def test_emitted_generators_lie_in_the_degree_ideals():
     G = diff_saturate(algebra(F2YZ, ("Z^2+Y^5", 2)))
     f = ReesGenerator(F2YZ.parse("Z^2+Y^5"), 2)

@@ -7,8 +7,9 @@ degree_ideal path against its scalar oracle and as its own reduced basis,
 its level memo asked in any order, saturation against the concatenated
 closure lists, the chart transforms' distinct generators, the unchecked
 generators of saturation and the transforms against the checking
-constructor, and the raw-value sums, scalings, coefficient and division
-paths against a FieldElement reference."""
+constructor, the raw-value sums, scalings, coefficient and division
+paths against a FieldElement reference, and poly's exponent helpers, split
+and subtraction kernel against their plain definitions."""
 import itertools
 import math
 
@@ -23,7 +24,9 @@ from reeselim import (FieldDescriptor, FieldError, Ideal,  # noqa: E402
                       degree_ideal, diff_closure_list, diff_saturate,
                       hasse_derivative, total_transform, univ_divmod,
                       weighted_transform)
-from reeselim.poly import _sum_of_products, formal_derivative  # noqa: E402
+from reeselim.poly import (_divides, _lcm, _product,  # noqa: E402
+                           _quotient, _splice, _split, _subtract,
+                           _sum_of_products, formal_derivative, grevlex_key)
 from test_fields import (FOLD_FIELDS,  # noqa: E402
                          irreducible_by_trial_division)
 from test_poly import schoolbook_product  # noqa: E402
@@ -588,3 +591,95 @@ def test_products_with_a_single_term_factor_match_the_kernel(data):
         for _ in range(n - 1):
             expected = _sum_of_products(R, [(expected, f)])
         assert f**n == expected
+
+
+# Exponent entries up to 2^31 - 1, with small ones mixed in so that equal
+# entries, divisors and ties come up; a product or a quotient is drawn so
+# that it stays in that range too.
+TOP_EXPONENT = 2**31 - 1
+exponent_entries = st.one_of(st.integers(0, 3),
+                             st.integers(0, TOP_EXPONENT))
+
+
+def exponent_vectors(n):
+    return st.lists(exponent_entries, min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def exponents_below(draw, bounds):
+    """An exponent vector whose entry i is at most bounds[i]."""
+    return tuple(draw(st.one_of(st.integers(0, min(b, 3)),
+                                st.integers(0, b))) for b in bounds)
+
+
+def grevlex_greater(a, b):
+    """x^a > x^b in grevlex, from the definition: the higher total degree
+    wins, and at equal degree a is larger when the last nonzero entry of
+    a - b is negative."""
+    if sum(a) != sum(b):
+        return sum(a) > sum(b)
+    diff = [x - y for x, y in zip(a, b) if x != y]
+    return bool(diff) and diff[-1] < 0
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_exponent_helpers_match_their_definitions(data):
+    """_product, _quotient and _lcm act entry by entry, _divides holds
+    exactly when b - a has no negative entry, _splice sets one entry, and
+    grevlex_key orders as the grevlex definition does."""
+    n = data.draw(st.integers(1, 4))
+    a, b = data.draw(exponent_vectors(n)), data.draw(exponent_vectors(n))
+    assert _lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+    difference = [y - x for x, y in zip(a, b)]
+    assert _divides(a, b) == all(d >= 0 for d in difference)
+    if _divides(a, b):
+        assert _quotient(b, a) == tuple(difference)
+    # a permutation of a has its total degree, so the tie-break decides
+    for other in (b, tuple(data.draw(st.permutations(a)))):
+        assert (grevlex_key(a) > grevlex_key(other)) == \
+            grevlex_greater(a, other)
+        assert (grevlex_key(a) == grevlex_key(other)) == (a == other)
+    c = data.draw(exponents_below([TOP_EXPONENT - x for x in a]))
+    product = _product(a, c)
+    assert product == tuple(x + y for x, y in zip(a, c))
+    assert _divides(a, product) and _divides(c, product)
+    assert _quotient(product, a) == c and _quotient(product, c) == a
+    i = data.draw(st.integers(0, n - 1))
+    x = data.draw(exponent_entries)
+    assert _splice(a, i, x) == tuple(x if j == i else y
+                                     for j, y in enumerate(a))
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_split_reassembles_the_polynomial(data):
+    """f == sum of var^d * part_d over _split(f._raw, i), each part with
+    entry i zero; exponents reach 2^31 - 1."""
+    R = data.draw(rings())
+    f = Polynomial(R, data.draw(st.dictionaries(
+        exponent_vectors(R.nvars), coefficients(R), max_size=5)))
+    i = data.draw(st.integers(0, R.nvars - 1))
+    parts = _split(f._raw, i)
+    assert all(part and all(e[i] == 0 for e in part)
+               for part in parts.values())
+    var = R.var(R.variables[i])
+    assert sum((var**d * Polynomial._from_raw(R, part)
+                for d, part in parts.items()), R.zero()) == f
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_subtract_kernel_matches_polynomial_arithmetic(data):
+    """_subtract(field, work, shift, c, tail) leaves work = f - c*x^shift*g
+    for work f and tail g's terms, on f and on an empty map."""
+    R = data.draw(rings())
+    f, g = data.draw(polynomials(R)), data.draw(polynomials(R))
+    shift = data.draw(exponents(R, 3))
+    c = data.draw(coefficients(R))
+    for start in (f, R.zero()):
+        work = dict(start._raw)
+        _subtract(R.field, work, shift, R.coeff(c).val, g._raw.items())
+        assert Polynomial._from_raw(R, work) == \
+            start - R.monomial(shift, c) * g
+        assert all(work.values())
