@@ -352,8 +352,8 @@ class FieldDescriptor(Immutable):
         f = RingContext(FieldDescriptor(p), ("t",)).parse(modtext)
         if f.degree_in("t") > k:
             raise FieldError("modulus degree exceeds extension degree")
-        return FieldDescriptor(p, k, tuple(f._raw.get((i,), 0)
-                                           for i in range(k + 1)))
+        cs = [c.constant_value().val for c in f.coefficients_in("t")]
+        return FieldDescriptor(p, k, tuple(cs) + (0,) * (k + 1 - len(cs)))
 
     def spec(self):
         if self.p == 0:

@@ -23,22 +23,24 @@ that fixes one coordinate at a time and abandons a branch as soon as a
 generator specializes to a nonzero constant.  It first folds every
 exponent e >= q to (e - 1) mod (q - 1) + 1 (x^q = x on F_q), so it reads
 powers below q only, from the table the field keeps
-(``FieldDescriptor._scan_table``).  It specializes raw values and reduces
-once per output coefficient, by poly's ``_reduced``; only the emitted
-points hold FieldElements.  The branches of each scan, the ramification
-check's included, count against ``SCAN_BUDGET``; exceeding it raises
-``ResourceCapError`` (CLI exit 3).  A generator a*X + b in the next
-coordinate X alone pins X to -b/a, so only that value is visited; the
-values it skips still count, one branch each, so the cap falls exactly
-where visiting every value of the folded generators would put it.
+(``FieldDescriptor._scan_table``).  It folds and specializes raw values
+by poly's kernels ``_fold`` and ``_specialize``, which reduce once per
+output coefficient; only the emitted points hold FieldElements.  The
+branches of each scan, the ramification check's included, count against
+``SCAN_BUDGET``; exceeding it raises ``ResourceCapError`` (CLI exit 3).
+A generator a*X + b in the next coordinate X alone pins X to -b/a, so
+only that value is visited; the values it skips still count, one branch
+each, so the cap falls exactly where visiting every value of the folded
+generators would put it.
 """
 from __future__ import annotations
 
 import heapq
 
 from .fields import FieldElement, Immutable
-from .poly import (Polynomial, RationalPoint, RingError, _divides, _lcm,
-                   _product, _quotient, _reduced, _subtract, grevlex_key)
+from .poly import (Polynomial, RationalPoint, RingError, _divides, _fold,
+                   _lcm, _product, _quotient, _specialize, _splice,
+                   _subtract, _top_entry, _zero_key, grevlex_key)
 
 BASIS_CAP = 10_000
 SCAN_BUDGET = 10**6
@@ -288,16 +290,16 @@ def rational_zero_set(ideal):
             "point scan exceeds budget %d: the first of %d coordinates "
             "alone has %d values" % (SCAN_BUDGET, nvars, q))
     gens = [g._raw for g in ideal.generators]
-    top = max((max(e) for t in gens for e in t), default=0)
+    top = _top_entry(gens)
     if top >= q:
         gens = [t for t in (_fold(field, t, q) for t in gens) if t]
-        top = max((max(e) for t in gens for e in t), default=0)
+        top = _top_entry(gens)
     # powers[i][e] == raw[i]**e for e <= top
     raw, index, powers = field._scan_table(top)
     mul, neg, inv = field.mul, field.neg, field.inv
-    # the keys of X and of 1 when `fixed` coordinates are fixed
-    linear = [((1,) + (0,) * (nvars - fixed - 1), (0,) * (nvars - fixed))
-              for fixed in range(nvars)]
+    # the keys of X and of 1 at each level, and of 1 once X is fixed
+    zeros = [_zero_key(nvars - fixed) for fixed in range(nvars + 1)]
+    keys = [(_splice(a, 0, 1), a, b) for a, b in zip(zeros, zeros[1:])]
     points = set()
     prefix = []
     visited = 0
@@ -317,7 +319,7 @@ def rational_zero_set(ideal):
             points.add(RationalPoint(
                 ring, [FieldElement(field, v) for v in prefix]))
             return
-        x, constant = linear[fixed]
+        x, constant, zero = keys[fixed]
         root = None
         for t in gens:
             if x in t and (len(t) == 1 or len(t) == 2 and constant in t):
@@ -334,7 +336,7 @@ def rational_zero_set(ideal):
             special = []
             for t in gens:
                 s = _specialize(field, t, row)
-                if len(s) == 1 and not any(next(iter(s))):
+                if len(s) == 1 and zero in s:
                     break   # a nonzero constant: no point on this branch
                 if s:
                     special.append(s)
@@ -348,24 +350,3 @@ def rational_zero_set(ideal):
     scan(gens)
     return points
 
-
-def _fold(field, terms, q):
-    """The raw term map of the same function on F_q^n with every exponent
-    e >= q lowered to (e - 1) mod (q - 1) + 1, since x^q = x on F_q, merged
-    terms reduced once.  A positive exponent stays positive, so 0^e keeps
-    its value."""
-    out = {}
-    for e, c in terms.items():
-        e = tuple(d if d < q else (d - 1) % (q - 1) + 1 for d in e)
-        out[e] = out.get(e, 0) + c
-    return _reduced(field, out)
-
-
-def _specialize(field, terms, powers):
-    """The raw term map with its first variable set to the value whose raw
-    powers are given: keys lose their first entry, values are reduced once."""
-    out = {}
-    for e, c in terms.items():
-        rest = e[1:]
-        out[rest] = out.get(rest, 0) + c * powers[e[0]]
-    return _reduced(field, out)

@@ -15,21 +15,20 @@ call still reduces the binomial into its own field.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
-from math import comb, prod
 
 from .fields import FieldElement
-from .poly import Polynomial, RingError, _divides, _quotient
+from .poly import (Polynomial, RingError, _binomial, _box, _degree,
+                   _quotient, _splice, _zero_key)
 
 
 def normalize_multiindex(ring, alpha):
     """Accept a full exponent tuple or a {variable: exponent} dict of
     non-negative ints (a bool counts as an int)."""
     if isinstance(alpha, dict):
-        exps = [0] * ring.nvars
+        exps = _zero_key(ring.nvars)
         for name, e in alpha.items():
-            exps[ring.var_index(name)] = e
-        alpha = tuple(exps)
+            exps = _splice(exps, ring.var_index(name), e)
+        alpha = exps
     else:
         alpha = tuple(alpha)
         if len(alpha) != ring.nvars:
@@ -58,9 +57,8 @@ def hasse_derivative(f, alpha):
     field = ring.field
     raw = {}
     for beta, v in f._raw.items():
-        if not _divides(alpha, beta):
-            continue
-        if v := _term_coefficient(field, v, prod(map(comb, beta, alpha))):
+        binom = _binomial(beta, alpha)   # 0 unless alpha <= beta
+        if binom and (v := _term_coefficient(field, v, binom)):
             # beta -> beta - alpha is injective: no two terms share a key
             raw[_quotient(beta, alpha)] = v
     return Polynomial._from_raw(ring, raw)
@@ -70,17 +68,11 @@ def hasse_derivative(f, alpha):
 def _shifts(beta, n, active_idx):
     """(alpha, beta - alpha, prod C(beta_i, alpha_i)) for every nonzero
     alpha <= beta with |alpha| < n, supported on active_idx (a frozenset or
-    a range, so that it can key the cache), by increasing |alpha| and then
-    lexicographically: product yields the box in lexicographic order, and
-    the stable sort by |alpha| keeps it.  The binomials are exact integers,
-    the same for every field."""
-    tops = [min(b, n - 1) + 1 if i in active_idx else 1
-            for i, b in enumerate(beta)]
-    alphas = sorted([alpha for alpha in product(*map(range, tops))
-                     if sum(alpha) < n], key=sum)
-    return tuple((alpha, _quotient(beta, alpha),
-                  prod(map(comb, beta, alpha)))
-                 for alpha in alphas[1:])
+    a range, so that it can key the cache), in the order of poly's _box:
+    by increasing |alpha| and then lexicographically.  The binomials are
+    exact integers, the same for every field."""
+    return tuple((alpha, _quotient(beta, alpha), _binomial(beta, alpha))
+                 for alpha in _box(beta, n, active_idx)[1:])
 
 
 def hasse_derivatives(f, n, active=None):
@@ -101,7 +93,7 @@ def hasse_derivatives(f, n, active=None):
     else:
         active_idx = frozenset(ring.var_index(v) for v in active)
     # Delta^0 f is f itself, and it comes first
-    out = {(0,) * ring.nvars: f} if f._raw and n >= 1 else {}
+    out = {_zero_key(ring.nvars): f} if f._raw and n >= 1 else {}
     if len(f._raw) == 1:
         (beta, v), = f._raw.items()
         for alpha, shifted, binom in _shifts(beta, n, active_idx):
@@ -114,7 +106,7 @@ def hasse_derivatives(f, n, active=None):
             if c := _term_coefficient(field, v, binom):
                 # beta -> beta - alpha is injective for a fixed alpha
                 table.setdefault(alpha, {})[shifted] = c
-    for alpha in sorted(sorted(table), key=sum):
+    for alpha in sorted(sorted(table), key=_degree):
         out[alpha] = Polynomial._from_raw(ring, table[alpha])
     return out
 
@@ -137,7 +129,7 @@ def diff_closure_list(f, n, active=None):
         raise RingError("weight %r is not an int" % (n,))
     if n < 1:
         raise RingError("weight must be >= 1")
-    table = [(df, sum(alpha))
+    table = [(df, _degree(alpha))
              for alpha, df in hasse_derivatives(f, n, active).items()]
     out = []
     for nprime in range(1, n + 1):

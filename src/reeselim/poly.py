@@ -6,17 +6,17 @@ canonical nonzero raw values, so equal polynomials have equal maps.
 FieldElements are built only at the API boundary (`.terms` wraps the raw
 map lazily); arithmetic hands its zero-free raw maps to `_from_raw`.
 
-This is the one module that builds and compares exponent vectors, by
+This is the one module that builds and reads exponent vectors, by
 `grevlex_key` (the only order: grevlex over the declared variables),
-`_divides`, `_product`, `_quotient`, `_lcm` and `_splice` (one entry set),
+`_divides`, `_product`, `_quotient`, `_lcm`, `_splice` (one entry set),
+`_zero_key`, `_degree`, `_top_entry` and Hasse's `_binomial` and `_box`,
 and that holds the raw term-map kernels: `_accumulate` (products summed
 unreduced), `_reduced` (each value reduced once, zeros dropped),
 `_sum_of_products` (the two over f_1*g_1 + ... + f_n*g_n), Groebner's
-`_subtract` (work -= c*x^shift*tail) and `_split` (by one variable's
-exponent).  Other modules read entries and sums; only these still know the
-layout: the point scan's fold, first-coordinate reads and linear keys
-(groebner), the multi-index boxes (hasse), the zero key and tau's e // q
-(rees), and char_poly's Kronecker keys (elim).
+`_subtract` (work -= c*x^shift*tail), `_split` (by one variable's
+exponent), the scan's `_fold` (x^q = x) and `_specialize` (first variable
+set), and the transforms' `_chart`.  Other modules call these, or read
+`.terms` and use public constructors; only elim's char_poly keys remain.
 
 Substitution, the parser's sums and products of two multi-term factors
 call `_sum_of_products`.  Coefficient arithmetic is the fields module's
@@ -28,12 +28,15 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import compress, product
+from math import comb, prod
 from operator import add, le, sub
 from types import MappingProxyType
 
 from .fields import FieldElement, Immutable, _power
 
 INFINITE_ORDER = math.inf
+_degree = sum   # |e|, the total degree of x^e (an alias: no frame as a key)
 # a variable name: the one pattern RingContext accepts and the parser reads
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 # a number: ASCII digits only, in the parser, a gen: weight and a field
@@ -93,14 +96,14 @@ class RingContext(Immutable):
 
     def one(self):
         # 1 is the raw one of every field, as in var
-        return Polynomial._from_raw(self, {(0,) * self.nvars: 1})
+        return Polynomial._from_raw(self, {_zero_key(self.nvars): 1})
 
     def constant(self, value):
         v = self.coeff(value).val
-        return Polynomial._from_raw(self, {(0,) * self.nvars: v} if v else {})
+        return Polynomial._from_raw(self, {_zero_key(self.nvars): v} if v else {})
 
     def var(self, name):
-        e = _splice((0,) * self.nvars, self.var_index(name), 1)
+        e = _splice(_zero_key(self.nvars), self.var_index(name), 1)
         return Polynomial._from_raw(self, {e: 1})
 
     def monomial(self, exps, coeff=1):
@@ -158,6 +161,30 @@ def _lcm(a, b):
 def _splice(e, i, x):
     """The exponents e with entry i set to x."""
     return e[:i] + (x,) + e[i + 1:]
+
+
+def _zero_key(n):
+    """The exponents of the monomial 1 in n variables."""
+    return (0,) * n
+
+
+def _binomial(beta, alpha):
+    """prod_i C(beta_i, alpha_i): 0, none computed, unless alpha <= beta."""
+    return prod(map(comb, beta, alpha)) if all(map(le, alpha, beta)) else 0
+
+
+def _box(beta, n, active):
+    """The alpha <= beta with |alpha| < n, zero outside the indices in active,
+    by increasing |alpha|, then lexicographically (as product yields them)."""
+    tops = [min(b, n - 1) + 1 if i in active else 1
+            for i, b in enumerate(beta)]
+    return sorted([alpha for alpha in product(*map(range, tops))
+                   if sum(alpha) < n], key=sum)
+
+
+def _top_entry(raws):
+    """The largest entry of any key of the raw term maps, 0 if none."""
+    return max((max(e) for raw in raws for e in raw), default=0)
 
 
 class RationalPoint(Immutable):
@@ -241,6 +268,40 @@ def _split(raw, i):
     return parts
 
 
+def _fold(field, terms, q):
+    """The raw term map of the same function on F_q^n with every exponent
+    e >= q lowered to (e - 1) mod (q - 1) + 1, since x^q = x on F_q, merged
+    terms reduced once.  A positive exponent stays positive, so 0^e keeps
+    its value."""
+    out = {}
+    for e, c in terms.items():
+        e = tuple(d if d < q else (d - 1) % (q - 1) + 1 for d in e)
+        out[e] = out.get(e, 0) + c
+    return _reduced(field, out)
+
+
+def _specialize(field, terms, powers):
+    """The raw term map with its first variable set to the value whose raw
+    powers are given: keys lose their first entry, values are reduced once."""
+    out = {}
+    for e, c in terms.items():
+        rest = e[1:]
+        out[rest] = out.get(rest, 0) + c * powers[e[0]]
+    return _reduced(field, out)
+
+
+def _chart(raw, in_center, j, drop):
+    """raw with entry j of each key set to its degree over a centre (the sum
+    of the entries where in_center is true) less drop; None if one is < 0."""
+    out = {}
+    for e, v in raw.items():
+        n = sum(compress(e, in_center)) - drop
+        if n < 0:
+            return None
+        out[e[:j] + (n,) + e[j + 1:]] = v
+    return out
+
+
 class Polynomial(Immutable):
     """Sparse polynomial; `_raw` maps exponent tuples to nonzero raw values.
     The constructor checks the keys, coerces the values and drops zeros."""
@@ -298,8 +359,8 @@ class Polynomial(Immutable):
         return all(sum(e) == 0 for e in self._raw)
 
     def constant_value(self):
-        zero_exp = (0,) * self.ring.nvars
-        return FieldElement(self.ring.field, self._raw.get(zero_exp, 0))
+        return FieldElement(self.ring.field,
+                            self._raw.get(_zero_key(self.ring.nvars), 0))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -343,7 +404,7 @@ class Polynomial(Immutable):
         ((e, c),) = mono._raw.items()
         if c == 1 and not any(e):   # 1 is the raw one of every field
             return f
-        if len(f._raw) == 1 and f._raw.get((0,) * len(e)) == 1:
+        if len(f._raw) == 1 and f._raw.get(_zero_key(len(e))) == 1:
             return mono
         if c == 1:
             return Polynomial._from_raw(self.ring, {
@@ -401,9 +462,9 @@ class Polynomial(Immutable):
         idx = {self.ring.var_index(v) for v in center_vars}
         if not idx:
             raise RingError("center must be nonempty")
-        if not self._raw:
-            return INFINITE_ORDER
-        return min(sum(e[i] for i in idx) for e in self._raw)
+        mask = [i in idx for i in range(self.ring.nvars)]   # as _chart reads
+        return min((sum(compress(e, mask)) for e in self._raw),
+                   default=INFINITE_ORDER)
 
     def initial_form(self):
         """Sum of terms of minimal total degree."""

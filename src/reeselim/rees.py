@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import compress
 from operator import itemgetter
 
 from .fields import FieldDescriptor, Immutable
 from .groebner import Ideal, buchberger, minimal_exponents, rational_zero_set
 from .hasse import diff_closure_list, hasse_derivatives
 from .poly import (_DIGITS, INFINITE_ORDER, Polynomial, RingContext,
-                   RingError, _divides, _product, _splice, grevlex_key)
+                   RingError, _chart, _degree, _divides, _product,
+                   _zero_key, grevlex_key)
 
 
 class ReesError(ValueError):
@@ -300,15 +300,11 @@ def _chart_algebra(G, center, chart_var, weighted):
     j = ring.var_index(chart_var)
     gens = []
     for g in G.generators:
-        drop = g.weight if weighted else 0
-        raw = {}
-        for e, v in g.poly._raw.items():
-            n = sum(compress(e, in_center)) - drop
-            if n < 0:
-                raise ReesError(
-                    "center is not permissible: %s has order < %d along it"
-                    % (g.poly, g.weight))
-            raw[_splice(e, j, n)] = v
+        raw = _chart(g.poly._raw, in_center, j, g.weight if weighted else 0)
+        if raw is None:
+            raise ReesError(
+                "center is not permissible: %s has order < %d along it"
+                % (g.poly, g.weight))
         # the exponent map is injective, so a nonzero g has a nonzero image,
         # and g's weight was checked when g was built
         gens.append(ReesGenerator._trusted(Polynomial._from_raw(ring, raw),
@@ -428,10 +424,10 @@ def _monomial_degree_exponents(G, k):
         kept = []
         for e, w in sorted(((next(iter(g.poly._raw)), g.weight)
                             for g in G.generators),
-                           key=lambda g: (-g[1], sum(g[0]))):
+                           key=lambda g: (-g[1], _degree(g[0]))):
             if not any(_divides(d, e) for d, _ in kept):
                 kept.append((e, w))
-        memo = (tuple(kept), (((0,) * G.ring.nvars,),))
+        memo = (tuple(kept), ((_zero_key(G.ring.nvars),),))
     kept, levels = memo
     if k < len(levels):
         return levels[k]

@@ -8,8 +8,10 @@ its level memo asked in any order, saturation against the concatenated
 closure lists, the chart transforms' distinct generators, the unchecked
 generators of saturation and the transforms against the checking
 constructor, the raw-value sums, scalings, coefficient and division
-paths against a FieldElement reference, and poly's exponent helpers, split
-and subtraction kernel against their plain definitions."""
+paths against a FieldElement reference, poly's exponent helpers, split
+and subtraction kernel against their plain definitions, and the point
+scan's fold and specialization kernels against evaluation and
+substitution."""
 import itertools
 import math
 
@@ -24,9 +26,11 @@ from reeselim import (FieldDescriptor, FieldError, Ideal,  # noqa: E402
                       degree_ideal, diff_closure_list, diff_saturate,
                       hasse_derivative, total_transform, univ_divmod,
                       weighted_transform)
-from reeselim.poly import (_divides, _lcm, _product,  # noqa: E402
-                           _quotient, _splice, _split, _subtract,
-                           _sum_of_products, formal_derivative, grevlex_key)
+from reeselim.poly import (_binomial, _box, _chart,  # noqa: E402
+                           _degree, _divides, _fold, _lcm, _product,
+                           _quotient, _specialize, _splice, _split,
+                           _subtract, _sum_of_products, _top_entry,
+                           _zero_key, formal_derivative, grevlex_key)
 from test_fields import (FOLD_FIELDS,  # noqa: E402
                          irreducible_by_trial_division)
 from test_poly import schoolbook_product  # noqa: E402
@@ -626,8 +630,10 @@ def grevlex_greater(a, b):
 @hypothesis.given(st.data())
 def test_exponent_helpers_match_their_definitions(data):
     """_product, _quotient and _lcm act entry by entry, _divides holds
-    exactly when b - a has no negative entry, _splice sets one entry, and
-    grevlex_key orders as the grevlex definition does."""
+    exactly when b - a has no negative entry, _splice sets one entry,
+    grevlex_key orders as the grevlex definition does, and _zero_key,
+    _degree, _binomial, _box, _top_entry and _chart give what the
+    expressions they stand for give."""
     n = data.draw(st.integers(1, 4))
     a, b = data.draw(exponent_vectors(n)), data.draw(exponent_vectors(n))
     assert _lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
@@ -649,6 +655,38 @@ def test_exponent_helpers_match_their_definitions(data):
     x = data.draw(exponent_entries)
     assert _splice(a, i, x) == tuple(x if j == i else y
                                      for j, y in enumerate(a))
+    zero = _zero_key(n)
+    assert zero == (0,) * n and _product(a, zero) == a
+    assert _degree(a) == sum(a) and _degree(zero) == 0
+    # with one side's entries at most 3 the binomials stay small, whichever
+    # side divides the other
+    small = data.draw(exponents_below([3] * n))
+    for beta, alpha in ((a, small), (small, a), (a, zero)):
+        assert _binomial(beta, alpha) == math.prod(
+            map(math.comb, beta, alpha))
+    # the box from its definition: each entry of alpha is below the bound;
+    # hasse passes a set of active indices, or a range for all of them
+    bound = data.draw(st.integers(0, 4))
+    active = data.draw(st.sets(st.integers(0, n - 1)))
+    for support in (active, range(n)):
+        box = [alpha for alpha in itertools.product(range(bound), repeat=n)
+               if sum(alpha) < bound
+               and all(x <= y for x, y in zip(alpha, a))
+               and all(x == 0 or j in support for j, x in enumerate(alpha))]
+        assert _box(a, bound, support) == sorted(
+            box, key=lambda alpha: (sum(alpha), alpha))
+    assert _top_entry([{a: 1}, {}, {b: 2, c: 3}]) == max(a + b + c)
+    assert _top_entry([]) == _top_entry([{}]) == 0
+    # chart keys whose degree over any centre stays below 2^31
+    in_center = [j in active for j in range(n)]
+    drop = data.draw(exponent_entries)
+    raw = {e: v for v, e in enumerate(data.draw(st.lists(
+        exponents_below([TOP_EXPONENT // n] * n), max_size=3)), 1)}
+    degrees = {e: sum(x for x, m in zip(e, in_center) if m) - drop
+               for e in raw}
+    assert _chart(raw, in_center, i, drop) == (
+        None if any(d < 0 for d in degrees.values()) else
+        {e[:i] + (degrees[e],) + e[i + 1:]: v for e, v in raw.items()})
 
 
 @SETTINGS
@@ -683,3 +721,30 @@ def test_subtract_kernel_matches_polynomial_arithmetic(data):
         assert Polynomial._from_raw(R, work) == \
             start - R.monomial(shift, c) * g
         assert all(work.values())
+
+
+SCAN_RINGS = [RINGS[spec, n] for spec in ("F2", "F3", "F4", "F9")
+              for n in (2, 3)]
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_scan_kernels_match_substitution_and_evaluation(data):
+    """With exponents up to 3q over F_q: _specialize with the power row of
+    each value a is f with its first variable set to a and projected out,
+    and _fold gives a polynomial with exponents below q and f's value at
+    every point of F_q^n."""
+    R = data.draw(st.sampled_from(SCAN_RINGS))
+    F, q = R.field, R.field.order
+    f = data.draw(polynomials(R, top=3 * q))
+    x = R.variables[0]
+    _, _, powers = F._scan_table(3 * q)
+    for a, row in zip(F.elements(), powers):
+        assert Polynomial._from_raw(R.drop_variable(x),
+                                    _specialize(F, f._raw, row)) == \
+            f.substitute({x: a}).project_out(x)
+    folded = Polynomial._from_raw(R, _fold(F, f._raw, q))
+    assert all(e < q for exps in folded._raw for e in exps)
+    for coords in itertools.product(F.elements(), repeat=R.nvars):
+        point = R.point(coords)
+        assert folded.evaluate(point) == f.evaluate(point)
