@@ -17,12 +17,12 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from operator import floordiv, mul
+from operator import mul
 
 from .fields import Immutable
 from .groebner import ResourceCapError
-from .poly import (Polynomial, RingError, _accumulate, _reduced, _split,
-                   univ_divmod)
+from .poly import (Polynomial, RingError, _accumulate, _check_key, _columns,
+                   _reduced, _split, _unit, univ_divmod)
 from .rees import (ReesAlgebra, ReesError, ReesGenerator, diff_saturate,
                    format_algebra)
 
@@ -84,26 +84,32 @@ def mult_matrix(g, f, z_var):
         raise RingError("modulus must have positive degree in %r" % z_var)
     if g.degree_in(z_var) >= c:   # a saturated g is mostly reduced already
         _, g = univ_divmod(g, f, z_var)
-    # entries are raw term maps keyed with Z's slot at 0, as poly's _split
+    # entries are raw term maps keyed with Z's entry at 0, as poly's _split
     # parts g and f.  Column j+1 is Z * (column j) mod f: shift the entries
     # up one power of Z, then replace the t*Z^c at the top by -t*(f - Z^c).
     # An entry a nonzero -f_n touches adds the products t*(-f_n) by
     # _sum_of_products's own steps, _accumulate and _reduced (in F_{p^k}, at
-    # most |t|*|f_n| + 1 summands, far inside reduce's bound).  A zero column
-    # stays zero.
+    # most |t|*|f_n| + 1 summands, far inside reduce's bound).  Each step is
+    # checked, as _sum_of_products checks its pairs, on the greatest leading
+    # key of its products.  A zero column stays zero.
     ring = f.ring
     field = ring.field
+    nvars = ring.nvars
     i = ring.var_index(z_var)
-    parts = _split(g._raw, i)
+    parts = _split(g._raw, i, nvars)
     col = [parts.get(n, {}) for n in range(c)]
     neg_low = {n: [(e, field.neg(v)) for e, v in part.items()]   # -f_n
-               for n, part in _split(f._raw, i).items() if n < c}
+               for n, part in _split(f._raw, i, nvars).items() if n < c}
+    top_low = max((max(e for e, _ in a) for a in neg_low.values()),
+                  default=0)
     columns = []
     for _ in range(c):
         columns.append([Polynomial._from_raw(ring, x) for x in col])
-        t = col[-1].items()
+        top = col[-1]
         col = [{}] + col[:-1]
-        if t:
+        if top and neg_low:
+            _check_key(max(top) + top_low, nvars)
+            t = top.items()
             for n, a in neg_low.items():
                 raw = dict(col[n])
                 _accumulate(raw, t, a)
@@ -112,8 +118,8 @@ def mult_matrix(g, f, z_var):
 
 
 def _integer_entries(A, field):
-    """Each entry of A as a list of (key, int) pairs, and D: the entries
-    are D*A over Z.  A key is t's exponent followed by the exponent tuple.
+    """Each entry of A as a list of ((j, key), int) pairs, and D: the
+    entries are D*A over Z, and (j, key) is t^j times the monomial key.
     Q scales by the lcm D of the denominators, all at t^0; a finite field
     gives one pair per nonzero digit of the value (F_p has one digit, F_{p^k}
     the k of _unpack), each a balanced residue in (-p/2, p/2] at t^j.
@@ -122,13 +128,13 @@ def _integer_entries(A, field):
     if not p:
         D = math.lcm(*{v.denominator for row in A for e in row
                        for v in e._raw.values()})
-        return [[[((0,) + x, v.numerator * (D // v.denominator))
+        return [[[((0, x), v.numerator * (D // v.denominator))
                   for x, v in e._raw.items()] for e in row] for row in A], D
     half, unpack = p >> 1, field._unpack or (lambda v: (v,))
-    digits = {v: [((j,), q - p if q > half else q)
+    digits = {v: [(j, q - p if q > half else q)
                   for j, q in enumerate(unpack(v)) if q]
               for v in {v for row in A for e in row for v in e._raw.values()}}
-    return [[[(j + x, q) for x, v in e._raw.items() for j, q in digits[v]]
+    return [[[((j, x), q) for x, v in e._raw.items() for j, q in digits[v]]
              for e in row] for row in A], 1
 
 
@@ -148,10 +154,12 @@ def char_poly(M):
     Berkowitz's division-free recursion (_berkowitz), valid in any
     characteristic, run on plain ints.  The matrix is lifted once
     (_integer_entries) and each entry packed into one int by mixed-radix
-    Kronecker substitution: the term of key e (t's exponent first) is a
-    signed digit at slot sum_j (e_j/g_j) R_j, R_j = prod_{i<j} (c*d_i + 1),
-    where g_i is the gcd of coordinate i's exponents in the entries (y^g ->
-    y embeds the polynomials in y^g) and d_i the largest of them over g_i.
+    Kronecker substitution: the term t^j x^e is a signed digit at slot
+    sum_i (e_i/g_i) R_i over t and the variables the entries use (t's
+    exponent first, each distinct monomial key read once by poly's
+    _columns), R_i = prod_{k<i} (c*d_k + 1), where g_i is the gcd of
+    coordinate i's exponents in the entries (y^g -> y embeds the
+    polynomials in y^g) and d_i the largest of them over g_i.
     Substitution is a ring homomorphism and ints are exact, so
     intermediates may carry freely; an output decodes uniquely once its
     exponents fit their slots (h_i is a sum of products of i <= c entries)
@@ -161,7 +169,9 @@ def char_poly(M):
     a signed sum of principal i-minors.  One decode loop serves every
     field: a monomial's t-digits are one group, one step per nonzero group
     or run of zero ones, and a group is one coefficient, divided exactly by
-    D^i over Q or sum_j (digit_j mod p) t^(j*g_t) reduced once.  The packed
+    D^i over Q or sum_j (digit_j mod p) t^(j*g_t) reduced once, and a
+    monomial's key is sum_i e_i * (the key of x_i), checked on each output's
+    leading key.  The packed
     length w * slots grows with the entries' degrees however sparse they
     are; above _PACKED_BITS_CAP it raises ResourceCapError before any
     product.
@@ -180,7 +190,12 @@ def char_poly(M):
         rho = sum(abs(v) for entry in row for _, v in entry)
         esym = [a + b * rho for a, b in zip(esym, [0] + esym)]
     w = max(esym).bit_length() + 1
-    cols = list(zip(*keys))
+    # t's exponents, then the entries of the variables the keys use, each
+    # distinct monomial key read once
+    n = ring.nvars
+    monos = list({x for _, x in keys})
+    used = _columns(monos, n)
+    cols = [[j for j, _ in keys], *used.values()]
     gs = [math.gcd(*col) or 1 for col in cols]
     radices, slots = [], 1
     for d, g in zip(map(max, cols), gs):
@@ -191,7 +206,11 @@ def char_poly(M):
                                "(packed entries of %d bits > cap %d)"
                                % (w * slots, _PACKED_BITS_CAP))
     shifts = [w * r for r, _, _ in radices]
-    shift = {x: sum(map(mul, map(floordiv, x, gs), shifts)) for x in keys}
+    packed = [0] * len(monos)   # each monomial's shift, variable by variable
+    for col, g, t in zip(cols[1:], gs[1:], shifts[1:]):
+        packed = [a + e // g * t for a, e in zip(packed, col)]
+    mono = dict(zip(monos, packed))
+    shift = {(j, x): j // gs[0] * shifts[0] + mono[x] for j, x in keys}
     h = _berkowitz([[sum(v << shift[x] for x, v in entry) for entry in row]
                     for row in entries])
 
@@ -199,8 +218,10 @@ def char_poly(M):
     # and xor with it leaves a zero digit wherever the output's is zero
     half, mask, top = 1 << (w - 1), (1 << w) - 1, 1 << w * slots
     bias = (top - 1) // mask * half
+    # the key of an output monomial is sum_i e_i * unit_i, e_i = digit * g_i
     (_, nt, gt), *radices = radices
-    radices = [(r // nt, n, g) for r, n, g in radices]
+    radices = [(r // nt, m, g * _unit(i, n))
+               for i, (r, m, g) in zip(used, radices)]
     tpow = _t_powers(field, (nt - 1) * gt + 1)
     p, gw = field.p, w * nt
     gmask = (1 << gw) - 1
@@ -226,13 +247,15 @@ def char_poly(M):
                         j += 1
                     a = field.reduce(acc)
                 if a:
-                    raw[tuple([m // r % n * g for r, n, g in radices])] = a
+                    raw[sum([m // r % d * u for r, d, u in radices])] = a
                 x >>= gw
                 m += 1
             else:   # skip the run of zero groups up to the next nonzero one
                 z = ((x & -x).bit_length() - 1) // gw
                 x >>= gw * z
                 m += z
+        if raw:
+            _check_key(max(raw), n)
         out.append(Polynomial._from_raw(ring, raw))
     return out
 
@@ -280,9 +303,10 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
     Relative diff-saturation in z_var first; then every saturated generator
     (g, n) is reduced mod f and contributes the coefficients h_j of the
     characteristic polynomial of multiplication-by-g, at weight j*n.
-    Generators reducing to zero contribute nothing.  Saturation emits a
-    polynomial again at each lower weight, so each distinct g gets one
-    multiplication matrix and one char poly per call.  Before any
+    Generators reducing to zero contribute nothing; f itself is one, and
+    gets no matrix.  Saturation emits a polynomial again at each lower
+    weight, so each other distinct g gets one multiplication matrix and one
+    char poly per call.  Before any
     saturation, a weight above CHARPOLY_DEGREE_CAP raises ResourceCapError
     and a z_var that is the ring's only variable RingError.
     """
@@ -305,7 +329,8 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
         G = ReesAlgebra(ring, G.generators + (f_gen,))
     sat = diff_saturate(G, {z_var})
     found = {}   # (h_j projected, weight) -> (g, weight of g, j), first source
-    coeffs = {}   # g -> its (j, nonzero h_j projected), () if g = 0 mod f
+    # g -> its (j, nonzero h_j projected), () if g = 0 mod f, as f itself is
+    coeffs = {f: ()}
     for g in sat.generators:
         hs = coeffs.get(g.poly)
         if hs is None:

@@ -6,12 +6,15 @@ the S-polynomials are reduced by the basis built so far, and only a
 nonzero remainder joins it, so an input already in the ideal makes no
 pair.  S-pairs are pruned once, when an element joins the basis, by the
 Gebauer-Moeller update (Becker-Weispfenning's UPDATE).  Reduction and the
-S-polynomials run on raw term maps by poly's kernel ``_subtract``, and
-every exponent vector comes from poly's helpers; each divisor caches its
-leading monomial, inverse leading coefficient and raw terms.  The reduced
-basis is unique, so none of this changes an answer.  A hard cap on
-the basis size, ``BASIS_CAP``, checked on every element added, turns
-runaway computations into a clean error that reports the progress made.
+S-polynomials run on raw term maps by poly's kernel ``_subtract``.  A
+monomial is poly's int key, whose int order is grevlex: a leading
+monomial is the greatest key, and divisibility is one guard-bit test.
+Each divisor caches its leading key, inverse leading coefficient and raw
+terms, and buchberger keeps those of its live divisors in one list, which
+normal_form takes with no checks.  The reduced basis is unique, so none of
+this changes an answer.  A hard cap on the basis size, ``BASIS_CAP``,
+checked on every element added, turns runaway computations into a clean
+error that reports the progress made.
 
 Every Groebner basis comes from ``buchberger``, tau's linear ones too.  Its
 one shortcut is a basis the ideal carries (``rees.degree_ideal``'s minimal
@@ -23,11 +26,12 @@ that fixes one coordinate at a time and abandons a branch as soon as a
 generator specializes to a nonzero constant.  It first folds every
 exponent e >= q to (e - 1) mod (q - 1) + 1 (x^q = x on F_q), so it reads
 powers below q only, from the table the field keeps
-(``FieldDescriptor._scan_table``).  It folds and specializes raw values
-by poly's kernels ``_fold`` and ``_specialize``, which reduce once per
-output coefficient; only the emitted points hold FieldElements.  The
-branches of each scan, the ramification check's included, count against
-``SCAN_BUDGET``; exceeding it raises ``ResourceCapError`` (CLI exit 3).
+(``FieldDescriptor._scan_table``).  It folds raw values by poly's kernel
+``_fold``, then specializes them, keyed by ``_fields``' entry fields, by
+``_specialize``; both reduce once per output coefficient, and only the
+emitted points hold FieldElements.  The branches of each scan, the
+ramification check's included, count against ``SCAN_BUDGET``; exceeding
+it raises ``ResourceCapError`` (CLI exit 3).
 A generator a*X + b in the next coordinate X alone pins X to -b/a, so
 only that value is visited; the values it skips still count, one branch
 each, so the cap falls exactly where visiting every value of the folded
@@ -38,9 +42,9 @@ from __future__ import annotations
 import heapq
 
 from .fields import FieldElement, Immutable
-from .poly import (Polynomial, RationalPoint, RingError, _divides, _fold,
-                   _lcm, _product, _quotient, _specialize, _splice,
-                   _subtract, _top_entry, _zero_key, grevlex_key)
+from .poly import (Polynomial, RationalPoint, RingError, _check_key,
+                   _divides, _fields, _fold, _guard, _lcm, _specialize,
+                   _subtract, _top_entry)
 
 BASIS_CAP = 10_000
 SCAN_BUDGET = 10**6
@@ -96,37 +100,51 @@ class GroebnerBasis(Immutable):
 
 
 def _lead(g):
-    """(lm, raw inverse of lc, raw non-leading terms) of a nonzero g: what
-    reducing by g needs.  Cached on first use, like the leading monomial."""
+    """(leading key, raw inverse of lc, raw non-leading terms) of a nonzero
+    g: what reducing by g needs.  Cached on first use."""
     lead = getattr(g, "_lead", None)
     if lead is None:
-        lm = g.leading_monomial()
+        lm = max(g._raw)
         lead = (lm, g.ring.field.inv(g._raw[lm]),
                 [(e, v) for e, v in g._raw.items() if e != lm])
         object.__setattr__(g, "_lead", lead)
     return lead
 
 
+class _Leads(list):
+    """The _lead triples of nonzero divisors in one ring, gathered by
+    buchberger from its own basis, so that normal_form takes them in place
+    of a basis with no checks."""
+
+    __slots__ = ()
+
+
 def normal_form(f, basis):
     """Remainder of f on full reduction by the basis (a list of nonzero
-    polynomials in f's ring), on raw term maps."""
+    polynomials in f's ring, or buchberger's _Leads), on raw term maps.
+    Each step takes the greatest key left and the first divisor whose
+    leading key divides it, by the guard-bit test."""
     ring = f.ring
-    for i, g in enumerate(basis):
-        if g.ring != ring:
-            raise RingError("ring mismatch")
-        if not g._raw:
-            raise RingError("divisor %d of the basis is zero" % i)
+    if isinstance(basis, _Leads):
+        leads = basis
+    else:
+        for i, g in enumerate(basis):
+            if g.ring != ring:
+                raise RingError("ring mismatch")
+            if not g._raw:
+                raise RingError("divisor %d of the basis is zero" % i)
+        leads = [_lead(g) for g in basis]
     field = ring.field
-    leads = [_lead(g) for g in basis]
+    mul = field.mul
+    guard = _guard(ring.nvars)
     work = dict(f._raw)
     remainder = {}
     while work:
-        lm = max(work, key=grevlex_key)
+        lm = max(work)
         lc = work.pop(lm)
         for glm, ginv, tail in leads:
-            if _divides(glm, lm):
-                _subtract(field, work, _quotient(lm, glm),
-                          field.mul(lc, ginv), tail)
+            if glm - lm + guard & guard == guard:
+                _subtract(field, work, lm - glm, mul(lc, ginv), tail)
                 break
         else:
             remainder[lm] = lc
@@ -147,12 +165,14 @@ def buchberger(ideal):
         return GroebnerBasis(ideal, carried)
     ring = ideal.ring
     field = ring.field
+    nvars, guard = ring.nvars, _guard(ring.nvars)
     one = field.one().val
     minus_one = field.neg(one)
     basis = []  # monic, in the order they were added
-    lms = []    # their leading monomials
+    lms = []    # their leading keys
     live = []   # indices of the elements that take new pairs and reduce
-    heap = []   # [grevlex key of the lcm, i, j, lcm, dropped], i < j
+    leads = _Leads()   # their _lead triples, in the same order
+    heap = []   # [the lcm's key, i, j, dropped], i < j
     reductions = 0
 
     def update(h):
@@ -162,30 +182,31 @@ def buchberger(ideal):
         element with those whose leading monomial lm(h) divides."""
         lm_h = lms[h]
         for pair in heap:
-            _, i, j, lcm, dropped = pair
-            if (not dropped and _divides(lm_h, lcm)
-                    and lcm != _lcm(lms[i], lm_h)
-                    and lcm != _lcm(lms[j], lm_h)):
-                pair[4] = True
-        lcms = [_lcm(lms[g], lm_h) for g in live]
+            lcm, i, j, dropped = pair
+            if (not dropped and _divides(lm_h, lcm, guard)
+                    and lcm != _lcm(lms[i], lm_h, nvars)
+                    and lcm != _lcm(lms[j], lm_h, nvars)):
+                pair[3] = True
+        lcms = [_lcm(lms[g], lm_h, nvars) for g in live]
         kept = []   # lcms of the new pairs kept
         for n, g in enumerate(live):
             lcm = lcms[n]
             # coprime: the S-polynomial reduces to zero, and lcm divides no
             # other new lcm, as no live leading monomial divides another
-            if lcm == _product(lms[g], lm_h):
+            if lcm == lms[g] + lm_h:
                 continue
-            if not any(_divides(m, lcm) for m in kept + lcms[n + 1:]):
+            if not any(_divides(m, lcm, guard) for m in kept + lcms[n + 1:]):
                 kept.append(lcm)
-                heapq.heappush(heap, [grevlex_key(lcm), g, h, lcm, False])
-        live[:] = [g for g in live if not _divides(lm_h, lms[g])]
+                heapq.heappush(heap, [lcm, g, h, False])
+        live[:] = [g for g in live if not _divides(lm_h, lms[g], guard)]
         live.append(h)
+        leads[:] = [_lead(basis[g]) for g in live]
 
     def insert(g):
         """Reduce g by the live elements; a nonzero remainder joins the
         basis monic, under the cap, and updates the pairs."""
         nonlocal reductions
-        g = normal_form(g, [basis[i] for i in live])
+        g = normal_form(g, leads)
         reductions += 1
         if g.is_zero():
             return
@@ -195,36 +216,39 @@ def buchberger(ideal):
                 "Groebner basis reached %d elements > cap %d after %d "
                 "reductions, %d pairs pending"
                 % (len(basis), BASIS_CAP, reductions,
-                   sum(not pair[4] for pair in heap)))
-        lms.append(basis[-1].leading_monomial())
+                   sum(not pair[3] for pair in heap)))
+        lms.append(max(basis[-1]._raw))
         update(len(basis) - 1)
 
     # a duplicate input, or one already in the ideal of those before it,
     # reduces to zero and makes no pair
-    for g in sorted(ideal.generators,
-                    key=lambda g: grevlex_key(g.leading_monomial())):
+    for g in sorted(ideal.generators, key=lambda g: max(g._raw)):
         insert(g)
     while heap:
-        _, i, j, lcm, dropped = heapq.heappop(heap)
+        lcm, i, j, dropped = heapq.heappop(heap)
         if dropped:
             continue
         # the basis is monic, so the S-polynomial is x^a*tail_i - x^b*tail_j
         lf, _, tf = _lead(basis[i])
         lg, _, tg = _lead(basis[j])
         s = {}
-        _subtract(field, s, _quotient(lcm, lf), minus_one, tf)
-        _subtract(field, s, _quotient(lcm, lg), one, tg)
+        _subtract(field, s, lcm - lf, minus_one, tf)
+        _subtract(field, s, lcm - lg, one, tg)
+        if s:
+            _check_key(max(s), nvars)
         insert(Polynomial._from_raw(ring, s))
     return GroebnerBasis(ideal, _interreduce([basis[g] for g in live]))
 
 
-def minimal_exponents(exps):
-    """The distinct exponent vectors not divisible by another one, in
-    increasing grevlex order: the minimal generators of a monomial ideal."""
+def minimal_exponents(keys, n):
+    """The distinct monomial keys, in n variables, not divisible by another
+    one, in increasing (grevlex) order: the minimal generators of a monomial
+    ideal."""
+    guard = _guard(n)
     kept = []
     # a proper divisor has smaller total degree, so it is kept first
-    for e in sorted(set(exps), key=grevlex_key):
-        if not any(_divides(d, e) for d in kept):
+    for e in sorted(set(keys)):
+        if not any(d - e + guard & guard == guard for d in kept):
             kept.append(e)
     return kept
 
@@ -233,10 +257,11 @@ def _interreduce(live):
     # no live leading monomial divides another (each joins reduced by the
     # live ones, and update drops those its own divides), so fully reducing
     # each monic element by the others keeps its leading term and the order
-    live = sorted(live, key=lambda g: grevlex_key(g.leading_monomial()))
+    live = sorted(live, key=lambda g: max(g._raw))
     if len(live) < 2:
         return live
-    return [normal_form(g, live[:i] + live[i + 1:])
+    leads = [_lead(g) for g in live]
+    return [normal_form(g, _Leads(leads[:i] + leads[i + 1:]))
             for i, g in enumerate(live)]
 
 
@@ -290,16 +315,15 @@ def rational_zero_set(ideal):
             "point scan exceeds budget %d: the first of %d coordinates "
             "alone has %d values" % (SCAN_BUDGET, nvars, q))
     gens = [g._raw for g in ideal.generators]
-    top = _top_entry(gens)
+    top = _top_entry(gens, nvars)
     if top >= q:
-        gens = [t for t in (_fold(field, t, q) for t in gens) if t]
-        top = _top_entry(gens)
+        gens = [t for t in (_fold(field, t, q, nvars) for t in gens) if t]
+        top = _top_entry(gens, nvars)
     # powers[i][e] == raw[i]**e for e <= top
     raw, index, powers = field._scan_table(top)
     mul, neg, inv = field.mul, field.neg, field.inv
-    # the keys of X and of 1 at each level, and of 1 once X is fixed
-    zeros = [_zero_key(nvars - fixed) for fixed in range(nvars + 1)]
-    keys = [(_splice(a, 0, 1), a, b) for a, b in zip(zeros, zeros[1:])]
+    # keyed by entry fields: X is 1 and the monomial 1 is 0 at every level
+    gens = [_fields(t, nvars) for t in gens]
     points = set()
     prefix = []
     visited = 0
@@ -319,11 +343,10 @@ def rational_zero_set(ideal):
             points.add(RationalPoint(
                 ring, [FieldElement(field, v) for v in prefix]))
             return
-        x, constant, zero = keys[fixed]
         root = None
         for t in gens:
-            if x in t and (len(t) == 1 or len(t) == 2 and constant in t):
-                root = index[mul(neg(t.get(constant, 0)), inv(t[x]))]
+            if 1 in t and (len(t) == 1 or len(t) == 2 and 0 in t):
+                root = index[mul(neg(t.get(0, 0)), inv(t[1]))]
                 break
         if root is None:
             values = range(q)
@@ -336,7 +359,7 @@ def rational_zero_set(ideal):
             special = []
             for t in gens:
                 s = _specialize(field, t, row)
-                if len(s) == 1 and zero in s:
+                if len(s) == 1 and 0 in s:
                     break   # a nonzero constant: no point on this branch
                 if s:
                     special.append(s)

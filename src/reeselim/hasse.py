@@ -7,10 +7,12 @@ the operators are correct in every characteristic.  `hasse_derivatives`
 builds a whole table in one pass over the support of f: each term x^beta
 feeds Delta^alpha for every alpha <= beta it reaches.
 
-Which alpha a term x^beta reaches, the shifted exponent beta - alpha and
-the integer binomial depend on exponents alone, so `_shifts` keeps them in
-one bounded table per (beta, n, active set), shared by every field; each
-call still reduces the binomial into its own field.
+Which alpha a term x^beta reaches, the shifted key beta - alpha and the
+integer binomial depend on exponents alone, so `_shifts` keeps them in one
+bounded table per (beta, n, active set, number of variables), shared by
+every field; each call still reduces the binomial into its own field.
+Terms are keyed by poly's int monomial keys, and multi-indices are
+exponent tuples, the public form.
 """
 from __future__ import annotations
 
@@ -18,17 +20,17 @@ from functools import lru_cache
 
 from .fields import FieldElement
 from .poly import (Polynomial, RingError, _binomial, _box, _degree,
-                   _quotient, _splice, _zero_key)
+                   _divides, _exps, _fits, _guard, _key, _zero_exps)
 
 
 def normalize_multiindex(ring, alpha):
     """Accept a full exponent tuple or a {variable: exponent} dict of
     non-negative ints (a bool counts as an int)."""
     if isinstance(alpha, dict):
-        exps = _zero_key(ring.nvars)
+        exps = [0] * ring.nvars
         for name, e in alpha.items():
-            exps = _splice(exps, ring.var_index(name), e)
-        alpha = exps
+            exps[ring.var_index(name)] = e
+        alpha = tuple(exps)
     else:
         alpha = tuple(alpha)
         if len(alpha) != ring.nvars:
@@ -51,28 +53,35 @@ def _term_coefficient(field, v, binom):
 
 
 def hasse_derivative(f, alpha):
-    """Delta^alpha(f): the coefficient of T^alpha in f(x + T)."""
+    """Delta^alpha(f): the coefficient of T^alpha in f(x + T).  A term's
+    binomial is computed only once alpha divides it."""
     ring = f.ring
     alpha = normalize_multiindex(ring, alpha)
+    n = ring.nvars
     field = ring.field
+    a = _key(alpha)
+    if not _fits(a, n):   # |alpha| >= 2^31: no term reaches it
+        return ring.zero()
+    guard = _guard(n)
     raw = {}
     for beta, v in f._raw.items():
-        binom = _binomial(beta, alpha)   # 0 unless alpha <= beta
-        if binom and (v := _term_coefficient(field, v, binom)):
+        if _divides(a, beta, guard) and (v := _term_coefficient(
+                field, v, _binomial(beta, alpha))):
             # beta -> beta - alpha is injective: no two terms share a key
-            raw[_quotient(beta, alpha)] = v
+            raw[beta - a] = v
     return Polynomial._from_raw(ring, raw)
 
 
 @lru_cache(maxsize=1024)
-def _shifts(beta, n, active_idx):
+def _shifts(beta, n, active_idx, nvars):
     """(alpha, beta - alpha, prod C(beta_i, alpha_i)) for every nonzero
     alpha <= beta with |alpha| < n, supported on active_idx (a frozenset or
     a range, so that it can key the cache), in the order of poly's _box:
-    by increasing |alpha| and then lexicographically.  The binomials are
-    exact integers, the same for every field."""
-    return tuple((alpha, _quotient(beta, alpha), _binomial(beta, alpha))
-                 for alpha in _box(beta, n, active_idx)[1:])
+    by increasing |alpha| and then lexicographically.  beta is a key in
+    nvars variables, beta - alpha too, and alpha an exponent tuple.  The
+    binomials are exact integers, the same for every field."""
+    return tuple((alpha, beta - _key(alpha), _binomial(beta, alpha))
+                 for alpha in _box(_exps(beta, nvars), n, active_idx)[1:])
 
 
 def hasse_derivatives(f, n, active=None):
@@ -92,17 +101,18 @@ def hasse_derivatives(f, n, active=None):
         active_idx = range(ring.nvars)
     else:
         active_idx = frozenset(ring.var_index(v) for v in active)
+    nvars = ring.nvars
     # Delta^0 f is f itself, and it comes first
-    out = {_zero_key(ring.nvars): f} if f._raw and n >= 1 else {}
+    out = {_zero_exps(nvars): f} if f._raw and n >= 1 else {}
     if len(f._raw) == 1:
         (beta, v), = f._raw.items()
-        for alpha, shifted, binom in _shifts(beta, n, active_idx):
+        for alpha, shifted, binom in _shifts(beta, n, active_idx, nvars):
             if c := _term_coefficient(field, v, binom):
                 out[alpha] = Polynomial._from_raw(ring, {shifted: c})
         return out
     table = {}
     for beta, v in f._raw.items():
-        for alpha, shifted, binom in _shifts(beta, n, active_idx):
+        for alpha, shifted, binom in _shifts(beta, n, active_idx, nvars):
             if c := _term_coefficient(field, v, binom):
                 # beta -> beta - alpha is injective for a fixed alpha
                 table.setdefault(alpha, {})[shifted] = c

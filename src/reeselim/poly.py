@@ -1,22 +1,44 @@
 """Sparse multivariate polynomials over an exact field, plus the univariate
 toolkit (division, gcd, radical) used by the ramification oracle.
 
-Terms are kept in a dict keyed by exponent tuples, with the field's
+Terms are kept in a dict keyed by one int per monomial, with the field's
 canonical nonzero raw values, so equal polynomials have equal maps.
 FieldElements are built only at the API boundary (`.terms` wraps the raw
 map lazily); arithmetic hands its zero-free raw maps to `_from_raw`.
 
-This is the one module that builds and reads exponent vectors, by
-`grevlex_key` (the only order: grevlex over the declared variables),
-`_divides`, `_product`, `_quotient`, `_lcm`, `_splice` (one entry set),
-`_zero_key`, `_degree`, `_top_entry` and Hasse's `_binomial` and `_box`,
-and that holds the raw term-map kernels: `_accumulate` (products summed
-unreduced), `_reduced` (each value reduced once, zeros dropped),
-`_sum_of_products` (the two over f_1*g_1 + ... + f_n*g_n), Groebner's
-`_subtract` (work -= c*x^shift*tail), `_split` (by one variable's
-exponent), the scan's `_fold` (x^q = x) and `_specialize` (first variable
-set), and the transforms' `_chart`.  Other modules call these, or read
-`.terms` and use public constructors; only elim's char_poly keys remain.
+The key of x^e in n variables is |e|*2^(32n) - sum_i e_i*2^(32i), the
+packed exponent vectors of Monagan & Pearce 2007, one 32-bit field per
+entry under the total degree.  Every key has total degree |e| below 2^31,
+so every entry is too.  Then
+  - int order is grevlex, the only order (the total degree first, then
+    the smaller last entry), so a leading monomial is the greatest key;
+  - x^a*x^b is a + b and x^b/x^a is b - a, and the monomial 1 is 0 in
+    every ring;
+  - x^a divides x^b iff (a - b + G) & G == G, G = sum_i 2^(32i+31);
+  - entry i is (-key >> 32i) & (2^32 - 1).
+Two entries below 2^31 never carry, so a sum of keys is exact even when
+its degree reaches 2^31; every polynomial built is checked once, on its
+leading key (the constructor, each product as the sum of the two leading
+keys, powers, Groebner's S-polynomials, the charts, degree ideals'
+monomial levels, and elim's companion steps and decode).  A total degree
+of 2^31 or more raises RingError; it never wraps.
+
+The boundary keeps exponent tuples: the constructor and
+`RingContext.monomial` take them, `.terms` and `leading_monomial()` give
+them, the parser and `format_polynomial` read and print them, and Hasse
+multi-indices are tuples.  This is the one module that packs and reads
+keys: `_key` and `_exps` convert, `_entry`, `_columns`, `_unit`, `_guard`,
+`_divides`, `_lcm`, `_center_mask`, `_fits`, `_check_key` and `_top_entry`
+read and build them, and `_degree`, `_zero_exps`, `_binomial` and `_box`
+serve Hasse's multi-indices.  It holds the raw term-map kernels:
+`_accumulate` (products summed unreduced), `_reduced` (each value reduced
+once, zeros dropped), `_sum_of_products` (the two over f_1*g_1 + ... +
+f_n*g_n), Groebner's `_subtract` (work -= c*x^shift*tail), `_split` (by
+one variable's exponent), the scan's `_fold` (x^q = x), `_fields` (its
+view of the keys) and `_specialize` (first variable set), and the
+transforms' `_chart`.  Other modules call these, or read `.terms` and use public
+constructors; groebner and rees add, subtract and compare keys, and elim's
+char_poly lifts and decodes them.
 
 Substitution, the parser's sums and products of two multi-term factors
 call `_sum_of_products`.  Coefficient arithmetic is the fields module's
@@ -28,15 +50,17 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from itertools import compress, product
+from functools import cache
+from itertools import product
 from math import comb, prod
-from operator import add, le, sub
 from types import MappingProxyType
 
 from .fields import FieldElement, Immutable, _power
 
 INFINITE_ORDER = math.inf
-_degree = sum   # |e|, the total degree of x^e (an alias: no frame as a key)
+_degree = sum   # |alpha| of an exponent tuple, Hasse's multi-indices
+_MASK = (1 << 32) - 1   # one entry's field of a key
+_MAX_DEGREE = (1 << 31) - 1   # the largest total degree of a key
 # a variable name: the one pattern RingContext accepts and the parser reads
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 # a number: ASCII digits only, in the parser, a gen: weight and a field
@@ -95,16 +119,16 @@ class RingContext(Immutable):
         return Polynomial._from_raw(self, {})
 
     def one(self):
-        # 1 is the raw one of every field, as in var
-        return Polynomial._from_raw(self, {_zero_key(self.nvars): 1})
+        # 1 is the raw one of every field, as in var; the monomial 1 is key 0
+        return Polynomial._from_raw(self, {0: 1})
 
     def constant(self, value):
         v = self.coeff(value).val
-        return Polynomial._from_raw(self, {_zero_key(self.nvars): v} if v else {})
+        return Polynomial._from_raw(self, {0: v} if v else {})
 
     def var(self, name):
-        e = _splice(_zero_key(self.nvars), self.var_index(name), 1)
-        return Polynomial._from_raw(self, {e: 1})
+        return Polynomial._from_raw(
+            self, {_unit(self.var_index(name), self.nvars): 1})
 
     def monomial(self, exps, coeff=1):
         exps = tuple(exps)
@@ -134,57 +158,132 @@ class RingContext(Immutable):
 
 
 def grevlex_key(exps):
-    """Sort key: bigger key means bigger monomial in grevlex."""
+    """Sort key of an exponent tuple: bigger key means bigger monomial in
+    grevlex, the order of the int keys."""
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-def _divides(a, b):
-    """Whether the monomial x^a divides x^b."""
-    return all(map(le, a, b))
+def _key(e):
+    """The key of the exponent tuple e: |e|*2^(32n) - sum_i e_i*2^(32i).
+    Exact for entries of any size, so an e of total degree 2^31 or more
+    gives a key that _check_key refuses."""
+    low = 0
+    for x in reversed(e):
+        low = (low << 32) + x
+    return (sum(e) << 32 * len(e)) - low
 
 
-def _product(a, b):
-    """The exponents of x^a * x^b."""
-    return tuple(map(add, a, b))
+def _exps(k, n):
+    """The exponent tuple of the key k in n variables."""
+    m = -k
+    return tuple([m >> s & _MASK for s in range(0, 32 * n, 32)])
 
 
-def _quotient(b, a):
-    """The exponents of x^b / x^a, for x^a dividing x^b."""
-    return tuple(map(sub, b, a))
-
-
-def _lcm(a, b):
-    """The exponents of lcm(x^a, x^b)."""
-    return tuple(map(max, a, b))
-
-
-def _splice(e, i, x):
-    """The exponents e with entry i set to x."""
-    return e[:i] + (x,) + e[i + 1:]
-
-
-def _zero_key(n):
-    """The exponents of the monomial 1 in n variables."""
+def _zero_exps(n):
+    """The exponent tuple of the monomial 1 in n variables."""
     return (0,) * n
 
 
+def _entry(k, i):
+    """Entry i of the key k."""
+    return -k >> 32 * i & _MASK
+
+
+def _columns(keys, n):
+    """{i: [entry i of each of the keys]} for each i < n where some key has
+    a nonzero entry: the variables the keys use."""
+    neg = [-k for k in keys]
+    used = 0
+    for m in neg:
+        used |= m   # the low 32n bits of -k hold its entries
+    return {i: [m >> s & _MASK for m in neg]
+            for i, s in enumerate(range(0, 32 * n, 32)) if used >> s & _MASK}
+
+
+def _unit(i, n):
+    """The key of the variable x_i in n variables; x_i^d is d times it."""
+    return (1 << 32 * n) - (1 << 32 * i)
+
+
+@cache
+def _ones(n):
+    """sum_i 2^(32i) over the n entries' fields."""
+    return ((1 << 32 * n) - 1) // _MASK
+
+
+def _guard(n):
+    """The guard bits G = sum_i 2^(32i+31) in n variables: x^a divides x^b
+    iff (a - b + G) & G == G, since each entry's field then holds
+    b_i - a_i + 2^31, which has bit 31 set iff b_i >= a_i."""
+    return _ones(n) << 31
+
+
+def _lcm(a, b, n):
+    """The key of lcm(x^a, x^b) in n variables, field by field: the guard
+    bits of a - b + G pick the fields where b's entry is the larger, and
+    |lcm| = |a| + |b| - |gcd|, whose digit sum cannot carry."""
+    g, s, full = _guard(n), 32 * n, (1 << 32 * n) - 1
+    pick = ((a - b + g & g) >> 31) * _MASK   # b_i >= a_i: b's field
+    sa, sb = -a, -b
+    low = (sa & pick | sb & ~pick) & full
+    degree = (-(sa >> s) - (sb >> s)
+              - (low * _ones(n) >> s - 32 & _MASK))
+    return (degree << s) - ((sb & pick | sa & ~pick) & full)
+
+
+def _divides(a, b, guard):
+    """Whether x^a divides x^b, with guard = _guard(n) of their ring."""
+    return a - b + guard & guard == guard
+
+
+def _fits(k, n):
+    """Whether the key k in n variables has total degree below 2^31: then,
+    and only then, k is at most (2^31 - 1)*2^(32n), however large the
+    entries it was packed from."""
+    return k <= _MAX_DEGREE << 32 * n
+
+
+def _check_key(k, n):
+    """Refuse the key k in n variables unless its total degree is below
+    2^31."""
+    if not _fits(k, n):
+        raise RingError("total degree reaches the limit 2^31")
+
+
+def _center_mask(indices, n):
+    """The entries at the given indices, as a mask on -key."""
+    return sum(_MASK << 32 * i for i in indices)
+
+
+def _center_degree(k, mask, n):
+    """The sum of the entries of k that mask keeps: one product by
+    sum_i 2^(32i) sums them in the top field, and no field carries, since
+    every partial sum is at most |e| < 2^31."""
+    return (-k & mask) * _ones(n) >> 32 * (n - 1) & _MASK
+
+
 def _binomial(beta, alpha):
-    """prod_i C(beta_i, alpha_i): 0, none computed, unless alpha <= beta."""
-    return prod(map(comb, beta, alpha)) if all(map(le, alpha, beta)) else 0
+    """prod_i C(beta_i, alpha_i) for the key beta and the exponent tuple
+    alpha, reading only the entries where alpha is nonzero: 0 unless
+    alpha <= beta."""
+    return prod([comb(-beta >> 32 * i & _MASK, x)
+                 for i, x in enumerate(alpha) if x])
 
 
 def _box(beta, n, active):
     """The alpha <= beta with |alpha| < n, zero outside the indices in active,
-    by increasing |alpha|, then lexicographically (as product yields them)."""
+    by increasing |alpha|, then lexicographically (as product yields them),
+    as exponent tuples."""
     tops = [min(b, n - 1) + 1 if i in active else 1
             for i, b in enumerate(beta)]
     return sorted([alpha for alpha in product(*map(range, tops))
                    if sum(alpha) < n], key=sum)
 
 
-def _top_entry(raws):
+def _top_entry(raws, n):
     """The largest entry of any key of the raw term maps, 0 if none."""
-    return max((max(e) for raw in raws for e in raw), default=0)
+    return max((max(col) for col in _columns(
+        [k for raw in raws for k in raw], n).values()), default=0)
 
 
 class RationalPoint(Immutable):
@@ -225,7 +324,7 @@ def _accumulate(raw, terms, other):
     in other (in F_{p^k} a product is the unreduced convolution)."""
     for e1, v1 in terms:
         for e2, v2 in other:
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
             raw[e] = raw.get(e, 0) + v1 * v2
 
 
@@ -237,10 +336,14 @@ def _reduced(field, raw):
 
 def _sum_of_products(ring, pairs):
     """f_1*g_1 + ... + f_n*g_n for the (f_i, g_i) in pairs, all in ring: one
-    _accumulate per pair, then one _reduced."""
+    _accumulate per pair, each checked on its leading key, then one
+    _reduced."""
     raw = {}
+    n = ring.nvars
     for f, g in pairs:
-        _accumulate(raw, f._raw.items(), g._raw.items())
+        if f._raw and g._raw:
+            _check_key(max(f._raw) + max(g._raw), n)
+            _accumulate(raw, f._raw.items(), g._raw.items())
     return Polynomial._from_raw(ring, _reduced(ring.field, raw))
 
 
@@ -249,7 +352,7 @@ def _subtract(field, work, shift, c, tail):
     mul, plus = field.mul, field.add
     c = field.neg(c)
     for e, v in tail:
-        e = tuple(map(add, e, shift))
+        e += shift
         t = mul(c, v)
         old = work.get(e)
         if old is not None:
@@ -260,54 +363,73 @@ def _subtract(field, work, shift, c, tail):
         work[e] = t
 
 
-def _split(raw, i):
-    """{d: the raw map of the terms whose entry i is d, with it set to 0}."""
+def _split(raw, i, n):
+    """{d: the raw map of the terms whose entry i is d, with it set to 0},
+    for keys in n variables."""
     parts = {}
+    unit = _unit(i, n)
     for e, v in raw.items():
-        parts.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = v
+        d = -e >> 32 * i & _MASK
+        parts.setdefault(d, {})[e - d * unit] = v
     return parts
 
 
-def _fold(field, terms, q):
+def _fold(field, terms, q, n):
     """The raw term map of the same function on F_q^n with every exponent
     e >= q lowered to (e - 1) mod (q - 1) + 1, since x^q = x on F_q, merged
     terms reduced once.  A positive exponent stays positive, so 0^e keeps
     its value."""
     out = {}
     for e, c in terms.items():
-        e = tuple(d if d < q else (d - 1) % (q - 1) + 1 for d in e)
+        e = _key(tuple(d if d < q else (d - 1) % (q - 1) + 1
+                       for d in _exps(e, n)))
         out[e] = out.get(e, 0) + c
     return _reduced(field, out)
 
 
+def _fields(raw, n):
+    """The raw term map keyed by each key's entry fields sum_i e_i*2^(32i),
+    the low 32n bits of -key, as the scan reads it: the first entry is the
+    lowest field, the key of the other entries is the rest shifted down one
+    field, x_1 is 1 and the monomial 1 is 0 in every ring."""
+    full = (1 << 32 * n) - 1
+    return {-e & full: v for e, v in raw.items()}
+
+
 def _specialize(field, terms, powers):
-    """The raw term map with its first variable set to the value whose raw
-    powers are given: keys lose their first entry, values are reduced once."""
+    """The _fields map with its first variable set to the value whose raw
+    powers are given: each key loses its first field, and values are
+    reduced once."""
     out = {}
     for e, c in terms.items():
-        rest = e[1:]
-        out[rest] = out.get(rest, 0) + c * powers[e[0]]
+        rest = e >> 32
+        out[rest] = out.get(rest, 0) + c * powers[e & _MASK]
     return _reduced(field, out)
 
 
-def _chart(raw, in_center, j, drop):
+def _chart(raw, mask, j, drop, n):
     """raw with entry j of each key set to its degree over a centre (the sum
-    of the entries where in_center is true) less drop; None if one is < 0."""
+    of the entries that _center_mask's mask keeps) less drop; None if one is
+    < 0.  The output is checked on its leading key."""
     out = {}
+    unit = _unit(j, n)
     for e, v in raw.items():
-        n = sum(compress(e, in_center)) - drop
-        if n < 0:
+        d = _center_degree(e, mask, n) - drop
+        if d < 0:
             return None
-        out[e[:j] + (n,) + e[j + 1:]] = v
+        out[e + (d - _entry(e, j)) * unit] = v
+    if out:
+        _check_key(max(out), n)
     return out
 
 
 class Polynomial(Immutable):
-    """Sparse polynomial; `_raw` maps exponent tuples to nonzero raw values.
-    The constructor checks the keys, coerces the values and drops zeros."""
+    """Sparse polynomial; `_raw` maps monomial keys to nonzero raw values.
+    The constructor takes exponent tuples: it checks and packs them, refuses
+    a total degree of 2^31 or more, coerces the values and drops zeros."""
 
-    # _terms, _lm, _hash and groebner's _lead are cached on first use
-    __slots__ = ("ring", "_raw", "_terms", "_lm", "_hash", "_lead")
+    # _terms, _hash and groebner's _lead are cached on first use
+    __slots__ = ("ring", "_raw", "_terms", "_hash", "_lead")
 
     def __init__(self, ring, terms):
         n = ring.nvars
@@ -317,7 +439,9 @@ class Polynomial(Immutable):
                     isinstance(x, int) and x >= 0 for x in e)):
                 raise RingError("key %r is not %d non-negative ints" % (e, n))
             if v := ring.coeff(c).val:
-                raw[e] = v
+                raw[_key(e)] = v
+        if raw:
+            _check_key(max(raw), n)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_raw", raw)
 
@@ -334,8 +458,8 @@ class Polynomial(Immutable):
         read: writing to it cannot leave it out of step with the raw map."""
         terms = getattr(self, "_terms", None)
         if terms is None:
-            field = self.ring.field
-            terms = MappingProxyType({e: FieldElement(field, v)
+            field, n = self.ring.field, self.ring.nvars
+            terms = MappingProxyType({_exps(e, n): FieldElement(field, v)
                                       for e, v in self._raw.items()})
             object.__setattr__(self, "_terms", terms)
         return terms
@@ -356,11 +480,10 @@ class Polynomial(Immutable):
         return bool(self._raw)
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self._raw)
+        return self._raw.keys() <= {0}
 
     def constant_value(self):
-        return FieldElement(self.ring.field,
-                            self._raw.get(_zero_key(self.ring.nvars), 0))
+        return FieldElement(self.ring.field, self._raw.get(0, 0))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -391,10 +514,11 @@ class Polynomial(Immutable):
 
     def __mul__(self, other):
         """self * other.  A single-term factor c*x^e skips the kernel:
-        shifting the other factor's exponents by e is injective, so nothing
+        shifting the other factor's keys by e is injective, so nothing
         collides and the product is one pass over its terms, each value
         times c reduced once, or kept when c is 1 (the values are canonical);
-        the constant 1 returns the other factor itself."""
+        the constant 1 returns the other factor itself.  Either way the
+        product is checked on its leading key."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -402,16 +526,18 @@ class Polynomial(Immutable):
         if len(mono._raw) != 1:
             return _sum_of_products(self.ring, ((self, other),))
         ((e, c),) = mono._raw.items()
-        if c == 1 and not any(e):   # 1 is the raw one of every field
+        if c == 1 and not e:   # 1 is the raw one of every field
             return f
-        if len(f._raw) == 1 and f._raw.get(_zero_key(len(e))) == 1:
+        if len(f._raw) == 1 and f._raw.get(0) == 1:
             return mono
+        if f._raw:
+            _check_key(e + max(f._raw), self.ring.nvars)
         if c == 1:
             return Polynomial._from_raw(self.ring, {
-                tuple(map(add, e, e2)): v for e2, v in f._raw.items()})
+                e + e2: v for e2, v in f._raw.items()})
         reduce = self.ring.field.reduce
         return Polynomial._from_raw(self.ring, {
-            tuple(map(add, e, e2)): reduce(c * v) for e2, v in f._raw.items()})
+            e + e2: reduce(c * v) for e2, v in f._raw.items()})
 
     __rmul__ = __mul__
 
@@ -420,6 +546,8 @@ class Polynomial(Immutable):
             raise RingError("exponent %r is not an int" % (n,))
         if n < 0:
             raise RingError("negative polynomial power")
+        if self._raw:   # the power's leading key is n times self's
+            _check_key(n * max(self._raw), self.ring.nvars)
         return _power(Polynomial.__mul__, self, n, self.ring.one())
 
     def scale(self, c):
@@ -447,14 +575,15 @@ class Polynomial(Immutable):
     # -- queries ------------------------------------------------------
 
     def degree_in(self, var):
-        i = self.ring.var_index(var)
-        return max((e[i] for e in self._raw), default=-1)
+        s = 32 * self.ring.var_index(var)
+        return max((-e >> s & _MASK for e in self._raw), default=-1)
 
     def order_at_origin(self):
-        """Minimum total degree of the support; +inf for the zero polynomial."""
+        """Minimum total degree of the support; +inf for the zero polynomial.
+        The least key has it."""
         if not self._raw:
             return INFINITE_ORDER
-        return min(sum(e) for e in self._raw)
+        return -(-min(self._raw) >> 32 * self.ring.nvars)
 
     def order_along(self, center_vars):
         """Minimum exponent sum over the center variables (a repeated name
@@ -462,37 +591,32 @@ class Polynomial(Immutable):
         idx = {self.ring.var_index(v) for v in center_vars}
         if not idx:
             raise RingError("center must be nonempty")
-        mask = [i in idx for i in range(self.ring.nvars)]   # as _chart reads
-        return min((sum(compress(e, mask)) for e in self._raw),
+        n = self.ring.nvars
+        mask = _center_mask(idx, n)   # as _chart reads it
+        return min((_center_degree(e, mask, n) for e in self._raw),
                    default=INFINITE_ORDER)
 
     def initial_form(self):
-        """Sum of terms of minimal total degree."""
+        """Sum of terms of minimal total degree d: the keys up to d*2^(32n)."""
         if not self._raw:
             raise RingError("zero polynomial has no initial form")
-        d = self.order_at_origin()
+        top = self.order_at_origin() << 32 * self.ring.nvars
         return Polynomial._from_raw(
-            self.ring, {e: v for e, v in self._raw.items() if sum(e) == d})
+            self.ring, {e: v for e, v in self._raw.items() if e <= top})
 
     def order_at(self, point):
         """Order at a rational point (translate to origin, then at origin)."""
         return self.recenter(point).order_at_origin()
 
     def leading_monomial(self):
-        """Greatest exponent tuple under grevlex, cached on first use (the
-        term map never changes after construction)."""
-        try:
-            return self._lm
-        except AttributeError:
-            pass
+        """Greatest exponent tuple under grevlex: the greatest key's."""
         if not self._raw:
             raise RingError("zero polynomial has no leading monomial")
-        lm = max(self._raw, key=grevlex_key)
-        object.__setattr__(self, "_lm", lm)
-        return lm
+        return _exps(max(self._raw), self.ring.nvars)
 
     def leading_coefficient(self):
-        return FieldElement(self.ring.field, self._raw[self.leading_monomial()])
+        return FieldElement(self.ring.field,
+                            self._raw[_key(self.leading_monomial())])
 
     # -- substitution -------------------------------------------------
 
@@ -519,23 +643,27 @@ class Polynomial(Immutable):
         if not images:
             return self
         outer, *inner = sorted(images)
+        n = ring.nvars
+        terms = sorted(((_exps(e, n), e, v) for e, v in self._raw.items()),
+                       key=lambda t: t[0][outer])
         powers = {}   # (i, e) -> images[i]**e, for each inner variable i
         for i in inner:
             power, prev = ring.one(), 0
-            for e in sorted({exps[i] for exps in self._raw} - {0}):
+            for e in sorted({exps[i] for exps, _, _ in terms} - {0}):
                 power = powers[i, e] = _power(Polynomial.__mul__, images[i],
                                               e - prev, power)
                 prev = e
+        units = {i: _unit(i, n) for i in images}
 
         def pairs():
             power, prev = ring.one(), 0
-            for exps, v in sorted(self._raw.items(), key=lambda t: t[0][outer]):
+            for exps, e, v in terms:
                 # a repeated exponent is a zeroth power: no product
                 power = _power(Polynomial.__mul__, images[outer],
                                exps[outer] - prev, power)
                 prev = exps[outer]
-                part = Polynomial._from_raw(ring, {tuple(
-                    0 if i in images else e for i, e in enumerate(exps)): v})
+                part = Polynomial._from_raw(ring, {
+                    e - sum(exps[i] * unit for i, unit in units.items()): v})
                 for i in inner:
                     if exps[i]:
                         part = part * powers[i, exps[i]]
@@ -571,11 +699,14 @@ class Polynomial(Immutable):
         """Image in the ring without var; requires no dependence on var."""
         i = self.ring.var_index(var)
         target = self.ring.drop_variable(var)
+        below, s = (1 << 32 * i) - 1, 32 * i
         raw = {}
         for e, v in self._raw.items():
-            if e[i] != 0:
+            m = -e
+            if m >> s & _MASK:
                 raise RingError("polynomial depends on %r" % var)
-            raw[e[:i] + e[i + 1:]] = v
+            # the entries above i move down one field, and so does |e|
+            raw[-((m >> s + 32 << s) + (m & below))] = v
         return Polynomial._from_raw(target, raw)
 
     def lift(self, ring):
@@ -593,7 +724,7 @@ class Polynomial(Immutable):
 
     def coefficients_in(self, var):
         """List of coefficient polynomials [c_0, ..., c_d] viewing self in var."""
-        parts = _split(self._raw, self.ring.var_index(var))
+        parts = _split(self._raw, self.ring.var_index(var), self.ring.nvars)
         return [Polynomial._from_raw(self.ring, parts.get(d, {}))
                 for d in range(max(parts, default=-1) + 1)]
 
@@ -602,9 +733,9 @@ class Polynomial(Immutable):
         the terms, so the cost does not grow with the degree."""
         i = self.ring.var_index(var)
         d = self.degree_in(var)
-        top = [(e, v) for e, v in self._raw.items() if e[i] == d]
-        return (len(top) == 1 and sum(top[0][0]) == d
-                and top[0][1] == 1)   # the raw one of every field
+        top = [(e, v) for e, v in self._raw.items() if _entry(e, i) == d]
+        # var^d alone, with the raw one of every field
+        return top == [(d * _unit(i, self.ring.nvars), 1)]
 
     def __repr__(self):
         return "Polynomial(%s)" % format_polynomial(self)
@@ -623,12 +754,13 @@ def univ_divmod(f, g, var):
         raise RingError("divisor is not monic in %r" % var)
     i = ring.var_index(var)
     dg = g.degree_in(var)
+    shift = dg * _unit(i, ring.nvars)   # the key of var^dg
     q = ring.zero()
     r, dr = f, f.degree_in(var)
     while dr >= dg:
-        step = Polynomial._from_raw(ring, {_splice(e, i, dr - dg): v
+        step = Polynomial._from_raw(ring, {e - shift: v
                                            for e, v in r._raw.items()
-                                           if e[i] == dr})
+                                           if _entry(e, i) == dr})
         q = q + step
         r = r - step * g
         last, dr = dr, r.degree_in(var)
@@ -660,17 +792,18 @@ def univ_gcd(f, g, var):
 def formal_derivative(f, var):
     """d/d(var), the ordinary (not Hasse) derivative."""
     i = f.ring.var_index(var)
+    unit = _unit(i, f.ring.nvars)
     mul, element = f.ring.field.mul, f.ring.field.element
     return Polynomial._from_raw(f.ring, {
-        _splice(e, i, e[i] - 1): d for e, v in f._raw.items()
-        if e[i] and (d := mul(v, element(e[i]).val))})
+        e - unit: d for e, v in f._raw.items()
+        if (x := _entry(e, i)) and (d := mul(v, element(x).val))})
 
 
 def _only_variable(f):
-    used = {i for e in f._raw for i, x in enumerate(e) if x}
+    used = _columns(f._raw, f.ring.nvars)
     if len(used) > 1:
         raise RingError("polynomial is not univariate")
-    return f.ring.variables[used.pop() if used else 0]
+    return f.ring.variables[next(iter(used), 0)]
 
 
 def univ_radical(f):
@@ -694,7 +827,8 @@ def univ_radical(f):
         # f = h(var^p); take p-th roots of coefficients and recurse
         i = ring.var_index(var)
         return univ_radical(Polynomial(ring, {
-            _splice(e, i, e[i] // ring.field.p): c.pth_root()
+            tuple(x // ring.field.p if j == i else x
+                  for j, x in enumerate(e)): c.pth_root()
             for e, c in f.terms.items()}))
     g = univ_gcd(f, deriv, var)
     sqfree, rem = univ_divmod(f, g, var)

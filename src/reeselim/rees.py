@@ -22,8 +22,8 @@ from .fields import FieldDescriptor, Immutable
 from .groebner import Ideal, buchberger, minimal_exponents, rational_zero_set
 from .hasse import diff_closure_list, hasse_derivatives
 from .poly import (_DIGITS, INFINITE_ORDER, Polynomial, RingContext,
-                   RingError, _chart, _degree, _divides, _product,
-                   _zero_key, grevlex_key)
+                   RingError, _center_mask, _chart, _check_key, _divides,
+                   _guard)
 
 
 class ReesError(ValueError):
@@ -63,7 +63,7 @@ class ReesAlgebra(Immutable):
     the order first given: __init__ drops repeats, and _distinct takes
     generators already distinct.  degree_ideal's all-monomial levels are
     cached on the algebra in _levels, on first use, like Polynomial's
-    _lm."""
+    _hash."""
 
     __slots__ = ("ring", "generators", "_levels")
 
@@ -295,12 +295,12 @@ def _chart_algebra(G, center, chart_var, weighted):
     if chart_var not in center:
         raise ReesError("chart variable must lie in the center")
     ring = G.ring
-    idx = {ring.var_index(v) for v in center}
-    in_center = [i in idx for i in range(ring.nvars)]
+    n = ring.nvars
+    mask = _center_mask({ring.var_index(v) for v in center}, n)
     j = ring.var_index(chart_var)
     gens = []
     for g in G.generators:
-        raw = _chart(g.poly._raw, in_center, j, g.weight if weighted else 0)
+        raw = _chart(g.poly._raw, mask, j, g.weight if weighted else 0, n)
         if raw is None:
             raise ReesError(
                 "center is not permissible: %s has order < %d along it"
@@ -393,10 +393,10 @@ def degree_ideal(G, k):
                     products[product * g.poly] = None
 
         rec(0, 0, G.ring.one(), INFINITE_ORDER)
-        exps = minimal_exponents(next(iter(p._raw)) for p in products
-                                 if len(p._raw) == 1)
+        exps = minimal_exponents((next(iter(p._raw)) for p in products
+                                  if len(p._raw) == 1), G.ring.nvars)
         rest = sorted((p for p in products if len(p._raw) != 1),
-                      key=lambda p: grevlex_key(p.leading_monomial()))
+                      key=lambda p: max(p._raw))
     # 1 is the raw one of every field, as in RingContext.one.  The monomials
     # and the products of nonzero generators are nonzero and in G.ring, so
     # the ideal needs no checks
@@ -410,8 +410,10 @@ def degree_ideal(G, k):
 
 
 def _monomial_degree_exponents(G, k):
-    """The minimal exponent vectors of I_k of the all-monomial G, from the
-    (kept generators, levels) memo in G._levels, extended up to level k."""
+    """The minimal monomial keys of I_k of the all-monomial G, from the
+    (kept generators, levels) memo in G._levels, extended up to level k.
+    Each level's products are checked on the greatest of them."""
+    n = G.ring.nvars
     memo = getattr(G, "_levels", None)
     if memo is None:
         # x^e W^w dominates x^d W^v when e | d and w >= v: the levels
@@ -420,22 +422,23 @@ def _monomial_degree_exponents(G, k):
         # decreasing weight, then total degree, a dominator comes before
         # what it dominates, and every kept generator weighs at least as
         # much as the one tested, so the divisibility test is the whole
-        # dominance test.
+        # dominance test.  Keys order by total degree first.
+        guard = _guard(n)
         kept = []
         for e, w in sorted(((next(iter(g.poly._raw)), g.weight)
                             for g in G.generators),
-                           key=lambda g: (-g[1], _degree(g[0]))):
-            if not any(_divides(d, e) for d, _ in kept):
+                           key=lambda g: (-g[1], g[0])):
+            if not any(_divides(d, e, guard) for d, _ in kept):
                 kept.append((e, w))
-        memo = (tuple(kept), ((_zero_key(G.ring.nvars),),))
+        memo = (tuple(kept), ((0,),))   # I_0 = (1), and 1 is key 0
     kept, levels = memo
     if k < len(levels):
         return levels[k]
-    levels = list(levels)   # levels[j]: minimal exponents of I_j
+    levels = list(levels)   # levels[j]: minimal monomial keys of I_j
     for j in range(len(levels), k + 1):
-        levels.append(tuple(minimal_exponents(
-            _product(e, v) for e, w in kept
-            for v in levels[max(j - w, 0)])))
+        products = [e + v for e, w in kept for v in levels[max(j - w, 0)]]
+        _check_key(max(products, default=0), n)
+        levels.append(tuple(minimal_exponents(products, n)))
     # published whole, never grown in place: a reader of G._levels sees
     # either the old memo or the new one
     object.__setattr__(G, "_levels", (kept, tuple(levels)))

@@ -179,6 +179,15 @@ def test_fraction_coefficients_in_positive_characteristic(tmp_path):
     assert code == 2 and "error:" in text
 
 
+def test_a_total_degree_of_2_31_exits_two(monkeypatch):
+    # a monomial key holds total degrees below 2^31: x^2147483648 is refused
+    # with one error line, never wrapped
+    code, text = run(["saturate", "-"],
+                     "ring: Q[x,y]\ngen: x^2147483648+y w 1\n", monkeypatch)
+    assert code == 2
+    assert text == "error: total degree reaches the limit 2^31\n"
+
+
 ZERO_DENOMINATOR_ARGS = {
     "saturate": [],
     "sing": [],

@@ -462,7 +462,8 @@ def test_mult_matrix_divides_once(monkeypatch):
 
 def test_eliminate_builds_one_char_poly_per_distinct_polynomial(monkeypatch):
     # saturation emits Z^2+X^3+Y^4 at weights 1 and 2: five generators,
-    # four distinct polynomials, four multiplication matrices
+    # four distinct polynomials, three multiplication matrices, since f
+    # itself is 0 mod f and needs none
     calls = []
 
     def counting_mult_matrix(g, f, z_var):
@@ -473,8 +474,8 @@ def test_eliminate_builds_one_char_poly_per_distinct_polynomial(monkeypatch):
     R = ring("Q", "X", "Y", "Z")
     G = diff_saturate(algebra(R, ("Z^2+X^3+Y^4", 2)))
     result = eliminate(G, ReesGenerator(R.parse("Z^2+X^3+Y^4"), 2), "Z")
-    assert len(G.generators) == 5 and len(calls) == 4
-    assert len(set(calls)) == 4
+    assert len(G.generators) == 5 and len(calls) == 3
+    assert len(set(calls)) == 3
     assert format_elimination(result) == (
         "ring: Q[X,Y]\n"
         "gen: 4*Y^4+4*X^3 w 2  # from: 2*Z w 1 coeff 2\n"
@@ -652,3 +653,21 @@ def test_shear_invariance_of_elimination_order():
         E = eliminate(sheared, ReesGenerator(f.substitute(shear), 2),
                       "Z").algebra
         assert ord_at_point(E, OS) == base
+
+
+def test_companion_steps_and_char_poly_outputs_reaching_2_31_raise():
+    # Z * (x^(2^30) Z) = x^(2^30) Z^2 = -x^(2^31) mod Z^2 + x^(2^30): the
+    # second column reaches the limit; so does det of x^(2^30) * identity
+    R = ring("Q", "x", "Z")
+    big = R.parse("x^1073741824")
+    limit = r"total degree reaches the limit 2\^31"
+    with pytest.raises(RingError, match=limit):
+        mult_matrix(big * R.var("Z"), R.parse("Z^2") + big, "Z")
+    M = MultiplicationMatrix(R.parse("Z^2"), R.zero(),
+                             [[big, R.zero()], [R.zero(), big]], "Z")
+    with pytest.raises(RingError, match=limit):
+        char_poly(M)
+    half = R.parse("x^536870912")   # det of half * identity is x^(2^30)
+    M = MultiplicationMatrix(R.parse("Z^2"), R.zero(),
+                             [[half, R.zero()], [R.zero(), half]], "Z")
+    assert char_poly(M) == [-2 * half, big]

@@ -789,3 +789,15 @@ def test_degree_ideal_bases_match_sympy():
     for R, gens in _pool_degree_ideals(19, ("Q", "F2", "F3"), 20):
         assert set(buchberger(Ideal(R, gens)).basis) == \
             _sympy_basis(R, gens), gens
+
+
+def test_an_s_polynomial_reaching_2_31_raises(monkeypatch):
+    # the S-polynomial of these two has terms of total degree past 2^31:
+    # refused at once, never wrapped into other entries, where a wrapped
+    # computation runs on until the (lowered) basis cap
+    monkeypatch.setattr(groebner, "BASIS_CAP", 10)
+    R = ring("F5", "x", "y", "z")
+    f = R.parse("3*x^1073741821*y^2*z^1073741822+3*x*z^2")
+    g = R.parse("3*x^1073741822*z^1073741822-x*y^1073741821*z^1073741821")
+    with pytest.raises(RingError, match=r"total degree reaches the limit"):
+        buchberger(Ideal(R, [f, g]))

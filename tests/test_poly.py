@@ -145,8 +145,9 @@ def test_rational_product_holds_integral_values_as_int():
 
 
 def test_is_monic_in_reads_only_the_top_degree():
-    # a coefficient list up to Z^(10^12) would not fit in memory
-    Z = QYZ.var("Z")**10**12
+    # a coefficient list up to Z^(2^31 - 2) would not fit in memory; the
+    # degree stays below 2^31 in Z*Y too
+    Z = QYZ.var("Z")**(2**31 - 2)
     assert Z.is_monic_in("Z")
     assert (Z + QYZ.parse("Y^3*Z+1")).is_monic_in("Z")
     assert not (Z.scale(2) + QYZ.var("Y")).is_monic_in("Z")
@@ -154,6 +155,46 @@ def test_is_monic_in_reads_only_the_top_degree():
     assert not (Z + Z * QYZ.var("Y")).is_monic_in("Z")
     assert not QYZ.zero().is_monic_in("Z")
     assert QYZ.one().is_monic_in("Z") and not QYZ.constant(3).is_monic_in("Z")
+
+
+LIMIT = r"total degree reaches the limit 2\^31"
+
+
+def test_a_total_degree_of_2_31_or_more_raises_and_never_wraps():
+    # the constructor: one entry at the limit, entries summing to it, and
+    # entries too large for a key's 32-bit fields
+    for exps in ((2**31, 0), (2**31 - 1, 1), (2**40, 2**40)):
+        with pytest.raises(RingError, match=LIMIT):
+            Polynomial(QYZ, {exps: 1})
+    assert QYZ.monomial((2**31 - 2, 1)).leading_monomial() == (2**31 - 2, 1)
+    # the parser's powers
+    with pytest.raises(RingError, match=LIMIT):
+        QYZ.parse("Y^2147483648")
+    with pytest.raises(RingError, match=LIMIT):
+        QYZ.parse("Y^2147483647*Z")
+    assert QYZ.parse("Y^2147483647").terms == {(2**31 - 1, 0): 1}
+    # products crossing 2^31: a one-term factor, two multi-term factors,
+    # and powers, which are refused before any product
+    top = QYZ.parse("Y^2147483646")
+    assert (top * QYZ.var("Z")).leading_monomial() == (2**31 - 2, 1)
+    with pytest.raises(RingError, match=LIMIT):
+        top * QYZ.parse("Y*Z")
+    with pytest.raises(RingError, match=LIMIT):
+        (top + 1) * QYZ.parse("Y*Z+1")
+    with pytest.raises(RingError, match=LIMIT):
+        QYZ.parse("Y^1073741824")**2
+
+
+def test_a_power_reaching_2_31_is_refused_before_any_product(monkeypatch):
+    # (Y+Z+1)^(2^30) alone would have about 2^59 terms
+    f = QYZ.parse("Y+Z+1")
+
+    def no_product(f, g):
+        pytest.fail("a product was made")
+
+    monkeypatch.setattr(Polynomial, "__mul__", no_product)
+    with pytest.raises(RingError, match=LIMIT):
+        f**2**31
 
 
 def test_substitution_blowup_charts():

@@ -20,17 +20,18 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from reeselim import (FieldDescriptor, FieldError, Ideal,  # noqa: E402
-                      Polynomial, ReesAlgebra, ReesGenerator, RingContext,
-                      buchberger,
+from reeselim import (FieldDescriptor, FieldElement,  # noqa: E402
+                      FieldError, Ideal, Polynomial, ReesAlgebra,
+                      ReesGenerator, RingContext, buchberger,
                       degree_ideal, diff_closure_list, diff_saturate,
                       hasse_derivative, total_transform, univ_divmod,
                       weighted_transform)
-from reeselim.poly import (_binomial, _box, _chart,  # noqa: E402
-                           _degree, _divides, _fold, _lcm, _product,
-                           _quotient, _specialize, _splice, _split,
-                           _subtract, _sum_of_products, _top_entry,
-                           _zero_key, formal_derivative, grevlex_key)
+from reeselim.poly import (_binomial, _box, _center_mask,  # noqa: E402
+                           _chart, _columns, _degree, _divides, _entry,
+                           _exps, _fields, _fits, _fold, _guard, _key, _lcm,
+                           _specialize, _split, _subtract, _sum_of_products,
+                           _top_entry, _unit, _zero_exps, formal_derivative,
+                           grevlex_key)
 from test_fields import (FOLD_FIELDS,  # noqa: E402
                          irreducible_by_trial_division)
 from test_poly import schoolbook_product  # noqa: E402
@@ -597,23 +598,26 @@ def test_products_with_a_single_term_factor_match_the_kernel(data):
         assert f**n == expected
 
 
-# Exponent entries up to 2^31 - 1, with small ones mixed in so that equal
-# entries, divisors and ties come up; a product or a quotient is drawn so
-# that it stays in that range too.
+# Exponent vectors of total degree up to 2^31 - 1, the limit of a monomial
+# key, with small entries mixed in so that equal entries, divisors and ties
+# come up; a product or a chart is drawn so that it stays in that range too.
 TOP_EXPONENT = 2**31 - 1
-exponent_entries = st.one_of(st.integers(0, 3),
-                             st.integers(0, TOP_EXPONENT))
-
-
-def exponent_vectors(n):
-    return st.lists(exponent_entries, min_size=n, max_size=n).map(tuple)
 
 
 @st.composite
-def exponents_below(draw, bounds):
-    """An exponent vector whose entry i is at most bounds[i]."""
-    return tuple(draw(st.one_of(st.integers(0, min(b, 3)),
-                                st.integers(0, b))) for b in bounds)
+def exponents_below(draw, bounds, total=TOP_EXPONENT):
+    """An exponent vector whose entry i is at most bounds[i] and whose
+    entries sum to at most total, drawn in a random order of the entries."""
+    out = [0] * len(bounds)
+    for i in draw(st.permutations(range(len(bounds)))):
+        b = min(bounds[i], total - sum(out))
+        out[i] = draw(st.one_of(st.integers(0, min(b, 3)),
+                                st.integers(0, b)))
+    return tuple(out)
+
+
+def exponent_vectors(n):
+    return exponents_below([TOP_EXPONENT] * n)
 
 
 def grevlex_greater(a, b):
@@ -629,40 +633,65 @@ def grevlex_greater(a, b):
 @SETTINGS
 @hypothesis.given(st.data())
 def test_exponent_helpers_match_their_definitions(data):
-    """_product, _quotient and _lcm act entry by entry, _divides holds
-    exactly when b - a has no negative entry, _splice sets one entry,
-    grevlex_key orders as the grevlex definition does, and _zero_key,
-    _degree, _binomial, _box, _top_entry and _chart give what the
-    expressions they stand for give."""
+    """Keys round-trip exponent tuples of total degree up to 2^31 - 1, and
+    every key helper and kernel gives what its tuple definition gives: int
+    order is grevlex, as grevlex_key orders; a + b is the product and b - a
+    the quotient; _divides holds exactly when b - a has no negative entry;
+    _lcm is the entrywise max, _entry reads one entry and _columns each
+    used one, a multiple of _unit sets one, _fields gives the entries'
+    fields, and the monomial 1 is key 0; _fits refuses a total degree of
+    2^31 or more, however large the entries; _degree and _box on tuples,
+    _binomial, _top_entry and _chart give what the expressions they stand
+    for give."""
     n = data.draw(st.integers(1, 4))
     a, b = data.draw(exponent_vectors(n)), data.draw(exponent_vectors(n))
-    assert _lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+    ka, kb = _key(a), _key(b)
+    assert _exps(ka, n) == a and _exps(kb, n) == b
+    assert [_entry(ka, i) for i in range(n)] == list(a)
+    assert _fits(ka, n) and _fits(kb, n)
+    guard = _guard(n)
+    assert _lcm(ka, kb, n) == _key(tuple(max(x, y) for x, y in zip(a, b)))
     difference = [y - x for x, y in zip(a, b)]
-    assert _divides(a, b) == all(d >= 0 for d in difference)
-    if _divides(a, b):
-        assert _quotient(b, a) == tuple(difference)
+    assert _divides(ka, kb, guard) == all(d >= 0 for d in difference)
+    if _divides(ka, kb, guard):
+        assert _exps(kb - ka, n) == tuple(difference)
     # a permutation of a has its total degree, so the tie-break decides
     for other in (b, tuple(data.draw(st.permutations(a)))):
-        assert (grevlex_key(a) > grevlex_key(other)) == \
-            grevlex_greater(a, other)
-        assert (grevlex_key(a) == grevlex_key(other)) == (a == other)
-    c = data.draw(exponents_below([TOP_EXPONENT - x for x in a]))
-    product = _product(a, c)
-    assert product == tuple(x + y for x, y in zip(a, c))
-    assert _divides(a, product) and _divides(c, product)
-    assert _quotient(product, a) == c and _quotient(product, c) == a
+        ko = _key(other)
+        assert (ka > ko) == grevlex_greater(a, other) == \
+            (grevlex_key(a) > grevlex_key(other))
+        assert (ka == ko) == (a == other)
+    c = data.draw(exponents_below([TOP_EXPONENT - x for x in a],
+                                  TOP_EXPONENT - sum(a)))
+    kc = _key(c)
+    product = ka + kc
+    assert _exps(product, n) == tuple(x + y for x, y in zip(a, c))
+    assert _fits(product, n)
+    assert _divides(ka, product, guard) and _divides(kc, product, guard)
+    assert _exps(product - ka, n) == c and _exps(product - kc, n) == a
     i = data.draw(st.integers(0, n - 1))
-    x = data.draw(exponent_entries)
-    assert _splice(a, i, x) == tuple(x if j == i else y
-                                     for j, y in enumerate(a))
-    zero = _zero_key(n)
-    assert zero == (0,) * n and _product(a, zero) == a
-    assert _degree(a) == sum(a) and _degree(zero) == 0
+    assert _unit(i, n) == _key(tuple(int(j == i) for j in range(n)))
+    x = data.draw(st.integers(0, TOP_EXPONENT - sum(a) + a[i]))
+    assert _exps(ka + (x - a[i]) * _unit(i, n), n) == \
+        tuple(x if j == i else y for j, y in enumerate(a))
+    assert _key(_zero_exps(n)) == 0 and _exps(0, n) == _zero_exps(n) \
+        == (0,) * n
+    assert _fields({ka: 5}, n) == {
+        sum(x << 32 * j for j, x in enumerate(a)): 5}
+    assert _columns([ka, kb, kc], n) == {
+        j: [a[j], b[j], c[j]] for j in range(n) if a[j] or b[j] or c[j]}
+    assert _degree(a) == sum(a)
+    # a total degree of 2^31 or more, from entries of any size
+    big = data.draw(exponents_below([2**40] * n, 2**40).filter(
+        lambda e: sum(e) > TOP_EXPONENT))
+    assert not _fits(_key(big), n)
+    assert not _fits(ka + _key(big), n)
     # with one side's entries at most 3 the binomials stay small, whichever
     # side divides the other
+    zero = (0,) * n
     small = data.draw(exponents_below([3] * n))
     for beta, alpha in ((a, small), (small, a), (a, zero)):
-        assert _binomial(beta, alpha) == math.prod(
+        assert _binomial(_key(beta), alpha) == math.prod(
             map(math.comb, beta, alpha))
     # the box from its definition: each entry of alpha is below the bound;
     # hasse passes a set of active indices, or a range for all of them
@@ -675,31 +704,34 @@ def test_exponent_helpers_match_their_definitions(data):
                and all(x == 0 or j in support for j, x in enumerate(alpha))]
         assert _box(a, bound, support) == sorted(
             box, key=lambda alpha: (sum(alpha), alpha))
-    assert _top_entry([{a: 1}, {}, {b: 2, c: 3}]) == max(a + b + c)
-    assert _top_entry([]) == _top_entry([{}]) == 0
-    # chart keys whose degree over any centre stays below 2^31
-    in_center = [j in active for j in range(n)]
-    drop = data.draw(exponent_entries)
-    raw = {e: v for v, e in enumerate(data.draw(st.lists(
-        exponents_below([TOP_EXPONENT // n] * n), max_size=3)), 1)}
-    degrees = {e: sum(x for x, m in zip(e, in_center) if m) - drop
-               for e in raw}
-    assert _chart(raw, in_center, i, drop) == (
+    assert _top_entry([{ka: 1}, {}, {kb: 2, kc: 3}], n) == max(a + b + c)
+    assert _top_entry([], n) == _top_entry([{}], n) == 0
+    # chart keys whose degree over any centre stays below 2^31, and whose
+    # chart image does too
+    drop = data.draw(st.integers(0, TOP_EXPONENT))
+    exps = data.draw(st.lists(exponents_below([TOP_EXPONENT] * n,
+                                              TOP_EXPONENT // 2),
+                              max_size=3))
+    raw = {_key(e): v for v, e in enumerate(exps, 1)}
+    degrees = {e: sum(x for j, x in enumerate(e) if j in active) - drop
+               for e in exps}
+    assert _chart(raw, _center_mask(active, n), i, drop, n) == (
         None if any(d < 0 for d in degrees.values()) else
-        {e[:i] + (degrees[e],) + e[i + 1:]: v for e, v in raw.items()})
+        {_key(e[:i] + (degrees[e],) + e[i + 1:]): v
+         for v, e in enumerate(exps, 1)})
 
 
 @SETTINGS
 @hypothesis.given(st.data())
 def test_split_reassembles_the_polynomial(data):
-    """f == sum of var^d * part_d over _split(f._raw, i), each part with
+    """f == sum of var^d * part_d over _split(f._raw, i, n), each part with
     entry i zero; exponents reach 2^31 - 1."""
     R = data.draw(rings())
     f = Polynomial(R, data.draw(st.dictionaries(
         exponent_vectors(R.nvars), coefficients(R), max_size=5)))
     i = data.draw(st.integers(0, R.nvars - 1))
-    parts = _split(f._raw, i)
-    assert all(part and all(e[i] == 0 for e in part)
+    parts = _split(f._raw, i, R.nvars)
+    assert all(part and all(_entry(e, i) == 0 for e in part)
                for part in parts.values())
     var = R.var(R.variables[i])
     assert sum((var**d * Polynomial._from_raw(R, part)
@@ -717,7 +749,7 @@ def test_subtract_kernel_matches_polynomial_arithmetic(data):
     c = data.draw(coefficients(R))
     for start in (f, R.zero()):
         work = dict(start._raw)
-        _subtract(R.field, work, shift, R.coeff(c).val, g._raw.items())
+        _subtract(R.field, work, _key(shift), R.coeff(c).val, g._raw.items())
         assert Polynomial._from_raw(R, work) == \
             start - R.monomial(shift, c) * g
         assert all(work.values())
@@ -730,21 +762,29 @@ SCAN_RINGS = [RINGS[spec, n] for spec in ("F2", "F3", "F4", "F9")
 @SETTINGS
 @hypothesis.given(st.data())
 def test_scan_kernels_match_substitution_and_evaluation(data):
-    """With exponents up to 3q over F_q: _specialize with the power row of
-    each value a is f with its first variable set to a and projected out,
-    and _fold gives a polynomial with exponents below q and f's value at
-    every point of F_q^n."""
+    """With exponents up to 3q over F_q: _specialize of f's _fields map
+    with the power row of each value a is f with its first variable set to
+    a and projected out, and _fold gives a polynomial with exponents
+    below q and f's value at every point of F_q^n."""
     R = data.draw(st.sampled_from(SCAN_RINGS))
     F, q = R.field, R.field.order
     f = data.draw(polynomials(R, top=3 * q))
     x = R.variables[0]
     _, _, powers = F._scan_table(3 * q)
+
+    def from_fields(R, terms):   # the polynomial of a _fields map in R
+        return Polynomial(R, {
+            tuple(e >> 32 * i & 2**32 - 1 for i in range(R.nvars)):
+            FieldElement(F, v) for e, v in terms.items()})
+
+    fields = _fields(f._raw, R.nvars)
+    assert from_fields(R, fields) == f
     for a, row in zip(F.elements(), powers):
-        assert Polynomial._from_raw(R.drop_variable(x),
-                                    _specialize(F, f._raw, row)) == \
+        rest = R.drop_variable(x)
+        assert from_fields(rest, _specialize(F, fields, row)) == \
             f.substitute({x: a}).project_out(x)
-    folded = Polynomial._from_raw(R, _fold(F, f._raw, q))
-    assert all(e < q for exps in folded._raw for e in exps)
+    folded = Polynomial._from_raw(R, _fold(F, f._raw, q, R.nvars))
+    assert all(e < q for exps in folded.terms for e in exps)
     for coords in itertools.product(F.elements(), repeat=R.nvars):
         point = R.point(coords)
         assert folded.evaluate(point) == f.evaluate(point)

@@ -319,6 +319,28 @@ def test_transform_errors_in_order():
         weighted_transform(G, ["Z"], "Z")
 
 
+def test_a_chart_exponent_crossing_2_31_raises():
+    # Z -> Y*Z in the chart of Y: Y*Z^(2^30) goes to Y^(2^30+1)*Z^(2^30),
+    # and its weighted transform divides one Y out; either reaches 2^31
+    R = ring("Q", "Y", "Z")
+    G = algebra(R, ("Y*Z^1073741824", 1))
+    for transform in (total_transform, weighted_transform):
+        with pytest.raises(RingError, match=r"total degree reaches the "
+                                            r"limit 2\^31"):
+            transform(G, ["Y", "Z"], "Y")
+    assert weighted_transform(G, ["Y", "Z"], "Z")[0].generators[0].poly == \
+        R.parse("Y*Z^1073741824")
+
+
+def test_a_degree_ideal_level_crossing_2_31_raises():
+    R = ring("Q", "Y", "Z")
+    G = algebra(R, ("Y^1073741824", 1), ("Z", 1))
+    assert degree_ideal(G, 1).generators == (R.var("Z"),
+                                              R.parse("Y^1073741824"))
+    with pytest.raises(RingError, match=r"total degree reaches the limit"):
+        degree_ideal(G, 2)
+
+
 def test_degree_ideal_minimal_products():
     G = algebra(QYZ, ("Z", 1), ("Y^4", 1))
     assert ideal_equal(degree_ideal(G, 2),
@@ -617,8 +639,11 @@ def test_degree_ideal_levels_memo_grows_by_a_new_tuple():
     assert degree_ideal(G, 2).generators == tuple(
         map(R.parse, ("Y^2", "X*Y", "X^2")))
     kept, levels = memo = G._levels
-    assert levels == (((0, 0),), ((1, 0), (0, 2)),
-                      ((0, 2), (1, 1), (2, 0)))
+
+    def keys(*monomials):   # the memo holds monomial keys
+        return tuple(next(iter(R.parse(m)._raw)) for m in monomials)
+
+    assert levels == (keys("1"), keys("X", "Y^2"), keys("Y^2", "X*Y", "X^2"))
     degree_ideal(G, 5)
     assert G._levels is not memo and G._levels[0] is kept
     assert G._levels[1][:3] == levels and len(G._levels[1]) == 6
