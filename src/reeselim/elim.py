@@ -6,23 +6,28 @@ compares one-variable monomial algebras up to integral closure.
 A multiplication matrix costs one division (g mod f); the other columns
 come from the companion recurrence on raw term maps, one shift per column,
 where each entry that f touches takes its products unreduced and is reduced
-once per coefficient.  A characteristic polynomial lifts its matrix once to
-integer polynomials in t and the variables (t only in F_{p^k}), packs each
-entry into one Python int (mixed-radix Kronecker substitution, sized by a
-closed-form coefficient bound), runs Berkowitz's recursion on the ints and
-unpacks its c outputs in one loop, the same for every field.
+once per coefficient.  A characteristic polynomial runs Berkowitz's
+recursion on one of two exact paths, chosen per matrix before any product.
+Small (c <= 3) or sparse matrices run it on the entries' raw term maps, one
+_accumulate per pair of a dot product and one _reduced, counted against
+_TERM_PRODUCTS_CAP.  Dense ones lift the matrix once to integer polynomials
+in t and the variables (t only in F_{p^k}), pack each entry into one Python
+int (mixed-radix Kronecker substitution, sized by a closed-form coefficient
+bound), run the recursion on the ints and unpack its c outputs in one loop,
+the same for every field.
 """
 from __future__ import annotations
 
 import functools
 import math
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 from .fields import Immutable
 from .groebner import ResourceCapError
 from .poly import (Polynomial, RingError, _accumulate, _check_key, _columns,
-                   _reduced, _split, _unit, univ_divmod)
+                   _fits, _reduced, _split, _unit, univ_divmod)
 from .rees import (ReesAlgebra, ReesError, ReesGenerator, diff_saturate,
                    format_algebra)
 
@@ -31,6 +36,13 @@ CHARPOLY_DEGREE_CAP = 12
 # however few terms they have; at c = 12, 2^20 bits is about ten seconds
 # of Berkowitz
 _PACKED_BITS_CAP = 1 << 20
+# the raw-map path's work, sum |a|*|b| over the products it takes: at about
+# 3 million term products a second (CPython 3.11, one x86-64 core), 2^19 is
+# under 0.2 s; the benchmark pools take at most 225 a matrix
+_TERM_PRODUCTS_CAP = 1 << 19
+# packed bits per entry term past which the packed ints are mostly zeros
+# and the raw maps win; the benchmark pools' dense matrices take at most 141
+_PACKED_BITS_PER_TERM = 1024
 
 
 class MultiplicationMatrix(Immutable):
@@ -151,12 +163,87 @@ def char_poly(M):
     """Coefficients (h_1, ..., h_c) of det(V*Id - M) = V^c + h_1 V^{c-1} + ...,
     in the ring of the entries.
 
-    Berkowitz's division-free recursion (_berkowitz), valid in any
-    characteristic, run on plain ints.  The matrix is lifted once
-    (_integer_entries) and each entry packed into one int by mixed-radix
-    Kronecker substitution: the term t^j x^e is a signed digit at slot
-    sum_i (e_i/g_i) R_i over t and the variables the entries use (t's
-    exponent first, each distinct monomial key read once by poly's
+    Berkowitz's division-free recursion, valid in any characteristic, on
+    one of two exact paths, chosen before any product.  A matrix of
+    degree c <= 3, or one whose packed ints would hold more than
+    _PACKED_BITS_PER_TERM bits per term of its entries (mostly zeros), runs
+    on raw term maps (_raw_char_poly); any other is Kronecker-packed
+    (_packed_char_poly).  At c <= 3 the packing's lift, layout and decode
+    cost more than the few products the recursion takes.
+    """
+    c = M.size
+    _check_degree_cap(c)
+    if c > 3:
+        h = _packed_char_poly(M.matrix, _PACKED_BITS_PER_TERM)
+        if h is not None:
+            return h
+    return _raw_char_poly(M.matrix)
+
+
+def _raw_char_poly(A):
+    """char_poly of the matrix A by _berkowitz's steps on the entries' raw
+    term maps.  Each dot product and each coefficient update is one
+    _accumulate per pair of nonzero maps and one _reduced; a product by
+    h_0 = 1 is an addition, one _accumulate by the unit.  Each product is
+    checked on the sum of its factors' leading keys, as _sum_of_products
+    checks its pairs, unless c times the entries' greatest key fits (a
+    product has at most c entry factors).  The work, sum |a|*|b| over the
+    products, is checked before each one: past _TERM_PRODUCTS_CAP it raises
+    ResourceCapError."""
+    c = len(A)
+    ring = A[0][0].ring
+    field, n, neg = ring.field, ring.nvars, ring.field.neg
+    rows = [[e._raw for e in row] for row in A]
+    cols = tuple(zip(*rows))
+    top = max(map(max, filter(None, chain.from_iterable(rows))), default=0)
+    check = not _fits(c * top, n)
+    work = 0
+
+    def total(pairs, raw):
+        """raw plus the sum of the products a*b over pairs, reduced."""
+        nonlocal work
+        for a, b in pairs:
+            if a and b:
+                work += len(a) * len(b)
+                if work > _TERM_PRODUCTS_CAP:
+                    raise ResourceCapError(
+                        "characteristic polynomial work cap exceeded (degree "
+                        "%d: %d term products > cap %d)"
+                        % (c, work, _TERM_PRODUCTS_CAP))
+                if check:
+                    _check_key(max(a) + max(b), n)
+                _accumulate(raw, a.items(), b.items())
+        return _reduced(field, raw)
+
+    unit = ((0, 1),)   # 1 is key 0 and the raw one of every field
+    h = []
+    for r in range(c):
+        block = [col[:r] for col in cols[:r]]
+        row, col = rows[r][:r], cols[r][:r]
+        s = [rows[r][r]]
+        for k in range(r):
+            s.append(total(zip(row, col), {}))
+            if k < r - 1:
+                row = [total(zip(row, b), {}) for b in block]
+        s = [{e: neg(v) for e, v in x.items()} for x in s]   # -s_k, new maps
+        new = []
+        for i in range(1, r + 2):   # h'_i = h_{i-1} - s_{i-1} - ...
+            if i <= r:
+                raw = dict(h[i - 1])
+                _accumulate(raw, s[i - 1].items(), unit)
+            else:
+                raw = s[r]   # no later product reads it
+            new.append(total(zip(reversed(s[:i - 1]), h), raw))
+        h = new
+    return [Polynomial._from_raw(ring, x) for x in h]
+
+
+def _packed_char_poly(A, bits_per_term=None):
+    """char_poly of the matrix A by _berkowitz on plain ints.  The matrix is
+    lifted once (_integer_entries) and each entry packed into one int by
+    mixed-radix Kronecker substitution: the term t^j x^e is a signed digit
+    at slot sum_i (e_i/g_i) R_i over t and the variables the entries use
+    (t's exponent first, each distinct monomial key read once by poly's
     _columns), R_i = prod_{k<i} (c*d_k + 1), where g_i is the gcd of
     coordinate i's exponents in the entries (y^g -> y embeds the
     polynomials in y^g) and d_i the largest of them over g_i.
@@ -171,14 +258,13 @@ def char_poly(M):
     or run of zero ones, and a group is one coefficient, divided exactly by
     D^i over Q or sum_j (digit_j mod p) t^(j*g_t) reduced once, and a
     monomial's key is sum_i e_i * (the key of x_i), checked on each output's
-    leading key.  The packed
-    length w * slots grows with the entries' degrees however sparse they
-    are; above _PACKED_BITS_CAP it raises ResourceCapError before any
-    product.
+    leading key.  The packed length w * slots grows with the entries'
+    degrees however sparse they are.  Before any product it returns None
+    when bits_per_term is given and the length exceeds bits_per_term bits
+    per term of the entries; otherwise a length above _PACKED_BITS_CAP
+    raises ResourceCapError.
     """
-    c = M.size
-    _check_degree_cap(c)
-    A = M.matrix
+    c = len(A)
     ring = A[0][0].ring
     field = ring.field
     entries, D = _integer_entries(A, field)
@@ -201,6 +287,9 @@ def char_poly(M):
     for d, g in zip(map(max, cols), gs):
         radices.append((slots, c * (d // g) + 1, g))
         slots *= c * (d // g) + 1
+    if bits_per_term and w * slots > bits_per_term * sum(
+            len(e._raw) for row in A for e in row):
+        return None
     if w * slots > _PACKED_BITS_CAP:
         raise ResourceCapError("characteristic polynomial size cap exceeded "
                                "(packed entries of %d bits > cap %d)"

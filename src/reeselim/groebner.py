@@ -123,7 +123,9 @@ def normal_form(f, basis):
     """Remainder of f on full reduction by the basis (a list of nonzero
     polynomials in f's ring, or buchberger's _Leads), on raw term maps.
     Each step takes the greatest key left and the first divisor whose
-    leading key divides it, by the guard-bit test."""
+    leading key divides it, by the guard-bit test.  A step whose leading
+    key is not below the one before raises ArithmeticError, where a wrong
+    kernel would loop forever."""
     ring = f.ring
     if isinstance(basis, _Leads):
         leads = basis
@@ -139,8 +141,13 @@ def normal_form(f, basis):
     guard = _guard(ring.nvars)
     work = dict(f._raw)
     remainder = {}
+    last = 1 << 32 * ring.nvars + 31   # above every key: degrees < 2^31
     while work:
         lm = max(work)
+        if lm >= last:   # cannot happen while the kernels are right
+            raise ArithmeticError("normal form step did not lower the "
+                                  "leading monomial")
+        last = lm
         lc = work.pop(lm)
         for glm, ginv, tail in leads:
             if glm - lm + guard & guard == guard:

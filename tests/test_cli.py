@@ -451,16 +451,22 @@ def test_ramify_verify_refuses_a_large_degree_before_saturating(tmp_path):
            "(degree 600 > cap 12)\n")
 
 
-def test_eliminate_refuses_a_char_poly_whose_packed_size_exceeds_the_cap(
-        tmp_path):
+def test_eliminate_answers_a_char_poly_whose_packed_size_exceeds_the_cap(
+        tmp_path, monkeypatch):
     # sparse entries of degree 60 in X and Y with no common exponent
-    # factor: c*60+1 slots in each at c = 12
+    # factor: c*60+1 slots in each at c = 12, 378,444,248 bits an entry
+    # packed; the raw maps answer, and refuse once their limit is lowered
     path = tmp_path / "sparse.alg"
     path.write_text("ring: Q[X,Y,W,Z]\n"
                     "gen: Z^12+X^60*Y^60*W^60+X^11*Y w 12\n")
-    assert run(["eliminate", str(path), "--monic", "0", "--var", "Z"]) == (
-        3, "error: characteristic polynomial size cap exceeded "
-           "(packed entries of 378444248 bits > cap 1048576)\n")
+    argv = ["eliminate", str(path), "--monic", "0", "--var", "Z"]
+    code, text = run(argv)
+    assert code == 0
+    assert text.splitlines()[-1] == "#! generators: 168 max-weight: 132"
+    monkeypatch.setattr("reeselim.elim._TERM_PRODUCTS_CAP", 10)
+    assert run(argv) == (
+        3, "error: characteristic polynomial work cap exceeded "
+           "(degree 12: 12 term products > cap 10)\n")
 
 
 def test_consecutive_calls_each_print_their_own_output(ex69, tmp_path,

@@ -197,7 +197,10 @@ def test_packed_char_poly_matches_berkowitz_on_polynomials():
             [Polynomial(R, dict(data.draw(terms) if data.draw(st.booleans())
                                 else [])) for _ in range(c)]
             for _ in range(c)], None)
-        assert char_poly(M) == berkowitz_on_polynomials(M)
+        expected = berkowitz_on_polynomials(M)
+        assert elim._packed_char_poly(M.matrix) == expected
+        assert elim._raw_char_poly(M.matrix) == expected
+        assert char_poly(M) == expected
 
     check()
 
@@ -214,7 +217,8 @@ def test_char_poly_of_a_positive_diagonal_reaches_the_coefficient_bound(
     # largest |coefficient| is max_i e_i(a), exactly the bound the packed
     # path sizes its digits by (not a power of two here, so a digit one bit
     # short fails both signs), and m^c takes every variable of m to c times
-    # its largest exponent, the top of its slot range
+    # its largest exponent, the top of its slot range.  char_poly runs
+    # c <= 3 on raw maps, so the packed path is called directly too
     R = ring("Q", *base)
     m = R.parse(monomial)
     c = len(scalars)
@@ -226,15 +230,18 @@ def test_char_poly_of_a_positive_diagonal_reaches_the_coefficient_bound(
         for i in range(c, 0, -1):
             esym[i] += esym[i - 1] * a
     assert max(esym) & (max(esym) - 1)
-    assert char_poly(M) == [(m**i).scale((-1)**i * esym[i])
-                            for i in range(1, c + 1)]
+    expected = [(m**i).scale((-1)**i * esym[i]) for i in range(1, c + 1)]
+    assert char_poly(M) == expected
+    assert elim._packed_char_poly(M.matrix) == expected
 
 
 def test_sparse_high_degree_entries_pack_by_their_exponent_gcd():
     # entries 1 and -a*X^60*Y^60*W^60: as packed exponents 60 each variable
     # would take 721 slots at c = 12 (about 10^10 bits an int); as 60
     # times (1, 1, 1) it takes 13.  a = t in F_4 puts t in the keys too;
-    # there the last g stretches t's slot past the size cap
+    # there the last g stretches t's slot past the size cap.  These
+    # matrices are mostly zeros, so char_poly runs them on raw maps: the
+    # packed path is called directly
     gs = ("Z", "Z^5", "Z^11", "3*Z^11+X^120*Y^60*Z^2")
     for spec, a, gs in (("Q", 3, gs), ("F5", 3, gs), ("F4", (0, 1), gs[:3])):
         R = ring(spec, "X", "Y", "W", "Z")
@@ -242,7 +249,9 @@ def test_sparse_high_degree_entries_pack_by_their_exponent_gcd():
             R.field.element(a))
         for g in gs:
             M = mult_matrix(R.parse(g), f, "Z")
-            assert char_poly(M) == berkowitz_on_polynomials(M)
+            expected = berkowitz_on_polynomials(M)
+            assert elim._packed_char_poly(M.matrix) == expected
+            assert char_poly(M) == expected
 
 
 def test_t_packs_as_its_root_when_only_even_powers_of_it_appear():
@@ -260,29 +269,24 @@ def test_t_packs_as_its_root_when_only_even_powers_of_it_appear():
     assert char_poly(M) == berkowitz_on_polynomials(M)
 
 
-def test_sparse_high_degree_entries_without_a_common_factor_hit_the_size_cap():
+def test_sparse_high_degree_entries_without_a_common_factor_take_the_raw_maps(
+        monkeypatch):
+    # packed, X and Y would each take c*60 + 1 slots at c = 12, far past
+    # the size cap, for 13 terms in all; the raw maps answer at once
     R = ring("Q", "X", "Y", "W", "Z")
     f = R.parse("Z^12+X^60*Y^60*W^60+X^11*Y")
     M = mult_matrix(R.parse("Z"), f, "Z")
     with pytest.raises(ResourceCapError, match="size cap exceeded"):
-        char_poly(M)
+        elim._packed_char_poly(M.matrix)
+    taken = record_routes(monkeypatch)
+    assert char_poly(M) == berkowitz_on_polynomials(M)
+    assert taken == ["raw"]
 
 
 def test_dense_extension_field_char_poly_at_the_degree_cap():
     # the eliminate pool's shape at c = 12 over F_4: every entry uses t, so
     # t packs as one more variable of radix c(k-1) + 1
-    R = ring("F4", "Y", "Z")
-    rng = random.Random("dense/F4/12")
-    units = [a for a in R.field.elements() if not a.is_zero()]
-
-    def linear():
-        return R.constant(rng.choice(units)) + R.var("Y").scale(
-            rng.choice(units))
-
-    Z = R.var("Z")
-    f = Z**12 + sum((linear() * Z**j for j in range(12)), R.zero())
-    g = sum((linear() * Z**j for j in range(12)), R.zero())
-    M = mult_matrix(g, f, "Z")
+    M = pool_shaped("F4", 12, "dense/F4/12")
     assert char_poly(M) == berkowitz_on_polynomials(M)
 
 
@@ -665,9 +669,113 @@ def test_companion_steps_and_char_poly_outputs_reaching_2_31_raise():
         mult_matrix(big * R.var("Z"), R.parse("Z^2") + big, "Z")
     M = MultiplicationMatrix(R.parse("Z^2"), R.zero(),
                              [[big, R.zero()], [R.zero(), big]], "Z")
-    with pytest.raises(RingError, match=limit):
-        char_poly(M)
+    # char_poly runs c = 2 on raw maps; the packed path checks its decode
+    for path in (char_poly, lambda M: elim._packed_char_poly(M.matrix)):
+        with pytest.raises(RingError, match=limit):
+            path(M)
     half = R.parse("x^536870912")   # det of half * identity is x^(2^30)
     M = MultiplicationMatrix(R.parse("Z^2"), R.zero(),
                              [[half, R.zero()], [R.zero(), half]], "Z")
-    assert char_poly(M) == [-2 * half, big]
+    assert char_poly(M) == elim._packed_char_poly(M.matrix) == [-2 * half,
+                                                                big]
+
+
+def record_routes(monkeypatch):
+    """The paths char_poly takes from now on, one "raw" or "packed" per
+    call; a packing declined for a mostly-empty matrix is not listed."""
+    taken = []
+    raw, packed = elim._raw_char_poly, elim._packed_char_poly
+
+    def counting_raw(A):
+        taken.append("raw")
+        return raw(A)
+
+    def counting_packed(A, bits_per_term=None):
+        h = packed(A, bits_per_term)
+        if h is not None:
+            taken.append("packed")
+        return h
+
+    monkeypatch.setattr(elim, "_raw_char_poly", counting_raw)
+    monkeypatch.setattr(elim, "_packed_char_poly", counting_packed)
+    return taken
+
+
+def pool_shaped(spec, c, seed):
+    """The eliminate pool's dense char-poly instance: every Z-coefficient
+    of f and g a nonzero a + bY, so all c^2 entries are nonzero."""
+    R = ring(spec, "Y", "Z")
+    rng = random.Random(seed)
+    units = [a for a in R.field.elements() if not a.is_zero()]
+
+    def linear():
+        return R.constant(rng.choice(units)) + R.var("Y").scale(
+            rng.choice(units))
+
+    Z = R.var("Z")
+    f = Z**c + sum((linear() * Z**j for j in range(c)), R.zero())
+    g = sum((linear() * Z**j for j in range(c)), R.zero())
+    return mult_matrix(g, f, "Z")
+
+
+def test_char_poly_packs_dense_matrices_and_runs_small_or_sparse_ones_raw(
+        monkeypatch):
+    taken = record_routes(monkeypatch)
+    # dense c >= 4 packs: raw maps take several times as long there
+    M = pool_shaped("F4", 7, "dense/F4/7")
+    assert char_poly(M) == berkowitz_on_polynomials(M)
+    assert taken == ["packed"]
+    # c <= 3 runs on raw maps, dense or not
+    for c in (1, 2, 3):
+        taken.clear()
+        M = pool_shaped("F4", c, "dense/F4/%d" % c)
+        assert char_poly(M) == berkowitz_on_polynomials(M)
+        assert taken == ["raw"]
+    # old item 6's matrix is mostly zeros in its packing: raw maps
+    taken.clear()
+    R = ring("Q", "X", "Y", "W", "Z")
+    f = R.parse("Z^12+X^60*Y^60*W^60+X^11*Y")
+    char_poly(mult_matrix(R.parse("Z^5"), f, "Z"))
+    assert taken == ["raw"]
+
+
+def test_raw_char_poly_products_reaching_2_31_raise():
+    # c * 2^30 passes 2^31, so every product is checked: x^(2^30) times
+    # itself reaches the limit in h_2, while the same entry times 1 and 0
+    # does not
+    R = ring("F5", "x", "y")
+    big, one, zero = R.parse("x^1073741824"), R.one(), R.zero()
+    M = MultiplicationMatrix(None, None, [[big, zero, zero], [zero, big, zero],
+                                          [zero, zero, one]], None)
+    with pytest.raises(RingError, match=r"total degree reaches the limit "
+                       r"2\^31"):
+        elim._raw_char_poly(M.matrix)
+    M = MultiplicationMatrix(None, None, [[big, R.var("y"), zero],
+                                          [zero, one, zero],
+                                          [one, zero, one]], None)
+    assert elim._raw_char_poly(M.matrix) == berkowitz_on_polynomials(M)
+
+
+def shear_like(k):
+    """mult_matrix of Z + (X - Y + 2)^k mod Z^2 + (X + Y + 1)^k over Q."""
+    R = ring("Q", "X", "Y", "Z")
+    return mult_matrix(R.parse("Z+(X-Y+2)^%d" % k),
+                       R.parse("Z^2+(X+Y+1)^%d" % k), "Z")
+
+
+def test_raw_char_poly_refuses_work_past_its_limit_before_the_product(
+        monkeypatch):
+    # the matrix is [[P, -Q], [1, P]], |P| = |Q| = 861 at k = 40: s_1 =
+    # 1 * -Q takes 861 term products and h_2's P * h_1 861^2 more, past the
+    # limit, so that product is refused before it is taken; at k = 4 the
+    # two take 15 + 15^2
+    with pytest.raises(ResourceCapError, match=r"^characteristic polynomial "
+                       r"work cap exceeded \(degree 2: 742182 term products "
+                       r"> cap 524288\)$"):
+        char_poly(shear_like(40))
+    M = shear_like(4)
+    assert char_poly(M) == berkowitz_on_polynomials(M)
+    monkeypatch.setattr(elim, "_TERM_PRODUCTS_CAP", 50)
+    with pytest.raises(ResourceCapError, match=r"\(degree 2: 240 term "
+                       r"products > cap 50\)"):
+        char_poly(M)

@@ -203,7 +203,7 @@ def test_raw_scan_edge_cases():
         assert len(pts) == R.field.order - 2
 
 
-def test_scan_folds_exponents_past_the_field_order():
+def test_scan_folds_exponents_past_the_field_order(monkeypatch):
     # x^q = x on F_q, so the scan lowers an exponent e >= q to
     # (e - 1) mod (q - 1) + 1; a positive exponent stays positive, so a
     # zero coordinate still gives 0^(q-1) = 0 and not 1.  Each drawn
@@ -211,6 +211,16 @@ def test_scan_folds_exponents_past_the_field_order():
     # has a zero coordinate at least half the time
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
+    # the power each scan asks the field's table for, recorded per call:
+    # the table itself lives as long as the field, so another test may
+    # have widened it
+    asked, scan_table = [], FieldDescriptor._scan_table
+
+    def recording(field, top):
+        asked.append(top)
+        return scan_table(field, top)
+
+    monkeypatch.setattr(FieldDescriptor, "_scan_table", recording)
 
     @hypothesis.settings(max_examples=200, deadline=None, database=None)
     @hypothesis.given(st.data())
@@ -237,9 +247,11 @@ def test_scan_folds_exponents_past_the_field_order():
                 g = g - R.constant(g.evaluate(point))
             gens.append(g)
         I = Ideal(R, gens)
-        assert rational_zero_set(I) == _brute_zero_set(I), gens
+        asked.clear()
+        points = rational_zero_set(I)
         # folded, no scan needs a power past q - 1
-        assert len(R.field._scan_table(0)[2][0]) <= q
+        assert all(top < q for top in asked), asked
+        assert points == _brute_zero_set(I), gens
 
     check()
 
@@ -383,6 +395,29 @@ def test_normal_form_is_linear():
     f, g = QYZ.parse("Z^3+Y^2*Z+1"), QYZ.parse("Y^6+Z^2")
     assert normal_form(f + g, basis) == \
         normal_form(f, basis) + normal_form(g, basis)
+
+
+def test_normal_form_raises_when_a_step_does_not_lower_the_leading_key(
+        monkeypatch):
+    # a kernel that puts the popped key back would make every step take
+    # it again; the broken kernel gives up after a bounded number of calls,
+    # so a missing check fails this test instead of hanging it
+    R = ring("F3", "x", "y")
+    divisor = R.parse("x+y")
+    glm = max(divisor._raw)
+    subtract, calls = groebner._subtract, []
+
+    def broken(field, work, shift, c, tail):
+        calls.append(shift)
+        if len(calls) > 100:
+            raise AssertionError("normal_form kept reducing the same key")
+        subtract(field, work, shift, c, tail)
+        work[shift + glm] = 1   # the key this step popped
+
+    monkeypatch.setattr(groebner, "_subtract", broken)
+    with pytest.raises(ArithmeticError, match="did not lower"):
+        normal_form(R.parse("x^2"), [divisor])
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("divisors, message", [
