@@ -15,6 +15,10 @@ in t and the variables (t only in F_{p^k}), pack each entry into one Python
 int (mixed-radix Kronecker substitution, sized by a closed-form coefficient
 bound), run the recursion on the ints and unpack its c outputs in one loop,
 the same for every field.
+
+eliminate checks and splits f once per call, and builds one matrix and one
+char poly per scalar class of the saturated generators: h_j is homogeneous
+of degree j, so each g = lam*m takes lam^j times m's h_j.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import mul
 
-from .fields import Immutable
+from .fields import Immutable, _power
 from .groebner import ResourceCapError
 from .poly import (Polynomial, RingError, _accumulate, _check_key, _columns,
                    _fits, _reduced, _split, _unit, univ_divmod)
@@ -89,11 +93,30 @@ def mult_matrix(g, f, z_var):
     as Polynomials once it is complete."""
     if g.ring != f.ring:
         raise RingError("ring mismatch")
+    return _mult_matrix(g, f, z_var, _modulus(f, z_var))
+
+
+def _modulus(f, z_var):
+    """What every matrix over S[Z]/<f> reads of f, checked and split once:
+    (c, -f_n for n < c as lists of (key, value) pairs, their greatest key)."""
     if not f.is_monic_in(z_var):
         raise RingError("modulus is not monic in %r" % z_var)
     c = f.degree_in(z_var)
     if c < 1:
         raise RingError("modulus must have positive degree in %r" % z_var)
+    ring = f.ring
+    neg = ring.field.neg
+    neg_low = {n: [(e, neg(v)) for e, v in part.items()]
+               for n, part in _split(f._raw, ring.var_index(z_var),
+                                     ring.nvars).items() if n < c}
+    top_low = max((max(e for e, _ in a) for a in neg_low.values()),
+                  default=0)
+    return c, neg_low, top_low
+
+
+def _mult_matrix(g, f, z_var, modulus):
+    """mult_matrix on a g of f's ring, with f read by _modulus."""
+    c, neg_low, top_low = modulus
     if g.degree_in(z_var) >= c:   # a saturated g is mostly reduced already
         _, g = univ_divmod(g, f, z_var)
     # entries are raw term maps keyed with Z's entry at 0, as poly's _split
@@ -107,13 +130,8 @@ def mult_matrix(g, f, z_var):
     ring = f.ring
     field = ring.field
     nvars = ring.nvars
-    i = ring.var_index(z_var)
-    parts = _split(g._raw, i, nvars)
+    parts = _split(g._raw, ring.var_index(z_var), nvars)
     col = [parts.get(n, {}) for n in range(c)]
-    neg_low = {n: [(e, field.neg(v)) for e, v in part.items()]   # -f_n
-               for n, part in _split(f._raw, i, nvars).items() if n < c}
-    top_low = max((max(e for e, _ in a) for a in neg_low.values()),
-                  default=0)
     columns = []
     for _ in range(c):
         columns.append([Polynomial._from_raw(ring, x) for x in col])
@@ -386,6 +404,38 @@ def cayley_hamilton_residue(g, f, z_var):
     return univ_divmod(acc, f, z_var)[1]
 
 
+def _scalar_class(g):
+    """(lam, m) with g = lam*m and lam a nonzero raw value, so that the
+    char poly of m serves every scalar multiple of it.  Over F_q, lam is
+    g's leading coefficient; over Q with int coefficients, lam is g's
+    content, signed as the leading coefficient is, and m's coefficients are
+    the exact int quotients; any other g over Q is its own class (lam = 1),
+    so no Fraction enters the matrices."""
+    raw = g._raw
+    field = g.ring.field
+    lam = raw[max(raw)]
+    if field.p:
+        if lam == 1:
+            return 1, g
+        inv = field.inv(lam)
+        m = {e: field.mul(v, inv) for e, v in raw.items()}
+    else:
+        if not all(type(v) is int for v in raw.values()):
+            return 1, g
+        lam = math.gcd(*raw.values()) * (1 if lam > 0 else -1)
+        if lam == 1:
+            return 1, g
+        m = {e: v // lam for e, v in raw.items()}
+    return lam, Polynomial._from_raw(g.ring, m)
+
+
+def _scaled(h, x):
+    """h times the nonzero raw value x: no term drops."""
+    times = h.ring.field.mul
+    return Polynomial._from_raw(h.ring,
+                                {e: times(v, x) for e, v in h._raw.items()})
+
+
 def eliminate(G, f_gen, z_var, check_transversal=True):
     """Elimination algebra over the ring without z_var.
 
@@ -393,9 +443,11 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
     (g, n) is reduced mod f and contributes the coefficients h_j of the
     characteristic polynomial of multiplication-by-g, at weight j*n.
     Generators reducing to zero contribute nothing; f itself is one, and
-    gets no matrix.  Saturation emits a polynomial again at each lower
-    weight, so each other distinct g gets one multiplication matrix and one
-    char poly per call.  Before any
+    gets no matrix.  f is checked and split once per call (_modulus).
+    Saturation emits a polynomial again at each lower weight, and
+    h_j(lam*m) = lam^j * h_j(m), so each scalar class lam*m of the other
+    generators (_scalar_class) gets one multiplication matrix and one char
+    poly per call, of m; provenance names the generator.  Before any
     saturation, a weight above CHARPOLY_DEGREE_CAP raises ResourceCapError
     and a z_var that is the ring's only variable RingError.
     """
@@ -417,16 +469,25 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
     if f_gen not in G.generators:
         G = ReesAlgebra(ring, G.generators + (f_gen,))
     sat = diff_saturate(G, {z_var})
+    modulus = _modulus(f, z_var)
     found = {}   # (h_j projected, weight) -> (g, weight of g, j), first source
     # g -> its (j, nonzero h_j projected), () if g = 0 mod f, as f itself is
     coeffs = {f: ()}
     for g in sat.generators:
         hs = coeffs.get(g.poly)
         if hs is None:
-            M = mult_matrix(g.poly, f, z_var)
-            hs = coeffs[g.poly] = () if M.element.is_zero() else tuple(
-                (j, h.project_out(z_var))
-                for j, h in enumerate(char_poly(M), start=1) if not h.is_zero())
+            lam, m = _scalar_class(g.poly)
+            hs = coeffs.get(m)
+            if hs is None:
+                M = _mult_matrix(m, f, z_var, modulus)
+                hs = coeffs[m] = () if M.element.is_zero() else tuple(
+                    (j, h.project_out(z_var))
+                    for j, h in enumerate(char_poly(M), start=1)
+                    if not h.is_zero())
+            if lam != 1:   # h_j(lam*m) = lam^j * h_j(m), nonzero as lam is
+                hs = coeffs[g.poly] = tuple(
+                    (j, _scaled(h, _power(ring.field.mul, lam, j)))
+                    for j, h in hs)
         for j, h in hs:
             found.setdefault((h, j * g.weight), (g.poly, g.weight, j))
     algebra = ReesAlgebra.from_pairs(base, found)

@@ -464,17 +464,34 @@ def test_mult_matrix_divides_once(monkeypatch):
     assert not calls and M.matrix[2][2] == QYZ.one()
 
 
-def test_eliminate_builds_one_char_poly_per_distinct_polynomial(monkeypatch):
-    # saturation emits Z^2+X^3+Y^4 at weights 1 and 2: five generators,
-    # four distinct polynomials, three multiplication matrices, since f
-    # itself is 0 mod f and needs none
+def count_char_polys(monkeypatch):
+    """The elements of the matrices eliminate hands to char_poly, in order."""
     calls = []
 
-    def counting_mult_matrix(g, f, z_var):
-        calls.append(g)
-        return mult_matrix(g, f, z_var)
+    def counting_char_poly(M):
+        calls.append(M.element)
+        return char_poly(M)
 
-    monkeypatch.setattr(elim, "mult_matrix", counting_mult_matrix)
+    monkeypatch.setattr(elim, "char_poly", counting_char_poly)
+    return calls
+
+
+@pytest.mark.parametrize("g,f,message", [
+    (QYZ.parse("Y"), QYZ.parse("2*Z^2+Y"), "modulus is not monic in 'Z'"),
+    (QYZ.parse("Y"), QYZ.one(), "modulus must have positive degree in 'Z'"),
+    (ring("F3", "Y", "Z").parse("Y"), QYZ.parse("Z^2+Y"), "ring mismatch"),
+])
+def test_mult_matrix_refuses_a_modulus_it_cannot_reduce_by(g, f, message):
+    with pytest.raises(RingError) as info:
+        mult_matrix(g, f, "Z")
+    assert str(info.value) == message
+
+
+def test_eliminate_builds_one_char_poly_per_distinct_polynomial(monkeypatch):
+    # saturation emits Z^2+X^3+Y^4 at weights 1 and 2: five generators,
+    # four distinct polynomials, three characteristic polynomials, since f
+    # itself is 0 mod f and needs none
+    calls = count_char_polys(monkeypatch)
     R = ring("Q", "X", "Y", "Z")
     G = diff_saturate(algebra(R, ("Z^2+X^3+Y^4", 2)))
     result = eliminate(G, ReesGenerator(R.parse("Z^2+X^3+Y^4"), 2), "Z")
@@ -487,6 +504,64 @@ def test_eliminate_builds_one_char_poly_per_distinct_polynomial(monkeypatch):
         "gen: 16*Y^6 w 2  # from: 4*Y^3 w 1 coeff 2\n"
         "gen: -6*X^2 w 1  # from: 3*X^2 w 1 coeff 1\n"
         "gen: 9*X^4 w 2  # from: 3*X^2 w 1 coeff 2\n")
+
+
+def test_eliminate_builds_one_char_poly_per_scalar_class(monkeypatch):
+    # Z^3+X^4+Y^5 sheared by Z -> Z+X+Y and saturated: 13 generators, 8
+    # distinct polynomials, f among them.  3*(X+Y+Z) and 6*(X+Y+Z) are one
+    # scalar class, so the other 7 take 6 characteristic polynomials, and
+    # the second class member's h_j is 2^j times the first's
+    calls = count_char_polys(monkeypatch)
+    R = ring("Q", "X", "Y", "Z")
+    f = R.parse("Z^3+X^4+Y^5").substitute({"Z": R.parse("Z+X+Y")})
+    G = diff_saturate(ReesAlgebra.from_pairs(R, [(f, 3)]))
+    result = eliminate(G, ReesGenerator(f, 3), "Z")
+    assert len(G.generators) == 13
+    assert len({g.poly for g in G.generators}) == 8
+    assert len(calls) == len(set(calls)) == 6
+    assert format_elimination(result) == SHEARED_ELIMINATION
+
+
+SHEARED_ELIMINATION = (
+    "ring: Q[X,Y]\n"
+    "gen: -27*Y^10-54*X^4*Y^5-27*X^8 w 3"
+    "  # from: 3*X^2+6*X*Y+3*Y^2+6*X*Z+6*Y*Z+3*Z^2 w 1 coeff 3\n"
+    "gen: -15*Y^4 w 1"
+    "  # from: 5*Y^4+3*X^2+6*X*Y+3*Y^2+6*X*Z+6*Y*Z+3*Z^2 w 1 coeff 1\n"
+    "gen: 75*Y^8 w 2"
+    "  # from: 5*Y^4+3*X^2+6*X*Y+3*Y^2+6*X*Z+6*Y*Z+3*Z^2 w 1 coeff 2\n"
+    "gen: -125*Y^12-27*Y^10-54*X^4*Y^5-27*X^8 w 3"
+    "  # from: 5*Y^4+3*X^2+6*X*Y+3*Y^2+6*X*Z+6*Y*Z+3*Z^2 w 1 coeff 3\n"
+    "gen: -12*X^3 w 1"
+    "  # from: 4*X^3+3*X^2+6*X*Y+3*Y^2+6*X*Z+6*Y*Z+3*Z^2 w 1 coeff 1\n"
+    "gen: 48*X^6 w 2"
+    "  # from: 4*X^3+3*X^2+6*X*Y+3*Y^2+6*X*Z+6*Y*Z+3*Z^2 w 1 coeff 2\n"
+    "gen: -27*Y^10-64*X^9-54*X^4*Y^5-27*X^8 w 3"
+    "  # from: 4*X^3+3*X^2+6*X*Y+3*Y^2+6*X*Z+6*Y*Z+3*Z^2 w 1 coeff 3\n"
+    "gen: -27*Y^10-54*X^4*Y^5-27*X^8 w 6"
+    "  # from: 3*X^2+6*X*Y+3*Y^2+6*X*Z+6*Y*Z+3*Z^2 w 2 coeff 3\n"
+    "gen: 27*Y^5+27*X^4 w 3  # from: 3*X+3*Y+3*Z w 1 coeff 3\n"
+    "gen: 216*Y^5+216*X^4 w 3  # from: 6*X+6*Y+6*Z w 1 coeff 3\n"
+    "gen: -15*Y^4 w 2"
+    "  # from: 5*Y^4+3*X^2+6*X*Y+3*Y^2+6*X*Z+6*Y*Z+3*Z^2 w 2 coeff 1\n"
+    "gen: 75*Y^8 w 4"
+    "  # from: 5*Y^4+3*X^2+6*X*Y+3*Y^2+6*X*Z+6*Y*Z+3*Z^2 w 2 coeff 2\n"
+    "gen: -125*Y^12-27*Y^10-54*X^4*Y^5-27*X^8 w 6"
+    "  # from: 5*Y^4+3*X^2+6*X*Y+3*Y^2+6*X*Z+6*Y*Z+3*Z^2 w 2 coeff 3\n"
+    "gen: -12*X^3 w 2"
+    "  # from: 4*X^3+3*X^2+6*X*Y+3*Y^2+6*X*Z+6*Y*Z+3*Z^2 w 2 coeff 1\n"
+    "gen: 48*X^6 w 4"
+    "  # from: 4*X^3+3*X^2+6*X*Y+3*Y^2+6*X*Z+6*Y*Z+3*Z^2 w 2 coeff 2\n"
+    "gen: -27*Y^10-64*X^9-54*X^4*Y^5-27*X^8 w 6"
+    "  # from: 4*X^3+3*X^2+6*X*Y+3*Y^2+6*X*Z+6*Y*Z+3*Z^2 w 2 coeff 3\n"
+    "gen: -30*Y^3 w 1  # from: 10*Y^3+3*X+3*Y+3*Z w 1 coeff 1\n"
+    "gen: 300*Y^6 w 2  # from: 10*Y^3+3*X+3*Y+3*Z w 1 coeff 2\n"
+    "gen: -1000*Y^9+27*Y^5+27*X^4 w 3"
+    "  # from: 10*Y^3+3*X+3*Y+3*Z w 1 coeff 3\n"
+    "gen: -18*X^2 w 1  # from: 6*X^2+3*X+3*Y+3*Z w 1 coeff 1\n"
+    "gen: 108*X^4 w 2  # from: 6*X^2+3*X+3*Y+3*Z w 1 coeff 2\n"
+    "gen: -216*X^6+27*Y^5+27*X^4 w 3"
+    "  # from: 6*X^2+3*X+3*Y+3*Z w 1 coeff 3\n")
 
 
 def mult_matrix_by_columns(g, f, z_var):
@@ -610,6 +685,94 @@ def test_eliminate_does_not_depend_on_the_order_of_the_other_generators():
         assert results[0] == results[1]
 
     check()
+
+
+def eliminate_by_distinct_polynomials(G, f_gen, z_var):
+    """eliminate's generators and provenance with one public mult_matrix
+    and one char_poly per distinct saturated polynomial: the oracle for
+    eliminate's scalar classes."""
+    f = f_gen.poly
+    if f_gen not in G.generators:
+        G = ReesAlgebra(G.ring, G.generators + (f_gen,))
+    found, coeffs = {}, {f: ()}
+    for g in diff_saturate(G, {z_var}).generators:
+        if g.poly not in coeffs:
+            M = mult_matrix(g.poly, f, z_var)
+            coeffs[g.poly] = () if M.element.is_zero() else [
+                (j, h.project_out(z_var))
+                for j, h in enumerate(char_poly(M), start=1)
+                if not h.is_zero()]
+        for j, h in coeffs[g.poly]:
+            found.setdefault((h, j * g.weight), (g.poly, g.weight, j))
+    return found
+
+
+# nonzero n/d, more than half of them not integers
+FRACTIONS = [Fraction(n, d) for d in (1, 2, 3, 6) for n in range(-6, 7) if n]
+
+
+def test_eliminate_matches_one_char_poly_per_distinct_polynomial():
+    # the generators come with scalar multiples of themselves at other
+    # weights, so eliminate's classes merge; over Q the coefficients are
+    # all ints (classes by content) or include Fractions (each g its own
+    # class); c = 2..5 takes both char_poly paths
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        spec = data.draw(st.sampled_from(
+            ("Q", "Q/fractions", "F2", "F3", "F5", "F4", "F9")))
+        base = ("X", "Y")[:data.draw(st.integers(1, 2))]
+        R = ring(spec.split("/")[0], *base, "Z")
+        if spec == "Q":
+            nonzero = st.integers(-6, 6).filter(bool)
+        elif spec == "Q/fractions":
+            nonzero = st.sampled_from(FRACTIONS)
+        else:
+            nonzero = st.sampled_from(R.field.elements()).filter(bool)
+
+        def poly(z_max):
+            exps = st.tuples(*[st.integers(0, 2)] * len(base),
+                             st.integers(0, z_max))
+            return Polynomial(R, data.draw(st.dictionaries(
+                exps, nonzero, min_size=1, max_size=3)))
+
+        c = data.draw(st.integers(2, 5))
+        low = poly(c - 1) if data.draw(st.booleans()) else R.zero()
+        f = ReesGenerator(R.var("Z")**c + low, c)
+        gens = [f]
+        for _ in range(data.draw(st.integers(1, 2))):
+            g, w = poly(c), data.draw(st.integers(1, 2))
+            lam = R.field.element(data.draw(nonzero))
+            gens += [ReesGenerator(g, w), ReesGenerator(g.scale(lam), w + 1)]
+            h, g_h = char_poly(mult_matrix(g, f.poly, "Z")), char_poly(
+                mult_matrix(g.scale(lam), f.poly, "Z"))
+            assert g_h == [x.scale(lam**j) for j, x in enumerate(h, start=1)]
+        G = ReesAlgebra(R, gens)
+        result = eliminate(G, f, "Z", check_transversal=False)
+        found = eliminate_by_distinct_polynomials(G, f, "Z")
+        assert result.algebra.generators == ReesAlgebra.from_pairs(
+            result.base_ring, found).generators
+        assert result.provenance == tuple(found.values())
+
+    check()
+
+
+def test_eliminate_keeps_a_fractional_generator_in_its_own_class():
+    # -1/3*Z-1/6*Y and its derivative -1/3 have Fraction coefficients, so
+    # neither is divided into a class; the answer is the one a char poly per
+    # distinct polynomial gives, with all 24 generators
+    G = algebra(QYZ, ("Z^3+Y^4", 3), ("2*Z+Y", 2), ("-1/3*Z-1/6*Y", 2),
+                ("3/2*Y^2", 1))
+    f = ReesGenerator(QYZ.parse("Z^3+Y^4"), 3)
+    result = eliminate(G, f, "Z")
+    found = eliminate_by_distinct_polynomials(G, f, "Z")
+    assert len(result.algebra.generators) == 24
+    assert result.algebra.generators == ReesAlgebra.from_pairs(
+        result.base_ring, found).generators
+    assert result.provenance == tuple(found.values())
 
 
 def test_zero_elimination_algebra_warning_path():
