@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import re
 import sys
 
 from .groebner import ResourceCapError, rational_zero_set
-from .poly import _DIGITS, RationalPoint, RingError
+from .poly import _INTEGER, RationalPoint, RingError
 from .rees import (ReesError, diff_saturate, e0_invariant, format_algebra,
                    normalize_generators, ord_at_point, parse_algebra,
                    singular_ideal, tau_estimate, weighted_transform)
@@ -66,7 +65,7 @@ def _parse_point(ring, text):
 
 def _integer(text):
     """argparse type: the file format's integers, ASCII digits only."""
-    if not re.fullmatch("[+-]?" + _DIGITS, text):
+    if not _INTEGER.fullmatch(text):
         raise argparse.ArgumentTypeError("invalid int value: %r" % text)
     return int(text)
 

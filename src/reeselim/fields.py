@@ -26,11 +26,14 @@ power, here and in poly, is one square-and-multiply (_power).
 
 A finite field keeps one table (_scan_table) of its raw values, their
 positions and their powers, which elements() and the point scan share.
+The text of an F_{p^k} value comes from one bounded cache (_text), which
+str(element) and poly's format_polynomial share.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 # monic irreducible moduli, low-to-high coefficient order, used when the
 # caller does not supply one
@@ -382,6 +385,17 @@ def _format_modulus(modulus):
     return "+".join(parts) if parts else "0"
 
 
+def _text(field, v):
+    """The text of the raw value v of field: the number itself in Q and F_p,
+    and in F_{p^k} its polynomial in t, read from a bounded cache."""
+    return str(v) if field.k == 1 else _extension_text(field, v)
+
+
+@lru_cache(maxsize=4096)
+def _extension_text(field, v):
+    return _format_modulus(field._unpack(v))
+
+
 class FieldElement(Immutable):
     """Immutable exact element of a FieldDescriptor."""
 
@@ -481,7 +495,4 @@ class FieldElement(Immutable):
         return "FieldElement(%s, %s)" % (self.field.spec(), self)
 
     def __str__(self):
-        f = self.field
-        if f.p == 0 or f.k == 1:
-            return str(self.val)
-        return _format_modulus(f._unpack(self.val))
+        return _text(self.field, self.val)

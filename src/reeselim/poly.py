@@ -25,24 +25,28 @@ of 2^31 or more raises RingError; it never wraps.
 
 The boundary keeps exponent tuples: the constructor and
 `RingContext.monomial` take them, `.terms` and `leading_monomial()` give
-them, the parser and `format_polynomial` read and print them, and Hasse
-multi-indices are tuples.  This is the one module that packs and reads
-keys: `_key` and `_exps` convert, `_entry`, `_columns`, `_unit`, `_guard`,
-`_divides`, `_lcm`, `_center_mask`, `_fits`, `_check_key` and `_top_entry`
-read and build them, and `_degree`, `_zero_exps`, `_binomial` and `_box`
-serve Hasse's multi-indices.  It holds the raw term-map kernels:
+them, and Hasse multi-indices are tuples.  The parser and
+`format_polynomial` keep their text but run on int keys inside: the parser
+computes on raw term maps and builds one Polynomial per text, and the
+formatter walks the keys in int order.  This is the one module that packs
+and reads keys: `_key` and `_exps` convert, `_entry`, `_columns`, `_unit`,
+`_guard`, `_divides`, `_lcm`, `_center_mask`, `_fits`, `_check_key` and
+`_top_entry` read and build them, and `_degree`, `_zero_exps`, `_binomial`
+and `_box` serve Hasse's multi-indices.  It holds the raw term-map kernels:
 `_accumulate` (products summed unreduced), `_reduced` (each value reduced
 once, zeros dropped), `_sum_of_products` (the two over f_1*g_1 + ... +
-f_n*g_n), Groebner's `_subtract` (work -= c*x^shift*tail), `_split` (by
-one variable's exponent), the scan's `_fold` (x^q = x), `_fields` (its
-view of the keys) and `_specialize` (first variable set), and the
-transforms' `_chart`.  Other modules call these, or read `.terms` and use public
-constructors; groebner and rees add, subtract and compare keys, and elim's
-char_poly lifts and decodes them.
+f_n*g_n), `_product` (one product, a single-term factor as a shift of the
+other's keys) and `_raw_power`, Groebner's `_subtract` (work -= c*x^shift*
+tail), `_split` (by one variable's exponent), the scan's `_fold` (x^q = x),
+`_fields` (its view of the keys) and `_specialize` (first variable set),
+and the transforms' `_chart`.  Other modules call these, or read `.terms`
+and use public constructors; groebner and rees add, subtract and compare
+keys, and elim's char_poly lifts and decodes them.
 
-Substitution, the parser's sums and products of two multi-term factors
-call `_sum_of_products`.  Coefficient arithmetic is the fields module's
-(an F_{p^k} value is a packed int, so one loop serves every field).
+Substitution calls `_sum_of_products`; products and powers, of
+Polynomials and in the parser, call `_product` and `_raw_power`.
+Coefficient arithmetic and text are the fields module's (an F_{p^k} value
+is a packed int, so one loop serves every field).
 Rings, like fields, have one instance each: ring checks are identity tests.
 """
 from __future__ import annotations
@@ -55,7 +59,7 @@ from itertools import product
 from math import comb, prod
 from types import MappingProxyType
 
-from .fields import FieldElement, Immutable, _power
+from .fields import FieldElement, Immutable, _power, _text
 
 INFINITE_ORDER = math.inf
 _degree = sum   # |alpha| of an exponent tuple, Hasse's multi-indices
@@ -66,6 +70,8 @@ _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 # a number: ASCII digits only, in the parser, a gen: weight and a field
 # spec (int() would also read 1_0 and other scripts' digits)
 _DIGITS = r"[0-9]+"
+# a signed integer: a gen: weight and an integer CLI option
+_INTEGER = re.compile("[+-]?" + _DIGITS)
 
 
 class RingError(ValueError):
@@ -347,6 +353,46 @@ def _sum_of_products(ring, pairs):
     return Polynomial._from_raw(ring, _reduced(ring.field, raw))
 
 
+def _product(field, a, b, n):
+    """a*b on raw term maps in n variables, checked on its leading key.  A
+    single-term factor c*x^e skips _accumulate: shifting the other factor's
+    keys by e is injective, so nothing collides and the product is one pass
+    over its terms, each value times c reduced once, or kept when c is 1
+    (the values are canonical); the constant 1 gives back the other map
+    itself."""
+    mono, f = (a, b) if len(a) == 1 else (b, a)
+    if len(mono) != 1:
+        if not (a and b):
+            return {}
+        _check_key(max(a) + max(b), n)
+        raw = {}
+        _accumulate(raw, a.items(), b.items())
+        return _reduced(field, raw)
+    ((e, c),) = mono.items()
+    if c == 1 and not e:   # 1 is the raw one of every field
+        return f
+    if len(f) == 1 and f.get(0) == 1:
+        return mono
+    if f:
+        _check_key(e + max(f), n)
+    if c == 1:
+        return {e + e2: v for e2, v in f.items()}
+    reduce = field.reduce
+    return {e + e2: reduce(c * v) for e2, v in f.items()}
+
+
+def _raw_power(field, raw, d, n):
+    """raw^d on raw term maps in n variables, checked on its leading key, d
+    times raw's, before any product: c*x^e gives c^d*x^(d*e), and any other
+    map is square-and-multiply under _product."""
+    if raw:
+        _check_key(d * max(raw), n)
+    if len(raw) == 1:
+        ((e, c),) = raw.items()
+        return {d * e: c if c == 1 else _power(field.mul, c, d)}
+    return _power(lambda a, b: _product(field, a, b, n), raw, d, {0: 1})
+
+
 def _subtract(field, work, shift, c, tail):
     """work -= c * x^shift * tail on a raw term map, tail (e, v) pairs."""
     mul, plus = field.mul, field.add
@@ -513,31 +559,18 @@ class Polynomial(Immutable):
         return (-self) + other
 
     def __mul__(self, other):
-        """self * other.  A single-term factor c*x^e skips the kernel:
-        shifting the other factor's keys by e is injective, so nothing
-        collides and the product is one pass over its terms, each value
-        times c reduced once, or kept when c is 1 (the values are canonical);
-        the constant 1 returns the other factor itself.  Either way the
-        product is checked on its leading key."""
+        """self * other by _product: the constant 1 returns the other
+        factor itself."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        mono, f = (self, other) if len(self._raw) == 1 else (other, self)
-        if len(mono._raw) != 1:
-            return _sum_of_products(self.ring, ((self, other),))
-        ((e, c),) = mono._raw.items()
-        if c == 1 and not e:   # 1 is the raw one of every field
-            return f
-        if len(f._raw) == 1 and f._raw.get(0) == 1:
-            return mono
-        if f._raw:
-            _check_key(e + max(f._raw), self.ring.nvars)
-        if c == 1:
-            return Polynomial._from_raw(self.ring, {
-                e + e2: v for e2, v in f._raw.items()})
-        reduce = self.ring.field.reduce
-        return Polynomial._from_raw(self.ring, {
-            e + e2: reduce(c * v) for e2, v in f._raw.items()})
+        ring = self.ring
+        raw = _product(ring.field, self._raw, other._raw, ring.nvars)
+        if raw is self._raw:
+            return self
+        if raw is other._raw:
+            return other
+        return Polynomial._from_raw(ring, raw)
 
     __rmul__ = __mul__
 
@@ -546,9 +579,9 @@ class Polynomial(Immutable):
             raise RingError("exponent %r is not an int" % (n,))
         if n < 0:
             raise RingError("negative polynomial power")
-        if self._raw:   # the power's leading key is n times self's
-            _check_key(n * max(self._raw), self.ring.nvars)
-        return _power(Polynomial.__mul__, self, n, self.ring.one())
+        ring = self.ring
+        raw = _raw_power(ring.field, self._raw, n, ring.nvars)
+        return self if raw is self._raw else Polynomial._from_raw(ring, raw)
 
     def scale(self, c):
         mul, c = self.ring.field.mul, self.ring.coeff(c).val
@@ -848,22 +881,24 @@ _TOKEN = re.compile(r"\s*(%s/%s|%s|%s|\^|\*|\+|-|\(|\))"
 
 
 def parse_polynomial(ring, text):
-    """Parse `Z^2 + Y^5`, `-3*X*Z1^2` style syntax in the given ring."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise RingError("bad polynomial syntax near %r" % text[pos:])
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
+    """Parse `Z^2 + Y^5`, `-3*X*Z1^2` style syntax in the given ring.  It
+    computes on raw term maps and builds one Polynomial, at the end."""
+    tokens = _TOKEN.findall(text)
+    # findall skips what no token matches; the text reads as tokens iff
+    # they are all of it but its whitespace
+    if "".join(tokens) != "".join(text.split()):
+        pos = 0
+        while m := _TOKEN.match(text, pos):
+            pos = m.end()
+        raise RingError("bad polynomial syntax near %r" % text[pos:])
     if not tokens:
         raise RingError("empty polynomial text")
 
     tokens.append(None)   # the end: reading past the text gives None
     at = 0   # the cursor: tokens[at] is the next token
+    field, n, p = ring.field, ring.nvars, ring.field.p
+    units = {v: _unit(i, n) for i, v in enumerate(ring.variables)}
+    t = field.generator().val if field.k > 1 else None
 
     def parse_factor():
         nonlocal at
@@ -878,15 +913,19 @@ def parse_polynomial(ring, text):
             raise RingError("unexpected end of polynomial")
         elif tok in ("^", "*", "+", "-", ")"):
             raise RingError("unexpected %r in polynomial text" % tok)
+        elif tok.isdigit():
+            v = int(tok) % p if p else int(tok)   # as field.element reads it
+            base = {0: v} if v else {}
         elif tok.replace("/", "").isdigit():
             try:
-                base = ring.constant(Fraction(tok) if "/" in tok else int(tok))
+                v = field.element(Fraction(tok)).val
             except ZeroDivisionError:
                 raise RingError("zero denominator in %r" % tok) from None
-        elif tok in ring.variables:
-            base = ring.var(tok)
-        elif tok == "t" and ring.field.k > 1:
-            base = ring.constant(ring.field.generator())
+            base = {0: v} if v else {}
+        elif tok in units:
+            base = {units[tok]: 1}
+        elif tok == "t" and t is not None:
+            base = {0: t}
         else:
             raise RingError("undeclared name %r" % tok)
         if tokens[at] == "^":
@@ -894,12 +933,12 @@ def parse_polynomial(ring, text):
             if exp is None or not exp.isdigit():
                 raise RingError("bad exponent")
             at += 2
-            base = base**int(exp)
+            base = _raw_power(field, base, int(exp), n)
         return base
 
     def parse_sum():
         nonlocal at
-        terms = []
+        terms = []   # (raw map, sign) of each term
         while not terms or tokens[at] in ("+", "-"):
             sign = 1
             while tokens[at] in ("+", "-"):
@@ -910,53 +949,53 @@ def parse_polynomial(ring, text):
             while tokens[at] is not None and tokens[at] not in "+-)":
                 if tokens[at] == "*":
                     at += 1
-                f = f * parse_factor()
-            terms.append(f if sign == 1 else -f)
-        if len(terms) == 1:
-            return terms[0]
-        # one kernel pass: adding term by term would copy the running sum
-        one = ring.one()
-        return _sum_of_products(ring, ((term, one) for term in terms))
+                f = _product(field, f, parse_factor(), n)
+            terms.append((f, sign))
+        if len(terms) == 1 and sign == 1:
+            return f
+        # one reduce pass: adding term by term would copy the running sum
+        raw, neg = {}, field.neg
+        for f, sign in terms:
+            for e, v in f.items():
+                raw[e] = raw.get(e, 0) + (v if sign == 1 else neg(v))
+        return _reduced(field, raw)
 
     try:
-        result = parse_sum()
+        raw = parse_sum()
     except RecursionError:   # two calls per level of parentheses
         raise RingError("parentheses nested too deeply") from None
     if tokens[at] is not None:
         raise RingError("trailing tokens in polynomial text")
-    return result
+    return Polynomial._from_raw(ring, raw)
 
 
-def _format_coeff(c):
-    s = str(c)
+def _format_coeff(s):
     if "+" in s or "-" in s[1:]:
         return "(%s)" % s
     return s
 
 
 def format_polynomial(f):
-    if f.is_zero():
+    """The text of f: its terms by decreasing key, which is grevlex, each
+    read from the raw map, its coefficient's text from the raw value."""
+    raw = f._raw
+    if not raw:
         return "0"
-    one = f.ring.field.one()
-    parts = []
-    for exps in sorted(f.terms, key=grevlex_key, reverse=True):
-        c = f.terms[exps]
-        factors = []
-        for v, e in zip(f.ring.variables, exps):
-            if e == 1:
-                factors.append(v)
-            elif e > 1:
-                factors.append("%s^%d" % (v, e))
+    field, names, n = f.ring.field, f.ring.variables, f.ring.nvars
+    # -1 is 1 in characteristic 2, where the test for 1 comes first
+    minus_one = field.neg(1)
+    out = []
+    for k in sorted(raw, reverse=True):
+        c = raw[k]
+        factors = "*".join([v if e == 1 else "%s^%d" % (v, e)
+                            for v, e in zip(names, _exps(k, n)) if e])
         if not factors:
-            body = _format_coeff(c)
-        elif c == one:
-            body = "*".join(factors)
-        elif c == -one and f.ring.field.p != 2:
-            body = "-" + "*".join(factors)
+            body = _format_coeff(_text(field, c))
+        elif c == 1:
+            body = factors
+        elif c == minus_one:
+            body = "-" + factors
         else:
-            body = _format_coeff(c) + "*" + "*".join(factors)
-        parts.append(body)
-    out = parts[0]
-    for part in parts[1:]:
-        out += part if part.startswith("-") else "+" + part
-    return out
+            body = _format_coeff(_text(field, c)) + "*" + factors
+        out.append(body if not out or body[0] == "-" else "+" + body)
+    return "".join(out)

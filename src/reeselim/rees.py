@@ -14,14 +14,13 @@ a caller's field override (the CLI's --field).
 """
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from operator import itemgetter
 
 from .fields import FieldDescriptor, Immutable
 from .groebner import Ideal, buchberger, minimal_exponents, rational_zero_set
 from .hasse import diff_closure_list, hasse_derivatives
-from .poly import (_DIGITS, INFINITE_ORDER, Polynomial, RingContext,
+from .poly import (_INTEGER, INFINITE_ORDER, Polynomial, RingContext,
                    RingError, _center_mask, _chart, _check_key, _divides,
                    _guard)
 
@@ -479,7 +478,7 @@ def parse_algebra(text, field=None):
             if not sep:
                 raise ReesError("bad generator line %r" % line)
             weighttext = weighttext.strip()
-            if not re.fullmatch("[+-]?" + _DIGITS, weighttext):
+            if not _INTEGER.fullmatch(weighttext):
                 raise ReesError("weight %r is not an integer in %r"
                                 % (weighttext, line))
             weight = int(weighttext)

@@ -1,7 +1,8 @@
 """The polynomial parser against its earlier form (tests/reference_parser.py)
-on drawn text, and the count of sums it makes: a sum of n terms is one
-_sum_of_products call and no Polynomial.__add__ call, where adding the
-terms one by one made n - 1 additions, each copying the running sum."""
+on drawn text, and the passes it makes: the parser computes on raw term
+maps, so a sum of n terms is one _reduced pass and no Polynomial
+arithmetic, where adding the terms one by one made n - 1 additions, each
+copying the running sum."""
 import pytest
 
 from reeselim import FieldDescriptor, Polynomial, RingContext
@@ -104,36 +105,41 @@ def test_parser_matches_the_term_by_term_parser_on_named_cases(text):
         assert_same_outcome(R, text)
 
 
-def _count_sums(monkeypatch):
-    calls = {"add": 0, "kernel": 0}
-    add, kernel = Polynomial.__add__, poly_module._sum_of_products
+def _count_passes(monkeypatch):
+    """Count the Polynomial +, -, * and ** calls, and poly._reduced's
+    passes, from here on."""
+    calls = {"arithmetic": 0, "reduce": 0}
 
-    def counting_add(self, other):
-        calls["add"] += 1
-        return add(self, other)
+    def counting(kind, function):
+        def counted(*args):
+            calls[kind] += 1
+            return function(*args)
+        return counted
 
-    def counting_kernel(ring, pairs):
-        calls["kernel"] += 1
-        return kernel(ring, pairs)
-
-    monkeypatch.setattr(Polynomial, "__add__", counting_add)
-    monkeypatch.setattr(poly_module, "_sum_of_products", counting_kernel)
+    for name in ("__add__", "__neg__", "__mul__", "__pow__"):
+        monkeypatch.setattr(Polynomial, name,
+                            counting("arithmetic", getattr(Polynomial, name)))
+    monkeypatch.setattr(poly_module, "_reduced",
+                        counting("reduce", poly_module._reduced))
     return calls
 
 
 @pytest.mark.parametrize("n", [1, 2, 50, 400])
 def test_a_sum_of_n_terms_is_one_kernel_pass(monkeypatch, n):
     R = RINGS[1]   # F5[x,y,z]
-    # single-term products: none of them reaches the kernel
+    # single-term products and powers: none of them reduces a sum
     text = "+".join("%d*x^%d*y" % (i % 4 + 1, i) for i in range(n))
     want = Polynomial(R, {(i, 1, 0): i % 4 + 1 for i in range(n)})
-    calls = _count_sums(monkeypatch)
+    calls = _count_passes(monkeypatch)
     assert R.parse(text) == want
-    assert calls == {"add": 0, "kernel": int(n > 1)}
+    assert calls == {"arithmetic": 0, "reduce": int(n > 1)}
 
 
 def test_a_one_term_sum_is_the_term_itself(monkeypatch):
     R = RINGS[0]
-    calls = _count_sums(monkeypatch)
+    calls = _count_passes(monkeypatch)
+    assert R.parse("(3*x^2)") == R.parse("3*x^2")
+    assert calls == {"arithmetic": 0, "reduce": 0}
+    # a minus sign makes the one pass of each text's outer sum
     assert R.parse("-(3*x^2)") == R.parse("-3*x^2")
-    assert calls == {"add": 0, "kernel": 0}
+    assert calls == {"arithmetic": 0, "reduce": 2}
