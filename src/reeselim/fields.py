@@ -328,10 +328,13 @@ class FieldDescriptor(Immutable):
     # -- spec strings -------------------------------------------------
 
     @staticmethod
+    @lru_cache(maxsize=256)
     def parse(spec):
         """Parse "Q", "F5", or "F4:t^2+t+1".  The modulus is a polynomial
         over F_p[t] in the syntax of poly.parse_polynomial, so "t*t+t+1"
-        and "t^2+1/2" (1/2 is the inverse of 2 mod p) are read too."""
+        and "t^2+1/2" (1/2 is the inverse of 2 mod p) are read too.  A
+        bounded cache keeps each spec text's descriptor; a bad spec raises
+        on every call."""
         spec = spec.strip()
         if spec == "Q":
             return FieldDescriptor(0)

@@ -3,9 +3,11 @@
 Delta^alpha extracts the T^alpha coefficient of f(x + T); termwise this is
 Delta^alpha(x^beta) = prod_i C(beta_i, alpha_i) * x^(beta - alpha) with the
 binomials computed as exact integers and then reduced into the field, so
-the operators are correct in every characteristic.  `hasse_derivatives`
-builds a whole table in one pass over the support of f: each term x^beta
-feeds Delta^alpha for every alpha <= beta it reaches.
+the operators are correct in every characteristic.  `_derivative_rows`
+builds the (|alpha|, alpha, raw map) rows of a whole table in one pass over
+the support of f: each term x^beta feeds Delta^alpha for every alpha <= beta
+it reaches.  `hasse_derivatives`, `diff_closure_list` and
+rees.diff_saturate all read those rows.
 
 Which alpha a term x^beta reaches, the shifted key beta - alpha and the
 integer binomial depend on exponents alone, so `_shifts` keeps them in one
@@ -74,20 +76,32 @@ def hasse_derivative(f, alpha):
 
 @lru_cache(maxsize=1024)
 def _shifts(beta, n, active_idx, nvars):
-    """(alpha, beta - alpha, prod C(beta_i, alpha_i)) for every nonzero
-    alpha <= beta with |alpha| < n, supported on active_idx (a frozenset or
-    a range, so that it can key the cache), in the order of poly's _box:
-    by increasing |alpha| and then lexicographically.  beta is a key in
-    nvars variables, beta - alpha too, and alpha an exponent tuple.  The
-    binomials are exact integers, the same for every field."""
-    return tuple((alpha, beta - _key(alpha), _binomial(beta, alpha))
+    """(|alpha|, alpha, beta - alpha, prod C(beta_i, alpha_i)) for every
+    nonzero alpha <= beta with |alpha| < n, supported on active_idx (a
+    frozenset or a range, so that it can key the cache), in the order of
+    poly's _box: by increasing |alpha| and then lexicographically.  beta is
+    a key in nvars variables, beta - alpha too, and alpha an exponent tuple.
+    The binomials are exact integers, the same for every field."""
+    return tuple((_degree(alpha), alpha, beta - _key(alpha),
+                  _binomial(beta, alpha))
                  for alpha in _box(_exps(beta, nvars), n, active_idx)[1:])
 
 
-def hasse_derivatives(f, n, active=None):
-    """{alpha: Delta^alpha(f)} for |alpha| < n, alpha supported on the active
-    variables (all variables when None), by increasing |alpha| and then
-    lexicographically; zero derivatives are left out.
+def _raw_coefficient(field, v, binom):
+    """_term_coefficient on raw values alone: the same value, with no
+    FieldElement built.  Saturation uses it; hasse_derivatives keeps the
+    FieldElement product, which bench/selftest.py expects verify_thm_1_16
+    to reach."""
+    if binom == 1:
+        return v
+    return field.mul(v, binom % field.p if field.p else binom)
+
+
+def _derivative_rows(f, n, active=None, coefficient=_term_coefficient):
+    """[(|alpha|, alpha, raw map of Delta^alpha f)] for 0 < |alpha| < n,
+    alpha supported on the active variables (all variables when None), by
+    increasing |alpha| and then lexicographically; zero derivatives are
+    left out.  coefficient(field, v, binom) makes each raw coefficient.
 
     One pass over the terms of f: each x^beta contributes to Delta^alpha
     for every alpha <= beta in the simplex, so the cost follows the
@@ -96,28 +110,36 @@ def hasse_derivatives(f, n, active=None):
     sort.  The multi-indices, shifted exponents and binomials of each term
     come from the _shifts table."""
     ring = f.ring
-    field = ring.field
+    field, nvars = ring.field, ring.nvars
     if active is None:
-        active_idx = range(ring.nvars)
+        active_idx = range(nvars)
     else:
         active_idx = frozenset(ring.var_index(v) for v in active)
-    nvars = ring.nvars
-    # Delta^0 f is f itself, and it comes first
-    out = {_zero_exps(nvars): f} if f._raw and n >= 1 else {}
     if len(f._raw) == 1:
         (beta, v), = f._raw.items()
-        for alpha, shifted, binom in _shifts(beta, n, active_idx, nvars):
-            if c := _term_coefficient(field, v, binom):
-                out[alpha] = Polynomial._from_raw(ring, {shifted: c})
-        return out
+        return [(size, alpha, {shifted: c})
+                for size, alpha, shifted, binom in _shifts(
+                    beta, n, active_idx, nvars)
+                if (c := coefficient(field, v, binom))]
     table = {}
     for beta, v in f._raw.items():
-        for alpha, shifted, binom in _shifts(beta, n, active_idx, nvars):
-            if c := _term_coefficient(field, v, binom):
+        for size, alpha, shifted, binom in _shifts(beta, n, active_idx,
+                                                   nvars):
+            if c := coefficient(field, v, binom):
                 # beta -> beta - alpha is injective for a fixed alpha
-                table.setdefault(alpha, {})[shifted] = c
-    for alpha in sorted(sorted(table), key=_degree):
-        out[alpha] = Polynomial._from_raw(ring, table[alpha])
+                table.setdefault((size, alpha), {})[shifted] = c
+    return [(size, alpha, table[size, alpha]) for size, alpha in sorted(table)]
+
+
+def hasse_derivatives(f, n, active=None):
+    """{alpha: Delta^alpha(f)} for |alpha| < n, alpha supported on the active
+    variables (all variables when None), by increasing |alpha| and then
+    lexicographically; zero derivatives are left out.  Delta^0 f is f
+    itself, and the rest are _derivative_rows."""
+    ring = f.ring
+    out = {_zero_exps(ring.nvars): f} if f._raw and n >= 1 else {}
+    for _, alpha, raw in _derivative_rows(f, n, active):
+        out[alpha] = Polynomial._from_raw(ring, raw)
     return out
 
 
@@ -139,11 +161,12 @@ def diff_closure_list(f, n, active=None):
         raise RingError("weight %r is not an int" % (n,))
     if n < 1:
         raise RingError("weight must be >= 1")
-    table = [(df, _degree(alpha))
-             for alpha, df in hasse_derivatives(f, n, active).items()]
+    table = [(0, f)] if f._raw else []
+    table += [(size, Polynomial._from_raw(f.ring, raw))
+              for size, _, raw in _derivative_rows(f, n, active)]
     out = []
     for nprime in range(1, n + 1):
-        for df, size in table:   # by increasing |alpha|
+        for size, df in table:   # by increasing |alpha|
             if size >= nprime:
                 break
             out.append((df, nprime - size))

@@ -1,7 +1,8 @@
 """Rees algebras given by weighted generators: differential saturation,
 singular loci, point invariants (ord, simplicity, e0, tau), and monoidal
 transforms at coordinate-subspace centers, computed as exponent maps on the
-generators' terms.
+generators' terms.  Saturation works on hasse's raw derivative rows and
+tells polynomials apart by keys of their raw maps (_identity).
 
 An algebra with generators {g_i W^{n_i}} always denotes the subalgebra
 spanned by those elements together with every down-shifted copy g_i W^{n'}
@@ -19,7 +20,7 @@ from operator import itemgetter
 
 from .fields import FieldDescriptor, Immutable
 from .groebner import Ideal, buchberger, minimal_exponents, rational_zero_set
-from .hasse import diff_closure_list, hasse_derivatives
+from .hasse import _derivative_rows, _raw_coefficient, hasse_derivatives
 from .poly import (_INTEGER, INFINITE_ORDER, Polynomial, RingContext,
                    RingError, _center_mask, _chart, _check_key, _divides,
                    _guard)
@@ -133,14 +134,14 @@ class BlowupChart(Immutable):
 
 # -- saturation and singular locus ------------------------------------
 
-def _heaviest_weights(generators):
-    """{polynomial: the heaviest weight it is listed at}, in first-listed
-    order."""
-    heaviest = {}
-    for g in generators:
-        if g.weight > heaviest.get(g.poly, 0):
-            heaviest[g.poly] = g.weight
-    return heaviest
+def _identity(raw):
+    """A key of the raw map that C code hashes and compares, equal for two
+    maps of one ring iff they are: its one (key, value) item, or the
+    frozenset of its items when it has more terms."""
+    if len(raw) == 1:
+        item, = raw.items()
+        return item
+    return frozenset(raw.items())
 
 
 def diff_saturate(G, active=None):
@@ -151,24 +152,38 @@ def diff_saturate(G, active=None):
     so compare the two after normalize_generators.
 
     The generators are the pairs of diff_closure_list(g, w) over the listed
-    g W^w, in that order, each pair once.  The closure list of each distinct
-    polynomial is built once, at its heaviest listed weight: a lighter copy
-    g W^w takes the part of it before its first pair of weight w + 1, which
-    is diff_closure_list(g, w)."""
-    heaviest = _heaviest_weights(G.generators)
-    closures = {f: diff_closure_list(f, n, active)
-                for f, n in heaviest.items()}
+    g W^w, in that order, each pair once.  Each distinct polynomial gets one
+    table of derivative rows, at its heaviest listed weight; a copy g W^w
+    reads its blocks n' = 1..w, which are diff_closure_list(g, w).  A pair
+    is keyed by (identity, weight), and each identity becomes one
+    Polynomial, shared across weights: a listed g serves as its own."""
+    ring = G.ring
+    idents = [_identity(g.poly._raw) for g in G.generators]
+    polys, heaviest = {}, {}
+    for ident, (f, w) in zip(idents, G.generators):
+        polys.setdefault(ident, f)
+        if w > heaviest.get(ident, 0):
+            heaviest[ident] = w
+    tables = {}
+    for ident, n in heaviest.items():
+        rows = tables[ident] = [(0, ident)]
+        for size, _, raw in _derivative_rows(polys[ident], n, active,
+                                             _raw_coefficient):
+            dident = _identity(raw)
+            if dident not in polys:
+                polys[dident] = Polynomial._from_raw(ring, raw)
+            rows.append((size, dident))
     pairs = {}
-    for g in G.generators:
-        closure = closures[g.poly]
-        if g.weight < heaviest[g.poly]:
-            closure = closure[:next(i for i, (_, w) in enumerate(closure)
-                                    if w > g.weight)]
-        pairs.update(dict.fromkeys(closure))
-    # diff_closure_list drops zeros, and its weights n' - |alpha| are ints
+    for ident, (_, w) in zip(idents, G.generators):
+        for nprime in range(1, w + 1):
+            for size, d in tables[ident]:   # by increasing |alpha|
+                if size >= nprime:
+                    break
+                pairs[d, nprime - size] = None
+    # the rows hold no zero map, and their weights n' - |alpha| are ints
     # >= 1, so the generators need no checks
-    return ReesAlgebra._distinct(G.ring, [ReesGenerator._trusted(p, w)
-                                          for p, w in pairs])
+    return ReesAlgebra._distinct(ring, [
+        ReesGenerator._trusted(polys[ident], w) for ident, w in pairs])
 
 
 def singular_ideal(G):
@@ -376,7 +391,10 @@ def degree_ideal(G, k):
             or all(len(g.poly._raw) == 1 for g in gens)):
         exps = _monomial_degree_exponents(G, k)
     else:
-        heaviest = _heaviest_weights(gens)
+        heaviest = {}
+        for f, w in gens:
+            if w > heaviest.get(f, 0):
+                heaviest[f] = w
         gens = [g for g in gens if heaviest[g.poly] == g.weight]
         products = {}
 

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from reeselim import FieldDescriptor, FieldElement, FieldError, RingError
+from reeselim import (FieldDescriptor, FieldElement, FieldError, RingContext,
+                      RingError)
 from reeselim.fields import _polymod
 
 Q = FieldDescriptor.parse("Q")
@@ -498,3 +499,20 @@ def test_power_refuses_an_exponent_that_is_not_an_int(n):
 def test_power_takes_a_bool_exponent_as_an_int():
     for a in F9.elements():
         assert a**True == a and a**False == F9.one()
+
+
+def test_a_repeated_spec_is_read_once(monkeypatch):
+    # a bad spec is not cached: it raises on every call
+    for _ in range(2):
+        with pytest.raises(FieldError, match="6 is not a prime power"):
+            FieldDescriptor.parse("F6")
+        with pytest.raises(FieldError, match="reducible"):
+            FieldDescriptor.parse("F4:t^2+1")
+    first = FieldDescriptor.parse("F8:t^3+t+1")
+
+    def refuse(*args):
+        raise AssertionError("the modulus was parsed again")
+
+    # the modulus is read by RingContext.parse: a cached spec never gets there
+    monkeypatch.setattr(RingContext, "parse", refuse)
+    assert FieldDescriptor.parse("F8:t^3+t+1") is first

@@ -799,6 +799,9 @@ def test_saturation_lists_a_repeated_derivative_once():
 
 
 def test_saturation_builds_one_closure_list_per_polynomial(monkeypatch):
+    """One table of derivative rows per distinct polynomial, at its
+    heaviest listed weight, in first-listed order: the closure list of every
+    lighter copy is read from it."""
     R = ring("Q", "X", "Y")
     f = "X^2*Y+Y^3"
     # lighter copies of f before and after its heaviest, between others
@@ -807,16 +810,54 @@ def test_saturation_builds_one_closure_list_per_polynomial(monkeypatch):
         p for g in G.generators
         for p in reeselim.diff_closure_list(g.poly, g.weight)])
     calls = []
-    original = reeselim.rees.diff_closure_list
+    original = reeselim.rees._derivative_rows
 
-    def counted(poly, weight, active=None):
+    def counted(poly, weight, *args):
         calls.append((str(poly), weight))
-        return original(poly, weight, active)
+        return original(poly, weight, *args)
 
-    monkeypatch.setattr(reeselim.rees, "diff_closure_list", counted)
+    monkeypatch.setattr(reeselim.rees, "_derivative_rows", counted)
     S = diff_saturate(G)
     assert calls == [(f, 3), ("X+Y", 2), ("X*Y", 1)]
     assert S.generators == oracle.generators
     # Delta_X and Delta_Y of X+Y are both 1: listed once
     assert [(str(g.poly), g.weight) for g in S.generators].count(("1", 1)) \
         == 1
+
+
+def _saturation_inputs(R):
+    """Algebras for the saturation oracle: one-term and multi-term
+    generators, one-term generators that are also derivatives of another,
+    a polynomial listed at several weights with a lighter copy first, and
+    scalar multiples."""
+    f = R.parse("X^3*Y^2+X*Z^2+Y")
+    m = R.parse("X^2*Y")
+    c = R.field.generator() if R.field.k > 1 else R.field.element(2)
+    return [
+        [(f, 3)],
+        [(m, 3)],
+        # Delta_Y(X^2*Y) = X^2 and Delta_(1,1,0)(X^2*Y) = 2X are listed too
+        [(m, 3), (R.parse("X^2"), 1), (R.parse("2*X"), 1), (R.parse("X"), 2)],
+        [(f, 1), (m, 2), (f, 3), (R.parse("X*Y"), 1), (f, 2), (m, 1)],
+        [(f, 2), (f.scale(c), 3), (m.scale(c), 2), (m, 1), (f, 2)],
+        # every first derivative of X+Y+Z is the listed 1
+        [(R.parse("X+Y+Z"), 2), (R.one(), 1)],
+    ]
+
+
+@pytest.mark.parametrize("spec", ["Q", "F2", "F3", "F5", "F4", "F9"])
+def test_saturation_equals_the_closure_lists_of_its_generators(spec):
+    """diff_saturate(G, active) is ReesAlgebra.from_pairs over the
+    diff_closure_list pairs of each generator in order, which drops repeats
+    by Polynomial hashing; also when the output is saturated again."""
+    R = ring(spec, "X", "Y", "Z")
+    for pairs in _saturation_inputs(R):
+        for active in (None, ["X", "Y", "Z"], ["Y"], ["X", "Z"]):
+            S = ReesAlgebra.from_pairs(R, pairs)
+            for _ in range(2):
+                oracle = ReesAlgebra.from_pairs(R, [
+                    p for g in S.generators
+                    for p in reeselim.diff_closure_list(g.poly, g.weight,
+                                                        active)])
+                S = diff_saturate(S, active)
+                assert S.generators == oracle.generators, (pairs, active)
