@@ -24,8 +24,11 @@ modulus.
 A spec's modulus is read by the polynomial parser over F_p[t], and every
 power, here and in poly, is one square-and-multiply (_power).
 
-A finite field keeps one table (_scan_table) of its raw values, their
-positions and their powers, which elements() and the point scan share.
+A finite field keeps two tables, each built once, on first use: its raw
+values and their positions (_scan_table), which elements() and the point
+scan share, and its discrete logarithms (_log_table): exp, log and Zech's
+logarithm, each of length q - 1, and log(-1).  The point scan runs on
+logs, so a product there is a sum mod q - 1 and a sum one Zech lookup.
 The text of an F_{p^k} value comes from one bounded cache (_text), which
 str(element) and poly's format_polynomial share.
 """
@@ -176,7 +179,7 @@ class FieldDescriptor(Immutable):
     _unpack convert F_{p^k} values to and from coefficient sequences."""
 
     __slots__ = ("p", "k", "modulus", "reduce", "add", "neg", "mul", "inv",
-                 "_pack", "_unpack", "_table")
+                 "_pack", "_unpack", "_table", "_logs")
     _instances = {}
 
     def __new__(cls, characteristic, extension_degree=1, modulus=None):
@@ -209,7 +212,8 @@ class FieldDescriptor(Immutable):
             return field
         field = object.__new__(cls)
         for name, value in zip(cls.__slots__, (p, k, modulus)
-                               + _raw_arithmetic(p, k, modulus) + (None,)):
+                               + _raw_arithmetic(p, k, modulus)
+                               + (None, None)):
             object.__setattr__(field, name, value)
         if modulus is not None:
             field._check_irreducible()
@@ -281,17 +285,12 @@ class FieldDescriptor(Immutable):
         order: a new list each call, over the raw values of _scan_table."""
         if self.p == 0:
             raise FieldError("cannot enumerate an infinite field")
-        return [FieldElement(self, v) for v in self._scan_table(0)[0]]
+        return [FieldElement(self, v) for v in self._scan_table()[0]]
 
-    def _scan_table(self, top):
-        """(values, index, powers) of a finite field: its raw values in
-        elements() order, {raw value: position}, and one tuple per value
-        with powers[i][e] == values[i]**e for every e <= top.  Built once
-        per field and widened to a larger top when a call needs it.  A
-        wider table is published whole, never grown in place, where two
-        threads could put a power at the wrong index; each call returns the
-        table it found or built, so if a narrower one wins a race, that
-        costs a rebuild, never a wrong power."""
+    def _scan_table(self):
+        """(values, index) of a finite field: its raw values in elements()
+        order and {raw value: position}.  Built once per field, on first
+        use, and published whole."""
         table = self._table
         if table is None:
             p, k = self.p, self.k
@@ -301,22 +300,44 @@ class FieldDescriptor(Immutable):
                 pack = self._pack
                 values = tuple(pack([code // p**i % p for i in range(k)])
                                for code in range(p**k))
-            # 1 is the raw one of every field
-            table = (values, {v: i for i, v in enumerate(values)},
-                     tuple((1,) for _ in values))
-        values, index, powers = table
-        width = len(powers[0])
-        if width <= top:
-            mul = self.mul
-            rows = []
-            for v, row in zip(values, powers):
-                row = list(row)
-                for _ in range(width, top + 1):
-                    row.append(mul(row[-1], v))
-                rows.append(tuple(row))
-            table = (values, index, tuple(rows))
-        if table is not self._table:
+            table = (values, {v: i for i, v in enumerate(values)})
             object.__setattr__(self, "_table", table)
+        return table
+
+    def _log_table(self):
+        """(exp, log, zech, minus) of a finite field F_q, to the base g, the
+        first value in elements() order whose multiplicative order is
+        m = q - 1: exp[d] == g^d for d < m, log is its inverse on the
+        nonzero raw values, zech[d] == log(1 + g^d) (Zech's logarithm, None
+        where g^d == -1) and minus == log(-1), 0 in characteristic 2.  So a
+        product is a sum of logs mod m, and g^u + g^v == g^(u + zech[v - u])
+        (Huber 1990).  Built once per field, on first use, and published
+        whole, so threads that race to build it each read a complete
+        table."""
+        table = self._logs
+        if table is None:
+            values = self._scan_table()[0]
+            m, mul = len(values) - 1, self.mul
+            primes, n, r = [], m, 2   # the primes r | m, by trial division
+            while r * r <= n:
+                if n % r == 0:
+                    primes.append(r)
+                    while n % r == 0:
+                        n //= r
+                r += 1
+            if n > 1:
+                primes.append(n)
+            # g has order m exactly when g^(m/r) != 1 for every prime r | m
+            g = next(v for v in values[1:]
+                     if all(_power(mul, v, m // r) != 1 for r in primes))
+            exp = [1]   # 1 is the raw one of every field
+            for _ in range(m - 1):
+                exp.append(mul(exp[-1], g))
+            log = {v: d for d, v in enumerate(exp)}
+            add = self.add
+            table = (tuple(exp), log, tuple(log.get(add(1, v)) for v in exp),
+                     log[self.neg(1)])
+            object.__setattr__(self, "_logs", table)
         return table
 
     @property

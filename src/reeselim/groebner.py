@@ -24,11 +24,12 @@ loop, where every S-polynomial is zero, and counts against ``BASIS_CAP``.
 Rational zero sets over a finite field F_q come from a projection scan
 that fixes one coordinate at a time and abandons a branch as soon as a
 generator specializes to a nonzero constant.  It first folds every
-exponent e >= q to (e - 1) mod (q - 1) + 1 (x^q = x on F_q), so it reads
-powers below q only, from the table the field keeps
-(``FieldDescriptor._scan_table``).  It folds raw values by poly's kernel
-``_fold``, then specializes them, keyed by ``_fields``' entry fields, by
-``_specialize``; both reduce once per output coefficient, and only the
+exponent e >= q to (e - 1) mod (q - 1) + 1 (x^q = x on F_q) by poly's
+kernel ``_fold``, then runs on discrete logarithms to the base of a
+generator g of F_q^* (``FieldDescriptor._log_table``): each generator's
+terms are keyed by ``_fields``' entry fields and valued by logs, so
+setting a coordinate to g^l is a sum of logs mod q - 1 per term and one
+Zech lookup per merged pair (``_specialize``), with no reduce.  Only the
 emitted points hold FieldElements.  The branches of each scan, the
 ramification check's included, count against ``SCAN_BUDGET``; exceeding
 it raises ``ResourceCapError`` (CLI exit 3).
@@ -294,23 +295,26 @@ def rational_zero_set(ideal):
 
     First every exponent e >= q is folded to (e - 1) mod (q - 1) + 1,
     since x^q = x on F_q: each generator keeps its value at every point,
-    and one that folds to zero is dropped.  So no power past x^(q-1) is
-    read.  The scan fixes one coordinate at a time.  Each branch
-    specializes the surviving generators, as raw term maps, to the
-    remaining variables, with raw powers of the field elements read from
-    the table the field keeps; each output coefficient is summed unreduced
-    and reduced once.  It drops the generators that become zero and is
-    abandoned as soon as one becomes a nonzero constant; a point is
-    emitted only when every coordinate is fixed.
+    and one that folds to zero is dropped.  The scan then runs on the
+    field's discrete logarithms: each coefficient c is held as log c, to
+    the base of a generator g of F_q^*.  It fixes one coordinate at a
+    time.  Each branch specializes the surviving generators to the
+    remaining variables: at x = g^l a term c*x^e becomes log c + e*l mod
+    (q - 1), terms that meet are summed by one Zech lookup and deleted
+    when they cancel, and at x = 0 only the terms free of x are kept.  It
+    drops the generators that become zero and is abandoned as soon as one
+    becomes a nonzero constant; a point is emitted, as raw values, only
+    when every coordinate is fixed.
 
     When a surviving generator is a*X + b in the next coordinate X alone,
-    only its root X = -b/a is visited: every other value makes it a nonzero
-    constant.  Every value counts against ``SCAN_BUDGET`` as one branch in
-    enumeration order, the skipped ones included: those up to the root
-    before its subtree, the rest after it.  So the cap is reached, and
-    reported, exactly where visiting every value of the folded generators
-    would reach it; folding can make a generator a nonzero constant, or
-    linear, sooner, so it can only lower the count.
+    only its root X = -b/a, whose log is log(-1) + log b - log a, is
+    visited: every other value makes it a nonzero constant.  Every value
+    counts against ``SCAN_BUDGET`` as one branch in enumeration order, the
+    skipped ones included: those up to the root before its subtree, the
+    rest after it.  So the cap is reached, and reported, exactly where
+    visiting every value of the folded generators would reach it; folding
+    can make a generator a nonzero constant, or linear, sooner, so it can
+    only lower the count.
     """
     ring = ideal.ring
     field = ring.field
@@ -322,15 +326,14 @@ def rational_zero_set(ideal):
             "point scan exceeds budget %d: the first of %d coordinates "
             "alone has %d values" % (SCAN_BUDGET, nvars, q))
     gens = [g._raw for g in ideal.generators]
-    top = _top_entry(gens, nvars)
-    if top >= q:
+    if _top_entry(gens, nvars) >= q:
         gens = [t for t in (_fold(field, t, q, nvars) for t in gens) if t]
-        top = _top_entry(gens, nvars)
-    # powers[i][e] == raw[i]**e for e <= top
-    raw, index, powers = field._scan_table(top)
-    mul, neg, inv = field.mul, field.neg, field.inv
-    # keyed by entry fields: X is 1 and the monomial 1 is 0 at every level
-    gens = [_fields(t, nvars) for t in gens]
+    raw, index = field._scan_table()
+    exp, log, zech, minus = field._log_table()
+    m = q - 1
+    # keyed by entry fields (X is 1 and the monomial 1 is 0 at every
+    # level), valued by logs
+    gens = [{e: log[v] for e, v in _fields(t, nvars).items()} for t in gens]
     points = set()
     prefix = []
     visited = 0
@@ -353,7 +356,8 @@ def rational_zero_set(ideal):
         root = None
         for t in gens:
             if 1 in t and (len(t) == 1 or len(t) == 2 and 0 in t):
-                root = index[mul(neg(t.get(0, 0)), inv(t[1]))]
+                # b = 0 (no constant term) makes the root 0
+                root = index[exp[(minus + t[0] - t[1]) % m]] if 0 in t else 0
                 break
         if root is None:
             values = range(q)
@@ -362,10 +366,10 @@ def rational_zero_set(ideal):
             values = (root,)
         for i in values:
             charge(1)
-            row = powers[i]
+            at = log.get(raw[i])   # None at 0
             special = []
             for t in gens:
-                s = _specialize(field, t, row)
+                s = _specialize(t, at, m, zech)
                 if len(s) == 1 and 0 in s:
                     break   # a nonzero constant: no point on this branch
                 if s:

@@ -111,10 +111,10 @@ def _derivative_rows(f, n, active=None, coefficient=_term_coefficient):
     come from the _shifts table."""
     ring = f.ring
     field, nvars = ring.field, ring.nvars
-    if active is None:
+    active_idx = (range(nvars) if active is None
+                  else frozenset(ring.var_index(v) for v in active))
+    if len(active_idx) == nvars:   # every variable: one cache key
         active_idx = range(nvars)
-    else:
-        active_idx = frozenset(ring.var_index(v) for v in active)
     if len(f._raw) == 1:
         (beta, v), = f._raw.items()
         return [(size, alpha, {shifted: c})

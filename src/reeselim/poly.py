@@ -38,10 +38,10 @@ once, zeros dropped), `_sum_of_products` (the two over f_1*g_1 + ... +
 f_n*g_n), `_product` (one product, a single-term factor as a shift of the
 other's keys) and `_raw_power`, Groebner's `_subtract` (work -= c*x^shift*
 tail), `_split` (by one variable's exponent), the scan's `_fold` (x^q = x),
-`_fields` (its view of the keys) and `_specialize` (first variable set),
-and the transforms' `_chart`.  Other modules call these, or read `.terms`
-and use public constructors; groebner and rees add, subtract and compare
-keys, and elim's char_poly lifts and decodes them.
+`_fields` (its view of the keys) and `_specialize` (first variable set,
+on logs), and the transforms' `_chart`.  Other modules call these, or read
+`.terms` and use public constructors; groebner and rees add, subtract and
+compare keys, and elim's char_poly lifts and decodes them.
 
 Substitution calls `_sum_of_products`; products and powers, of
 Polynomials and in the parser, call `_product` and `_raw_power`.
@@ -442,15 +442,28 @@ def _fields(raw, n):
     return {-e & full: v for e, v in raw.items()}
 
 
-def _specialize(field, terms, powers):
-    """The _fields map with its first variable set to the value whose raw
-    powers are given: each key loses its first field, and values are
-    reduced once."""
+def _specialize(terms, l, m, zech):
+    """A _fields map valued by logs (each value c stands for g^c, g of
+    order m = q - 1 in F_q, zech its Zech table) with its first variable
+    set to 0 when l is None and to g^l otherwise: each key loses its first
+    field.  At 0 only the terms whose first entry is 0 are kept.  At g^l a
+    term c*x^a becomes g^(c + a*l), for any a >= 0, and terms that meet are
+    summed by one lookup, g^u + g^c = g^(u + zech[c - u]), and deleted when
+    they cancel."""
+    if l is None:
+        return {e >> 32: c for e, c in terms.items() if not e & _MASK}
     out = {}
     for e, c in terms.items():
         rest = e >> 32
-        out[rest] = out.get(rest, 0) + c * powers[e & _MASK]
-    return _reduced(field, out)
+        c = (c + (e & _MASK) * l) % m
+        u = out.get(rest)
+        if u is None:
+            out[rest] = c
+        elif (z := zech[(c - u) % m]) is None:
+            del out[rest]
+        else:
+            out[rest] = (u + z) % m
+    return out
 
 
 def _chart(raw, mask, j, drop, n):

@@ -124,7 +124,7 @@ def verify_thm_1_16(inp):
     fiber = hasse_derivatives(inp.product(), inp.b, [inp.z_var]).values()
     ramified = {P.drop(inp.z_var)
                 for P in rational_zero_set(Ideal(inp.ring, fiber))}
-    index = base.field._scan_table(0)[1]
+    index = base.field._scan_table()[1]
     counterexamples = sorted(ramified ^ vanishing,
                              key=lambda P: [index[c.val] for c in P.coords])
     return RamificationReport(base.field.order**base.nvars, ramified,

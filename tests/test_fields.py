@@ -98,7 +98,7 @@ def test_element_enumeration_orders():
 @pytest.mark.parametrize("spec", ["F2", "F5", "F4", "F8:t^3+t^2+1", "F9"])
 def test_elements_wrap_the_table_values(spec):
     field = FieldDescriptor.parse(spec)
-    values, index, _ = field._scan_table(0)
+    values, index = field._scan_table()
     elems = field.elements()
     assert [c.val for c in elems] == list(values)
     assert index == {v: i for i, v in enumerate(values)}
@@ -110,20 +110,57 @@ def test_elements_wrap_the_table_values(spec):
 
 
 def test_a_wider_table_leaves_a_narrower_one_unchanged():
-    # a modulus no other test uses, so this test builds the table
+    # a modulus that only this test and the log-table oracle use: the log
+    # table, built on top of the value table, leaves the value table as it
+    # was, and each table is built once and kept whole
     field = FieldDescriptor.parse("F27:t^3+2*t+2")
-    small = field._scan_table(2)
-    values, index, powers = small
-    before = (values, dict(index), [tuple(row) for row in powers])
-    assert all(type(row) is tuple and len(row) == 3 for row in powers)
-    wide = field._scan_table(30)
-    assert field._scan_table(4) is wide   # wide enough: nothing is rebuilt
-    assert (small[0], small[1], list(small[2])) == before
-    assert wide[0] == values and wide[1] == index
-    for v, row, old in zip(values, wide[2], powers):
-        assert type(row) is tuple and row[:3] == old
-        assert row == tuple((FieldElement(field, v)**e).val
-                            for e in range(31))
+    small = field._scan_table()
+    values, index = small
+    before = (values, dict(index))
+    wide = field._log_table()
+    assert field._log_table() is wide   # built once: nothing is rebuilt
+    assert field._scan_table() is small
+    assert (small[0], small[1]) == before
+    exp, log, zech, minus = wide
+    assert type(exp) is tuple and type(zech) is tuple
+    assert len(exp) == len(log) == len(zech) == 26
+    g = FieldElement(field, exp[1])
+    assert exp == tuple((g**e).val for e in range(26))
+
+
+def _check_log_table(field):
+    """Whether the field's log table holds, by field arithmetic alone: exp
+    is a bijection onto the nonzero values with log its inverse, its base
+    has order q - 1 and is the first such value in elements() order,
+    zech[d] is log(1 + g^d) (None exactly where g^d = -1), and minus is
+    log(-1)."""
+    exp, log, zech, minus = field._log_table()
+    one, q = field.one(), field.order
+    nonzero = [c for c in field.elements() if c]
+    g = FieldElement(field, exp[1 % (q - 1)])
+    assert set(exp) == {c.val for c in nonzero} and len(exp) == q - 1
+    assert log == {v: d for d, v in enumerate(exp)}
+    assert all(FieldElement(field, v) == g**d for d, v in enumerate(exp))
+
+    def order(c):
+        return next(n for n in range(1, q) if c**n == one)
+
+    assert g == next(c for c in nonzero if order(c) == q - 1)
+    assert len(zech) == q - 1
+    for d, z in enumerate(zech):
+        s = one + g**d
+        assert (z is None) == (not s)
+        assert z is None or g**z == s
+    assert g**minus == -one
+    if field.p == 2:
+        assert minus == 0
+
+
+@pytest.mark.parametrize("spec", ["F2", "F3", "F4", "F5", "F7", "F8",
+                                  "F8:t^3+t^2+1", "F9", "F16", "F25",
+                                  "F27:t^3+2*t+2", "F101"])
+def test_log_table_matches_field_arithmetic(spec):
+    _check_log_table(FieldDescriptor.parse(spec))
 
 
 @pytest.mark.parametrize("field", [Q, F4, F5, F9])
@@ -223,25 +260,20 @@ def test_threads_building_one_field_get_one_instance():
 
 
 def test_threads_that_widen_one_table_each_read_a_correct_one():
-    # prime fields no other test uses, so every thread races to build and
-    # widen their tables; a table is published whole, so whatever a call
-    # returns holds the right power at every index up to its top
+    # prime fields no other test uses, so every thread races to build
+    # their value and log tables; a table is published whole, so whatever
+    # a call returns is complete and correct
     fields = [FieldDescriptor(p) for p in (61, 67, 71, 73)]
     barrier = threading.Barrier(8, timeout=10)
-    wrong, done = [], [False] * 8
+    tables, done = [[] for _ in range(8)], [False] * 8
 
-    def widen(i):
+    def build(i):
         barrier.wait()
-        for top in random.Random(i).sample(range(1, 40), 12):
-            for field in fields:
-                values, _, powers = field._scan_table(top)
-                if any(len(row) <= top or row[:top + 1] != tuple(
-                        pow(v, e, field.p) for e in range(top + 1))
-                       for v, row in zip(values, powers)):
-                    wrong.append((field.p, top))
+        for field in random.Random(i).sample(fields, len(fields)):
+            tables[i].append((field, field._log_table()))
         done[i] = True
 
-    threads = [threading.Thread(target=widen, args=(i,)) for i in range(8)]
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(8)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -252,7 +284,20 @@ def test_threads_that_widen_one_table_each_read_a_correct_one():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert all(done) and wrong == []
+    assert all(done)
+    for field in fields:
+        _check_log_table(field)   # the table the field kept
+    wrong = []
+    for read in tables:
+        for field, (exp, log, zech, minus) in read:
+            p, g = field.p, exp[1]
+            if (exp != tuple(pow(g, d, p) for d in range(p - 1))
+                    or len(log) != p - 1
+                    or log != {v: d for d, v in enumerate(exp)}
+                    or zech != tuple(log.get((1 + v) % p) for v in exp)
+                    or minus != (p - 1) // 2):
+                wrong.append(p)
+    assert wrong == []
 
 
 def test_characteristic_zero_restrictions():

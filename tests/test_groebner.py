@@ -211,16 +211,15 @@ def test_scan_folds_exponents_past_the_field_order(monkeypatch):
     # has a zero coordinate at least half the time
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    # the power each scan asks the field's table for, recorded per call:
-    # the table itself lives as long as the field, so another test may
-    # have widened it
-    asked, scan_table = [], FieldDescriptor._scan_table
+    # the term maps each scan hands its specialization kernel, keyed by
+    # entry fields, recorded per call
+    seen, specialize = [], groebner._specialize
 
-    def recording(field, top):
-        asked.append(top)
-        return scan_table(field, top)
+    def recording(terms, *rest):
+        seen.append(terms)
+        return specialize(terms, *rest)
 
-    monkeypatch.setattr(FieldDescriptor, "_scan_table", recording)
+    monkeypatch.setattr(groebner, "_specialize", recording)
 
     @hypothesis.settings(max_examples=200, deadline=None, database=None)
     @hypothesis.given(st.data())
@@ -247,10 +246,11 @@ def test_scan_folds_exponents_past_the_field_order(monkeypatch):
                 g = g - R.constant(g.evaluate(point))
             gens.append(g)
         I = Ideal(R, gens)
-        asked.clear()
+        seen.clear()
         points = rational_zero_set(I)
-        # folded, no scan needs a power past q - 1
-        assert all(top < q for top in asked), asked
+        # folded, no exponent of q or more reaches the kernel
+        assert all(e >> 32 * i & 2**32 - 1 < q for terms in seen
+                   for e in terms for i in range(nvars)), seen
         assert points == _brute_zero_set(I), gens
 
     check()
@@ -326,9 +326,9 @@ def test_solved_coordinate_visits_only_the_root(monkeypatch):
     # number of specializations tells a solve that never fires
     calls = []
 
-    def counting_specialize(field, terms, powers):
+    def counting_specialize(terms, *rest):
         calls.append(terms)
-        return specialize(field, terms, powers)
+        return specialize(terms, *rest)
 
     specialize = groebner._specialize
     monkeypatch.setattr(groebner, "_specialize", counting_specialize)
@@ -343,6 +343,26 @@ def test_solved_coordinate_visits_only_the_root(monkeypatch):
     # of the 12 nonzero squares two
     assert len(rational_zero_set(Ideal(R, [Z**2 - x]))) == 25
     assert len(calls) == 25 + 25 * 25
+
+
+def test_scan_of_every_unit_of_f2003_keeps_tables_of_order_q():
+    # x^2002 - 1 vanishes at every unit of F_2003.  The scan reads the
+    # field's logs, so the field keeps tables of q and q - 1 entries, not
+    # one power per value and exponent (2003 * 2003 entries)
+    R = ring("F2003", "x")
+    F = R.field
+    points = rational_zero_set(Ideal(R, [R.parse("x^2002-1")]))
+    assert len(points) == 2002 and R.point([0]) not in points
+
+    def entries(v):   # the entries of v's containers, nested ones too
+        if isinstance(v, dict):
+            v = list(v.values())
+        if isinstance(v, (tuple, list)):
+            return len(v) + sum(entries(c) for c in v)
+        return 0
+
+    assert sum(entries(getattr(F, name))
+               for name in type(F).__slots__) <= 6 * F.order
 
 
 def _enumeration_levels(ideal):

@@ -200,6 +200,20 @@ def test_one_shift_table_serves_every_field_in_either_order():
             assert saturate(spec) == alone[spec], (order, spec)
 
 
+def test_a_full_active_set_shares_the_shift_tables():
+    # every variable listed is no active set at all: both key _shifts the
+    # same way, so the second saturation finds every table the first built
+    R = ring("Q", "X", "Y", "Z")
+    G = ReesAlgebra.from_pairs(R, [(R.parse("X^3*Y^2*Z+Y^4"), 4)])
+    _shifts.cache_clear()
+    whole = diff_saturate(G)
+    misses = _shifts.cache_info().misses
+    assert misses == 2
+    listed = diff_saturate(G, ["X", "Y", "Z"])
+    assert _shifts.cache_info().misses == misses
+    assert listed.generators == whole.generators
+
+
 def test_closure_list_at_a_lower_weight_is_a_prefix():
     """For every n' < n, the list at n' is the part of the list at n before
     its first pair of weight n' + 1: saturation cuts lighter copies of a

@@ -762,15 +762,16 @@ SCAN_RINGS = [RINGS[spec, n] for spec in ("F2", "F3", "F4", "F9")
 @SETTINGS
 @hypothesis.given(st.data())
 def test_scan_kernels_match_substitution_and_evaluation(data):
-    """With exponents up to 3q over F_q: _specialize of f's _fields map
-    with the power row of each value a is f with its first variable set to
-    a and projected out, and _fold gives a polynomial with exponents
-    below q and f's value at every point of F_q^n."""
+    """With exponents up to 3q over F_q: _specialize of f's _fields map,
+    valued by logs, at the log of each value a (None at 0) is f with its
+    first variable set to a and projected out, and _fold gives a
+    polynomial with exponents below q and f's value at every point of
+    F_q^n."""
     R = data.draw(st.sampled_from(SCAN_RINGS))
     F, q = R.field, R.field.order
     f = data.draw(polynomials(R, top=3 * q))
     x = R.variables[0]
-    _, _, powers = F._scan_table(3 * q)
+    exp, log, zech, _ = F._log_table()
 
     def from_fields(R, terms):   # the polynomial of a _fields map in R
         return Polynomial(R, {
@@ -779,9 +780,11 @@ def test_scan_kernels_match_substitution_and_evaluation(data):
 
     fields = _fields(f._raw, R.nvars)
     assert from_fields(R, fields) == f
-    for a, row in zip(F.elements(), powers):
+    logs = {e: log[v] for e, v in fields.items()}
+    for a in F.elements():
+        s = _specialize(logs, log.get(a.val), q - 1, zech)
         rest = R.drop_variable(x)
-        assert from_fields(rest, _specialize(F, fields, row)) == \
+        assert from_fields(rest, {e: exp[c] for e, c in s.items()}) == \
             f.substitute({x: a}).project_out(x)
     folded = Polynomial._from_raw(R, _fold(F, f._raw, q, R.nvars))
     assert all(e < q for exps in folded.terms for e in exps)
