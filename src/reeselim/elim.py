@@ -5,14 +5,15 @@ compares one-variable monomial algebras up to integral closure.
 
 A multiplication matrix costs one division (g mod f); the other columns
 come from the companion recurrence on raw term maps, one shift per column,
-where each entry that f touches takes its products unreduced and is reduced
-once per coefficient.  A characteristic polynomial runs Berkowitz's
-recursion on one of two exact paths, chosen per matrix before any product.
-Small (c <= 3) or sparse matrices run it on the entries' raw term maps, one
-_accumulate per pair of a dot product and one _reduced, counted against
-_TERM_PRODUCTS_CAP.  Dense ones lift the matrix once to integer polynomials
-in t and the variables (t only in F_{p^k}), pack each entry into one Python
-int (mixed-radix Kronecker substitution, sized by a closed-form coefficient
+where each entry that f touches is one poly._sum_of_products call.  A
+characteristic polynomial runs Berkowitz's recursion, written once
+(_berkowitz) over the ring its operators give, on one of two exact paths,
+chosen per matrix before any product.  Small (c <= 3) or sparse matrices
+run it on the entries' raw term maps, each dot product one
+_sum_of_products call whose pairs are counted against _TERM_PRODUCTS_CAP.
+Dense ones lift the matrix once to integer polynomials in t and the
+variables (t only in F_{p^k}), pack each entry into one Python int
+(mixed-radix Kronecker substitution, sized by a closed-form coefficient
 bound), run the recursion on the ints and unpack its c outputs in one loop,
 the same for every field.
 
@@ -25,13 +26,12 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import chain
-from operator import mul
+from operator import add, mul, neg
 
 from .fields import Immutable, _power
 from .groebner import ResourceCapError
-from .poly import (Polynomial, RingError, _accumulate, _check_key, _columns,
-                   _fits, _reduced, _split, _unit, univ_divmod)
+from .poly import (Polynomial, RingError, _check_key, _columns, _split,
+                   _sum_of_products, _unit, univ_divmod)
 from .rees import (ReesAlgebra, ReesError, ReesGenerator, diff_saturate,
                    format_algebra)
 
@@ -98,7 +98,7 @@ def mult_matrix(g, f, z_var):
 
 def _modulus(f, z_var):
     """What every matrix over S[Z]/<f> reads of f, checked and split once:
-    (c, -f_n for n < c as lists of (key, value) pairs, their greatest key)."""
+    (c, {n: -f_n as a raw term map, for each nonzero f_n with n < c})."""
     if not f.is_monic_in(z_var):
         raise RingError("modulus is not monic in %r" % z_var)
     c = f.degree_in(z_var)
@@ -106,27 +106,23 @@ def _modulus(f, z_var):
         raise RingError("modulus must have positive degree in %r" % z_var)
     ring = f.ring
     neg = ring.field.neg
-    neg_low = {n: [(e, neg(v)) for e, v in part.items()]
+    return c, {n: {e: neg(v) for e, v in part.items()}
                for n, part in _split(f._raw, ring.var_index(z_var),
                                      ring.nvars).items() if n < c}
-    top_low = max((max(e for e, _ in a) for a in neg_low.values()),
-                  default=0)
-    return c, neg_low, top_low
 
 
 def _mult_matrix(g, f, z_var, modulus):
     """mult_matrix on a g of f's ring, with f read by _modulus."""
-    c, neg_low, top_low = modulus
+    c, neg_low = modulus
     if g.degree_in(z_var) >= c:   # a saturated g is mostly reduced already
         _, g = univ_divmod(g, f, z_var)
     # entries are raw term maps keyed with Z's entry at 0, as poly's _split
     # parts g and f.  Column j+1 is Z * (column j) mod f: shift the entries
     # up one power of Z, then replace the t*Z^c at the top by -t*(f - Z^c).
-    # An entry a nonzero -f_n touches adds the products t*(-f_n) by
-    # _sum_of_products's own steps, _accumulate and _reduced (in F_{p^k}, at
-    # most |t|*|f_n| + 1 summands, far inside reduce's bound).  Each step is
-    # checked, as _sum_of_products checks its pairs, on the greatest leading
-    # key of its products.  A zero column stays zero.
+    # An entry a nonzero -f_n touches becomes itself plus t*(-f_n), one
+    # _sum_of_products call on a copy, as the map itself is also the last
+    # column's entry (in F_{p^k}, at most |t|*|f_n| + 1 summands, far inside
+    # reduce's bound).  A zero column stays zero.
     ring = f.ring
     field = ring.field
     nvars = ring.nvars
@@ -137,13 +133,10 @@ def _mult_matrix(g, f, z_var, modulus):
         columns.append([Polynomial._from_raw(ring, x) for x in col])
         top = col[-1]
         col = [{}] + col[:-1]
-        if top and neg_low:
-            _check_key(max(top) + top_low, nvars)
-            t = top.items()
+        if top:
             for n, a in neg_low.items():
-                raw = dict(col[n])
-                _accumulate(raw, t, a)
-                col[n] = _reduced(field, raw)
+                col[n] = _sum_of_products(field, ((top, a),), nvars,
+                                          dict(col[n]))
     return MultiplicationMatrix(f, g, zip(*columns), z_var)
 
 
@@ -199,26 +192,19 @@ def char_poly(M):
 
 
 def _raw_char_poly(A):
-    """char_poly of the matrix A by _berkowitz's steps on the entries' raw
-    term maps.  Each dot product and each coefficient update is one
-    _accumulate per pair of nonzero maps and one _reduced; a product by
-    h_0 = 1 is an addition, one _accumulate by the unit.  Each product is
-    checked on the sum of its factors' leading keys, as _sum_of_products
-    checks its pairs, unless c times the entries' greatest key fits (a
-    product has at most c entry factors).  The work, sum |a|*|b| over the
-    products, is checked before each one: past _TERM_PRODUCTS_CAP it raises
+    """char_poly of the matrix A by _berkowitz on the entries' raw term
+    maps: each dot product is one _sum_of_products call, which checks each
+    product on its leading key, and an update h_i - s_i merges two maps
+    unreduced into a new one, which the next dot product reduces.  The
+    work, sum |a|*|b| over the products, is counted as the pairs reach the
+    kernel, before each product: past _TERM_PRODUCTS_CAP it raises
     ResourceCapError."""
     c = len(A)
     ring = A[0][0].ring
-    field, n, neg = ring.field, ring.nvars, ring.field.neg
-    rows = [[e._raw for e in row] for row in A]
-    cols = tuple(zip(*rows))
-    top = max(map(max, filter(None, chain.from_iterable(rows))), default=0)
-    check = not _fits(c * top, n)
+    field, n, negate = ring.field, ring.nvars, ring.field.neg
     work = 0
 
-    def total(pairs, raw):
-        """raw plus the sum of the products a*b over pairs, reduced."""
+    def charged(pairs):
         nonlocal work
         for a, b in pairs:
             if a and b:
@@ -228,31 +214,19 @@ def _raw_char_poly(A):
                         "characteristic polynomial work cap exceeded (degree "
                         "%d: %d term products > cap %d)"
                         % (c, work, _TERM_PRODUCTS_CAP))
-                if check:
-                    _check_key(max(a) + max(b), n)
-                _accumulate(raw, a.items(), b.items())
-        return _reduced(field, raw)
+                yield a, b
 
-    unit = ((0, 1),)   # 1 is key 0 and the raw one of every field
-    h = []
-    for r in range(c):
-        block = [col[:r] for col in cols[:r]]
-        row, col = rows[r][:r], cols[r][:r]
-        s = [rows[r][r]]
-        for k in range(r):
-            s.append(total(zip(row, col), {}))
-            if k < r - 1:
-                row = [total(zip(row, b), {}) for b in block]
-        s = [{e: neg(v) for e, v in x.items()} for x in s]   # -s_k, new maps
-        new = []
-        for i in range(1, r + 2):   # h'_i = h_{i-1} - s_{i-1} - ...
-            if i <= r:
-                raw = dict(h[i - 1])
-                _accumulate(raw, s[i - 1].items(), unit)
-            else:
-                raw = s[r]   # no later product reads it
-            new.append(total(zip(reversed(s[:i - 1]), h), raw))
-        h = new
+    def merge(x, y):
+        out = dict(x)
+        for e, v in y.items():
+            out[e] = out.get(e, 0) + v
+        return out
+
+    h = _berkowitz(
+        [[e._raw for e in row] for row in A],
+        lambda u, v, start=None: _sum_of_products(
+            field, charged(zip(u, v)), n, start),
+        lambda x: {e: negate(v) for e, v in x.items()}, merge)
     return [Polynomial._from_raw(ring, x) for x in h]
 
 
@@ -319,7 +293,8 @@ def _packed_char_poly(A, bits_per_term=None):
     mono = dict(zip(monos, packed))
     shift = {(j, x): j // gs[0] * shifts[0] + mono[x] for j, x in keys}
     h = _berkowitz([[sum(v << shift[x] for x, v in entry) for entry in row]
-                    for row in entries])
+                    for row in entries],
+                   lambda u, v, start=0: sum(map(mul, u, v), start), neg, add)
 
     # adding the bias, half in every slot, makes every digit non-negative,
     # and xor with it leaves a zero digit wherever the output's is zero
@@ -367,11 +342,16 @@ def _packed_char_poly(A, bits_per_term=None):
     return out
 
 
-def _berkowitz(A):
-    """Berkowitz's division-free recursion on a square int matrix A: with
-    the leading (r+1)-block split as [[B, col], [row, a]], the coefficients
-    grow as h'_i = h_i - sum_{j<i} s_{i-j} h_j with h_0 = 1, where s_1 = a
-    and s_k = row * B^{k-2} * col."""
+def _berkowitz(A, dot, neg, add):
+    """Berkowitz's division-free recursion on a square matrix A over the
+    ring that the operators give: dot(u, v, start) is start plus
+    sum_k u_k*v_k (start the ring's zero when left out), neg(x) is -x and
+    add(x, y) is x + y.  With the leading (r+1)-block split as
+    [[B, col], [row, a]], the coefficients grow as h'_i = h_i - s_i -
+    sum_{0<j<i} s_{i-j} h_j (h_{r+1} = 0), where s_1 = a and s_k = row *
+    B^{k-2} * col; each s_k is negated once.  Each start passed to dot is
+    a value that add or neg made and nothing reads again, so dot may write
+    into it."""
     c = len(A)
     cols = tuple(zip(*A))
     h = []
@@ -381,14 +361,13 @@ def _berkowitz(A):
         # start the powers smaller than column r's would
         block = [col[:r] for col in cols[:r]]
         row, col = A[r][:r], cols[r][:r]
-        s = [A[r][r]]
+        s = [neg(A[r][r])]   # -s_1, ..., -s_(r+1)
         for k in range(r):
-            s.append(sum(map(mul, row, col)))
+            s.append(neg(dot(row, col)))
             if k < r - 1:
-                row = [sum(map(mul, row, b)) for b in block]
-        h_from_0 = [1] + h
-        h = [(h[i - 1] if i <= r else 0)
-             - sum(map(mul, reversed(s[:i]), h_from_0))
+                row = [dot(row, b) for b in block]
+        h = [dot(reversed(s[:i - 1]), h,
+                 add(h[i - 1], s[i - 1]) if i <= r else s[r])
              for i in range(1, r + 2)]
     return h
 

@@ -289,18 +289,19 @@ class FieldDescriptor(Immutable):
 
     def _scan_table(self):
         """(values, index) of a finite field: its raw values in elements()
-        order and {raw value: position}.  Built once per field, on first
-        use, and published whole."""
+        order and index[raw value] == its position.  F_p's raw value is its
+        position, so range(p) is both; F_{p^k} keeps a tuple and a dict.
+        Built once per field, on first use, and published whole."""
         table = self._table
         if table is None:
             p, k = self.p, self.k
             if k == 1:
-                values = tuple(range(p))
+                table = (range(p), range(p))
             else:
                 pack = self._pack
                 values = tuple(pack([code // p**i % p for i in range(k)])
                                for code in range(p**k))
-            table = (values, {v: i for i, v in enumerate(values)})
+                table = (values, {v: i for i, v in enumerate(values)})
             object.__setattr__(self, "_table", table)
         return table
 

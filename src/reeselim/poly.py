@@ -33,18 +33,20 @@ and reads keys: `_key` and `_exps` convert, `_entry`, `_columns`, `_unit`,
 `_guard`, `_divides`, `_lcm`, `_center_mask`, `_fits`, `_check_key` and
 `_top_entry` read and build them, and `_degree`, `_zero_exps`, `_binomial`
 and `_box` serve Hasse's multi-indices.  It holds the raw term-map kernels:
-`_accumulate` (products summed unreduced), `_reduced` (each value reduced
-once, zeros dropped), `_sum_of_products` (the two over f_1*g_1 + ... +
-f_n*g_n), `_product` (one product, a single-term factor as a shift of the
-other's keys) and `_raw_power`, Groebner's `_subtract` (work -= c*x^shift*
-tail), `_split` (by one variable's exponent), the scan's `_fold` (x^q = x),
-`_fields` (its view of the keys) and `_specialize` (first variable set,
-on logs), and the transforms' `_chart`.  Other modules call these, or read
+`_reduced` (each value reduced once, zeros dropped), `_sum_of_products`
+(the one place raw products are summed: a start map plus a_1*b_1 + ... +
+a_n*b_n, summed unreduced, then one `_reduced`), `_product` (one product,
+a single-term factor as a shift of the other's keys) and `_raw_power`,
+Groebner's `_subtract` (work -= c*x^shift*tail), `_split` (by one
+variable's exponent), the scan's `_fold` (x^q = x), `_fields` (its view of
+the keys) and `_specialize` (first variable set, on logs), and the
+transforms' `_chart`.  Other modules call these, or read
 `.terms` and use public constructors; groebner and rees add, subtract and
 compare keys, and elim's char_poly lifts and decodes them.
 
-Substitution calls `_sum_of_products`; products and powers, of
-Polynomials and in the parser, call `_product` and `_raw_power`.
+Substitution, elim's companion steps and its raw char polys call
+`_sum_of_products`; products and powers, of Polynomials and in the parser,
+call `_product` and `_raw_power`.
 Coefficient arithmetic and text are the fields module's (an F_{p^k} value
 is a packed int, so one loop serves every field).
 Rings, like fields, have one instance each: ring checks are identity tests.
@@ -325,49 +327,42 @@ class RationalPoint(Immutable):
             "%s=%s" % (v, c) for v, c in zip(self.ring.variables, self.coords)))
 
 
-def _accumulate(raw, terms, other):
-    """raw[e1 + e2] += v1 * v2, unreduced, over (e1, v1) in terms and (e2, v2)
-    in other (in F_{p^k} a product is the unreduced convolution)."""
-    for e1, v1 in terms:
-        for e2, v2 in other:
-            e = e1 + e2
-            raw[e] = raw.get(e, 0) + v1 * v2
-
-
 def _reduced(field, raw):
     """raw with each value reduced once by field.reduce, zeros dropped."""
     reduce = field.reduce
     return {e: r for e, v in raw.items() if (r := reduce(v))}
 
 
-def _sum_of_products(ring, pairs):
-    """f_1*g_1 + ... + f_n*g_n for the (f_i, g_i) in pairs, all in ring: one
-    _accumulate per pair, each checked on its leading key, then one
-    _reduced."""
-    raw = {}
-    n = ring.nvars
-    for f, g in pairs:
-        if f._raw and g._raw:
-            _check_key(max(f._raw) + max(g._raw), n)
-            _accumulate(raw, f._raw.items(), g._raw.items())
-    return Polynomial._from_raw(ring, _reduced(ring.field, raw))
+def _sum_of_products(field, pairs, n, raw=None):
+    """raw plus a*b over the (a, b) pairs of raw term maps in n variables,
+    raw a new map when None: each nonzero product is checked on its
+    leading key, max(a) + max(b), before it is taken, the products are
+    summed unreduced (in F_{p^k} a product is the unreduced convolution)
+    and each value is reduced once, zeros dropped, into a new map.  It
+    writes into raw, so a caller passes a map that nothing else reads."""
+    if raw is None:
+        raw = {}
+    for a, b in pairs:
+        if a and b:
+            _check_key(max(a) + max(b), n)
+            b = b.items()
+            for e1, v1 in a.items():
+                for e2, v2 in b:
+                    e = e1 + e2
+                    raw[e] = raw.get(e, 0) + v1 * v2
+    return _reduced(field, raw)
 
 
 def _product(field, a, b, n):
     """a*b on raw term maps in n variables, checked on its leading key.  A
-    single-term factor c*x^e skips _accumulate: shifting the other factor's
-    keys by e is injective, so nothing collides and the product is one pass
-    over its terms, each value times c reduced once, or kept when c is 1
-    (the values are canonical); the constant 1 gives back the other map
-    itself."""
+    single-term factor c*x^e skips _sum_of_products: shifting the other
+    factor's keys by e is injective, so nothing collides and the product is
+    one pass over its terms, each value times c reduced once, or kept when
+    c is 1 (the values are canonical); the constant 1 gives back the other
+    map itself."""
     mono, f = (a, b) if len(a) == 1 else (b, a)
     if len(mono) != 1:
-        if not (a and b):
-            return {}
-        _check_key(max(a) + max(b), n)
-        raw = {}
-        _accumulate(raw, a.items(), b.items())
-        return _reduced(field, raw)
+        return _sum_of_products(field, ((a, b),), n)
     ((e, c),) = mono.items()
     if c == 1 and not e:   # 1 is the raw one of every field
         return f
@@ -713,9 +708,10 @@ class Polynomial(Immutable):
                 for i in inner:
                     if exps[i]:
                         part = part * powers[i, exps[i]]
-                yield part, power
+                yield part._raw, power._raw
 
-        return _sum_of_products(ring, pairs())
+        return Polynomial._from_raw(
+            ring, _sum_of_products(ring.field, pairs(), n))
 
     def evaluate(self, point):
         if point.ring != self.ring:

@@ -14,7 +14,8 @@ from reeselim import (FieldDescriptor, MultiplicationMatrix, Polynomial,
                       membership, mult_matrix, ord_at_point,
                       rational_singular_points, rational_zero_set,
                       singular_ideal, slope_equivalent, univ_divmod)
-from reeselim.poly import _sum_of_products
+
+from test_poly import sum_of_products
 
 
 def ring(spec, *names):
@@ -156,13 +157,13 @@ def berkowitz_on_polynomials(M):
         row, col = A[r][:r], cols[r][:r]
         s = [A[r][r]]
         for k in range(r):
-            s.append(_sum_of_products(ring, zip(row, col)))
+            s.append(sum_of_products(ring, zip(row, col)))
             if k < r - 1:
-                row = [_sum_of_products(ring, zip(row, cols[j][:r]))
+                row = [sum_of_products(ring, zip(row, cols[j][:r]))
                        for j in range(r)]
         h_from_0 = [ring.one()] + h
         h = [(h[i - 1] if i <= r else zero)
-             - _sum_of_products(ring, zip(reversed(s[:i]), h_from_0))
+             - sum_of_products(ring, zip(reversed(s[:i]), h_from_0))
              for i in range(1, r + 2)]
     return h
 

@@ -88,6 +88,13 @@ def test_product_over_a_field_near_two_to_the_31(spec):
         assert f * g == schoolbook_product(f, g)
 
 
+def sum_of_products(R, pairs):
+    """f_1*g_1 + ... + f_n*g_n for the (f_i, g_i) in pairs, Polynomials of
+    the ring R, by poly's raw kernel _sum_of_products."""
+    return Polynomial._from_raw(R, _sum_of_products(
+        R.field, [(f._raw, g._raw) for f, g in pairs], R.nvars))
+
+
 def schoolbook_sum(R, pairs):
     """The sum of the schoolbook products of the pairs: the oracle for
     _sum_of_products."""
@@ -117,24 +124,24 @@ def test_sum_of_products_matches_the_schoolbook_sum(spec):
 
     for _ in range(20):
         pairs = [(draw(), draw()) for _ in range(rng.randrange(6))]
-        total = _sum_of_products(R, pairs)
+        total = sum_of_products(R, pairs)
         assert total == schoolbook_sum(R, pairs)
         if field.p == 0:
             assert all(type(c.val) is int or c.val.denominator > 1
                        for c in total.terms.values())
-    assert _sum_of_products(R, []) == R.zero()
+    assert sum_of_products(R, []) == R.zero()
 
 
 @pytest.mark.parametrize("spec", ["Q", "F2", "F4", "F25"])
 def test_sum_of_products_that_cancels(spec):
     R = ring(spec, "x", "y")
     x, y = R.var("x"), R.var("y")
-    total = _sum_of_products(R, [(x, y), (-x, y)])
+    total = sum_of_products(R, [(x, y), (-x, y)])
     assert total.is_zero() and total.terms == {}
     # x*y cancels, the other three terms of (x+1)(y+1) stay
     pairs = [(x + 1, y + 1), (-x, y)]
-    assert _sum_of_products(R, pairs).terms == (x + y + 1).terms
-    assert _sum_of_products(R, pairs) == schoolbook_sum(R, pairs)
+    assert sum_of_products(R, pairs).terms == (x + y + 1).terms
+    assert sum_of_products(R, pairs) == schoolbook_sum(R, pairs)
 
 
 def test_rational_product_holds_integral_values_as_int():

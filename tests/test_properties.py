@@ -29,12 +29,12 @@ from reeselim import (FieldDescriptor, FieldElement,  # noqa: E402
 from reeselim.poly import (_binomial, _box, _center_mask,  # noqa: E402
                            _chart, _columns, _degree, _divides, _entry,
                            _exps, _fields, _fits, _fold, _guard, _key, _lcm,
-                           _specialize, _split, _subtract, _sum_of_products,
-                           _top_entry, _unit, _zero_exps, formal_derivative,
-                           grevlex_key)
+                           _specialize, _split, _subtract, _top_entry,
+                           _unit, _zero_exps, formal_derivative, grevlex_key)
 from test_fields import (FOLD_FIELDS,  # noqa: E402
                          irreducible_by_trial_division)
-from test_poly import schoolbook_product  # noqa: E402
+from test_poly import (schoolbook_product,  # noqa: E402
+                       sum_of_products)
 from test_rees import (assert_levels_memo_in_any_order,  # noqa: E402
                        scalar_oracle_degree_ideal)
 
@@ -393,7 +393,7 @@ def test_sum_of_many_products_near_the_top_of_the_field(data):
                 c = reference_field_product(F, a, b)
                 old = expected.get(e1 + e2, (0,) * k)
                 expected[e1 + e2] = tuple((x + y) % p for x, y in zip(old, c))
-    got = _sum_of_products(R, [
+    got = sum_of_products(R, [
         tuple(Polynomial(R, {(e,): F.element(c) for e, c in t.items()})
               for t in pair) for pair in pairs])
     assert {e: coefficient_tuple(c) for (e,), c in got.terms.items()} == \
@@ -426,7 +426,7 @@ def test_sum_of_products_matches_schoolbook_oracle(data):
     expected = R.zero()
     for f, g in pairs:
         expected = expected + schoolbook_product(f, g)
-    assert _sum_of_products(R, pairs) == expected
+    assert sum_of_products(R, pairs) == expected
 
 
 # -- raw term maps against a FieldElement reference -------------------------
@@ -557,7 +557,7 @@ PRODUCT_FIELDS = [FieldDescriptor.parse(spec) for spec in (
 def assert_kernel_product(f, g):
     """f * g is the map _sum_of_products gives for the one pair (f, g),
     with its keys in the same order."""
-    h, expected = f * g, _sum_of_products(f.ring, [(f, g)])
+    h, expected = f * g, sum_of_products(f.ring, [(f, g)])
     assert h == expected
     assert list(h.terms.items()) == list(expected.terms.items())
 
@@ -583,7 +583,7 @@ def test_products_with_a_single_term_factor_match_the_kernel(data):
         assert_kernel_product(f, g)
     scalar = data.draw(units)
     for s in (R.constant(scalar), scalar):
-        assert s * multi == multi * s == _sum_of_products(
+        assert s * multi == multi * s == sum_of_products(
             R, [(R.constant(scalar), multi)])
     for f in (multi, term, R.zero()):
         if f == 1:
@@ -594,7 +594,7 @@ def test_products_with_a_single_term_factor_match_the_kernel(data):
     for f in (term, multi):
         expected = f
         for _ in range(n - 1):
-            expected = _sum_of_products(R, [(expected, f)])
+            expected = sum_of_products(R, [(expected, f)])
         assert f**n == expected
 
 
