@@ -19,7 +19,8 @@ the same for every field.
 
 eliminate checks and splits f once per call, and builds one matrix and one
 char poly per scalar class of the saturated generators: h_j is homogeneous
-of degree j, so each g = lam*m takes lam^j times m's h_j.
+of degree j, so each g = lam*m takes lam^j times m's h_j.  Classes are
+taken by integer content over Q; over F_q each polynomial is its own.
 """
 from __future__ import annotations
 
@@ -385,27 +386,20 @@ def cayley_hamilton_residue(g, f, z_var):
 
 def _scalar_class(g):
     """(lam, m) with g = lam*m and lam a nonzero raw value, so that the
-    char poly of m serves every scalar multiple of it.  Over F_q, lam is
-    g's leading coefficient; over Q with int coefficients, lam is g's
-    content, signed as the leading coefficient is, and m's coefficients are
-    the exact int quotients; any other g over Q is its own class (lam = 1),
-    so no Fraction enters the matrices."""
+    char poly of m serves every scalar multiple of it.  Over Q with int
+    coefficients, lam is g's content, signed as the leading coefficient
+    is, and m's coefficients are the exact int quotients.  Any other g is
+    its own class (lam = 1): over Q no Fraction enters the matrices, and
+    over F_q classes by the leading coefficient almost never merge (they
+    save 2 of the benchmark pools' 305 char polys, and 110 of 638 over Q)."""
     raw = g._raw
-    field = g.ring.field
-    lam = raw[max(raw)]
-    if field.p:
-        if lam == 1:
-            return 1, g
-        inv = field.inv(lam)
-        m = {e: field.mul(v, inv) for e, v in raw.items()}
-    else:
-        if not all(type(v) is int for v in raw.values()):
-            return 1, g
-        lam = math.gcd(*raw.values()) * (1 if lam > 0 else -1)
-        if lam == 1:
-            return 1, g
-        m = {e: v // lam for e, v in raw.items()}
-    return lam, Polynomial._from_raw(g.ring, m)
+    if g.ring.field.p or not all(type(v) is int for v in raw.values()):
+        return 1, g
+    lam = math.gcd(*raw.values()) * (1 if raw[max(raw)] > 0 else -1)
+    if lam == 1:
+        return 1, g
+    return lam, Polynomial._from_raw(g.ring, {e: v // lam
+                                              for e, v in raw.items()})
 
 
 def _scaled(h, x):

@@ -19,9 +19,9 @@ so every entry is too.  Then
 Two entries below 2^31 never carry, so a sum of keys is exact even when
 its degree reaches 2^31; every polynomial built is checked once, on its
 leading key (the constructor, each product as the sum of the two leading
-keys, powers, Groebner's S-polynomials, the charts, degree ideals'
-monomial levels, and elim's companion steps and decode).  A total degree
-of 2^31 or more raises RingError; it never wraps.
+keys, powers, Groebner's S-polynomials, division's steps, the charts,
+degree ideals' monomial levels, and elim's companion steps and decode).
+A total degree of 2^31 or more raises RingError; it never wraps.
 
 The boundary keeps exponent tuples: the constructor and
 `RingContext.monomial` take them, `.terms` and `leading_monomial()` give
@@ -37,7 +37,8 @@ and `_box` serve Hasse's multi-indices.  It holds the raw term-map kernels:
 (the one place raw products are summed: a start map plus a_1*b_1 + ... +
 a_n*b_n, summed unreduced, then one `_reduced`), `_product` (one product,
 a single-term factor as a shift of the other's keys) and `_raw_power`,
-Groebner's `_subtract` (work -= c*x^shift*tail), `_split` (by one
+`_subtract` (work -= c*x^shift*tail, the one reduction kernel: Groebner's
+reductions and S-polynomials and `univ_divmod`'s steps), `_split` (by one
 variable's exponent), the scan's `_fold` (x^q = x), `_fields` (its view of
 the keys) and `_specialize` (first variable set, on logs), and the
 transforms' `_chart`.  Other modules call these, or read
@@ -656,8 +657,9 @@ class Polynomial(Immutable):
         return _exps(max(self._raw), self.ring.nvars)
 
     def leading_coefficient(self):
-        return FieldElement(self.ring.field,
-                            self._raw[_key(self.leading_monomial())])
+        if not self._raw:
+            raise RingError("zero polynomial has no leading coefficient")
+        return FieldElement(self.ring.field, self._raw[max(self._raw)])
 
     # -- substitution -------------------------------------------------
 
@@ -787,29 +789,30 @@ class Polynomial(Immutable):
 
 
 def univ_divmod(f, g, var):
-    """Division of f by g, monic in var: f = q*g + r with deg_var(r) < deg_var(g).
-    A step that does not lower the degree in var raises ArithmeticError."""
+    """Division of f by g, monic in var: f = q*g + r with deg_var(r) < deg_var(g),
+    on raw term maps.  Each step moves r's terms c*x^e of top degree in var
+    to q as c*x^(e - s), x^s = var^deg_var(g), cancels them by _subtract,
+    r -= c*x^(e - s)*g, and checks r's leading key.  A step that does not
+    lower the degree in var raises ArithmeticError."""
     if f.ring != g.ring:
         raise RingError("ring mismatch")
     ring = f.ring
     if not g.is_monic_in(var):
         raise RingError("divisor is not monic in %r" % var)
-    i = ring.var_index(var)
+    field, n, i = ring.field, ring.nvars, ring.var_index(var)
     dg = g.degree_in(var)
-    shift = dg * _unit(i, ring.nvars)   # the key of var^dg
-    q = ring.zero()
-    r, dr = f, f.degree_in(var)
+    shift = dg * _unit(i, n)   # the key of var^dg
+    q, r, dr = {}, dict(f._raw), f.degree_in(var)
     while dr >= dg:
-        step = Polynomial._from_raw(ring, {e - shift: v
-                                           for e, v in r._raw.items()
-                                           if _entry(e, i) == dr})
-        q = q + step
-        r = r - step * g
-        last, dr = dr, r.degree_in(var)
-        if dr >= last:   # cannot happen while the product is right
+        for e, c in [(e, c) for e, c in r.items() if _entry(e, i) == dr]:
+            q[e - shift] = c
+            _subtract(field, r, e - shift, c, g._raw.items())
+        _check_key(max(r, default=0), n)
+        last, dr = dr, max([_entry(e, i) for e in r], default=-1)
+        if dr >= last:   # cannot happen while the kernel is right
             raise ArithmeticError("division step left the degree in %r at %d"
                                   % (var, dr))
-    return q, r
+    return Polynomial._from_raw(ring, q), Polynomial._from_raw(ring, r)
 
 
 def _monic_in(f, var):
@@ -874,7 +877,8 @@ def univ_radical(f):
             for e, c in f.terms.items()}))
     g = univ_gcd(f, deriv, var)
     sqfree, rem = univ_divmod(f, g, var)
-    assert rem.is_zero()
+    if rem:   # cannot happen while the gcd is right
+        raise ArithmeticError("gcd(f, f') leaves the remainder %s" % rem)
     if g.degree_in(var) == 0:
         return sqfree
     # distinct factors of f = distinct factors of (f/g) joined with those of g

@@ -181,7 +181,7 @@ def _in_ring(spec, f):
 def test_char_poly_does_not_change_under_base_change(extension, prime):
     """The coefficients of char_poly(mult_matrix(g, f, "Z")) as text; over
     F_{p^k} they are packed values, and the dividing column runs
-    univ_divmod's single-term products on them."""
+    univ_divmod's reduction steps, poly._subtract, on them."""
     rng = random.Random("base-change/char-poly/" + extension)
     for _ in range(20):
         R = RingContext(FieldDescriptor.parse(prime),

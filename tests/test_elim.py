@@ -523,6 +523,17 @@ def test_eliminate_builds_one_char_poly_per_scalar_class(monkeypatch):
     assert format_elimination(result) == SHEARED_ELIMINATION
 
 
+@pytest.mark.parametrize("spec,text", [
+    ("F2", "Y*Z+Z+Y"), ("F3", "2*Y*Z+Z"), ("F4", "t*Y*Z+Z"),
+    ("F5", "3*Y*Z+2*Z"), ("F9", "(t+1)*Y*Z+t*Z")])
+def test_a_polynomial_over_a_finite_field_is_its_own_scalar_class(spec, text):
+    # classes by the leading coefficient almost never merge over F_q, so
+    # eliminate keys each polynomial by itself
+    g = ring(spec, "Y", "Z").parse(text)
+    lam, m = elim._scalar_class(g)
+    assert lam == 1 and m is g
+
+
 SHEARED_ELIMINATION = (
     "ring: Q[X,Y]\n"
     "gen: -27*Y^10-54*X^4*Y^5-27*X^8 w 3"

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from reeselim import poly
 from reeselim import (INFINITE_ORDER, FieldDescriptor, FieldError,
                       Polynomial, RingContext, RingError, univ_divmod,
                       univ_gcd, univ_radical)
@@ -360,14 +361,14 @@ def test_univariate_division():
 
 
 def test_division_refuses_a_step_that_leaves_the_degree(monkeypatch):
-    # a product that ignores its first factor gives step * g = g, so r keeps
-    # its Z^3: the loop would never end.  The alarm fails the test instead
-    # of hanging it, where no such check exists
+    # a reduction kernel that leaves r untouched keeps its Z^3: the loop
+    # would never end.  The alarm fails the test instead of hanging it,
+    # where no such check exists
     def timeout(signum, frame):
         raise AssertionError("univ_divmod did not return within 5 s")
 
     f, g = F2YZ.parse("Z^3"), F2YZ.parse("Z+Y")
-    monkeypatch.setattr(Polynomial, "__mul__", lambda self, other: other)
+    monkeypatch.setattr(poly, "_subtract", lambda *args: None)
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(5)
     try:
@@ -377,6 +378,39 @@ def test_division_refuses_a_step_that_leaves_the_degree(monkeypatch):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_division_makes_no_polynomial_arithmetic(monkeypatch):
+    # division runs on raw term maps through _subtract, the Groebner
+    # reduction kernel: no Polynomial product, sum or negation
+    cases = [(ring(spec, "X", "Y", "Z"), f, g) for spec, f, g in [
+        ("Q", "3*Z^5-1/2*X*Z^3+Y^2*Z+X", "Z^2+X*Y*Z-2/3*Y"),
+        ("F4", "t*Z^4+X^2*Z^3+Y*Z+1", "Z^3+t*X*Z+Y^2"),
+        ("F7", "Z^6+X^3*Y+Z", "Z^2+3*X"),
+        ("F2", "X*Y", "Z+X")]]
+    expected = [univ_divmod(R.parse(f), R.parse(g), "Z")
+                for R, f, g in cases]
+
+    def refuse(*args):
+        pytest.fail("division made Polynomial arithmetic")
+
+    for name in ("__mul__", "__add__", "__neg__", "__sub__"):
+        monkeypatch.setattr(Polynomial, name, refuse)
+    for (R, f, g), (q, r) in zip(cases, expected):
+        assert univ_divmod(R.parse(f), R.parse(g), "Z") == (q, r)
+    monkeypatch.undo()
+    for (R, f, g), (q, r) in zip(cases, expected):
+        assert q * R.parse(g) + r == R.parse(f)
+        assert r.degree_in("Z") < R.parse(g).degree_in("Z")
+
+
+def test_division_refuses_a_step_reaching_2_31():
+    # Y^(2^30)*Z^2 = (Z+Y^(2^30))*(Y^(2^30)*Z - Y^(2^31)) + Y^(3*2^30): the
+    # second step's key Y^(2^31)*Z is checked before it is read, never
+    # wrapped
+    f, g = QYZ.parse("Y^1073741824*Z^2"), QYZ.parse("Z+Y^1073741824")
+    with pytest.raises(RingError, match=LIMIT):
+        univ_divmod(f, g, "Z")
 
 
 @pytest.mark.parametrize("spec", ["Q", "F5", "F4"])
@@ -397,6 +431,14 @@ def test_radical_triple_root():
     R = ring("F5", "Z")
     f = (R.var("Z") - R.one())**3
     assert univ_radical(f) == R.parse("Z-1")
+
+
+def test_radical_refuses_a_gcd_that_does_not_divide(monkeypatch):
+    # a wrong gcd leaves a remainder: an error, under python -O too
+    R = ring("F5", "Z")
+    monkeypatch.setattr(poly, "univ_gcd", lambda f, g, var: R.parse("Z+2"))
+    with pytest.raises(ArithmeticError, match="leaves the remainder"):
+        univ_radical((R.var("Z") - R.one())**3)
 
 
 def test_radical_peels_pth_powers_in_extension_field():
@@ -579,6 +621,8 @@ def test_leading_monomial_cache():
     for _ in range(2):
         with pytest.raises(RingError):
             zero.leading_monomial()
+        with pytest.raises(RingError):
+            zero.leading_coefficient()
 
 
 def test_fraction_coefficients_in_positive_characteristic():
