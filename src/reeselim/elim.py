@@ -17,10 +17,11 @@ variables (t only in F_{p^k}), pack each entry into one Python int
 bound), run the recursion on the ints and unpack its c outputs in one loop,
 the same for every field.
 
-eliminate checks and splits f once per call, and builds one matrix and one
-char poly per scalar class of the saturated generators: h_j is homogeneous
-of degree j, so each g = lam*m takes lam^j times m's h_j.  Classes are
-taken by integer content over Q; over F_q each polynomial is its own.
+eliminate checks and splits f once per call, and keeps one cache of char
+polys keyed by the class representative m of each saturated generator
+g = lam*m: h_j is homogeneous of degree j, so g takes lam^j times m's h_j.
+Classes are taken by integer content over Q, where lam is an int; over F_q
+each polynomial is its own (lam = 1).
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import math
 from fractions import Fraction
 from operator import add, mul, neg
 
-from .fields import Immutable, _power
+from .fields import Immutable
 from .groebner import ResourceCapError
 from .poly import (Polynomial, RingError, _check_key, _columns, _split,
                    _sum_of_products, _unit, univ_divmod)
@@ -385,7 +386,7 @@ def cayley_hamilton_residue(g, f, z_var):
 
 
 def _scalar_class(g):
-    """(lam, m) with g = lam*m and lam a nonzero raw value, so that the
+    """(lam, m) with g = lam*m and lam a nonzero int, so that the
     char poly of m serves every scalar multiple of it.  Over Q with int
     coefficients, lam is g's content, signed as the leading coefficient
     is, and m's coefficients are the exact int quotients.  Any other g is
@@ -402,13 +403,6 @@ def _scalar_class(g):
                                               for e, v in raw.items()})
 
 
-def _scaled(h, x):
-    """h times the nonzero raw value x: no term drops."""
-    times = h.ring.field.mul
-    return Polynomial._from_raw(h.ring,
-                                {e: times(v, x) for e, v in h._raw.items()})
-
-
 def eliminate(G, f_gen, z_var, check_transversal=True):
     """Elimination algebra over the ring without z_var.
 
@@ -418,9 +412,10 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
     Generators reducing to zero contribute nothing; f itself is one, and
     gets no matrix.  f is checked and split once per call (_modulus).
     Saturation emits a polynomial again at each lower weight, and
-    h_j(lam*m) = lam^j * h_j(m), so each scalar class lam*m of the other
-    generators (_scalar_class) gets one multiplication matrix and one char
-    poly per call, of m; provenance names the generator.  Before any
+    h_j(lam*m) = lam^j * h_j(m), so the char polys are cached by the class
+    representative m of each generator (_scalar_class): one multiplication
+    matrix and one char poly per class and call, each h_j scaled by lam^j
+    where lam != 1; provenance names the generator.  Before any
     saturation, a weight above CHARPOLY_DEGREE_CAP raises ResourceCapError
     and a z_var that is the ring's only variable RingError.
     """
@@ -444,24 +439,21 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
     sat = diff_saturate(G, {z_var})
     modulus = _modulus(f, z_var)
     found = {}   # (h_j projected, weight) -> (g, weight of g, j), first source
-    # g -> its (j, nonzero h_j projected), () if g = 0 mod f, as f itself is
-    coeffs = {f: ()}
+    # class representative m -> its (j, nonzero h_j projected), () if
+    # m = 0 mod f, as f's own is
+    coeffs = {_scalar_class(f)[1]: ()}
     for g in sat.generators:
-        hs = coeffs.get(g.poly)
+        lam, m = _scalar_class(g.poly)
+        hs = coeffs.get(m)
         if hs is None:
-            lam, m = _scalar_class(g.poly)
-            hs = coeffs.get(m)
-            if hs is None:
-                M = _mult_matrix(m, f, z_var, modulus)
-                hs = coeffs[m] = () if M.element.is_zero() else tuple(
-                    (j, h.project_out(z_var))
-                    for j, h in enumerate(char_poly(M), start=1)
-                    if not h.is_zero())
-            if lam != 1:   # h_j(lam*m) = lam^j * h_j(m), nonzero as lam is
-                hs = coeffs[g.poly] = tuple(
-                    (j, _scaled(h, _power(ring.field.mul, lam, j)))
-                    for j, h in hs)
+            M = _mult_matrix(m, f, z_var, modulus)
+            hs = coeffs[m] = () if M.element.is_zero() else tuple(
+                (j, h.project_out(z_var))
+                for j, h in enumerate(char_poly(M), start=1)
+                if not h.is_zero())
         for j, h in hs:
+            if lam != 1:   # h_j(lam*m) = lam^j * h_j(m); lam is an int here
+                h = h.scale(lam**j)
             found.setdefault((h, j * g.weight), (g.poly, g.weight, j))
     algebra = ReesAlgebra.from_pairs(base, found)
     return EliminationResult(base, algebra, found.values())

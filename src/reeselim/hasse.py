@@ -48,10 +48,22 @@ def normalize_multiindex(ring, alpha):
 def _term_coefficient(field, v, binom):
     """The raw coefficient of x^(beta - alpha) in Delta^alpha(v x^beta): v
     times the integer binomial prod C(beta_i, alpha_i), reduced into the
-    field, so it is zero when p divides the binomial."""
+    field, so it is zero when p divides the binomial.  Only
+    hasse_derivatives uses this FieldElement product: it is the one route
+    by which verify_thm_1_16 reaches FieldElement.__mul__, as
+    bench/selftest.py expects."""
     if binom == 1:
         return v
     return (FieldElement(field, v) * field.element(binom)).val
+
+
+def _raw_coefficient(field, v, binom):
+    """_term_coefficient on raw values alone: the same value, with no
+    FieldElement built.  hasse_derivative, diff_closure_list and
+    saturation use it."""
+    if binom == 1:
+        return v
+    return field.mul(v, binom % field.p if field.p else binom)
 
 
 def hasse_derivative(f, alpha):
@@ -67,7 +79,7 @@ def hasse_derivative(f, alpha):
     guard = _guard(n)
     raw = {}
     for beta, v in f._raw.items():
-        if _divides(a, beta, guard) and (v := _term_coefficient(
+        if _divides(a, beta, guard) and (v := _raw_coefficient(
                 field, v, _binomial(beta, alpha))):
             # beta -> beta - alpha is injective: no two terms share a key
             raw[beta - a] = v
@@ -87,17 +99,7 @@ def _shifts(beta, n, active_idx, nvars):
                  for alpha in _box(_exps(beta, nvars), n, active_idx)[1:])
 
 
-def _raw_coefficient(field, v, binom):
-    """_term_coefficient on raw values alone: the same value, with no
-    FieldElement built.  Saturation uses it; hasse_derivatives keeps the
-    FieldElement product, which bench/selftest.py expects verify_thm_1_16
-    to reach."""
-    if binom == 1:
-        return v
-    return field.mul(v, binom % field.p if field.p else binom)
-
-
-def _derivative_rows(f, n, active=None, coefficient=_term_coefficient):
+def _derivative_rows(f, n, active=None, coefficient=_raw_coefficient):
     """[(|alpha|, alpha, raw map of Delta^alpha f)] for 0 < |alpha| < n,
     alpha supported on the active variables (all variables when None), by
     increasing |alpha| and then lexicographically; zero derivatives are
@@ -138,7 +140,7 @@ def hasse_derivatives(f, n, active=None):
     itself, and the rest are _derivative_rows."""
     ring = f.ring
     out = {_zero_exps(ring.nvars): f} if f._raw and n >= 1 else {}
-    for _, alpha, raw in _derivative_rows(f, n, active):
+    for _, alpha, raw in _derivative_rows(f, n, active, _term_coefficient):
         out[alpha] = Polynomial._from_raw(ring, raw)
     return out
 

@@ -20,7 +20,7 @@ from operator import itemgetter
 
 from .fields import FieldDescriptor, Immutable
 from .groebner import Ideal, buchberger, minimal_exponents, rational_zero_set
-from .hasse import _derivative_rows, _raw_coefficient, hasse_derivatives
+from .hasse import _derivative_rows, hasse_derivatives
 from .poly import (_INTEGER, INFINITE_ORDER, Polynomial, RingContext,
                    RingError, _center_mask, _chart, _check_key, _divides,
                    _guard)
@@ -167,8 +167,7 @@ def diff_saturate(G, active=None):
     tables = {}
     for ident, n in heaviest.items():
         rows = tables[ident] = [(0, ident)]
-        for size, _, raw in _derivative_rows(polys[ident], n, active,
-                                             _raw_coefficient):
+        for size, _, raw in _derivative_rows(polys[ident], n, active):
             dident = _identity(raw)
             if dident not in polys:
                 polys[dident] = Polynomial._from_raw(ring, raw)

@@ -359,6 +359,20 @@ REJECTIONS = [
     _rejection("ramify-the-only-variable", "ramify-verify",
                "ring: F2[x]\ngen: x^2 w 2\n", ["--var", "x"],
                "cannot drop 'x', the ring's only variable"),
+    _rejection("repeated-variable-name", "saturate",
+               "ring: Q[x,x]\ngen: x w 1\n", [],
+               "variable names must be distinct"),
+    _rejection("modulus-over-q", "saturate",
+               "ring: Q:t+1[x]\ngen: x w 1\n", [],
+               "bad field spec 'Q:t+1'"),
+    _rejection("modulus-of-the-wrong-degree", "saturate",
+               "ring: F4:t+1[x]\ngen: x w 1\n", [],
+               "modulus must be monic of degree 2"),
+    _rejection("ramify-over-q", "ramify-verify",
+               "ring: Q[x,Z]\ngen: Z^2+x w 2\n", ["--var", "Z"],
+               "point scan needs a finite coefficient field"),
+    _rejection("ramify-no-factors", "ramify-verify",
+               "ring: F5[x,Z]\n", ["--var", "Z"], "no factors in input"),
 ]
 
 

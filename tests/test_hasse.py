@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from reeselim import (FieldDescriptor, ReesAlgebra, RingContext, RingError,
-                      diff_closure_list, diff_saturate, hasse_derivative)
+from reeselim import (FieldDescriptor, FieldElement, ReesAlgebra, RingContext,
+                      RingError, diff_closure_list, diff_saturate,
+                      hasse_derivative)
 from reeselim.cli import main
 from reeselim.hasse import _shifts, hasse_derivatives
 from reeselim.poly import formal_derivative
@@ -254,6 +255,29 @@ def test_multi_index_refuses_an_entry_that_is_not_an_int(alpha, entry):
     with pytest.raises(RingError, match="^multi-index entry %s is not an int$"
                        % re.escape(repr(entry))):
         hasse_derivative(QYZ.parse("Y*Y"), alpha)
+
+
+def test_a_multi_index_of_total_degree_2_31_reaches_no_term():
+    R = ring("Q", "x", "y")
+    assert hasse_derivative(R.parse("x^2+y"), (2**31, 0)).is_zero()
+
+
+@pytest.mark.parametrize("spec", ["Q", "F3", "F4", "F5"])
+def test_hasse_derivative_and_closure_list_build_no_field_element_product(
+        monkeypatch, spec):
+    # Delta^(1,1)(x^3*y + 2*x^2*y^2 + x) = 3*x^2 + 8*x*y: each binomial is
+    # reduced into the field on raw values
+    R = ring(spec, "x", "y")
+    f, expected = R.parse("x^3*y+2*x^2*y^2+x"), R.parse("3*x^2+8*x*y")
+    closure = diff_closure_list(f, 3)
+
+    def refused(self, other):
+        raise AssertionError("FieldElement product")
+
+    monkeypatch.setattr(FieldElement, "__mul__", refused)
+    monkeypatch.setattr(FieldElement, "__rmul__", refused)
+    assert hasse_derivative(f, (1, 1)) == expected
+    assert diff_closure_list(f, 3) == closure
 
 
 def test_multi_index_takes_a_bool_entry_as_an_int():

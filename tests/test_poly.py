@@ -246,6 +246,11 @@ def test_order_along_center_subspaces():
     assert g.order_along(["X", "Z"]) == 6
 
 
+def test_order_along_refuses_an_empty_center():
+    with pytest.raises(RingError, match="^center must be nonempty$"):
+        QYZ.parse("Z^2+Y^5").order_along([])
+
+
 def test_initial_form():
     assert QYZ.parse("Z^2+Y^5").initial_form() == QYZ.parse("Z^2")
     RXY = ring("F2", "X", "Y")
@@ -451,6 +456,20 @@ def test_radical_peels_pth_powers_in_extension_field():
     assert rad * rad == f
 
 
+@pytest.mark.parametrize("spec,text,message", [
+    ("F5", "0", "radical of the zero polynomial"),
+    ("Q", "Y^2", "radical implemented over finite fields only"),
+    ("F5", "Y*Z", "polynomial is not univariate")])
+def test_radical_refuses_what_it_cannot_factor(spec, text, message):
+    with pytest.raises(RingError, match="^%s$" % message):
+        univ_radical(ring(spec, "Y", "Z").parse(text))
+
+
+def test_radical_of_a_nonzero_constant_is_one():
+    R = ring("F5", "Z")
+    assert univ_radical(R.parse("3")) == R.one()
+
+
 def test_radical_of_squarefree_is_itself():
     R = ring("F5", "Z")
     f = R.parse("Z^2-1")
@@ -578,6 +597,11 @@ def test_polynomial_power_refuses_an_exponent_that_is_not_an_int(n):
 def test_polynomial_power_takes_a_bool_exponent_as_an_int():
     f = F2YZ.parse("Y+Z")
     assert f**True == f and f**False == F2YZ.one()
+
+
+def test_polynomial_power_refuses_a_negative_exponent():
+    with pytest.raises(RingError, match="^negative polynomial power$"):
+        QYZ.parse("Y+Z")**-1
 
 
 def test_univ_gcd_with_zero_arguments():
