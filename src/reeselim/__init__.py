@@ -10,9 +10,9 @@ from .poly import (INFINITE_ORDER, Polynomial, RationalPoint, RingContext,
                    RingError, formal_derivative, parse_polynomial,
                    univ_divmod, univ_gcd, univ_radical)
 from .hasse import diff_closure_list, hasse_derivative
-from .groebner import (Ideal, GroebnerBasis, ResourceCapError, buchberger,
-                       ideal_equal, membership, normal_form,
-                       rational_zero_set)
+from .budget import ResourceCapError
+from .groebner import (Ideal, GroebnerBasis, buchberger, ideal_equal,
+                       membership, normal_form, rational_zero_set)
 from .rees import (BlowupChart, ReesAlgebra, ReesError, ReesGenerator,
                    component_order, degree_ideal, diff_saturate, e0_invariant,
                    format_algebra, is_simple, is_singular_at,

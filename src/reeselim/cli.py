@@ -9,7 +9,7 @@ from a path (or stdin as "-") and print text reports ending in
 machine-readable lines prefixed with "#!".
 
 Exit codes: 0 all good, 1 assertion/agreement failure, 2 usage or input
-error, 3 resource cap exceeded.
+error, 3 a limit of reeselim.budget refused the work.
 
 ord, e0 and tau are one command read from a table.  The parser is built on
 the first `main` call and reused by later calls in the process; each call
@@ -21,7 +21,8 @@ import argparse
 import functools
 import sys
 
-from .groebner import ResourceCapError, rational_zero_set
+from .budget import ResourceCapError
+from .groebner import rational_zero_set
 from .poly import _INTEGER, RationalPoint, RingError
 from .rees import (ReesError, diff_saturate, e0_invariant, format_algebra,
                    normalize_generators, ord_at_point, parse_algebra,

@@ -10,45 +10,42 @@ characteristic polynomial runs Berkowitz's recursion, written once
 (_berkowitz) over the ring its operators give, on one of two exact paths,
 chosen per matrix before any product.  Small (c <= 3) or sparse matrices
 run it on the entries' raw term maps, each dot product one
-_sum_of_products call whose pairs are counted against _TERM_PRODUCTS_CAP.
-Dense ones lift the matrix once to integer polynomials in t and the
-variables (t only in F_{p^k}), pack each entry into one Python int
-(mixed-radix Kronecker substitution, sized by a closed-form coefficient
-bound), run the recursion on the ints and unpack its c outputs in one loop,
-the same for every field.
+_sum_of_products call whose pairs are counted against
+budget.TERM_PRODUCTS.  Dense ones lift the matrix once to integer
+polynomials in t and the variables (t only in F_{p^k}), pack each entry
+into one Python int (mixed-radix Kronecker substitution, sized by a
+closed-form coefficient bound), run the recursion on the ints and unpack
+its c outputs in one loop, the same for every field, or declines.
 
-eliminate checks and splits f once per call, and keeps one cache of char
-polys keyed by the class representative m of each saturated generator
-g = lam*m: h_j is homogeneous of degree j, so g takes lam^j times m's h_j.
-Classes are taken by integer content over Q, where lam is an int; over F_q
-each polynomial is its own (lam = 1).
+eliminate checks and splits f once per call, and keeps one cache keyed
+by polynomial: each saturated generator g = lam*m maps to lam and the char
+poly of its class representative m, which is keyed as itself (lam = 1).
+h_j is homogeneous of degree j, so g takes lam^j times m's h_j.  Classes
+are taken by integer content over Q, where lam is an int; over F_q each
+polynomial is its own (lam = 1).
 """
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
+from itertools import accumulate
 from operator import add, mul, neg
 
+from . import budget
+from .budget import ResourceCapError
 from .fields import Immutable
-from .groebner import ResourceCapError
-from .poly import (Polynomial, RingError, _check_key, _columns, _split,
+from .poly import (Polynomial, RingError, _columns, _split,
                    _sum_of_products, _unit, univ_divmod)
 from .rees import (ReesAlgebra, ReesError, ReesGenerator, diff_saturate,
                    format_algebra)
 
-CHARPOLY_DEGREE_CAP = 12
-# a packed entry's length, w * slots bits, grows with the entries' degrees
-# however few terms they have; at c = 12, 2^20 bits is about ten seconds
-# of Berkowitz
-_PACKED_BITS_CAP = 1 << 20
-# the raw-map path's work, sum |a|*|b| over the products it takes: at about
-# 3 million term products a second (CPython 3.11, one x86-64 core), 2^19 is
-# under 0.2 s; the benchmark pools take at most 225 a matrix
-_TERM_PRODUCTS_CAP = 1 << 19
 # packed bits per entry term past which the packed ints are mostly zeros
 # and the raw maps win; the benchmark pools' dense matrices take at most 141
 _PACKED_BITS_PER_TERM = 1024
+# a packed entry's length, w * slots bits, past which packing declines
+# whatever the term count: at c = 12, 2^20 bits is about ten seconds of
+# Berkowitz
+_PACKED_BITS_MAX = 1 << 20
 
 
 class MultiplicationMatrix(Immutable):
@@ -78,12 +75,6 @@ class EliminationResult(Immutable):
         object.__setattr__(self, "base_ring", base_ring)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "provenance", tuple(provenance))
-
-
-def _check_degree_cap(c):
-    if c > CHARPOLY_DEGREE_CAP:
-        raise ResourceCapError("characteristic polynomial degree cap exceeded "
-                               "(degree %d > cap %d)" % (c, CHARPOLY_DEGREE_CAP))
 
 
 def mult_matrix(g, f, z_var):
@@ -163,31 +154,24 @@ def _integer_entries(A, field):
              for e in row] for row in A], 1
 
 
-@functools.cache
-def _t_powers(field, n):
-    """Packed residues of t^0, ..., t^(n-1) modulo the field's modulus."""
-    out = [1]
-    while len(out) < n:
-        out.append(field.mul(out[-1], field._pack((0, 1))))
-    return tuple(out)
-
-
 def char_poly(M):
     """Coefficients (h_1, ..., h_c) of det(V*Id - M) = V^c + h_1 V^{c-1} + ...,
     in the ring of the entries.
 
     Berkowitz's division-free recursion, valid in any characteristic, on
     one of two exact paths, chosen before any product.  A matrix of
-    degree c <= 3, or one whose packed ints would hold more than
-    _PACKED_BITS_PER_TERM bits per term of its entries (mostly zeros), runs
-    on raw term maps (_raw_char_poly); any other is Kronecker-packed
-    (_packed_char_poly).  At c <= 3 the packing's lift, layout and decode
-    cost more than the few products the recursion takes.
+    degree c > 3 is Kronecker-packed (_packed_char_poly) unless the
+    packing declines; any other runs on raw term maps (_raw_char_poly).
+    At c <= 3 the packing's lift, layout and decode cost more than the few
+    products the recursion takes.  A degree above budget.CHARPOLY_DEGREE
+    raises ResourceCapError before any product, as does the raw path's
+    work past budget.TERM_PRODUCTS.
     """
-    c = M.size
-    _check_degree_cap(c)
+    c, limit = M.size, budget.CHARPOLY_DEGREE
+    if c > limit:
+        raise ResourceCapError("CHARPOLY_DEGREE", c, limit, "no product taken")
     if c > 3:
-        h = _packed_char_poly(M.matrix, _PACKED_BITS_PER_TERM)
+        h = _packed_char_poly(M.matrix)
         if h is not None:
             return h
     return _raw_char_poly(M.matrix)
@@ -199,23 +183,22 @@ def _raw_char_poly(A):
     product on its leading key, and an update h_i - s_i merges two maps
     unreduced into a new one, which the next dot product reduces.  The
     work, sum |a|*|b| over the products, is counted as the pairs reach the
-    kernel, before each product: past _TERM_PRODUCTS_CAP it raises
+    kernel, before each product: past budget.TERM_PRODUCTS it raises
     ResourceCapError."""
     c = len(A)
     ring = A[0][0].ring
     field, n, negate = ring.field, ring.nvars, ring.field.neg
-    work = 0
+    work, limit = 0, budget.TERM_PRODUCTS
 
     def charged(pairs):
         nonlocal work
         for a, b in pairs:
             if a and b:
                 work += len(a) * len(b)
-                if work > _TERM_PRODUCTS_CAP:
+                if work > limit:
                     raise ResourceCapError(
-                        "characteristic polynomial work cap exceeded (degree "
-                        "%d: %d term products > cap %d)"
-                        % (c, work, _TERM_PRODUCTS_CAP))
+                        "TERM_PRODUCTS", work, limit, "degree %d, %d taken"
+                        % (c, work - len(a) * len(b)))
                 yield a, b
 
     def merge(x, y):
@@ -232,16 +215,15 @@ def _raw_char_poly(A):
     return [Polynomial._from_raw(ring, x) for x in h]
 
 
-def _packed_char_poly(A, bits_per_term=None):
-    """char_poly of the matrix A by _berkowitz on plain ints.  The matrix is
-    lifted once (_integer_entries) and each entry packed into one int by
-    mixed-radix Kronecker substitution: the term t^j x^e is a signed digit
-    at slot sum_i (e_i/g_i) R_i over t and the variables the entries use
-    (t's exponent first, each distinct monomial key read once by poly's
-    _columns), R_i = prod_{k<i} (c*d_k + 1), where g_i is the gcd of
-    coordinate i's exponents in the entries (y^g -> y embeds the
-    polynomials in y^g) and d_i the largest of them over g_i.
-    Substitution is a ring homomorphism and ints are exact, so
+def _packed_char_poly(A):
+    """char_poly of the matrix A by _berkowitz on plain ints, or None when
+    packing declines.  The matrix is lifted once (_integer_entries) and
+    each entry packed into one int by mixed-radix Kronecker substitution:
+    the term t^j x^e is a signed digit at slot sum_i e_i R_i over t and
+    the variables the entries use (t's exponent first, each distinct
+    monomial key read once by poly's _columns), R_i = prod_{k<i}
+    (c*d_k + 1), where d_i is coordinate i's largest exponent in the
+    entries.  Substitution is a ring homomorphism and ints are exact, so
     intermediates may carry freely; an output decodes uniquely once its
     exponents fit their slots (h_i is a sum of products of i <= c entries)
     and its coefficients fit a balanced digit of w = bitlen(B) + 1 bits.
@@ -250,13 +232,13 @@ def _packed_char_poly(A, bits_per_term=None):
     a signed sum of principal i-minors.  One decode loop serves every
     field: a monomial's t-digits are one group, one step per nonzero group
     or run of zero ones, and a group is one coefficient, divided exactly by
-    D^i over Q or sum_j (digit_j mod p) t^(j*g_t) reduced once, and a
-    monomial's key is sum_i e_i * (the key of x_i), checked on each output's
-    leading key.  The packed length w * slots grows with the entries'
-    degrees however sparse they are.  Before any product it returns None
-    when bits_per_term is given and the length exceeds bits_per_term bits
-    per term of the entries; otherwise a length above _PACKED_BITS_CAP
-    raises ResourceCapError.
+    D^i over Q or sum_j (digit_j mod p) t^j reduced once, and a monomial's
+    key is sum_i e_i * (the key of x_i).  The packed length w * slots grows
+    with the entries' degrees however sparse they are: before any product,
+    packing declines (None) when it exceeds _PACKED_BITS_PER_TERM bits per
+    term of the entries (mostly zeros) or _PACKED_BITS_MAX bits.  So an
+    output's total degree stays below its slot count, far inside the 2^31
+    that poly's keys hold.
     """
     c = len(A)
     ring = A[0][0].ring
@@ -276,24 +258,17 @@ def _packed_char_poly(A, bits_per_term=None):
     monos = list({x for _, x in keys})
     used = _columns(monos, n)
     cols = [[j for j, _ in keys], *used.values()]
-    gs = [math.gcd(*col) or 1 for col in cols]
-    radices, slots = [], 1
-    for d, g in zip(map(max, cols), gs):
-        radices.append((slots, c * (d // g) + 1, g))
-        slots *= c * (d // g) + 1
-    if bits_per_term and w * slots > bits_per_term * sum(
-            len(e._raw) for row in A for e in row):
+    radices = [c * max(col) + 1 for col in cols]
+    *places, slots = accumulate([1, *radices], mul)   # the R_i, then slots
+    if w * slots > min(_PACKED_BITS_MAX, _PACKED_BITS_PER_TERM * sum(
+            len(e._raw) for row in A for e in row)):
         return None
-    if w * slots > _PACKED_BITS_CAP:
-        raise ResourceCapError("characteristic polynomial size cap exceeded "
-                               "(packed entries of %d bits > cap %d)"
-                               % (w * slots, _PACKED_BITS_CAP))
-    shifts = [w * r for r, _, _ in radices]
+    shifts = [w * r for r in places]
     packed = [0] * len(monos)   # each monomial's shift, variable by variable
-    for col, g, t in zip(cols[1:], gs[1:], shifts[1:]):
-        packed = [a + e // g * t for a, e in zip(packed, col)]
+    for col, t in zip(cols[1:], shifts[1:]):
+        packed = [a + e * t for a, e in zip(packed, col)]
     mono = dict(zip(monos, packed))
-    shift = {(j, x): j // gs[0] * shifts[0] + mono[x] for j, x in keys}
+    shift = {(j, x): j * shifts[0] + mono[x] for j, x in keys}
     h = _berkowitz([[sum(v << shift[x] for x, v in entry) for entry in row]
                     for row in entries],
                    lambda u, v, start=0: sum(map(mul, u, v), start), neg, add)
@@ -302,11 +277,13 @@ def _packed_char_poly(A, bits_per_term=None):
     # and xor with it leaves a zero digit wherever the output's is zero
     half, mask, top = 1 << (w - 1), (1 << w) - 1, 1 << w * slots
     bias = (top - 1) // mask * half
-    # the key of an output monomial is sum_i e_i * unit_i, e_i = digit * g_i
-    (_, nt, gt), *radices = radices
-    radices = [(r // nt, m, g * _unit(i, n))
-               for i, (r, m, g) in zip(used, radices)]
-    tpow = _t_powers(field, (nt - 1) * gt + 1)
+    # the key of an output monomial is sum_i e_i * unit_i
+    nt = radices[0]
+    radices = [(r // nt, m, _unit(i, n))
+               for i, r, m in zip(used, places[1:], radices[1:])]
+    tpow = [1]   # packed residues of t^0, ..., t^(nt-1) mod the modulus
+    while len(tpow) < nt:
+        tpow.append(field.mul(tpow[-1], field._pack((0, 1))))
     p, gw = field.p, w * nt
     gmask = (1 << gw) - 1
     out, Di = [], 1
@@ -324,9 +301,9 @@ def _packed_char_poly(A, bits_per_term=None):
                     a = q // Di if q % Di == 0 else Fraction(q, Di)
                 else:
                     acc = j = 0
-                    while y:   # t^j's digit, taken mod p, times t^(j*gt)
+                    while y:   # t^j's digit, taken mod p, times t^j
                         if u := y & mask:
-                            acc += ((u ^ half) - half) % p * tpow[j * gt]
+                            acc += ((u ^ half) - half) % p * tpow[j]
                         y >>= w
                         j += 1
                     a = field.reduce(acc)
@@ -338,8 +315,6 @@ def _packed_char_poly(A, bits_per_term=None):
                 z = ((x & -x).bit_length() - 1) // gw
                 x >>= gw * z
                 m += z
-        if raw:
-            _check_key(max(raw), n)
         out.append(Polynomial._from_raw(ring, raw))
     return out
 
@@ -411,13 +386,15 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
     characteristic polynomial of multiplication-by-g, at weight j*n.
     Generators reducing to zero contribute nothing; f itself is one, and
     gets no matrix.  f is checked and split once per call (_modulus).
-    Saturation emits a polynomial again at each lower weight, and
-    h_j(lam*m) = lam^j * h_j(m), so the char polys are cached by the class
-    representative m of each generator (_scalar_class): one multiplication
-    matrix and one char poly per class and call, each h_j scaled by lam^j
+    Saturation lists one polynomial again at each lower weight, and
+    h_j(lam*m) = lam^j * h_j(m), so one cache keyed by polynomial maps
+    each distinct generator, by one _scalar_class call, to lam and the
+    h_j of its class representative m (keyed as itself, lam = 1): one
+    matrix and char poly per class and call, each h_j scaled by lam^j
     where lam != 1; provenance names the generator.  Before any
-    saturation, a weight above CHARPOLY_DEGREE_CAP raises ResourceCapError
-    and a z_var that is the ring's only variable RingError.
+    saturation, a weight above budget.CHARPOLY_DEGREE raises
+    ResourceCapError and a z_var that is the ring's only variable
+    RingError.
     """
     f_gen = ReesGenerator(*f_gen)   # a generator or a plain (f, c) pair
     ring = G.ring
@@ -433,24 +410,30 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
     if check_transversal and f.order_at_origin() != c:
         raise ReesError("transversality failure: order %s != weight %d"
                         % (f.order_at_origin(), c))
-    _check_degree_cap(c)
+    limit = budget.CHARPOLY_DEGREE
+    if c > limit:
+        raise ResourceCapError("CHARPOLY_DEGREE", c, limit,
+                               "before saturation")
     if f_gen not in G.generators:
         G = ReesAlgebra(ring, G.generators + (f_gen,))
     sat = diff_saturate(G, {z_var})
     modulus = _modulus(f, z_var)
     found = {}   # (h_j projected, weight) -> (g, weight of g, j), first source
-    # class representative m -> its (j, nonzero h_j projected), () if
-    # m = 0 mod f, as f's own is
-    coeffs = {_scalar_class(f)[1]: ()}
+    # polynomial -> (lam, its class's (j, nonzero h_j projected)), () if
+    # m = 0 mod f, as f's own is; a class representative m is (1, ...)
+    coeffs = {_scalar_class(f)[1]: (1, ())}
     for g in sat.generators:
-        lam, m = _scalar_class(g.poly)
-        hs = coeffs.get(m)
-        if hs is None:
-            M = _mult_matrix(m, f, z_var, modulus)
-            hs = coeffs[m] = () if M.element.is_zero() else tuple(
-                (j, h.project_out(z_var))
-                for j, h in enumerate(char_poly(M), start=1)
-                if not h.is_zero())
+        known = coeffs.get(g.poly)
+        if known is None:
+            lam, m = _scalar_class(g.poly)
+            if m not in coeffs:
+                M = _mult_matrix(m, f, z_var, modulus)
+                coeffs[m] = 1, () if M.element.is_zero() else tuple(
+                    (j, h.project_out(z_var))
+                    for j, h in enumerate(char_poly(M), start=1)
+                    if not h.is_zero())
+            known = coeffs[g.poly] = lam, coeffs[m][1]
+        lam, hs = known
         for j, h in hs:
             if lam != 1:   # h_j(lam*m) = lam^j * h_j(m); lam is an int here
                 h = h.scale(lam**j)

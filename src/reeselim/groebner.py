@@ -12,14 +12,14 @@ monomial is the greatest key, and divisibility is one guard-bit test.
 Each divisor caches its leading key, inverse leading coefficient and raw
 terms, and buchberger keeps those of its live divisors in one list, which
 normal_form takes with no checks.  The reduced basis is unique, so none of
-this changes an answer.  A hard cap on the basis size, ``BASIS_CAP``,
-checked on every element added, turns runaway computations into a clean
-error that reports the progress made.
+this changes an answer.  A limit on the basis size,
+``budget.BASIS_ELEMENTS``, checked on every element added, turns runaway
+computations into a clean error that reports the progress made.
 
 Every Groebner basis comes from ``buchberger``, tau's linear ones too.  Its
 one shortcut is a basis the ideal carries (``rees.degree_ideal``'s minimal
 monomials of an all-monomial I_k); any other monomial ideal runs the pair
-loop, where every S-polynomial is zero, and counts against ``BASIS_CAP``.
+loop, where every S-polynomial is zero, and counts against that limit.
 
 Rational zero sets over a finite field F_q come from a projection scan
 that fixes one coordinate at a time and abandons a branch as soon as a
@@ -31,8 +31,8 @@ terms are keyed by ``_fields``' entry fields and valued by logs, so
 setting a coordinate to g^l is a sum of logs mod q - 1 per term and one
 Zech lookup per merged pair (``_specialize``), with no reduce.  Only the
 emitted points hold FieldElements.  The branches of each scan, the
-ramification check's included, count against ``SCAN_BUDGET``; exceeding
-it raises ``ResourceCapError`` (CLI exit 3).
+ramification check's included, count against ``budget.SCAN_BRANCHES``;
+exceeding it raises ``ResourceCapError`` (CLI exit 3).
 A generator a*X + b in the next coordinate X alone pins X to -b/a, so
 only that value is visited; the values it skips still count, one branch
 each, so the cap falls exactly where visiting every value of the folded
@@ -42,17 +42,12 @@ from __future__ import annotations
 
 import heapq
 
+from . import budget
+from .budget import ResourceCapError
 from .fields import FieldElement, Immutable
 from .poly import (Polynomial, RationalPoint, RingError, _check_key,
                    _divides, _fields, _fold, _guard, _lcm, _specialize,
                    _subtract, _top_entry)
-
-BASIS_CAP = 10_000
-SCAN_BUDGET = 10**6
-
-
-class ResourceCapError(RuntimeError):
-    pass
 
 
 class Ideal(Immutable):
@@ -181,7 +176,7 @@ def buchberger(ideal):
     live = []   # indices of the elements that take new pairs and reduce
     leads = _Leads()   # their _lead triples, in the same order
     heap = []   # [the lcm's key, i, j, dropped], i < j
-    reductions = 0
+    reductions, limit = 0, budget.BASIS_ELEMENTS
 
     def update(h):
         """Gebauer-Moeller on adding h: drop the old pairs h makes
@@ -219,12 +214,11 @@ def buchberger(ideal):
         if g.is_zero():
             return
         basis.append(g.scale(g.leading_coefficient().inverse()))
-        if len(basis) > BASIS_CAP:
+        if len(basis) > limit:
             raise ResourceCapError(
-                "Groebner basis reached %d elements > cap %d after %d "
-                "reductions, %d pairs pending"
-                % (len(basis), BASIS_CAP, reductions,
-                   sum(not pair[3] for pair in heap)))
+                "BASIS_ELEMENTS", len(basis), limit,
+                "after %d reductions, %d pairs pending"
+                % (reductions, sum(not pair[3] for pair in heap)))
         lms.append(max(basis[-1]._raw))
         update(len(basis) - 1)
 
@@ -309,22 +303,21 @@ def rational_zero_set(ideal):
     When a surviving generator is a*X + b in the next coordinate X alone,
     only its root X = -b/a, whose log is log(-1) + log b - log a, is
     visited: every other value makes it a nonzero constant.  Every value
-    counts against ``SCAN_BUDGET`` as one branch in enumeration order, the
-    skipped ones included: those up to the root before its subtree, the
-    rest after it.  So the cap is reached, and reported, exactly where
-    visiting every value of the folded generators would reach it; folding
-    can make a generator a nonzero constant, or linear, sooner, so it can
-    only lower the count.
+    counts against ``budget.SCAN_BRANCHES`` as one branch in enumeration
+    order, the skipped ones included: those up to the root before its
+    subtree, the rest after it.  So the limit is reached, and reported,
+    exactly where visiting every value of the folded generators would
+    reach it; folding can make a generator a nonzero constant, or linear,
+    sooner, so it can only lower the count.
     """
     ring = ideal.ring
     field = ring.field
     if field.p == 0:
         raise RingError("point scan needs a finite coefficient field")
-    nvars, q = ring.nvars, field.order
-    if q > SCAN_BUDGET:
-        raise ResourceCapError(
-            "point scan exceeds budget %d: the first of %d coordinates "
-            "alone has %d values" % (SCAN_BUDGET, nvars, q))
+    nvars, q, limit = ring.nvars, field.order, budget.SCAN_BRANCHES
+    if q > limit:   # refused before the field's tables of q entries
+        raise ResourceCapError("SCAN_BRANCHES", q, limit, "none visited, "
+                               "%d coordinates of %d values" % (nvars, q))
     gens = [g._raw for g in ideal.generators]
     if _top_entry(gens, nvars) >= q:
         gens = [t for t in (_fold(field, t, q, nvars) for t in gens) if t]
@@ -341,11 +334,10 @@ def rational_zero_set(ideal):
     def charge(branches):
         nonlocal visited
         visited += branches
-        if visited > SCAN_BUDGET:
-            raise ResourceCapError(
-                "point scan exceeds budget %d: %d branches visited, "
-                "%d of %d coordinates fixed"
-                % (SCAN_BUDGET, SCAN_BUDGET + 1, len(prefix) + 1, nvars))
+        if visited > limit:   # reached at branch limit + 1 in enumeration
+            raise ResourceCapError("SCAN_BRANCHES", limit + 1, limit,
+                                   "%d of %d coordinates fixed"
+                                   % (len(prefix) + 1, nvars))
 
     def scan(gens):
         fixed = len(prefix)

@@ -3,7 +3,9 @@ import io
 
 import pytest
 
-from reeselim import parse_algebra
+from reeselim import (ResourceCapError, diff_saturate, eliminate,
+                      parse_algebra, rational_zero_set, singular_ideal,
+                      tau_estimate)
 from reeselim.cli import main
 
 EX69 = "ring: Q[Y,Z]\ngen: Z^2+Y^5 w 2\n"
@@ -66,13 +68,13 @@ def test_sing_reports_points(ex610):
 
 def test_sing_scan_budget_exits_three(ex610, monkeypatch):
     # the scan visits Y=0, then Z=0 and Z=1, then Y=1, where Y^4 prunes
-    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 3)
+    monkeypatch.setattr("reeselim.budget.SCAN_BRANCHES", 3)
     code, text = run(["sing", ex610])
     assert code == 3
     # the scan runs before the first write: no gen: lines ahead of the error
-    assert text == ("error: point scan exceeds budget 3: 4 branches visited, "
-                    "1 of 2 coordinates fixed\n")
-    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 4)
+    assert text == ("error: SCAN_BRANCHES cap exceeded: 4 > 3 (1 of 2 "
+                    "coordinates fixed)\n")
+    monkeypatch.setattr("reeselim.budget.SCAN_BRANCHES", 4)
     assert run(["sing", ex610]) == (0, "gen: Y^5+Z^2\ngen: Y^4\npoint: 0,0\n"
                                      "#! ideal-generators: 2 points: 1\n")
 
@@ -132,14 +134,14 @@ def test_ramify_verify_field_override(tmp_path):
 
 
 def test_ramify_verify_scan_budget_exits_three(tmp_path, monkeypatch):
-    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 4)
+    monkeypatch.setattr("reeselim.budget.SCAN_BRANCHES", 4)
     path = tmp_path / "ram.alg"
     path.write_text("ring: F5[Y,Z]\ngen: Z^2-Y w 2\n")
     code, text = run(["ramify-verify", str(path), "--var", "Z"])
     assert code == 3
     # the discriminants' base scan runs first and hits the cap at once
-    assert text == ("error: point scan exceeds budget 4: the first of 1 "
-                    "coordinates alone has 5 values\n")
+    assert text == ("error: SCAN_BRANCHES cap exceeded: 5 > 4 (none "
+                    "visited, 1 coordinates of 5 values)\n")
 
 
 def test_scenario_command(capsys):
@@ -461,15 +463,15 @@ def test_ramify_verify_refuses_a_large_degree_before_saturating(tmp_path):
     path = tmp_path / "big.alg"
     path.write_text("ring: F3[x,Z]\ngen: Z^600+x w 600\n")
     assert run(["ramify-verify", str(path), "--var", "Z"]) == (
-        3, "error: characteristic polynomial degree cap exceeded "
-           "(degree 600 > cap 12)\n")
+        3, "error: CHARPOLY_DEGREE cap exceeded: 600 > 12 "
+           "(before saturation)\n")
 
 
 def test_eliminate_answers_a_char_poly_whose_packed_size_exceeds_the_cap(
         tmp_path, monkeypatch):
-    # sparse entries of degree 60 in X and Y with no common exponent
-    # factor: c*60+1 slots in each at c = 12, 378,444,248 bits an entry
-    # packed; the raw maps answer, and refuse once their limit is lowered
+    # sparse entries of degree 60 in X, Y and W: c*60+1 slots in each at
+    # c = 12, about 2*10^10 bits an entry packed, so packing declines; the
+    # raw maps answer, and refuse once their limit is lowered
     path = tmp_path / "sparse.alg"
     path.write_text("ring: Q[X,Y,W,Z]\n"
                     "gen: Z^12+X^60*Y^60*W^60+X^11*Y w 12\n")
@@ -477,10 +479,45 @@ def test_eliminate_answers_a_char_poly_whose_packed_size_exceeds_the_cap(
     code, text = run(argv)
     assert code == 0
     assert text.splitlines()[-1] == "#! generators: 168 max-weight: 132"
-    monkeypatch.setattr("reeselim.elim._TERM_PRODUCTS_CAP", 10)
+    monkeypatch.setattr("reeselim.budget.TERM_PRODUCTS", 10)
     assert run(argv) == (
-        3, "error: characteristic polynomial work cap exceeded "
-           "(degree 12: 12 term products > cap 10)\n")
+        3, "error: TERM_PRODUCTS cap exceeded: 12 > 10 "
+           "(degree 12, 6 taken)\n")
+
+
+@pytest.mark.parametrize("cap,limit,used,library,argv,text", [
+    ("SCAN_BRANCHES", 3, 4, lambda G: rational_zero_set(singular_ideal(G)),
+     ["sing"], EX610),
+    ("CHARPOLY_DEGREE", 1, 2,
+     lambda G: eliminate(G, G.generators[1], "Z"),
+     ["eliminate", "--monic", "1", "--var", "Z"],
+     "ring: F2[Y,Z]\ngen: Y^4 w 1\ngen: Z^2+Y^5 w 2\n"),
+    ("TERM_PRODUCTS", 2, 3, lambda G: eliminate(G, G.generators[0], "Z"),
+     ["eliminate", "--monic", "0", "--var", "Z"],
+     "ring: F3[Y,Z]\ngen: Z^3+Y^4+Y^3*Z w 3\n"),
+    ("BASIS_ELEMENTS", 1, 2,
+     lambda G: tau_estimate(diff_saturate(G), G.ring.point([0, 0, 0])),
+     ["tau", "--at", "0,0,0"],
+     "ring: F2[X,Y,Z]\ngen: Z^2+Y^5 w 2\ngen: X^2 w 2\n"),
+], ids=["scan-branches", "charpoly-degree", "term-products", "basis-elements"])
+def test_each_budget_limit_refuses_with_one_error_line(
+        cap, limit, used, library, argv, text, tmp_path, monkeypatch,
+        capsys):
+    # every limit is read from reeselim.budget at call time: lowered there,
+    # it names itself, the work reached and its value, and the CLI prints
+    # that message as its one line and exits 3
+    monkeypatch.setattr("reeselim.budget." + cap, limit)
+    with pytest.raises(ResourceCapError) as error:
+        library(parse_algebra(text))
+    assert (error.value.cap, error.value.used, error.value.limit) == (
+        cap, used, limit)
+    assert str(error.value).startswith("%s cap exceeded: %d > %d ("
+                                       % (cap, used, limit))
+    path = tmp_path / "in.alg"
+    path.write_text(text)
+    assert run([argv[0], str(path)] + argv[1:]) == (
+        3, "error: %s\n" % error.value)
+    assert capsys.readouterr().err == ""
 
 
 def test_consecutive_calls_each_print_their_own_output(ex69, tmp_path,

@@ -171,8 +171,15 @@ def berkowitz_on_polynomials(M):
 PACKED_SPECS = ("Q", "F2", "F5", "F4", "F9", "F8:t^3+t^2+1", "F2147483647")
 
 
-def test_packed_char_poly_matches_berkowitz_on_polynomials():
+def force_packing(monkeypatch):
+    """Lift both of the packing's bounds, so that it never declines."""
+    monkeypatch.setattr(elim, "_PACKED_BITS_PER_TERM", 1 << 62)
+    monkeypatch.setattr(elim, "_PACKED_BITS_MAX", 1 << 62)
+
+
+def test_packed_char_poly_matches_berkowitz_on_polynomials(monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
+    force_packing(monkeypatch)
     st = hypothesis.strategies
 
     def coefficients(field):
@@ -213,13 +220,15 @@ def test_packed_char_poly_matches_berkowitz_on_polynomials():
     (("X", "Y", "W"), "X^2*Y*W", (11, 13, 6, 9, 5)),
 ])
 def test_char_poly_of_a_positive_diagonal_reaches_the_coefficient_bound(
-        base, monomial, scalars):
+        base, monomial, scalars, monkeypatch):
     # diag(a_1 m, ..., a_c m) with a_r > 0 has h_i = (-1)^i e_i(a) m^i: its
     # largest |coefficient| is max_i e_i(a), exactly the bound the packed
     # path sizes its digits by (not a power of two here, so a digit one bit
     # short fails both signs), and m^c takes every variable of m to c times
     # its largest exponent, the top of its slot range.  char_poly runs
-    # c <= 3 on raw maps, so the packed path is called directly too
+    # c <= 3 on raw maps, and packing declines a diagonal at c = 5 (mostly
+    # zeros), so the packed path is called directly too, with packing forced
+    force_packing(monkeypatch)
     R = ring("Q", *base)
     m = R.parse(monomial)
     c = len(scalars)
@@ -236,13 +245,12 @@ def test_char_poly_of_a_positive_diagonal_reaches_the_coefficient_bound(
     assert elim._packed_char_poly(M.matrix) == expected
 
 
-def test_sparse_high_degree_entries_pack_by_their_exponent_gcd():
-    # entries 1 and -a*X^60*Y^60*W^60: as packed exponents 60 each variable
-    # would take 721 slots at c = 12 (about 10^10 bits an int); as 60
-    # times (1, 1, 1) it takes 13.  a = t in F_4 puts t in the keys too;
-    # there the last g stretches t's slot past the size cap.  These
-    # matrices are mostly zeros, so char_poly runs them on raw maps: the
-    # packed path is called directly
+def test_sparse_high_degree_entries_with_a_common_factor_take_the_raw_maps(
+        monkeypatch):
+    # entries 1 and -a*X^60*Y^60*W^60: packed, each variable would take 721
+    # slots at c = 12 (about 10^10 bits an int), though every exponent is a
+    # multiple of 60.  a = t in F_4 puts t in the keys too.  Packing
+    # declines, and char_poly answers on raw maps
     gs = ("Z", "Z^5", "Z^11", "3*Z^11+X^120*Y^60*Z^2")
     for spec, a, gs in (("Q", 3, gs), ("F5", 3, gs), ("F4", (0, 1), gs[:3])):
         R = ring(spec, "X", "Y", "W", "Z")
@@ -250,15 +258,15 @@ def test_sparse_high_degree_entries_pack_by_their_exponent_gcd():
             R.field.element(a))
         for g in gs:
             M = mult_matrix(R.parse(g), f, "Z")
-            expected = berkowitz_on_polynomials(M)
-            assert elim._packed_char_poly(M.matrix) == expected
-            assert char_poly(M) == expected
+            assert elim._packed_char_poly(M.matrix) is None
+            taken = record_routes(monkeypatch)
+            assert char_poly(M) == berkowitz_on_polynomials(M)
+            assert taken == ["raw"]
 
 
-def test_t_packs_as_its_root_when_only_even_powers_of_it_appear():
-    # every coefficient in {1, t^2, 1 + t^2}: t's exponents share the
-    # factor 2, so t packs as its square root like any variable, and the
-    # decode reads t-digit j as t^(2j)
+def test_only_even_powers_of_t_pack_and_decode(monkeypatch):
+    # every coefficient in {1, t^2, 1 + t^2}: t's exponents are all even,
+    # each at its own slot, and the decode reads t-digit j as t^j
     R = ring("F8:t^3+t^2+1", "Y")
     t2 = R.field.generator()**2
     coefficients = [R.field.one(), t2, R.field.one() + t2]
@@ -267,18 +275,20 @@ def test_t_packs_as_its_root_when_only_even_powers_of_it_appear():
         [R.constant(rng.choice(coefficients)) + R.var("Y").scale(
             rng.choice(coefficients)) for _ in range(4)]
         for _ in range(4)], None)
+    taken = record_routes(monkeypatch)
     assert char_poly(M) == berkowitz_on_polynomials(M)
+    assert taken == ["packed"]
 
 
 def test_sparse_high_degree_entries_without_a_common_factor_take_the_raw_maps(
         monkeypatch):
     # packed, X and Y would each take c*60 + 1 slots at c = 12, far past
-    # the size cap, for 13 terms in all; the raw maps answer at once
+    # the packing's bounds, for 13 terms in all: packing declines, and the
+    # raw maps answer at once
     R = ring("Q", "X", "Y", "W", "Z")
     f = R.parse("Z^12+X^60*Y^60*W^60+X^11*Y")
     M = mult_matrix(R.parse("Z"), f, "Z")
-    with pytest.raises(ResourceCapError, match="size cap exceeded"):
-        elim._packed_char_poly(M.matrix)
+    assert elim._packed_char_poly(M.matrix) is None
     taken = record_routes(monkeypatch)
     assert char_poly(M) == berkowitz_on_polynomials(M)
     assert taken == ["raw"]
@@ -312,7 +322,8 @@ def test_char_poly_matches_sympy():
 def test_char_poly_degree_cap_is_a_resource_cap():
     zero = QYZ.zero()
     M = MultiplicationMatrix(None, None, [[zero] * 13 for _ in range(13)], "Z")
-    with pytest.raises(ResourceCapError, match="13.*12"):
+    with pytest.raises(ResourceCapError, match=r"^CHARPOLY_DEGREE cap "
+                       r"exceeded: 13 > 12 \(no product taken\)$"):
         char_poly(M)
 
 
@@ -324,7 +335,8 @@ def test_eliminate_refuses_a_degree_above_the_cap_before_saturating(
     monkeypatch.setattr(elim, "diff_saturate", no_saturation)
     R = ring("F3", "x", "Z")
     f = ReesGenerator(R.parse("Z^13+x^13"), 13)
-    with pytest.raises(ResourceCapError, match="degree 13 > cap 12"):
+    with pytest.raises(ResourceCapError, match=r"CHARPOLY_DEGREE cap "
+                       r"exceeded: 13 > 12 \(before saturation\)"):
         eliminate(algebra(R, ("Z^13+x^13", 13)), f, "Z")
 
 
@@ -520,6 +532,28 @@ def test_eliminate_builds_one_char_poly_per_scalar_class(monkeypatch):
     assert len(G.generators) == 13
     assert len({g.poly for g in G.generators}) == 8
     assert len(calls) == len(set(calls)) == 6
+    assert format_elimination(result) == SHEARED_ELIMINATION
+
+
+def test_eliminate_takes_one_scalar_class_per_distinct_polynomial(
+        monkeypatch):
+    # the same saturation lists its 8 distinct polynomials 13 times,
+    # repeats at lower weights included: each polynomial takes one
+    # _scalar_class call, f's before the loop
+    calls, scalar_class = [], elim._scalar_class
+
+    def counting(g):
+        calls.append(g)
+        return scalar_class(g)
+
+    monkeypatch.setattr(elim, "_scalar_class", counting)
+    R = ring("Q", "X", "Y", "Z")
+    f = R.parse("Z^3+X^4+Y^5").substitute({"Z": R.parse("Z+X+Y")})
+    G = diff_saturate(ReesAlgebra.from_pairs(R, [(f, 3)]))
+    result = eliminate(G, ReesGenerator(f, 3), "Z")
+    assert len(G.generators) == 13
+    assert sorted(map(str, calls)) == sorted({str(g.poly)
+                                              for g in G.generators})
     assert format_elimination(result) == SHEARED_ELIMINATION
 
 
@@ -844,15 +878,16 @@ def test_companion_steps_and_char_poly_outputs_reaching_2_31_raise():
         mult_matrix(big * R.var("Z"), R.parse("Z^2") + big, "Z")
     M = MultiplicationMatrix(R.parse("Z^2"), R.zero(),
                              [[big, R.zero()], [R.zero(), big]], "Z")
-    # char_poly runs c = 2 on raw maps; the packed path checks its decode
-    for path in (char_poly, lambda M: elim._packed_char_poly(M.matrix)):
-        with pytest.raises(RingError, match=limit):
-            path(M)
+    # char_poly runs c = 2 on raw maps; packing declines exponents whose
+    # slots pass its bounds, so its outputs stay far below 2^31
+    with pytest.raises(RingError, match=limit):
+        char_poly(M)
+    assert elim._packed_char_poly(M.matrix) is None
     half = R.parse("x^536870912")   # det of half * identity is x^(2^30)
     M = MultiplicationMatrix(R.parse("Z^2"), R.zero(),
                              [[half, R.zero()], [R.zero(), half]], "Z")
-    assert char_poly(M) == elim._packed_char_poly(M.matrix) == [-2 * half,
-                                                                big]
+    assert char_poly(M) == [-2 * half, big]
+    assert elim._packed_char_poly(M.matrix) is None
 
 
 def record_routes(monkeypatch):
@@ -865,8 +900,8 @@ def record_routes(monkeypatch):
         taken.append("raw")
         return raw(A)
 
-    def counting_packed(A, bits_per_term=None):
-        h = packed(A, bits_per_term)
+    def counting_packed(A):
+        h = packed(A)
         if h is not None:
             taken.append("packed")
         return h
@@ -914,6 +949,18 @@ def test_char_poly_packs_dense_matrices_and_runs_small_or_sparse_ones_raw(
     assert taken == ["raw"]
 
 
+def test_a_dense_matrix_past_the_packed_bound_answers_on_raw_maps(
+        monkeypatch):
+    # past _PACKED_BITS_MAX packing declines, where it used to refuse: the
+    # pool-shaped F_4 c = 7 matrix packs at the default bound, and with the
+    # bound lowered below its size it answers on raw maps
+    monkeypatch.setattr(elim, "_PACKED_BITS_MAX", 1 << 10)
+    taken = record_routes(monkeypatch)
+    M = pool_shaped("F4", 7, "dense/F4/7")
+    assert char_poly(M) == berkowitz_on_polynomials(M)
+    assert taken == ["raw"]
+
+
 def test_raw_char_poly_products_reaching_2_31_raise():
     # c * 2^30 passes 2^31, so every product is checked: x^(2^30) times
     # itself reaches the limit in h_2, while the same entry times 1 and 0
@@ -944,13 +991,12 @@ def test_raw_char_poly_refuses_work_past_its_limit_before_the_product(
     # 1 * -Q takes 861 term products and h_2's P * h_1 861^2 more, past the
     # limit, so that product is refused before it is taken; at k = 4 the
     # two take 15 + 15^2
-    with pytest.raises(ResourceCapError, match=r"^characteristic polynomial "
-                       r"work cap exceeded \(degree 2: 742182 term products "
-                       r"> cap 524288\)$"):
+    with pytest.raises(ResourceCapError, match=r"^TERM_PRODUCTS cap exceeded: "
+                       r"742182 > 524288 \(degree 2, 861 taken\)$"):
         char_poly(shear_like(40))
     M = shear_like(4)
     assert char_poly(M) == berkowitz_on_polynomials(M)
-    monkeypatch.setattr(elim, "_TERM_PRODUCTS_CAP", 50)
-    with pytest.raises(ResourceCapError, match=r"\(degree 2: 240 term "
-                       r"products > cap 50\)"):
+    monkeypatch.setattr("reeselim.budget.TERM_PRODUCTS", 50)
+    with pytest.raises(ResourceCapError, match=r"TERM_PRODUCTS cap exceeded: "
+                       r"240 > 50 \(degree 2, 15 taken\)"):
         char_poly(M)

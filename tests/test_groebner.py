@@ -70,18 +70,19 @@ def test_rational_zero_sets():
 def test_zero_set_scan_budget_is_a_resource_cap(monkeypatch):
     F3XY = ring("F3", "X", "Y")
     everything = Ideal(F3XY, [])   # 3 + 9 branches, 9 points
-    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 11)
-    with pytest.raises(ResourceCapError, match=r"point scan exceeds budget "
-                       r"11: 12 branches visited, 2 of 2 coordinates fixed"):
+    monkeypatch.setattr("reeselim.budget.SCAN_BRANCHES", 11)
+    with pytest.raises(ResourceCapError, match=r"SCAN_BRANCHES cap exceeded: "
+                       r"12 > 11 \(2 of 2 coordinates fixed\)"):
         rational_zero_set(everything)
     # X = 1 and X = 2 are abandoned after one branch each: 3 + 3 branches
     assert rational_zero_set(Ideal(F3XY, [F3XY.var("X")])) == \
         {F3XY.point([0, y]) for y in range(3)}
-    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 2)
-    with pytest.raises(ResourceCapError, match=r"budget 2: the first of 2 "
-                       r"coordinates alone has 3 values"):
+    monkeypatch.setattr("reeselim.budget.SCAN_BRANCHES", 2)
+    with pytest.raises(ResourceCapError, match=r"SCAN_BRANCHES cap exceeded: "
+                       r"3 > 2 \(none visited, 2 coordinates of 3 "
+                       r"values\)"):
         rational_zero_set(everything)
-    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 12)
+    monkeypatch.setattr("reeselim.budget.SCAN_BRANCHES", 12)
     assert len(rational_zero_set(everything)) == 9
 
 
@@ -264,27 +265,27 @@ def test_folding_abandons_branches_sooner(monkeypatch):
     F4 = ring("F4", "x", "y")
     x, y = F4.var("x"), F4.var("y")
     I = Ideal(F4, [y**4 + y + x])
-    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 8)
+    monkeypatch.setattr("reeselim.budget.SCAN_BRANCHES", 8)
     assert rational_zero_set(I) == _brute_zero_set(I) == {
         F4.point([0, c]) for c in F4.field.elements()}
-    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 7)
-    with pytest.raises(ResourceCapError, match=r"^point scan exceeds budget "
-                       r"7: 8 branches visited, 1 of 2 coordinates fixed$"):
+    monkeypatch.setattr("reeselim.budget.SCAN_BRANCHES", 7)
+    with pytest.raises(ResourceCapError, match=r"^SCAN_BRANCHES cap exceeded: "
+                       r"8 > 7 \(1 of 2 coordinates fixed\)$"):
         rational_zero_set(I)
     # a generator that folds to zero is dropped: every point, q + q^2
     # branches
-    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 20)
+    monkeypatch.setattr("reeselim.budget.SCAN_BRANCHES", 20)
     assert len(rational_zero_set(Ideal(F4, [x**7 - x]))) == 16
 
 
 def test_extension_field_scan_budget_is_exact(monkeypatch):
     F4 = ring("F4", "x", "y")
     everything = Ideal(F4, [])   # 4 + 16 branches, 16 points
-    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 20)
+    monkeypatch.setattr("reeselim.budget.SCAN_BRANCHES", 20)
     assert rational_zero_set(everything) == _brute_zero_set(everything)
-    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 19)
-    with pytest.raises(ResourceCapError, match=r"point scan exceeds budget "
-                       r"19: 20 branches visited, 2 of 2 coordinates fixed"):
+    monkeypatch.setattr("reeselim.budget.SCAN_BRANCHES", 19)
+    with pytest.raises(ResourceCapError, match=r"SCAN_BRANCHES cap exceeded: "
+                       r"20 > 19 \(2 of 2 coordinates fixed\)"):
         rational_zero_set(everything)
 
 
@@ -399,13 +400,13 @@ def test_solved_coordinate_caps_where_enumeration_does(monkeypatch):
         n, q = I.ring.nvars, I.ring.field.order
         assert 2 in levels[q:]   # some budgets cross inside a solved level
         for budget in range(q, len(levels)):
-            monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", budget)
-            message = ("point scan exceeds budget %d: %d branches visited, "
-                       "%d of %d coordinates fixed"
-                       % (budget, budget + 1, levels[budget], n))
+            monkeypatch.setattr("reeselim.budget.SCAN_BRANCHES", budget)
+            message = (r"SCAN_BRANCHES cap exceeded: %d > %d \(%d of %d "
+                       r"coordinates fixed\)"
+                       % (budget + 1, budget, levels[budget], n))
             with pytest.raises(ResourceCapError, match="^%s$" % message):
                 rational_zero_set(I)
-        monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", len(levels))
+        monkeypatch.setattr("reeselim.budget.SCAN_BRANCHES", len(levels))
         assert rational_zero_set(I) == _brute_zero_set(I)
 
 
@@ -467,32 +468,32 @@ def test_zero_set_containment_reverses_generator_membership():
 
 
 def test_basis_cap_raises_resource_error(monkeypatch):
-    monkeypatch.setattr("reeselim.groebner.BASIS_CAP", 2)
+    monkeypatch.setattr("reeselim.budget.BASIS_ELEMENTS", 2)
     I = Ideal(QYZ, [QYZ.parse("Y^2"), QYZ.parse("Y*Z+Z^2")])
-    with pytest.raises(ResourceCapError, match=r"3 elements > cap 2 after 3 "
-                       r"reductions, 0 pairs pending"):
+    with pytest.raises(ResourceCapError, match=r"BASIS_ELEMENTS cap exceeded: "
+                       r"3 > 2 \(after 3 reductions, 0 pairs pending\)"):
         buchberger(I)
 
 
 def test_a_monomial_ideal_counts_against_the_cap(monkeypatch):
     """Only a carried basis skips the pair loop: a monomial ideal built by
     hand runs it, and each input that joins the basis counts."""
-    monkeypatch.setattr("reeselim.groebner.BASIS_CAP", 2)
+    monkeypatch.setattr("reeselim.budget.BASIS_ELEMENTS", 2)
     R = ring("Q", "x", "y", "z")
-    with pytest.raises(ResourceCapError, match=r"^Groebner basis reached 3 "
-                       r"elements > cap 2 after 3 reductions, 0 pairs "
-                       r"pending$"):
+    with pytest.raises(ResourceCapError, match=r"^BASIS_ELEMENTS cap "
+                       r"exceeded: 3 > 2 \(after 3 reductions, 0 pairs "
+                       r"pending\)$"):
         buchberger(Ideal(R, [R.var("x"), R.var("y"), R.var("z")]))
 
 
 def test_basis_cap_counts_the_inputs(monkeypatch):
     """The cap holds on every element added: two coprime inputs make no
     pair, so a cap checked only after an S-polynomial joins never fires."""
-    monkeypatch.setattr("reeselim.groebner.BASIS_CAP", 1)
+    monkeypatch.setattr("reeselim.budget.BASIS_ELEMENTS", 1)
     R = ring("Q", "x", "y")
-    with pytest.raises(ResourceCapError, match=r"^Groebner basis reached 2 "
-                       r"elements > cap 1 after 2 reductions, 0 pairs "
-                       r"pending$"):
+    with pytest.raises(ResourceCapError, match=r"^BASIS_ELEMENTS cap "
+                       r"exceeded: 2 > 1 \(after 2 reductions, 0 pairs "
+                       r"pending\)$"):
         buchberger(Ideal(R, [R.parse("x+1"), R.parse("y+1")]))
 
 
@@ -521,7 +522,7 @@ def test_cap_message_counts_the_reductions_the_trace_counts(
     I = Ideal(R, [R.parse("x^2*y+z^2+1"), R.parse("x*y^2-z"),
                   R.parse("y*z^2+x")])
     for cap in (3, 5, 7):
-        monkeypatch.setattr("reeselim.groebner.BASIS_CAP", cap)
+        monkeypatch.setattr("reeselim.budget.BASIS_ELEMENTS", cap)
         normal_form_calls.clear()
         with pytest.raises(ResourceCapError) as error:
             buchberger(I)
@@ -850,7 +851,7 @@ def test_an_s_polynomial_reaching_2_31_raises(monkeypatch):
     # the S-polynomial of these two has terms of total degree past 2^31:
     # refused at once, never wrapped into other entries, where a wrapped
     # computation runs on until the (lowered) basis cap
-    monkeypatch.setattr(groebner, "BASIS_CAP", 10)
+    monkeypatch.setattr("reeselim.budget.BASIS_ELEMENTS", 10)
     R = ring("F5", "x", "y", "z")
     f = R.parse("3*x^1073741821*y^2*z^1073741822+3*x*z^2")
     g = R.parse("3*x^1073741822*z^1073741822-x*y^1073741821*z^1073741821")

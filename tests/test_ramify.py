@@ -92,12 +92,13 @@ def test_theorem_verifier_split_quadratic_diagonal():
 
 def test_scan_budget_is_a_resource_cap(monkeypatch):
     # the fiber scan fixes u, v and Z: 5 + 25 + 125 branches, none pruned
-    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 154)
+    monkeypatch.setattr("reeselim.budget.SCAN_BRANCHES", 154)
     R = ring("F5", "u", "v", "Z")
     inp = MonicInput(R, "Z", [R.parse("Z^2-u")])
-    with pytest.raises(ResourceCapError, match="point scan exceeds budget 154"):
+    with pytest.raises(ResourceCapError,
+                       match=r"SCAN_BRANCHES cap exceeded: 155 > 154 "):
         verify_thm_1_16(inp)
-    monkeypatch.setattr("reeselim.groebner.SCAN_BUDGET", 155)
+    monkeypatch.setattr("reeselim.budget.SCAN_BRANCHES", 155)
     assert verify_thm_1_16(inp).points_scanned == 25
 
 
