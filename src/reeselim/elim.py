@@ -86,17 +86,18 @@ def mult_matrix(g, f, z_var):
     as Polynomials once it is complete."""
     if g.ring != f.ring:
         raise RingError("ring mismatch")
+    if not f.is_monic_in(z_var):
+        raise RingError("modulus is not monic in %r" % z_var)
+    if f.degree_in(z_var) < 1:
+        raise RingError("modulus must have positive degree in %r" % z_var)
     return _mult_matrix(g, f, z_var, _modulus(f, z_var))
 
 
 def _modulus(f, z_var):
-    """What every matrix over S[Z]/<f> reads of f, checked and split once:
-    (c, {n: -f_n as a raw term map, for each nonzero f_n with n < c})."""
-    if not f.is_monic_in(z_var):
-        raise RingError("modulus is not monic in %r" % z_var)
+    """What every matrix over S[Z]/<f> reads of f, a monic f of positive
+    degree c in z_var, split once: (c, {n: -f_n as a raw term map, for each
+    nonzero f_n with n < c})."""
     c = f.degree_in(z_var)
-    if c < 1:
-        raise RingError("modulus must have positive degree in %r" % z_var)
     ring = f.ring
     neg = ring.field.neg
     return c, {n: {e: neg(v) for e, v in part.items()}
@@ -385,7 +386,7 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
     (g, n) is reduced mod f and contributes the coefficients h_j of the
     characteristic polynomial of multiplication-by-g, at weight j*n.
     Generators reducing to zero contribute nothing; f itself is one, and
-    gets no matrix.  f is checked and split once per call (_modulus).
+    gets no matrix.  f is checked once, here, and split once (_modulus).
     Saturation lists one polynomial again at each lower weight, and
     h_j(lam*m) = lam^j * h_j(m), so one cache keyed by polynomial maps
     each distinct generator, by one _scalar_class call, to lam and the

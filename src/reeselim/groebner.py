@@ -23,16 +23,17 @@ loop, where every S-polynomial is zero, and counts against that limit.
 
 Rational zero sets over a finite field F_q come from a projection scan
 that fixes one coordinate at a time and abandons a branch as soon as a
-generator specializes to a nonzero constant.  It first folds every
-exponent e >= q to (e - 1) mod (q - 1) + 1 (x^q = x on F_q) by poly's
-kernel ``_fold``, then runs on discrete logarithms to the base of a
-generator g of F_q^* (``FieldDescriptor._log_table``): each generator's
-terms are keyed by ``_fields``' entry fields and valued by logs, so
-setting a coordinate to g^l is a sum of logs mod q - 1 per term and one
-Zech lookup per merged pair (``_specialize``), with no reduce.  Only the
-emitted points hold FieldElements.  The branches of each scan, the
-ramification check's included, count against ``budget.SCAN_BRANCHES``;
-exceeding it raises ``ResourceCapError`` (CLI exit 3).
+generator specializes to a nonzero constant.  It runs on discrete
+logarithms to the base of a generator g of F_q^*
+(``FieldDescriptor._log_table``).  Poly's kernel ``_fields`` reads each
+generator once: it keys every term by its entry fields, folds every
+exponent e >= q to (e - 1) mod (q - 1) + 1 (x^q = x on F_q) and values
+the terms by logs.  Setting a coordinate to g^l is then a sum of logs mod
+q - 1 per term and one Zech lookup per merged pair (``_specialize``),
+with no reduce.  Only the emitted points hold FieldElements.  The
+branches of each scan, the ramification check's included, count against
+``budget.SCAN_BRANCHES``; exceeding it raises ``ResourceCapError`` (CLI
+exit 3).
 A generator a*X + b in the next coordinate X alone pins X to -b/a, so
 only that value is visited; the values it skips still count, one branch
 each, so the cap falls exactly where visiting every value of the folded
@@ -46,8 +47,7 @@ from . import budget
 from .budget import ResourceCapError
 from .fields import FieldElement, Immutable
 from .poly import (Polynomial, RationalPoint, RingError, _check_key,
-                   _divides, _fields, _fold, _guard, _lcm, _specialize,
-                   _subtract, _top_entry)
+                   _divides, _fields, _guard, _lcm, _specialize, _subtract)
 
 
 class Ideal(Immutable):
@@ -287,18 +287,18 @@ def rational_zero_set(ideal):
     """All rational points of the (finite) coefficient field where every
     generator vanishes, by a projection scan.
 
-    First every exponent e >= q is folded to (e - 1) mod (q - 1) + 1,
-    since x^q = x on F_q: each generator keeps its value at every point,
-    and one that folds to zero is dropped.  The scan then runs on the
-    field's discrete logarithms: each coefficient c is held as log c, to
-    the base of a generator g of F_q^*.  It fixes one coordinate at a
-    time.  Each branch specializes the surviving generators to the
-    remaining variables: at x = g^l a term c*x^e becomes log c + e*l mod
-    (q - 1), terms that meet are summed by one Zech lookup and deleted
-    when they cancel, and at x = 0 only the terms free of x are kept.  It
-    drops the generators that become zero and is abandoned as soon as one
-    becomes a nonzero constant; a point is emitted, as raw values, only
-    when every coordinate is fixed.
+    One pass of poly's ``_fields`` reads each generator: it folds every
+    exponent e >= q to (e - 1) mod (q - 1) + 1, since x^q = x on F_q, so
+    the generator keeps its value at every point, and holds each
+    coefficient c as log c, to the base of a generator g of F_q^*; a
+    generator that folds to zero is dropped.  The scan fixes one
+    coordinate at a time.  Each branch specializes the surviving
+    generators to the remaining variables: at x = g^l a term c*x^e
+    becomes log c + e*l mod (q - 1), terms that meet are summed by one
+    Zech lookup and deleted when they cancel, and at x = 0 only the terms
+    free of x are kept.  It drops the generators that become zero and is
+    abandoned as soon as one becomes a nonzero constant; a point is
+    emitted, as raw values, only when every coordinate is fixed.
 
     When a surviving generator is a*X + b in the next coordinate X alone,
     only its root X = -b/a, whose log is log(-1) + log b - log a, is
@@ -318,15 +318,11 @@ def rational_zero_set(ideal):
     if q > limit:   # refused before the field's tables of q entries
         raise ResourceCapError("SCAN_BRANCHES", q, limit, "none visited, "
                                "%d coordinates of %d values" % (nvars, q))
-    gens = [g._raw for g in ideal.generators]
-    if _top_entry(gens, nvars) >= q:
-        gens = [t for t in (_fold(field, t, q, nvars) for t in gens) if t]
     raw, index = field._scan_table()
     exp, log, zech, minus = field._log_table()
     m = q - 1
-    # keyed by entry fields (X is 1 and the monomial 1 is 0 at every
-    # level), valued by logs
-    gens = [{e: log[v] for e, v in _fields(t, nvars).items()} for t in gens]
+    gens = [t for t in (_fields(field, g._raw, q, nvars, log)
+                        for g in ideal.generators) if t]
     points = set()
     prefix = []
     visited = 0

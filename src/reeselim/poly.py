@@ -30,20 +30,20 @@ them, and Hasse multi-indices are tuples.  The parser and
 computes on raw term maps and builds one Polynomial per text, and the
 formatter walks the keys in int order.  This is the one module that packs
 and reads keys: `_key` and `_exps` convert, `_entry`, `_columns`, `_unit`,
-`_guard`, `_divides`, `_lcm`, `_center_mask`, `_fits`, `_check_key` and
-`_top_entry` read and build them, and `_degree`, `_zero_exps`, `_binomial`
-and `_box` serve Hasse's multi-indices.  It holds the raw term-map kernels:
+`_guard`, `_divides`, `_lcm`, `_center_mask`, `_fits` and `_check_key`
+read and build them, and `_degree`, `_zero_exps`, `_binomial` and `_box`
+serve Hasse's multi-indices.  It holds the raw term-map kernels:
 `_reduced` (each value reduced once, zeros dropped), `_sum_of_products`
 (the one place raw products are summed: a start map plus a_1*b_1 + ... +
 a_n*b_n, summed unreduced, then one `_reduced`), `_product` (one product,
 a single-term factor as a shift of the other's keys) and `_raw_power`,
 `_subtract` (work -= c*x^shift*tail, the one reduction kernel: Groebner's
 reductions and S-polynomials and `univ_divmod`'s steps), `_split` (by one
-variable's exponent), the scan's `_fold` (x^q = x), `_fields` (its view of
-the keys) and `_specialize` (first variable set, on logs), and the
-transforms' `_chart`.  Other modules call these, or read
-`.terms` and use public constructors; groebner and rees add, subtract and
-compare keys, and elim's char_poly lifts and decodes them.
+variable's exponent), the scan's `_fields` (its one input pass: keys to
+entry fields, x^q = x, values to logs) and `_specialize` (first variable
+set, on logs), and the transforms' `_chart`.  Other modules call these,
+or read `.terms` and use public constructors; groebner and rees add,
+subtract and compare keys, and elim's char_poly lifts and decodes them.
 
 Substitution, elim's companion steps and its raw char polys call
 `_sum_of_products`; products and powers, of Polynomials and in the parser,
@@ -289,12 +289,6 @@ def _box(beta, n, active):
                    if sum(alpha) < n], key=sum)
 
 
-def _top_entry(raws, n):
-    """The largest entry of any key of the raw term maps, 0 if none."""
-    return max((max(col) for col in _columns(
-        [k for raw in raws for k in raw], n).values()), default=0)
-
-
 class RationalPoint(Immutable):
     """A point with coordinates in the coefficient field."""
 
@@ -416,36 +410,40 @@ def _split(raw, i, n):
     return parts
 
 
-def _fold(field, terms, q, n):
-    """The raw term map of the same function on F_q^n with every exponent
-    e >= q lowered to (e - 1) mod (q - 1) + 1, since x^q = x on F_q, merged
-    terms reduced once.  A positive exponent stays positive, so 0^e keeps
-    its value."""
+def _fields(field, raw, q, n, log):
+    """The point scan's view of the raw term map in n variables over F_q,
+    in one pass: each term keyed by its entry fields sum_i e_i*2^(32i), the
+    low 32n bits of -key (the first entry is the lowest field, the key of
+    the other entries is the rest shifted down one field, x_1 is 1 and the
+    monomial 1 is 0 in every ring), with every entry e >= q lowered to
+    (e - 1) mod (q - 1) + 1, since x^q = x on F_q.  One guard-bit test per
+    term finds such an entry: adding 2^31 - q to every field sets bit 31 of
+    those that reach q (a q above 2^31, which no entry reaches, can at most
+    send a term through the fold unchanged).  A positive entry stays
+    positive, so 0^e keeps its value and the map keeps f's value at every
+    point.  Merged terms are summed unreduced, each value is reduced once,
+    zeros are dropped and the rest are valued by log (field._log_table's)."""
+    full, guard, m = (1 << 32 * n) - 1, _guard(n), q - 1
+    over = ((1 << 31) - q) * _ones(n)
     out = {}
-    for e, c in terms.items():
-        e = _key(tuple(d if d < q else (d - 1) % (q - 1) + 1
-                       for d in _exps(e, n)))
-        out[e] = out.get(e, 0) + c
-    return _reduced(field, out)
-
-
-def _fields(raw, n):
-    """The raw term map keyed by each key's entry fields sum_i e_i*2^(32i),
-    the low 32n bits of -key, as the scan reads it: the first entry is the
-    lowest field, the key of the other entries is the rest shifted down one
-    field, x_1 is 1 and the monomial 1 is 0 in every ring."""
-    full = (1 << 32 * n) - 1
-    return {-e & full: v for e, v in raw.items()}
+    for e, v in raw.items():
+        e = -e & full
+        if e + over & guard:
+            e = sum((d if d < q else (d - 1) % m + 1) << s
+                    for s in range(0, 32 * n, 32) for d in (e >> s & _MASK,))
+        out[e] = out.get(e, 0) + v
+    reduce = field.reduce
+    return {e: log[r] for e, v in out.items() if (r := reduce(v))}
 
 
 def _specialize(terms, l, m, zech):
-    """A _fields map valued by logs (each value c stands for g^c, g of
-    order m = q - 1 in F_q, zech its Zech table) with its first variable
-    set to 0 when l is None and to g^l otherwise: each key loses its first
-    field.  At 0 only the terms whose first entry is 0 are kept.  At g^l a
-    term c*x^a becomes g^(c + a*l), for any a >= 0, and terms that meet are
-    summed by one lookup, g^u + g^c = g^(u + zech[c - u]), and deleted when
-    they cancel."""
+    """A _fields map (each value c stands for g^c, g of order m = q - 1 in
+    F_q, zech its Zech table) with its first variable set to 0 when l is
+    None and to g^l otherwise: each key loses its first field.  At 0 only
+    the terms whose first entry is 0 are kept.  At g^l a term c*x^a becomes
+    g^(c + a*l), for any a >= 0, and terms that meet are summed by one
+    lookup, g^u + g^c = g^(u + zech[c - u]), and deleted when they
+    cancel."""
     if l is None:
         return {e >> 32: c for e, c in terms.items() if not e & _MASK}
     out = {}

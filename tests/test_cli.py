@@ -88,6 +88,16 @@ def test_sing_folds_exponents_past_the_field_order(monkeypatch):
         "#! ideal-generators: 1 points: 2\n")
 
 
+def test_sing_keeps_zero_at_a_large_multiple_of_the_unit_order(monkeypatch):
+    # 800000000 is a multiple of q - 1 = 8 in F9: x^800000000 folds to x^8,
+    # which is 1 at every unit and stays 0 at 0, so (0, 0) is a point
+    text = "ring: F9[x,y]\ngen: x^800000000+t*y w 1\n"
+    assert run(["sing", "-"], stdin=text, monkeypatch=monkeypatch) == (
+        0, "gen: x^800000000+t*y\npoint: 0,0\npoint: 1,t\npoint: 2,t\n"
+        "point: 2*t,t\npoint: 2*t+1,t\npoint: 2*t+2,t\npoint: t,t\n"
+        "point: t+1,t\npoint: t+2,t\n#! ideal-generators: 1 points: 9\n")
+
+
 def test_point_invariant_commands(tmp_path):
     path = tmp_path / "e0.alg"
     path.write_text(EX514)
@@ -375,6 +385,12 @@ REJECTIONS = [
                "point scan needs a finite coefficient field"),
     _rejection("ramify-no-factors", "ramify-verify",
                "ring: F5[x,Z]\n", ["--var", "Z"], "no factors in input"),
+    _rejection("ord-of-the-empty-algebra", "ord", "ring: F2[x,y]\n",
+               ["--at", "0,0"], "ord of the empty algebra is undefined"),
+    # x^2 of weight 1 has ord 2 at the origin: singular, but not simple
+    _rejection("e0-off-a-simple-point", "e0",
+               "ring: F2[x,y]\ngen: x^2 w 1\n", ["--at", "0,0"],
+               "e0 is defined at simple points only"),
 ]
 
 

@@ -14,13 +14,28 @@ read off the a_i by Polynomial.order_at.  The algebra is f W^n alone:
 eliminate saturates it relative to Z.  Where p | n there is no such
 form: with an a_1 term only >= holds (over F2, Z^2+Y^5 eliminates to
 Y^8 W^2, slope 4 against 5/2).  Each case is checked at the origin and at
-three random rational points."""
+three random rational points.
+
+The law survives a blow-up of the origin.  In the chart of x in {X, Y},
+the weighted transform at the center {X, Y, Z} sends f to its strict
+transform f' = Z^n + a_2' Z^(n-2) + ... + a_n', where a_i' is a_i with
+the other base variable v set to x*v and divided by x^i: f is monic in Z,
+and a_i has order >= i at the origin, so every a_i' is a polynomial.  E's
+generators are isobaric of weight j*w in the a_i, so the weighted
+transform of E at {X, Y} is the same forms in the a_i'.  At every point P
+of the chart, then, ord_P of the transformed E, ord_P of the elimination
+of the transformed algebra by f', and min_i ord_P(a_i') / i all agree.
+f' need not have order n at the chart's origin, and the law does not
+need it to, so that elimination skips the transversality check.  The
+a_i' are built by substitution and exact division of each term, apart
+from the transform's chart code."""
 from fractions import Fraction
 
 import pytest
 
-from reeselim import (FieldDescriptor, ReesAlgebra, ReesGenerator,
-                      RingContext, diff_saturate, eliminate, ord_at_point)
+from reeselim import (FieldDescriptor, Polynomial, ReesAlgebra,
+                      ReesGenerator, RingContext, diff_saturate, eliminate,
+                      ord_at_point, weighted_transform)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -63,10 +78,9 @@ def coefficient(draw, R, i):
 
 
 @st.composite
-def case(draw, fields, lowest):
-    """(E, the a_i by i, the origin and three rational points of the base)
-    for f = Z^n + sum_{i >= lowest} a_i Z^(n-i) with some a_i nonzero, and
-    a_1 nonzero when lowest is 1."""
+def monic(draw, fields, lowest):
+    """(f, n, the a_i by i) for f = Z^n + sum_{i >= lowest} a_i Z^(n-i)
+    with some a_i nonzero, and a_1 nonzero when lowest is 1."""
     spec, degrees = draw(st.sampled_from(fields))
     R = RINGS[spec]
     n = draw(st.sampled_from(degrees))
@@ -75,13 +89,30 @@ def case(draw, fields, lowest):
     f = R.var("Z")**n
     for i, ai in a.items():
         f = f + ai * R.var("Z")**(n - i)
-    E = eliminate(ReesAlgebra(R, [ReesGenerator(f, n)]),
-                  ReesGenerator(f, n), "Z").algebra
-    base = E.ring
-    ps = [base.origin()] + [
-        base.point([draw(points(R.field)) for _ in base.variables])
+    return f, n, a
+
+
+def elimination(f, n, check_transversal=True):
+    """The elimination algebra of f W^n alone by f."""
+    return eliminate(ReesAlgebra(f.ring, [ReesGenerator(f, n)]),
+                     ReesGenerator(f, n), "Z", check_transversal).algebra
+
+
+def base_points(draw, base):
+    """The origin and three rational points of the base ring."""
+    return [base.origin()] + [
+        base.point([draw(points(base.field)) for _ in base.variables])
         for _ in range(3)]
-    return E, {i: ai.project_out("Z") for i, ai in a.items()}, ps
+
+
+@st.composite
+def case(draw, fields, lowest):
+    """(E, the a_i by i, the origin and three rational points of the base)
+    for a monic f drawn by monic."""
+    f, n, a = draw(monic(fields, lowest))
+    E = elimination(f, n)
+    return (E, {i: ai.project_out("Z") for i, ai in a.items()},
+            base_points(draw, E.ring))
 
 
 def coefficient_slope(a, P):
@@ -113,3 +144,39 @@ def test_example_6_10_is_strictly_above_the_slope():
     G = diff_saturate(ReesAlgebra(R, [ReesGenerator(f, 2)]))
     E = eliminate(G, ReesGenerator(f, 2), "Z").algebra
     assert ord_at_point(E, E.ring.origin()) == 4 > Fraction(5, 2)
+
+
+def chart_image(a, i, chart):
+    """a with the other base variable v set to chart*v, divided by chart^i:
+    each term X^x Y^y goes to chart^(x + y - i) times the other's power."""
+    ring = a.ring
+    j = ring.var_index(chart)
+    v = ring.variables[1 - j]
+    image = a.substitute({v: ring.var(chart) * ring.var(v)})
+    return Polynomial(ring, {
+        tuple(e - i if k == j else e for k, e in enumerate(exps)): c
+        for exps, c in image.terms.items()})
+
+
+TRANSFORM_SETTINGS = hypothesis.settings(max_examples=40, deadline=None,
+                                         database=None)
+
+
+@TRANSFORM_SETTINGS
+@hypothesis.given(st.data())
+def test_tame_elimination_commutes_with_the_weighted_transform(data):
+    f, n, a = data.draw(monic(TAME, lowest=2))
+    R = f.ring
+    E = elimination(f, n)
+    ps = base_points(data.draw, E.ring)
+    for chart in ("X", "Y"):
+        E1, _ = weighted_transform(E, ("X", "Y"), chart)
+        G1, _ = weighted_transform(ReesAlgebra(R, [ReesGenerator(f, n)]),
+                                   ("X", "Y", "Z"), chart)
+        (f1, n1), = G1.generators
+        E2 = elimination(f1, n1, check_transversal=False)
+        a1 = {i: chart_image(ai.project_out("Z"), i, chart)
+              for i, ai in a.items()}
+        for P in ps:
+            assert ord_at_point(E1, P) == ord_at_point(E2, P) == \
+                coefficient_slope(a1, P), (E, chart, P)

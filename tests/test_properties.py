@@ -28,9 +28,9 @@ from reeselim import (FieldDescriptor, FieldElement,  # noqa: E402
                       weighted_transform)
 from reeselim.poly import (_binomial, _box, _center_mask,  # noqa: E402
                            _chart, _columns, _degree, _divides, _entry,
-                           _exps, _fields, _fits, _fold, _guard, _key, _lcm,
-                           _specialize, _split, _subtract, _top_entry,
-                           _unit, _zero_exps, formal_derivative, grevlex_key)
+                           _exps, _fields, _fits, _guard, _key, _lcm,
+                           _specialize, _split, _subtract, _unit,
+                           _zero_exps, formal_derivative, grevlex_key)
 from test_fields import (FOLD_FIELDS,  # noqa: E402
                          irreducible_by_trial_division)
 from test_poly import (schoolbook_product,  # noqa: E402
@@ -639,10 +639,10 @@ def test_exponent_helpers_match_their_definitions(data):
     the quotient; _divides holds exactly when b - a has no negative entry;
     _lcm is the entrywise max, _entry reads one entry and _columns each
     used one, a multiple of _unit sets one, _fields gives the entries'
-    fields, and the monomial 1 is key 0; _fits refuses a total degree of
-    2^31 or more, however large the entries; _degree and _box on tuples,
-    _binomial, _top_entry and _chart give what the expressions they stand
-    for give."""
+    fields when no entry reaches the field order, and the monomial 1 is
+    key 0; _fits refuses a total degree of 2^31 or more, however large the
+    entries; _degree and _box on tuples, _binomial and _chart give what
+    the expressions they stand for give."""
     n = data.draw(st.integers(1, 4))
     a, b = data.draw(exponent_vectors(n)), data.draw(exponent_vectors(n))
     ka, kb = _key(a), _key(b)
@@ -676,8 +676,11 @@ def test_exponent_helpers_match_their_definitions(data):
         tuple(x if j == i else y for j, y in enumerate(a))
     assert _key(_zero_exps(n)) == 0 and _exps(0, n) == _zero_exps(n) \
         == (0,) * n
-    assert _fields({ka: 5}, n) == {
-        sum(x << 32 * j for j, x in enumerate(a)): 5}
+    # every entry is below 2^31, so an order of 2^31 lowers none
+    F7 = FieldDescriptor.parse("F7")
+    log = F7._log_table()[1]
+    assert _fields(F7, {ka: 5}, 2**31, n, log) == {
+        sum(x << 32 * j for j, x in enumerate(a)): log[5]}
     assert _columns([ka, kb, kc], n) == {
         j: [a[j], b[j], c[j]] for j in range(n) if a[j] or b[j] or c[j]}
     assert _degree(a) == sum(a)
@@ -704,8 +707,6 @@ def test_exponent_helpers_match_their_definitions(data):
                and all(x == 0 or j in support for j, x in enumerate(alpha))]
         assert _box(a, bound, support) == sorted(
             box, key=lambda alpha: (sum(alpha), alpha))
-    assert _top_entry([{ka: 1}, {}, {kb: 2, kc: 3}], n) == max(a + b + c)
-    assert _top_entry([], n) == _top_entry([{}], n) == 0
     # chart keys whose degree over any centre stays below 2^31, and whose
     # chart image does too
     drop = data.draw(st.integers(0, TOP_EXPONENT))
@@ -762,32 +763,32 @@ SCAN_RINGS = [RINGS[spec, n] for spec in ("F2", "F3", "F4", "F9")
 @SETTINGS
 @hypothesis.given(st.data())
 def test_scan_kernels_match_substitution_and_evaluation(data):
-    """With exponents up to 3q over F_q: _specialize of f's _fields map,
-    valued by logs, at the log of each value a (None at 0) is f with its
-    first variable set to a and projected out, and _fold gives a
+    """With exponents up to 3q over F_q: _fields gives a log map of a
     polynomial with exponents below q and f's value at every point of
-    F_q^n."""
+    F_q^n, f itself when every exponent is below q, and _specialize of that
+    map at the log of each value a (None at 0) is that polynomial with its
+    first variable set to a and projected out."""
     R = data.draw(st.sampled_from(SCAN_RINGS))
     F, q = R.field, R.field.order
     f = data.draw(polynomials(R, top=3 * q))
     x = R.variables[0]
     exp, log, zech, _ = F._log_table()
 
-    def from_fields(R, terms):   # the polynomial of a _fields map in R
+    def from_logs(R, terms):   # the polynomial of a _fields map in R
         return Polynomial(R, {
             tuple(e >> 32 * i & 2**32 - 1 for i in range(R.nvars)):
-            FieldElement(F, v) for e, v in terms.items()})
+            FieldElement(F, exp[c]) for e, c in terms.items()})
 
-    fields = _fields(f._raw, R.nvars)
-    assert from_fields(R, fields) == f
-    logs = {e: log[v] for e, v in fields.items()}
-    for a in F.elements():
-        s = _specialize(logs, log.get(a.val), q - 1, zech)
-        rest = R.drop_variable(x)
-        assert from_fields(rest, {e: exp[c] for e, c in s.items()}) == \
-            f.substitute({x: a}).project_out(x)
-    folded = Polynomial._from_raw(R, _fold(F, f._raw, q, R.nvars))
+    logs = _fields(F, f._raw, q, R.nvars, log)
+    folded = from_logs(R, logs)
     assert all(e < q for exps in folded.terms for e in exps)
+    if all(e < q for exps in f.terms for e in exps):
+        assert folded == f
     for coords in itertools.product(F.elements(), repeat=R.nvars):
         point = R.point(coords)
         assert folded.evaluate(point) == f.evaluate(point)
+    for a in F.elements():
+        s = _specialize(logs, log.get(a.val), q - 1, zech)
+        rest = R.drop_variable(x)
+        assert from_logs(rest, s) == \
+            folded.substitute({x: a}).project_out(x)
