@@ -17,12 +17,11 @@ into one Python int (mixed-radix Kronecker substitution, sized by a
 closed-form coefficient bound), run the recursion on the ints and unpack
 its c outputs in one loop, the same for every field, or declines.
 
-eliminate checks and splits f once per call, and keeps one cache keyed
-by polynomial: each saturated generator g = lam*m maps to lam and the char
-poly of its class representative m, which is keyed as itself (lam = 1).
-h_j is homogeneous of degree j, so g takes lam^j times m's h_j.  Classes
-are taken by integer content over Q, where lam is an int; over F_q each
-polynomial is its own (lam = 1).
+eliminate checks and splits f once per call, and keeps one map from each
+polynomial to its nonzero h_j.  h_j is homogeneous of degree j, so a
+saturated generator g = lam*m takes lam^j times the h_j of m, whose char
+poly is taken once.  Classes are taken by integer content over Q, where
+lam is an int; over F_q each polynomial is its own (lam = 1).
 """
 from __future__ import annotations
 
@@ -388,14 +387,13 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
     Generators reducing to zero contribute nothing; f itself is one, and
     gets no matrix.  f is checked once, here, and split once (_modulus).
     Saturation lists one polynomial again at each lower weight, and
-    h_j(lam*m) = lam^j * h_j(m), so one cache keyed by polynomial maps
-    each distinct generator, by one _scalar_class call, to lam and the
-    h_j of its class representative m (keyed as itself, lam = 1): one
-    matrix and char poly per class and call, each h_j scaled by lam^j
-    where lam != 1; provenance names the generator.  Before any
-    saturation, a weight above budget.CHARPOLY_DEGREE raises
-    ResourceCapError and a z_var that is the ring's only variable
-    RingError.
+    h_j(lam*m) = lam^j * h_j(m), so one map takes each polynomial to its
+    (j, h_j): a distinct generator g = lam*m (one _scalar_class call)
+    takes m's, from one matrix and char poly per class and call, each
+    h_j scaled once by lam^j, and every copy of g reads the same h_j;
+    provenance names the generator.  Before any saturation, a weight
+    above budget.CHARPOLY_DEGREE raises ResourceCapError and a z_var that
+    is the ring's only variable RingError.
     """
     f_gen = ReesGenerator(*f_gen)   # a generator or a plain (f, c) pair
     ring = G.ring
@@ -415,29 +413,26 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
     if c > limit:
         raise ResourceCapError("CHARPOLY_DEGREE", c, limit,
                                "before saturation")
-    if f_gen not in G.generators:
-        G = ReesAlgebra(ring, G.generators + (f_gen,))
-    sat = diff_saturate(G, {z_var})
+    sat = diff_saturate(ReesAlgebra(ring, G.generators + (f_gen,)), {z_var})
     modulus = _modulus(f, z_var)
     found = {}   # (h_j projected, weight) -> (g, weight of g, j), first source
-    # polynomial -> (lam, its class's (j, nonzero h_j projected)), () if
-    # m = 0 mod f, as f's own is; a class representative m is (1, ...)
-    coeffs = {_scalar_class(f)[1]: (1, ())}
+    # polynomial -> its (j, nonzero h_j projected), () if it is 0 mod f, as
+    # f's class is
+    coeffs = {_scalar_class(f)[1]: ()}
     for g in sat.generators:
-        known = coeffs.get(g.poly)
-        if known is None:
+        hs = coeffs.get(g.poly)
+        if hs is None:
             lam, m = _scalar_class(g.poly)
             if m not in coeffs:
                 M = _mult_matrix(m, f, z_var, modulus)
-                coeffs[m] = 1, () if M.element.is_zero() else tuple(
+                coeffs[m] = () if M.element.is_zero() else tuple(
                     (j, h.project_out(z_var))
                     for j, h in enumerate(char_poly(M), start=1)
                     if not h.is_zero())
-            known = coeffs[g.poly] = lam, coeffs[m][1]
-        lam, hs = known
+            # h_j(lam*m) = lam^j * h_j(m); lam is an int here
+            hs = coeffs[g.poly] = coeffs[m] if lam == 1 else tuple(
+                (j, h.scale(lam**j)) for j, h in coeffs[m])
         for j, h in hs:
-            if lam != 1:   # h_j(lam*m) = lam^j * h_j(m); lam is an int here
-                h = h.scale(lam**j)
             found.setdefault((h, j * g.weight), (g.poly, g.weight, j))
     algebra = ReesAlgebra.from_pairs(base, found)
     return EliminationResult(base, algebra, found.values())

@@ -99,9 +99,17 @@ def _shifts(beta, n, active_idx, nvars):
                  for alpha in _box(_exps(beta, nvars), n, active_idx)[1:])
 
 
-def _derivative_rows(f, n, active=None, coefficient=_raw_coefficient):
+def _active_indices(ring, active):
+    """The indices of the active variable names, all when active is None:
+    every variable gives range(nvars), one _shifts cache key."""
+    idx = (range(ring.nvars) if active is None
+           else frozenset(map(ring.var_index, active)))
+    return range(ring.nvars) if len(idx) == ring.nvars else idx
+
+
+def _derivative_rows(f, n, active_idx, coefficient=_raw_coefficient):
     """[(|alpha|, alpha, raw map of Delta^alpha f)] for 0 < |alpha| < n,
-    alpha supported on the active variables (all variables when None), by
+    alpha supported on the active variables (their _active_indices), by
     increasing |alpha| and then lexicographically; zero derivatives are
     left out.  coefficient(field, v, binom) makes each raw coefficient.
 
@@ -111,12 +119,7 @@ def _derivative_rows(f, n, active=None, coefficient=_raw_coefficient):
     reaches each alpha once, already in order, so it needs no table and no
     sort.  The multi-indices, shifted exponents and binomials of each term
     come from the _shifts table."""
-    ring = f.ring
-    field, nvars = ring.field, ring.nvars
-    active_idx = (range(nvars) if active is None
-                  else frozenset(ring.var_index(v) for v in active))
-    if len(active_idx) == nvars:   # every variable: one cache key
-        active_idx = range(nvars)
+    field, nvars = f.ring.field, f.ring.nvars
     if len(f._raw) == 1:
         (beta, v), = f._raw.items()
         return [(size, alpha, {shifted: c})
@@ -140,7 +143,8 @@ def hasse_derivatives(f, n, active=None):
     itself, and the rest are _derivative_rows."""
     ring = f.ring
     out = {_zero_exps(ring.nvars): f} if f._raw and n >= 1 else {}
-    for _, alpha, raw in _derivative_rows(f, n, active, _term_coefficient):
+    for _, alpha, raw in _derivative_rows(f, n, _active_indices(ring, active),
+                                          _term_coefficient):
         out[alpha] = Polynomial._from_raw(ring, raw)
     return out
 
@@ -165,7 +169,8 @@ def diff_closure_list(f, n, active=None):
         raise RingError("weight must be >= 1")
     table = [(0, f)] if f._raw else []
     table += [(size, Polynomial._from_raw(f.ring, raw))
-              for size, _, raw in _derivative_rows(f, n, active)]
+              for size, _, raw in _derivative_rows(
+                  f, n, _active_indices(f.ring, active))]
     out = []
     for nprime in range(1, n + 1):
         for size, df in table:   # by increasing |alpha|

@@ -373,13 +373,10 @@ def _product(field, a, b, n):
 
 def _raw_power(field, raw, d, n):
     """raw^d on raw term maps in n variables, checked on its leading key, d
-    times raw's, before any product: c*x^e gives c^d*x^(d*e), and any other
-    map is square-and-multiply under _product."""
+    times raw's, before any product, then square-and-multiply under
+    _product: a single term's power takes at most 2*log2(d) shifts."""
     if raw:
         _check_key(d * max(raw), n)
-    if len(raw) == 1:
-        ((e, c),) = raw.items()
-        return {d * e: c if c == 1 else _power(field.mul, c, d)}
     return _power(lambda a, b: _product(field, a, b, n), raw, d, {0: 1})
 
 
@@ -733,8 +730,6 @@ class Polynomial(Immutable):
         for name, c in zip(self.ring.variables, point.coords):
             if not c.is_zero():
                 mapping[name] = self.ring.var(name) + self.ring.constant(c)
-        if not mapping:
-            return self
         return self.substitute(mapping)
 
     def project_out(self, var):

@@ -20,7 +20,7 @@ from operator import itemgetter
 
 from .fields import FieldDescriptor, Immutable
 from .groebner import Ideal, buchberger, minimal_exponents, rational_zero_set
-from .hasse import _derivative_rows, hasse_derivatives
+from .hasse import _active_indices, _derivative_rows, hasse_derivatives
 from .poly import (_INTEGER, INFINITE_ORDER, Polynomial, RingContext,
                    RingError, _center_mask, _chart, _check_key, _divides,
                    _guard)
@@ -158,6 +158,8 @@ def diff_saturate(G, active=None):
     is keyed by (identity, weight), and each identity becomes one
     Polynomial, shared across weights: a listed g serves as its own."""
     ring = G.ring
+    # an unknown name is refused here, with or without generators
+    active = _active_indices(ring, active)
     idents = [_identity(g.poly._raw) for g in G.generators]
     polys, heaviest = {}, {}
     for ident, (f, w) in zip(idents, G.generators):
@@ -235,10 +237,11 @@ def ord_at_point(G, at):
 
 
 def is_simple(G, at):
-    """True iff ord at the point is exactly 1; the point must be singular."""
-    if not is_singular_at(G, at):
+    """True iff ord at the point is 1; ord < 1 is a point off Sing(G)."""
+    order = ord_at_point(G, at)
+    if order < 1:
         raise ReesError("point is not in the singular locus")
-    return ord_at_point(G, at) == 1
+    return order == 1
 
 
 def e0_invariant(G, at):

@@ -391,6 +391,10 @@ REJECTIONS = [
     _rejection("e0-off-a-simple-point", "e0",
                "ring: F2[x,y]\ngen: x^2 w 1\n", ["--at", "0,0"],
                "e0 is defined at simple points only"),
+    # with no generator there is no derivative table to read the names
+    _rejection("active-unknown-on-the-empty-algebra", "saturate",
+               "ring: F2[x,y]\n", ["--active", "nope"],
+               "unknown variable 'nope'"),
 ]
 
 

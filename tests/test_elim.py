@@ -557,6 +557,39 @@ def test_eliminate_takes_one_scalar_class_per_distinct_polynomial(
     assert format_elimination(result) == SHEARED_ELIMINATION
 
 
+def test_eliminate_scales_each_multiple_once_for_all_its_weights(
+        monkeypatch):
+    # the saturation lists 3*(X+Y+Z)^2, a multiple by lam = 3, at weights 1
+    # and 2: each polynomial's h_j are scaled once, and its lighter copy
+    # reads the same h_j
+    R = ring("Q", "X", "Y", "Z")
+    f = R.parse("Z^3+X^4+Y^5").substitute({"Z": R.parse("Z+X+Y")})
+    G = diff_saturate(ReesAlgebra.from_pairs(R, [(f, 3)]))
+    assert sorted(g.weight for g in G.generators
+                  if str(g.poly) == "3*X^2+6*X*Y+3*Y^2+6*X*Z+6*Y*Z+3*Z^2") \
+        == [1, 2]
+    # (h_j of m, lam^j) for each distinct g = lam*m with lam != 1
+    expected = []
+    for g in {g.poly for g in G.generators}:
+        lam, m = elim._scalar_class(g)
+        if lam != 1:
+            expected += [
+                (str(h.project_out("Z")), lam**j) for j, h in enumerate(
+                    char_poly(mult_matrix(m, f, "Z")), start=1)
+                if not h.is_zero()]
+    calls, scale = [], Polynomial.scale
+
+    def counting(self, c):
+        calls.append((str(self), c))
+        return scale(self, c)
+
+    monkeypatch.setattr(Polynomial, "scale", counting)
+    result = eliminate(G, ReesGenerator(f, 3), "Z")
+    assert len(expected) == 6
+    assert sorted(calls) == sorted(expected)
+    assert format_elimination(result) == SHEARED_ELIMINATION
+
+
 @pytest.mark.parametrize("spec,text", [
     ("F2", "Y*Z+Z+Y"), ("F3", "2*Y*Z+Z"), ("F4", "t*Y*Z+Z"),
     ("F5", "3*Y*Z+2*Z"), ("F9", "(t+1)*Y*Z+t*Z")])

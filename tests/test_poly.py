@@ -586,6 +586,15 @@ def test_polynomial_power_zero_is_one():
             assert f**3 == f * f * f
 
 
+def test_a_single_terms_huge_power_takes_square_and_multiply_shifts():
+    # t has order 3 in F4, and 1000000001 = 2 mod 3: t^1000000001 = t^2 =
+    # t+1; each step shifts one key and multiplies one value
+    R = ring("F4", "x", "y")
+    f = R.parse("(t*x)^1000000001")
+    assert str(f) == "(t+1)*x^1000000001"
+    assert f == R.parse("t*x")**1000000001
+
+
 @pytest.mark.parametrize("n", [2.5, Fraction(3), 2.0, "2", None])
 def test_polynomial_power_refuses_an_exponent_that_is_not_an_int(n):
     # 2.5 raised a bare TypeError from the square-and-multiply loop

@@ -144,6 +144,27 @@ def test_simplicity():
                   SY.point([1]))  # order 0 < weight: not singular there
 
 
+def test_simplicity_takes_one_order_pass(monkeypatch):
+    # X -> X+1 moves the singular point of X^4+X^2*Y^5 to (1, 0): every
+    # generator is recentred once, for its order, not once to test the
+    # point and once more for ord
+    f = F2XY.parse("X^4+X^2*Y^5").substitute({"X": F2XY.parse("X+1")})
+    G = diff_saturate(ReesAlgebra.from_pairs(F2XY, [(f, 4)]))
+    at = F2XY.point([1, 0])
+    calls, recenter = [], Polynomial.recenter
+
+    def counting(self, point):
+        calls.append(self)
+        return recenter(self, point)
+
+    monkeypatch.setattr(Polynomial, "recenter", counting)
+    assert len(G.generators) == 10
+    assert is_simple(G, at)
+    assert len(calls) == 10
+    assert e0_invariant(G, at) == 2
+    assert tau_estimate(G, at) == 1
+
+
 def test_e0_invariant_values():
     O = F2XY.origin()
     G = diff_saturate(algebra(F2XY, ("X^4+X^2*Y^5", 4)))
