@@ -2,7 +2,9 @@
 singular loci, point invariants (ord, simplicity, e0, tau), and monoidal
 transforms at coordinate-subspace centers, computed as exponent maps on the
 generators' terms.  Saturation works on hasse's raw derivative rows and
-tells polynomials apart by keys of their raw maps (_identity).
+tells polynomials apart by keys of their raw maps (_identity).  The point
+invariants read one recentring pass (_recentred), and e0 and tau one
+simplicity gate in every characteristic.
 
 An algebra with generators {g_i W^{n_i}} always denotes the subalgebra
 spanned by those elements together with every down-shifted copy g_i W^{n'}
@@ -16,6 +18,7 @@ a caller's field override (the CLI's --field).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from operator import itemgetter
 
 from .fields import FieldDescriptor, Immutable
@@ -208,56 +211,76 @@ def is_singular_at(G, at):
 
 # -- point invariants -------------------------------------------------
 
-def generator_orders(G, at):
-    return [(g.poly.order_at(at), g.weight) for g in G.generators]
+def _recentred(G, at):
+    """Each generator g W^w as (g(x + P), its order at P, w), and ord = min
+    order/w, exact: a generator is nonzero, so its order is finite."""
+    if G.is_empty():
+        raise ReesError("ord of the empty algebra is undefined")
+    table = [(shifted := g.recenter(at), shifted.order_at_origin(), w)
+             for g, w in G.generators]
+    return table, min(Fraction(order, w) for _, order, w in table)
+
+
+def _simple(G, at, name=None):
+    """The pass, and whether ord is 1: ord < 1 (off Sing(G)) is refused,
+    and so is ord > 1 for the invariant named."""
+    table, order = _recentred(G, at)
+    if order < 1:
+        raise ReesError("point is not in the singular locus")
+    if order > 1 and name:
+        raise ReesError("%s is defined at simple points only" % name)
+    return table, order == 1
+
+
+def _component_orders(table):
+    """nu(I_0), nu(I_1), ...: the least summed point order over generator
+    multisets of total weight >= k, one unbounded knapsack table extended
+    as it is read."""
+    dp = [0]
+    while True:
+        yield dp[-1]
+        k = len(dp)
+        dp.append(min(dp[max(0, k - w)] + order for _, order, w in table))
+
+
+def _frobenius_levels(G):
+    """The levels p^e <= max weight, e >= 0 (only 1 in characteristic 0)."""
+    p, levels = G.ring.field.p, [1]
+    while p and levels[-1] * p <= G.max_weight:
+        levels.append(levels[-1] * p)
+    return levels
 
 
 def component_order(G, k, at):
-    """nu_at(I_k) for the generated algebra: minimum over generator multisets
-    of total weight >= k of the summed point orders, via an unbounded
-    knapsack DP."""
+    """nu_at(I_k) for the generated algebra; INFINITE_ORDER for the empty
+    algebra."""
     _check_degree(k)
-    orders = generator_orders(G, at)
-    if not orders:
+    if G.is_empty():
         return INFINITE_ORDER
-    dp = [0]
-    for j in range(1, k + 1):
-        dp.append(min(dp[max(0, j - weight)] + order
-                      for order, weight in orders))
-    return dp[k]
+    return next(islice(_component_orders(_recentred(G, at)[0]), k, None))
 
 
 def ord_at_point(G, at):
     """ord_at(G) = min over generators of (point order)/(weight), exact."""
-    if G.is_empty():
-        raise ReesError("ord of the empty algebra is undefined")
-    return min((Fraction(order, weight)
-                for order, weight in generator_orders(G, at)
-                if order != INFINITE_ORDER), default=INFINITE_ORDER)
+    return _recentred(G, at)[1]
 
 
 def is_simple(G, at):
     """True iff ord at the point is 1; ord < 1 is a point off Sing(G)."""
-    order = ord_at_point(G, at)
-    if order < 1:
-        raise ReesError("point is not in the singular locus")
-    return order == 1
+    return _simple(G, at)[1]
 
 
 def e0_invariant(G, at):
     """Smallest e >= 0 with nu(I_{p^e}) = p^e at a simple point of an
-    absolutely saturated algebra; 0 by convention in characteristic 0."""
-    field = G.ring.field
-    if field.p == 0:
+    absolutely saturated algebra; 0 by convention in characteristic 0,
+    past the same simplicity gate."""
+    table, _ = _simple(G, at, "e0")
+    if G.ring.field.p == 0:
         return 0
-    if not is_simple(G, at):
-        raise ReesError("e0 is defined at simple points only")
-    p = field.p
-    e = 0
-    while p**e <= G.max_weight:
-        if component_order(G, p**e, at) == p**e:
-            return e
-        e += 1
+    levels = _frobenius_levels(G)
+    for k, order in zip(range(levels[-1] + 1), _component_orders(table)):
+        if order == k and k in levels:
+            return levels.index(k)
     raise ReesError("no Frobenius level attains its weight; algebra not simple?")
 
 
@@ -271,18 +294,11 @@ def tau_estimate(G, at):
     A lower bound for the full Frobenius-flag invariant; exact on diagonal
     instances.
     """
-    ring = G.ring
-    field = ring.field
-    if not is_simple(G, at):
-        raise ReesError("tau is defined at simple points only")
+    table, _ = _simple(G, at, "tau")
+    levels = _frobenius_levels(G)
     rows = []
-    levels = [1]   # the Frobenius levels p^e <= max weight (only 1 over Q)
-    while field.p and levels[-1] * field.p <= G.max_weight:
-        levels.append(levels[-1] * field.p)
-    for g in G.generators:
-        shifted = g.poly.recenter(at)
-        q = g.weight
-        if shifted.order_at_origin() != q or q not in levels:
+    for shifted, order, q in table:
+        if order != q or q not in levels:
             continue
         row = {}
         for exps, coeff in shifted.initial_form().terms.items():
@@ -292,8 +308,8 @@ def tau_estimate(G, at):
                 coeff = coeff.pth_root()
             row[tuple(e // q for e in exps)] = coeff   # x_i^q -> x_i
         else:
-            rows.append(Polynomial(ring, row))
-    return len(buchberger(Ideal(ring, rows)).basis)
+            rows.append(Polynomial(G.ring, row))
+    return len(buchberger(Ideal(G.ring, rows)).basis)
 
 
 # -- transforms -------------------------------------------------------

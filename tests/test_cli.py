@@ -384,13 +384,24 @@ REJECTIONS = [
                "ring: Q[x,Z]\ngen: Z^2+x w 2\n", ["--var", "Z"],
                "point scan needs a finite coefficient field"),
     _rejection("ramify-no-factors", "ramify-verify",
-               "ring: F5[x,Z]\n", ["--var", "Z"], "no factors in input"),
+               "ring: F5[x,Z]\n", ["--var", "Z"], "need at least one factor"),
     _rejection("ord-of-the-empty-algebra", "ord", "ring: F2[x,y]\n",
                ["--at", "0,0"], "ord of the empty algebra is undefined"),
     # x^2 of weight 1 has ord 2 at the origin: singular, but not simple
     _rejection("e0-off-a-simple-point", "e0",
                "ring: F2[x,y]\ngen: x^2 w 1\n", ["--at", "0,0"],
                "e0 is defined at simple points only"),
+    # over Q, e0's characteristic-0 answer of 0 comes after the gate that
+    # refuses a point off Sing, a point that is not simple, and the empty
+    # algebra, as over F_p
+    _rejection("e0-over-q-off-the-singular-locus", "e0",
+               "ring: Q[Y,Z]\ngen: Z^2+Y^5 w 2\n", ["--at", "1,1"],
+               "point is not in the singular locus"),
+    _rejection("e0-over-q-off-a-simple-point", "e0",
+               "ring: Q[Y,Z]\ngen: Y^4 w 1\n", ["--at", "0,0"],
+               "e0 is defined at simple points only"),
+    _rejection("e0-over-q-of-the-empty-algebra", "e0", "ring: Q[x,y]\n",
+               ["--at", "0,0"], "ord of the empty algebra is undefined"),
     # with no generator there is no derivative table to read the names
     _rejection("active-unknown-on-the-empty-algebra", "saturate",
                "ring: F2[x,y]\n", ["--active", "nope"],

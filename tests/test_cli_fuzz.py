@@ -6,12 +6,14 @@ unknown name, under lowered limits.  Each call returns; it exits 0, 2 or 3
 option names a variable the ring lacks; exit 2 or 3 prints
 exactly one `error: ` line; and on exit 0, saturate's output is saturated
 (compared after normalize_generators, since saturation is idempotent only
-up to nonzero scalars) and every sing point is singular.
+up to nonzero scalars), every sing point is singular, and ord is the one
+read from Hasse derivatives (tests/test_rees.py's hasse_order).
 
 Weights stay at most 4 and exponents at most 6: a huge weight or input
 power runs on paths that no limit charges yet, so the grammar leaves them
 out."""
 import io
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +23,7 @@ st = hypothesis.strategies
 from reeselim import (diff_saturate, is_singular_at,  # noqa: E402
                       normalize_generators, parse_algebra)
 from reeselim.cli import main  # noqa: E402
+from test_rees import hasse_order  # noqa: E402
 
 # a nonzero coefficient's text in each field, and the field specs
 COEFFICIENTS = {
@@ -150,6 +153,16 @@ def check_singular_points(text, output):
             assert is_singular_at(G, P), (text, line)
 
 
+def check_ord(text, at, output):
+    """ord at the point is the least order/weight over the generators,
+    with each order read from Hasse derivatives."""
+    G = parse_algebra(text)
+    R = G.ring
+    P = R.point([R.parse(c).constant_value() for c in at.split(",")])
+    order = min(Fraction(hasse_order(g, P), w) for g, w in G.generators)
+    assert "#! ord: %s" % order in output.splitlines(), (text, at, output)
+
+
 @SETTINGS
 @hypothesis.given(st.data())
 def test_every_command_keeps_the_boundary_contract(monkeypatch, data):
@@ -174,3 +187,5 @@ def test_every_command_keeps_the_boundary_contract(monkeypatch, data):
             check_saturated(text, output, active)
         elif code == 0 and command == "sing":
             check_singular_points(text, output)
+        elif code == 0 and command == "ord":
+            check_ord(text, extra[1], output)

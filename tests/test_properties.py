@@ -9,11 +9,13 @@ closure lists, the chart transforms' distinct generators, the unchecked
 generators of saturation and the transforms against the checking
 constructor, the raw-value sums, scalings, coefficient and division
 paths against a FieldElement reference, poly's exponent helpers, split
-and subtraction kernel against their plain definitions, and the point
+and subtraction kernel against their plain definitions, the point
 scan's fold and specialization kernels against evaluation and
-substitution."""
+substitution, and ord and e0 at a point against Hasse-derivative orders
+and per-level component orders."""
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -22,9 +24,10 @@ st = hypothesis.strategies
 
 from reeselim import (FieldDescriptor, FieldElement,  # noqa: E402
                       FieldError, Ideal, Polynomial, ReesAlgebra,
-                      ReesGenerator, RingContext, buchberger,
-                      degree_ideal, diff_closure_list, diff_saturate,
-                      hasse_derivative, total_transform, univ_divmod,
+                      ReesError, ReesGenerator, RingContext, buchberger,
+                      component_order, degree_ideal, diff_closure_list,
+                      diff_saturate, e0_invariant, hasse_derivative,
+                      ord_at_point, total_transform, univ_divmod,
                       weighted_transform)
 from reeselim.poly import (_binomial, _box, _center_mask,  # noqa: E402
                            _chart, _columns, _degree, _divides, _entry,
@@ -36,7 +39,7 @@ from test_fields import (FOLD_FIELDS,  # noqa: E402
 from test_poly import (schoolbook_product,  # noqa: E402
                        sum_of_products)
 from test_rees import (assert_levels_memo_in_any_order,  # noqa: E402
-                       scalar_oracle_degree_ideal)
+                       hasse_order, scalar_oracle_degree_ideal)
 
 SPECS = ("Q", "F2", "F3", "F4", "F5", "F9")
 RINGS = {(spec, n): RingContext(FieldDescriptor.parse(spec),
@@ -237,6 +240,61 @@ def test_unchecked_generators_pass_the_checking_constructor(data):
         for g in T.generators:
             assert type(g.weight) is int
             assert g == ReesGenerator(g.poly, g.weight)
+
+
+@st.composite
+def algebras_at_points(draw):
+    """(G, P) over F2, F3, F4, F5 or Q: a point with nonzero coordinates
+    as often as zero ones, and generators drawn at the origin.  Half the
+    time each generator g W^w keeps its terms of degree >= w, when it has
+    some, and moves to P, so that P is singular; G is saturated half the
+    time."""
+    R = RINGS[draw(st.sampled_from(("F2", "F3", "F4", "F5", "Q"))),
+              draw(st.integers(1, 3))]
+    zero = R.field.zero()
+    P = R.point([draw(st.one_of(st.just(zero), coefficients(R)))
+                 for _ in range(R.nvars)])
+    moved = draw(st.booleans())
+    pairs = []
+    for h, w in draw(st.lists(st.tuples(nonzero_polynomials(R, top=2),
+                                        st.integers(1, 4)),
+                              min_size=1, max_size=3)):
+        if moved:
+            high = {e: c for e, c in h.terms.items() if sum(e) >= w}
+            h = Polynomial(R, high or h.terms).substitute(
+                {v: R.var(v) - R.constant(c)
+                 for v, c in zip(R.variables, P.coords)})
+        pairs.append((h, w))
+    G = ReesAlgebra.from_pairs(R, pairs)
+    return diff_saturate(G) if draw(st.booleans()) else G, P
+
+
+@SETTINGS
+@hypothesis.given(algebras_at_points())
+def test_point_invariants_match_their_definitions(case):
+    # ord against orders read from Hasse derivatives, which share no code
+    # with recenter; e0 against the smallest Frobenius level p^e with
+    # component_order(G, p^e, P) = p^e, one component_order call a level
+    G, P = case
+    order = ord_at_point(G, P)
+    assert order == min(Fraction(hasse_order(g, P), w)
+                        for g, w in G.generators)
+    p = G.ring.field.p
+    if order != 1:
+        message = ("point is not in the singular locus" if order < 1
+                   else "e0 is defined at simple points only")
+        with pytest.raises(ReesError, match=message):
+            e0_invariant(G, P)
+        return
+    levels = itertools.takewhile(lambda q: q <= G.max_weight,
+                                 (p**e for e in itertools.count()))
+    expected = next((e for e, q in enumerate(levels)
+                     if component_order(G, q, P) == q), None) if p else 0
+    if expected is None:
+        with pytest.raises(ReesError, match="no Frobenius level"):
+            e0_invariant(G, P)
+    else:
+        assert e0_invariant(G, P) == expected
 
 
 def _builtin_fields():

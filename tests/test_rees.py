@@ -18,6 +18,7 @@ from reeselim import (FieldDescriptor, Ideal, Polynomial, ReesAlgebra,
                       is_singular_at, normalize_generators, ord_at_point,
                       parse_algebra, rational_singular_points, singular_ideal,
                       tau_estimate, total_transform, weighted_transform)
+from reeselim.hasse import hasse_derivatives
 from reeselim.poly import grevlex_key
 
 
@@ -124,6 +125,16 @@ def test_component_orders_knapsack():
     assert component_order(H, 3, O) == 3
 
 
+def hasse_order(g, P):
+    """ord_P(g) from Hasse derivatives and evaluation alone, sharing no code
+    with recenter: the least |alpha| with Delta^alpha g(P) != 0, which
+    Taylor's formula at P makes the order of g(x + P), at most deg g."""
+    top = max(sum(exps) for exps in g.terms)
+    return min(sum(alpha)
+               for alpha, d in hasse_derivatives(g, top + 1).items()
+               if not d.evaluate(P).is_zero())
+
+
 def test_ord_at_point():
     O = F2YZ.origin()
     G = diff_saturate(algebra(F2YZ, ("Z^2+Y^5", 2)))
@@ -145,9 +156,10 @@ def test_simplicity():
 
 
 def test_simplicity_takes_one_order_pass(monkeypatch):
-    # X -> X+1 moves the singular point of X^4+X^2*Y^5 to (1, 0): every
-    # generator is recentred once, for its order, not once to test the
-    # point and once more for ord
+    # X -> X+1 moves the singular point of X^4+X^2*Y^5 to (1, 0): each
+    # invariant recentres every generator once, for its order, and reads
+    # every order, every Frobenius level and the simplicity test from
+    # that one pass
     f = F2XY.parse("X^4+X^2*Y^5").substitute({"X": F2XY.parse("X+1")})
     G = diff_saturate(ReesAlgebra.from_pairs(F2XY, [(f, 4)]))
     at = F2XY.point([1, 0])
@@ -159,10 +171,12 @@ def test_simplicity_takes_one_order_pass(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "recenter", counting)
     assert len(G.generators) == 10
-    assert is_simple(G, at)
-    assert len(calls) == 10
-    assert e0_invariant(G, at) == 2
-    assert tau_estimate(G, at) == 1
+    for invariant, value in [(ord_at_point, 1), (is_simple, True),
+                             (lambda G, at: component_order(G, 4, at), 4),
+                             (e0_invariant, 2), (tau_estimate, 1)]:
+        calls.clear()
+        assert invariant(G, at) == value
+        assert calls == [g.poly for g in G.generators]
 
 
 def test_e0_invariant_values():

@@ -5,14 +5,15 @@ import pytest
 
 from reeselim import (INFINITE_ORDER, FieldDescriptor, FieldError, Ideal,
                       MonicInput, RationalPoint, ReesAlgebra, ReesError,
-                      RingContext, RingError, component_order, eliminate,
-                      hasse_derivative, ideal_equal, membership,
+                      RingContext, RingError, component_order, e0_invariant,
+                      eliminate, hasse_derivative, ideal_equal, membership,
                       purely_ramified_at, slope_equivalent, univ_divmod,
                       verify_thm_1_16_ii)
 
 F2, F3 = FieldDescriptor.parse("F2"), FieldDescriptor.parse("F3")
 A = RingContext(F2, ("x", "y"))
 B = RingContext(F3, ("x", "y"))   # A's names over another field
+Q = RingContext(FieldDescriptor.parse("Q"), ("x", "y"))   # and over Q
 # A's points lie in neither INPUT's base ring F2[x] nor its ring F2[x,Z]
 AZ = RingContext(F2, ("x", "Z"))
 X, BX = A.var("x"), B.var("x")
@@ -46,6 +47,9 @@ def refusal(name, error, message, call):
             lambda: X.evaluate(B.point([0, 0]))),
     refusal("recenter-ring", RingError, "ring mismatch",
             lambda: X.recenter(B.point([0, 0]))),
+    refusal("e0-over-q-point-ring", RingError, "ring mismatch",
+            lambda: e0_invariant(
+                ReesAlgebra.from_pairs(Q, [(Q.var("x"), 1)]), A.origin())),
     refusal("univ-divmod-ring", RingError, "ring mismatch",
             lambda: univ_divmod(X, BX, "x")),
     refusal("characteristic-0-extension", FieldError,
