@@ -3,9 +3,10 @@ S[Z]/<f>, division-free characteristic polynomials, the elimination algebra
 of char-poly coefficients with its weight law, and the slope test that
 compares one-variable monomial algebras up to integral closure.
 
-A multiplication matrix costs one division (g mod f); the other columns
-come from the companion recurrence on raw term maps, one shift per column,
-where each entry that f touches is one poly._sum_of_products call.  A
+A multiplication matrix costs one division (g mod f), its column 0; the
+other c - 1 columns come from c - 1 steps of the companion recurrence on
+raw term maps, one shift per column, where each entry that f touches is
+one poly._sum_of_products call.  A
 characteristic polynomial runs Berkowitz's recursion, written once
 (_berkowitz) over the ring its operators give, on one of two exact paths,
 chosen per matrix before any product.  Small (c <= 3) or sparse matrices
@@ -81,8 +82,10 @@ def mult_matrix(g, f, z_var):
 
     Column j holds the Z^0..Z^(c-1) coefficients of g*Z^j mod f: column 0
     is g mod f, which takes a division only when g's Z-degree reaches c,
-    and each later column is one companion step on raw term maps, wrapped
-    as Polynomials once it is complete."""
+    and each of the c - 1 later columns is one companion step on raw term
+    maps, wrapped as Polynomials once it is complete.  No step runs past
+    column c - 1, so only products that land in the matrix are taken and
+    checked on their leading keys; c = 1 takes none."""
     if g.ring != f.ring:
         raise RingError("ring mismatch")
     if not f.is_monic_in(z_var):
@@ -115,21 +118,23 @@ def _mult_matrix(g, f, z_var, modulus):
     # An entry a nonzero -f_n touches becomes itself plus t*(-f_n), one
     # _sum_of_products call on a copy, as the map itself is also the last
     # column's entry (in F_{p^k}, at most |t|*|f_n| + 1 summands, far inside
-    # reduce's bound).  A zero column stays zero.
+    # reduce's bound).  A zero column stays zero.  Column 0 is g mod f and
+    # c - 1 steps build the rest; a c-th step would build only Z^c * g mod
+    # f, which no entry holds.
     ring = f.ring
     field = ring.field
     nvars = ring.nvars
     parts = _split(g._raw, ring.var_index(z_var), nvars)
     col = [parts.get(n, {}) for n in range(c)]
-    columns = []
-    for _ in range(c):
-        columns.append([Polynomial._from_raw(ring, x) for x in col])
+    columns = [[Polynomial._from_raw(ring, x) for x in col]]
+    for _ in range(c - 1):
         top = col[-1]
         col = [{}] + col[:-1]
         if top:
             for n, a in neg_low.items():
                 col[n] = _sum_of_products(field, ((top, a),), nvars,
                                           dict(col[n]))
+        columns.append([Polynomial._from_raw(ring, x) for x in col])
     return MultiplicationMatrix(f, g, zip(*columns), z_var)
 
 

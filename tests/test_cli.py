@@ -200,6 +200,26 @@ def test_a_total_degree_of_2_31_exits_two(monkeypatch):
     assert text == "error: total degree reaches the limit 2^31\n"
 
 
+@pytest.mark.parametrize("text,expected", [
+    pytest.param("ring: Q[X,Z]\ngen: Z^2+X^1500000000 w 2\n"
+                 "gen: Z+X^1000000000 w 1\n",
+                 "gen: X^2000000000+X^1500000000 w 2"
+                 "  # from: X^1000000000+Z w 1 coeff 2", id="c2"),
+    pytest.param("ring: Q[X,Z]\ngen: Z+X^1500000000 w 1\n"
+                 "gen: X^1000000000 w 1\n",
+                 "gen: -X^1000000000 w 1"
+                 "  # from: X^1000000000 w 1 coeff 1", id="c1"),
+])
+def test_eliminate_answers_when_only_z_c_times_g_passes_2_31(
+        monkeypatch, text, expected):
+    # Z^c * g mod f would pass the keys' 2^31, but the matrix ends at
+    # Z^(c-1) * g and never builds it: every output fits, and the CLI answers
+    code, out = run(["eliminate", "-", "--monic", "0", "--var", "Z"], text,
+                    monkeypatch)
+    assert code == 0
+    assert expected in out.splitlines()
+
+
 ZERO_DENOMINATOR_ARGS = {
     "saturate": [],
     "sing": [],

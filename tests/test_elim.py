@@ -730,6 +730,42 @@ def test_mult_matrix_divides_only_a_g_of_z_degree_c_or_more(spec,
             assert M.matrix == mult_matrix_by_columns(g, f, "Z")
 
 
+@pytest.mark.parametrize("spec", ["Q", "F3", "F4"])
+def test_mult_matrix_takes_c_minus_1_companion_steps(spec, monkeypatch):
+    # column 0 is g mod f and each of the c - 1 later columns is one step,
+    # one kernel call per nonzero -f_n: 2 * 3 = 6 calls at c = 3, where
+    # building Z^3 * g mod f as well would take 9.  At c = 1 no step runs.
+    calls, kernel = [], elim._sum_of_products
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(elim, "_sum_of_products", counting)
+    R = ring(spec, "Y", "Z")
+    for f, g, steps in [("Z^3+(Y+1)*Z^2+(Y+2)*Z+(Y+3)", "Z^2+Y", 6),
+                        ("Z+Y+3", "Y^2+1", 0)]:
+        f, g = R.parse(f), R.parse(g)
+        calls.clear()
+        M = mult_matrix(g, f, "Z")
+        assert len(calls) == steps
+        assert M.matrix == mult_matrix_by_columns(g, f, "Z")
+
+
+def test_mult_matrix_answers_when_only_z_c_times_g_passes_2_31():
+    # Z^2 * (Z + x^(10^9)) mod Z^2 + x^(1.5*10^9) holds x^(2.5*10^9), past
+    # the keys' 2^31, but the matrix ends at Z * g: every entry and both
+    # char-poly coefficients fit.  At c = 1 the matrix is g mod f alone.
+    R = ring("Q", "X", "Z")
+    a, b = R.parse("X^1000000000"), R.parse("X^1500000000")
+    M = mult_matrix(R.var("Z") + a, R.var("Z")**2 + b, "Z")
+    assert M.matrix == ((a, -b), (R.one(), a))
+    assert char_poly(M) == [-2 * a, R.parse("X^2000000000") + b]
+    M = mult_matrix(a, R.var("Z") + b, "Z")
+    assert M.matrix == ((a,),)
+    assert char_poly(M) == [-a]
+
+
 def test_eliminate_does_not_depend_on_the_order_of_the_other_generators():
     # a metamorphic relation: the same input with the generators besides
     # f listed the other way round (and f last, not first) must give the
