@@ -33,9 +33,9 @@ from fractions import Fraction
 
 import pytest
 
-from reeselim import (FieldDescriptor, Polynomial, ReesAlgebra,
-                      ReesGenerator, RingContext, diff_saturate, eliminate,
-                      ord_at_point, weighted_transform)
+from reeselim import (INFINITE_ORDER, FieldDescriptor, Polynomial,
+                      ReesAlgebra, ReesGenerator, RingContext, diff_saturate,
+                      eliminate, ord_at_point, weighted_transform)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -180,3 +180,85 @@ def test_tame_elimination_commutes_with_the_weighted_transform(data):
         for P in ps:
             assert ord_at_point(E1, P) == ord_at_point(E2, P) == \
                 coefficient_slope(a1, P), (E, chart, P)
+
+
+# Several generators.  Take G = {f W^n, g W^m}, f drawn by monic with no
+# Z^(n-1) term, and the coefficient algebra
+#
+#     C = {[Z^k]h W^(w-k) : h W^w in G, k < w}
+#
+# over the base, [Z^k]h the coefficient of Z^k in h.  C is the relative
+# saturation of G restricted to Z = 0, since Delta_Z^k h at Z = 0 is
+# [Z^k]h.  Elimination gives the information of Hironaka's induction:
+# ord_P(eliminate(G, f, Z)) = ord_P(C) at every base point P when the
+# characteristic does not divide n, and only >= where it does.  The oracle
+# reads C by coefficients_in and Polynomial.order_at alone.
+GENERATOR_SETTINGS = hypothesis.settings(max_examples=50, deadline=None,
+                                         database=None)
+
+
+@st.composite
+def generator(draw, R):
+    """(g, m) for m in 1..3 and g a sum of 1-3 terms in X, Y, Z whose
+    total degree is m to m + 2, with Z-degree up to m + 1."""
+    m = draw(st.integers(1, 3))
+    g = R.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        z = draw(st.integers(0, m + 1))
+        d = draw(st.integers(max(m - z, 0), max(m - z, 0) + 2))
+        x = draw(st.integers(0, d))
+        g = g + R.monomial((x, d - x, z), draw(values(R.field)))
+    hypothesis.assume(g)
+    return g, m
+
+
+def coefficient_order(G, P):
+    """ord_P(C), read term by term: min ord_P([Z^k]h) / (w - k)."""
+    return min(Fraction(c.project_out("Z").order_at(P), w - k)
+               for h, w in G.generators
+               for k, c in enumerate(h.coefficients_in("Z")[:w]) if c)
+
+
+def elimination_order(G, f, n, P):
+    """ord_P(eliminate(G, f, Z)); infinite when nothing is left."""
+    E = eliminate(G, ReesGenerator(f, n), "Z").algebra
+    return INFINITE_ORDER if E.is_empty() else ord_at_point(E, P)
+
+
+@st.composite
+def algebra_case(draw, fields):
+    """(G, f, n, the origin and three rational points of the base)."""
+    f, n, _ = draw(monic(fields, lowest=2))
+    G = ReesAlgebra(f.ring, [ReesGenerator(f, n),
+                             ReesGenerator(*draw(generator(f.ring)))])
+    return G, f, n, base_points(draw, f.ring.drop_variable("Z"))
+
+
+@GENERATOR_SETTINGS
+@hypothesis.given(algebra_case(TAME))
+def test_tame_elimination_order_is_the_coefficient_algebra_order(data):
+    G, f, n, ps = data
+    for P in ps:
+        assert elimination_order(G, f, n, P) == coefficient_order(G, P), \
+            (G, P)
+
+
+@GENERATOR_SETTINGS
+@hypothesis.given(algebra_case(WILD))
+def test_wild_elimination_order_is_at_least_the_coefficient_algebra_order(
+        data):
+    G, f, n, ps = data
+    for P in ps:
+        assert elimination_order(G, f, n, P) >= coefficient_order(G, P), \
+            (G, P)
+
+
+def test_a_wild_algebra_eliminates_strictly_above_its_coefficient_algebra():
+    # C: X*Y^2+X^2 W^2 (order 1), Y^3 W^2 (3/2) and X*Y W (2)
+    R = RINGS["F2"]
+    f = R.parse("Z^2+X*Y^2+X^2")
+    G = ReesAlgebra(R, [ReesGenerator(f, 2),
+                        ReesGenerator(R.parse("Y^3+X*Y*Z"), 2)])
+    origin = R.drop_variable("Z").origin()
+    assert coefficient_order(G, origin) == 1
+    assert elimination_order(G, f, 2, origin) == Fraction(3, 2)
