@@ -1,28 +1,30 @@
 """Hasse (divided-power) differential operators via the Taylor shift.
 
 Delta^alpha extracts the T^alpha coefficient of f(x + T); termwise this is
-Delta^alpha(x^beta) = prod_i C(beta_i, alpha_i) * x^(beta - alpha) with the
-binomials computed as exact integers and then reduced into the field, so
-the operators are correct in every characteristic.  `_derivative_rows`
-builds the (|alpha|, alpha, raw map) rows of a whole table in one pass over
-the support of f: each term x^beta feeds Delta^alpha for every alpha <= beta
-it reaches.  `hasse_derivatives`, `diff_closure_list` and
-rees.diff_saturate all read those rows.
+Delta^alpha(x^beta) = prod_i C(beta_i, alpha_i) * x^(beta - alpha), each
+binomial taken by `_binomial` in the field's characteristic: exact over Q,
+and mod p from the base-p digits (Lucas' theorem), so the operators are
+correct in every characteristic and no huge binomial is built for p to
+divide.  `_derivative_rows` builds the (|alpha|, alpha, raw map) rows of a
+whole table in one pass over the support of f: each term x^beta feeds
+Delta^alpha for every alpha <= beta it reaches.  `hasse_derivatives`,
+`diff_closure_list` and rees.diff_saturate all read those rows.
 
-Which alpha a term x^beta reaches, the shifted key beta - alpha and the
-integer binomial depend on exponents alone, so `_shifts` keeps them in one
-bounded table per (beta, n, active set, number of variables), shared by
-every field; each call still reduces the binomial into its own field.
-Terms are keyed by poly's int monomial keys, and multi-indices are
-exponent tuples, the public form.
+Which alpha a term reaches with a binomial p does not divide, the shifted
+key beta - alpha and the binomial depend on exponents and p alone, so
+`_shifts` keeps them in one bounded table per (beta, n, active set, number
+of variables, p), shared by the fields of one characteristic.  Terms are
+keyed by poly's int monomial keys, and multi-indices are exponent tuples,
+the public form.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb, prod
 
 from .fields import FieldElement
-from .poly import (Polynomial, RingError, _binomial, _box, _degree,
-                   _divides, _exps, _fits, _guard, _key, _zero_exps)
+from .poly import (Polynomial, RingError, _divides, _entry, _exps, _fits,
+                   _guard, _key, _zero_exps)
 
 
 def normalize_multiindex(ring, alpha):
@@ -45,10 +47,18 @@ def normalize_multiindex(ring, alpha):
     return alpha
 
 
+def _binomial(b, a, p):
+    """C(b, a), mod p when p > 0: there the product of the binomials of the
+    base-p digits (Lucas' theorem), 0 iff a digit of a exceeds b's."""
+    if not p or not a:
+        return comb(b, a)
+    return comb(b % p, a % p) * _binomial(b // p, a // p, p) % p
+
+
 def _term_coefficient(field, v, binom):
     """The raw coefficient of x^(beta - alpha) in Delta^alpha(v x^beta): v
-    times the integer binomial prod C(beta_i, alpha_i), reduced into the
-    field, so it is zero when p divides the binomial.  Only
+    times the binomial prod C(beta_i, alpha_i), an int from _binomial's
+    factors, reduced into the field, so it is zero when p divides it.  Only
     hasse_derivatives uses this FieldElement product: it is the one route
     by which verify_thm_1_16 reaches FieldElement.__mul__, as
     bench/selftest.py expects."""
@@ -68,7 +78,7 @@ def _raw_coefficient(field, v, binom):
 
 def hasse_derivative(f, alpha):
     """Delta^alpha(f): the coefficient of T^alpha in f(x + T).  A term's
-    binomial is computed only once alpha divides it."""
+    binomials are taken only once alpha divides it."""
     ring = f.ring
     alpha = normalize_multiindex(ring, alpha)
     n = ring.nvars
@@ -80,23 +90,30 @@ def hasse_derivative(f, alpha):
     raw = {}
     for beta, v in f._raw.items():
         if _divides(a, beta, guard) and (v := _raw_coefficient(
-                field, v, _binomial(beta, alpha))):
+                field, v, prod([_binomial(_entry(beta, i), x, field.p)
+                                for i, x in enumerate(alpha) if x]))):
             # beta -> beta - alpha is injective: no two terms share a key
             raw[beta - a] = v
     return Polynomial._from_raw(ring, raw)
 
 
 @lru_cache(maxsize=1024)
-def _shifts(beta, n, active_idx, nvars):
+def _shifts(beta, n, active_idx, nvars, p):
     """(|alpha|, alpha, beta - alpha, prod C(beta_i, alpha_i)) for every
     nonzero alpha <= beta with |alpha| < n, supported on active_idx (a
-    frozenset or a range, so that it can key the cache), in the order of
-    poly's _box: by increasing |alpha| and then lexicographically.  beta is
-    a key in nvars variables, beta - alpha too, and alpha an exponent tuple.
-    The binomials are exact integers, the same for every field."""
-    return tuple((_degree(alpha), alpha, beta - _key(alpha),
-                  _binomial(beta, alpha))
-                 for alpha in _box(_exps(beta, nvars), n, active_idx)[1:])
+    frozenset or a range, so that it can key the cache), whose binomial p
+    does not divide, by increasing |alpha| and then lexicographically.
+    beta is a key in nvars variables, beta - alpha too, and alpha an
+    exponent tuple.  alpha grows one entry at a time, within what is left
+    of n - 1, and an entry whose binomial p divides is dropped at once."""
+    rows = [((), 0, 1)]   # (alpha so far, |alpha|, binomial)
+    for i, b in enumerate(_exps(beta, nvars)):
+        top = min(b + 1, n) if i in active_idx else 1
+        entries = [(x, c) for x in range(top) if (c := _binomial(b, x, p))]
+        rows = [(alpha + (x,), size + x, binom * c) for alpha, size, binom
+                in rows for x, c in entries if x <= n - 1 - size]
+    return tuple(sorted((size, alpha, beta - _key(alpha), binom)
+                        for alpha, size, binom in rows)[1:])
 
 
 def _active_indices(ring, active):
@@ -118,21 +135,21 @@ def _derivative_rows(f, n, active_idx, coefficient=_raw_coefficient):
     support, not the n^m multi-indices of the whole simplex.  A one-term f
     reaches each alpha once, already in order, so it needs no table and no
     sort.  The multi-indices, shifted exponents and binomials of each term
-    come from the _shifts table."""
+    come from the _shifts table; its binomials are units, so no
+    coefficient is zero."""
     field, nvars = f.ring.field, f.ring.nvars
     if len(f._raw) == 1:
         (beta, v), = f._raw.items()
-        return [(size, alpha, {shifted: c})
+        return [(size, alpha, {shifted: coefficient(field, v, binom)})
                 for size, alpha, shifted, binom in _shifts(
-                    beta, n, active_idx, nvars)
-                if (c := coefficient(field, v, binom))]
+                    beta, n, active_idx, nvars, field.p)]
     table = {}
     for beta, v in f._raw.items():
         for size, alpha, shifted, binom in _shifts(beta, n, active_idx,
-                                                   nvars):
-            if c := coefficient(field, v, binom):
-                # beta -> beta - alpha is injective for a fixed alpha
-                table.setdefault((size, alpha), {})[shifted] = c
+                                                   nvars, field.p):
+            # beta -> beta - alpha is injective for a fixed alpha
+            table.setdefault((size, alpha), {})[shifted] = coefficient(
+                field, v, binom)
     return [(size, alpha, table[size, alpha]) for size, alpha in sorted(table)]
 
 

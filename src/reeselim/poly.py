@@ -31,9 +31,10 @@ computes on raw term maps and builds one Polynomial per text, and the
 formatter walks the keys in int order.  This is the one module that packs
 and reads keys: `_key` and `_exps` convert, `_entry`, `_columns`, `_unit`,
 `_guard`, `_divides`, `_lcm`, `_center_mask`, `_fits` and `_check_key`
-read and build them, and `_degree`, `_zero_exps`, `_binomial` and `_box`
-serve Hasse's multi-indices.  It holds the raw term-map kernels:
-`_reduced` (each value reduced once, zeros dropped), `_sum_of_products`
+read and build them, and `_zero_exps` gives Hasse's zero multi-index
+(hasse itself computes which multi-indices a term reaches, and their
+binomials).  It holds the raw term-map kernels: `_reduced` (each value
+reduced once, zeros dropped), `_sum_of_products`
 (the one place raw products are summed: a start map plus a_1*b_1 + ... +
 a_n*b_n, summed unreduced, then one `_reduced`), `_product` (one product,
 a single-term factor as a shift of the other's keys) and `_raw_power`,
@@ -58,14 +59,11 @@ import math
 import re
 from fractions import Fraction
 from functools import cache
-from itertools import product
-from math import comb, prod
 from types import MappingProxyType
 
 from .fields import FieldElement, Immutable, _power, _text
 
 INFINITE_ORDER = math.inf
-_degree = sum   # |alpha| of an exponent tuple, Hasse's multi-indices
 _MASK = (1 << 32) - 1   # one entry's field of a key
 _MAX_DEGREE = (1 << 31) - 1   # the largest total degree of a key
 # a variable name: the one pattern RingContext accepts and the parser reads
@@ -269,24 +267,6 @@ def _center_degree(k, mask, n):
     sum_i 2^(32i) sums them in the top field, and no field carries, since
     every partial sum is at most |e| < 2^31."""
     return (-k & mask) * _ones(n) >> 32 * (n - 1) & _MASK
-
-
-def _binomial(beta, alpha):
-    """prod_i C(beta_i, alpha_i) for the key beta and the exponent tuple
-    alpha, reading only the entries where alpha is nonzero: 0 unless
-    alpha <= beta."""
-    return prod([comb(-beta >> 32 * i & _MASK, x)
-                 for i, x in enumerate(alpha) if x])
-
-
-def _box(beta, n, active):
-    """The alpha <= beta with |alpha| < n, zero outside the indices in active,
-    by increasing |alpha|, then lexicographically (as product yields them),
-    as exponent tuples."""
-    tops = [min(b, n - 1) + 1 if i in active else 1
-            for i, b in enumerate(beta)]
-    return sorted([alpha for alpha in product(*map(range, tops))
-                   if sum(alpha) < n], key=sum)
 
 
 class RationalPoint(Immutable):

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import signal
 from fractions import Fraction
 
 import pytest
@@ -179,11 +180,12 @@ def test_shift_table_matches_the_simplex_oracle_cold_and_warm():
             assert _shifts.cache_info().hits > 0
 
 
-def test_one_shift_table_serves_every_field_in_either_order():
-    # X^3*Y^2 w 3 has the same beta over every field, so one table serves
-    # Q, F3 and F2, and each field reduces the binomials itself: the
-    # binomials 3 of Delta_(1,0) and Delta_(2,0) vanish over F3, 2 of
-    # Delta_(0,1) over F2, and 6 of Delta_(1,1) over both
+def test_shift_tables_are_kept_per_characteristic_in_either_order():
+    # X^3*Y^2 w 3 has the same beta over every field, but each
+    # characteristic lists only the binomials it keeps: the binomials 3 of
+    # Delta_(1,0) and Delta_(2,0) vanish over F3, 2 of Delta_(0,1) over
+    # F2, and 6 of Delta_(1,1) over both.  A table keyed without the
+    # characteristic would hand Q's rows to F3, or F3's to Q
     def saturate(spec):
         R = ring(spec, "X", "Y")
         return diff_saturate(ReesAlgebra.from_pairs(
@@ -195,10 +197,16 @@ def test_one_shift_table_serves_every_field_in_either_order():
         alone[spec] = saturate(spec)
     assert {spec: len(gens) for spec, gens in alone.items()} == \
         {"Q": 10, "F3": 6, "F2": 7}
-    for order in (("Q", "F3", "F2"), ("F2", "F3", "Q")):
+    for order in (("Q", "F3", "Q"), ("F2", "F3", "Q", "F2")):
         _shifts.cache_clear()
         for spec in order:
             assert saturate(spec) == alone[spec], (order, spec)
+    # F9 is of characteristic 3: it reads F3's tables and builds none
+    _shifts.cache_clear()
+    saturate("F3")
+    misses = _shifts.cache_info().misses
+    assert len(saturate("F9")) == 6
+    assert _shifts.cache_info().misses == misses
 
 
 def test_a_full_active_set_shares_the_shift_tables():
@@ -301,6 +309,37 @@ def test_a_derivative_every_binomial_of_which_p_divides_is_left_out():
     assert hasse_derivative(f, (1, 0)).is_zero()
     assert hasse_derivatives(f, 2) == {(0, 0): f, (0, 1): R.parse("X^2")}
     assert list(hasse_derivatives(f, 2)) == [(0, 0), (0, 1)]
+
+
+def test_a_derivative_in_characteristic_p_reads_base_p_digits():
+    # C(2^21, 2^20) is even: over F2 each binomial is a product of digit
+    # binomials, so no integer of 600,000 digits is built for the answer 0
+    R = ring("F2", "x")
+    f = R.var("x")**2097152
+
+    def timeout(signum, frame):
+        raise AssertionError("hasse_derivative did not return within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(1)
+    try:
+        assert hasse_derivative(f, (1048576,)).is_zero()
+        assert hasse_derivative(f, (2097152,)) == R.one()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_saturation_in_characteristic_p_walks_base_p_digits(tmp_path):
+    # over F2, Delta^alpha(x^256*y^256) is nonzero only for alpha_i in
+    # {0, 256}: below weight 512, f and its two derivatives of order 256,
+    # listed at each weight they reach, 512 + 256 + 256 generators
+    path = tmp_path / "digits.alg"
+    path.write_text("ring: F2[x,y]\ngen: x^256*y^256 w 512\n")
+    out = io.StringIO()
+    assert main(["saturate", str(path)], out=out) == 0
+    assert out.getvalue().splitlines()[-1] == \
+        "#! generators: 1024 max-weight: 512"
 
 
 def test_saturation_of_sparse_high_weight_input_follows_the_support(

@@ -9,7 +9,9 @@ closure lists, the chart transforms' distinct generators, the unchecked
 generators of saturation and the transforms against the checking
 constructor, the raw-value sums, scalings, coefficient and division
 paths against a FieldElement reference, poly's exponent helpers, split
-and subtraction kernel against their plain definitions, the point
+and subtraction kernel against their plain definitions, Hasse's shift
+table against a box of exact binomials and its binomials mod p against
+exact ones and against carries in base p (Kummer), the point
 scan's fold and specialization kernels against evaluation and
 substitution, and ord and e0 at a point against Hasse-derivative orders
 and per-level component orders."""
@@ -29,11 +31,12 @@ from reeselim import (FieldDescriptor, FieldElement,  # noqa: E402
                       diff_saturate, e0_invariant, hasse_derivative,
                       ord_at_point, total_transform, univ_divmod,
                       weighted_transform)
-from reeselim.poly import (_binomial, _box, _center_mask,  # noqa: E402
-                           _chart, _columns, _degree, _divides, _entry,
-                           _exps, _fields, _fits, _guard, _key, _lcm,
-                           _specialize, _split, _subtract, _unit,
-                           _zero_exps, formal_derivative, grevlex_key)
+from reeselim.hasse import _binomial, _shifts  # noqa: E402
+from reeselim.poly import (_center_mask, _chart, _columns,  # noqa: E402
+                           _divides, _entry, _exps, _fields, _fits, _guard,
+                           _key, _lcm, _specialize, _split, _subtract,
+                           _unit, _zero_exps, formal_derivative,
+                           grevlex_key)
 from test_fields import (FOLD_FIELDS,  # noqa: E402
                          irreducible_by_trial_division)
 from test_poly import (schoolbook_product,  # noqa: E402
@@ -699,8 +702,7 @@ def test_exponent_helpers_match_their_definitions(data):
     used one, a multiple of _unit sets one, _fields gives the entries'
     fields when no entry reaches the field order, and the monomial 1 is
     key 0; _fits refuses a total degree of 2^31 or more, however large the
-    entries; _degree and _box on tuples, _binomial and _chart give what
-    the expressions they stand for give."""
+    entries; _chart gives what the expression it stands for gives."""
     n = data.draw(st.integers(1, 4))
     a, b = data.draw(exponent_vectors(n)), data.draw(exponent_vectors(n))
     ka, kb = _key(a), _key(b)
@@ -741,32 +743,14 @@ def test_exponent_helpers_match_their_definitions(data):
         sum(x << 32 * j for j, x in enumerate(a)): log[5]}
     assert _columns([ka, kb, kc], n) == {
         j: [a[j], b[j], c[j]] for j in range(n) if a[j] or b[j] or c[j]}
-    assert _degree(a) == sum(a)
     # a total degree of 2^31 or more, from entries of any size
     big = data.draw(exponents_below([2**40] * n, 2**40).filter(
         lambda e: sum(e) > TOP_EXPONENT))
     assert not _fits(_key(big), n)
     assert not _fits(ka + _key(big), n)
-    # with one side's entries at most 3 the binomials stay small, whichever
-    # side divides the other
-    zero = (0,) * n
-    small = data.draw(exponents_below([3] * n))
-    for beta, alpha in ((a, small), (small, a), (a, zero)):
-        assert _binomial(_key(beta), alpha) == math.prod(
-            map(math.comb, beta, alpha))
-    # the box from its definition: each entry of alpha is below the bound;
-    # hasse passes a set of active indices, or a range for all of them
-    bound = data.draw(st.integers(0, 4))
-    active = data.draw(st.sets(st.integers(0, n - 1)))
-    for support in (active, range(n)):
-        box = [alpha for alpha in itertools.product(range(bound), repeat=n)
-               if sum(alpha) < bound
-               and all(x <= y for x, y in zip(alpha, a))
-               and all(x == 0 or j in support for j, x in enumerate(alpha))]
-        assert _box(a, bound, support) == sorted(
-            box, key=lambda alpha: (sum(alpha), alpha))
     # chart keys whose degree over any centre stays below 2^31, and whose
     # chart image does too
+    active = data.draw(st.sets(st.integers(0, n - 1)))
     drop = data.draw(st.integers(0, TOP_EXPONENT))
     exps = data.draw(st.lists(exponents_below([TOP_EXPONENT] * n,
                                               TOP_EXPONENT // 2),
@@ -778,6 +762,68 @@ def test_exponent_helpers_match_their_definitions(data):
         None if any(d < 0 for d in degrees.values()) else
         {_key(e[:i] + (degrees[e],) + e[i + 1:]): v
          for v, e in enumerate(exps, 1)})
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_shift_rows_are_the_box_without_what_p_divides(data):
+    """_shifts lists the nonzero alpha <= beta with |alpha| < n on the
+    active indices, by (|alpha|, alpha), whose exact binomial
+    prod C(beta_i, alpha_i) p does not divide, each with its binomial
+    mod p (exact over Q): a box of exact binomials, with no digits."""
+    nvars = data.draw(st.integers(1, 3))
+    beta = data.draw(st.tuples(*[st.integers(0, 40)] * nvars))
+    n = data.draw(st.integers(0, 30))
+    active = data.draw(st.sets(st.integers(0, nvars - 1)))
+    p = data.draw(st.sampled_from([0, 2, 3, 5, 7]))
+    box = []
+    for alpha in itertools.product(*[range(b + 1) if i in active else (0,)
+                                     for i, b in enumerate(beta)]):
+        binom = math.prod(map(math.comb, beta, alpha))
+        if 0 < sum(alpha) < n and (not p or binom % p):
+            box.append((sum(alpha), alpha, _key(beta) - _key(alpha), binom))
+    box.sort()
+    # hasse keys every variable by a range, one cache entry
+    support = range(nvars) if len(active) == nvars else frozenset(active)
+    rows = _shifts(_key(beta), n, support, nvars, p)
+    assert [row[:3] for row in rows] == [row[:3] for row in box]
+    for row, want in zip(rows, box):
+        assert (row[3] - want[3]) % p == 0 if p else row[3] == want[3]
+
+
+@SETTINGS
+@hypothesis.given(st.integers(0, 2**12 - 1), st.integers(0, 2**12),
+                  st.sampled_from([0, 2, 3, 5, 7]))
+def test_binomial_is_the_exact_binomial_mod_p(b, a, p):
+    exact = math.comb(b, a)
+    assert _binomial(b, a, p) == (exact % p if p else exact)
+
+
+def carries(x, y, p):
+    """Whether adding x and y in base p carries: the first carry is a
+    digit sum of p or more, with no carry in."""
+    while x or y:
+        if x % p + y % p >= p:
+            return True
+        x, y = x // p, y // p
+    return False
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_binomial_vanishes_mod_p_exactly_when_the_digits_carry(data):
+    """Kummer: p divides C(b, a) iff adding a and b - a in base p carries.
+    Half the draws take each digit of a at most b's, so nothing carries."""
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    b = data.draw(st.integers(0, 2**30))
+    if data.draw(st.booleans()):
+        a = data.draw(st.integers(0, b))
+    else:
+        a, scale, rest = 0, 1, b
+        while rest:
+            a += data.draw(st.integers(0, rest % p)) * scale
+            scale, rest = scale * p, rest // p
+    assert (_binomial(b, a, p) == 0) == carries(a, b - a, p)
 
 
 @SETTINGS
