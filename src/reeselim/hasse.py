@@ -106,14 +106,14 @@ def _shifts(beta, n, active_idx, nvars, p):
     beta is a key in nvars variables, beta - alpha too, and alpha an
     exponent tuple.  alpha grows one entry at a time, within what is left
     of n - 1, and an entry whose binomial p divides is dropped at once."""
-    rows = [((), 0, 1)]   # (alpha so far, |alpha|, binomial)
+    rows = [(0, (), 1)]   # (|alpha|, alpha so far, binomial)
     for i, b in enumerate(_exps(beta, nvars)):
         top = min(b + 1, n) if i in active_idx else 1
         entries = [(x, c) for x in range(top) if (c := _binomial(b, x, p))]
-        rows = [(alpha + (x,), size + x, binom * c) for alpha, size, binom
+        rows = [(size + x, alpha + (x,), binom * c) for size, alpha, binom
                 in rows for x, c in entries if x <= n - 1 - size]
-    return tuple(sorted((size, alpha, beta - _key(alpha), binom)
-                        for alpha, size, binom in rows)[1:])
+    return tuple([(size, alpha, beta - _key(alpha), binom)
+                  for size, alpha, binom in sorted(rows)[1:]])
 
 
 def _active_indices(ring, active):

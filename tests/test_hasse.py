@@ -330,28 +330,23 @@ def test_a_derivative_in_characteristic_p_reads_base_p_digits():
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_saturation_in_characteristic_p_walks_base_p_digits(tmp_path):
-    # over F2, Delta^alpha(x^256*y^256) is nonzero only for alpha_i in
-    # {0, 256}: below weight 512, f and its two derivatives of order 256,
-    # listed at each weight they reach, 512 + 256 + 256 generators
-    path = tmp_path / "digits.alg"
-    path.write_text("ring: F2[x,y]\ngen: x^256*y^256 w 512\n")
-    out = io.StringIO()
-    assert main(["saturate", str(path)], out=out) == 0
-    assert out.getvalue().splitlines()[-1] == \
-        "#! generators: 1024 max-weight: 512"
-
-
 def test_saturation_of_sparse_high_weight_input_follows_the_support(
         tmp_path):
     # the simplex over six variables at weight 30 has 30^6 multi-indices;
-    # the support of a^40+b^40+c^40 lies below only 88 of them
+    # the support of a^40+b^40+c^40 lies below only 88 of them.  Over F2,
+    # Delta^alpha(x^256*y^256) is nonzero only for alpha_i in {0, 256}, of
+    # the 66,048 alpha of the box below it: below weight 512, f and its
+    # two derivatives of order 256, at each weight, 512 + 256 + 256
     path = tmp_path / "sparse.alg"
-    path.write_text("ring: F2[a,b,c,d,e,f]\ngen: a^40+b^40+c^40 w 30\n")
-    out = io.StringIO()
-    assert main(["saturate", str(path)], out=out) == 0
-    assert out.getvalue().splitlines()[-1] == \
-        "#! generators: 96 max-weight: 30"
+    for text, last in [
+            ("ring: F2[a,b,c,d,e,f]\ngen: a^40+b^40+c^40 w 30\n",
+             "#! generators: 96 max-weight: 30"),
+            ("ring: F2[x,y]\ngen: x^256*y^256 w 512\n",
+             "#! generators: 1024 max-weight: 512")]:
+        path.write_text(text)
+        out = io.StringIO()
+        assert main(["saturate", str(path)], out=out) == 0
+        assert out.getvalue().splitlines()[-1] == last
 
 
 def test_char_zero_matches_scaled_partial_derivatives():
