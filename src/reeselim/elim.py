@@ -355,13 +355,11 @@ def _berkowitz(A, dot, neg, add):
 
 
 def cayley_hamilton_residue(g, f, z_var):
-    """psi_g(g) reduced mod f; zero iff Cayley-Hamilton holds (it must)."""
-    M = mult_matrix(g, f, z_var)
-    coeffs = char_poly(M)
-    c = M.size
-    acc = g**c
-    for j, h in enumerate(coeffs, start=1):
-        acc = acc + h * g**(c - j)
+    """psi_g(g) reduced mod f; zero iff Cayley-Hamilton holds (it must).
+    psi_g(g) = g^c + h_1 g^(c-1) + ... + h_c, by Horner's rule."""
+    acc = g.ring.one()
+    for h in char_poly(mult_matrix(g, f, z_var)):
+        acc = acc * g + h
     return univ_divmod(acc, f, z_var)[1]
 
 

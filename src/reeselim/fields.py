@@ -51,17 +51,21 @@ BUILTIN_MODULI = {
 }
 
 
+def _prime_factors(n):
+    """The distinct primes dividing n >= 1, increasing, by trial division
+    by 2 and then by odd r."""
+    primes, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            primes.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1 if r == 2 else 2
+    return primes + [n] if n > 1 else primes
+
+
 def _is_prime(n):
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def _iroot(n, k):
@@ -319,15 +323,7 @@ class FieldDescriptor(Immutable):
         if table is None:
             values = self._scan_table()[0]
             m, mul = len(values) - 1, self.mul
-            primes, n, r = [], m, 2   # the primes r | m, by trial division
-            while r * r <= n:
-                if n % r == 0:
-                    primes.append(r)
-                    while n % r == 0:
-                        n //= r
-                r += 1
-            if n > 1:
-                primes.append(n)
+            primes = _prime_factors(m)
             # g has order m exactly when g^(m/r) != 1 for every prime r | m
             g = next(v for v in values[1:]
                      if all(_power(mul, v, m // r) != 1 for r in primes))

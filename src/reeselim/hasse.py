@@ -24,7 +24,7 @@ from math import comb, prod
 
 from .fields import FieldElement
 from .poly import (Polynomial, RingError, _divides, _entry, _exps, _fits,
-                   _guard, _key, _zero_exps)
+                   _guard, _key)
 
 
 def normalize_multiindex(ring, alpha):
@@ -159,7 +159,7 @@ def hasse_derivatives(f, n, active=None):
     lexicographically; zero derivatives are left out.  Delta^0 f is f
     itself, and the rest are _derivative_rows."""
     ring = f.ring
-    out = {_zero_exps(ring.nvars): f} if f._raw and n >= 1 else {}
+    out = {_exps(0, ring.nvars): f} if f._raw and n >= 1 else {}
     for _, alpha, raw in _derivative_rows(f, n, _active_indices(ring, active),
                                           _term_coefficient):
         out[alpha] = Polynomial._from_raw(ring, raw)

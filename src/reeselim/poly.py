@@ -31,9 +31,8 @@ computes on raw term maps and builds one Polynomial per text, and the
 formatter walks the keys in int order.  This is the one module that packs
 and reads keys: `_key` and `_exps` convert, `_entry`, `_columns`, `_unit`,
 `_guard`, `_divides`, `_lcm`, `_center_mask`, `_fits` and `_check_key`
-read and build them, and `_zero_exps` gives Hasse's zero multi-index
-(hasse itself computes which multi-indices a term reaches, and their
-binomials).  It holds the raw term-map kernels: `_reduced` (each value
+read and build them (hasse itself computes which multi-indices a term
+reaches, and their binomials).  It holds the raw term-map kernels: `_reduced` (each value
 reduced once, zeros dropped), `_sum_of_products`
 (the one place raw products are summed: a start map plus a_1*b_1 + ... +
 a_n*b_n, summed unreduced, then one `_reduced`), `_product` (one product,
@@ -184,11 +183,6 @@ def _exps(k, n):
     """The exponent tuple of the key k in n variables."""
     m = -k
     return tuple([m >> s & _MASK for s in range(0, 32 * n, 32)])
-
-
-def _zero_exps(n):
-    """The exponent tuple of the monomial 1 in n variables."""
-    return (0,) * n
 
 
 def _entry(k, i):
@@ -798,13 +792,11 @@ def _monic_in(f, var):
 
 def univ_gcd(f, g, var):
     """Monic gcd of two polynomials univariate in var over their field."""
-    if not g:
-        return _monic_in(f, var) if f else f
     a, b = f, g
     while b:
         b = _monic_in(b, var)
         a, b = b, univ_divmod(a, b, var)[1]
-    return a
+    return _monic_in(a, var) if a else a
 
 
 def formal_derivative(f, var):
@@ -852,8 +844,6 @@ def univ_radical(f):
     sqfree, rem = univ_divmod(f, g, var)
     if rem:   # cannot happen while the gcd is right
         raise ArithmeticError("gcd(f, f') leaves the remainder %s" % rem)
-    if g.degree_in(var) == 0:
-        return sqfree
     # distinct factors of f = distinct factors of (f/g) joined with those of g
     rad_g = univ_radical(g)
     prod = sqfree * rad_g

@@ -35,8 +35,7 @@ from reeselim.hasse import _binomial, _shifts  # noqa: E402
 from reeselim.poly import (_center_mask, _chart, _columns,  # noqa: E402
                            _divides, _entry, _exps, _fields, _fits, _guard,
                            _key, _lcm, _specialize, _split, _subtract,
-                           _unit, _zero_exps, formal_derivative,
-                           grevlex_key)
+                           _unit, formal_derivative, grevlex_key)
 from test_fields import (FOLD_FIELDS,  # noqa: E402
                          irreducible_by_trial_division)
 from test_poly import (schoolbook_product,  # noqa: E402
@@ -734,8 +733,7 @@ def test_exponent_helpers_match_their_definitions(data):
     x = data.draw(st.integers(0, TOP_EXPONENT - sum(a) + a[i]))
     assert _exps(ka + (x - a[i]) * _unit(i, n), n) == \
         tuple(x if j == i else y for j, y in enumerate(a))
-    assert _key(_zero_exps(n)) == 0 and _exps(0, n) == _zero_exps(n) \
-        == (0,) * n
+    assert _key((0,) * n) == 0 and _exps(0, n) == (0,) * n
     # every entry is below 2^31, so an order of 2^31 lowers none
     F7 = FieldDescriptor.parse("F7")
     log = F7._log_table()[1]
