@@ -97,18 +97,19 @@ def _cmd_saturate(args, out):
 def _cmd_sing(args, out):
     G = _load_algebra(args.file)
     ideal = singular_ideal(G)
-    # scan before the first write, so a scan over budget prints only its error
+    # scan and format before the first write, so a failure prints only its
+    # error line
     points = None
     if G.ring.field.p > 0:
         points = sorted(rational_zero_set(ideal),
                         key=lambda p: [str(c) for c in p.coords])
-    for g in ideal.generators:
-        out.write("gen: %s\n" % g)
-    for p in points or ():
-        out.write("point: %s\n" % ",".join(str(c) for c in p.coords))
+    lines = ["gen: %s\n" % g for g in ideal.generators]
+    lines += ["point: %s\n" % ",".join(str(c) for c in p.coords)
+              for p in points or ()]
     count = "n/a" if points is None else len(points)
-    out.write("#! ideal-generators: %d points: %s\n"
-              % (len(ideal.generators), count))
+    lines.append("#! ideal-generators: %d points: %s\n"
+                 % (len(ideal.generators), count))
+    out.write("".join(lines))
     return EXIT_OK
 
 

@@ -408,8 +408,43 @@ def _format_modulus(modulus):
 
 def _text(field, v):
     """The text of the raw value v of field: the number itself in Q and F_p,
-    and in F_{p^k} its polynomial in t, read from a bounded cache."""
-    return str(v) if field.k == 1 else _extension_text(field, v)
+    and in F_{p^k} its polynomial in t, read from a bounded cache.  A Q
+    value past the interpreter's int-to-str limit is written in chunks."""
+    if field.k > 1:
+        return _extension_text(field, v)
+    try:
+        return str(v)
+    except ValueError:   # Python refuses an int of more digits than its limit
+        if type(v) is int:
+            return _decimal(v)
+        return _decimal(v.numerator) + "/" + _decimal(v.denominator)
+
+
+# 600 digits: below 640, the smallest int-to-str limit Python accepts, so
+# a chunk converts whatever the limit is, and it is never changed here
+_CHUNK = 10**600
+
+
+def _decimal(n):
+    """The decimal text of the int n, of any length, 600 digits at a time."""
+    sign, n, chunks = "-" if n < 0 else "", abs(n), []
+    while n >= _CHUNK:
+        n, r = divmod(n, _CHUNK)
+        chunks.append("%0600d" % r)
+    return sign + str(n) + "".join(reversed(chunks))
+
+
+def _integer(digits):
+    """The int of a string of ASCII digits, of any length: int(digits), or
+    past the interpreter's int-to-str limit, folded 600 digits at a time."""
+    try:
+        return int(digits)
+    except ValueError:
+        n = 0
+        for i in range(0, len(digits), 600):
+            chunk = digits[i:i + 600]
+            n = n * 10**len(chunk) + int(chunk)
+        return n
 
 
 @lru_cache(maxsize=4096)

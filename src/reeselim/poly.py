@@ -60,7 +60,7 @@ from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
 
-from .fields import FieldElement, Immutable, _power, _text
+from .fields import FieldElement, Immutable, _integer, _power, _text
 
 INFINITE_ORDER = math.inf
 _MASK = (1 << 32) - 1   # one entry's field of a key
@@ -890,11 +890,13 @@ def parse_polynomial(ring, text):
         elif tok in ("^", "*", "+", "-", ")"):
             raise RingError("unexpected %r in polynomial text" % tok)
         elif tok.isdigit():
-            v = int(tok) % p if p else int(tok)   # as field.element reads it
+            v = _integer(tok)
+            v = v % p if p else v   # as field.element reads it
             base = {0: v} if v else {}
         elif tok.replace("/", "").isdigit():
+            num, _, den = tok.partition("/")
             try:
-                v = field.element(Fraction(tok)).val
+                v = field.element(Fraction(_integer(num), _integer(den))).val
             except ZeroDivisionError:
                 raise RingError("zero denominator in %r" % tok) from None
             base = {0: v} if v else {}

@@ -1,5 +1,9 @@
 """Command-line driver: file round trips, reports, and exit codes."""
 import io
+import os
+import subprocess
+import sys
+from math import comb
 
 import pytest
 
@@ -7,6 +11,7 @@ from reeselim import (ResourceCapError, diff_saturate, eliminate,
                       parse_algebra, rational_zero_set, singular_ideal,
                       tau_estimate)
 from reeselim.cli import main
+from test_format import python_text
 
 EX69 = "ring: Q[Y,Z]\ngen: Z^2+Y^5 w 2\n"
 EX610 = "ring: F2[Y,Z]\ngen: Z^2+Y^5 w 2\n"
@@ -617,3 +622,53 @@ def test_parentheses_300_deep_still_parse(tmp_path, capsys):
     assert run(["ord", nested_generator(tmp_path, 300), "--at", "0"]) == (
         0, "ord: 1\n#! ord: 1\n")
     assert capsys.readouterr().err == ""
+
+
+# Q numbers past the interpreter's int-to-str limit (4,300 digits by
+# default): the CLI prints and reads them back without changing the limit.
+# x^1000000 w 1400 has the singular ideal C(10^6, k) x^(10^6 - k) for
+# k < 1400, whose coefficients pass 4,300 digits from about k = 1,300.
+BIG = "ring: Q[x]\ngen: x^1000000 w 1400\n"
+
+
+def check_big_sing(monkeypatch):
+    code, text = run(["sing", "-"], stdin=BIG, monkeypatch=monkeypatch)
+    lines = text.splitlines()
+    assert code == 0 and lines[-1] == "#! ideal-generators: 1400 points: n/a"
+    assert lines[-2] == "gen: %s*x^%d" % (python_text(comb(10**6, 1399)),
+                                         10**6 - 1399)
+
+
+def test_sing_prints_coefficients_past_the_int_to_str_limit(monkeypatch):
+    check_big_sing(monkeypatch)
+
+
+def test_sing_prints_them_under_the_smallest_int_to_str_limit(monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        check_big_sing(monkeypatch)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_saturate_reads_back_a_5000_digit_constant(monkeypatch):
+    line = "gen: x+%s w 1" % python_text(7 * (10**5000 - 1) // 9)
+    code, text = run(["saturate", "-"], stdin="ring: Q[x]\n%s\n" % line,
+                     monkeypatch=monkeypatch)
+    assert code == 0
+    assert text.splitlines() == ["ring: Q[x]", line,
+                                 "#! generators: 1 max-weight: 1"]
+
+
+def test_the_int_to_str_limit_is_left_alone(monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    check_big_sing(monkeypatch)
+    assert sys.get_int_max_str_digits() == limit
+    # a fresh interpreter, so that the import itself is checked
+    src = os.path.dirname(os.path.dirname(main.__code__.co_filename))
+    script = ("import sys; limit = sys.get_int_max_str_digits(); "
+              "import reeselim.cli; "
+              "sys.exit(sys.get_int_max_str_digits() != limit)")
+    assert subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src)).returncode == 0

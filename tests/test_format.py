@@ -1,6 +1,10 @@
 """format_polynomial against its earlier tuple form (tests/reference_format.py)
-on drawn polynomials, the parser reading its text back, and the cached
-text of every F_{p^k} element against its unpacked residue."""
+on drawn polynomials, the parser reading its text back, the cached
+text of every F_{p^k} element against its unpacked residue, and Q numbers
+longer than the interpreter's int-to-str limit against Python's own str."""
+import sys
+from fractions import Fraction
+
 import pytest
 
 from reeselim import FieldDescriptor, Polynomial, RingContext
@@ -51,3 +55,27 @@ def test_cached_element_text_is_the_unpacked_residue(spec):
     for c in field.elements():
         want = _format_modulus(field._unpack(c.val))
         assert _text(field, c.val) == str(c) == want
+
+
+def python_text(value):
+    """str(value) with the interpreter's int-to-str limit lifted, and the
+    limit put back afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_a_rational_of_5000_digit_parts_formats_and_parses_back():
+    # 10^4999 + 1 is odd and 2^16607 has 5,000 digits, so both parts of
+    # the reduced fraction do, past the default limit of 4,300
+    c = Fraction(10**4999 + 1, 2**16607)
+    assert 10**4999 <= c.denominator < 10**5000
+    R = RingContext(FieldDescriptor.parse("Q"), ("x",))
+    for value in (c, -c):
+        f = R.constant(value)
+        text = format_polynomial(f)
+        assert text == python_text(value)
+        assert R.parse(text) == f
