@@ -11,7 +11,7 @@ import pytest
 
 from reeselim import (FieldDescriptor, FieldElement, FieldError, RingContext,
                       RingError)
-from reeselim.fields import _polymod
+from reeselim.fields import _is_prime, _polymod, _prime_factors
 
 Q = FieldDescriptor.parse("Q")
 F2 = FieldDescriptor.parse("F2")
@@ -561,3 +561,17 @@ def test_a_repeated_spec_is_read_once(monkeypatch):
     # the modulus is read by RingContext.parse: a cached spec never gets there
     monkeypatch.setattr(RingContext, "parse", refuse)
     assert FieldDescriptor.parse("F8:t^3+t+1") is first
+
+
+def test_prime_factors_are_the_sieved_primes_below_10000():
+    N = 10**4
+    sieved = [[] for _ in range(N)]   # sieved[m]: the primes r | m, increasing
+    for r in range(2, N):
+        if not sieved[r]:   # no smaller prime divides r
+            for m in range(r, N, r):
+                sieved[m].append(r)
+    assert not _is_prime(0)
+    for n in range(1, N):
+        assert _prime_factors(n) == sieved[n], n
+        assert _is_prime(n) == (sieved[n] == [n]), n
+

@@ -9,7 +9,8 @@ closure lists, the chart transforms' distinct generators, the unchecked
 generators of saturation and the transforms against the checking
 constructor, the raw-value sums, scalings, coefficient and division
 paths against a FieldElement reference, poly's exponent helpers, split
-and subtraction kernel against their plain definitions, Hasse's shift
+and subtraction kernel against their plain definitions, the trial
+division of fields against sympy's factorization, Hasse's shift
 table against a box of exact binomials and its binomials mod p against
 exact ones and against carries in base p (Kummer), the point
 scan's fold and specialization kernels against evaluation and
@@ -31,6 +32,7 @@ from reeselim import (FieldDescriptor, FieldElement,  # noqa: E402
                       diff_saturate, e0_invariant, hasse_derivative,
                       ord_at_point, total_transform, univ_divmod,
                       weighted_transform)
+from reeselim.fields import _is_prime, _prime_factors  # noqa: E402
 from reeselim.hasse import _binomial, _shifts  # noqa: E402
 from reeselim.poly import (_center_mask, _chart, _columns,  # noqa: E402
                            _divides, _entry, _exps, _fields, _fits, _guard,
@@ -896,3 +898,17 @@ def test_scan_kernels_match_substitution_and_evaluation(data):
         rest = R.drop_variable(x)
         assert from_logs(rest, s) == \
             folded.substitute({x: a}).project_out(x)
+
+
+# 2^31 - 1 is prime, 46337 the largest prime below its square root, and
+# 1073741789 a prime: each walks the trial division to its end
+@hypothesis.settings(max_examples=200, deadline=None, database=None)
+@hypothesis.given(st.integers(1, 2**31 - 1))
+@hypothesis.example(2**31 - 1)
+@hypothesis.example(46337**2)
+@hypothesis.example(2 * 1073741789)
+@hypothesis.example(2**30)
+def test_prime_factors_match_sympy_below_2_to_the_31(n):
+    sympy = pytest.importorskip("sympy")
+    assert _prime_factors(n) == sympy.primefactors(n)
+    assert _is_prime(n) == sympy.isprime(n)
