@@ -64,9 +64,13 @@ def transform_orders(G, f, n, chart):
             if f1.order_at(lifted) != n or not is_singular_at(G1, lifted):
                 continue
             P = E1.ring.point([x, y])
-            orders.append((ord_at_point(E1, P), INFINITE_ORDER
-                           if E2.is_empty() else ord_at_point(E2, P)))
+            orders.append((order(E1, P), order(E2, P)))
     return orders
+
+
+def order(A, P):
+    """ord_P(A); infinite when A is empty, as when f is a pure power."""
+    return INFINITE_ORDER if A.is_empty() else ord_at_point(A, P)
 
 
 @SETTINGS
