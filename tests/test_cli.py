@@ -627,7 +627,7 @@ def test_parentheses_300_deep_still_parse(tmp_path, capsys):
 # Q numbers past the interpreter's int-to-str limit (4,300 digits by
 # default): the CLI prints and reads them back without changing the limit.
 # x^1000000 w 1400 has the singular ideal C(10^6, k) x^(10^6 - k) for
-# k < 1400, whose coefficients pass 4,300 digits from about k = 1,300.
+# k < 1400, whose coefficients pass 4,300 digits from k = 1,296.
 BIG = "ring: Q[x]\ngen: x^1000000 w 1400\n"
 
 
@@ -661,14 +661,17 @@ def test_saturate_reads_back_a_5000_digit_constant(monkeypatch):
                                  "#! generators: 1 max-weight: 1"]
 
 
-def test_the_int_to_str_limit_is_left_alone(monkeypatch):
-    limit = sys.get_int_max_str_digits()
-    check_big_sing(monkeypatch)
-    assert sys.get_int_max_str_digits() == limit
-    # a fresh interpreter, so that the import itself is checked
+def test_the_int_to_str_limit_is_left_alone():
+    # a fresh interpreter, so that the import is checked as well as main
     src = os.path.dirname(os.path.dirname(main.__code__.co_filename))
-    script = ("import sys; limit = sys.get_int_max_str_digits(); "
-              "import reeselim.cli; "
-              "sys.exit(sys.get_int_max_str_digits() != limit)")
-    assert subprocess.run([sys.executable, "-c", script],
+    script = """if True:
+        import io, sys
+        limit = sys.get_int_max_str_digits()
+        from reeselim.cli import main
+        imported = sys.get_int_max_str_digits()
+        sys.stdin = io.StringIO(sys.argv[1])
+        code = main(["sing", "-"], out=io.StringIO())
+        sys.exit(code or not limit == imported == sys.get_int_max_str_digits())
+    """
+    assert subprocess.run([sys.executable, "-c", script, BIG],
                           env=dict(os.environ, PYTHONPATH=src)).returncode == 0
