@@ -58,10 +58,9 @@ def _binomial(b, a, p):
 def _term_coefficient(field, v, binom):
     """The raw coefficient of x^(beta - alpha) in Delta^alpha(v x^beta): v
     times the binomial prod C(beta_i, alpha_i), an int from _binomial's
-    factors, reduced into the field, so it is zero when p divides it.  Only
-    hasse_derivatives uses this FieldElement product: it is the one route
-    by which verify_thm_1_16 reaches FieldElement.__mul__, as
-    bench/selftest.py expects."""
+    factors, reduced into the field.  Only hasse_derivatives uses this
+    FieldElement product: it is the one route by which verify_thm_1_16
+    reaches FieldElement.__mul__, as bench/selftest.py expects."""
     if binom == 1:
         return v
     return (FieldElement(field, v) * field.element(binom)).val
