@@ -32,8 +32,8 @@ formatter walks the keys in int order.  This is the one module that packs
 and reads keys: `_key` and `_exps` convert, `_entry`, `_columns`, `_unit`,
 `_guard`, `_divides`, `_lcm`, `_center_mask`, `_fits` and `_check_key`
 read and build them (hasse itself computes which multi-indices a term
-reaches, and their binomials).  It holds the raw term-map kernels: `_reduced` (each value
-reduced once, zeros dropped), `_sum_of_products`
+reaches, and their binomials).  It holds the raw term-map kernels:
+`_reduced` (each value reduced once, zeros dropped), `_sum_of_products`
 (the one place raw products are summed: a start map plus a_1*b_1 + ... +
 a_n*b_n, summed unreduced, then one `_reduced`), `_product` (one product,
 a single-term factor as a shift of the other's keys) and `_raw_power`,
