@@ -574,4 +574,3 @@ def test_prime_factors_are_the_sieved_primes_below_10000():
     for n in range(1, N):
         assert _prime_factors(n) == sieved[n], n
         assert _is_prime(n) == (sieved[n] == [n]), n
-
