@@ -3,22 +3,28 @@ S[Z]/<f>, division-free characteristic polynomials, the elimination algebra
 of char-poly coefficients with its weight law, and the slope test that
 compares one-variable monomial algebras up to integral closure.
 
-A multiplication matrix costs one division (g mod f), its column 0; the
-other c - 1 columns come from c - 1 steps of the companion recurrence on
-raw term maps, one shift per column, where each entry that f touches is
-one poly._sum_of_products call.  A
-characteristic polynomial runs Berkowitz's recursion, written once
-(_berkowitz) over the ring its operators give, on one of two exact paths,
-chosen per matrix before any product.  Small (c <= 3) or sparse matrices
-run it on the entries' raw term maps, each dot product one
-_sum_of_products call whose pairs are counted against
-budget.TERM_PRODUCTS.  Dense ones lift the matrix once to integer
-polynomials in t and the variables (t only in F_{p^k}), pack each entry
-into one Python int (mixed-radix Kronecker substitution, sized by a
-closed-form coefficient bound), run the recursion on the ints and unpack
-its c outputs in one loop, the same for every field, or declines.
+A multiplication matrix reads g from one split by Z, which also gives g's
+Z-degree; only a g of Z-degree c or more costs a division (g mod f), its
+column 0.  The other c - 1 columns come from c - 1 steps of the companion
+recurrence on raw term maps, one shift per column, where each entry that
+f touches is one poly._sum_of_products call.  The matrix holds its
+entries as rows of raw term maps, and builds them as Polynomials
+(`.matrix`) only on first read.  A characteristic polynomial runs
+Berkowitz's recursion, written once (_berkowitz) over the ring its
+operators give, on those rows, by one of two exact paths, chosen per
+matrix before any product; its first step, h = [-a_00], takes no dot
+product.  Small (c <= 3) or sparse matrices run it on the raw term maps,
+each dot product one _sum_of_products call whose pairs are counted
+against budget.TERM_PRODUCTS before the call.  Dense ones lift the matrix
+once to integer polynomials in t and the variables (t only in F_{p^k}),
+pack each entry into one Python int (mixed-radix Kronecker substitution,
+sized by a closed-form coefficient bound), run the recursion on the ints
+and unpack its c outputs in one loop, the same for every field, or
+declines.
 
-eliminate checks and splits f once per call, and keeps one map from each
+eliminate checks and splits f once per call (its monic test, its degree
+and the -f_n every matrix reads), projects each nonzero h_j into the base
+ring by one raw pass (poly._project_out), and keeps one map from each
 polynomial to its nonzero h_j.  h_j is homogeneous of degree j, so a
 saturated generator g = lam*m takes lam^j times the h_j of m, whose char
 poly is taken once.  Classes are taken by integer content over Q, where
@@ -34,7 +40,7 @@ from operator import add, mul, neg
 from . import budget
 from .budget import ResourceCapError
 from .fields import Immutable
-from .poly import (Polynomial, RingError, _columns, _split,
+from .poly import (Polynomial, RingError, _columns, _project_out, _split,
                    _sum_of_products, _unit, univ_divmod)
 from .rees import (ReesAlgebra, ReesError, ReesGenerator, diff_saturate,
                    format_algebra)
@@ -50,19 +56,44 @@ _PACKED_BITS_MAX = 1 << 20
 
 class MultiplicationMatrix(Immutable):
     """Matrix of multiplication by `element` on the basis 1, Z, ..., Z^{c-1}
-    of S[Z]/<modulus>; entries live in the full ring but are Z-free."""
+    of S[Z]/<modulus>; entries live in the full ring but are Z-free.  It
+    holds the entries' raw term maps, rows of them, and their ring;
+    `.matrix`, the entries as Polynomials, is built on first read when
+    mult_matrix made it, as Polynomial.terms is."""
 
-    __slots__ = ("modulus", "element", "matrix", "z_var")
+    __slots__ = ("modulus", "element", "z_var", "_rows", "_ring", "_matrix")
 
     def __init__(self, modulus, element, matrix, z_var):
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "element", element)
-        object.__setattr__(self, "matrix", tuple(tuple(row) for row in matrix))
-        object.__setattr__(self, "z_var", z_var)
+        matrix = tuple(tuple(row) for row in matrix)
+        self._set(modulus, element, [[e._raw for e in row] for row in matrix],
+                  matrix[0][0].ring if matrix else None, z_var)
+        object.__setattr__(self, "_matrix", matrix)
+
+    @classmethod
+    def _from_rows(cls, modulus, element, rows, ring, z_var):
+        M = object.__new__(cls)
+        M._set(modulus, element, rows, ring, z_var)
+        return M
+
+    def _set(self, modulus, element, rows, ring, z_var):
+        for name, value in (("modulus", modulus), ("element", element),
+                            ("_rows", rows), ("_ring", ring),
+                            ("z_var", z_var)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def matrix(self):
+        matrix = getattr(self, "_matrix", None)
+        if matrix is None:
+            ring = self._ring
+            matrix = tuple(tuple(Polynomial._from_raw(ring, x) for x in row)
+                           for row in self._rows)
+            object.__setattr__(self, "_matrix", matrix)
+        return matrix
 
     @property
     def size(self):
-        return len(self.matrix)
+        return len(self._rows)
 
 
 class EliminationResult(Immutable):
@@ -83,50 +114,57 @@ def mult_matrix(g, f, z_var):
     Column j holds the Z^0..Z^(c-1) coefficients of g*Z^j mod f: column 0
     is g mod f, which takes a division only when g's Z-degree reaches c,
     and each of the c - 1 later columns is one companion step on raw term
-    maps, wrapped as Polynomials once it is complete.  No step runs past
-    column c - 1, so only products that land in the matrix are taken and
-    checked on their leading keys; c = 1 takes none."""
+    maps.  The matrix keeps them as rows of raw maps, and `.matrix` wraps
+    them as Polynomials on first read.  No step runs past column c - 1, so
+    only products that land in the matrix are taken and checked on their
+    leading keys; c = 1 takes none."""
     if g.ring != f.ring:
         raise RingError("ring mismatch")
-    if not f.is_monic_in(z_var):
+    c, monic, neg_low = _modulus(f, z_var)
+    if not monic:
         raise RingError("modulus is not monic in %r" % z_var)
-    if f.degree_in(z_var) < 1:
+    if c < 1:
         raise RingError("modulus must have positive degree in %r" % z_var)
-    return _mult_matrix(g, f, z_var, _modulus(f, z_var))
+    return _mult_matrix(g, f, z_var, c, neg_low)
 
 
 def _modulus(f, z_var):
-    """What every matrix over S[Z]/<f> reads of f, a monic f of positive
-    degree c in z_var, split once: (c, {n: -f_n as a raw term map, for each
-    nonzero f_n with n < c})."""
-    c = f.degree_in(z_var)
+    """What every matrix over S[Z]/<f> reads of f, split once by z_var:
+    (c, whether f is monic of degree c in z_var, {n: -f_n as a raw term
+    map, for each nonzero f_n with n < c}); c is -1 for f = 0."""
     ring = f.ring
+    parts = _split(f._raw, ring.var_index(z_var), ring.nvars)
+    c = max(parts, default=-1)
     neg = ring.field.neg
-    return c, {n: {e: neg(v) for e, v in part.items()}
-               for n, part in _split(f._raw, ring.var_index(z_var),
-                                     ring.nvars).items() if n < c}
+    # f_c is 1 alone, with the raw one of every field
+    return c, parts.get(c) == {0: 1}, {
+        n: {e: neg(v) for e, v in part.items()}
+        for n, part in parts.items() if n < c}
 
 
-def _mult_matrix(g, f, z_var, modulus):
-    """mult_matrix on a g of f's ring, with f read by _modulus."""
-    c, neg_low = modulus
-    if g.degree_in(z_var) >= c:   # a saturated g is mostly reduced already
-        _, g = univ_divmod(g, f, z_var)
+def _mult_matrix(g, f, z_var, c, neg_low):
+    """mult_matrix on a g of f's ring, with f's c and {n: -f_n} read by
+    _modulus."""
     # entries are raw term maps keyed with Z's entry at 0, as poly's _split
-    # parts g and f.  Column j+1 is Z * (column j) mod f: shift the entries
-    # up one power of Z, then replace the t*Z^c at the top by -t*(f - Z^c).
-    # An entry a nonzero -f_n touches becomes itself plus t*(-f_n), one
-    # _sum_of_products call on a copy, as the map itself is also the last
-    # column's entry (in F_{p^k}, at most |t|*|f_n| + 1 summands, far inside
-    # reduce's bound).  A zero column stays zero.  Column 0 is g mod f and
-    # c - 1 steps build the rest; a c-th step would build only Z^c * g mod
-    # f, which no entry holds.
+    # parts g and f.  A saturated g is mostly reduced already: its split
+    # gives its Z-degree, and only a g of Z-degree c or more is divided
+    # and split again.  Column j+1 is Z * (column j) mod f: shift the
+    # entries up one power of Z, then replace the t*Z^c at the top by
+    # -t*(f - Z^c).  An entry a nonzero -f_n touches becomes itself plus
+    # t*(-f_n), one _sum_of_products call on a copy, as the map itself is
+    # also the last column's entry (in F_{p^k}, at most |t|*|f_n| + 1
+    # summands, far inside reduce's bound).  A zero column stays zero.
+    # Column 0 is g mod f and c - 1 steps build the rest; a c-th step would
+    # build only Z^c * g mod f, which no entry holds.
     ring = f.ring
     field = ring.field
-    nvars = ring.nvars
-    parts = _split(g._raw, ring.var_index(z_var), nvars)
+    i, nvars = ring.var_index(z_var), ring.nvars
+    parts = _split(g._raw, i, nvars)
+    if max(parts, default=-1) >= c:
+        _, g = univ_divmod(g, f, z_var)
+        parts = _split(g._raw, i, nvars)
     col = [parts.get(n, {}) for n in range(c)]
-    columns = [[Polynomial._from_raw(ring, x) for x in col]]
+    columns = [col]
     for _ in range(c - 1):
         top = col[-1]
         col = [{}] + col[:-1]
@@ -134,13 +172,15 @@ def _mult_matrix(g, f, z_var, modulus):
             for n, a in neg_low.items():
                 col[n] = _sum_of_products(field, ((top, a),), nvars,
                                           dict(col[n]))
-        columns.append([Polynomial._from_raw(ring, x) for x in col])
-    return MultiplicationMatrix(f, g, zip(*columns), z_var)
+        columns.append(col)
+    return MultiplicationMatrix._from_rows(f, g, list(zip(*columns)), ring,
+                                           z_var)
 
 
 def _integer_entries(A, field):
-    """Each entry of A as a list of ((j, key), int) pairs, and D: the
-    entries are D*A over Z, and (j, key) is t^j times the monomial key.
+    """Each entry of A, rows of raw term maps, as a list of ((j, key), int)
+    pairs, and D: the entries are D*A over Z, and (j, key) is t^j times the
+    monomial key.
     Q scales by the lcm D of the denominators, all at t^0; a finite field
     gives one pair per nonzero digit of the value (F_p has one digit, F_{p^k}
     the k of _unpack), each a balanced residue in (-p/2, p/2] at t^j.
@@ -148,14 +188,14 @@ def _integer_entries(A, field):
     p = field.p
     if not p:
         D = math.lcm(*{v.denominator for row in A for e in row
-                       for v in e._raw.values()})
+                       for v in e.values()})
         return [[[((0, x), v.numerator * (D // v.denominator))
-                  for x, v in e._raw.items()] for e in row] for row in A], D
+                  for x, v in e.items()] for e in row] for row in A], D
     half, unpack = p >> 1, field._unpack or (lambda v: (v,))
     digits = {v: [(j, q - p if q > half else q)
                   for j, q in enumerate(unpack(v)) if q]
-              for v in {v for row in A for e in row for v in e._raw.values()}}
-    return [[[((j, x), q) for x, v in e._raw.items() for j, q in digits[v]]
+              for v in {v for row in A for e in row for v in e.values()}}
+    return [[[((j, x), q) for x, v in e.items() for j, q in digits[v]]
              for e in row] for row in A], 1
 
 
@@ -164,9 +204,10 @@ def char_poly(M):
     in the ring of the entries.
 
     Berkowitz's division-free recursion, valid in any characteristic, on
-    one of two exact paths, chosen before any product.  A matrix of
-    degree c > 3 is Kronecker-packed (_packed_char_poly) unless the
-    packing declines; any other runs on raw term maps (_raw_char_poly).
+    the matrix's rows of raw term maps (M.matrix is not built), by one of
+    two exact paths, chosen before any product.  A matrix of degree c > 3
+    is Kronecker-packed (_packed_char_poly) unless the packing declines;
+    any other runs on the raw maps themselves (_raw_char_poly).
     At c <= 3 the packing's lift, layout and decode cost more than the few
     products the recursion takes.  A degree above budget.CHARPOLY_DEGREE
     raises ResourceCapError before any product, as does the raw path's
@@ -175,36 +216,36 @@ def char_poly(M):
     c, limit = M.size, budget.CHARPOLY_DEGREE
     if c > limit:
         raise ResourceCapError("CHARPOLY_DEGREE", c, limit, "no product taken")
+    A, ring = M._rows, M._ring
     if c > 3:
-        h = _packed_char_poly(M.matrix)
+        h = _packed_char_poly(A, ring)
         if h is not None:
             return h
-    return _raw_char_poly(M.matrix)
+    return _raw_char_poly(A, ring)
 
 
-def _raw_char_poly(A):
-    """char_poly of the matrix A by _berkowitz on the entries' raw term
+def _raw_char_poly(A, ring):
+    """char_poly of A, rows of raw term maps in ring, by _berkowitz on the
     maps: each dot product is one _sum_of_products call, which checks each
     product on its leading key, and an update h_i - s_i merges two maps
     unreduced into a new one, which the next dot product reduces.  The
-    work, sum |a|*|b| over the products, is counted as the pairs reach the
-    kernel, before each product: past budget.TERM_PRODUCTS it raises
-    ResourceCapError."""
+    work, sum |a|*|b| over the products, is counted over one dot's pairs
+    before the kernel takes any of them: past budget.TERM_PRODUCTS it
+    raises ResourceCapError."""
     c = len(A)
-    ring = A[0][0].ring
     field, n, negate = ring.field, ring.nvars, ring.field.neg
     work, limit = 0, budget.TERM_PRODUCTS
 
-    def charged(pairs):
+    def charged(u, v):
         nonlocal work
+        pairs = [(a, b) for a, b in zip(u, v) if a and b]
         for a, b in pairs:
-            if a and b:
-                work += len(a) * len(b)
-                if work > limit:
-                    raise ResourceCapError(
-                        "TERM_PRODUCTS", work, limit, "degree %d, %d taken"
-                        % (c, work - len(a) * len(b)))
-                yield a, b
+            work += len(a) * len(b)
+            if work > limit:
+                raise ResourceCapError(
+                    "TERM_PRODUCTS", work, limit, "degree %d, %d taken"
+                    % (c, work - len(a) * len(b)))
+        return pairs
 
     def merge(x, y):
         out = dict(x)
@@ -213,17 +254,17 @@ def _raw_char_poly(A):
         return out
 
     h = _berkowitz(
-        [[e._raw for e in row] for row in A],
-        lambda u, v, start=None: _sum_of_products(
-            field, charged(zip(u, v)), n, start),
+        A, lambda u, v, start=None: _sum_of_products(field, charged(u, v), n,
+                                                     start),
         lambda x: {e: negate(v) for e, v in x.items()}, merge)
     return [Polynomial._from_raw(ring, x) for x in h]
 
 
-def _packed_char_poly(A):
-    """char_poly of the matrix A by _berkowitz on plain ints, or None when
-    packing declines.  The matrix is lifted once (_integer_entries) and
-    each entry packed into one int by mixed-radix Kronecker substitution:
+def _packed_char_poly(A, ring):
+    """char_poly of A, rows of raw term maps in ring, by _berkowitz on
+    plain ints, or None when packing declines.  The matrix is lifted once
+    (_integer_entries) and each entry packed into one int by mixed-radix
+    Kronecker substitution:
     the term t^j x^e is a signed digit at slot sum_i e_i R_i over t and
     the variables the entries use (t's exponent first, each distinct
     monomial key read once by poly's _columns), R_i = prod_{k<i}
@@ -246,7 +287,6 @@ def _packed_char_poly(A):
     that poly's keys hold.
     """
     c = len(A)
-    ring = A[0][0].ring
     field = ring.field
     entries, D = _integer_entries(A, field)
     keys = {x for row in entries for e in row for x, _ in e}
@@ -266,7 +306,7 @@ def _packed_char_poly(A):
     radices = [c * max(col) + 1 for col in cols]
     *places, slots = accumulate([1, *radices], mul)   # the R_i, then slots
     if w * slots > min(_PACKED_BITS_MAX, _PACKED_BITS_PER_TERM * sum(
-            len(e._raw) for row in A for e in row)):
+            len(e) for row in A for e in row)):
         return None
     shifts = [w * r for r in places]
     packed = [0] * len(monos)   # each monomial's shift, variable by variable
@@ -331,13 +371,14 @@ def _berkowitz(A, dot, neg, add):
     add(x, y) is x + y.  With the leading (r+1)-block split as
     [[B, col], [row, a]], the coefficients grow as h'_i = h_i - s_i -
     sum_{0<j<i} s_{i-j} h_j (h_{r+1} = 0), where s_1 = a and s_k = row *
-    B^{k-2} * col; each s_k is negated once.  Each start passed to dot is
-    a value that add or neg made and nothing reads again, so dot may write
-    into it."""
+    B^{k-2} * col; each s_k is negated once.  At r = 0 that is h = [-a_00],
+    which neg has made already, so it takes no dot.  Each start passed to
+    dot is a value that add or neg made and nothing reads again, so dot may
+    write into it."""
     c = len(A)
     cols = tuple(zip(*A))
-    h = []
-    for r in range(c):
+    h = [neg(A[0][0])]
+    for r in range(1, c):
         # powers act on the row: column j of a multiplication matrix is
         # g*Z^j mod f, whose entries grow with j, so row r's first r entries
         # start the powers smaller than column r's would
@@ -388,7 +429,9 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
     (g, n) is reduced mod f and contributes the coefficients h_j of the
     characteristic polynomial of multiplication-by-g, at weight j*n.
     Generators reducing to zero contribute nothing; f itself is one, and
-    gets no matrix.  f is checked once, here, and split once (_modulus).
+    gets no matrix.  f is split once (_modulus), which gives its checks
+    here and what each matrix reads of it, and each nonzero h_j is
+    projected into the base ring by one raw pass.
     Saturation lists one polynomial again at each lower weight, and
     h_j(lam*m) = lam^j * h_j(m), so one map takes each polynomial to its
     (j, h_j): a distinct generator g = lam*m (one _scalar_class call)
@@ -404,11 +447,12 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
     if f.ring != ring:
         raise RingError("ring mismatch")
     base = ring.drop_variable(z_var)
-    if not f.is_monic_in(z_var):
+    degree, monic, neg_low = _modulus(f, z_var)
+    if not monic:
         raise ReesError("distinguished generator is not monic in %r" % z_var)
-    if f.degree_in(z_var) != c:
+    if degree != c:
         raise ReesError("Z-degree of the distinguished generator (%d) differs "
-                        "from its weight (%d)" % (f.degree_in(z_var), c))
+                        "from its weight (%d)" % (degree, c))
     if check_transversal and f.order_at_origin() != c:
         raise ReesError("transversality failure: order %s != weight %d"
                         % (f.order_at_origin(), c))
@@ -417,7 +461,7 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
         raise ResourceCapError("CHARPOLY_DEGREE", c, limit,
                                "before saturation")
     sat = diff_saturate(ReesAlgebra(ring, G.generators + (f_gen,)), {z_var})
-    modulus = _modulus(f, z_var)
+    i = ring.var_index(z_var)
     found = {}   # (h_j projected, weight) -> (g, weight of g, j), first source
     # polynomial -> its (j, nonzero h_j projected), () if it is 0 mod f, as
     # f's class is
@@ -427,11 +471,11 @@ def eliminate(G, f_gen, z_var, check_transversal=True):
         if hs is None:
             lam, m = _scalar_class(g.poly)
             if m not in coeffs:
-                M = _mult_matrix(m, f, z_var, modulus)
+                M = _mult_matrix(m, f, z_var, c, neg_low)
                 coeffs[m] = () if M.element.is_zero() else tuple(
-                    (j, h.project_out(z_var))
-                    for j, h in enumerate(char_poly(M), start=1)
-                    if not h.is_zero())
+                    (j, Polynomial._from_raw(base, _project_out(h._raw, i,
+                                                                z_var)))
+                    for j, h in enumerate(char_poly(M), start=1) if h)
             # h_j(lam*m) = lam^j * h_j(m); lam is an int here
             hs = coeffs[g.poly] = coeffs[m] if lam == 1 else tuple(
                 (j, h.scale(lam**j)) for j, h in coeffs[m])

@@ -22,6 +22,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, prod
 
+from . import budget
+from .budget import ResourceCapError
 from .fields import FieldElement
 from .poly import (Polynomial, RingError, _divides, _entry, _exps, _fits,
                    _guard, _key)
@@ -152,6 +154,15 @@ def _derivative_rows(f, n, active_idx, coefficient=_raw_coefficient):
     return [(size, alpha, table[size, alpha]) for size, alpha in sorted(table)]
 
 
+def _charge_pairs(used):
+    """Refuse, before any is listed, a saturation or closure list of used
+    pairs past budget.SATURATION_PAIRS."""
+    limit = budget.SATURATION_PAIRS
+    if used > limit:
+        raise ResourceCapError("SATURATION_PAIRS", used, limit,
+                               "no pair listed")
+
+
 def hasse_derivatives(f, n, active=None):
     """{alpha: Delta^alpha(f)} for |alpha| < n, alpha supported on the active
     variables (all variables when None), by increasing |alpha| and then
@@ -178,7 +189,9 @@ def diff_closure_list(f, n, active=None):
     (f, n') and weighs no more than n' anywhere, so for every n' < n,
     diff_closure_list(f, n') is the part of this list before its first pair
     of weight n' + 1.  A weight that is not an int is refused (a bool
-    counts as an int)."""
+    counts as an int).  The list's length, sum over the table's rows of
+    n - |alpha|, is charged against budget.SATURATION_PAIRS before any pair
+    is listed."""
     if not isinstance(n, int):
         raise RingError("weight %r is not an int" % (n,))
     if n < 1:
@@ -187,6 +200,7 @@ def diff_closure_list(f, n, active=None):
     table += [(size, Polynomial._from_raw(f.ring, raw))
               for size, _, raw in _derivative_rows(
                   f, n, _active_indices(f.ring, active))]
+    _charge_pairs(sum(n - size for size, _ in table))
     out = []
     for nprime in range(1, n + 1):
         for size, df in table:   # by increasing |alpha|

@@ -39,11 +39,13 @@ a_n*b_n, summed unreduced, then one `_reduced`), `_product` (one product,
 a single-term factor as a shift of the other's keys) and `_raw_power`,
 `_subtract` (work -= c*x^shift*tail, the one reduction kernel: Groebner's
 reductions and S-polynomials and `univ_divmod`'s steps), `_split` (by one
-variable's exponent), the scan's `_fields` (its one input pass: keys to
-entry fields, x^q = x, values to logs) and `_specialize` (first variable
-set, on logs), and the transforms' `_chart`.  Other modules call these,
-or read `.terms` and use public constructors; groebner and rees add,
-subtract and compare keys, and elim's char_poly lifts and decodes them.
+variable's exponent), `_project_out` (one variable's entry taken out of
+every key: `project_out` and elim's h_j), the scan's `_fields` (its one
+input pass: keys to entry fields, x^q = x, values to logs) and
+`_specialize` (first variable set, on logs), and the transforms' `_chart`.
+Other modules call these, or read `.terms` and use public constructors;
+groebner and rees add, subtract and compare keys, and elim's char_poly
+lifts and decodes them.
 
 Substitution, elim's companion steps and its raw char polys call
 `_sum_of_products`; products and powers, of Polynomials and in the parser,
@@ -381,6 +383,21 @@ def _split(raw, i, n):
     return parts
 
 
+def _project_out(raw, i, var):
+    """raw with entry i, which must be 0 in every key, taken out of each
+    key: the map in the ring without that variable, named var in the
+    RingError a nonzero entry raises."""
+    below, s = (1 << 32 * i) - 1, 32 * i
+    out = {}
+    for e, v in raw.items():
+        m = -e
+        if m >> s & _MASK:
+            raise RingError("polynomial depends on %r" % var)
+        # the entries above i move down one field, and so does |e|
+        out[-((m >> s + 32 << s) + (m & below))] = v
+    return out
+
+
 def _fields(field, raw, q, n, log):
     """The point scan's view of the raw term map in n variables over F_q,
     in one pass: each term keyed by its entry fields sum_i e_i*2^(32i), the
@@ -434,7 +451,9 @@ def _specialize(terms, l, m, zech):
 def _chart(raw, mask, j, drop, n):
     """raw with entry j of each key set to its degree over a centre (the sum
     of the entries that _center_mask's mask keeps) less drop; None if one is
-    < 0.  The output is checked on its leading key."""
+    < 0.  The output is checked on its leading key.  j must be in the
+    centre: then two keys that differ keep different images, while with j
+    outside it two keys that differ only at j would meet."""
     out = {}
     unit = _unit(j, n)
     for e, v in raw.items():
@@ -710,15 +729,7 @@ class Polynomial(Immutable):
         """Image in the ring without var; requires no dependence on var."""
         i = self.ring.var_index(var)
         target = self.ring.drop_variable(var)
-        below, s = (1 << 32 * i) - 1, 32 * i
-        raw = {}
-        for e, v in self._raw.items():
-            m = -e
-            if m >> s & _MASK:
-                raise RingError("polynomial depends on %r" % var)
-            # the entries above i move down one field, and so does |e|
-            raw[-((m >> s + 32 << s) + (m & below))] = v
-        return Polynomial._from_raw(target, raw)
+        return Polynomial._from_raw(target, _project_out(self._raw, i, var))
 
     def lift(self, ring):
         """Image in a bigger ring containing all of this ring's variables."""

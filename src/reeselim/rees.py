@@ -23,7 +23,8 @@ from operator import itemgetter
 
 from .fields import FieldDescriptor, Immutable
 from .groebner import Ideal, buchberger, minimal_exponents, rational_zero_set
-from .hasse import _active_indices, _derivative_rows, hasse_derivatives
+from .hasse import (_active_indices, _charge_pairs, _derivative_rows,
+                    hasse_derivatives)
 from .poly import (_INTEGER, INFINITE_ORDER, Polynomial, RingContext,
                    RingError, _center_mask, _chart, _check_key, _divides,
                    _guard)
@@ -159,7 +160,10 @@ def diff_saturate(G, active=None):
     table of derivative rows, at its heaviest listed weight; a copy g W^w
     reads its blocks n' = 1..w, which are diff_closure_list(g, w).  A pair
     is keyed by (identity, weight), and each identity becomes one
-    Polynomial, shared across weights: a listed g serves as its own."""
+    Polynomial, shared across weights: a listed g serves as its own.  The
+    pairs the copies list, repeats included, are charged against
+    budget.SATURATION_PAIRS before any is listed: g W^w lists
+    max(0, w - |alpha|) for each row of its table."""
     ring = G.ring
     # an unknown name is refused here, with or without generators
     active = _active_indices(ring, active)
@@ -177,6 +181,8 @@ def diff_saturate(G, active=None):
             if dident not in polys:
                 polys[dident] = Polynomial._from_raw(ring, raw)
             rows.append((size, dident))
+    _charge_pairs(sum(w - size for ident, (_, w) in zip(idents, G.generators)
+                      for size, _ in tables[ident] if size < w))
     pairs = {}
     for ident, (_, w) in zip(idents, G.generators):
         for nprime in range(1, w + 1):

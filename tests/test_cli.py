@@ -385,6 +385,11 @@ REJECTIONS = [
                ["--monic", "0", "--var", "Z"],
                "Z-degree of the distinguished generator (1000000) differs "
                "from its weight (1)"),
+    # the top Z-power is there, but with 2, not 1, as its coefficient
+    _rejection("eliminate-non-monic-generator", "eliminate",
+               "ring: Q[Y,Z]\ngen: 2*Z^2+Y^3 w 2\n",
+               ["--monic", "0", "--var", "Z"],
+               "distinguished generator is not monic in 'Z'"),
     _rejection("ramify-non-monic-factor", "ramify-verify",
                "ring: F5[Y,Z]\ngen: 2*Z^2+Y w 2\n", ["--var", "Z"],
                "factor 2*Z^2+Y is not monic in Z"),
@@ -555,7 +560,10 @@ def test_eliminate_answers_a_char_poly_whose_packed_size_exceeds_the_cap(
      lambda G: tau_estimate(diff_saturate(G), G.ring.point([0, 0, 0])),
      ["tau", "--at", "0,0,0"],
      "ring: F2[X,Y,Z]\ngen: Z^2+Y^5 w 2\ngen: X^2 w 2\n"),
-], ids=["scan-branches", "charpoly-degree", "term-products", "basis-elements"])
+    # Z^2+Y^5 W^2 over F2 has the rows f and Y^4 (2Z = 0): 2 + 1 pairs
+    ("SATURATION_PAIRS", 2, 3, diff_saturate, ["saturate"], EX610),
+], ids=["scan-branches", "charpoly-degree", "term-products", "basis-elements",
+        "saturation-pairs"])
 def test_each_budget_limit_refuses_with_one_error_line(
         cap, limit, used, library, argv, text, tmp_path, monkeypatch,
         capsys):
@@ -573,6 +581,19 @@ def test_each_budget_limit_refuses_with_one_error_line(
     path.write_text(text)
     assert run([argv[0], str(path)] + argv[1:]) == (
         3, "error: %s\n" % error.value)
+    assert capsys.readouterr().err == ""
+
+
+def test_saturating_a_huge_weight_is_refused_before_any_pair(tmp_path,
+                                                             capsys):
+    # Y W^(10^20 - 1) lists Y and 1 at every weight below its own: the
+    # charge, 2*10^20 - 3 pairs, is refused at once, where listing them
+    # ran out of memory or time
+    path = tmp_path / "huge.alg"
+    path.write_text("ring: F2[X,Y]\ngen: Y w 99999999999999999999\n")
+    assert run(["saturate", str(path)]) == (
+        3, "error: SATURATION_PAIRS cap exceeded: 199999999999999999997 > "
+           "1048576 (no pair listed)\n")
     assert capsys.readouterr().err == ""
 
 

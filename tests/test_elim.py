@@ -206,8 +206,8 @@ def test_packed_char_poly_matches_berkowitz_on_polynomials(monkeypatch):
                                 else [])) for _ in range(c)]
             for _ in range(c)], None)
         expected = berkowitz_on_polynomials(M)
-        assert elim._packed_char_poly(M.matrix) == expected
-        assert elim._raw_char_poly(M.matrix) == expected
+        assert elim._packed_char_poly(M._rows, M._ring) == expected
+        assert elim._raw_char_poly(M._rows, M._ring) == expected
         assert char_poly(M) == expected
 
     check()
@@ -242,7 +242,7 @@ def test_char_poly_of_a_positive_diagonal_reaches_the_coefficient_bound(
     assert max(esym) & (max(esym) - 1)
     expected = [(m**i).scale((-1)**i * esym[i]) for i in range(1, c + 1)]
     assert char_poly(M) == expected
-    assert elim._packed_char_poly(M.matrix) == expected
+    assert elim._packed_char_poly(M._rows, M._ring) == expected
 
 
 def test_sparse_high_degree_entries_with_a_common_factor_take_the_raw_maps(
@@ -258,7 +258,7 @@ def test_sparse_high_degree_entries_with_a_common_factor_take_the_raw_maps(
             R.field.element(a))
         for g in gs:
             M = mult_matrix(R.parse(g), f, "Z")
-            assert elim._packed_char_poly(M.matrix) is None
+            assert elim._packed_char_poly(M._rows, M._ring) is None
             taken = record_routes(monkeypatch)
             assert char_poly(M) == berkowitz_on_polynomials(M)
             assert taken == ["raw"]
@@ -288,7 +288,7 @@ def test_sparse_high_degree_entries_without_a_common_factor_take_the_raw_maps(
     R = ring("Q", "X", "Y", "W", "Z")
     f = R.parse("Z^12+X^60*Y^60*W^60+X^11*Y")
     M = mult_matrix(R.parse("Z"), f, "Z")
-    assert elim._packed_char_poly(M.matrix) is None
+    assert elim._packed_char_poly(M._rows, M._ring) is None
     taken = record_routes(monkeypatch)
     assert char_poly(M) == berkowitz_on_polynomials(M)
     assert taken == ["raw"]
@@ -951,12 +951,12 @@ def test_companion_steps_and_char_poly_outputs_reaching_2_31_raise():
     # slots pass its bounds, so its outputs stay far below 2^31
     with pytest.raises(RingError, match=limit):
         char_poly(M)
-    assert elim._packed_char_poly(M.matrix) is None
+    assert elim._packed_char_poly(M._rows, M._ring) is None
     half = R.parse("x^536870912")   # det of half * identity is x^(2^30)
     M = MultiplicationMatrix(R.parse("Z^2"), R.zero(),
                              [[half, R.zero()], [R.zero(), half]], "Z")
     assert char_poly(M) == [-2 * half, big]
-    assert elim._packed_char_poly(M.matrix) is None
+    assert elim._packed_char_poly(M._rows, M._ring) is None
 
 
 def record_routes(monkeypatch):
@@ -965,12 +965,12 @@ def record_routes(monkeypatch):
     taken = []
     raw, packed = elim._raw_char_poly, elim._packed_char_poly
 
-    def counting_raw(A):
+    def counting_raw(A, ring):
         taken.append("raw")
-        return raw(A)
+        return raw(A, ring)
 
-    def counting_packed(A):
-        h = packed(A)
+    def counting_packed(A, ring):
+        h = packed(A, ring)
         if h is not None:
             taken.append("packed")
         return h
@@ -1040,11 +1040,12 @@ def test_raw_char_poly_products_reaching_2_31_raise():
                                           [zero, zero, one]], None)
     with pytest.raises(RingError, match=r"total degree reaches the limit "
                        r"2\^31"):
-        elim._raw_char_poly(M.matrix)
+        elim._raw_char_poly(M._rows, M._ring)
     M = MultiplicationMatrix(None, None, [[big, R.var("y"), zero],
                                           [zero, one, zero],
                                           [one, zero, one]], None)
-    assert elim._raw_char_poly(M.matrix) == berkowitz_on_polynomials(M)
+    assert elim._raw_char_poly(M._rows, M._ring) == \
+        berkowitz_on_polynomials(M)
 
 
 def shear_like(k):
@@ -1069,3 +1070,60 @@ def test_raw_char_poly_refuses_work_past_its_limit_before_the_product(
     with pytest.raises(ResourceCapError, match=r"TERM_PRODUCTS cap exceeded: "
                        r"240 > 50 \(degree 2, 15 taken\)"):
         char_poly(M)
+
+
+def count_builds(monkeypatch):
+    """The Polynomials built from raw maps from now on, as a one-item
+    list."""
+    built, from_raw = [0], Polynomial.__dict__["_from_raw"].__func__
+
+    def counting(cls, ring, raw):
+        built[0] += 1
+        return from_raw(cls, ring, raw)
+
+    monkeypatch.setattr(Polynomial, "_from_raw", classmethod(counting))
+    return built
+
+
+@pytest.mark.parametrize("c,calls", [(1, 0), (2, 3), (3, 10)])
+def test_raw_char_poly_takes_no_dot_at_the_first_step(c, calls, monkeypatch):
+    # Berkowitz's r = 0 step is h = [-a_00], which neg makes: one kernel
+    # call fewer per matrix than a dot there, 1 + 3 + 7 at c = 3
+    calls_made, kernel = [], elim._sum_of_products
+
+    def counting(*args):
+        calls_made.append(args)
+        return kernel(*args)
+
+    M = pool_shaped("F5", c, "dense/F5/%d" % c)
+    monkeypatch.setattr(elim, "_sum_of_products", counting)
+    h = elim._raw_char_poly(M._rows, M._ring)
+    assert len(calls_made) == calls
+    assert h == berkowitz_on_polynomials(M)
+
+
+def test_mult_matrix_builds_its_polynomial_entries_on_first_read(
+        monkeypatch):
+    # the matrix holds raw rows; .matrix wraps its c^2 entries once, on
+    # first read, and gives the same tuple after
+    R = ring("F3", "X", "Y", "Z")
+    f, g = R.parse("Z^3+X*Y*Z^2+Y^2+1"), R.parse("(X+Y)*Z^2+Y*Z+X^2")
+    expected = mult_matrix_by_columns(g, f, "Z")
+    built = count_builds(monkeypatch)
+    M = mult_matrix(g, f, "Z")
+    assert built == [0]
+    assert M.matrix == expected and built == [9]
+    assert M.matrix is M.matrix and built == [9]
+
+
+def test_eliminate_builds_no_matrix_entry(monkeypatch):
+    # the sheared Z^3+X^4+Y^5 takes 6 char polys at c = 3: 18 h_j, 14
+    # nonzero ones projected, 6 scaled by lam^j and 4 class representatives
+    # make its 42 Polynomials; no entry of the 6 matrices is one (54 more)
+    R = ring("Q", "X", "Y", "Z")
+    f = R.parse("Z^3+X^4+Y^5").substitute({"Z": R.parse("Z+X+Y")})
+    G = diff_saturate(ReesAlgebra.from_pairs(R, [(f, 3)]))
+    built = count_builds(monkeypatch)
+    result = eliminate(G, ReesGenerator(f, 3), "Z")
+    assert built == [42]
+    assert format_elimination(result) == SHEARED_ELIMINATION

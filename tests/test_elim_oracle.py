@@ -87,7 +87,7 @@ def test_char_poly_of_mult_matrix_is_the_resultant(spec, monkeypatch):
         assert char_poly(M) == expected
     force_packing(monkeypatch)
     for M, expected in cases:
-        assert elim._packed_char_poly(M.matrix) == expected
+        assert elim._packed_char_poly(M._rows, M._ring) == expected
         assert char_poly(M) == expected
 
 

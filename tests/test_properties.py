@@ -748,9 +748,11 @@ def test_exponent_helpers_match_their_definitions(data):
         lambda e: sum(e) > TOP_EXPONENT))
     assert not _fits(_key(big), n)
     assert not _fits(ka + _key(big), n)
-    # chart keys whose degree over any centre stays below 2^31, and whose
-    # chart image does too
-    active = data.draw(st.sets(st.integers(0, n - 1)))
+    # chart keys whose degree over any centre holding the chart variable i
+    # stays below 2^31, and whose chart image does too; with i outside the
+    # centre the chart would not be injective, and _chart refuses no such
+    # centre (_chart_algebra does)
+    active = data.draw(st.sets(st.integers(0, n - 1))) | {i}
     drop = data.draw(st.integers(0, TOP_EXPONENT))
     exps = data.draw(st.lists(exponents_below([TOP_EXPONENT] * n,
                                               TOP_EXPONENT // 2),
@@ -762,6 +764,16 @@ def test_exponent_helpers_match_their_definitions(data):
         None if any(d < 0 for d in degrees.values()) else
         {_key(e[:i] + (degrees[e],) + e[i + 1:]): v
          for v, e in enumerate(exps, 1)})
+
+
+def test_chart_keeps_distinct_keys_apart_with_its_variable_in_the_centre():
+    # x^(0,2,3) and x^(0,2,0) differ only at the chart variable 2.  Over the
+    # centre {1, 2} their degrees are 5 and 2, so they keep different images
+    # (0,2,5) and (0,2,2); over an empty centre both would meet at (0,2,0)
+    n = 3
+    raw = {_key((0, 2, 3)): 2, _key((0, 2, 0)): 3}
+    assert _chart(raw, _center_mask({1, 2}, n), 2, 0, n) == {
+        _key((0, 2, 5)): 2, _key((0, 2, 2)): 3}
 
 
 @SETTINGS

@@ -5,7 +5,8 @@ import pytest
 
 from reeselim import (INFINITE_ORDER, FieldDescriptor, FieldError, Ideal,
                       MonicInput, RationalPoint, ReesAlgebra, ReesError,
-                      RingContext, RingError, component_order, e0_invariant,
+                      ResourceCapError, RingContext, RingError,
+                      component_order, diff_closure_list, e0_invariant,
                       eliminate, hasse_derivative, ideal_equal, membership,
                       purely_ramified_at, slope_equivalent, univ_divmod,
                       verify_thm_1_16_ii)
@@ -72,6 +73,11 @@ def refusal(name, error, message, call):
     refusal("hasse-index-negative", RingError,
             "multi-index entries must be non-negative",
             lambda: hasse_derivative(X, (-1, 0))),
+    # x and 1 at each weight up to 10^20: the list is charged, and
+    # refused, before any pair is listed
+    refusal("closure-list-pairs", ResourceCapError,
+            "SATURATION_PAIRS cap exceeded: 199999999999999999999 > 1048576 "
+            "(no pair listed)", lambda: diff_closure_list(X, 10**20)),
     refusal("monic-input-no-factors", ReesError, "need at least one factor",
             lambda: MonicInput(AZ, "Z", [])),
     refusal("monic-input-factor-ring", RingError,
