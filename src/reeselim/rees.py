@@ -181,8 +181,13 @@ def diff_saturate(G, active=None):
             if dident not in polys:
                 polys[dident] = Polynomial._from_raw(ring, raw)
             rows.append((size, dident))
-    _charge_pairs(sum(w - size for ident, (_, w) in zip(idents, G.generators)
-                      for size, _ in tables[ident] if size < w))
+    used = 0   # the pairs the loop below lists, repeats included
+    for ident, (_, w) in zip(idents, G.generators):
+        for size, _ in tables[ident]:   # by increasing |alpha|
+            if size >= w:
+                break
+            used += w - size
+    _charge_pairs(used)
     pairs = {}
     for ident, (_, w) in zip(idents, G.generators):
         for nprime in range(1, w + 1):
