@@ -10,10 +10,10 @@ CHARPOLY_DEGREE = 12      # degree c of a characteristic polynomial
 # the benchmark pools take at most 225 a matrix
 TERM_PRODUCTS = 1 << 19
 # pairs one saturation or closure list holds before repeats are dropped,
-# sum over the listed g W^w of sum over g's derivative rows of
-# max(0, w - |alpha|): a million pairs take about 1.4 s and 235 MB (one
-# saturation of Y W^500000), and the tests, CI and benchmark pools list at
-# most 4,096
+# each polynomial's blocks once, at its heaviest listed weight n: sum over
+# its derivative rows of n - |alpha|.  A million pairs take about 1.4 s and
+# 235 MB (one saturation of Y W^500000), and the tests, CI and benchmark
+# pools list at most 4,096
 SATURATION_PAIRS = 1 << 20
 
 

@@ -253,7 +253,7 @@ def _check_key(k, n):
         raise RingError("total degree reaches the limit 2^31")
 
 
-def _center_mask(indices, n):
+def _center_mask(indices):
     """The entries at the given indices, as a mask on -key."""
     return sum(_MASK << 32 * i for i in indices)
 
@@ -622,7 +622,7 @@ class Polynomial(Immutable):
         if not idx:
             raise RingError("center must be nonempty")
         n = self.ring.nvars
-        mask = _center_mask(idx, n)   # as _chart reads it
+        mask = _center_mask(idx)   # as _chart reads it
         return min((_center_degree(e, mask, n) for e in self._raw),
                    default=INFINITE_ORDER)
 

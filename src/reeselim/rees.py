@@ -157,40 +157,39 @@ def diff_saturate(G, active=None):
 
     The generators are the pairs of diff_closure_list(g, w) over the listed
     g W^w, in that order, each pair once.  Each distinct polynomial gets one
-    table of derivative rows, at its heaviest listed weight; a copy g W^w
-    reads its blocks n' = 1..w, which are diff_closure_list(g, w).  A pair
-    is keyed by (identity, weight), and each identity becomes one
-    Polynomial, shared across weights: a listed g serves as its own.  The
-    pairs the copies list, repeats included, are charged against
-    budget.SATURATION_PAIRS before any is listed: g W^w lists
-    max(0, w - |alpha|) for each row of its table."""
+    table of derivative rows, at its heaviest listed weight n; a copy g W^w
+    reads its blocks n' = 1..w, which are diff_closure_list(g, w), so only a
+    copy heavier than every earlier copy of g lists anything, and only the
+    blocks past that earlier weight.  A pair is keyed by (identity, weight),
+    and each identity becomes one Polynomial, shared across weights: a
+    listed g serves as its own.  Each polynomial's blocks are listed once,
+    and they are charged against budget.SATURATION_PAIRS before any is
+    listed: n - |alpha| for each row of its table."""
     ring = G.ring
     # an unknown name is refused here, with or without generators
     active = _active_indices(ring, active)
-    idents = [_identity(g.poly._raw) for g in G.generators]
-    polys, heaviest = {}, {}
-    for ident, (f, w) in zip(idents, G.generators):
+    polys, heaviest, copies = {}, {}, []
+    for f, w in G.generators:
+        ident = _identity(f._raw)
         polys.setdefault(ident, f)
-        if w > heaviest.get(ident, 0):
+        start = heaviest.get(ident, 0)
+        if w > start:
             heaviest[ident] = w
-    tables = {}
+            copies.append((ident, start, w))
+    tables, used = {}, 0   # used: the pairs the loop below lists
     for ident, n in heaviest.items():
         rows = tables[ident] = [(0, ident)]
+        used += n
         for size, _, raw in _derivative_rows(polys[ident], n, active):
             dident = _identity(raw)
             if dident not in polys:
                 polys[dident] = Polynomial._from_raw(ring, raw)
             rows.append((size, dident))
-    used = 0   # the pairs the loop below lists, repeats included
-    for ident, (_, w) in zip(idents, G.generators):
-        for size, _ in tables[ident]:   # by increasing |alpha|
-            if size >= w:
-                break
-            used += w - size
+            used += n - size
     _charge_pairs(used)
     pairs = {}
-    for ident, (_, w) in zip(idents, G.generators):
-        for nprime in range(1, w + 1):
+    for ident, start, w in copies:
+        for nprime in range(start + 1, w + 1):
             for size, d in tables[ident]:   # by increasing |alpha|
                 if size >= nprime:
                     break
@@ -339,7 +338,7 @@ def _chart_algebra(G, center, chart_var, weighted):
         raise ReesError("chart variable must lie in the center")
     ring = G.ring
     n = ring.nvars
-    mask = _center_mask({ring.var_index(v) for v in center}, n)
+    mask = _center_mask({ring.var_index(v) for v in center})
     j = ring.var_index(chart_var)
     gens = []
     for g in G.generators:

@@ -562,8 +562,13 @@ def test_eliminate_answers_a_char_poly_whose_packed_size_exceeds_the_cap(
      "ring: F2[X,Y,Z]\ngen: Z^2+Y^5 w 2\ngen: X^2 w 2\n"),
     # Z^2+Y^5 W^2 over F2 has the rows f and Y^4 (2Z = 0): 2 + 1 pairs
     ("SATURATION_PAIRS", 2, 3, diff_saturate, ["saturate"], EX610),
+    # its saturation lists Z^2+Y^5 at weights 1 and 2, charged once, at
+    # weight 2 (2 + 1 pairs), and Y^4 W (1 pair): 4, where a charge for
+    # each listed copy would count 1 + 3 + 1 = 5
+    ("SATURATION_PAIRS", 3, 4, diff_saturate, ["saturate"],
+     "ring: F2[Y,Z]\ngen: Z^2+Y^5 w 1\ngen: Z^2+Y^5 w 2\ngen: Y^4 w 1\n"),
 ], ids=["scan-branches", "charpoly-degree", "term-products", "basis-elements",
-        "saturation-pairs"])
+        "saturation-pairs", "saturation-pairs-repeated-polynomial"])
 def test_each_budget_limit_refuses_with_one_error_line(
         cap, limit, used, library, argv, text, tmp_path, monkeypatch,
         capsys):

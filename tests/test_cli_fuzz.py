@@ -6,12 +6,17 @@ unknown name, under lowered limits.  Each call returns; it exits 0, 2 or 3
 option names a variable the ring lacks; exit 2 or 3 prints
 exactly one `error: ` line; and on exit 0, saturate's output is saturated
 (compared after normalize_generators, since saturation is idempotent only
-up to nonzero scalars), every sing point is singular, and ord is the one
-read from Hasse derivatives (tests/test_rees.py's hasse_order).
+up to nonzero scalars), every sing point is singular, ord is the one
+read from Hasse derivatives (tests/test_rees.py's hasse_order), and
+blowup's output is the substitution oracle's (tests/test_rees.py's
+reference_chart).
 
-Weights stay at most 4 and exponents at most 6: a huge weight or input
-power runs on paths that no limit charges yet, so the grammar leaves them
-out."""
+One gen: line in ten draws a huge weight, 10^6 to 10^20.  A command that
+saturates never lists its pairs: saturate exits 3 on SATURATION_PAIRS, and
+e0 and tau too once their point parses, while ord, sing, blowup and
+ramify-verify never reach the charge.  Exponents stay at most 6: a huge
+input power runs on a path that no limit charges yet, so the grammar
+leaves it out."""
 import io
 from fractions import Fraction
 
@@ -20,10 +25,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from reeselim import (diff_saturate, is_singular_at,  # noqa: E402
-                      normalize_generators, parse_algebra)
+from reeselim import (diff_saturate, format_algebra,  # noqa: E402
+                      is_singular_at, normalize_generators, parse_algebra)
 from reeselim.cli import main  # noqa: E402
-from test_rees import hasse_order  # noqa: E402
+from test_rees import hasse_order, reference_chart  # noqa: E402
 
 # a nonzero coefficient's text in each field, and the field specs
 COEFFICIENTS = {
@@ -39,6 +44,8 @@ MALFORMED = ["gen: ( w 1", "gen: 1 w", "gen: 1 w 0", "gen: 1 w 1/2",
              "ring: F2[a]", "gen: 1 w ٣"]
 COMMANDS = ("saturate", "sing", "ord", "e0", "tau", "eliminate", "blowup",
             "ramify-verify")
+# the least huge weight: past every lowered limit, and past 2^31 and 2^64
+HUGE = 10**6
 SETTINGS = hypothesis.settings(
     max_examples=200, deadline=None, database=None,
     suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture])
@@ -81,9 +88,10 @@ def algebra_files(draw):
         lines.append("gen: %s w %d" % (polynomial(draw, [top] + tail), c))
     for _ in range(draw(st.integers(0, 2))):
         parts = draw(st.lists(terms(spec, names), min_size=1, max_size=4))
+        huge = draw(st.integers(0, 9)) == 0
         lines.append("gen: %s w %d" % (
             polynomial(draw, [text for _, text in parts]),
-            draw(st.integers(1, 4))))
+            draw(st.integers(HUGE, 10**20) if huge else st.integers(1, 4))))
     if draw(st.integers(0, 9)) == 0:
         # after the header: a gen: line before it is a named CLI case
         lines.insert(draw(st.integers(1, len(lines))),
@@ -134,11 +142,23 @@ def run(monkeypatch, text, argv):
     return code, out.getvalue()
 
 
-def check_saturated(text, output, active):
+def parsed(text):
+    """The file's algebra, or None where the CLI refuses the file."""
+    try:
+        return parse_algebra(text)
+    except ValueError:   # Field/Ring/ReesError among them
+        return None
+
+
+def check_saturated(monkeypatch, text, output, active):
     """saturate's output, saturated again, is the same algebra up to
-    nonzero scalars: compare after normalize_generators."""
+    nonzero scalars: compare after normalize_generators.  The output lists
+    more polynomials than the input, so its saturation gets a higher
+    limit."""
     G = parse_algebra(output)
-    H = diff_saturate(G, None if active is None else active.split(","))
+    with monkeypatch.context() as patch:
+        patch.setattr("reeselim.budget.SATURATION_PAIRS", 1 << 12)
+        H = diff_saturate(G, None if active is None else active.split(","))
     assert normalize_generators(H) == normalize_generators(G), (text, output)
 
 
@@ -163,6 +183,18 @@ def check_ord(text, at, output):
     assert "#! ord: %s" % order in output.splitlines(), (text, at, output)
 
 
+def check_blowup(text, extra, output):
+    """blowup's algebra is the substitution oracle's weighted chart,
+    normalized when --normalize was given; the chart line comes first."""
+    G = parse_algebra(text)
+    T = reference_chart(G, extra[1].split(","), extra[3], weighted=True)
+    if "--normalize" in extra:
+        T = normalize_generators(T)
+    assert output.split("\n", 1)[1] == format_algebra(T) + (
+        "#! generators: %d max-weight: %d\n"
+        % (len(T.generators), T.max_weight)), (text, extra, output)
+
+
 @SETTINGS
 @hypothesis.given(st.data())
 def test_every_command_keeps_the_boundary_contract(monkeypatch, data):
@@ -170,7 +202,10 @@ def test_every_command_keeps_the_boundary_contract(monkeypatch, data):
     monkeypatch.setattr("reeselim.budget.SCAN_BRANCHES", 2_000)
     monkeypatch.setattr("reeselim.budget.CHARPOLY_DEGREE", 4)
     monkeypatch.setattr("reeselim.budget.TERM_PRODUCTS", 1 << 12)
+    monkeypatch.setattr("reeselim.budget.SATURATION_PAIRS", 32)
     text, spec, names = data.draw(algebra_files(), label="file")
+    G = parsed(text)
+    huge = G is not None and G.max_weight >= HUGE
     for command in COMMANDS:
         extra = options(data.draw, command, spec, names)
         argv = [command, "-"] + extra
@@ -182,10 +217,23 @@ def test_every_command_keeps_the_boundary_contract(monkeypatch, data):
         if code in (2, 3):
             assert output.count("\n") == 1, (argv, text, output)
             assert output.startswith("error: "), (argv, text, output)
-        elif code == 0 and command == "saturate":
+        coords = extra[1].split(",") if command in ("e0", "tau") else []
+        if huge and allowed != (2,) and (
+                command == "saturate" or len(coords) == len(names)
+                and all(coords)):
+            # the charge refuses the huge weight before any pair is listed,
+            # once the options parse
+            assert code == 3, (argv, text, output)
+            assert output.startswith("error: SATURATION_PAIRS "), (argv, text,
+                                                                   output)
+        if huge and command in ("ord", "sing", "blowup", "ramify-verify"):
+            assert "SATURATION_PAIRS" not in output, (argv, text, output)
+        if code == 0 and command == "saturate":
             active = extra[1] if extra[:1] == ["--active"] else None
-            check_saturated(text, output, active)
+            check_saturated(monkeypatch, text, output, active)
         elif code == 0 and command == "sing":
             check_singular_points(text, output)
         elif code == 0 and command == "ord":
             check_ord(text, extra[1], output)
+        elif code == 0 and command == "blowup":
+            check_blowup(text, extra, output)

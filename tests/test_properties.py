@@ -5,7 +5,8 @@ the polynomial product and the sum of products against a schoolbook
 oracle, the Hasse Leibniz and composition laws, the monomial
 degree_ideal path against its scalar oracle and as its own reduced basis,
 its level memo asked in any order, saturation against the concatenated
-closure lists, the chart transforms' distinct generators, the unchecked
+closure lists and its pair charge against one closure list per
+polynomial, the chart transforms' distinct generators, the unchecked
 generators of saturation and the transforms against the checking
 constructor, the raw-value sums, scalings, coefficient and division
 paths against a FieldElement reference, poly's exponent helpers, split
@@ -27,7 +28,8 @@ st = hypothesis.strategies
 
 from reeselim import (FieldDescriptor, FieldElement,  # noqa: E402
                       FieldError, Ideal, Polynomial, ReesAlgebra,
-                      ReesError, ReesGenerator, RingContext, buchberger,
+                      ReesError, ReesGenerator, ResourceCapError,
+                      RingContext, budget, buchberger,
                       component_order, degree_ideal, diff_closure_list,
                       diff_saturate, e0_invariant, hasse_derivative,
                       ord_at_point, total_transform, univ_divmod,
@@ -182,7 +184,10 @@ def test_saturation_is_the_deduplicated_closure_lists(data):
     """diff_saturate builds one closure list per polynomial, at its heaviest
     weight; the oracle concatenates diff_closure_list over every listed
     generator and lets ReesAlgebra drop the repeats.  Same generators, in
-    the same order, absolute and relative."""
+    the same order, absolute and relative.  The pairs it charges are those
+    closure lists' lengths, however many lighter copies are listed: a
+    limit of 0 refuses with that count as used, and exactly that limit
+    answers with the same generators."""
     R = RINGS[data.draw(st.sampled_from(CLOSURE_SPECS)),
               data.draw(st.integers(1, 3))]
     G = data.draw(algebras_with_repeated_polynomials(R))
@@ -194,6 +199,19 @@ def test_saturation_is_the_deduplicated_closure_lists(data):
         for p in diff_closure_list(g.poly, g.weight, active)])
     assert S.generators == oracle.generators
     assert S.generators == ReesAlgebra(R, S.generators).generators
+    heaviest = {}
+    for f, w in G.generators:
+        heaviest[f] = max(w, heaviest.get(f, 0))
+    count = sum(len(diff_closure_list(f, n, active))
+                for f, n in heaviest.items())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(budget, "SATURATION_PAIRS", 0)
+        with pytest.raises(ResourceCapError) as error:
+            diff_saturate(G, active)
+        assert (error.value.cap, error.value.used) == (
+            "SATURATION_PAIRS", count)
+        patch.setattr(budget, "SATURATION_PAIRS", count)
+        assert diff_saturate(G, active).generators == S.generators
 
 
 @SETTINGS
@@ -760,7 +778,7 @@ def test_exponent_helpers_match_their_definitions(data):
     raw = {_key(e): v for v, e in enumerate(exps, 1)}
     degrees = {e: sum(x for j, x in enumerate(e) if j in active) - drop
                for e in exps}
-    assert _chart(raw, _center_mask(active, n), i, drop, n) == (
+    assert _chart(raw, _center_mask(active), i, drop, n) == (
         None if any(d < 0 for d in degrees.values()) else
         {_key(e[:i] + (degrees[e],) + e[i + 1:]): v
          for v, e in enumerate(exps, 1)})
@@ -772,7 +790,7 @@ def test_chart_keeps_distinct_keys_apart_with_its_variable_in_the_centre():
     # (0,2,5) and (0,2,2); over an empty centre both would meet at (0,2,0)
     n = 3
     raw = {_key((0, 2, 3)): 2, _key((0, 2, 0)): 3}
-    assert _chart(raw, _center_mask({1, 2}, n), 2, 0, n) == {
+    assert _chart(raw, _center_mask({1, 2}), 2, 0, n) == {
         _key((0, 2, 5)): 2, _key((0, 2, 2)): 3}
 
 
