@@ -15,7 +15,6 @@ ord, e0 and tau are one command read from a table.  The parser is built on
 the first `main` call and reused by later calls in the process; each call
 parses into a fresh Namespace.
 """
-from __future__ import annotations
 
 import argparse
 import functools

@@ -30,7 +30,6 @@ saturated generator g = lam*m takes lam^j times the h_j of m, whose char
 poly is taken once.  Classes are taken by integer content over Q, where
 lam is an int; over F_q each polynomial is its own (lam = 1).
 """
-from __future__ import annotations
 
 import math
 from fractions import Fraction
@@ -56,30 +55,31 @@ _PACKED_BITS_MAX = 1 << 20
 
 class MultiplicationMatrix(Immutable):
     """Matrix of multiplication by `element` on the basis 1, Z, ..., Z^{c-1}
-    of S[Z]/<modulus>; entries live in the full ring but are Z-free.  It
-    holds the entries' raw term maps, rows of them, and their ring;
-    `.matrix`, the entries as Polynomials, is built on first read when
-    mult_matrix made it, as Polynomial.terms is."""
+    of S[Z]/<f>; entries live in the full ring but are Z-free.  Its one
+    builder, _from_rows, keeps rows of the entries' raw term maps and their
+    ring; `.matrix`, the entries as Polynomials, is built on first read, as
+    Polynomial.terms is.  The constructor refuses a matrix that is empty,
+    not square or not of Polynomials in one ring with RingError."""
 
-    __slots__ = ("modulus", "element", "z_var", "_rows", "_ring", "_matrix")
+    __slots__ = ("element", "_rows", "_ring", "_matrix")
 
-    def __init__(self, modulus, element, matrix, z_var):
-        matrix = tuple(tuple(row) for row in matrix)
-        self._set(modulus, element, [[e._raw for e in row] for row in matrix],
-                  matrix[0][0].ring if matrix else None, z_var)
-        object.__setattr__(self, "_matrix", matrix)
+    def __new__(cls, element, matrix):
+        rows = [tuple(row) for row in matrix]
+        rings = {e.ring if isinstance(e, Polynomial) else None
+                 for row in rows for e in row}
+        if (len(rings) != 1 or None in rings
+                or any(len(row) != len(rows) for row in rows)):
+            raise RingError("need a nonempty square matrix over one ring")
+        return cls._from_rows(element, [[e._raw for e in row] for row in rows],
+                              rings.pop())
 
     @classmethod
-    def _from_rows(cls, modulus, element, rows, ring, z_var):
+    def _from_rows(cls, element, rows, ring):
         M = object.__new__(cls)
-        M._set(modulus, element, rows, ring, z_var)
+        object.__setattr__(M, "element", element)
+        object.__setattr__(M, "_rows", rows)
+        object.__setattr__(M, "_ring", ring)
         return M
-
-    def _set(self, modulus, element, rows, ring, z_var):
-        for name, value in (("modulus", modulus), ("element", element),
-                            ("_rows", rows), ("_ring", ring),
-                            ("z_var", z_var)):
-            object.__setattr__(self, name, value)
 
     @property
     def matrix(self):
@@ -173,8 +173,7 @@ def _mult_matrix(g, f, z_var, c, neg_low):
                 col[n] = _sum_of_products(field, ((top, a),), nvars,
                                           dict(col[n]))
         columns.append(col)
-    return MultiplicationMatrix._from_rows(f, g, list(zip(*columns)), ring,
-                                           z_var)
+    return MultiplicationMatrix._from_rows(g, list(zip(*columns)), ring)
 
 
 def _integer_entries(A, field):

@@ -32,7 +32,6 @@ logs, so a product there is a sum mod q - 1 and a sum one Zech lookup.
 The text of an F_{p^k} value comes from one bounded cache (_text), which
 str(element) and poly's format_polynomial share.
 """
-from __future__ import annotations
 
 import re
 from fractions import Fraction
@@ -167,7 +166,8 @@ class FieldError(ValueError):
 
 
 class Immutable:
-    """Base of the library's value types: __init__ sets each slot once with
+    """Base of the library's value types: each sets its slots in one builder
+    (a checked __new__ validates and returns through it), with
     object.__setattr__, and any later assignment raises AttributeError."""
 
     __slots__ = ()
@@ -539,7 +539,10 @@ class FieldElement(Immutable):
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.field.element(other)
+            try:
+                other = self.field.element(other)
+            except FieldError:   # no image in the field
+                return False
         if not isinstance(other, FieldElement):
             return NotImplemented
         return self.field == other.field and self.val == other.val

@@ -39,7 +39,6 @@ only that value is visited; the values it skips still count, one branch
 each, so the cap falls exactly where visiting every value of the folded
 generators would put it.
 """
-from __future__ import annotations
 
 import heapq
 
@@ -57,15 +56,14 @@ class Ideal(Immutable):
 
     __slots__ = ("ring", "generators", "_basis")
 
-    def __init__(self, ring, generators):
+    def __new__(cls, ring, generators):
         gens = []
         for g in generators:
             if g.ring != ring:
                 raise RingError("generator in a different ring")
             if not g.is_zero():
                 gens.append(g)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "generators", tuple(gens))
+        return cls._trusted(ring, gens)
 
     @classmethod
     def _trusted(cls, ring, generators):

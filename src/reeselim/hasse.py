@@ -17,7 +17,6 @@ of variables, p), shared by the fields of one characteristic.  Terms are
 keyed by poly's int monomial keys, and multi-indices are exponent tuples,
 the public form.
 """
-from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, prod

@@ -54,7 +54,6 @@ Coefficient arithmetic and text are the fields module's (an F_{p^k} value
 is a packed int, so one loop serves every field).
 Rings, like fields, have one instance each: ring checks are identity tests.
 """
-from __future__ import annotations
 
 import math
 import re
@@ -62,7 +61,7 @@ from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
 
-from .fields import FieldElement, Immutable, _integer, _power, _text
+from .fields import FieldElement, FieldError, Immutable, _integer, _power, _text
 
 INFINITE_ORDER = math.inf
 _MASK = (1 << 32) - 1   # one entry's field of a key
@@ -84,7 +83,7 @@ class RingContext(Immutable):
     """A polynomial ring: a coefficient field and an ordered variable list.
     One instance per (field, variables): equal rings are the same object."""
 
-    __slots__ = ("field", "variables", "_index")
+    __slots__ = ("field", "variables", "nvars", "_index")
     _instances = {}
 
     def __new__(cls, field, variables):
@@ -107,12 +106,9 @@ class RingContext(Immutable):
         ring = object.__new__(cls)
         object.__setattr__(ring, "field", field)
         object.__setattr__(ring, "variables", variables)
+        object.__setattr__(ring, "nvars", len(variables))
         object.__setattr__(ring, "_index", {v: i for i, v in enumerate(variables)})
         return cls._instances.setdefault(key, ring)
-
-    @property
-    def nvars(self):
-        return len(self.variables)
 
     def var_index(self, name):
         try:
@@ -474,7 +470,7 @@ class Polynomial(Immutable):
     # _terms, _hash and groebner's _lead are cached on first use
     __slots__ = ("ring", "_raw", "_terms", "_hash", "_lead")
 
-    def __init__(self, ring, terms):
+    def __new__(cls, ring, terms):
         n = ring.nvars
         raw = {}
         for e, c in terms.items():
@@ -485,8 +481,7 @@ class Polynomial(Immutable):
                 raw[_key(e)] = v
         if raw:
             _check_key(max(raw), n)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_raw", raw)
+        return cls._from_raw(ring, raw)
 
     @classmethod
     def _from_raw(cls, ring, raw):
@@ -587,7 +582,10 @@ class Polynomial(Immutable):
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
-            other = self.ring.constant(other)
+            try:
+                other = self.ring.constant(other)
+            except FieldError:   # no image in the ring's field
+                return False
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.ring == other.ring and self._raw == other._raw

@@ -9,7 +9,6 @@ rational and the ramified base points are the projection of that zero set.
 The generalized discriminants are the elimination algebra of the algebra
 spanned by (f_i, deg f_i); Theorem 1.16 says the two zero sets agree.
 """
-from __future__ import annotations
 
 from .elim import eliminate
 from .fields import Immutable

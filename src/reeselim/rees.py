@@ -15,7 +15,6 @@ its two entries.
 The file format's grammar lives in parse_algebra alone, which also applies
 a caller's field override (the CLI's --field).
 """
-from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
@@ -49,7 +48,7 @@ class ReesGenerator(Immutable, tuple):
             raise ReesError("generator weight %r is not an int" % (weight,))
         if weight < 1:
             raise ReesError("generator weight must be >= 1")
-        return tuple.__new__(cls, (poly, int(weight)))
+        return cls._trusted(poly, int(weight))
 
     @classmethod
     def _trusted(cls, poly, weight):
@@ -64,21 +63,20 @@ class ReesGenerator(Immutable, tuple):
 
 class ReesAlgebra(Immutable):
     """The algebra of weighted generators in one ring, each listed once, in
-    the order first given: __init__ drops repeats, and _distinct takes
-    generators already distinct.  degree_ideal's all-monomial levels are
-    cached on the algebra in _levels, on first use, like Polynomial's
-    _hash."""
+    the order first given: the constructor drops repeats, and _distinct,
+    the one builder, takes generators already distinct.  degree_ideal's
+    all-monomial levels are cached on the algebra in _levels, on first
+    use, like Polynomial's _hash."""
 
     __slots__ = ("ring", "generators", "_levels")
 
-    def __init__(self, ring, generators):
+    def __new__(cls, ring, generators):
         # duplicate generators are dropped here, one hash each
         gens = tuple(dict.fromkeys(generators))
         for g in gens:
             if g.poly.ring != ring:
                 raise RingError("generator in a different ring")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "generators", gens)
+        return cls._distinct(ring, gens)
 
     @classmethod
     def _distinct(cls, ring, generators):

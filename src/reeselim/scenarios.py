@@ -4,7 +4,6 @@ Each scenario runs a scripted computation and returns a report of named
 checks; the CLI prints the report and exits nonzero when a check fails.
 Randomized scenarios are deterministic for a fixed seed.
 """
-from __future__ import annotations
 
 import itertools
 import random

@@ -130,7 +130,7 @@ def random_matrix(rng, R, c):
         j = rng.randrange(c)
         for row in matrix:
             row[j] = R.zero()
-    return MultiplicationMatrix(None, None, matrix, None)
+    return MultiplicationMatrix(None, matrix)
 
 
 def test_char_poly_matches_leibniz_oracle():
@@ -201,10 +201,10 @@ def test_packed_char_poly_matches_berkowitz_on_polynomials(monkeypatch):
         terms = st.lists(st.tuples(
             st.tuples(*[st.integers(0, 2)] * R.nvars),
             coefficients(R.field)), max_size=3)
-        M = MultiplicationMatrix(None, None, [
+        M = MultiplicationMatrix(None, [
             [Polynomial(R, dict(data.draw(terms) if data.draw(st.booleans())
                                 else [])) for _ in range(c)]
-            for _ in range(c)], None)
+            for _ in range(c)])
         expected = berkowitz_on_polynomials(M)
         assert elim._packed_char_poly(M._rows, M._ring) == expected
         assert elim._raw_char_poly(M._rows, M._ring) == expected
@@ -232,9 +232,9 @@ def test_char_poly_of_a_positive_diagonal_reaches_the_coefficient_bound(
     R = ring("Q", *base)
     m = R.parse(monomial)
     c = len(scalars)
-    M = MultiplicationMatrix(None, None, [
+    M = MultiplicationMatrix(None, [
         [m.scale(a) if i == j else R.zero() for j in range(c)]
-        for i, a in enumerate(scalars)], None)
+        for i, a in enumerate(scalars)])
     esym = [1] + [0] * c
     for a in scalars:
         for i in range(c, 0, -1):
@@ -271,10 +271,10 @@ def test_only_even_powers_of_t_pack_and_decode(monkeypatch):
     t2 = R.field.generator()**2
     coefficients = [R.field.one(), t2, R.field.one() + t2]
     rng = random.Random(8)
-    M = MultiplicationMatrix(None, None, [
+    M = MultiplicationMatrix(None, [
         [R.constant(rng.choice(coefficients)) + R.var("Y").scale(
             rng.choice(coefficients)) for _ in range(4)]
-        for _ in range(4)], None)
+        for _ in range(4)])
     taken = record_routes(monkeypatch)
     assert char_poly(M) == berkowitz_on_polynomials(M)
     assert taken == ["packed"]
@@ -311,8 +311,7 @@ def test_char_poly_matches_sympy():
                 ints = [[rng.randrange(-4, 5) for _ in range(c)]
                         for _ in range(c)]
                 M = MultiplicationMatrix(
-                    None, None, [[R.constant(a) for a in row] for row in ints],
-                    None)
+                    None, [[R.constant(a) for a in row] for row in ints])
                 # over F_p the char-poly of the reduced matrix is the integer
                 # char-poly reduced mod p
                 theirs = sympy.Matrix(ints).charpoly().all_coeffs()
@@ -321,7 +320,7 @@ def test_char_poly_matches_sympy():
 
 def test_char_poly_degree_cap_is_a_resource_cap():
     zero = QYZ.zero()
-    M = MultiplicationMatrix(None, None, [[zero] * 13 for _ in range(13)], "Z")
+    M = MultiplicationMatrix(None, [[zero] * 13 for _ in range(13)])
     with pytest.raises(ResourceCapError, match=r"^CHARPOLY_DEGREE cap "
                        r"exceeded: 13 > 12 \(no product taken\)$"):
         char_poly(M)
@@ -945,16 +944,14 @@ def test_companion_steps_and_char_poly_outputs_reaching_2_31_raise():
     limit = r"total degree reaches the limit 2\^31"
     with pytest.raises(RingError, match=limit):
         mult_matrix(big * R.var("Z"), R.parse("Z^2") + big, "Z")
-    M = MultiplicationMatrix(R.parse("Z^2"), R.zero(),
-                             [[big, R.zero()], [R.zero(), big]], "Z")
+    M = MultiplicationMatrix(R.zero(), [[big, R.zero()], [R.zero(), big]])
     # char_poly runs c = 2 on raw maps; packing declines exponents whose
     # slots pass its bounds, so its outputs stay far below 2^31
     with pytest.raises(RingError, match=limit):
         char_poly(M)
     assert elim._packed_char_poly(M._rows, M._ring) is None
     half = R.parse("x^536870912")   # det of half * identity is x^(2^30)
-    M = MultiplicationMatrix(R.parse("Z^2"), R.zero(),
-                             [[half, R.zero()], [R.zero(), half]], "Z")
+    M = MultiplicationMatrix(R.zero(), [[half, R.zero()], [R.zero(), half]])
     assert char_poly(M) == [-2 * half, big]
     assert elim._packed_char_poly(M._rows, M._ring) is None
 
@@ -1036,14 +1033,14 @@ def test_raw_char_poly_products_reaching_2_31_raise():
     # does not
     R = ring("F5", "x", "y")
     big, one, zero = R.parse("x^1073741824"), R.one(), R.zero()
-    M = MultiplicationMatrix(None, None, [[big, zero, zero], [zero, big, zero],
-                                          [zero, zero, one]], None)
+    M = MultiplicationMatrix(None, [[big, zero, zero], [zero, big, zero],
+                                    [zero, zero, one]])
     with pytest.raises(RingError, match=r"total degree reaches the limit "
                        r"2\^31"):
         elim._raw_char_poly(M._rows, M._ring)
-    M = MultiplicationMatrix(None, None, [[big, R.var("y"), zero],
-                                          [zero, one, zero],
-                                          [one, zero, one]], None)
+    M = MultiplicationMatrix(None, [[big, R.var("y"), zero],
+                                    [zero, one, zero],
+                                    [one, zero, one]])
     assert elim._raw_char_poly(M._rows, M._ring) == \
         berkowitz_on_polynomials(M)
 

@@ -323,6 +323,17 @@ def test_fractions_map_to_inverses_in_positive_characteristic():
         F5.element(Fraction(3, 10))
 
 
+def test_a_value_with_no_image_in_the_field_is_unequal():
+    # 1/5 has no image in F5: == answers False and != True, so list.count
+    # answers too, as F5.one() == Q.one() does
+    one = FieldElement(F5, 1)
+    assert not one == Fraction(1, 5) and one != Fraction(1, 5)
+    assert [one, F5.zero()].count(Fraction(1, 5)) == 0
+    assert not F5.one() == Q.one() and F5.one() != Q.one()
+    # a value with an image still compares by it
+    assert one == Fraction(6, 1) and one == 11 and one != 2
+
+
 def test_inexact_and_untyped_values_are_refused():
     # a float would be rounded and a string parsed: neither is coerced
     for field, value in ((Q, 0.1), (F5, 0.5), (Q, "3/4"), (F9, "1"),

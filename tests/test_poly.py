@@ -152,6 +152,19 @@ def test_rational_product_holds_integral_values_as_int():
     assert type(f.terms[(2,)].val) is int
 
 
+def test_a_constant_with_no_image_in_the_field_is_unequal():
+    # F5's one has no image in Q, and 1/5 none in F5: == answers False and
+    # != True, so list.count answers too, as F5.one() == Q.one() does
+    R, S = ring("Q", "x"), ring("F5", "x")
+    F5 = S.field
+    assert not R.one() == F5.one() and R.one() != F5.one()
+    assert [R.one(), R.zero()].count(F5.one()) == 0
+    assert not S.one() == Fraction(1, 5) and S.one() != Fraction(1, 5)
+    assert [S.one(), S.zero()].count(Fraction(1, 5)) == 0
+    # a value with an image still compares by it
+    assert R.one() == 1 and S.one() == Fraction(6, 1) == F5.one()
+
+
 def test_is_monic_in_reads_only_the_top_degree():
     # a coefficient list up to Z^(2^31 - 2) would not fit in memory; the
     # degree stays below 2^31 in Z*Y too

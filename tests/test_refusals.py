@@ -4,10 +4,11 @@ with INFINITE_ORDER."""
 import pytest
 
 from reeselim import (INFINITE_ORDER, FieldDescriptor, FieldError, Ideal,
-                      MonicInput, RationalPoint, ReesAlgebra, ReesError,
-                      ResourceCapError, RingContext, RingError,
-                      component_order, diff_closure_list, e0_invariant,
-                      eliminate, hasse_derivative, ideal_equal, membership,
+                      MonicInput, MultiplicationMatrix, RationalPoint,
+                      ReesAlgebra, ReesError, ResourceCapError, RingContext,
+                      RingError, char_poly, component_order,
+                      diff_closure_list, e0_invariant, eliminate,
+                      hasse_derivative, ideal_equal, membership,
                       purely_ramified_at, slope_equivalent, univ_divmod,
                       verify_thm_1_16_ii)
 
@@ -20,6 +21,10 @@ AZ = RingContext(F2, ("x", "Z"))
 X, BX = A.var("x"), B.var("x")
 G = ReesAlgebra.from_pairs(A, [(X, 1)])
 INPUT = MonicInput(AZ, "Z", [AZ.parse("Z^2+x")])
+# entries of Q[x,y], and z of Q[z], for the multiplication matrices
+QX, QY, Q1, Q2 = Q.var("x"), Q.var("y"), Q.one(), Q.constant(2)
+QZ = RingContext(Q.field, ("z",)).var("z")
+MATRIX = "need a nonempty square matrix over one ring"
 
 
 def refusal(name, error, message, call):
@@ -90,6 +95,21 @@ def refusal(name, error, message, call):
     refusal("thm-1-16-ii-point-ring", RingError,
             "point must lie in the full ring",
             lambda: verify_thm_1_16_ii(INPUT, A.point([0, 0]))),
+    # char_poly reads a matrix's size and its entries' ring from the
+    # constructor's rows: a 2x3 matrix would answer for its leading 2x2
+    # block, a 3x2 one raise IndexError, a mixed-ring one answer in the
+    # first entry's ring and an empty one have no ring
+    refusal("mult-matrix-wide", RingError, MATRIX,
+            lambda: char_poly(MultiplicationMatrix(
+                None, [[QX, QY, Q1], [Q2, QX, QY]]))),
+    refusal("mult-matrix-tall", RingError, MATRIX,
+            lambda: char_poly(MultiplicationMatrix(
+                None, [[QX, QY], [Q2, QX], [Q1, Q1]]))),
+    refusal("mult-matrix-mixed-ring", RingError, MATRIX,
+            lambda: char_poly(MultiplicationMatrix(
+                None, [[QX, QZ], [Q2, QX]]))),
+    refusal("mult-matrix-empty", RingError, MATRIX,
+            lambda: char_poly(MultiplicationMatrix(None, []))),
 ])
 def test_library_refusal_names_its_error(error, message, call):
     with pytest.raises(error) as info:
